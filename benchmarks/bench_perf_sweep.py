@@ -16,11 +16,10 @@ per node, plus p = 4096 at ppn = 2 (LUMI has 2976 nodes) — and writes
   a reason) — process-pool overhead on 1 CPU reads like a regression when
   it is just Amdahl; the JSON always records the core count next to it;
 * **warm evaluation** — profiles already memoized in-process, only the
-  evaluation layer runs: the python engine calls ``evaluate_time`` once
-  per ``(profile, size)`` cell, the compiled engine evaluates each
-  profile's whole size grid in one ``evaluate_grid`` pass.  The ≥5×
-  compiled speedup is asserted (measured ~18×) — this is what makes
-  campaign-scale reruns effectively free;
+  evaluation layer runs: each profile's whole size grid evaluates in one
+  ``evaluate_grid`` pass.  An absolute budget is asserted (measured
+  ~0.03 s on one core) — this is what makes campaign-scale reruns
+  effectively free;
 * **trace overhead** — the estimated cost of the *disabled* telemetry
   hooks (``obs.span`` no-ops and always-on counter increments) on the
   warm compiled evaluation pass: hooks actually crossed × per-call
@@ -57,8 +56,8 @@ VECTOR_BYTES = tuple(32 * 8**k for k in range(9))
 #: the p=4096 exact butterfly builds dominate; the quadratic-validate-era
 #: pipeline could not finish this campaign at all)
 COLD_BUDGET_S = 90.0
-#: the compiled evaluation layer must beat per-size python evaluation
-EVAL_SPEEDUP_FLOOR = 5.0
+#: generous ceiling for the warm evaluation pass (measured ~0.03 s)
+WARM_EVAL_BUDGET_S = 0.25
 #: disabled telemetry hooks must stay under 3% of the warm-eval wall-clock
 TRACE_OVERHEAD_CEILING = 0.03
 
@@ -82,20 +81,10 @@ def _run_campaign(cache=None, **kwargs) -> tuple[float, int]:
 
 def _warm_eval() -> dict:
     """Evaluation-layer wall-clock with fully warm in-process profiles."""
-    preset = lumi()
-    out = {}
-    for engine in ("python", "compiled"):
-        cache = ProfileCache(preset, profile_engine=engine)
-        _run_campaign(cache=cache)  # build + profile once
-        eval_s, n = _run_campaign(cache=cache)  # pure evaluation
-        out[engine] = (eval_s, n)
-    (py_s, n_py), (co_s, n_co) = out["python"], out["compiled"]
-    assert n_py == n_co
-    return {
-        "python_s": round(py_s, 4),
-        "compiled_s": round(co_s, 4),
-        "speedup": round(py_s / co_s, 1) if co_s else None,
-    }
+    cache = ProfileCache(lumi())
+    _run_campaign(cache=cache)  # build + profile once
+    eval_s, _ = _run_campaign(cache=cache)  # pure evaluation
+    return {"compiled_s": round(eval_s, 4)}
 
 
 def _trace_overhead(untraced_warm_eval_s: float) -> dict:
@@ -111,7 +100,7 @@ def _trace_overhead(untraced_warm_eval_s: float) -> dict:
     """
     from repro import obs
 
-    cache = ProfileCache(lumi(), profile_engine="compiled")
+    cache = ProfileCache(lumi())
     _run_campaign(cache=cache)  # warm the profiles
     obs.begin_session(None)
     try:
@@ -202,7 +191,7 @@ def test_perf_sweep():
     print(f"\n[bench_perf_sweep] {json.dumps(result, indent=2)}")
     assert result["cold_s"] < COLD_BUDGET_S
     assert result["warm_disk_cache_s"] < result["cold_s"]
-    assert result["warm_eval"]["speedup"] >= EVAL_SPEEDUP_FLOOR
+    assert result["warm_eval"]["compiled_s"] < WARM_EVAL_BUDGET_S
     assert (
         result["trace_overhead"]["fraction_of_warm_eval"]
         < TRACE_OVERHEAD_CEILING

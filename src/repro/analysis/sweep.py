@@ -21,8 +21,9 @@ numbers produced:
   override with ``REPRO_VALIDATE=1``) — sweeps rebuild known-good schedules
   in bulk;
 * ν-label / π permutation tables are memoized per ``p`` in the core layer;
-* one :class:`~repro.model.simulator.RouteTable` per :class:`ProfileCache`
-  shares node-pair routes across every algorithm and mapping of a campaign;
+* one CSR :class:`~repro.model.compiled.CompiledRouteTable` per
+  :class:`ProfileCache` shares node-pair routes across every algorithm and
+  mapping of a campaign;
 * an optional on-disk profile cache (``disk_dir=``) persists
   :class:`~repro.model.simulator.ScheduleProfile` objects across processes,
   keyed by ``(system, placement, seed, busy_fraction, faults, collective,
@@ -31,15 +32,19 @@ numbers produced:
   :class:`RuntimeWarning`), never trusted; delete the directory (or bump
   ``_CACHE_VERSION``) to invalidate wholesale.
 
-``sweep_system(..., workers=N)`` shards the grid over ``(collective, p)``
-pairs onto a :class:`~concurrent.futures.ProcessPoolExecutor`.  Scheduler
-placements are pre-sampled in the parent in the exact first-touch order of
-the serial sweep and shipped to the workers, so parallel results are
-record-for-record identical to serial ones.  Shard execution is
+Every sweep runs through one cell loop (:func:`_run_cells`).
+:func:`sweep_system` plans its grid as ``(collective, p)`` cells,
+pre-sampling scheduler placements in the exact first-touch order of a
+serial walk of the grid; :func:`sweep_torus` is a single
+``("<torus>", ranks)`` cell.  A cell runs inline, or — with
+``workers=N`` — on a :class:`~concurrent.futures.ProcessPoolExecutor`
+that ships the pre-sampled placements to the workers.  Shard execution is
 resilient: crashed or timed-out shards are re-queued once onto a fresh
-pool, and if that round fails too the survivors run serially in the
-parent (with a :class:`RuntimeWarning`) — a flaky worker degrades
-throughput, never records.
+pool, and if that round fails too the survivors run inline in the parent
+(with a :class:`RuntimeWarning`) — a flaky worker degrades throughput,
+never records.  Because placements are fixed before any cell runs, cell
+results are order-independent and the records are identical whichever
+way the cells ran.
 
 ``sweep_system(..., faults=FaultSpec(...))`` evaluates the grid on a
 :class:`~repro.faults.DegradedTopology`; the spec's label lands in every
@@ -51,15 +56,14 @@ A spec with a :class:`~repro.faults.FaultTimeline` additionally requires
 replays the timeline's mid-run failures/heals while executing the
 lowered transfer program, and its records carry the timeline label plus
 a ``stalled`` flag.  With an empty timeline the DES engine reproduces
-the analytic engines bit for bit (the calibration contract).
+the compiled engine bit for bit (the calibration contract).
 
-``sweep_system(..., cell_sink=...)`` wires the sweep into the campaign
-record journal (:mod:`repro.checkpoint`): every finished ``(collective,
-p)`` cell is offered to the sink (which journals it and may raise a
-drain), already-journaled cells are skipped on resume, and — because
-placements are pre-sampled in serial first-touch order exactly like the
-parallel path — the resumed run's records are byte-identical to an
-uninterrupted one, serial or sharded.
+``cell_sink=...`` (on either sweep) wires the cell loop into the campaign
+record journal (:mod:`repro.checkpoint`): the loop plans its cells with
+the sink, serves already-journaled cells from it on resume, stores every
+finished cell, and polls the graceful drain between cells — so a resumed
+run's records are byte-identical to an uninterrupted one, serial or
+sharded.
 """
 
 from __future__ import annotations
@@ -88,12 +92,7 @@ from repro.model.compiled import (
     transfer_table_for,
 )
 from repro.model.cost import CostParams
-from repro.model.simulator import (
-    RouteTable,
-    ScheduleProfile,
-    evaluate_time,
-    profile_schedule,
-)
+from repro.model.simulator import ScheduleProfile
 from repro.faults import DegradedTopology, FaultSpec
 from repro import obs
 from repro.checkpoint.drain import drain_requested
@@ -309,9 +308,11 @@ class ProfileCache:
     hostname-sorted scheduler allocation (the paper's operating conditions);
     ``"block"`` uses the idealised node ``r // ppn`` mapping.
 
-    All profiles share one :class:`RouteTable` (node-pair routes depend only
-    on the topology), and schedule builders run with validation switched
-    off — the sweep rebuilds schedules the test suite already validates.
+    All profiles share one CSR
+    :class:`~repro.model.compiled.CompiledRouteTable` (node-pair routes
+    depend only on the topology), and schedule builders run with
+    validation switched off — the sweep rebuilds schedules the test suite
+    already validates.
 
     ``disk_dir`` enables a persistent second-level cache: profiles are
     pickled under ``disk_dir`` keyed by ``(system, placement, seed,
@@ -327,15 +328,15 @@ class ProfileCache:
     (the parallel-shard path), its spec governs and ``faults`` must be
     omitted.
 
-    ``profile_engine`` picks the profiling backend: ``"compiled"`` (the
-    default) lowers each schedule once into a memoized
-    :class:`~repro.model.compiled.TransferTable` and profiles it through a
-    CSR :class:`~repro.model.compiled.CompiledRouteTable`; ``"python"`` is
-    the scalar reference path.  Profiles are bit-identical either way
-    (asserted in ``tests/test_compiled_profile.py``), so both engines share
-    one disk-cache namespace.  ``"des"`` profiles like ``"compiled"`` but
-    *evaluates* by discrete-event simulation (:mod:`repro.des`) — it is
-    required (and the only engine allowed) when the fault spec carries a
+    ``profile_engine`` picks the evaluation backend.  Both engines lower
+    each schedule once into a memoized
+    :class:`~repro.model.compiled.TransferTable` and profile it through
+    the CSR route table (bit-identical to the scalar
+    :func:`~repro.model.simulator.profile_schedule` reference, asserted in
+    ``tests/test_compiled_profile.py``).  ``"compiled"`` (the default)
+    evaluates analytically; ``"des"`` *evaluates* by discrete-event
+    simulation (:mod:`repro.des`) — it is required (and the only engine
+    allowed) when the fault spec carries a
     :class:`~repro.faults.FaultTimeline`, and shares the compiled disk
     namespace because profiles are static-fabric artifacts.
     """
@@ -376,11 +377,7 @@ class ProfileCache:
                 f"profile_engine='des'; the {self.engine!r} engine scores a "
                 "static fabric and cannot replay mid-run events"
             )
-        self.routes = RouteTable(self.topo)
-        self.croutes = (
-            CompiledRouteTable(self.topo)
-            if self.engine in ("compiled", "des") else None
-        )
+        self.routes = CompiledRouteTable(self.topo)
         self._cache: dict[tuple, ScheduleProfile | None] = {}
         self._mappings: dict[tuple[int, int], RankMap] = dict(mappings or {})
         self._sampler = None
@@ -478,56 +475,31 @@ class ProfileCache:
     def _build(
         self, spec: AlgorithmSpec, p: int, ppn: int, mapping: RankMap
     ) -> ScheduleProfile | None:
-        compiled = self.engine in ("compiled", "des")
         analytic = ANALYTIC_PROFILES.get((spec.collective, spec.name))
         # alltoall always uses the analytic (packed-implementation) profiles
         # so small and large rank counts are modelled consistently.
         if analytic is not None and (p > ANALYTIC_THRESHOLD or spec.collective == "alltoall"):
             if spec.pow2_only and p & (p - 1):
                 return None
-            routes = self.croutes if compiled else self.routes
             with obs.span(
                 "profile.analytic",
                 collective=spec.collective,
                 algorithm=spec.name,
                 p=p,
             ):
-                return analytic(p, self.topo, mapping, routes=routes)
-        if compiled:
-            # schedules lower once per (collective, algorithm, p) — the
-            # table is shared across systems, placements and seeds
-            table = transfer_table_for(spec, p)
-            if table is None:
-                return None  # constraint (pow2/divisibility) not met
-            with obs.span(
-                "profile.table",
-                collective=spec.collective,
-                algorithm=spec.name,
-                p=p,
-            ):
-                return profile_table(
-                    table, self.topo, mapping, routes=self.croutes
-                )
-        try:
-            with obs.span(
-                "schedule.build",
-                collective=spec.collective,
-                algorithm=spec.name,
-                p=p,
-            ):
-                with schedule_validation(False):
-                    schedule = spec.build(p, p)  # one element per block
-        except ValueError:
+                return analytic(p, self.topo, mapping, routes=self.routes)
+        # schedules lower once per (collective, algorithm, p) — the table
+        # is shared across systems, placements and seeds
+        table = transfer_table_for(spec, p)
+        if table is None:
             return None  # constraint (pow2/divisibility) not met
         with obs.span(
-            "profile.schedule",
+            "profile.table",
             collective=spec.collective,
             algorithm=spec.name,
             p=p,
         ):
-            return profile_schedule(
-                schedule, self.topo, mapping, routes=self.routes
-            )
+            return profile_table(table, self.topo, mapping, routes=self.routes)
 
     # -- on-disk persistence ------------------------------------------------
 
@@ -657,7 +629,6 @@ def _selected_specs(
 
 def _profile_records(
     profile: ScheduleProfile,
-    engine: str,
     system: str,
     spec: AlgorithmSpec,
     p: int,
@@ -665,101 +636,73 @@ def _profile_records(
     params: CostParams,
     faults: str = "none",
     ppn: int = 1,
-    timeline: str = "none",
 ) -> list[SweepRecord]:
-    """Records for one profile across the size grid, on either analytic engine.
+    """Records for one profile across the size grid, in one evaluation pass.
 
-    The compiled engine evaluates every size in one
-    :func:`~repro.model.compiled.evaluate_grid` pass; the python engine
-    calls :func:`~repro.model.simulator.evaluate_time` per size.  Both
-    yield bit-identical records.  (The ``des`` engine goes through
-    :func:`repro.des.records.des_records` instead.)
+    :func:`~repro.model.compiled.evaluate_grid` scores every size at once.
+    (The ``des`` engine goes through :func:`repro.des.records.des_records`
+    instead.)
     """
     with obs.span(
         "evaluate.grid",
         collective=spec.collective,
         algorithm=spec.name,
         p=p,
-        engine=engine,
         sizes=len(vector_bytes),
     ):
-        if engine == "compiled":
-            grid = evaluate_grid(
-                profile, params, [nb / params.itemsize for nb in vector_bytes]
-            )
-            cells = zip(vector_bytes, grid.time, grid.global_bytes)
-        else:
-            cells = (
-                (nb,) + _scalar_cell(profile, params, nb) for nb in vector_bytes
-            )
-        records = _cells_to_records(
-            cells, system, spec, p, faults, ppn, timeline
+        grid = evaluate_grid(
+            profile, params, [nb / params.itemsize for nb in vector_bytes]
         )
+        records = [
+            SweepRecord(
+                system=system,
+                collective=spec.collective,
+                algorithm=spec.name,
+                family=spec.family,
+                p=p,
+                n_bytes=nb,
+                time=float(time),
+                global_bytes=float(gbytes),
+                faults=faults,
+                ppn=ppn,
+            )
+            for nb, time, gbytes in zip(
+                vector_bytes, grid.time, grid.global_bytes
+            )
+        ]
     obs.inc("evaluate.records", len(records))
     return records
 
 
-def _cells_to_records(
-    cells, system, spec, p, faults, ppn, timeline
-) -> list[SweepRecord]:
-    return [
-        SweepRecord(
-            system=system,
-            collective=spec.collective,
-            algorithm=spec.name,
-            family=spec.family,
-            p=p,
-            n_bytes=nb,
-            time=float(time),
-            global_bytes=float(gbytes),
-            faults=faults,
-            ppn=ppn,
-            timeline=timeline,
-        )
-        for nb, time, gbytes in cells
-    ]
-
-
-def _scalar_cell(profile, params, nb) -> tuple[float, float]:
-    metrics = evaluate_time(profile, params, nb / params.itemsize)
-    return metrics.time, metrics.global_bytes
-
-
-def _evaluate_grid(
-    preset: SystemPreset,
+def _evaluate_cell(
+    system: str,
     cache: ProfileCache,
     specs: Sequence[AlgorithmSpec],
-    node_counts: Sequence[int],
+    p: int,
     vector_bytes: Sequence[int],
     params: CostParams,
-    max_p: dict[str, int] | None,
     ppn: int,
 ) -> list[SweepRecord]:
-    """The serial sweep core: profile once, evaluate at every vector size."""
-    des = cache.engine == "des"
-    if des:
-        from repro.des.records import des_records
+    """The cell body: profile once, evaluate at every vector size.
+
+    ``specs`` are the cell's algorithms (one collective), in registry
+    order; inapplicable ones profile to ``None`` and yield no records.
+    """
     records: list[SweepRecord] = []
     for spec in specs:
-        for p in node_counts:
-            if max_p and p > max_p.get(spec.collective, p):
-                continue
-            profile = cache.get(spec, p, ppn)
-            if profile is None:
-                continue
-            if des:
-                records.extend(
-                    des_records(
-                        cache, preset.name, spec, p, vector_bytes, params,
-                        ppn, profile,
-                    )
-                )
-                continue
-            records.extend(
-                _profile_records(
-                    profile, cache.engine, preset.name, spec, p,
-                    vector_bytes, params, faults=cache.faults_label, ppn=ppn,
-                )
+        profile = cache.get(spec, p, ppn)
+        if profile is None:
+            continue
+        if cache.engine == "des":
+            from repro.des.records import des_records
+
+            records += des_records(
+                cache, system, spec, p, vector_bytes, params, ppn, profile
+            )
+        else:
+            records += _profile_records(
+                profile, system, spec, p, vector_bytes, params,
+                faults=cache.faults_label, ppn=ppn,
             )
     return records
 
@@ -773,10 +716,10 @@ def _grid_cells(
 ) -> list[tuple[str, int]]:
     """The grid's ``(collective, p)`` cells, pre-sampling every mapping.
 
-    Walks the grid in the exact first-touch order of the serial sweep so
-    scheduler allocations match it draw for draw — the property that
-    makes cell results order-independent, and therefore both parallel
-    execution and journal resume provably record-identical to serial.
+    Walks the grid in serial ``spec × p`` order so scheduler allocations
+    are drawn in one fixed first-touch order — the property that makes
+    cell results order-independent, and therefore parallel execution and
+    journal resume record-identical to running the cells inline.
     """
     cells: list[tuple[str, int]] = []
     for spec in specs:
@@ -792,11 +735,17 @@ def _grid_cells(
 
 
 def _reassemble(
-    grouped: dict[tuple[str, str, int], list[SweepRecord]],
+    per_cell: Iterable[list[SweepRecord]],
     specs: Sequence[AlgorithmSpec],
     node_counts: Sequence[int],
 ) -> list[SweepRecord]:
-    """Flatten per-cell record groups back into serial sweep order."""
+    """Flatten per-cell records back into serial ``spec × p`` order."""
+    grouped: dict[tuple[str, str, int], list[SweepRecord]] = {}
+    for recs in per_cell:
+        for rec in recs:
+            grouped.setdefault(
+                (rec.collective, rec.algorithm, rec.p), []
+            ).append(rec)
     records: list[SweepRecord] = []
     for spec in specs:
         for p in node_counts:
@@ -804,47 +753,53 @@ def _reassemble(
     return records
 
 
-def _evaluate_cells(
-    preset: SystemPreset,
-    cache: ProfileCache,
-    specs: Sequence[AlgorithmSpec],
-    node_counts: Sequence[int],
-    vector_bytes: Sequence[int],
-    params: CostParams,
-    max_p: dict[str, int] | None,
-    ppn: int,
-    cell_sink,
-) -> list[SweepRecord]:
-    """Serial sweep, cell by cell, streaming each into a journal sink.
+def _check_drain(cell_sink) -> None:
+    """Raise the sink's interrupt error when a graceful drain is pending."""
+    sig = drain_requested()
+    if sig is not None and cell_sink is not None:
+        raise cell_sink.interrupted_error(sig)
 
-    The journaled counterpart of :func:`_evaluate_grid`: mappings are
-    pre-sampled in serial first-touch order, each ``(collective, p)``
-    cell is evaluated (or served from the sink on resume) atomically,
-    and the reassembled records are identical to the plain serial
-    sweep's.  Polls :func:`~repro.checkpoint.drain.drain_requested`
-    between cells so SIGINT/SIGTERM stop the run at a journaled
-    boundary.
+
+def _run_cells(
+    cells: Sequence[tuple[str, int]],
+    run_cell,
+    cell_sink=None,
+    workers: int | None = None,
+    shard_args=None,
+) -> list[list[SweepRecord]]:
+    """The one cell loop behind every sweep; records per cell, in order.
+
+    ``run_cell(i)`` evaluates cell ``i`` inline.  With ``workers`` > 1 the
+    cells first go to a process pool (``shard_args(i)`` is cell ``i``'s
+    :func:`_sweep_shard` argument tuple); cells the pool could not finish
+    run inline afterwards.  ``cell_sink`` (a
+    :class:`~repro.checkpoint.journal.GridJournal`) sees the plan, serves
+    already-journaled cells, stores every finished cell, and a pending
+    graceful drain stops the loop at the next cell boundary with
+    :class:`~repro.runtime.errors.InterruptedRunError`.
     """
-    cells = _grid_cells(cache, specs, node_counts, max_p, ppn)
-    cell_sink.plan(cells)
-    grouped: dict[tuple[str, str, int], list[SweepRecord]] = {}
-    for coll, p in cells:
-        sig = drain_requested()
-        if sig is not None:
-            raise cell_sink.interrupted_error(sig)
-        recs = cell_sink.lookup(coll, p)
-        if recs is None:
-            cell_specs = [s for s in specs if s.collective == coll]
-            recs = _evaluate_grid(
-                preset, cache, cell_specs, (p,), vector_bytes, params,
-                max_p, ppn,
-            )
-            cell_sink.store(coll, p, recs)
-        for rec in recs:
-            grouped.setdefault(
-                (rec.collective, rec.algorithm, rec.p), []
-            ).append(rec)
-    return _reassemble(grouped, specs, node_counts)
+    results: dict[int, list[SweepRecord]] = {}
+
+    def finish(i: int, recs: list[SweepRecord]) -> None:
+        if cell_sink is not None:
+            cell_sink.store(*cells[i], recs)
+        results[i] = recs
+
+    if cell_sink is not None:
+        cell_sink.plan(cells)
+        for i, cell in enumerate(cells):
+            recs = cell_sink.lookup(*cell)
+            if recs is not None:
+                results[i] = recs
+    pending = [i for i in range(len(cells)) if i not in results]
+    if workers is not None and workers > 1:
+        pending = _run_pool(
+            cells, pending, shard_args, workers, finish, cell_sink
+        )
+    for i in pending:
+        _check_drain(cell_sink)
+        finish(i, run_cell(i))
+    return [results[i] for i in range(len(cells))]
 
 
 def sweep_system(
@@ -875,10 +830,9 @@ def sweep_system(
     same order.  ``disk_dir`` enables the persistent profile cache (ignored
     when an explicit ``cache`` is passed — configure it there instead).
 
-    ``profile_engine`` selects the profiling/evaluation backend
-    (``"compiled"`` default, ``"python"`` reference; records are
-    bit-identical).  Like ``disk_dir`` it is ignored when an explicit
-    ``cache`` is passed — the cache's engine governs.
+    ``profile_engine`` selects the evaluation backend (``"compiled"``
+    default, or ``"des"``).  Like ``disk_dir`` it is ignored when an
+    explicit ``cache`` is passed — the cache's engine governs.
 
     ``faults`` evaluates the grid on a degraded fabric (see
     :class:`~repro.faults.FaultSpec`); the scenario label lands in every
@@ -920,21 +874,31 @@ def sweep_system(
         faults=cache.faults_label,
         workers=workers or 1,
     ) as sweep_span:
-        if workers is not None and workers > 1:
-            records = _sweep_parallel(
-                preset, cache, specs, node_counts, vector_bytes, params,
-                max_p, ppn, workers, cell_sink=cell_sink,
+        cells = _grid_cells(cache, specs, node_counts, max_p, ppn)
+        cell_specs = [
+            [s for s in specs if s.collective == coll] for coll, _ in cells
+        ]
+
+        def run_cell(i: int) -> list[SweepRecord]:
+            return _evaluate_cell(
+                preset.name, cache, cell_specs[i], cells[i][1],
+                vector_bytes, params, ppn,
             )
-        elif cell_sink is not None:
-            records = _evaluate_cells(
-                preset, cache, specs, node_counts, vector_bytes, params,
-                max_p, ppn, cell_sink,
+
+        def shard_args(i: int) -> tuple:
+            coll, p = cells[i]
+            return (
+                cache.topo, preset.name, params, cache.placement, cache.seed,
+                cache.busy_fraction, dict(cache._mappings),
+                str(cache.disk_dir) if cache.disk_dir is not None else None,
+                cache.engine, coll, p, vector_bytes,
+                tuple(s.name for s in cell_specs[i]), ppn,
             )
-        else:
-            records = _evaluate_grid(
-                preset, cache, specs, node_counts, vector_bytes, params,
-                max_p, ppn,
-            )
+
+        records = _reassemble(
+            _run_cells(cells, run_cell, cell_sink, workers, shard_args),
+            specs, node_counts,
+        )
         sweep_span.set(records=len(records))
     return records
 
@@ -948,6 +912,7 @@ def sweep_torus(
     algorithms: Iterable[str] | None = None,
     params: CostParams | None = None,
     profile_engine: str | None = None,
+    cell_sink=None,
 ) -> list[SweepRecord]:
     """Evaluate the torus algorithm catalog on one sub-torus (Fig. 11b).
 
@@ -962,6 +927,12 @@ def sweep_torus(
     ``system="<preset>:<DxDxD>"`` so multiple sub-tori of one campaign
     (e.g. the paper's 4x4x4 and 8x8 at 64 ranks) stay distinct cells.
 
+    The whole grid is one ``("<torus>", ranks)`` cell of the sweep cell
+    loop, so ``cell_sink`` journals, resumes and drains it exactly like a
+    :func:`sweep_system` cell.  The torus catalog is scored analytically
+    only: ``profile_engine="des"`` raises
+    :class:`~repro.runtime.errors.DESEngineError`.
+
     Example::
 
         >>> from repro.systems import fugaku
@@ -974,37 +945,38 @@ def sweep_torus(
     from repro.core.torus_opt import TorusShape
     from repro.topology.torus import Torus
 
+    if resolve_profile_engine(profile_engine) == "des":
+        raise DESEngineError(
+            "torus sweeps have no DES engine: the torus catalog is scored "
+            "analytically only — use profile_engine='compiled'"
+        )
     shape = TorusShape(tuple(dims))
-    topo = Torus(tuple(dims))
-    mapping = block_mapping(shape.num_ranks)
     params = params or preset.params
     vector_bytes = tuple(
         vector_bytes if vector_bytes is not None else preset.vector_bytes
     )
-    engine = resolve_profile_engine(profile_engine)
-    if engine == "des":
-        raise DESEngineError(
-            "torus sweeps have no DES engine: the torus catalog is scored "
-            "analytically only — use profile_engine='compiled' or 'python'"
-        )
-    croutes = CompiledRouteTable(topo) if engine == "compiled" else None
     system = f"{preset.name}:{'x'.join(str(d) for d in dims)}"
-    records: list[SweepRecord] = []
-    for spec in torus_specs(collectives, algorithms):
-        with schedule_validation(False):
-            schedule = spec.build(shape)
-        if engine == "compiled":
+
+    def run_cell(_i: int) -> list[SweepRecord]:
+        topo = Torus(tuple(dims))
+        mapping = block_mapping(shape.num_ranks)
+        routes = CompiledRouteTable(topo)
+        records: list[SweepRecord] = []
+        for spec in torus_specs(collectives, algorithms):
+            with schedule_validation(False):
+                schedule = spec.build(shape)
             profile = profile_table(
-                lower_schedule(schedule), topo, mapping, routes=croutes
+                lower_schedule(schedule), topo, mapping, routes=routes
             )
-        else:
-            profile = profile_schedule(schedule, topo, mapping)
-        records.extend(
-            _profile_records(
-                profile, engine, system, spec, shape.num_ranks,
-                vector_bytes, params,
+            records.extend(
+                _profile_records(
+                    profile, system, spec, shape.num_ranks, vector_bytes,
+                    params,
+                )
             )
-        )
+        return records
+
+    [records] = _run_cells([("<torus>", shape.num_ranks)], run_cell, cell_sink)
     return records
 
 
@@ -1014,7 +986,7 @@ def sweep_torus(
 #: as hung and its cell re-queued (override: REPRO_SHARD_TIMEOUT seconds)
 _SHARD_TIMEOUT_S = 300.0
 
-#: extra pool rounds after the first before falling back to serial
+#: extra pool rounds after the first before falling back to inline cells
 _SHARD_RETRIES = 1
 
 #: pool/worker failures that justify a retry round; anything else (a real
@@ -1064,8 +1036,7 @@ def _sweep_shard(
     collective: str,
     p: int,
     vector_bytes: tuple[int, ...],
-    algorithm_names: tuple[str, ...] | None,
-    max_p: dict[str, int] | None,
+    algorithm_names: tuple[str, ...],
     ppn: int,
 ) -> list[SweepRecord]:
     """Worker: evaluate one ``(collective, p)`` cell of the grid.
@@ -1098,8 +1069,8 @@ def _sweep_shard(
     specs = _selected_specs((collective,), algorithm_names)
     with obs.shard_scope():
         with obs.span("shard.run", collective=collective, p=p):
-            return _evaluate_grid(
-                preset, cache, specs, (p,), vector_bytes, params, max_p, ppn
+            return _evaluate_cell(
+                system_name, cache, specs, p, vector_bytes, params, ppn
             )
 
 
@@ -1135,22 +1106,21 @@ def _run_shard_round(
     shard_args: dict[int, tuple],
     workers: int,
     timeout: float,
-    on_result=None,
-) -> tuple[dict[int, list[SweepRecord]], list[int], list[int]]:
-    """One process-pool round; ``(results by cell, failed, abandoned)``.
+    on_result,
+) -> tuple[list[int], list[int]]:
+    """One process-pool round; ``(failed, abandoned)`` cell indices.
 
     Only pool-infrastructure failures (crashed worker, hung shard, broken
     pipe) land in the failed list; deterministic exceptions raised *by*
     shard code propagate to the caller unchanged.  ``on_result`` is
-    called with ``(cell index, records)`` as each shard is absorbed — the
-    journal streaming hook, invoked in deterministic submission order.
+    called with ``(cell index, records)`` as each shard is absorbed, in
+    deterministic submission order.
 
     Under a graceful drain (:func:`~repro.checkpoint.drain.
     drain_requested`) not-yet-running futures are cancelled and returned
     as *abandoned* — never failed, they must not be retried — while
     in-flight shards are awaited (and journaled) as usual.
     """
-    results: dict[int, list[SweepRecord]] = {}
     failed: list[int] = []
     abandoned: list[int] = []
     pool = ProcessPoolExecutor(
@@ -1176,143 +1146,68 @@ def _run_shard_round(
                 # this shard was in flight when the drain was requested;
                 # its result is still absorbed and journaled
                 obs.inc("checkpoint.drain.inflight")
-            results[i] = recs
-            if on_result is not None:
-                on_result(i, recs)
+            on_result(i, recs)
     finally:
         # don't wait: a hung worker must not hang the parent too
         pool.shutdown(wait=False, cancel_futures=True)
-    return results, failed, abandoned
+    return failed, abandoned
 
 
-def _sweep_parallel(
-    preset: SystemPreset,
-    cache: ProfileCache,
-    specs: Sequence[AlgorithmSpec],
-    node_counts: tuple[int, ...],
-    vector_bytes: tuple[int, ...],
-    params: CostParams,
-    max_p: dict[str, int] | None,
-    ppn: int,
+def _run_pool(
+    cells: Sequence[tuple[str, int]],
+    pending: Sequence[int],
+    shard_args,
     workers: int,
-    cell_sink=None,
-) -> list[SweepRecord]:
-    """Fan ``(collective, p)`` cells over a process pool, preserving order.
+    finish,
+    cell_sink,
+) -> list[int]:
+    """Run ``pending`` cells on process pools; returns the cells still owed.
 
     Execution is resilient: cells whose shard crashed or timed out are
     re-queued onto a fresh pool (``_SHARD_RETRIES`` extra rounds), and
-    cells that still fail are evaluated serially in the parent with a
-    :class:`RuntimeWarning` — worker failures degrade throughput, never
-    correctness or completeness.  Set ``REPRO_SHARD_FALLBACK=0`` to raise
+    cells that still fail are handed back to :func:`_run_cells` to run
+    inline with a :class:`RuntimeWarning` — worker failures degrade
+    throughput, never correctness or completeness.  Set
+    ``REPRO_SHARD_FALLBACK=0`` to raise
     :class:`~repro.runtime.errors.WorkerShardError` instead of falling
-    back (CI setups that want crashes loud).
-
-    ``cell_sink`` streams finished cells into the record journal (and
-    serves journaled cells on resume) exactly as in the serial path; a
-    pending graceful drain stops new dispatch at the next round boundary
-    and raises :class:`~repro.runtime.errors.InterruptedRunError` after
-    in-flight shards have been absorbed.
+    back (CI setups that want crashes loud).  A pending graceful drain
+    stops new dispatch at the next round boundary.
     """
-    # Mappings are pre-sampled in the exact first-touch order of the serial
-    # sweep, so scheduler allocations match it draw for draw.
-    cells = _grid_cells(cache, specs, node_counts, max_p, ppn)
-    algorithm_names = tuple(sorted({s.name for s in specs})) if specs else None
-    disk_dir = str(cache.disk_dir) if cache.disk_dir is not None else None
-    shard_args = {
-        i: (
-            cache.topo,
-            preset.name,
-            params,
-            cache.placement,
-            cache.seed,
-            cache.busy_fraction,
-            dict(cache._mappings),
-            disk_dir,
-            cache.engine,
-            coll,
-            p,
-            vector_bytes,
-            algorithm_names,
-            max_p,
-            ppn,
-        )
-        for i, (coll, p) in enumerate(cells)
-    }
-    timeout = _shard_timeout()
-    grouped: dict[tuple[str, str, int], list[SweepRecord]] = {}
-
-    def _absorb(records: Iterable[SweepRecord]) -> None:
-        for rec in records:
-            grouped.setdefault(
-                (rec.collective, rec.algorithm, rec.p), []
-            ).append(rec)
-
-    def _on_result(i: int, recs: list[SweepRecord]) -> None:
-        _absorb(recs)
-        if cell_sink is not None:
-            coll, p = cells[i]
-            cell_sink.store(coll, p, recs)
-
     obs.inc("shard.cells", len(cells))
-    pending = dict(shard_args)
-    if cell_sink is not None:
-        cell_sink.plan(cells)
-        for i, (coll, p) in enumerate(cells):
-            recs = cell_sink.lookup(coll, p)
-            if recs is not None:
-                _absorb(recs)
-                pending.pop(i)
+    timeout = _shard_timeout()
+    args = {i: shard_args(i) for i in pending}
+    todo = dict(args)
     for _round in range(1 + _SHARD_RETRIES):
-        if not pending:
+        if not todo:
             break
-        sig = drain_requested()
-        if sig is not None and cell_sink is not None:
-            raise cell_sink.interrupted_error(sig)
+        _check_drain(cell_sink)
         if _round:
-            obs.inc("shard.retries", len(pending))
+            obs.inc("shard.retries", len(todo))
         with obs.span(
-            "shard.round", round=_round, shards=len(pending), workers=workers
+            "shard.round", round=_round, shards=len(todo), workers=workers
         ):
-            results, failed, abandoned = _run_shard_round(
-                pending, workers, timeout, _on_result
-            )
-        pending = {
-            i: shard_args[i] for i in sorted({*failed, *abandoned})
-        }
-    if pending:
-        sig = drain_requested()
-        if sig is not None and cell_sink is not None:
-            raise cell_sink.interrupted_error(sig)
-        lost = [cells[i] for i in sorted(pending)]
-        if not env_flag("REPRO_SHARD_FALLBACK", True):
-            raise WorkerShardError(
-                f"{len(lost)} shard(s) failed after {1 + _SHARD_RETRIES} "
-                f"pool rounds: {lost}"
-            )
-        obs.inc("shard.fallback_serial", len(lost))
-        # inside a campaign scope the warning fires once; the counter above
-        # keeps the full tally either way
-        scope = _FALLBACK_SCOPES[-1] if _FALLBACK_SCOPES else None
-        if scope is None or not scope["warned"]:
-            if scope is not None:
-                scope["warned"] = True
-            warnings.warn(
-                f"parallel sweep: {len(lost)} shard(s) crashed or timed out "
-                f"after {1 + _SHARD_RETRIES} pool rounds; evaluating {lost} "
-                "serially",
-                RuntimeWarning,
-            )
-        for i in sorted(pending):
-            sig = drain_requested()
-            if sig is not None and cell_sink is not None:
-                raise cell_sink.interrupted_error(sig)
-            coll, p = cells[i]
-            cell_specs = [s for s in specs if s.collective == coll]
-            _on_result(
-                i,
-                _evaluate_grid(
-                    preset, cache, cell_specs, (p,), vector_bytes, params,
-                    max_p, ppn,
-                ),
-            )
-    return _reassemble(grouped, specs, node_counts)
+            failed, abandoned = _run_shard_round(todo, workers, timeout, finish)
+        todo = {i: args[i] for i in sorted({*failed, *abandoned})}
+    if not todo:
+        return []
+    _check_drain(cell_sink)
+    lost = [cells[i] for i in todo]
+    if not env_flag("REPRO_SHARD_FALLBACK", True):
+        raise WorkerShardError(
+            f"{len(lost)} shard(s) failed after {1 + _SHARD_RETRIES} "
+            f"pool rounds: {lost}"
+        )
+    obs.inc("shard.fallback_serial", len(lost))
+    # inside a campaign scope the warning fires once; the counter above
+    # keeps the full tally either way
+    scope = _FALLBACK_SCOPES[-1] if _FALLBACK_SCOPES else None
+    if scope is None or not scope["warned"]:
+        if scope is not None:
+            scope["warned"] = True
+        warnings.warn(
+            f"parallel sweep: {len(lost)} shard(s) crashed or timed out "
+            f"after {1 + _SHARD_RETRIES} pool rounds; evaluating {lost} "
+            "serially",
+            RuntimeWarning,
+        )
+    return list(todo)

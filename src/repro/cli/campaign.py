@@ -24,7 +24,6 @@ Example::
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from repro.analysis.sweep import (
     sweep_system,
     sweep_torus,
 )
-from repro.checkpoint import CampaignJournal, drain_requested, drain_scope
+from repro.checkpoint import CampaignJournal, drain_scope
 from repro.cli.manifest import CampaignManifest
 from repro.faults import FaultSpec
 from repro.model.compiled import resolve_profile_engine
@@ -84,36 +83,6 @@ class CampaignResult:
     skipped: list[str] = field(default_factory=list)
 
 
-def _torus_grid(preset, grid, engine: str, grid_journal) -> list[SweepRecord]:
-    """One torus grid, journaled as a single cell when a journal is on.
-
-    Torus sweeps build a handful of schedules and are atomic from the
-    journal's point of view: the whole grid is one ``("<torus>", ranks)``
-    cell — planned, drained, resumed, and chaos-ticked exactly like a
-    ``(collective, p)`` sweep cell.
-    """
-    cell = ("<torus>", math.prod(grid.torus_dims))
-    if grid_journal is not None:
-        sig = drain_requested()
-        if sig is not None:
-            raise grid_journal.interrupted_error(sig)
-        grid_journal.plan([cell])
-        cached = grid_journal.lookup(*cell)
-        if cached is not None:
-            return cached
-    records = sweep_torus(
-        preset,
-        grid.torus_dims,
-        grid.collectives,
-        vector_bytes=grid.vector_bytes,
-        algorithms=grid.algorithms,
-        profile_engine=engine,
-    )
-    if grid_journal is not None:
-        grid_journal.store(cell[0], cell[1], records)
-    return records
-
-
 def run_campaign(
     manifest: CampaignManifest,
     *,
@@ -130,10 +99,11 @@ def run_campaign(
     ``workers``, ``disk_dir`` and ``profile_engine`` are execution knobs,
     not campaign identity: any combination yields record-for-record
     identical output (parallel shards pre-sample placements in serial
-    order; warm disk caches replay the cold run's profiles; the compiled
-    profile engine is bit-identical to the python reference).  An explicit
-    ``cache`` overrides the manifest's placement context *and* the engine —
-    the bench suite uses this to share one cache across benches.
+    order; warm disk caches replay the cold run's profiles; the DES
+    engine reproduces the compiled one when no timeline perturbs the
+    run).  An explicit ``cache`` overrides the manifest's placement
+    context *and* the engine — the bench suite uses this to share one
+    cache across benches.
 
     ``faults`` overrides the manifest's ``[[faults]]`` scenario list (the
     ``--faults`` CLI flag).  Every grid runs once per scenario against a
@@ -231,9 +201,14 @@ def run_campaign(
                             # entry — cheap enough that the profile cache /
                             # worker knobs don't apply
                             records.extend(
-                                _torus_grid(
-                                    preset, grid, scenario_cache.engine,
-                                    grid_journal,
+                                sweep_torus(
+                                    preset,
+                                    grid.torus_dims,
+                                    grid.collectives,
+                                    vector_bytes=grid.vector_bytes,
+                                    algorithms=grid.algorithms,
+                                    profile_engine=scenario_cache.engine,
+                                    cell_sink=grid_journal,
                                 )
                             )
                             continue

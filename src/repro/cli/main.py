@@ -105,13 +105,11 @@ def _add_execution_knobs(parser: argparse.ArgumentParser) -> None:
         "(delete DIR to force a cold rebuild)",
     )
     parser.add_argument(
-        "--profile-engine", choices=("compiled", "python", "des"), default=None,
-        help="profiling/evaluation backend: compiled (vectorized transfer "
-        "tables + CSR routes + grid evaluation, the default), python "
-        "(scalar reference; bit-identical to compiled), or des (discrete-"
-        "event fabric simulation — required for --timeline, bit-identical "
-        "to compiled when no timeline perturbs the run) "
-        "(REPRO_PROFILE_ENGINE sets the default when this flag is omitted)",
+        "--profile-engine", choices=("compiled", "des"), default=None,
+        help="evaluation backend: compiled (vectorized grid evaluation, "
+        "the default) or des (discrete-event fabric simulation — required "
+        "for --timeline, bit-identical to compiled when no timeline "
+        "perturbs the run)",
     )
 
 

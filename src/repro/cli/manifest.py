@@ -16,8 +16,8 @@ Schema (TOML shown; JSON mirrors it)::
     placement = "scheduler"         # optional (scheduler | block)
     seed = 7                        # optional allocation-sampler seed
     busy_fraction = 0.55            # optional sampler load factor
-    engine = "des"                  # optional profile engine (python |
-                                    # compiled | des); --profile-engine
+    engine = "des"                  # optional profile engine (compiled |
+                                    # des); --profile-engine
                                     # overrides; required ("des") when any
                                     # [[faults]] entry has a timeline
 
@@ -319,10 +319,9 @@ def manifest_from_dict(data: dict) -> CampaignManifest:
     engine = camp.get("engine")
     if engine is not None:
         engine = str(engine)
-        if engine not in ("python", "compiled", "des"):
+        if engine not in ("compiled", "des"):
             raise ManifestError(
-                f"[campaign]: unknown engine {engine!r} "
-                "(python | compiled | des)"
+                f"[campaign]: unknown engine {engine!r} (compiled | des)"
             )
     raw_faults = data.get("faults") or []
     faults: list[FaultSpec] = []
@@ -341,7 +340,7 @@ def manifest_from_dict(data: dict) -> CampaignManifest:
     if any(not f.timeline.is_null for f in faults) and engine != "des":
         raise ManifestError(
             "[[faults]]: a timeline scenario needs [campaign] engine = "
-            '"des" (the analytic engines cannot replay mid-run events)'
+            '"des" (the compiled engine cannot replay mid-run events)'
         )
     if faults and any(g.torus_dims is not None for g in grids):
         raise ManifestError(

@@ -80,7 +80,7 @@ def des_records(
         # Calm analytic cells are exactly the analytic evaluation (the
         # calibration contract), so mixed grids keep working under "des".
         return _profile_records(
-            profile, "compiled", system, spec, p, vector_bytes, params,
+            profile, system, spec, p, vector_bytes, params,
             faults=cache.faults_label, ppn=ppn,
         )
     table = transfer_table_for(spec, p)

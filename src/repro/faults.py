@@ -18,11 +18,11 @@ first-class, deterministic campaign knob:
   :class:`~repro.runtime.errors.TopologyPartitionedError` names it.
   Width derates scale link widths, which the cost model divides load by.
 
-Both profile engines (:class:`~repro.model.simulator.RouteTable` and the
-CSR :class:`~repro.model.compiled.CompiledRouteTable`) query
-``topo.route(src, dst)`` lazily per node pair, so wrapping the topology
-degrades both identically — records stay bit-identical across engines
-under any spec (asserted in ``tests/test_faults.py``).
+Both route tables (the scalar :class:`~repro.model.simulator.RouteTable`
+oracle and the CSR :class:`~repro.model.compiled.CompiledRouteTable`)
+query ``topo.route(src, dst)`` lazily per node pair, so wrapping the
+topology degrades both identically — sweep records stay bit-identical to
+the scalar oracle under any spec (asserted in ``tests/test_faults.py``).
 
 Example::
 

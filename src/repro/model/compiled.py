@@ -34,15 +34,13 @@ into array programs, each bit-identical to the Python reference it replaces
   ``np.cumsum`` — a prefix sum cannot be regrouped pairwise), so every
   column equals the scalar evaluation bit for bit.
 
-The sweep layer (:mod:`repro.analysis.sweep`) routes through these via the
-``profile_engine`` knob (``"compiled"`` by default, ``"python"`` for the
-reference path; the ``REPRO_PROFILE_ENGINE`` environment variable changes
-the default where no explicit engine is passed).
+The sweep layer (:mod:`repro.analysis.sweep`) profiles every schedule
+through these; the scalar :mod:`repro.model.simulator` functions remain as
+the library reference and the tests' oracle.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -73,32 +71,24 @@ __all__ = [
 ]
 
 #: accepted values for the sweep layer's ``profile_engine`` knob —
-#: ``python``/``compiled`` are the (bit-identical) analytic evaluators;
-#: ``des`` is the discrete-event fabric engine (:mod:`repro.des`), the
-#: only engine that can replay a :class:`~repro.faults.FaultTimeline`
-PROFILE_ENGINES = ("python", "compiled", "des")
+#: ``compiled`` is the analytic evaluator; ``des`` is the discrete-event
+#: fabric engine (:mod:`repro.des`), the only engine that can replay a
+#: :class:`~repro.faults.FaultTimeline`
+PROFILE_ENGINES = ("compiled", "des")
 
 
 def resolve_profile_engine(engine: str | None = None) -> str:
-    """The effective profile engine: explicit arg → env var → compiled.
-
-    An explicit ``engine`` always wins; ``REPRO_PROFILE_ENGINE`` (when set
-    and non-empty) replaces only the *default*, so a whole run can be
-    steered from the environment without breaking callers that deliberately
-    pin an engine — the perf bench and the equivalence tests compare the
-    two engines against each other and must not be silently collapsed onto
-    one of them.
+    """The effective profile engine: ``engine``, defaulting to compiled.
 
     Example::
 
         >>> resolve_profile_engine()
         'compiled'
-        >>> resolve_profile_engine("python")
-        'python'
+        >>> resolve_profile_engine("des")
+        'des'
     """
     if engine is None:
-        env = os.environ.get("REPRO_PROFILE_ENGINE")
-        engine = env.strip() if env is not None and env.strip() else "compiled"
+        engine = "compiled"
     if engine not in PROFILE_ENGINES:
         raise ValueError(
             f"unknown profile engine {engine!r}; have {PROFILE_ENGINES}"

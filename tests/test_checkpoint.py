@@ -4,8 +4,8 @@ The contract under test (ISSUE 10 / docs/robustness.md): a campaign
 interrupted at any cell boundary — SIGKILL via the chaos harness, or a
 graceful SIGINT/SIGTERM drain — and then resumed with ``--resume``
 produces records, summaries, and tune-table digests **byte-identical**
-to an uninterrupted run, across serial/parallel execution, both analytic
-engines, the DES engine, and fault scenarios.
+to an uninterrupted run, across serial/parallel execution, the compiled
+and DES engines, torus grids, and fault scenarios.
 """
 
 from __future__ import annotations
@@ -85,12 +85,36 @@ timeline = "at=0.001:links=2,seed=5;at=0.01:heal=links"
 """
 
 
+#: torus grids need the torus preset (and block placement), so the
+#: registry grid of this campaign runs on Fugaku too
+TORUS_MANIFEST = {
+    "campaign": {"name": "tiny-torus", "system": "fugaku",
+                 "placement": "block"},
+    "grid": [
+        {"collectives": ["bcast"], "node_counts": [8],
+         "vector_bytes": [1024, 65536]},
+        {"collectives": ["allreduce", "bcast"], "torus_dims": [2, 2],
+         "vector_bytes": [1024, 65536]},
+        {"collectives": ["allreduce", "bcast"], "torus_dims": [2, 2, 2],
+         "vector_bytes": [1024, 65536]},
+    ],
+}
+
+
 def tiny_manifest():
     return manifest_from_dict(TINY_MANIFEST)
 
 
+def torus_manifest():
+    return manifest_from_dict(TORUS_MANIFEST)
+
+
 def record_dicts(result):
     return [r.to_dict() for r in result.records]
+
+
+def record_bytes(result):
+    return json.dumps(record_dicts(result)).encode()
 
 
 # -- journal file format -----------------------------------------------------
@@ -227,7 +251,7 @@ class TestResumeIdentity:
         run_campaign(tiny_manifest(), journal=tmp_path)
         with pytest.raises(JournalError, match="engine"):
             run_campaign(tiny_manifest(), journal=tmp_path, resume=True,
-                         profile_engine="python")
+                         profile_engine="des")
 
     def test_checkpoint_counters(self, tmp_path):
         from repro.obs import metrics
@@ -239,6 +263,59 @@ class TestResumeIdentity:
         skipped = counters.get("checkpoint.resume.skipped", 0)
         run_campaign(tiny_manifest(), journal=tmp_path, resume=True)
         assert metrics.counters()["checkpoint.resume.skipped"] == skipped + 4
+
+
+class TestTorusJournal:
+    """Torus grids journal as one ``("<torus>", ranks)`` cell each."""
+
+    def test_journaled_run_identical_to_plain(self, tmp_path):
+        plain = run_campaign(torus_manifest())
+        journaled = run_campaign(torus_manifest(), journal=tmp_path)
+        assert record_bytes(journaled) == record_bytes(plain)
+        doc = read_journal(journal_path(tmp_path, "tiny-torus"))
+        cells = [(e["grid"], e["collective"], e["p"])
+                 for e in doc.entries if e["kind"] == "cell"]
+        assert cells == [(0, "bcast", 8), (1, "<torus>", 4), (2, "<torus>", 8)]
+
+    def test_resume_after_first_cell_identical(self, tmp_path):
+        plain = run_campaign(torus_manifest())
+        run_campaign(torus_manifest(), journal=tmp_path)
+        path = journal_path(tmp_path, "tiny-torus")
+        lines = path.read_bytes().splitlines(keepends=True)
+        kinds = [json.loads(l[9:]).get("kind") for l in lines]
+        path.write_bytes(b"".join(lines[:kinds.index("cell") + 1]))
+        resumed = run_campaign(torus_manifest(), journal=tmp_path,
+                               resume=True)
+        assert record_bytes(resumed) == record_bytes(plain)
+        assert summarize_journal(read_journal(path))["cells_done"] == 3
+
+    def test_drain_before_torus_cell_flushes_journal(self, tmp_path,
+                                                     monkeypatch):
+        import signal as _signal
+
+        from repro.checkpoint import drain
+        from repro.checkpoint.journal import GridJournal
+
+        plain = run_campaign(torus_manifest())
+        store = GridJournal.store
+
+        def store_then_sigterm(self, collective, p, records):
+            store(self, collective, p, records)
+            drain._handler(_signal.SIGTERM, None)  # as if SIGTERM arrived
+
+        monkeypatch.setattr(GridJournal, "store", store_then_sigterm)
+        with pytest.raises(InterruptedRunError) as exc:
+            run_campaign(torus_manifest(), journal=tmp_path)
+        monkeypatch.undo()
+        assert exc.value.signal_name == "SIGTERM"
+        # the registry cell is durable and the torus cell planned, not run
+        path = journal_path(tmp_path, "tiny-torus")
+        summary = summarize_journal(read_journal(path))
+        assert summary["cells_done"] == 1
+        assert summary["cells_planned"] == 2
+        resumed = run_campaign(torus_manifest(), journal=tmp_path,
+                               resume=True)
+        assert record_bytes(resumed) == record_bytes(plain)
 
 
 # -- chaos harness (subprocess) ----------------------------------------------

@@ -1,12 +1,15 @@
-"""Compiled profile pipeline == Python reference, bit for bit.
+"""Compiled profile pipeline == scalar Python reference, bit for bit.
 
-The ``profile_engine="compiled"`` path (transfer tables, CSR route
-matrices, grid evaluation — :mod:`repro.model.compiled`) must be a pure
-optimization: every :class:`StepProfile`, every evaluated time and every
-sweep record must equal the scalar pipeline's output exactly, not merely
-within tolerance.  These tests pin that contract across the whole
-algorithm registry (including non-power-of-two rank counts), the analytic
-profile builders, the torus catalog, and the sweep layer itself.
+The sweep pipeline (transfer tables, CSR route matrices, grid evaluation
+— :mod:`repro.model.compiled`) must be a pure optimization: every
+:class:`StepProfile`, every evaluated time and every sweep record must
+equal the scalar pipeline's output exactly, not merely within tolerance.
+The scalar pipeline (:func:`profile_schedule` over a :class:`RouteTable`,
+:func:`evaluate_time` per size) is the oracle here — :func:`oracle_records`
+rebuilds a sweep's records with it.  These tests pin that contract across
+the whole algorithm registry (including non-power-of-two rank counts),
+the analytic profile builders, the torus catalog, and the sweep layer
+itself.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ import pytest
 
 from repro.analysis.sweep import (
     ProfileCache,
+    SweepRecord,
     clear_memo_caches,
     sweep_system,
     sweep_torus,
 )
+from repro.cli.main import main
+from repro.cli.manifest import ManifestError, manifest_from_dict
 from repro.collectives.registry import ALGORITHMS, spec_for
-from repro.model.analytic import ANALYTIC_PROFILES
+from repro.model.analytic import ANALYTIC_PROFILES, ANALYTIC_THRESHOLD
 from repro.model.compiled import (
     CompiledRouteTable,
     _seq_sum,
@@ -43,6 +49,64 @@ from repro.topology.mapping import block_mapping
 RANK_COUNTS = (4, 8, 16, 17, 32)
 #: geometric size grid (the paper's 32 B ... 512 MiB ladder, thinned)
 N_BYTES = tuple(32 * 8**k for k in range(0, 9, 2))
+
+
+def oracle_profile(cache, spec, p, ppn=1, routes=None):
+    """Scalar-pipeline profile of one cell on ``cache``'s rank mapping."""
+    routes = routes or RouteTable(cache.topo)
+    mapping = cache.mapping_for(p, ppn)
+    analytic = ANALYTIC_PROFILES.get((spec.collective, spec.name))
+    if analytic is not None and (
+        p > ANALYTIC_THRESHOLD or spec.collective == "alltoall"
+    ):
+        if spec.pow2_only and p & (p - 1):
+            return None
+        return analytic(p, cache.topo, mapping, routes=routes)
+    try:
+        with schedule_validation(False):
+            schedule = spec.build(p, p)
+    except ValueError:
+        return None  # pow2/divisibility constraint not met
+    return profile_schedule(schedule, cache.topo, mapping, routes=routes)
+
+
+def scalar_records(profile, system, spec, p, vector_bytes, params,
+                   faults="none", ppn=1):
+    """One profile's records, scored per size by :func:`evaluate_time`."""
+    out = []
+    for nb in vector_bytes:
+        m = evaluate_time(profile, params, nb / params.itemsize)
+        out.append(SweepRecord(
+            system, spec.collective, spec.name, spec.family, p, nb,
+            float(m.time), float(m.global_bytes), faults, ppn,
+        ))
+    return out
+
+
+def oracle_records(cache, collectives, node_counts, vector_bytes, ppn=1,
+                   max_p=None):
+    """A ``sweep_system`` grid's records, rebuilt by the scalar pipeline.
+
+    Runs on ``cache``'s mappings, so sweep with the same cache first: the
+    sweep fixes the scheduler placements the oracle then reads.
+    """
+    routes = RouteTable(cache.topo)
+    records = []
+    for (coll, _name), spec in sorted(ALGORITHMS.items()):
+        if coll not in collectives:
+            continue
+        for p in node_counts:
+            if max_p and p > max_p.get(coll, p):
+                continue
+            if not cache.applicable(spec, p, ppn):
+                continue
+            profile = oracle_profile(cache, spec, p, ppn, routes)
+            if profile is not None:
+                records += scalar_records(
+                    profile, cache.preset.name, spec, p, vector_bytes,
+                    cache.preset.params, cache.faults_label, ppn,
+                )
+    return records
 
 
 def _buildable_schedules(p):
@@ -196,64 +260,69 @@ class TestEvaluateGrid:
 
 
 class TestSweepRecordEquivalence:
-    def test_sweep_records_bit_identical_across_engines(self):
-        preset = lumi()
+    """Sweep records == the scalar oracle (:func:`oracle_records`)."""
+
+    def test_sweep_records_match_scalar_oracle(self):
+        cache = ProfileCache(lumi())
         kwargs = dict(
             node_counts=(8, 16, 17, 32),
             vector_bytes=N_BYTES,
             max_p={"alltoall": 16},
         )
         collectives = tuple(sorted({c for c, _ in ALGORITHMS}))
-        py = sweep_system(preset, collectives, profile_engine="python", **kwargs)
-        co = sweep_system(preset, collectives, profile_engine="compiled", **kwargs)
-        assert py == co
-        assert len(py) > 300
+        co = sweep_system(cache.preset, collectives, cache=cache, **kwargs)
+        assert co == oracle_records(cache, collectives, **kwargs)
+        assert len(co) > 300
 
-    def test_reference_lumi_campaign_bit_identical(self):
+    def test_reference_lumi_campaign_matches_scalar_oracle(self):
         # the BENCH_sweep.json campaign's shape (3 collectives, the nine
         # paper sizes) — the acceptance contract for the compiled engine
-        preset = lumi()
+        cache = ProfileCache(lumi())
         kwargs = dict(
             node_counts=(16, 64, 256),
             vector_bytes=tuple(32 * 8**k for k in range(9)),
         )
         collectives = ("allreduce", "allgather", "bcast")
-        py = sweep_system(preset, collectives, profile_engine="python", **kwargs)
-        co = sweep_system(preset, collectives, profile_engine="compiled", **kwargs)
-        assert py == co
-        assert len(py) > 500
+        co = sweep_system(cache.preset, collectives, cache=cache, **kwargs)
+        assert co == oracle_records(cache, collectives, **kwargs)
+        assert len(co) > 500
 
-    def test_sweep_records_identical_with_ppn(self):
-        preset = lumi()
+    def test_sweep_records_match_scalar_oracle_with_ppn(self):
+        cache = ProfileCache(lumi())
         kwargs = dict(node_counts=(16, 32), vector_bytes=(1024,), ppn=2)
-        py = sweep_system(preset, ("allreduce",), profile_engine="python", **kwargs)
-        co = sweep_system(preset, ("allreduce",), profile_engine="compiled", **kwargs)
-        assert py == co and py
+        co = sweep_system(cache.preset, ("allreduce",), cache=cache, **kwargs)
+        assert co == oracle_records(cache, ("allreduce",), **kwargs) and co
 
-    def test_torus_sweep_bit_identical(self):
+    def test_torus_sweep_matches_scalar_oracle(self):
+        from repro.collectives.torus import torus_specs
+        from repro.core.torus_opt import TorusShape
+        from repro.topology.torus import Torus
+
         preset = fugaku()
-        kwargs = dict(vector_bytes=N_BYTES)
+        collectives = ("bcast", "allreduce", "allgather")
         for dims in ((2, 4), (2, 2, 2)):
-            py = sweep_torus(
-                preset, dims, ("bcast", "allreduce", "allgather"),
-                profile_engine="python", **kwargs
-            )
-            co = sweep_torus(
-                preset, dims, ("bcast", "allreduce", "allgather"),
-                profile_engine="compiled", **kwargs
-            )
-            assert py == co and py
+            shape, topo = TorusShape(dims), Torus(dims)
+            mapping = block_mapping(shape.num_ranks)
+            system = "fugaku:" + "x".join(str(d) for d in dims)
+            want = []
+            for spec in torus_specs(collectives):
+                with schedule_validation(False):
+                    sched = spec.build(shape)
+                want += scalar_records(
+                    profile_schedule(sched, topo, mapping), system, spec,
+                    shape.num_ranks, N_BYTES, preset.params,
+                )
+            got = sweep_torus(preset, dims, collectives, vector_bytes=N_BYTES)
+            assert got == want and got
 
-    def test_profile_cache_engines_agree_including_analytic(self):
-        # p=256 allreduce/ring crosses ANALYTIC_THRESHOLD: the compiled
-        # cache must hand the analytic builder its CSR table and still
-        # produce the same profile object graph
-        preset = lumi()
+    def test_profile_cache_matches_scalar_oracle_including_analytic(self):
+        # p=256 allreduce/ring crosses ANALYTIC_THRESHOLD: the cache must
+        # hand the analytic builder its CSR table and still produce the
+        # same profile object graph as the scalar route table
+        cache = ProfileCache(lumi())
         spec = spec_for("allreduce", "ring")
-        py = ProfileCache(preset, profile_engine="python")
-        co = ProfileCache(preset, profile_engine="compiled")
-        assert py.get(spec, 256) == co.get(spec, 256)
-        assert py.get(spec, 16) == co.get(spec, 16)
+        for p in (256, 16):
+            assert cache.get(spec, p) == oracle_profile(cache, spec, p)
 
 
 class TestTransferTableMemo:
@@ -290,19 +359,26 @@ class TestTransferTableMemo:
 class TestEngineKnob:
     def test_default_is_compiled(self):
         assert resolve_profile_engine() == "compiled"
-        assert resolve_profile_engine("python") == "python"
-
-    def test_env_var_sets_default_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_ENGINE", "python")
-        assert resolve_profile_engine() == "python"
-        # an explicit engine must survive the env var: the perf bench and
-        # this suite pin both engines to compare them against each other
-        assert resolve_profile_engine("compiled") == "compiled"
-        monkeypatch.setenv("REPRO_PROFILE_ENGINE", "")
-        assert resolve_profile_engine() == "compiled"
+        assert resolve_profile_engine("des") == "des"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown profile engine"):
             resolve_profile_engine("fortran")
         with pytest.raises(ValueError, match="unknown profile engine"):
             ProfileCache(lumi(), profile_engine="fortran")
+
+    def test_python_engine_retired(self, capsys):
+        # the scalar pipeline is the tests' oracle, not a production engine
+        with pytest.raises(ValueError, match="unknown profile engine"):
+            sweep_system(lumi(), ("bcast",), node_counts=(16,),
+                         vector_bytes=(1024,), profile_engine="python")
+        with pytest.raises(ManifestError, match="unknown engine"):
+            manifest_from_dict({
+                "campaign": {"name": "t", "system": "lumi",
+                             "engine": "python"},
+                "grid": [{"collectives": ["bcast"], "node_counts": [16]}],
+            })
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--system", "lumi", "--profile-engine", "python"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

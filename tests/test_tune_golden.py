@@ -3,8 +3,8 @@
 ``tests/data/golden_tune_lumi.json`` is the decision table compiled from
 a fixed slice of ``campaigns/table3_lumi.toml`` (bcast + allreduce,
 p ∈ {16, 64}, three paper vector sizes).  The same contract as the
-golden SVGs: a rebuild must be byte-identical — under serial execution,
-``--workers 2`` sharding, and both profile engines — and every winner in
+golden SVGs: a rebuild must be byte-identical — under serial execution
+and ``--workers 2`` sharding — and every winner in
 the table must equal the corresponding Fig. 9a heatmap cell.
 
 Regenerate after an intentional model change with::
@@ -37,13 +37,11 @@ NODES = (16, 64)
 SIZES = (2048, 131072, 1048576)
 
 
-def build_golden_table(workers=None, profile_engine=None) -> DecisionTable:
+def build_golden_table(workers=None) -> DecisionTable:
     manifest = load_manifest(MANIFEST)
     manifest, error = _restrict_manifest(manifest, COLLECTIVES, NODES, SIZES)
     assert error is None
-    result = run_campaign(
-        manifest, workers=workers, profile_engine=profile_engine
-    )
+    result = run_campaign(manifest, workers=workers)
     return build_decision_table(
         result.records, name=manifest.name, source="campaigns/table3_lumi.toml"
     ), result.records
@@ -77,16 +75,11 @@ class TestGoldenTuneArtifact:
             assert sub.n_grid == SIZES
             assert sub.cells == len(NODES) * len(SIZES)
 
-    @pytest.mark.parametrize("mode", [
-        {"workers": 2},
-        {"profile_engine": "python"},
-        {"workers": 2, "profile_engine": "python"},
-    ])
-    def test_byte_identical_across_execution_modes(self, built, mode):
+    def test_byte_identical_with_workers(self, built):
         table, _ = built
-        again, _ = build_golden_table(**mode)
+        again, _ = build_golden_table(workers=2)
         assert again.to_json() == table.to_json(), (
-            f"decision table bytes differ under {mode}"
+            "decision table bytes differ under workers=2"
         )
 
     def test_every_winner_matches_fig9a_heatmap_cell(self, built):
