@@ -96,11 +96,16 @@ from repro.model.simulator import ScheduleProfile
 from repro.faults import DegradedTopology, FaultSpec
 from repro import obs
 from repro.checkpoint.drain import drain_requested
-from repro.runtime.env import env_flag, env_float
+from repro.runtime.env import env_flag
 from repro.runtime.errors import (
     CacheCorruptionError,
     DESEngineError,
     WorkerShardError,
+)
+from repro.runtime.memo import (
+    clear_memo_caches,
+    memo_cache_registry,
+    memo_cache_sizes,
 )
 from repro.runtime.schedule import schedule_validation
 from repro.systems.presets import SystemPreset
@@ -119,71 +124,6 @@ __all__ = [
     "shard_fallback_scope",
 ]
 
-
-def memo_cache_registry() -> dict[str, tuple]:
-    """Every module-level memo cache, as ``name -> (size probe, clearer)``.
-
-    The single enumeration behind :func:`clear_memo_caches` and
-    :func:`memo_cache_sizes`: a new process-level cache anywhere in the
-    pipeline must be registered here (the tier-1 completeness test in
-    ``tests/test_resilience.py`` scans the modules and fails when a
-    ``*_CACHE`` dict or label-table LRU is missing).
-    """
-    from repro.collectives import butterfly_collectives as _bc
-    from repro.collectives import common as _common
-    from repro.collectives import verify as _verify
-    from repro.core import bine_tree as _bine
-    from repro.core import negabinary as _nb
-    from repro.des import records as _des_records
-    from repro.model import compiled as _compiled
-    from repro.obs import metrics as _metrics
-    from repro.tune import serve as _serve
-
-    def lru(fn):
-        return (lambda: fn.cache_info().currsize, fn.cache_clear)
-
-    def table(mapping):
-        return (lambda: len(mapping), mapping.clear)
-
-    return {
-        "negabinary.rank_to_nb_table": lru(_nb.rank_to_nb_table),
-        "bine_tree._nu_table": lru(_bine._nu_table),
-        "bine_tree._nu_inverse_table": lru(_bine._nu_inverse_table),
-        "common._pi_table": lru(_common._pi_table),
-        "common._pi_inv_table": lru(_common._pi_inv_table),
-        "butterfly_collectives._SEG_CACHE": table(_bc._SEG_CACHE),
-        "verify._PLAN_CACHE": table(_verify._PLAN_CACHE),
-        "verify._PATTERN_CACHE": table(_verify._PATTERN_CACHE),
-        "compiled._TABLE_CACHE": table(_compiled._TABLE_CACHE),
-        "tune.serve._SERVE_CACHE": table(_serve._SERVE_CACHE),
-        "des.records._SIM_CACHE": table(_des_records._SIM_CACHE),
-        "obs.metrics": (_metrics.active_series, _metrics.reset),
-    }
-
-
-def memo_cache_sizes() -> dict[str, int]:
-    """Current entry count of every registered memo cache (observability)."""
-    return {name: probe() for name, (probe, _) in memo_cache_registry().items()}
-
-
-def clear_memo_caches() -> None:
-    """Drop every process-level memoization the sweep pipeline relies on.
-
-    Used by cold-start benchmarks (and available to long-lived services that
-    want to bound memory): clears the per-``p`` negabinary/ν/π label tables,
-    the cross-schedule butterfly segment cache, the compiled-executor
-    plan and input-pattern caches, and the compiled-profiler
-    transfer-table cache — everything :func:`memo_cache_registry`
-    enumerates.  Per-:class:`ProfileCache` state (route tables, profiles,
-    mappings) is unaffected — drop the cache object itself for that.
-
-    Example::
-
-        >>> from repro.analysis.sweep import clear_memo_caches
-        >>> clear_memo_caches()  # next schedule build starts fully cold
-    """
-    for _probe, clear in memo_cache_registry().values():
-        clear()
 
 #: bump to invalidate every on-disk profile cache entry
 _CACHE_VERSION = 2
@@ -983,7 +923,7 @@ def sweep_torus(
 # -- parallel campaigns ------------------------------------------------------
 
 #: wall-clock budget per shard result; a worker that exceeds it is treated
-#: as hung and its cell re-queued (override: REPRO_SHARD_TIMEOUT seconds)
+#: as hung and its cell re-queued
 _SHARD_TIMEOUT_S = 300.0
 
 #: extra pool rounds after the first before falling back to inline cells
@@ -992,10 +932,6 @@ _SHARD_RETRIES = 1
 #: pool/worker failures that justify a retry round; anything else (a real
 #: repro bug inside a shard) propagates unchanged
 _RETRIABLE = (BrokenExecutor, TimeoutError, _FuturesTimeout, OSError)
-
-
-def _shard_timeout() -> float:
-    return env_float("REPRO_SHARD_TIMEOUT", _SHARD_TIMEOUT_S)
 
 
 #: active :func:`shard_fallback_scope` tokens (innermost last); inside a
@@ -1105,7 +1041,6 @@ def _pool_worker_init() -> None:
 def _run_shard_round(
     shard_args: dict[int, tuple],
     workers: int,
-    timeout: float,
     on_result,
 ) -> tuple[list[int], list[int]]:
     """One process-pool round; ``(failed, abandoned)`` cell indices.
@@ -1138,7 +1073,7 @@ def _run_shard_round(
                 abandoned.append(i)
                 continue
             try:
-                recs = fut.result(timeout=timeout)
+                recs = fut.result(timeout=_SHARD_TIMEOUT_S)
             except _RETRIABLE:
                 failed.append(i)
                 continue
@@ -1174,7 +1109,6 @@ def _run_pool(
     stops new dispatch at the next round boundary.
     """
     obs.inc("shard.cells", len(cells))
-    timeout = _shard_timeout()
     args = {i: shard_args(i) for i in pending}
     todo = dict(args)
     for _round in range(1 + _SHARD_RETRIES):
@@ -1186,7 +1120,7 @@ def _run_pool(
         with obs.span(
             "shard.round", round=_round, shards=len(todo), workers=workers
         ):
-            failed, abandoned = _run_shard_round(todo, workers, timeout, finish)
+            failed, abandoned = _run_shard_round(todo, workers, finish)
         todo = {i: args[i] for i in sorted({*failed, *abandoned})}
     if not todo:
         return []

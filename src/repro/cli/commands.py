@@ -579,7 +579,14 @@ def cmd_compare(args) -> int:
         $ repro compare old_sweep.json new_sweep.json --format markdown
     """
     from repro.report.baseline import write_baseline
-    from repro.report.diff import RecordSetError, diff_record_sets
+    from repro.report.diff import (
+        RecordSetError,
+        diff_json,
+        diff_markdown,
+        diff_record_sets,
+        diff_summary,
+        diff_table,
+    )
 
     if args.update:
         try:
@@ -614,10 +621,10 @@ def cmd_compare(args) -> int:
     except (ManifestError, RecordSetError, FileNotFoundError, OSError) as exc:
         return _fail(str(exc))
     text = {
-        "summary": fmt.diff_summary_text,
-        "table": fmt.diff_records_table,
-        "json": fmt.diff_records_json,
-        "markdown": fmt.diff_records_markdown,
+        "summary": diff_summary,
+        "table": diff_table,
+        "json": diff_json,
+        "markdown": diff_markdown,
     }[args.format](diff)
     _emit(text, args.output)
     return 1 if diff.drifted else 0
@@ -812,10 +819,13 @@ def cmd_stats(args) -> int:
         $ repro stats runs/table3-lumi.journal
         $ repro stats --caches
     """
+    import importlib
     import json as _json
+    import pkgutil
 
+    import repro
     from repro import obs
-    from repro.analysis.sweep import memo_cache_sizes
+    from repro.runtime.memo import memo_cache_sizes
 
     if args.caches:
         if args.file or args.validate:
@@ -823,6 +833,10 @@ def cmd_stats(args) -> int:
                 "--caches reads this process's live memo caches and does "
                 "not combine with FILE or --validate"
             )
+        # a cache registers when its module is imported: load the whole
+        # package so modules this command never uses are listed too
+        for mod in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(mod.name)
         sizes = memo_cache_sizes()
         text = (
             _json.dumps(sizes, indent=2, sort_keys=True)

@@ -26,7 +26,6 @@ from repro.analysis.summarize import DuelSummary, format_duel_table
 from repro.analysis.sweep import RECORD_FIELDS, SweepRecord
 from repro.analysis.verifygrid import VERIFY_FIELDS, VerifyRecord
 from repro.collectives.registry import COLLECTIVES, families, iter_specs
-from repro.report import diff as _diff
 from repro.runtime.schedule import Schedule, Transfer
 from repro.systems import ALL_SYSTEMS
 
@@ -41,10 +40,6 @@ __all__ = [
     "verify_records_markdown",
     "verify_records_table",
     "verify_summary_text",
-    "diff_summary_text",
-    "diff_records_table",
-    "diff_records_json",
-    "diff_records_markdown",
     "tune_table_text",
     "tune_selections_text",
     "cache_sizes_text",
@@ -255,29 +250,6 @@ def verify_summary_text(records: Sequence[VerifyRecord]) -> str:
         f"({elapsed:.1f}s)"
     )
     return "\n".join(lines)
-
-
-# -- record-set diffs --------------------------------------------------------
-
-
-def diff_summary_text(diff: _diff.RecordSetDiff) -> str:
-    """``repro compare`` default output: verdict line + drifted cells."""
-    return _diff.diff_summary(diff)
-
-
-def diff_records_table(diff: _diff.RecordSetDiff) -> str:
-    """One aligned row per drifted cell (header only when clean)."""
-    return _diff.diff_table(diff)
-
-
-def diff_records_json(diff: _diff.RecordSetDiff) -> str:
-    """The diff as deterministic JSON (counts + every drifted cell)."""
-    return _diff.diff_json(diff)
-
-
-def diff_records_markdown(diff: _diff.RecordSetDiff) -> str:
-    """The diff as a GitHub-flavoured Markdown table."""
-    return _diff.diff_markdown(diff)
 
 
 # -- decision tables ---------------------------------------------------------

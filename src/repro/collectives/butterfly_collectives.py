@@ -47,6 +47,7 @@ from repro.collectives.common import (
     require_divisible,
 )
 from repro.collectives.fastresp import resp_backend, sorted_runs
+from repro.runtime.memo import Memo
 from repro.runtime.schedule import LocalCopy, Schedule, Step, Transfer
 
 __all__ = [
@@ -104,7 +105,8 @@ _CACHEABLE_KINDS = {
 #: size.  Reduce-scatter and allgather walk the same responsibility sets
 #: (allreduce builds both back to back, and sweep campaigns revisit the same
 #: butterflies per collective), so entries are reused several times over.
-_SEG_CACHE: dict[tuple, tuple] = {}
+#: Unbounded and uncounted: the builders' inner loop reads it as a plain dict.
+_SEG_CACHE = Memo("butterfly_collectives._SEG_CACHE")
 
 
 def _seg_getter(bf: Butterfly, part: Partition, resp, strategy: Strategy):

@@ -16,12 +16,12 @@ Conventions used across the package:
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 from repro.core.blocks import Partition
 from repro.core.bine_tree import nu_labels
 from repro.core.negabinary import bit_reverse
 from repro.core.tree import log2_exact
+from repro.runtime.memo import label_table
 from repro.runtime.schedule import Segment
 
 __all__ = [
@@ -58,14 +58,14 @@ class Strategy(str, Enum):
     NATURAL = "natural"
 
 
-@lru_cache(maxsize=None)
+@label_table("common._pi_table")
 def _pi_table(p: int) -> tuple[int, ...]:
     """Memoized π table — builders look π up per transfer, so cache per p."""
     s = log2_exact(p)
     return tuple(bit_reverse(nu, s) for nu in nu_labels(p))
 
 
-@lru_cache(maxsize=None)
+@label_table("common._pi_inv_table")
 def _pi_inv_table(p: int) -> tuple[int, ...]:
     inv = [0] * p
     for b, pos in enumerate(_pi_table(p)):

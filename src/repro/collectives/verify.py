@@ -33,6 +33,7 @@ from repro.runtime.compiled import (
     matrix_to_buffers,
 )
 from repro.runtime.executor import execute
+from repro.runtime.memo import Memo
 from repro.runtime.reduce_ops import named_op
 from repro.runtime.schedule import Schedule
 
@@ -45,7 +46,6 @@ __all__ = [
     "run_and_check",
     "run_and_check_compiled",
     "compiled_plan_for",
-    "clear_plan_cache",
 ]
 
 _DTYPE = np.int64
@@ -62,26 +62,20 @@ def _pattern(rank: int, n: int, seed: int) -> np.ndarray:
 #: bulk verification sharing (p, n, seed) share it too.  Entries are
 #: read-only by convention; bounded FIFO keeps 1024-rank tables from
 #: accumulating.
-_PATTERN_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-_PATTERN_CACHE_MAX = 16
+_PATTERN_CACHE = Memo("verify._PATTERN_CACHE", maxsize=16, counter="pattern")
 
 
 def _patterns(p: int, n: int, seed: int) -> np.ndarray:
     """``(p, n)`` matrix whose row ``r`` is ``_pattern(r, n, seed)``."""
-    key = (p, n, seed)
-    pats = _PATTERN_CACHE.get(key)
-    if pats is None:
-        obs.inc("cache.pattern.miss")
+
+    def generate() -> np.ndarray:
         pats = np.vstack([_pattern(r, n, seed) for r in range(p)])
         # freeze the entry: expected_state hands out views of it, and a
         # caller mutating one must get a loud error, not a corrupted cache
         pats.setflags(write=False)
-        while len(_PATTERN_CACHE) >= _PATTERN_CACHE_MAX:
-            _PATTERN_CACHE.pop(next(iter(_PATTERN_CACHE)))
-        _PATTERN_CACHE[key] = pats
-    else:
-        obs.inc("cache.pattern.hit")
-    return pats
+        return pats
+
+    return _PATTERN_CACHE.get_or((p, n, seed), generate)
 
 
 def _buffers_used(schedule: Schedule) -> set[str]:
@@ -295,8 +289,7 @@ def run_and_check_compiled(
 
 #: plan memo — keyed per grid cell; bounded FIFO so 1024-rank plans (tens of
 #: MB of index arrays each) cannot accumulate without limit
-_PLAN_CACHE: dict[tuple, tuple[Schedule, CompiledPlan]] = {}
-_PLAN_CACHE_MAX = 128
+_PLAN_CACHE = Memo("verify._PLAN_CACHE", maxsize=128, counter="plan")
 
 
 def compiled_plan_for(
@@ -317,9 +310,8 @@ def compiled_plan_for(
     :func:`run_and_check_compiled` need, while the full step list (millions
     of ``Transfer`` objects for a 1024-rank ring) is dropped right after
     compilation instead of pinning memory for the cache's lifetime.
-    Eviction is FIFO at ``_PLAN_CACHE_MAX`` entries; :func:`clear_plan_cache`
-    (also reached via :func:`repro.analysis.sweep.clear_memo_caches`) drops
-    everything.
+    Eviction is FIFO at 128 entries;
+    :func:`repro.runtime.memo.clear_memo_caches` drops everything.
 
     Example::
 
@@ -329,10 +321,7 @@ def compiled_plan_for(
     """
     from repro.collectives.registry import build
 
-    key = (collective, algorithm, p, n, root, op)
-    hit = _PLAN_CACHE.get(key)
-    if hit is None:
-        obs.inc("cache.plan.miss")
+    def compile_cell() -> tuple[Schedule, CompiledPlan]:
         with obs.span(
             "schedule.build", collective=collective, algorithm=algorithm, p=p
         ):
@@ -341,15 +330,6 @@ def compiled_plan_for(
         with obs.span(
             "lower.plan", collective=collective, algorithm=algorithm, p=p, n=n
         ):
-            hit = (stub, compile_plan(schedule))
-        while len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        _PLAN_CACHE[key] = hit
-    else:
-        obs.inc("cache.plan.hit")
-    return hit
+            return stub, compile_plan(schedule)
 
-
-def clear_plan_cache() -> None:
-    """Drop every memoized compiled plan (cold-start benchmarks, memory)."""
-    _PLAN_CACHE.clear()
+    return _PLAN_CACHE.get_or((collective, algorithm, p, n, root, op), compile_cell)

@@ -21,8 +21,6 @@ that variant is exposed via ``mirror=True`` and used by
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.core.negabinary import (
     nb_to_rank,
     ones_mask,
@@ -31,6 +29,7 @@ from repro.core.negabinary import (
     trailing_equal_bits,
 )
 from repro.core.tree import Tree, build_tree, log2_exact
+from repro.runtime.memo import label_table
 
 __all__ = [
     "bine_tree_distance_halving",
@@ -90,7 +89,7 @@ def bine_tree_distance_halving(p: int, root: int = 0) -> Tree:
 # Distance-doubling Bine trees (Sec. 3.2, Appendix A)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@label_table("bine_tree._nu_table")
 def _nu_table(p: int) -> tuple[int, ...]:
     """Memoized ν labels for all ranks of ``p`` (shared by every builder)."""
     log2_exact(p)
@@ -107,7 +106,7 @@ def _nu_table(p: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@label_table("bine_tree._nu_inverse_table")
 def _nu_inverse_table(p: int) -> tuple[int, ...]:
     """Memoized inverse ν table (bijection-checked once per ``p``)."""
     inv = [-1] * p

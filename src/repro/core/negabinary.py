@@ -19,7 +19,7 @@ represents ``1·4 + 1·(−2) + 0·1 = 2``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from repro.runtime.memo import label_table
 
 __all__ = [
     "to_negabinary",
@@ -97,7 +97,7 @@ def nb_width(value: int) -> int:
     return to_negabinary(value).bit_length()
 
 
-@lru_cache(maxsize=None)
+@label_table("negabinary.rank_to_nb_table")
 def rank_to_nb_table(p: int) -> tuple[int, ...]:
     """Memoized ``rank2nb`` table for all ranks ``0 … p−1``.
 

@@ -15,8 +15,8 @@ number the DES engine would produce — so mixed grids keep working; with
 a non-empty timeline they raise :class:`DESEngineError` (CLI exit
 code 8), because silently ignoring the timeline would mislabel records.
 
-Simulation results memoize in the module-level ``_SIM_CACHE``
-(registered in ``memo_cache_registry()``): campaign summaries and
+Simulation results memoize in the module-level ``_SIM_CACHE`` (a bounded
+FIFO declared in :mod:`repro.runtime.memo`): campaign summaries and
 decision tables revisit identical cells, and a simulated cell is far
 more expensive than an analytic one.
 """
@@ -27,18 +27,17 @@ import hashlib
 import warnings
 from typing import Sequence
 
-from repro import obs
 from repro.des.engine import simulate_profile
 from repro.model.analytic import ANALYTIC_PROFILES, ANALYTIC_THRESHOLD
 from repro.model.compiled import transfer_table_for
 from repro.model.cost import CostParams
 from repro.runtime.errors import DESEngineError
+from repro.runtime.memo import Memo
 
 __all__ = ["des_records"]
 
-#: (cell key) -> (time, stalled); bounded FIFO like compiled._TABLE_CACHE
-_SIM_CACHE: dict[tuple, tuple[float, bool]] = {}
-_SIM_CACHE_MAX = 4096
+#: (cell key) -> (time, stalled)
+_SIM_CACHE = Memo("des.records._SIM_CACHE", maxsize=4096, counter="sim")
 
 
 def _params_digest(params: CostParams) -> str:
@@ -98,9 +97,8 @@ def des_records(
             cache.placement, cache.seed, cache.busy_fraction,
             mdigest, pdigest,
         )
-        hit = _SIM_CACHE.get(key)
-        if hit is None:
-            obs.inc("cache.sim.miss")
+
+        def simulate() -> tuple[float, bool]:
             result = simulate_profile(
                 table, profile, cache.topo, mapping, params, timeline,
                 nb / params.itemsize,
@@ -116,12 +114,9 @@ def des_records(
                     f"t={first.at:.3g}s); record carries stalled=True",
                     RuntimeWarning,
                 )
-            while len(_SIM_CACHE) >= _SIM_CACHE_MAX:
-                _SIM_CACHE.pop(next(iter(_SIM_CACHE)))
-            hit = _SIM_CACHE[key] = (result.time, result.stalled)
-        else:
-            obs.inc("cache.sim.hit")
-        time, stalled = hit
+            return result.time, result.stalled
+
+        time, stalled = _SIM_CACHE.get_or(key, simulate)
         scale = (nb / params.itemsize) / profile.n_build
         records.append(
             SweepRecord(

@@ -10,8 +10,9 @@ into array programs, each bit-identical to the Python reference it replaces
   ``has_op`` plus the pre/post local-op columns).  The table depends only on
   the schedule — not on the topology or rank mapping — so one lowering
   serves every system, placement and seed of a campaign.
-  :func:`transfer_table_for` memoizes tables per registry cell (bounded
-  FIFO, cleared by :func:`repro.analysis.sweep.clear_memo_caches`), the
+  :func:`transfer_table_for` memoizes tables per registry cell (a bounded
+  FIFO :class:`repro.runtime.memo.Memo`, cleared by
+  :func:`repro.runtime.memo.clear_memo_caches`), the
   profiling analogue of :func:`repro.collectives.verify.compiled_plan_for`.
 
 * :class:`CompiledRouteTable` — one CSR route matrix per topology: per
@@ -53,6 +54,7 @@ from repro.model.simulator import (
     ScheduleProfile,
     StepProfile,
 )
+from repro.runtime.memo import Memo
 from repro.runtime.schedule import Schedule, schedule_validation
 from repro.topology.base import LinkClass, Topology
 from repro.topology.mapping import RankMap
@@ -63,7 +65,6 @@ __all__ = [
     "GridMetrics",
     "lower_schedule",
     "transfer_table_for",
-    "clear_table_cache",
     "profile_table",
     "evaluate_grid",
     "resolve_profile_engine",
@@ -191,8 +192,7 @@ def lower_schedule(schedule: Schedule) -> TransferTable:
 #: exceed a full campaign's exact-cell count (the reference 3-collective
 #: LUMI grid to p=4096 touches ~100 cells; the FIFO replays in sweep order,
 #: so a bound below the working set would evict every entry before reuse).
-_TABLE_CACHE: dict[tuple, TransferTable | None] = {}
-_TABLE_CACHE_MAX = 512
+_TABLE_CACHE = Memo("compiled._TABLE_CACHE", maxsize=512, counter="table")
 
 
 def transfer_table_for(spec, p: int) -> TransferTable | None:
@@ -203,36 +203,25 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
     validates) and lowers it once; ``None`` when the builder rejects ``p``.
     The table is topology- and mapping-independent, so every system /
     placement / seed of a campaign shares one entry.  Eviction is FIFO at
-    ``_TABLE_CACHE_MAX``; :func:`clear_table_cache` (also reached via
-    :func:`repro.analysis.sweep.clear_memo_caches`) drops everything.
+    512 entries; :func:`repro.runtime.memo.clear_memo_caches` drops
+    everything.
     """
-    key = (spec.collective, spec.name, p)
-    if key in _TABLE_CACHE:
-        obs.inc("cache.table.hit")
-        return _TABLE_CACHE[key]
-    obs.inc("cache.table.miss")
-    try:
-        with obs.span(
-            "schedule.build", collective=spec.collective, algorithm=spec.name, p=p
-        ):
-            with schedule_validation(False):
-                schedule = spec.build(p, p)
-    except ValueError:
-        table = None
-    else:
+
+    def build_and_lower() -> TransferTable | None:
+        try:
+            with obs.span(
+                "schedule.build", collective=spec.collective, algorithm=spec.name, p=p
+            ):
+                with schedule_validation(False):
+                    schedule = spec.build(p, p)
+        except ValueError:
+            return None
         with obs.span(
             "lower.schedule", collective=spec.collective, algorithm=spec.name, p=p
         ):
-            table = lower_schedule(schedule)
-    while len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
-        _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[key] = table
-    return table
+            return lower_schedule(schedule)
 
-
-def clear_table_cache() -> None:
-    """Drop every memoized transfer table (cold-start benchmarks, memory)."""
-    _TABLE_CACHE.clear()
+    return _TABLE_CACHE.get_or((spec.collective, spec.name, p), build_and_lower)
 
 
 # -- CSR route matrices ------------------------------------------------------

@@ -8,8 +8,7 @@ Three parts:
   / ``REPRO_TRACE`` and viewable in Perfetto;
 * :mod:`repro.obs.metrics` — always-on counters/gauges (cache hits and
   misses, records computed vs. served warm, shard retries), registered
-  in :func:`repro.analysis.sweep.memo_cache_registry` and reset by
-  ``clear_memo_caches()``;
+  in :mod:`repro.runtime.memo` and reset by ``clear_memo_caches()``;
 * :mod:`repro.obs.stats` — the trace-file schema validator and the
   ``.stats.json`` sidecar aggregates behind ``repro stats``.
 

@@ -7,9 +7,9 @@ operation, cheap enough to stay on even when tracing is off, so a sweep
 always knows its cache hit rates after the fact.
 
 The registry participates in the memo-cache lifecycle:
-:func:`repro.analysis.sweep.memo_cache_registry` lists it under
-``"obs.metrics"`` (its "size" is the number of live series) and
-:func:`~repro.analysis.sweep.clear_memo_caches` resets it.
+:mod:`repro.runtime.memo` registers it as ``"obs.metrics"`` (its "size"
+is the number of live series), so
+:func:`~repro.runtime.memo.clear_memo_caches` resets it.
 
 Example::
 

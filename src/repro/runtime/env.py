@@ -1,9 +1,9 @@
 """Loud parsing for numeric environment knobs.
 
-Every ``REPRO_*`` knob that tunes execution (shard timeouts, chaos
+Every ``REPRO_*`` knob that tunes execution (shard fallback, chaos
 injection, trace clock origins) used to fall back to its default
-*silently* when the variable held garbage — ``REPRO_SHARD_TIMEOUT=5m``
-quietly meant 300 s, which is exactly the kind of misconfiguration that
+*silently* when the variable held garbage — ``REPRO_SHARD_FALLBACK=no``
+quietly meant enabled, which is exactly the kind of misconfiguration that
 only surfaces three hours into a campaign.  These helpers keep the
 fallback (a bad knob must never crash a run) but emit a once-per-process
 :class:`RuntimeWarning` naming the variable and the bad value.
@@ -14,8 +14,8 @@ Example::
     >>> os.environ["REPRO_DEMO_KNOB"] = "fast"
     >>> with warnings.catch_warnings(record=True) as caught:
     ...     warnings.simplefilter("always")
-    ...     env_float("REPRO_DEMO_KNOB", 3.0)
-    3.0
+    ...     env_int("REPRO_DEMO_KNOB", 3)
+    3
     >>> "REPRO_DEMO_KNOB" in str(caught[0].message)
     True
     >>> del os.environ["REPRO_DEMO_KNOB"]
@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import warnings
 
-__all__ = ["env_float", "env_int", "env_flag"]
+__all__ = ["env_int", "env_flag"]
 
 #: ``(name, bad value)`` pairs already warned about this process — a
 #: campaign re-reading a knob thousands of times reports it once
@@ -43,18 +43,6 @@ def _warn_once(name: str, value: str, expected: str) -> None:
         RuntimeWarning,
         stacklevel=3,
     )
-
-
-def env_float(name: str, default: float) -> float:
-    """``float(os.environ[name])`` with a warn-once fallback to ``default``."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        _warn_once(name, raw, "a number")
-        return default
 
 
 def env_int(name: str, default: int) -> int:

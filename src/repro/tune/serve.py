@@ -17,9 +17,10 @@ milliseconds).  Both share one off-grid policy vocabulary:
     Off-grid or unanswerable queries return ``None`` instead of raising.
 
 Tables are compiled to numpy lookup structures once and memoized in the
-module-level ``_SERVE_CACHE`` (registered with
-:func:`repro.analysis.sweep.memo_cache_registry`, so resilience tooling
-can clear and audit it like every other process-level cache).
+module-level ``_SERVE_CACHE``, a bounded FIFO declared in
+:mod:`repro.runtime.memo` (so a re-tuning loop that builds a table per
+round holds at most 16 compiled tables, and resilience tooling can clear
+and audit it like every other process-level cache).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.runtime.errors import TuneArtifactError, TuneQueryError
+from repro.runtime.memo import Memo
 from repro.tune.tables import DecisionTable, SubTable
 
 __all__ = [
@@ -48,8 +49,8 @@ __all__ = [
 
 POLICIES = ("exact", "nearest", "refuse")
 
-#: compiled-table memo: integrity-keyed, cleared via memo_cache_registry()
-_SERVE_CACHE: dict = {}
+#: compiled-table memo, keyed per table object and its provenance digest
+_SERVE_CACHE = Memo("tune.serve._SERVE_CACHE", maxsize=16, counter="serve")
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,7 @@ def _compiled(table: DecisionTable) -> _CompiledTable:
     # the same record set and compile identically, so an id collision
     # after GC can only ever serve equivalent answers
     key = (id(table), table.records_digest, table.record_count)
-    hit = _SERVE_CACHE.get(key)
-    if hit is None:
-        obs.inc("cache.serve.miss")
-        hit = _SERVE_CACHE[key] = _CompiledTable(table)
-    else:
-        obs.inc("cache.serve.hit")
-    return hit
+    return _SERVE_CACHE.get_or(key, lambda: _CompiledTable(table))
 
 
 def load_table(path) -> DecisionTable:

@@ -597,7 +597,7 @@ class TestVerify:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         from repro.collectives.registry import ALGORITHMS, AlgorithmSpec
-        from repro.collectives.verify import clear_plan_cache
+        from repro.collectives.verify import _PLAN_CACHE
         from repro.runtime.schedule import Schedule
 
         spec = AlgorithmSpec(
@@ -613,7 +613,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "1 failed" in captured.err or "2 failed" in captured.err
         assert "failures:" in captured.out
-        clear_plan_cache()
+        _PLAN_CACHE.clear()
 
     def test_unknown_collective_fails(self, capsys):
         assert main(["verify", "--collective", "bogus"]) == 2

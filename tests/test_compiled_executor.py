@@ -17,8 +17,8 @@ import pytest
 from repro.analysis.verifygrid import verify_cell, verify_grid
 from repro.collectives.registry import ALGORITHMS, COLLECTIVES
 from repro.collectives.verify import (
+    _PLAN_CACHE,
     check_matrix,
-    clear_plan_cache,
     compiled_plan_for,
     init_buffers,
     init_matrix,
@@ -222,18 +222,18 @@ class TestExecutorSemantics:
 
 class TestPlanCache:
     def test_cache_hit_returns_same_plan(self):
-        clear_plan_cache()
+        _PLAN_CACHE.clear()
         s1, p1 = compiled_plan_for("bcast", "bine", 8, 32)
         s2, p2 = compiled_plan_for("bcast", "bine", 8, 32)
         assert p1 is p2 and s1 is s2
         _, p3 = compiled_plan_for("bcast", "bine", 8, 64)  # n is part of the key
         assert p3 is not p1
-        clear_plan_cache()
+        _PLAN_CACHE.clear()
         _, p4 = compiled_plan_for("bcast", "bine", 8, 32)
         assert p4 is not p1
 
     def test_stub_schedule_is_light_but_sufficient(self):
-        clear_plan_cache()
+        _PLAN_CACHE.clear()
         stub, plan = compiled_plan_for("alltoall", "bruck", 8, 32)
         assert stub.num_steps == 0  # steps dropped
         assert stub.meta["collective"] == "alltoall"
@@ -279,7 +279,7 @@ class TestVerifyGrid:
             r = verify_cell("bcast", "broken", 4, 8, engine=engine)
             assert r.status == "failed", engine
             assert "wrong" in r.detail
-        clear_plan_cache()  # drop the broken cell's memoized plan
+        _PLAN_CACHE.clear()  # drop the broken cell's memoized plan
 
     def test_record_roundtrip_and_workers(self):
         from repro.analysis.verifygrid import VerifyRecord

@@ -20,6 +20,9 @@ The contract under test (see ``docs/observability.md``):
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -144,6 +147,30 @@ class TestMetricsRegistry:
         assert counters["cache.profile.miss"] >= 1
         assert counters["cache.profile.hit"] >= 1
         assert counters["cache.table.miss"] >= 1
+
+    def test_fresh_process_stats_caches_lists_every_cache(self):
+        # caches self-register on import; the CLI imports neither the DES
+        # records nor the tune server, so --caches must load them itself
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "stats", "--caches", "--format", "json"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stdout)) == {
+            "negabinary.rank_to_nb_table",
+            "bine_tree._nu_table",
+            "bine_tree._nu_inverse_table",
+            "common._pi_table",
+            "common._pi_inv_table",
+            "butterfly_collectives._SEG_CACHE",
+            "verify._PLAN_CACHE",
+            "verify._PATTERN_CACHE",
+            "compiled._TABLE_CACHE",
+            "tune.serve._SERVE_CACHE",
+            "des.records._SIM_CACHE",
+            "obs.metrics",
+        }
 
     def test_caches_does_not_combine_with_file(self, capsys):
         assert main(["stats", "--caches", "some.json"]) == 2

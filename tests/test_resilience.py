@@ -12,10 +12,14 @@ import importlib
 import pkgutil
 import random
 import sys
+import warnings
 from contextlib import contextmanager
 from functools import _lru_cache_wrapper
 
 import pytest
+
+from repro.runtime import env as runtime_env
+from repro.runtime.env import env_flag, env_int
 
 from repro.analysis.sweep import (
     _CACHE_MAGIC,
@@ -190,8 +194,31 @@ class TestMemoCacheRegistry:
                         missing.append(f"{name}.{attr}")
         assert not missing, (
             f"memo caches outside memo_cache_registry(): {missing} — "
-            "register them so clear_memo_caches() stays complete"
+            "declare them through repro.runtime.memo so clear_memo_caches() "
+            "stays complete"
         )
+
+
+class TestEnvKnobFallback:
+    @pytest.mark.parametrize(
+        "read, name, raw, default",
+        [
+            (env_flag, "REPRO_SHARD_FALLBACK", "no", True),
+            (env_int, "REPRO_TRACE_T0", "soon", 7),
+        ],
+    )
+    def test_garbage_warns_once_and_keeps_default(
+        self, monkeypatch, read, name, raw, default
+    ):
+        monkeypatch.setattr(runtime_env, "_WARNED", set())
+        monkeypatch.setenv(name, raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read(name, default) == default
+            assert read(name, default) == default
+        assert len(caught) == 1
+        assert caught[0].category is RuntimeWarning
+        assert name in str(caught[0].message)
 
 
 def _partitioning_seed() -> int:

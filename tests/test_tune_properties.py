@@ -269,11 +269,24 @@ class TestServing:
 
     def test_serve_cache_registered_and_clearable(self):
         from repro.analysis.sweep import clear_memo_caches, memo_cache_sizes
+        from repro.tune.serve import _SERVE_CACHE
 
-        table = build_decision_table(record_grid(rng_for(81)), name="t", source="s")
-        select_algorithm(table, "bcast", "lumi",
-                         table.tables[0].p_grid[0], 1, table.tables[0].n_grid[0])
+        records = record_grid(rng_for(81))
+        table = build_decision_table(records, name="t", source="s")
+        sub = table.tables[0]
+        query = (sub.collective, sub.system, sub.p_grid[0], sub.ppn, sub.n_grid[0])
+        answer = select_algorithm(table, *query, faults=sub.faults)
         assert memo_cache_sizes()["tune.serve._SERVE_CACHE"] >= 1
+        # a re-tuning loop compiles one fresh table per round: the FIFO
+        # bound caps the memo, and evicted tables recompile to equal answers
+        tables = [
+            build_decision_table(records, name="t", source="s")
+            for _ in range(_SERVE_CACHE.maxsize + 3)
+        ]
+        for t in tables:
+            assert select_algorithm(t, *query, faults=sub.faults) == answer
+        assert memo_cache_sizes()["tune.serve._SERVE_CACHE"] == _SERVE_CACHE.maxsize
+        assert select_algorithm(tables[0], *query, faults=sub.faults) == answer
         clear_memo_caches()
         assert memo_cache_sizes()["tune.serve._SERVE_CACHE"] == 0
 
