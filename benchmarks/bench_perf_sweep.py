@@ -7,7 +7,7 @@ per node, plus p = 4096 at ppn = 2 (LUMI has 2976 nodes) — and writes
 
 * **cold** — fresh process-level memo caches, no disk cache: the full
   build → lower → route → profile → evaluate pipeline on the compiled
-  profile engine (the default);
+  profile engine;
 * **warm** — second run against a populated on-disk profile cache
   (schedule construction, lowering and routing skipped entirely);
 * **parallel** — cold run sharded over ``(collective, p)`` worker

@@ -2,13 +2,13 @@
 
 Runs ``campaigns/timeline_lumi.toml`` — Bine vs binomial on LUMI while
 links fail and heal and background traffic comes and goes *mid-run* —
-through the discrete-event fabric engine (``engine = "des"``), and
-renders a per-scenario slowdown table against the pristine control.
+and renders a per-scenario slowdown table against the pristine control.
 
-The control scenario doubles as a cross-engine check: with no timeline
-the DES records are exactly equal to the compiled analytic engine's (the
-calibration contract of ``docs/robustness.md``), so every slowdown in
-the table is attributable to the timeline, not to engine skew.
+Timeline scenarios run on the discrete-event fabric engine; the control
+runs on the compiled analytic engine, whose numbers the DES engine
+reproduces exactly on a calm fabric (the calibration contract of
+``docs/robustness.md``), so every slowdown in the table is attributable
+to the timeline, not to engine skew.
 """
 
 from benchmarks._shared import campaign_records, write_result

@@ -51,12 +51,14 @@ way the cells ran.
 record (and the disk-cache namespace), so per-scenario results never
 collide with pristine ones.
 
-A spec with a :class:`~repro.faults.FaultTimeline` additionally requires
-``profile_engine="des"``: the discrete-event engine (:mod:`repro.des`)
-replays the timeline's mid-run failures/heals while executing the
-lowered transfer program, and its records carry the timeline label plus
-a ``stalled`` flag.  With an empty timeline the DES engine reproduces
-the compiled engine bit for bit (the calibration contract).
+A spec with a :class:`~repro.faults.FaultTimeline` runs on the
+discrete-event engine (:mod:`repro.des`), which replays the timeline's
+mid-run failures/heals while executing the lowered transfer program; its
+records carry the timeline label plus a ``stalled`` flag.  Every other
+spec runs on the compiled analytic evaluator.  With an empty timeline
+the DES engine reproduces the compiled engine bit for bit (the
+calibration contract), so the engine is derived from the spec rather
+than chosen.
 
 ``cell_sink=...`` (on either sweep) wires the cell loop into the campaign
 record journal (:mod:`repro.checkpoint`): the loop plans its cells with
@@ -95,7 +97,7 @@ from repro.model.cost import CostParams
 from repro.model.simulator import ScheduleProfile
 from repro.faults import DegradedTopology, FaultSpec
 from repro import obs
-from repro.checkpoint.drain import drain_requested
+from repro.checkpoint.drain import drain_requested, pool_worker_init
 from repro.runtime.env import env_flag
 from repro.runtime.errors import (
     CacheCorruptionError,
@@ -268,17 +270,18 @@ class ProfileCache:
     (the parallel-shard path), its spec governs and ``faults`` must be
     omitted.
 
-    ``profile_engine`` picks the evaluation backend.  Both engines lower
-    each schedule once into a memoized
+    The evaluation backend follows from the fault spec: ``"des"``
+    (discrete-event simulation, :mod:`repro.des`) when it carries a
+    :class:`~repro.faults.FaultTimeline`, ``"compiled"`` (analytic)
+    otherwise.  Both engines lower each schedule once into a memoized
     :class:`~repro.model.compiled.TransferTable` and profile it through
     the CSR route table (bit-identical to the scalar
     :func:`~repro.model.simulator.profile_schedule` reference, asserted in
-    ``tests/test_compiled_profile.py``).  ``"compiled"`` (the default)
-    evaluates analytically; ``"des"`` *evaluates* by discrete-event
-    simulation (:mod:`repro.des`) — it is required (and the only engine
-    allowed) when the fault spec carries a
-    :class:`~repro.faults.FaultTimeline`, and shares the compiled disk
-    namespace because profiles are static-fabric artifacts.
+    ``tests/test_compiled_profile.py``), and share one disk namespace
+    because profiles are static-fabric artifacts.  ``profile_engine``
+    overrides the derived choice — ``"des"`` on a calm fabric is the
+    calibration hook; ``"compiled"`` with a timeline raises
+    :class:`~repro.runtime.errors.DESEngineError`.
     """
 
     def __init__(
@@ -310,11 +313,14 @@ class ProfileCache:
         self.placement = placement
         self.seed = seed
         self.busy_fraction = busy_fraction
-        self.engine = resolve_profile_engine(profile_engine)
-        if not self.faults.timeline.is_null and self.engine != "des":
+        timed = not self.faults.timeline.is_null
+        self.engine = resolve_profile_engine(
+            profile_engine or ("des" if timed else None)
+        )
+        if timed and self.engine != "des":
             raise DESEngineError(
-                f"fault timeline {self.faults.timeline.label!r} requires "
-                f"profile_engine='des'; the {self.engine!r} engine scores a "
+                f"fault timeline {self.faults.timeline.label!r} runs only "
+                f"on the 'des' engine; the {self.engine!r} engine scores a "
                 "static fabric and cannot replay mid-run events"
             )
         self.routes = CompiledRouteTable(self.topo)
@@ -756,7 +762,6 @@ def sweep_system(
     placement: str = "scheduler",
     workers: int | None = None,
     disk_dir: str | os.PathLike | None = None,
-    profile_engine: str | None = None,
     faults: FaultSpec | None = None,
     cell_sink=None,
 ) -> list[SweepRecord]:
@@ -770,14 +775,10 @@ def sweep_system(
     same order.  ``disk_dir`` enables the persistent profile cache (ignored
     when an explicit ``cache`` is passed — configure it there instead).
 
-    ``profile_engine`` selects the evaluation backend (``"compiled"``
-    default, or ``"des"``).  Like ``disk_dir`` it is ignored when an
-    explicit ``cache`` is passed — the cache's engine governs.
-
     ``faults`` evaluates the grid on a degraded fabric (see
     :class:`~repro.faults.FaultSpec`); the scenario label lands in every
-    record.  Like the other cache knobs it is ignored when an explicit
-    ``cache`` is passed.
+    record, and a fault timeline runs the grid on the DES engine.  Like
+    ``disk_dir`` it is ignored when an explicit ``cache`` is passed.
 
     ``cell_sink`` (a :class:`~repro.checkpoint.journal.GridJournal`)
     streams each finished ``(collective, p)`` cell into a write-ahead
@@ -802,8 +803,7 @@ def sweep_system(
     )
     params = params or preset.params
     cache = cache or ProfileCache(
-        preset, placement=placement, disk_dir=disk_dir,
-        profile_engine=profile_engine, faults=faults,
+        preset, placement=placement, disk_dir=disk_dir, faults=faults,
     )
     specs = _selected_specs(collectives, algorithms)
     with obs.span(
@@ -851,7 +851,6 @@ def sweep_torus(
     vector_bytes: Sequence[int] | None = None,
     algorithms: Iterable[str] | None = None,
     params: CostParams | None = None,
-    profile_engine: str | None = None,
     cell_sink=None,
 ) -> list[SweepRecord]:
     """Evaluate the torus algorithm catalog on one sub-torus (Fig. 11b).
@@ -870,8 +869,7 @@ def sweep_torus(
     The whole grid is one ``("<torus>", ranks)`` cell of the sweep cell
     loop, so ``cell_sink`` journals, resumes and drains it exactly like a
     :func:`sweep_system` cell.  The torus catalog is scored analytically
-    only: ``profile_engine="des"`` raises
-    :class:`~repro.runtime.errors.DESEngineError`.
+    (a torus has no global links for a fault timeline to fail).
 
     Example::
 
@@ -885,11 +883,6 @@ def sweep_torus(
     from repro.core.torus_opt import TorusShape
     from repro.topology.torus import Torus
 
-    if resolve_profile_engine(profile_engine) == "des":
-        raise DESEngineError(
-            "torus sweeps have no DES engine: the torus catalog is scored "
-            "analytically only — use profile_engine='compiled'"
-        )
     shape = TorusShape(tuple(dims))
     params = params or preset.params
     vector_bytes = tuple(
@@ -1010,34 +1003,6 @@ def _sweep_shard(
             )
 
 
-def _pool_worker_init() -> None:
-    """Detach each pool worker from drain signals; die with the parent.
-
-    Workers are forked while the parent's graceful-drain handlers
-    (:mod:`repro.checkpoint.drain`) may be installed and would inherit
-    them — a terminal's Ctrl-C or a scheduler's group-wide SIGTERM must
-    reach only the *parent*, which coordinates the drain and lets
-    in-flight shards finish, so workers ignore both signals.  And a
-    SIGKILLed campaign (OOM killer, the chaos harness) must not leave
-    workers orphaned and blocked forever on a dead call queue: on Linux
-    every worker asks the kernel to SIGKILL it when its parent dies
-    (``PR_SET_PDEATHSIG``; SIGKILL because ordinary signals are ignored
-    per the above).  Elsewhere that part is a no-op; normal pool
-    shutdown is unaffected either way.
-    """
-    import signal as _signal
-
-    _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-    _signal.signal(_signal.SIGTERM, _signal.SIG_IGN)
-    try:  # pragma: no cover - trivially platform-dependent
-        import ctypes
-
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl(1, _signal.SIGKILL, 0, 0, 0)  # 1 == PR_SET_PDEATHSIG
-    except Exception:
-        pass
-
-
 def _run_shard_round(
     shard_args: dict[int, tuple],
     workers: int,
@@ -1059,7 +1024,7 @@ def _run_shard_round(
     failed: list[int] = []
     abandoned: list[int] = []
     pool = ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_worker_init
+        max_workers=workers, initializer=pool_worker_init
     )
     try:
         futures: dict[int, object] = {}

@@ -40,6 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import obs
+from repro.checkpoint.drain import pool_worker_init
 from repro.collectives.registry import (
     COLLECTIVES,
     AlgorithmSpec,
@@ -304,7 +305,10 @@ def verify_grid(
         workers=workers or 1,
     ):
         if workers is not None and workers > 1 and len(cells) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=pool_worker_init
+            )
+            try:
                 futures = [
                     pool.submit(
                         _verify_cell_shard, coll, name, p, n, seeds, engine
@@ -312,6 +316,10 @@ def verify_grid(
                     for coll, name, p, n in cells
                 ]
                 return [f.result() for f in futures]
+            finally:
+                # workers ignore SIGINT: cancel the rest of the grid
+                # rather than wait for it on an interrupt
+                pool.shutdown(wait=False, cancel_futures=True)
         return [
             verify_cell(coll, name, p, n, seeds, engine)
             for coll, name, p, n in cells

@@ -23,7 +23,7 @@ import signal
 import sys
 from contextlib import contextmanager
 
-__all__ = ["drain_scope", "drain_requested"]
+__all__ = ["drain_scope", "drain_requested", "pool_worker_init"]
 
 #: name of the signal that requested a drain, or ``None`` — module-level
 #: because signal handlers are process-global anyway
@@ -82,3 +82,30 @@ def drain_scope():
             except ValueError:
                 pass
         _REQUESTED[0] = None
+
+
+def pool_worker_init() -> None:
+    """Detach each pool worker from drain signals; die with the parent.
+
+    The initializer of every process pool (sweep shards, verify cells).
+    Workers are forked while the parent's :func:`drain_scope` handlers
+    may be installed and would inherit them — a terminal's Ctrl-C or a
+    scheduler's group-wide SIGTERM must reach only the *parent*, which
+    coordinates the drain and lets in-flight shards finish, so workers
+    ignore both signals.  And a
+    SIGKILLed campaign (OOM killer, the chaos harness) must not leave
+    workers orphaned and blocked forever on a dead call queue: on Linux
+    every worker asks the kernel to SIGKILL it when its parent dies
+    (``PR_SET_PDEATHSIG``; SIGKILL because ordinary signals are ignored
+    per the above).  Elsewhere that part is a no-op; normal pool
+    shutdown is unaffected either way.
+    """
+    for sig in _DRAIN_SIGNALS:
+        signal.signal(sig, signal.SIG_IGN)
+    try:  # pragma: no cover - trivially platform-dependent
+        import ctypes
+
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl(1, signal.SIGKILL, 0, 0, 0)  # 1 == PR_SET_PDEATHSIG
+    except Exception:
+        pass

@@ -6,9 +6,9 @@ completed cells into as they finish, so a run killed at cell 950 of 1056
 cell 951 instead of from zero.  The format is deliberately boring:
 
 * **line 1** is a sealed header carrying the schema version, the
-  manifest digest (:func:`manifest_digest`), the resolved profile
-  engine and the scenario labels — resume refuses a journal written by
-  a different campaign instead of silently mixing records;
+  manifest digest (:func:`manifest_digest`) and the scenario labels —
+  resume refuses a journal written by a different campaign instead of
+  silently mixing records;
 * every following line is one entry — a ``plan`` (the cell list of one
   ``(scenario, grid)``), a ``cell`` (that cell's finished
   :class:`~repro.analysis.sweep.SweepRecord` rows), or a ``resume``
@@ -50,7 +50,7 @@ import json
 import os
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
@@ -266,9 +266,12 @@ class CampaignJournal:
     is requested.  ``resume=False`` refuses an existing file (a fresh
     run must never silently clobber a dead run's progress); with
     ``resume=True`` an existing journal is repaired (torn tail
-    truncated), validated against the campaign's manifest digest, engine
-    and scenario labels, and its completed cells are indexed so the
-    sweep layer can skip them.
+    truncated), validated against the campaign's manifest digest and
+    scenario labels, and its completed cells are indexed so the sweep
+    layer can skip them.  The evaluation engine is not sealed: it follows
+    from each scenario (see :class:`~repro.analysis.sweep.ProfileCache`),
+    and a header that still carries the retired ``engine`` field resumes
+    like any other.
     """
 
     def __init__(
@@ -276,12 +279,10 @@ class CampaignJournal:
         directory: str | os.PathLike,
         manifest,
         *,
-        engine: str,
         scenarios,
         resume: bool = False,
     ):
         self.path = journal_path(directory, manifest.name)
-        self.engine = engine
         labels = [[s.label, s.timeline_label] for s in scenarios]
         header = {
             "kind": "header",
@@ -290,7 +291,6 @@ class CampaignJournal:
             "campaign": manifest.name,
             "system": manifest.system,
             "manifest_digest": manifest_digest(manifest),
-            "engine": engine,
             "scenarios": labels,
         }
         self._done: dict[tuple, list[dict]] = {}
@@ -328,7 +328,7 @@ class CampaignJournal:
             self._writer = JournalWriter(self.path, header=header)
 
     def _check_header(self, on_disk: dict, expected: dict) -> None:
-        for key in ("manifest_digest", "engine", "scenarios", "campaign"):
+        for key in ("manifest_digest", "scenarios", "campaign"):
             if on_disk.get(key) != expected[key]:
                 raise JournalError(
                     f"{self.path}: journal {key} {on_disk.get(key)!r} does "
@@ -468,7 +468,6 @@ def summarize_journal(doc: JournalDoc) -> dict:
         "journal": doc.path.name,
         "campaign": doc.header.get("campaign"),
         "system": doc.header.get("system"),
-        "engine": doc.header.get("engine"),
         "manifest_digest": doc.header.get("manifest_digest"),
         "resumes": resumes,
         "truncated_tail": doc.truncated,

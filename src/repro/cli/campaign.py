@@ -40,7 +40,6 @@ from repro.analysis.sweep import (
 from repro.checkpoint import CampaignJournal, drain_scope
 from repro.cli.manifest import CampaignManifest
 from repro.faults import FaultSpec
-from repro.model.compiled import resolve_profile_engine
 from repro.runtime.errors import FaultSpecError
 from repro.systems import system_for
 
@@ -89,21 +88,18 @@ def run_campaign(
     workers: int | None = None,
     disk_dir: str | os.PathLike | None = None,
     cache: ProfileCache | None = None,
-    profile_engine: str | None = None,
     faults: tuple[FaultSpec, ...] | None = None,
     journal: str | os.PathLike | None = None,
     resume: bool = False,
 ) -> CampaignResult:
     """Run every grid of ``manifest`` and, if requested, summarise.
 
-    ``workers``, ``disk_dir`` and ``profile_engine`` are execution knobs,
-    not campaign identity: any combination yields record-for-record
-    identical output (parallel shards pre-sample placements in serial
-    order; warm disk caches replay the cold run's profiles; the DES
-    engine reproduces the compiled one when no timeline perturbs the
-    run).  An explicit ``cache`` overrides the manifest's placement
-    context *and* the engine — the bench suite uses this to share one
-    cache across benches.
+    ``workers`` and ``disk_dir`` are execution knobs, not campaign
+    identity: any combination yields record-for-record identical output
+    (parallel shards pre-sample placements in serial order; warm disk
+    caches replay the cold run's profiles).  An explicit ``cache``
+    overrides the manifest's placement context — the bench suite uses
+    this to share one cache across benches.
 
     ``faults`` overrides the manifest's ``[[faults]]`` scenario list (the
     ``--faults`` CLI flag).  Every grid runs once per scenario against a
@@ -113,11 +109,9 @@ def run_campaign(
     combines with the single pristine scenario — fault campaigns need one
     cache per degraded topology.
 
-    The engine resolves ``profile_engine`` (the CLI flag) over the
-    manifest's ``[campaign] engine`` key over the resolver default; a
-    scenario with a fault timeline requires the resolved engine to be
-    ``"des"`` (:class:`~repro.runtime.errors.DESEngineError` otherwise,
-    CLI exit code 8).
+    Each scenario's cache picks its own evaluation engine: a scenario
+    with a fault timeline runs on the discrete-event engine, every other
+    one on the compiled analytic evaluator (see :class:`ProfileCache`).
 
     ``journal=DIR`` makes the run crash-safe: every completed cell is
     streamed into a write-ahead record journal under ``DIR`` (see
@@ -137,8 +131,6 @@ def run_campaign(
         8
     """
     preset = system_for(manifest.system)
-    if profile_engine is None:
-        profile_engine = manifest.engine
     scenarios = tuple(faults) if faults is not None else manifest.faults
     if not scenarios:
         scenarios = (FaultSpec(),)
@@ -155,13 +147,8 @@ def run_campaign(
         )
     run_journal: CampaignJournal | None = None
     if journal is not None:
-        engine_label = (
-            cache.engine if cache is not None
-            else resolve_profile_engine(profile_engine)
-        )
         run_journal = CampaignJournal(
-            journal, manifest, engine=engine_label, scenarios=scenarios,
-            resume=resume,
+            journal, manifest, scenarios=scenarios, resume=resume,
         )
     records: list[SweepRecord] = []
     signal_ctx = drain_scope() if run_journal is not None else nullcontext()
@@ -180,7 +167,6 @@ def run_campaign(
                     seed=manifest.seed,
                     busy_fraction=manifest.busy_fraction,
                     disk_dir=disk_dir,
-                    profile_engine=profile_engine,
                     faults=scenario,
                 )
                 for g, grid in enumerate(manifest.grids):
@@ -207,7 +193,6 @@ def run_campaign(
                                     grid.collectives,
                                     vector_bytes=grid.vector_bytes,
                                     algorithms=grid.algorithms,
-                                    profile_engine=scenario_cache.engine,
                                     cell_sink=grid_journal,
                                 )
                             )

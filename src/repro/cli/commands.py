@@ -244,7 +244,6 @@ def cmd_sweep(args) -> int:
             seed=args.seed,
             busy_fraction=args.busy_fraction,
             disk_dir=args.disk_cache,
-            profile_engine=args.profile_engine,
             faults=scenario,
         )
         records.extend(
@@ -483,7 +482,7 @@ def cmd_plot(args) -> int:
             return _fail(error)
         result = run_campaign(
             manifest, workers=args.workers, disk_dir=args.disk_cache,
-            profile_engine=args.profile_engine, faults=_parse_faults(args),
+            faults=_parse_faults(args),
         )
         records = result.records
         name, source = manifest.name, args.manifest
@@ -523,8 +522,7 @@ def cmd_plot(args) -> int:
 # -- repro compare -----------------------------------------------------------
 
 
-def _resolve_record_set(path_text: str, workers, disk_dir, profile_engine=None,
-                        faults=None):
+def _resolve_record_set(path_text: str, workers, disk_dir, faults=None):
     """A compare operand: records/baseline JSON, or a manifest to rerun.
 
     Returns ``(record_set, manifest_or_None)``; raises ``ManifestError``
@@ -558,8 +556,7 @@ def _resolve_record_set(path_text: str, workers, disk_dir, profile_engine=None,
         manifest_from_dict(data) if data is not None else load_manifest(path)
     )
     result = run_campaign(
-        manifest, workers=workers, disk_dir=disk_dir,
-        profile_engine=profile_engine, faults=faults,
+        manifest, workers=workers, disk_dir=disk_dir, faults=faults,
     )
     return record_set_from_records(result.records, label=path_text), manifest
 
@@ -592,7 +589,7 @@ def cmd_compare(args) -> int:
         try:
             candidate, manifest = _resolve_record_set(
                 args.candidate, args.workers, args.disk_cache,
-                args.profile_engine, _parse_faults(args),
+                _parse_faults(args),
             )
         except (ManifestError, RecordSetError, FileNotFoundError, OSError) as exc:
             return _fail(str(exc))
@@ -610,12 +607,10 @@ def cmd_compare(args) -> int:
     try:
         faults = _parse_faults(args)
         ref, _ = _resolve_record_set(
-            args.ref, args.workers, args.disk_cache, args.profile_engine,
-            faults,
+            args.ref, args.workers, args.disk_cache, faults
         )
         candidate, _ = _resolve_record_set(
-            args.candidate, args.workers, args.disk_cache, args.profile_engine,
-            faults,
+            args.candidate, args.workers, args.disk_cache, faults
         )
         diff = diff_record_sets(ref, candidate, tolerance=args.tolerance)
     except (ManifestError, RecordSetError, FileNotFoundError, OSError) as exc:
@@ -732,7 +727,7 @@ def cmd_tune(args) -> int:
                 return _fail(error)
             result = run_campaign(
                 manifest, workers=args.workers, disk_dir=args.disk_cache,
-                profile_engine=args.profile_engine, faults=_parse_faults(args),
+                faults=_parse_faults(args),
             )
             records = result.records
             name = args.name or manifest.name
@@ -952,8 +947,7 @@ def cmd_campaign(args) -> int:
         )
     result = run_campaign(
         manifest, workers=args.workers, disk_dir=args.disk_cache,
-        profile_engine=args.profile_engine, faults=_parse_faults(args),
-        journal=args.journal, resume=args.resume,
+        faults=_parse_faults(args), journal=args.journal, resume=args.resume,
     )
     cells = len({r.key for r in result.records})
     print(

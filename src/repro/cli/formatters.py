@@ -379,11 +379,11 @@ def journal_stats_text(summary) -> str:
 
         >>> print(journal_stats_text({
         ...     "journal": "t.journal", "campaign": "tiny", "system": "lumi",
-        ...     "engine": "compiled", "manifest_digest": "ab12", "resumes": 1,
+        ...     "manifest_digest": "ab12", "resumes": 1,
         ...     "truncated_tail": False, "cells_done": 3, "cells_planned": 4,
         ...     "scenarios": {"none": {"planned": 4, "done": 3, "records": 96,
         ...                            "remaining": 1}}}))
-        journal: t.journal  campaign: tiny (lumi, compiled)  digest: ab12
+        journal: t.journal  campaign: tiny (lumi)  digest: ab12
         cells: 3/4 done, 1 remaining  resumes: 1
         <BLANKLINE>
         scenario      done  planned  remaining  records
@@ -391,7 +391,7 @@ def journal_stats_text(summary) -> str:
     """
     lines = [
         f"journal: {summary['journal']}  campaign: {summary['campaign']} "
-        f"({summary['system']}, {summary['engine']})  "
+        f"({summary['system']})  "
         f"digest: {summary['manifest_digest']}",
         f"cells: {summary['cells_done']}/{summary['cells_planned']} done, "
         f"{summary['cells_planned'] - summary['cells_done']} remaining  "

@@ -8,14 +8,14 @@ Exit codes (:data:`EXIT_CODES`): 0 success; 1 drift / verify failure;
 2 usage or domain error; 3 invalid fault spec; 4 partitioned topology;
 5 corrupted profile-cache entry surfaced as an error; 6 worker shard
 failure with fallback disabled; 7 corrupted or mismatched decision-table
-artifact; 8 DES engine error (timeline on a non-DES engine or on an
-analytic-only cell) — also returned, with complete record output, when a
-timeline stalled at least one flow mid-run; 9 graceful drain — a
-journaled campaign stopped at a cell boundary after SIGINT/SIGTERM with
-its progress flushed (resume with ``--resume``); 10 unusable record
-journal (corrupt beyond the torn tail, or sealed for a different
-campaign); 130 immediate interrupt (``KeyboardInterrupt`` / second
-signal).  Bench runs pass through pytest's code.
+artifact; 8 DES engine error (a timeline on an analytic-only cell, which
+the discrete-event engine cannot replay) — also returned, with complete
+record output, when a timeline stalled at least one flow mid-run;
+9 graceful drain — a journaled campaign stopped at a cell boundary after
+SIGINT/SIGTERM with its progress flushed (resume with ``--resume``);
+10 unusable record journal (corrupt beyond the torn tail, or sealed for
+a different campaign); 130 immediate interrupt (``KeyboardInterrupt`` /
+second signal).  Bench runs pass through pytest's code.
 
 Example::
 
@@ -104,13 +104,6 @@ def _add_execution_knobs(parser: argparse.ArgumentParser) -> None:
         help="persist schedule profiles under DIR across runs "
         "(delete DIR to force a cold rebuild)",
     )
-    parser.add_argument(
-        "--profile-engine", choices=("compiled", "des"), default=None,
-        help="evaluation backend: compiled (vectorized grid evaluation, "
-        "the default) or des (discrete-event fabric simulation — required "
-        "for --timeline, bit-identical to compiled when no timeline "
-        "perturbs the run)",
-    )
 
 
 def _add_faults(parser: argparse.ArgumentParser) -> None:
@@ -124,8 +117,9 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeline", metavar="TL", default=None,
         help="mid-run fault timeline applied to every scenario, e.g. "
-        "'at=0.001:links=2,seed=5;at=0.01:heal=links'; requires "
-        "--profile-engine des (see docs/robustness.md for the grammar)",
+        "'at=0.001:links=2,seed=5;at=0.01:heal=links'; replayed on the "
+        "discrete-event fabric engine (see docs/robustness.md for the "
+        "grammar)",
     )
 
 

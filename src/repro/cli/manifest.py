@@ -16,10 +16,6 @@ Schema (TOML shown; JSON mirrors it)::
     placement = "scheduler"         # optional (scheduler | block)
     seed = 7                        # optional allocation-sampler seed
     busy_fraction = 0.55            # optional sampler load factor
-    engine = "des"                  # optional profile engine (compiled |
-                                    # des); --profile-engine
-                                    # overrides; required ("des") when any
-                                    # [[faults]] entry has a timeline
 
     [[grid]]                        # one or more
     collectives = ["bcast", ...]    # required
@@ -47,10 +43,10 @@ Schema (TOML shown; JSON mirrors it)::
     [faults.derate]                 # the table is empty = pristine fabric)
     global = 0.5
 
-    [[faults]]                      # mid-run fault timeline (DES engine
+    [[faults]]                      # mid-run fault timeline (replayed on
     timeline = "at=0.001:links=2,seed=5;at=0.01:heal=links"
-    failed_links = 1                # only); composes with static damage
-    seed = 13                       # (see docs/robustness.md)
+    failed_links = 1                # the DES engine); composes with static
+    seed = 13                       # damage (see docs/robustness.md)
 
 Example::
 
@@ -136,9 +132,6 @@ class CampaignManifest:
     summary: SummarySpec | None = None
     #: fault scenarios; every grid runs once per scenario (empty → pristine)
     faults: tuple[FaultSpec, ...] = ()
-    #: profile engine the campaign declares (None → resolver default);
-    #: the CLI's --profile-engine flag overrides it
-    engine: str | None = None
 
     def collectives(self) -> tuple[str, ...]:
         """Campaign collectives in first-appearance order across grids."""
@@ -287,8 +280,7 @@ def manifest_from_dict(data: dict) -> CampaignManifest:
     camp = _require(data, "campaign", "manifest")
     _check_keys(
         camp,
-        {"name", "system", "description", "placement", "seed", "busy_fraction",
-         "engine"},
+        {"name", "system", "description", "placement", "seed", "busy_fraction"},
         "[campaign]",
     )
     system = str(_require(camp, "system", "[campaign]"))
@@ -316,13 +308,6 @@ def manifest_from_dict(data: dict) -> CampaignManifest:
             "[campaign]: torus_dims grids run on the canonical block "
             'mapping; set placement = "block"'
         )
-    engine = camp.get("engine")
-    if engine is not None:
-        engine = str(engine)
-        if engine not in ("compiled", "des"):
-            raise ManifestError(
-                f"[campaign]: unknown engine {engine!r} (compiled | des)"
-            )
     raw_faults = data.get("faults") or []
     faults: list[FaultSpec] = []
     for i, entry in enumerate(raw_faults):
@@ -336,11 +321,6 @@ def manifest_from_dict(data: dict) -> CampaignManifest:
         raise ManifestError(
             f"[[faults]]: duplicate scenario label(s) {dupes}; records of "
             "identical scenarios would collide"
-        )
-    if any(not f.timeline.is_null for f in faults) and engine != "des":
-        raise ManifestError(
-            "[[faults]]: a timeline scenario needs [campaign] engine = "
-            '"des" (the compiled engine cannot replay mid-run events)'
         )
     if faults and any(g.torus_dims is not None for g in grids):
         raise ManifestError(
@@ -385,7 +365,6 @@ def manifest_from_dict(data: dict) -> CampaignManifest:
         busy_fraction=float(camp.get("busy_fraction", 0.55)),
         summary=summary,
         faults=tuple(faults),
-        engine=engine,
     )
 
 
@@ -434,8 +413,6 @@ def manifest_to_dict(manifest: CampaignManifest) -> dict:
         },
         "grid": [],
     }
-    if manifest.engine is not None:
-        data["campaign"]["engine"] = manifest.engine
     for g in manifest.grids:
         grid: dict = {
             "collectives": list(g.collectives),

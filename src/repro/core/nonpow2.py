@@ -18,14 +18,9 @@ Two techniques are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.core.negabinary import (
-    nb_to_rank,
-    ones_mask,
-    rank_to_nb,
-)
-from repro.core.tree import Tree, TreeError
+from repro.core.negabinary import rank_to_nb
+from repro.core.tree import TreeError
 
 __all__ = [
     "PrunedTree",
@@ -41,25 +36,6 @@ def ceil_log2(p: int) -> int:
     if p <= 0:
         raise ValueError("p must be positive")
     return (p - 1).bit_length()
-
-
-def _rank_to_nb_general(rank: int, p: int, s: int) -> int:
-    """rank2nb extended to non-power-of-two ``p`` on ``s`` digits.
-
-    Uses the positive encoding when it fits in ``s`` digits and the
-    ``rank − p`` encoding otherwise, mirroring the power-of-two rule.
-    """
-    from repro.core.negabinary import max_positive, to_negabinary
-
-    value = rank if rank <= max_positive(s) else rank - p
-    bits = to_negabinary(value)
-    if bits >= (1 << s):
-        # Fall back to the other encoding if the preferred one overflows.
-        alt = to_negabinary(rank - p if value == rank else rank)
-        if alt < (1 << s):
-            return alt
-        raise ValueError(f"rank {rank} not representable on {s} negabinary digits")
-    return bits
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Discrete-event fabric engine (``profile_engine="des"``).
+"""Discrete-event fabric engine: the profile engine of timeline scenarios.
 
 Executes a finalized schedule's transfer steps as contending flows over
 per-link/per-NIC port queues, replaying a

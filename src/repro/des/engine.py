@@ -1,4 +1,4 @@
-"""The discrete-event fabric simulator behind ``profile_engine="des"``.
+"""The discrete-event fabric simulator that replays fault timelines.
 
 The engine executes a lowered schedule
 (:class:`~repro.model.compiled.TransferTable`) step by step.  Within a

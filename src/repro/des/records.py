@@ -1,4 +1,4 @@
-"""Sweep adapter for the DES engine (``profile_engine="des"``).
+"""Sweep adapter for the DES engine (the engine of timeline scenarios).
 
 :func:`des_records` is the per-cell counterpart of
 ``repro.analysis.sweep._profile_records``: it simulates one

@@ -71,7 +71,7 @@ __all__ = [
     "PROFILE_ENGINES",
 ]
 
-#: accepted values for the sweep layer's ``profile_engine`` knob —
+#: accepted values for ``ProfileCache(profile_engine=...)`` —
 #: ``compiled`` is the analytic evaluator; ``des`` is the discrete-event
 #: fabric engine (:mod:`repro.des`), the only engine that can replay a
 #: :class:`~repro.faults.FaultTimeline`

@@ -76,12 +76,3 @@ class CostParams:
     reduce_beta: float = 1 / (15 * GiB)
     #: bytes per vector element (paper: 32-bit integers)
     itemsize: int = 4
-
-    def lat_term(self, hops_local: int, hops_global: int, segments: int) -> float:
-        """Latency of one transfer."""
-        return (
-            self.alpha
-            + hops_local * self.alpha_hop.get(LinkClass.LOCAL, 0.0)
-            + hops_global * self.alpha_hop.get(LinkClass.GLOBAL, 0.0)
-            + max(0, segments - 1) * self.seg_overhead
-        )

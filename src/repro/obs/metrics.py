@@ -27,8 +27,6 @@ Example::
 
 from __future__ import annotations
 
-from typing import Mapping
-
 __all__ = [
     "inc",
     "set_gauge",
@@ -77,16 +75,3 @@ def reset() -> None:
 def active_series() -> int:
     """Number of live series — the registry's "cache size" probe."""
     return len(_COUNTERS) + len(_GAUGES)
-
-
-def merged_counters(deltas: Mapping[str, float]) -> dict[str, float]:
-    """This process's counters plus a worker-shard delta, sorted.
-
-    Forked sweep shards inherit a copy of the parent's counters, so each
-    shard reports only the *delta* it produced; the parent folds those
-    into its own totals when it finalizes a trace session.
-    """
-    merged = dict(_COUNTERS)
-    for name, value in deltas.items():
-        merged[name] = merged.get(name, 0) + value
-    return {k: merged[k] for k in sorted(merged)}

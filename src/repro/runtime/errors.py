@@ -77,9 +77,9 @@ class TuneArtifactError(RuntimeSubstrateError):
 class DESEngineError(RuntimeSubstrateError):
     """The discrete-event fabric engine cannot execute the requested cell.
 
-    Raised when a fault timeline is combined with an engine that cannot
-    replay it (``profile_engine`` other than ``"des"``), when a timeline
-    is asked of a cell the DES engine has no transfer program for
+    Raised when a fault timeline is forced onto an engine that cannot
+    replay it (``ProfileCache(profile_engine="compiled")``), when a
+    timeline is asked of a cell the DES engine has no transfer program for
     (analytic-profile cells: ``alltoall`` and rank counts above
     ``ANALYTIC_THRESHOLD``), or when a timeline event is inapplicable to
     the fabric mid-run.  Mapped to CLI exit code 8.

@@ -166,13 +166,6 @@ class DecisionTable:
     def cells(self) -> int:
         return sum(t.cells for t in self.tables)
 
-    def subtable(self, key: tuple[str, str, str, int]) -> SubTable | None:
-        """The sub-table for ``(system, faults, collective, ppn)``, if any."""
-        for t in self.tables:
-            if t.key == key:
-                return t
-        return None
-
     def to_dict(self) -> dict:
         payload = {
             "schema": SCHEMA,

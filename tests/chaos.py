@@ -54,7 +54,6 @@ def chaos_loop(
     workdir: Path,
     *,
     workers: int | None,
-    engine: str | None,
     seed: int,
     kill_after: int,
     signal_mode: str,
@@ -67,8 +66,6 @@ def chaos_loop(
             "--format", "json", "--output", str(out)]
     if workers:
         base += ["--workers", str(workers)]
-    if engine:
-        base += ["--profile-engine", engine]
     rng = random.Random(seed)
     kills = 0
     for attempt in range(max_attempts):
@@ -93,8 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("manifest", help="campaign manifest to torture")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--engine", default=None,
-                        help="--profile-engine for both runs")
     parser.add_argument("--seed", type=int, default=7,
                         help="chaos boundary RNG seed (default: 7)")
     parser.add_argument("--kill-after", type=int, default=2, metavar="N",
@@ -120,15 +115,13 @@ def main(argv: list[str] | None = None) -> int:
                 "--output", str(ref)]
         if args.workers:
             base += ["--workers", str(args.workers)]
-        if args.engine:
-            base += ["--profile-engine", args.engine]
         run_repro(base, check=True)
 
         print(f"# chaos loop: kill_after<={args.kill_after}, "
               f"signal={args.signal_mode}, seed={args.seed}")
         out, kills = chaos_loop(
             args.manifest, workdir,
-            workers=args.workers, engine=args.engine, seed=args.seed,
+            workers=args.workers, seed=args.seed,
             kill_after=args.kill_after, signal_mode=args.signal_mode,
             max_attempts=args.max_attempts,
         )

@@ -73,7 +73,6 @@ DES_TOML = """
 [campaign]
 name = "tiny-des"
 system = "lumi"
-engine = "des"
 
 [[grid]]
 collectives = ["bcast", "allgather"]
@@ -247,11 +246,25 @@ class TestResumeIdentity:
         with pytest.raises(JournalError, match="manifest_digest"):
             run_campaign(other, journal=tmp_path, resume=True)
 
-    def test_resume_refuses_engine_switch(self, tmp_path):
+    def test_retired_engine_header_field_resumes_identical(self, tmp_path):
+        # journals used to seal the profile engine in their header; one
+        # written that way must still resume to the uninterrupted records
+        plain = run_campaign(tiny_manifest())
         run_campaign(tiny_manifest(), journal=tmp_path)
-        with pytest.raises(JournalError, match="engine"):
-            run_campaign(tiny_manifest(), journal=tmp_path, resume=True,
-                         profile_engine="des")
+        path = journal_path(tmp_path, "tiny")
+        doc = read_journal(path)
+        assert "engine" not in doc.header
+        kept = [e for e in doc.entries if e["kind"] != "cell"]
+        kept += [e for e in doc.entries if e["kind"] == "cell"][:2]
+        path.unlink()
+        with JournalWriter(path, {**doc.header, "engine": "compiled"}) as w:
+            for entry in kept:
+                w.append(entry)
+        resumed = run_campaign(tiny_manifest(), journal=tmp_path, resume=True)
+        assert record_bytes(resumed) == record_bytes(plain)
+        assert resumed.summaries == plain.summaries
+        summary = summarize_journal(read_journal(path))
+        assert (summary["cells_done"], summary["resumes"]) == (4, 1)
 
     def test_checkpoint_counters(self, tmp_path):
         from repro.obs import metrics

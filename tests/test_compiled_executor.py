@@ -11,6 +11,13 @@ write ordering, duplicate reductions, error reporting).
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -292,6 +299,59 @@ class TestVerifyGrid:
         assert strip(serial) == strip(parallel)
         r = serial[0]
         assert VerifyRecord.from_dict(r.to_dict()) == r
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc; PR_SET_PDEATHSIG is Linux-only")
+    def test_workers_die_with_sigkilled_parent(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "verify",
+             "--collective", "allreduce", "--collective", "allgather",
+             "--nodes", "64,256,1024", "--workers", "2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                workers = _live_children(proc.pid)
+                time.sleep(0.1)
+            assert len(workers) == 2, "verify pool never started"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_alive, workers)), "orphaned verify workers"
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _proc_stat(pid) -> list[str] | None:
+    """``/proc/<pid>/stat`` fields after the command name, or ``None``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _alive(pid: int) -> bool:
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"  # zombies are dead
+
+
+def _live_children(parent: int) -> list[int]:
+    kids = []
+    for entry in Path("/proc").iterdir():
+        fields = _proc_stat(entry.name) if entry.name.isdigit() else None
+        if fields is not None and fields[0] != "Z" and int(fields[1]) == parent:
+            kids.append(int(entry.name))
+    return kids
 
 
 class TestOracleHelpers:

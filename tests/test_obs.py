@@ -253,15 +253,11 @@ class TestWorkersTraced:
 class TestDesTraced:
     def test_des_reroute_timeline_traced_identical(self, tmp_path):
         faults = FaultSpec(timeline=REROUTE_TIMELINE)
-        plain = sweep_system(
-            lumi(), profile_engine="des", faults=faults, **REROUTE_GRID
-        )
+        plain = sweep_system(lumi(), faults=faults, **REROUTE_GRID)
         clear_memo_caches()
         trace = tmp_path / "des.trace.json"
         with obs.trace_session(trace):
-            traced = sweep_system(
-                lumi(), profile_engine="des", faults=faults, **REROUTE_GRID
-            )
+            traced = sweep_system(lumi(), faults=faults, **REROUTE_GRID)
         assert traced == plain
         doc = json.loads(trace.read_text())
         assert obs.validate_trace(doc) == []
@@ -281,7 +277,7 @@ class TestDesTraced:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 records = sweep_system(
                     lumi(), ("bcast",), node_counts=(16,),
-                    vector_bytes=(1024,), profile_engine="des", faults=faults,
+                    vector_bytes=(1024,), faults=faults,
                 )
         finally:
             trace_doc, stats_doc = obs.end_session()

@@ -84,7 +84,6 @@ def test_4096_rank_sweep_cell_under_budget():
         vector_bytes=tuple(32 * 8**k for k in range(9)),
         algorithms=("bine-rsag",),
         ppn=2,
-        profile_engine="compiled",
     )
     elapsed = time.perf_counter() - t0
     assert len(records) == 9

@@ -110,9 +110,11 @@ CALIBRATION_GRID = dict(
 
 class TestCalibration:
     def test_des_records_exactly_equal_compiled(self):
-        compiled = sweep_system(lumi(), profile_engine="compiled",
-                                **CALIBRATION_GRID)
-        des = sweep_system(lumi(), profile_engine="des", **CALIBRATION_GRID)
+        compiled = sweep_system(lumi(), **CALIBRATION_GRID)
+        des = sweep_system(
+            lumi(), cache=ProfileCache(lumi(), profile_engine="des"),
+            **CALIBRATION_GRID,
+        )
         assert compiled  # a vacuous grid would prove nothing
         assert des == compiled
 
@@ -144,7 +146,7 @@ class TestTimelineDeterminism:
         # so the timeline demonstrably perturbs part of the grid
         return sweep_system(
             lumi(), ("allgather", "bcast"), node_counts=(16, 64),
-            vector_bytes=(1024, 16777216), profile_engine="des",
+            vector_bytes=(1024, 16777216),
             faults=FaultSpec(timeline=tl) if tl else None, workers=workers,
         )
 
@@ -175,10 +177,10 @@ class TestTimelineDeterminism:
         # third group's representative) instead of merely re-timing
         grid = dict(collectives=("allgather",), algorithms=("bine-send",),
                     node_counts=(64,), vector_bytes=(16777216,))
-        calm = sweep_system(lumi(), profile_engine="des", **grid)
+        calm = sweep_system(lumi(), **grid)
         hit = sweep_system(
-            lumi(), profile_engine="des",
-            faults=FaultSpec(timeline="at=1e-05:links=2,seed=54"), **grid)
+            lumi(), faults=FaultSpec(timeline="at=1e-05:links=2,seed=54"),
+            **grid)
         (calm_rec,), (hit_rec,) = calm, hit
         assert not hit_rec.stalled
         assert hit_rec.time > 1.5 * calm_rec.time  # measured ~1.8x
@@ -194,7 +196,6 @@ class TestPartitionStall:
         with pytest.warns(RuntimeWarning, match="stalled under timeline"):
             code = main(["sweep", "--system", "lumi", "--collective", "bcast",
                          "--nodes", "16", "--sizes", "1024",
-                         "--profile-engine", "des",
                          "--timeline", STALL_TIMELINE,
                          "--format", "json", "--output", str(out)])
         assert code == 8
@@ -204,8 +205,8 @@ class TestPartitionStall:
         expected = FaultTimeline.parse(STALL_TIMELINE).label
         assert all(row["timeline"] == expected for row in rows)
 
-    def test_timeline_without_des_engine_exits_8(self, capsys):
-        code = main(["sweep", "--system", "lumi", "--collective", "bcast",
+    def test_timeline_on_analytic_cell_exits_8(self, capsys):
+        code = main(["sweep", "--system", "lumi", "--collective", "alltoall",
                      "--nodes", "16", "--sizes", "1024",
                      "--timeline", "at=0.001:links=1"])
         assert code == 8
@@ -215,41 +216,52 @@ class TestPartitionStall:
         # alltoall is always analytic: no lowered transfer program to replay
         with pytest.raises(DESEngineError, match="analytic"):
             sweep_system(lumi(), ("alltoall",), node_counts=(16,),
-                         vector_bytes=(1024,), profile_engine="des",
+                         vector_bytes=(1024,),
                          faults=FaultSpec(timeline="at=0.001:links=1"))
 
     def test_bad_timeline_exits_3(self, capsys):
         code = main(["sweep", "--system", "lumi", "--collective", "bcast",
                      "--nodes", "16", "--sizes", "1024",
-                     "--profile-engine", "des",
                      "--timeline", "at=0.01:wat=1"])
         assert code == 3
         assert "FaultSpecError" in capsys.readouterr().err
 
 
-class TestManifestEngine:
+class TestDerivedEngine:
+    """The fault timeline picks the profile engine; nothing above it does."""
+
     BASE = {
         "campaign": {"name": "t", "system": "lumi"},
         "grid": [{"collectives": ["bcast"], "node_counts": [16],
                   "vector_bytes": [1024]}],
     }
 
-    def test_timeline_scenario_requires_des_engine(self):
+    def test_profile_cache_derives_engine_from_timeline(self):
+        assert ProfileCache(lumi()).engine == "compiled"
+        timed = FaultSpec(timeline="at=0.001:links=1")
+        assert ProfileCache(lumi(), faults=timed).engine == "des"
+        static = FaultSpec(failed_links=1, seed=13)
+        assert ProfileCache(lumi(), faults=static).engine == "compiled"
+
+    def test_explicit_override(self):
+        # "des" on a calm fabric is the calibration hook
+        assert ProfileCache(lumi(), profile_engine="des").engine == "des"
+        with pytest.raises(DESEngineError, match="timeline"):
+            ProfileCache(lumi(), profile_engine="compiled",
+                         faults=FaultSpec(timeline="at=0.001:links=1"))
+
+    def test_timeline_scenario_needs_no_engine_key(self):
         data = json.loads(json.dumps(self.BASE))
         data["faults"] = [{"timeline": "at=0.001:links=1"}]
-        with pytest.raises(ManifestError, match='engine = "des"'):
-            manifest_from_dict(data)
-        data["campaign"]["engine"] = "des"
         m = manifest_from_dict(data)
-        assert m.engine == "des"
         assert m.faults[0].timeline_label == "at=0.001:links=1"
-        # engine and timeline survive the to_dict/from_dict round trip
+        assert "engine" not in manifest_to_dict(m)["campaign"]
         assert manifest_from_dict(manifest_to_dict(m)) == m
 
-    def test_unknown_engine_rejected(self):
+    def test_engine_key_is_unknown(self):
         data = json.loads(json.dumps(self.BASE))
-        data["campaign"]["engine"] = "quantum"
-        with pytest.raises(ManifestError, match="unknown engine"):
+        data["campaign"]["engine"] = "des"
+        with pytest.raises(ManifestError, match="engine"):
             manifest_from_dict(data)
 
 
