@@ -24,12 +24,28 @@ The four non-contiguous-data strategies of Sec. 4.3.1 map onto layouts:
                           natural responsibility sets are circular ranges
                           (≤ 2 segments) at the price of more global traffic
 ========================  ============================================
+
+Each flow is described once, as a :class:`Flow`: a per-step plan over rank
+arrays (partner row, whose responsibility set is sent at which resp step,
+op, buffer, local-op rows).  Two renderings consume it:
+
+* :func:`render_schedule` — the executor's :class:`Schedule`, with segment
+  tuples from the cached responsibility-set backends;
+* :func:`render_table` — the profiler's
+  :class:`~repro.model.compiled.TransferTable` at the canonical size
+  ``n = p``, straight from closed-form set sizes and run counts: no
+  per-rank Python, no segment tuples.  It equals
+  ``lower_schedule(render_schedule(flow))`` column for column.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from typing import NamedTuple
+
 import numpy as np
 
+from repro.core.bine_tree import nu_labels
 from repro.core.blocks import Partition
 from repro.core.butterfly import (
     Butterfly,
@@ -47,6 +63,7 @@ from repro.collectives.common import (
     require_divisible,
 )
 from repro.collectives.fastresp import resp_backend, sorted_runs
+from repro.runtime.errors import ScheduleError
 from repro.runtime.memo import Memo
 from repro.runtime.schedule import LocalCopy, Schedule, Step, Transfer
 
@@ -55,6 +72,14 @@ __all__ = [
     "allgather_butterfly",
     "allreduce_recursive",
     "allreduce_reduce_scatter_allgather",
+    "Flow",
+    "FlowStep",
+    "reduce_scatter_flow",
+    "allgather_flow",
+    "allreduce_recursive_flow",
+    "allreduce_rsag_flow",
+    "render_schedule",
+    "render_table",
     "rs_butterfly_for",
     "RS_FLAVORS",
 ]
@@ -70,6 +95,8 @@ RS_FLAVORS = {
     "recursive-halving": (recursive_halving_butterfly, Strategy.NATURAL),
 }
 
+_PI_SPACE = (Strategy.PERMUTE, Strategy.SEND)
+
 
 def rs_butterfly_for(flavor: str, p: int) -> tuple[Butterfly, Strategy]:
     """Resolve a reduce-scatter flavor name to its butterfly and strategy."""
@@ -78,6 +105,179 @@ def rs_butterfly_for(flavor: str, p: int) -> tuple[Butterfly, Strategy]:
     except KeyError:
         raise KeyError(f"unknown RS flavor {flavor!r}; have {sorted(RS_FLAVORS)}") from None
     return builder(p), strategy
+
+
+# -- the plan ----------------------------------------------------------------
+
+
+class _Local(NamedTuple):
+    """Per-rank local copy between the natural and π layouts (Fig. 8).
+
+    Natural ``vec`` → π ``tmp`` when ``to_pi`` (else back), moving every
+    block when ``whole`` (else only the rank's own block).
+    """
+
+    tag: str
+    to_pi: bool
+    whole: bool
+
+
+_RS_PACK = _Local("rs permute-in", True, True)
+_RS_UNPACK_OWN = _Local("rs permute-out", False, False)
+_AG_PACK_OWN = _Local("ag permute-in", True, False)
+_AG_UNPACK = _Local("ag permute-out", False, True)
+
+
+@dataclass(frozen=True, eq=False)
+class FlowStep:
+    """One step of a butterfly flow, as rank arrays.
+
+    Row ``i`` is a transfer ``src[i] → dst[i]`` carrying the responsibility
+    set of rank ``owner[i]`` before butterfly step ``resp_step`` (resp step
+    0 is the whole vector), or, with ``resp_step=None``, the single block
+    ``owner[i]``.  ``pre``/``post`` are one local copy on every rank.
+    """
+
+    label: str
+    tag: str
+    src: np.ndarray
+    dst: np.ndarray
+    owner: np.ndarray
+    resp_step: int | None
+    op: str | None = None
+    buf: str = VEC
+    pre: _Local | None = None
+    post: _Local | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Flow:
+    """A butterfly collective as a step plan, before rendering."""
+
+    bf: Butterfly
+    n: int
+    strategy: Strategy
+    meta: dict
+    steps: tuple[FlowStep, ...]
+
+
+def _partner_rows(bf: Butterfly) -> np.ndarray:
+    return np.array(bf.partners, dtype=np.intp).reshape(bf.num_steps, bf.p)
+
+
+def _pi_array(p: int) -> np.ndarray:
+    return np.array(global_pi(p), dtype=np.intp)
+
+
+def reduce_scatter_flow(
+    bf: Butterfly,
+    n: int,
+    op: str = "sum",
+    strategy: Strategy = Strategy.NATURAL,
+    *,
+    fixup: bool = True,
+) -> Flow:
+    """Plan of :func:`reduce_scatter_butterfly`."""
+    p, s = bf.p, bf.num_steps
+    if strategy in _PI_SPACE:
+        require_divisible(n, p, f"reduce-scatter strategy {strategy.value}")
+    permute = strategy is Strategy.PERMUTE
+    rows, ranks = _partner_rows(bf), np.arange(p)
+    steps = [
+        FlowStep(
+            f"rs step {j}", f"rs[{j}]", ranks, rows[j], rows[j], j + 1, op,
+            TMP if permute else VEC,
+            pre=_RS_PACK if permute and j == 0 else None,
+            post=_RS_UNPACK_OWN if permute and j == s - 1 else None,
+        )
+        for j in range(s)
+    ]
+    if strategy is Strategy.SEND and fixup:
+        # Final exchange: rank r holds block π(r); ship it home (Sec. 4.3.1).
+        pi = _pi_array(p)
+        moved = np.nonzero(pi != ranks)[0]
+        steps.append(FlowStep(
+            "rs send fixup", "rs send-fixup", moved, pi[moved], pi[moved], None,
+        ))
+    meta = {"collective": "reduce_scatter", "algorithm": bf.kind,
+            "strategy": strategy.value, "p": p, "n": n, "op": op}
+    return Flow(bf, n, strategy, meta, tuple(steps))
+
+
+def allgather_flow(
+    bf: Butterfly,
+    n: int,
+    strategy: Strategy = Strategy.NATURAL,
+    *,
+    initial_exchange: bool = True,
+) -> Flow:
+    """Plan of :func:`allgather_butterfly`."""
+    p, s = bf.p, bf.num_steps
+    if strategy in _PI_SPACE:
+        require_divisible(n, p, f"allgather strategy {strategy.value}")
+    permute = strategy is Strategy.PERMUTE
+    rows, ranks = _partner_rows(bf), np.arange(p)
+    steps = []
+    if permute:
+        none = ranks[:0]
+        steps.append(FlowStep(
+            "ag permute in", "", none, none, none, None, pre=_AG_PACK_OWN,
+        ))
+    elif strategy is Strategy.SEND and initial_exchange:
+        pi_inv = np.array(global_pi_inv(p), dtype=np.intp)
+        moved = np.nonzero(pi_inv != ranks)[0]
+        steps.append(FlowStep(
+            "ag send reorder", "ag send-reorder", moved, pi_inv[moved], moved, None,
+        ))
+    steps += [
+        FlowStep(
+            f"ag step {k}", f"ag[{k}]", ranks, rows[s - 1 - k], ranks, s - k,
+            buf=TMP if permute else VEC,
+            post=_AG_UNPACK if permute and k == s - 1 else None,
+        )
+        for k in range(s)
+    ]
+    meta = {"collective": "allgather", "algorithm": bf.kind,
+            "strategy": strategy.value, "p": p, "n": n}
+    return Flow(bf, n, strategy, meta, tuple(steps))
+
+
+def allreduce_recursive_flow(bf: Butterfly, n: int, op: str = "sum") -> Flow:
+    """Plan of :func:`allreduce_recursive`."""
+    rows, ranks = _partner_rows(bf), np.arange(bf.p)
+    steps = tuple(
+        FlowStep(f"allreduce step {j}", f"ar[{j}]", ranks, rows[j], ranks, 0, op)
+        for j in range(bf.num_steps)
+    )
+    meta = {"collective": "allreduce", "algorithm": f"recursive-{bf.kind}",
+            "p": bf.p, "n": n, "op": op}
+    return Flow(bf, n, Strategy.NATURAL, meta, steps)
+
+
+def allreduce_rsag_flow(
+    bf: Butterfly,
+    n: int,
+    op: str = "sum",
+    strategy: Strategy = Strategy.NATURAL,
+    *,
+    segmented: bool = False,
+) -> Flow:
+    """Plan of :func:`allreduce_reduce_scatter_allgather`."""
+    rs = list(reduce_scatter_flow(bf, n, op, strategy, fixup=False).steps)
+    ag = list(allgather_flow(bf, n, strategy, initial_exchange=False).steps)
+    if strategy is Strategy.PERMUTE:
+        # One permute in, one permute out — skip the RS's unpack and the
+        # AG's pack, keeping the flow in π space across the seam.
+        if rs:
+            rs[-1] = replace(rs[-1], post=None)
+        ag = ag[1:]
+    meta = {"collective": "allreduce", "algorithm": f"rsag-{bf.kind}",
+            "strategy": strategy.value, "p": bf.p, "n": n, "op": op,
+            "segmented": segmented}
+    return Flow(bf, n, strategy, meta, tuple(rs + ag))
+
+
+# -- rendering: Schedule -----------------------------------------------------
 
 
 def _segments_for(part: Partition, blocks: np.ndarray, strategy: Strategy):
@@ -103,52 +303,49 @@ _CACHEABLE_KINDS = {
 
 #: (kind, p, strategy/π, step, rank) → segment tuple at the canonical build
 #: size.  Reduce-scatter and allgather walk the same responsibility sets
-#: (allreduce builds both back to back, and sweep campaigns revisit the same
+#: (allreduce builds both back to back, and verification revisits the same
 #: butterflies per collective), so entries are reused several times over.
-#: Unbounded and uncounted: the builders' inner loop reads it as a plain dict.
+#: Only :func:`render_schedule` fills it: sweep tables render without
+#: segment tuples.  Unbounded and uncounted: the inner loop reads it as a
+#: plain dict.
 _SEG_CACHE = Memo("butterfly_collectives._SEG_CACHE")
 
 
-def _seg_getter(bf: Butterfly, part: Partition, resp, strategy: Strategy):
-    """``segs(rank, step)`` with cross-schedule caching at canonical size."""
-    ckind = _CACHEABLE_KINDS.get(bf.kind)
-    if ckind is None or part.n != part.p:
-        return lambda rank, step: _segments_for(part, resp(rank, step), strategy)
+def _set_segments(bf: Butterfly, n: int, strategy: Strategy):
+    """``segs(rank, step)``: wire segments of ``resp(rank, step)``.
 
-    prefix = (ckind, part.p, strategy.value)
+    Natural-layout segments are cached across schedules at the canonical
+    size ``n = p``, π windows at any size.
+    """
+    p, resp = bf.p, resp_backend(bf)
+    if strategy in _PI_SPACE:
+        pi, bs = _pi_array(p), n // p
+
+        def compute(rank: int, step: int):
+            ctx = f"{bf.kind} rank {rank} step {step}"
+            return _pi_window(pi, resp(rank, step), bs, ctx)
+
+        layout = ("pi", bs)
+    else:
+        part = Partition(n, p)
+
+        def compute(rank: int, step: int):
+            return _segments_for(part, resp(rank, step), strategy)
+
+        layout = (strategy.value,) if n == p else None
+    ckind = _CACHEABLE_KINDS.get(bf.kind)
+    if ckind is None or layout is None:
+        return compute
+    prefix = (ckind, p) + layout
 
     def segs(rank: int, step: int):
-        key = prefix + (step, rank)
-        out = _SEG_CACHE.get(key)
-        if out is None:
-            out = _SEG_CACHE[key] = _segments_for(part, resp(rank, step), strategy)
-        return out
-
-    return segs
-
-
-def _pi_window_getter(bf: Butterfly, resp, pi_arr: np.ndarray, block_size: int):
-    """``window(rank, step)`` for π-space flows, cached like :func:`_seg_getter`."""
-    ckind = _CACHEABLE_KINDS.get(bf.kind)
-    p = bf.p
-
-    def compute(rank: int, step: int):
-        return _pi_window(
-            pi_arr, resp(rank, step), block_size, f"{bf.kind} rank {rank} step {step}"
-        )
-
-    if ckind is None:
-        return compute
-    prefix = (ckind, p, "pi", block_size)
-
-    def window(rank: int, step: int):
         key = prefix + (step, rank)
         out = _SEG_CACHE.get(key)
         if out is None:
             out = _SEG_CACHE[key] = compute(rank, step)
         return out
 
-    return window
+    return segs
 
 
 def _pi_window(pi_arr: np.ndarray, blocks: np.ndarray, block_size: int, ctx: str):
@@ -157,50 +354,194 @@ def _pi_window(pi_arr: np.ndarray, blocks: np.ndarray, block_size: int, ctx: str
     lo = int(positions.min())
     hi = int(positions.max()) + 1
     if hi - lo != positions.size:
-        raise AssertionError(f"π window not contiguous for {ctx}")
+        raise ScheduleError(f"π window not contiguous for {ctx}")
     return ((lo * block_size, hi * block_size),)
 
 
-def _permute_segments(p: int, n: int, pi: list[int]):
-    """``(natural, permuted)`` segment tuples of the Fig. 8 block permutation.
+def _local_copies(local: _Local | None, p: int, n: int) -> tuple[LocalCopy, ...]:
+    """``local`` on every rank, natural ↔ π layout (the Fig. 8 permutation).
 
-    Identical for every rank, so builders compute them once per schedule and
-    share the tuples across all ``p`` local copies.
+    Whole-vector copies share one pair of segment tuples across all ranks.
     """
+    if local is None:
+        return ()
+    bs, pi = n // p, global_pi(p)
+
+    def block(b: int):
+        return (b * bs, (b + 1) * bs)
+
+    if local.whole:
+        whole = (tuple(map(block, range(p))), tuple(block(pi[b]) for b in range(p)))
+        pairs = [whole] * p
+    else:
+        pairs = [((block(r),), (block(pi[r]),)) for r in range(p)]
+    src_buf, dst_buf = (VEC, TMP) if local.to_pi else (TMP, VEC)
+    return tuple(
+        LocalCopy(
+            rank=r, src_buf=src_buf, dst_buf=dst_buf,
+            src_segments=nat if local.to_pi else perm,
+            dst_segments=perm if local.to_pi else nat,
+            tag=local.tag,
+        )
+        for r, (nat, perm) in enumerate(pairs)
+    )
+
+
+def render_schedule(flow: Flow) -> Schedule:
+    """The executor's :class:`Schedule` for ``flow`` (validated on exit)."""
+    bf, n, strategy = flow.bf, flow.n, flow.strategy
+    p = bf.p
     bs = n // p
-    natural = tuple((b * bs, (b + 1) * bs) for b in range(p))
-    permuted = tuple((pi[b] * bs, (pi[b] + 1) * bs) for b in range(p))
-    return natural, permuted
+    resp_segs = _set_segments(bf, n, strategy)
+    sched = Schedule(p, meta=flow.meta)
+    for st in flow.steps:
+        owners = st.owner.tolist()
+        if st.resp_step is None:
+            segs = [((b * bs, (b + 1) * bs),) for b in owners]
+        elif st.resp_step == 0:
+            segs = [((0, n),)] * len(owners)
+        else:
+            segs = [resp_segs(o, st.resp_step) for o in owners]
+        transfers = tuple(
+            Transfer(
+                src=r, dst=q, src_buf=st.buf, dst_buf=st.buf,
+                src_segments=g, dst_segments=g, op=st.op, tag=st.tag,
+            )
+            for r, q, g in zip(st.src.tolist(), st.dst.tolist(), segs)
+        )
+        sched.add(Step(
+            transfers=transfers,
+            pre=_local_copies(st.pre, p, n),
+            post=_local_copies(st.post, p, n),
+            label=st.label,
+        ))
+    return sched.finalize()
 
 
-def _permute_pack(
-    rank: int, src: str, dst: str, tag: str, segs
-) -> LocalCopy:
-    """Local copy moving natural block ``b`` to π(b) positions (Fig. 8)."""
-    natural, permuted = segs
-    return LocalCopy(
-        rank=rank,
-        src_buf=src,
-        dst_buf=dst,
-        src_segments=natural,
-        dst_segments=permuted,
-        tag=tag,
+# -- rendering: TransferTable ------------------------------------------------
+
+
+def _run_counts(bf: Butterfly, strategy: Strategy):
+    """``runs(step, owner)``: wire segments of each owner's set before ``step``.
+
+    Closed forms at ``n = p`` (block ``b`` is element ``b``), one array
+    pass per step; entry ``i`` equals the segment count the schedule path
+    gets for ``resp(owner[i], step)`` (a scalar when all are equal).
+    """
+    p, s = bf.p, bf.num_steps
+    rows = _partner_rows(bf)
+    ranks = np.arange(p)
+    if strategy is Strategy.BLOCKS:
+        return lambda step, owner: p >> step
+    if strategy in _PI_SPACE:
+        # each set is one π window; check contiguity exactly as
+        # _pi_window does, with min/max merged up the butterfly recursion
+        # resp(r, j) = resp(r, j+1) ⊎ resp(partner(r, j), j+1)
+        pi = _pi_array(p)
+        lo, hi = {s: pi}, {s: pi}
+        for j in range(s - 1, 0, -1):
+            lo[j] = np.minimum(lo[j + 1], lo[j + 1][rows[j]])
+            hi[j] = np.maximum(hi[j + 1], hi[j + 1][rows[j]])
+
+        def windows(step: int, owner: np.ndarray) -> int:
+            span = hi[step][owner] - lo[step][owner] + 1
+            bad = np.nonzero(span != p >> step)[0]
+            if bad.size:
+                raise ScheduleError(
+                    f"π window not contiguous for {bf.kind} "
+                    f"rank {owner[bad[0]]} step {step}"
+                )
+            return 1
+
+        return windows
+    if bf.kind == "rechalv":  # contiguous halves
+        return lambda step, owner: 1
+    if bf.kind == "recdoub":  # stride 2^step: every block its own run
+        return lambda step, owner: p >> step
+    if bf.kind in ("bine-doubling", "swing"):
+        # resp(r, step) = r ± B, B = {b : ν(b) & ones(step) = 0} (Sec.
+        # 3.2.3): a rotation or reflection of B, so its circular run count
+        # is B's; a circular run through p−1 → 0 splits into two
+        nus = np.array(nu_labels(p), dtype=np.int64)
+        even = ranks % 2 == 0
+
+        def rotated(step: int, owner: np.ndarray) -> np.ndarray:
+            in_b = (nus & ((1 << step) - 1)) == 0
+            circ = np.count_nonzero(in_b & ~np.roll(in_b, 1))
+            has_first = np.where(even, in_b[-ranks % p], in_b[ranks])
+            has_last = np.where(even, in_b[(p - 1 - ranks) % p], in_b[(ranks + 1) % p])
+            return (circ + (has_first & has_last))[owner]
+
+        return rotated
+    if bf.kind == "bine-halving":
+        # circular (start, len) ranges merged up the recursion, as
+        # fastresp's circular backend does per rank
+        start = {s: ranks}
+        for j in range(s - 1, 0, -1):
+            mine, theirs, size = start[j + 1], start[j + 1][rows[j]], p >> (j + 1)
+            mine_first = (mine + size) % p == theirs
+            bad = np.nonzero(~mine_first & ((theirs + size) % p != mine))[0]
+            if bad.size:
+                raise ValueError(
+                    f"{bf.kind}: responsibility sets not circular-contiguous "
+                    f"at rank {bad[0]} step {j}"
+                )
+            start[j] = np.where(mine_first, mine, theirs)
+        return lambda step, owner: 1 + (start[step][owner] + (p >> step) > p)
+    raise NotImplementedError(f"no closed-form segment counts for {bf.kind!r}")
+
+
+def _column(parts, dtype) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype), *parts]).astype(dtype)
+
+
+def _offsets(rows) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(rows))).astype(np.intp)
+
+
+def render_table(flow: Flow):
+    """The profiler's :class:`~repro.model.compiled.TransferTable` for ``flow``.
+
+    Renders at the canonical build size ``n = p`` only; equal to
+    ``lower_schedule(render_schedule(flow))`` in every column.
+    """
+    from repro.model.compiled import TransferTable  # keeps registry imports light
+
+    bf, p, steps = flow.bf, flow.bf.p, flow.steps
+    if flow.n != p:
+        raise ValueError(f"tables render at n = p (got n={flow.n}, p={p})")
+    runs = None
+    sizes, counts, locals_ = [], [], []
+    for st in steps:
+        if st.resp_step is None:  # one block
+            size, count = 1, 1
+        elif st.resp_step == 0:  # the whole vector
+            size, count = p, 1
+        else:
+            runs = runs or _run_counts(bf, flow.strategy)
+            size, count = p >> st.resp_step, runs(st.resp_step, st.owner)
+        sizes.append(np.full(st.src.size, size))
+        counts.append(np.broadcast_to(count, st.src.size))
+        locals_.append([lc.whole for lc in (st.pre, st.post) if lc is not None])
+    whole = [w for step_locals in locals_ for w in step_locals]
+    return TransferTable(
+        p=p,
+        n_build=p,
+        meta=dict(flow.meta),
+        step_off=_offsets([st.src.size for st in steps]),
+        src=_column([st.src for st in steps], np.intp),
+        dst=_column([st.dst for st in steps], np.intp),
+        nelems=_column(sizes, np.int64),
+        num_segments=_column(counts, np.int64),
+        has_op=_column([np.full(st.src.size, st.op is not None) for st in steps], bool),
+        local_off=_offsets([p * len(step_locals) for step_locals in locals_]),
+        local_rank=np.tile(np.arange(p, dtype=np.intp), len(whole)),
+        local_nelems=np.repeat(np.where(whole, p, 1).astype(np.int64), p),
+        local_has_op=np.zeros(p * len(whole), dtype=bool),
     )
 
 
-def _permute_unpack(
-    rank: int, src: str, dst: str, tag: str, segs
-) -> LocalCopy:
-    """Inverse of :func:`_permute_pack`."""
-    natural, permuted = segs
-    return LocalCopy(
-        rank=rank,
-        src_buf=src,
-        dst_buf=dst,
-        src_segments=permuted,
-        dst_segments=natural,
-        tag=tag,
-    )
+# -- the public builders -----------------------------------------------------
 
 
 def reduce_scatter_butterfly(
@@ -219,88 +560,7 @@ def reduce_scatter_butterfly(
     block ``π(r)`` at position ``π(r)`` (the state the paired allgather
     consumes; see :func:`allreduce_reduce_scatter_allgather`).
     """
-    p, s = bf.p, bf.num_steps
-    part = Partition(n, p)
-    meta = {
-        "collective": "reduce_scatter",
-        "algorithm": bf.kind,
-        "strategy": strategy.value,
-        "p": p,
-        "n": n,
-        "op": op,
-    }
-    sched = Schedule(p, meta=meta)
-
-    resp = resp_backend(bf)
-
-    if strategy in (Strategy.NATURAL, Strategy.BLOCKS, Strategy.TWO_TRANSMISSIONS):
-        seg_of = _seg_getter(bf, part, resp, strategy)
-        for j in range(s):
-            transfers = []
-            for r in range(p):
-                q = bf.partner(r, j)
-                segs = seg_of(q, j + 1)
-                transfers.append(
-                    Transfer(
-                        src=r, dst=q, src_buf=VEC, dst_buf=VEC,
-                        src_segments=segs, dst_segments=segs, op=op,
-                        tag=f"rs[{j}]",
-                    )
-                )
-            sched.add(Step(transfers=tuple(transfers), label=f"rs step {j}"))
-        return sched.finalize()
-
-    # π-space flows (permute / send)
-    bs = require_divisible(n, p, f"reduce-scatter strategy {strategy.value}")
-    pi = global_pi(p)
-    pi_arr = np.array(pi)
-    window = _pi_window_getter(bf, resp, pi_arr, bs)
-    work = TMP if strategy is Strategy.PERMUTE else VEC
-    for j in range(s):
-        pre = ()
-        if j == 0 and strategy is Strategy.PERMUTE:
-            segs2 = _permute_segments(p, n, pi)
-            pre = tuple(
-                _permute_pack(r, VEC, TMP, "rs permute-in", segs2) for r in range(p)
-            )
-        transfers = []
-        for r in range(p):
-            q = bf.partner(r, j)
-            segs = window(q, j + 1)
-            transfers.append(
-                Transfer(
-                    src=r, dst=q, src_buf=work, dst_buf=work,
-                    src_segments=segs, dst_segments=segs, op=op,
-                    tag=f"rs[{j}]",
-                )
-            )
-        post = ()
-        if j == s - 1 and strategy is Strategy.PERMUTE:
-            post = tuple(
-                LocalCopy(
-                    rank=r, src_buf=TMP, dst_buf=VEC,
-                    src_segments=((pi[r] * bs, (pi[r] + 1) * bs),),
-                    dst_segments=((r * bs, (r + 1) * bs),),
-                    tag="rs permute-out",
-                )
-                for r in range(p)
-            )
-        sched.add(Step(transfers=tuple(transfers), pre=pre, post=post, label=f"rs step {j}"))
-
-    if strategy is Strategy.SEND and fixup:
-        # Final exchange: rank r holds block π(r); ship it home (Sec. 4.3.1).
-        transfers = tuple(
-            Transfer(
-                src=r, dst=pi[r], src_buf=VEC, dst_buf=VEC,
-                src_segments=((pi[r] * bs, (pi[r] + 1) * bs),),
-                dst_segments=((pi[r] * bs, (pi[r] + 1) * bs),),
-                tag="rs send-fixup",
-            )
-            for r in range(p)
-            if pi[r] != r
-        )
-        sched.add(Step(transfers=transfers, label="rs send fixup"))
-    return sched.finalize()
+    return render_schedule(reduce_scatter_flow(bf, n, op, strategy, fixup=fixup))
 
 
 def allgather_butterfly(
@@ -323,92 +583,9 @@ def allgather_butterfly(
     ``π⁻¹(v)``); ``False`` assumes ranks already hold block ``π(r)`` at
     position ``π(r)`` — the reduce-scatter(SEND, fixup=False) exit state.
     """
-    p, s = bf.p, bf.num_steps
-    part = Partition(n, p)
-    meta = {
-        "collective": "allgather",
-        "algorithm": bf.kind,
-        "strategy": strategy.value,
-        "p": p,
-        "n": n,
-    }
-    sched = Schedule(p, meta=meta)
-
-    resp = resp_backend(bf)
-
-    if strategy in (Strategy.NATURAL, Strategy.BLOCKS, Strategy.TWO_TRANSMISSIONS):
-        seg_of = _seg_getter(bf, part, resp, strategy)
-        for k in range(s):
-            j = s - 1 - k
-            transfers = []
-            for r in range(p):
-                q = bf.partner(r, j)
-                segs = seg_of(r, j + 1)
-                transfers.append(
-                    Transfer(
-                        src=r, dst=q, src_buf=VEC, dst_buf=VEC,
-                        src_segments=segs, dst_segments=segs,
-                        tag=f"ag[{k}]",
-                    )
-                )
-            sched.add(Step(transfers=tuple(transfers), label=f"ag step {k}"))
-        return sched.finalize()
-
-    bs = require_divisible(n, p, f"allgather strategy {strategy.value}")
-    pi = global_pi(p)
-    pi_arr = np.array(pi)
-    pi_inv = global_pi_inv(p)
-    work = TMP if strategy is Strategy.PERMUTE else VEC
-
-    if strategy is Strategy.PERMUTE:
-        pre = tuple(
-            LocalCopy(
-                rank=r, src_buf=VEC, dst_buf=TMP,
-                src_segments=((r * bs, (r + 1) * bs),),
-                dst_segments=((pi[r] * bs, (pi[r] + 1) * bs),),
-                tag="ag permute-in",
-            )
-            for r in range(p)
-        )
-        sched.add(Step(pre=pre, label="ag permute in"))
-    elif strategy is Strategy.SEND and initial_exchange:
-        transfers = tuple(
-            Transfer(
-                src=v, dst=pi_inv[v], src_buf=VEC, dst_buf=VEC,
-                src_segments=((v * bs, (v + 1) * bs),),
-                dst_segments=((v * bs, (v + 1) * bs),),
-                tag="ag send-reorder",
-            )
-            for v in range(p)
-            if pi_inv[v] != v
-        )
-        sched.add(Step(transfers=transfers, label="ag send reorder"))
-
-    window = _pi_window_getter(bf, resp, pi_arr, bs)
-    for k in range(s):
-        j = s - 1 - k
-        transfers = []
-        for r in range(p):
-            q = bf.partner(r, j)
-            segs = window(r, j + 1)
-            transfers.append(
-                Transfer(
-                    src=r, dst=q, src_buf=work, dst_buf=work,
-                    src_segments=segs, dst_segments=segs,
-                    tag=f"ag[{k}]",
-                )
-            )
-        post = ()
-        if k == s - 1 and strategy is Strategy.PERMUTE:
-            segs2 = _permute_segments(p, n, pi)
-            post = tuple(
-                _permute_unpack(r, TMP, VEC, "ag permute-out", segs2) for r in range(p)
-            )
-        sched.add(Step(transfers=tuple(transfers), post=post, label=f"ag step {k}"))
-    if strategy is Strategy.SEND:
-        # π-space content is natural blocks at natural positions already.
-        pass
-    return sched.finalize()
+    return render_schedule(
+        allgather_flow(bf, n, strategy, initial_exchange=initial_exchange)
+    )
 
 
 def allreduce_recursive(bf: Butterfly, n: int, op: str = "sum") -> Schedule:
@@ -417,28 +594,7 @@ def allreduce_recursive(bf: Butterfly, n: int, op: str = "sum") -> Schedule:
     Works on any proper butterfly; with the Bine distance-halving butterfly
     this is the paper's small-vector Bine allreduce (Sec. 4.4).
     """
-    p, s = bf.p, bf.num_steps
-    sched = Schedule(
-        p,
-        meta={
-            "collective": "allreduce",
-            "algorithm": f"recursive-{bf.kind}",
-            "p": p,
-            "n": n,
-            "op": op,
-        },
-    )
-    for j in range(s):
-        transfers = tuple(
-            Transfer(
-                src=r, dst=bf.partner(r, j), src_buf=VEC, dst_buf=VEC,
-                src_segments=((0, n),), dst_segments=((0, n),), op=op,
-                tag=f"ar[{j}]",
-            )
-            for r in range(p)
-        )
-        sched.add(Step(transfers=transfers, label=f"allreduce step {j}"))
-    return sched.finalize()
+    return render_schedule(allreduce_recursive_flow(bf, n, op))
 
 
 def allreduce_reduce_scatter_allgather(
@@ -457,31 +613,6 @@ def allreduce_reduce_scatter_allgather(
     marks the schedule for pipelined execution in the cost model
     (Sec. 5.2.2); it does not change the bytes moved.
     """
-    rs = reduce_scatter_butterfly(bf, n, op, strategy, fixup=False)
-    ag = allgather_butterfly(bf, n, strategy, initial_exchange=False)
-    sched = Schedule(
-        bf.p,
-        meta={
-            "collective": "allreduce",
-            "algorithm": f"rsag-{bf.kind}",
-            "strategy": strategy.value,
-            "p": bf.p,
-            "n": n,
-            "op": op,
-            "segmented": segmented,
-        },
+    return render_schedule(
+        allreduce_rsag_flow(bf, n, op, strategy, segmented=segmented)
     )
-    if strategy is Strategy.PERMUTE:
-        # One permute in, one permute out — skip the RS's unpack and the
-        # AG's pack, keeping the flow in π space across the seam.
-        rs_steps = list(rs.steps)
-        rs_steps[-1] = Step(
-            transfers=rs_steps[-1].transfers, pre=rs_steps[-1].pre,
-            post=(), label=rs_steps[-1].label,
-        )
-        ag_steps = [st for st in ag.steps if st.transfers or st.post]
-        ag_steps = [st for st in ag_steps if st.label != "ag permute in"]
-        sched.steps = rs_steps + ag_steps
-    else:
-        sched.steps = list(rs.steps) + list(ag.steps)
-    return sched.finalize()

@@ -33,10 +33,12 @@ from repro.collectives import alltoall as a2a
 from repro.collectives import ring as ringmod
 from repro.collectives.bruck_allgather import allgather_bruck, allgather_sparbit
 from repro.collectives.butterfly_collectives import (
-    allgather_butterfly,
-    allreduce_recursive,
-    allreduce_reduce_scatter_allgather,
-    reduce_scatter_butterfly,
+    allgather_flow,
+    allreduce_recursive_flow,
+    allreduce_rsag_flow,
+    reduce_scatter_flow,
+    render_schedule,
+    render_table,
 )
 from repro.collectives.common import Strategy
 from repro.collectives.composed import (
@@ -88,6 +90,9 @@ class AlgorithmSpec:
     #: optional sweep cap: schedules with Θ(p²) wire segments (per-block
     #: strategies) are skipped above this rank count
     max_p: int | None = None
+    #: ``table(p)`` renders the sweep's TransferTable at ``n = p`` without
+    #: building the schedule (butterfly flows); ``None``: build and lower
+    table: Callable[[int], object] | None = None
 
     def build(self, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
         return self.builder(p, n, root, op)
@@ -118,6 +123,16 @@ def _register(spec: AlgorithmSpec) -> None:
     if key in ALGORITHMS:
         raise ValueError(f"duplicate algorithm {key}")
     ALGORITHMS[key] = spec
+
+
+def _register_flow(collective: str, name: str, family: str, flow, **kw) -> None:
+    """Register a butterfly entry: ``flow(p, n, op)`` renders both ways."""
+    _register(AlgorithmSpec(
+        collective, name, family,
+        lambda p, n, root, op: render_schedule(flow(p, n, op)),
+        table=lambda p: render_table(flow(p, p, "sum")),
+        **kw,
+    ))
 
 
 def build(collective: str, name: str, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
@@ -285,11 +300,11 @@ _register(AlgorithmSpec(
 # --------------------------------------------------------------------------
 # allgather
 # --------------------------------------------------------------------------
-_register(AlgorithmSpec(
+_register_flow(
     "allgather", "recursive-doubling", "binomial",
-    lambda p, n, root, op: allgather_butterfly(recursive_halving_butterfly(p), n, Strategy.NATURAL),
+    lambda p, n, op: allgather_flow(recursive_halving_butterfly(p), n, Strategy.NATURAL),
     description="standard recursive-doubling allgather (contiguous)",
-))
+)
 _register(AlgorithmSpec(
     "allgather", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_allgather(p, n),
@@ -308,116 +323,116 @@ _register(AlgorithmSpec(
     pow2_only=False, max_p=512,
     description="sparbit-like allgather (log steps, per-block sends)",
 ))
-_register(AlgorithmSpec(
+_register_flow(
     "allgather", "swing", "swing",
-    lambda p, n, root, op: allgather_butterfly(swing_butterfly(p), n, Strategy.NATURAL),
+    lambda p, n, op: allgather_flow(swing_butterfly(p), n, Strategy.NATURAL),
     description="Swing allgather (Bine matchings, natural non-contiguous blocks)",
-))
+)
 for _strat, _div in (
     (Strategy.NATURAL, False), (Strategy.BLOCKS, False),
     (Strategy.PERMUTE, True), (Strategy.SEND, True),
 ):
-    _register(AlgorithmSpec(
+    _register_flow(
         "allgather", f"bine-{_strat.value}", "bine",
-        (lambda strat: lambda p, n, root, op: allgather_butterfly(
+        (lambda strat: lambda p, n, op: allgather_flow(
             bine_butterfly_doubling(p), n, strat))(_strat),
         needs_divisible=_div,
         max_p=512 if _strat is Strategy.BLOCKS else None,
         description=f"Bine allgather, {_strat.value} strategy (Sec. 4.3.1)",
-    ))
-_register(AlgorithmSpec(
+    )
+_register_flow(
     "allgather", "bine-two-transmissions", "bine",
-    lambda p, n, root, op: allgather_butterfly(
+    lambda p, n, op: allgather_flow(
         bine_butterfly_halving(p), n, Strategy.TWO_TRANSMISSIONS),
     description="Bine allgather via dist-halving-RS reversal (≤2 segments)",
-))
+)
 
 # --------------------------------------------------------------------------
 # reduce_scatter
 # --------------------------------------------------------------------------
-_register(AlgorithmSpec(
+_register_flow(
     "reduce_scatter", "recursive-halving", "binomial",
-    lambda p, n, root, op: reduce_scatter_butterfly(
+    lambda p, n, op: reduce_scatter_flow(
         recursive_halving_butterfly(p), n, op, Strategy.NATURAL),
     description="standard recursive-halving reduce-scatter",
-))
+)
 _register(AlgorithmSpec(
     "reduce_scatter", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_reduce_scatter(p, n, op),
     pow2_only=False,
     description="ring reduce-scatter",
 ))
-_register(AlgorithmSpec(
+_register_flow(
     "reduce_scatter", "swing", "swing",
-    lambda p, n, root, op: reduce_scatter_butterfly(
+    lambda p, n, op: reduce_scatter_flow(
         swing_butterfly(p), n, op, Strategy.NATURAL),
     description="Swing reduce-scatter (natural non-contiguous blocks)",
-))
+)
 for _strat, _div in (
     (Strategy.NATURAL, False), (Strategy.BLOCKS, False),
     (Strategy.PERMUTE, True), (Strategy.SEND, True),
 ):
-    _register(AlgorithmSpec(
+    _register_flow(
         "reduce_scatter", f"bine-{_strat.value}", "bine",
-        (lambda strat: lambda p, n, root, op: reduce_scatter_butterfly(
+        (lambda strat: lambda p, n, op: reduce_scatter_flow(
             bine_butterfly_doubling(p), n, op, strat))(_strat),
         needs_divisible=_div,
         max_p=512 if _strat is Strategy.BLOCKS else None,
         description=f"Bine reduce-scatter, {_strat.value} strategy",
-    ))
-_register(AlgorithmSpec(
+    )
+_register_flow(
     "reduce_scatter", "bine-two-transmissions", "bine",
-    lambda p, n, root, op: reduce_scatter_butterfly(
+    lambda p, n, op: reduce_scatter_flow(
         bine_butterfly_halving(p), n, op, Strategy.TWO_TRANSMISSIONS),
     description="Bine reduce-scatter on the dist-halving butterfly (≤2 segments)",
-))
+)
 
 # --------------------------------------------------------------------------
 # allreduce
 # --------------------------------------------------------------------------
-_register(AlgorithmSpec(
+_register_flow(
     "allreduce", "recursive-doubling", "binomial",
-    lambda p, n, root, op: allreduce_recursive(recursive_doubling_butterfly(p), n, op),
+    lambda p, n, op: allreduce_recursive_flow(recursive_doubling_butterfly(p), n, op),
     description="recursive-doubling allreduce (small vectors)",
-))
+)
 _register(AlgorithmSpec(
     "allreduce", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_allreduce(p, n, op),
     pow2_only=False,
     description="ring allreduce (RS + AG)",
 ))
-_register(AlgorithmSpec(
+_register_flow(
     "allreduce", "rabenseifner", "binomial",
-    lambda p, n, root, op: allreduce_reduce_scatter_allgather(
+    lambda p, n, op: allreduce_rsag_flow(
         recursive_halving_butterfly(p), n, op, Strategy.NATURAL),
     description="Rabenseifner allreduce: recursive halving RS + recdoub AG "
                 "(the standard butterfly large allreduce)",
-))
-_register(AlgorithmSpec(
+)
+_register_flow(
     "allreduce", "swing", "swing",
-    lambda p, n, root, op: allreduce_reduce_scatter_allgather(
+    lambda p, n, op: allreduce_rsag_flow(
         swing_butterfly(p), n, op, Strategy.NATURAL),
     description="Swing allreduce (non-contiguous multi-segment sends)",
-))
-_register(AlgorithmSpec(
+)
+_register_flow(
     "allreduce", "bine-small", "bine",
-    lambda p, n, root, op: allreduce_recursive(bine_butterfly_halving(p), n, op),
+    lambda p, n, op: allreduce_recursive_flow(bine_butterfly_halving(p), n, op),
     description="Bine small-vector allreduce: recursive doubling on Bine butterfly",
-))
-_register(AlgorithmSpec(
+)
+_register_flow(
     "allreduce", "bine-rsag", "bine",
-    lambda p, n, root, op: allreduce_reduce_scatter_allgather(
+    lambda p, n, op: allreduce_rsag_flow(
         bine_butterfly_doubling(p), n, op, Strategy.SEND),
     needs_divisible=True,
     description="Bine large-vector allreduce: RS + AG in send mode (zero reordering)",
-))
-_register(AlgorithmSpec(
+)
+_register_flow(
     "allreduce", "bine-rsag-segmented", "bine",
-    lambda p, n, root, op: allreduce_reduce_scatter_allgather(
+    lambda p, n, op: allreduce_rsag_flow(
         bine_butterfly_doubling(p), n, op, Strategy.SEND, segmented=True),
     needs_divisible=True,
     description="segmented Bine allreduce (pipelined chunks, Sec. 5.2.2)",
-))
+)
 
 # --------------------------------------------------------------------------
 # alltoall

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.tree import log2_exact
 
 __all__ = [
@@ -75,16 +77,24 @@ class Butterfly:
 
     def validate(self) -> None:
         """Check every step is a perfect matching (an involution, no fixpoint)."""
+        ranks = np.arange(self.p)
         for j, row in enumerate(self.partners):
-            for r, q in enumerate(row):
-                if not 0 <= q < self.p:
-                    raise ValueError(f"{self.kind}: partner({r},{j})={q} invalid")
-                if q == r:
-                    raise ValueError(f"{self.kind}: rank {r} paired with itself at step {j}")
-                if row[q] != r:
-                    raise ValueError(
-                        f"{self.kind}: step {j} not an involution at ranks {r}/{q}"
-                    )
+            q = np.asarray(row, dtype=np.int64)
+            bad = np.nonzero((q < 0) | (q >= self.p))[0]
+            if bad.size:
+                r = int(bad[0])
+                raise ValueError(f"{self.kind}: partner({r},{j})={q[r]} invalid")
+            bad = np.nonzero(q == ranks)[0]
+            if bad.size:
+                raise ValueError(
+                    f"{self.kind}: rank {bad[0]} paired with itself at step {j}"
+                )
+            bad = np.nonzero(q[q] != ranks)[0]
+            if bad.size:
+                r = int(bad[0])
+                raise ValueError(
+                    f"{self.kind}: step {j} not an involution at ranks {r}/{q[r]}"
+                )
 
     def reversed(self) -> "Butterfly":
         """Same matchings in the opposite step order."""
@@ -92,10 +102,10 @@ class Butterfly:
 
 
 def _from_rule(p: int, kind: str, rule) -> Butterfly:
+    """Butterfly from a partner rule evaluated over the whole rank array."""
     s = log2_exact(p)
-    partners = tuple(
-        tuple(rule(r, j) % p for r in range(p)) for j in range(s)
-    )
+    ranks = np.arange(p)
+    partners = tuple(tuple((rule(ranks, j) % p).tolist()) for j in range(s))
     bf = Butterfly(p, kind, partners)
     bf.validate()
     return bf
@@ -105,9 +115,9 @@ def bine_butterfly_halving(p: int) -> Butterfly:
     """Distance-halving Bine butterfly (Eq. 4)."""
     s = log2_exact(p)
 
-    def rule(r: int, i: int) -> int:
+    def rule(r: np.ndarray, i: int) -> np.ndarray:
         sigma = bine_sigma(s - i)
-        return r + sigma if r % 2 == 0 else r - sigma
+        return np.where(r % 2 == 0, r + sigma, r - sigma)
 
     return _from_rule(p, "bine-halving", rule)
 
@@ -115,9 +125,9 @@ def bine_butterfly_halving(p: int) -> Butterfly:
 def bine_butterfly_doubling(p: int) -> Butterfly:
     """Distance-doubling Bine butterfly (Eq. 5) — also the Swing matching."""
 
-    def rule(r: int, j: int) -> int:
+    def rule(r: np.ndarray, j: int) -> np.ndarray:
         sigma = bine_sigma(j + 1)
-        return r + sigma if r % 2 == 0 else r - sigma
+        return np.where(r % 2 == 0, r + sigma, r - sigma)
 
     return _from_rule(p, "bine-doubling", rule)
 

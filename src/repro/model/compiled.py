@@ -198,30 +198,31 @@ _TABLE_CACHE = Memo("compiled._TABLE_CACHE", maxsize=512, counter="table")
 def transfer_table_for(spec, p: int) -> TransferTable | None:
     """Cached :class:`TransferTable` for one ``(collective, algorithm, p)``.
 
-    Builds the schedule at the canonical size ``n = p`` with validation off
+    Butterfly entries render the table straight from their flow
+    (``spec.table``, no schedule and no segment tuples); every other entry
+    builds the schedule at the canonical size ``n = p`` with validation off
     (the sweep's contract: it rebuilds schedules the test suite already
-    validates) and lowers it once; ``None`` when the builder rejects ``p``.
+    validates) and lowers it once.  ``None`` when the entry rejects ``p``.
     The table is topology- and mapping-independent, so every system /
     placement / seed of a campaign shares one entry.  Eviction is FIFO at
     512 entries; :func:`repro.runtime.memo.clear_memo_caches` drops
     everything.
     """
 
-    def build_and_lower() -> TransferTable | None:
+    def render() -> TransferTable | None:
+        cell = {"collective": spec.collective, "algorithm": spec.name, "p": p}
         try:
-            with obs.span(
-                "schedule.build", collective=spec.collective, algorithm=spec.name, p=p
-            ):
-                with schedule_validation(False):
-                    schedule = spec.build(p, p)
+            if spec.table is not None:
+                with obs.span("schedule.table", **cell):
+                    return spec.table(p)
+            with obs.span("schedule.build", **cell), schedule_validation(False):
+                schedule = spec.build(p, p)
         except ValueError:
             return None
-        with obs.span(
-            "lower.schedule", collective=spec.collective, algorithm=spec.name, p=p
-        ):
+        with obs.span("lower.schedule", **cell):
             return lower_schedule(schedule)
 
-    return _TABLE_CACHE.get_or((spec.collective, spec.name, p), build_and_lower)
+    return _TABLE_CACHE.get_or((spec.collective, spec.name, p), render)
 
 
 # -- CSR route matrices ------------------------------------------------------

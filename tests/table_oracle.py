@@ -1,0 +1,92 @@
+"""Table oracle: butterfly sweep tables equal their lowered schedules.
+
+Every registry entry with a flow-backed table (``spec.table``) renders its
+sweep :class:`~repro.model.compiled.TransferTable` straight from
+closed-form set sizes and run counts.  The oracle is the path it replaces:
+build the full schedule at ``n = p`` and lower it.  The tier-1 suite
+checks up to p=1024 (``tests/test_butterfly_tables.py``); this script
+runs the same comparison at larger p, too heavy for tier-1 (the p=2048
+swing allreduce build alone holds ~430 MB of segment tuples)::
+
+    $ PYTHONPATH=src python tests/table_oracle.py --p 2048
+
+Exit code 0 when every (entry, p) cell matches; 1 on any mismatch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+from repro.collectives.registry import AlgorithmSpec, iter_specs
+from repro.model.compiled import TransferTable, lower_schedule
+from repro.runtime.memo import clear_memo_caches
+from repro.runtime.schedule import schedule_validation
+
+#: the ten array columns of a TransferTable
+COLUMNS = (
+    "step_off", "src", "dst", "nelems", "num_segments", "has_op",
+    "local_off", "local_rank", "local_nelems", "local_has_op",
+)
+
+
+def plan_backed_specs() -> list[AlgorithmSpec]:
+    """Registry entries whose sweep table renders from a butterfly flow."""
+    return [spec for spec in iter_specs() if spec.table is not None]
+
+
+def oracle_table(spec: AlgorithmSpec, p: int) -> TransferTable | None:
+    """``lower_schedule(spec.build(p, p))``, ``None`` when ``p`` is rejected."""
+    try:
+        with schedule_validation(False):
+            schedule = spec.build(p, p)
+    except ValueError:
+        return None
+    return lower_schedule(schedule)
+
+
+def table_mismatches(table: TransferTable | None, oracle: TransferTable | None) -> list[str]:
+    """Names of the fields where ``table`` differs from ``oracle``."""
+    if table is None or oracle is None:
+        return [] if table is oracle else ["constraint miss"]
+    bad = [
+        col for col in COLUMNS
+        if getattr(table, col).dtype != getattr(oracle, col).dtype
+        or not np.array_equal(getattr(table, col), getattr(oracle, col))
+    ]
+    return bad + [
+        attr for attr in ("p", "n_build", "meta")
+        if getattr(table, attr) != getattr(oracle, attr)
+    ]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--p", type=int, action="append", required=True,
+                    help="rank count to check (repeatable)")
+    args = ap.parse_args(argv)
+    failures = 0
+    for spec in plan_backed_specs():
+        for p in args.p:
+            clear_memo_caches()  # one cell's segment tuples at a time
+            t0 = time.perf_counter()
+            try:
+                table = spec.table(p)
+            except ValueError:
+                table = None
+            rendered_s = time.perf_counter() - t0
+            bad = table_mismatches(table, oracle_table(spec, p))
+            failures += bool(bad)
+            print(f"{spec.collective}/{spec.name} p={p}: "
+                  f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
+                  f"(table {rendered_s * 1e3:.1f} ms)", flush=True)
+    clear_memo_caches()
+    print(f"{failures} mismatched cell(s)")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

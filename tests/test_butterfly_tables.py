@@ -1,0 +1,89 @@
+"""Butterfly flows render sweep tables directly, equal to lowered schedules.
+
+The sweep profiles butterfly entries from ``spec.table(p)``, which emits
+TransferTable columns from closed-form set sizes and run counts.  Its
+oracle is the slow path: ``lower_schedule(spec.build(p, p))``.  Larger p
+runs from ``tests/table_oracle.py``.
+"""
+
+from __future__ import annotations
+
+import pytest
+from table_oracle import oracle_table, plan_backed_specs, table_mismatches
+
+from repro.collectives.butterfly_collectives import (
+    allgather_flow,
+    reduce_scatter_flow,
+    render_schedule,
+    render_table,
+)
+from repro.collectives.common import Strategy
+from repro.core.butterfly import bine_butterfly_halving, recursive_halving_butterfly
+from repro.model import compiled
+from repro.model.compiled import transfer_table_for
+from repro.runtime.errors import ScheduleError
+from repro.runtime.memo import clear_memo_caches
+
+PLAN_BACKED = {
+    ("allgather", name) for name in (
+        "bine-blocks", "bine-natural", "bine-permute", "bine-send",
+        "bine-two-transmissions", "recursive-doubling", "swing",
+    )
+} | {
+    ("reduce_scatter", name) for name in (
+        "bine-blocks", "bine-natural", "bine-permute", "bine-send",
+        "bine-two-transmissions", "recursive-halving", "swing",
+    )
+} | {
+    ("allreduce", name) for name in (
+        "bine-rsag", "bine-rsag-segmented", "bine-small", "rabenseifner",
+        "recursive-doubling", "swing",
+    )
+}
+
+SPECS = plan_backed_specs()
+
+
+def test_plan_backed_entries_are_exactly_the_butterflies():
+    assert {(s.collective, s.name) for s in SPECS} == PLAN_BACKED
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.collective}-{s.name}")
+@pytest.mark.parametrize("p", (4, 8, 16, 32, 64, 256, 1024))
+def test_rendered_table_equals_lowered_schedule(spec, p):
+    clear_memo_caches()
+    table = transfer_table_for(spec, p)
+    oracle = oracle_table(spec, p)
+    clear_memo_caches()
+    assert table is not None
+    assert table_mismatches(table, oracle) == []
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.collective}-{s.name}")
+@pytest.mark.parametrize("p", (17, 24))
+def test_non_pow2_memoises_none(spec, p):
+    clear_memo_caches()
+    assert transfer_table_for(spec, p) is None
+    assert compiled._TABLE_CACHE[(spec.collective, spec.name, p)] is None
+    assert oracle_table(spec, p) is None
+
+
+@pytest.mark.parametrize("flow", (
+    lambda bf: reduce_scatter_flow(bf, bf.p, "sum", Strategy.SEND),
+    lambda bf: reduce_scatter_flow(bf, bf.p, "sum", Strategy.PERMUTE),
+    lambda bf: allgather_flow(bf, bf.p, Strategy.SEND),
+))
+@pytest.mark.parametrize("make_bf", (recursive_halving_butterfly, bine_butterfly_halving))
+def test_pi_window_check_raises_schedule_error_on_both_paths(flow, make_bf):
+    """Sets that are no π window fail the same check in either rendering."""
+    plan = flow(make_bf(8))
+    with pytest.raises(ScheduleError, match="π window not contiguous") as built:
+        render_schedule(plan)
+    with pytest.raises(ScheduleError, match="π window not contiguous") as rendered:
+        render_table(plan)
+    assert str(rendered.value) == str(built.value)
+
+
+def test_table_renders_only_at_canonical_size():
+    with pytest.raises(ValueError, match="n = p"):
+        render_table(reduce_scatter_flow(recursive_halving_butterfly(8), 16))

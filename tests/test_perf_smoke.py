@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.sweep import clear_memo_caches, sweep_system
+from repro.analysis.sweep import clear_memo_caches, memo_cache_sizes, sweep_system
 from repro.collectives.butterfly_collectives import allgather_butterfly
-from repro.collectives.registry import build
+from repro.collectives.registry import AlgorithmSpec, build
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
 from repro.core.butterfly import bine_butterfly_doubling
 from repro.model.simulator import profile_schedule
@@ -91,6 +91,28 @@ def test_4096_rank_sweep_cell_under_budget():
     assert elapsed < BUDGET_S * 2, (
         f"p=4096 sweep cell took {elapsed:.2f}s (budget {BUDGET_S * 2}s)"
     )
+
+
+def test_butterfly_sweep_cell_builds_no_schedule(monkeypatch):
+    """A cold p=2048 swing allreduce cell renders its table from the flow:
+    no ``AlgorithmSpec.build`` call and no segment tuple cached.  The
+    schedule path holds ~400 MB of segment tuples for this cell, so these
+    exact counts guard peak memory as well as time."""
+    clear_memo_caches()
+    builds = []
+    original = AlgorithmSpec.build
+
+    def counting_build(self, *args, **kwargs):
+        builds.append((self.collective, self.name) + args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgorithmSpec, "build", counting_build)
+    records = sweep_system(
+        lumi(), ("allreduce",), node_counts=(2048,), ppn=2, algorithms=("swing",)
+    )
+    assert records and all(r.algorithm == "swing" for r in records)
+    assert builds == []
+    assert memo_cache_sizes()["butterfly_collectives._SEG_CACHE"] == 0
 
 
 def test_1024_rank_compiled_oracle_absolute_budget():
