@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from repro.analysis.sweep import ProfileCache, sweep_system
 from repro.model.cost import CostParams
-from repro.model.simulator import evaluate_time, profile_schedule
+from repro.model.compiled import evaluate_grid, lower_schedule, profile_table
 from repro.collectives.torus import (
     torus_bine_allreduce,
     torus_bine_allreduce_multiport,
@@ -63,20 +63,23 @@ def compute():
     fug = fugaku(dims)
     topo = Torus(dims)
     mapping = block_mapping(shape.num_ranks)
-    single = profile_schedule(torus_bine_allreduce(shape, shape.num_ranks), topo, mapping)
-    multi = profile_schedule(
-        torus_bine_allreduce_multiport(shape, 6 * shape.num_ranks), topo, mapping
+    single = profile_table(
+        lower_schedule(torus_bine_allreduce(shape, shape.num_ranks)), topo, mapping
     )
-    nb_t = 64 * 1024**2
-    with_ports = (
-        evaluate_time(single, fug.params, nb_t / 4).time
-        / evaluate_time(multi, fug.params, nb_t / 4).time
+    multi = profile_table(
+        lower_schedule(torus_bine_allreduce_multiport(shape, 6 * shape.num_ranks)),
+        topo, mapping,
     )
-    one_port = replace(fug.params, ports=1)
-    without_ports = (
-        evaluate_time(single, one_port, nb_t / 4).time
-        / evaluate_time(multi, one_port, nb_t / 4).time
-    )
+    n_t = 64 * 1024**2 / 4
+
+    def ratio(params):
+        return float(
+            evaluate_grid(single, params, n_t).time[0]
+            / evaluate_grid(multi, params, n_t).time[0]
+        )
+
+    with_ports = ratio(fug.params)
+    without_ports = ratio(replace(fug.params, ports=1))
     return base, noseg, flat, with_ports, without_ports
 
 

@@ -8,7 +8,7 @@ NCCL stand-in here is a ring allreduce over the same GPU-clique topology.
 
 from repro.collectives.composed import hierarchical_allreduce_bine
 from repro.collectives.registry import build
-from repro.model.simulator import evaluate_time, profile_schedule
+from repro.model.compiled import evaluate_grid, lower_schedule, profile_table
 from repro.systems import marenostrum5
 from repro.topology.hierarchical import MultiRankNodes
 from repro.topology.mapping import block_mapping
@@ -28,23 +28,21 @@ def compute():
         nodes = gpus // GPUS_PER_NODE
         topo = MultiRankNodes(inner, GPUS_PER_NODE)
         mapping = block_mapping(gpus, ppn=1)  # identity: topology is rank-level
-        hier = profile_schedule(
-            hierarchical_allreduce_bine(nodes, GPUS_PER_NODE, gpus), topo, mapping
-        )
-        flat_bine = profile_schedule(
-            build("allreduce", "bine-rsag", gpus, gpus), topo, mapping
-        )
-        flat_mpi = profile_schedule(
-            build("allreduce", "rabenseifner", gpus, gpus), topo, mapping
-        )
-        ring = profile_schedule(build("allreduce", "ring", gpus, gpus), topo, mapping)
-        for nb in SIZES:
-            table[(gpus, nb)] = {
-                "hierarchical-bine": evaluate_time(hier, preset.params, nb / 4).time,
-                "flat-bine": evaluate_time(flat_bine, preset.params, nb / 4).time,
-                "flat-mpi": evaluate_time(flat_mpi, preset.params, nb / 4).time,
-                "nccl-ring": evaluate_time(ring, preset.params, nb / 4).time,
-            }
+        schedules = {
+            "hierarchical-bine": hierarchical_allreduce_bine(nodes, GPUS_PER_NODE, gpus),
+            "flat-bine": build("allreduce", "bine-rsag", gpus, gpus),
+            "flat-mpi": build("allreduce", "rabenseifner", gpus, gpus),
+            "nccl-ring": build("allreduce", "ring", gpus, gpus),
+        }
+        times = {
+            name: evaluate_grid(
+                profile_table(lower_schedule(sched), topo, mapping),
+                preset.params, [nb / 4 for nb in SIZES],
+            ).time
+            for name, sched in schedules.items()
+        }
+        for j, nb in enumerate(SIZES):
+            table[(gpus, nb)] = {name: float(t[j]) for name, t in times.items()}
     return table
 
 

@@ -84,13 +84,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.collectives.registry import ALGORITHMS, AlgorithmSpec
-from repro.model.analytic import ANALYTIC_PROFILES, ANALYTIC_THRESHOLD
+from repro.model.analytic import analytic_builder
 from repro.model.compiled import (
     CompiledRouteTable,
     evaluate_grid,
     lower_schedule,
     profile_table,
-    resolve_profile_engine,
     transfer_table_for,
 )
 from repro.model.cost import CostParams
@@ -275,8 +274,8 @@ class ProfileCache:
     :class:`~repro.faults.FaultTimeline`, ``"compiled"`` (analytic)
     otherwise.  Both engines lower each schedule once into a memoized
     :class:`~repro.model.compiled.TransferTable` and profile it through
-    the CSR route table (bit-identical to the scalar
-    :func:`~repro.model.simulator.profile_schedule` reference, asserted in
+    the CSR route table (bit-identical to the scalar oracle in
+    ``tests/scalar_oracle.py``, asserted in
     ``tests/test_compiled_profile.py``), and share one disk namespace
     because profiles are static-fabric artifacts.  ``profile_engine``
     overrides the derived choice — ``"des"`` on a calm fabric is the
@@ -314,9 +313,12 @@ class ProfileCache:
         self.seed = seed
         self.busy_fraction = busy_fraction
         timed = not self.faults.timeline.is_null
-        self.engine = resolve_profile_engine(
-            profile_engine or ("des" if timed else None)
-        )
+        self.engine = profile_engine or ("des" if timed else "compiled")
+        if self.engine not in ("compiled", "des"):
+            raise ValueError(
+                f"unknown profile engine {self.engine!r}; "
+                "have ('compiled', 'des')"
+            )
         if timed and self.engine != "des":
             raise DESEngineError(
                 f"fault timeline {self.faults.timeline.label!r} runs only "
@@ -421,10 +423,8 @@ class ProfileCache:
     def _build(
         self, spec: AlgorithmSpec, p: int, ppn: int, mapping: RankMap
     ) -> ScheduleProfile | None:
-        analytic = ANALYTIC_PROFILES.get((spec.collective, spec.name))
-        # alltoall always uses the analytic (packed-implementation) profiles
-        # so small and large rank counts are modelled consistently.
-        if analytic is not None and (p > ANALYTIC_THRESHOLD or spec.collective == "alltoall"):
+        analytic = analytic_builder(spec, p)
+        if analytic is not None:
             if spec.pow2_only and p & (p - 1):
                 return None
             with obs.span(

@@ -29,7 +29,7 @@ so the run always completes (never hangs) and the record carries
 ``stalled=True``.
 
 Step times compose exactly like
-:func:`~repro.model.simulator.evaluate_time` (unsegmented / segmented /
+:func:`~repro.model.compiled.evaluate_grid` (unsegmented / segmented /
 pipelined), with the simulated transport time in place of the analytic
 ``bw`` term.  For pipelined schedules the *reported* total uses the
 pipelined law while event times map onto the steps laid end to end.
@@ -719,7 +719,7 @@ def simulate_profile(
     force_event_loop: bool = False,
 ) -> SimResult:
     """Simulate one collective execution; the DES counterpart of
-    :func:`~repro.model.simulator.evaluate_time`.
+    :func:`~repro.model.compiled.evaluate_grid` at one size.
 
     With an empty ``timeline`` the result's ``time`` is bit-identical to
     the analytic engine's (the calibration contract, asserted in tier-1);

@@ -28,7 +28,7 @@ import warnings
 from typing import Sequence
 
 from repro.des.engine import simulate_profile
-from repro.model.analytic import ANALYTIC_PROFILES, ANALYTIC_THRESHOLD
+from repro.model.analytic import ANALYTIC_THRESHOLD, analytic_builder
 from repro.model.compiled import transfer_table_for
 from repro.model.cost import CostParams
 from repro.runtime.errors import DESEngineError
@@ -65,10 +65,7 @@ def des_records(
     if profile is None:
         return []
     timeline = cache.faults.timeline
-    analytic = ANALYTIC_PROFILES.get((spec.collective, spec.name))
-    if analytic is not None and (
-        p > ANALYTIC_THRESHOLD or spec.collective == "alltoall"
-    ):
+    if analytic_builder(spec, p) is not None:
         if not timeline.is_null:
             raise DESEngineError(
                 f"timeline {timeline.label!r} cannot replay on analytic "

@@ -18,11 +18,11 @@ first-class, deterministic campaign knob:
   :class:`~repro.runtime.errors.TopologyPartitionedError` names it.
   Width derates scale link widths, which the cost model divides load by.
 
-Both route tables (the scalar :class:`~repro.model.simulator.RouteTable`
-oracle and the CSR :class:`~repro.model.compiled.CompiledRouteTable`)
-query ``topo.route(src, dst)`` lazily per node pair, so wrapping the
-topology degrades both identically — sweep records stay bit-identical to
-the scalar oracle under any spec (asserted in ``tests/test_faults.py``).
+The CSR :class:`~repro.model.compiled.CompiledRouteTable` (and the
+tests' scalar oracle table) query ``topo.route(src, dst)`` lazily per node
+pair, so wrapping the topology degrades both identically — sweep records
+stay bit-identical to the scalar oracle under any spec (asserted in
+``tests/test_faults.py``).
 
 Example::
 
@@ -579,7 +579,7 @@ class DegradedTopology(Topology):
 
     Width scaling is a pure function of the link *key*, so shared links
     keep one consistent width everywhere they appear — which is what
-    keeps the python and CSR route tables bit-identical.
+    keeps the CSR and scalar-oracle route tables bit-identical.
     """
 
     def __init__(self, inner: Topology, spec: FaultSpec):

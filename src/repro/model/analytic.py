@@ -18,20 +18,28 @@ aggregates directly from the algorithms' regular structure:
   slots similarly; exact builders are used for small ``p`` and agree within
   the tie threshold in tests).
 
-The sweep layer switches to these above ``ANALYTIC_THRESHOLD`` ranks;
-correctness tests always run the exact schedule builders.
+Each builder hands its steps as rank arrays to the one step kernel,
+:meth:`~repro.model.compiled.CompiledRouteTable.profile_step_arrays`.
+:func:`analytic_builder` is the single rule for which cells use them: ring
+above ``ANALYTIC_THRESHOLD`` ranks and alltoall always (the sweep, the DES
+records and the tests' oracle all ask it); correctness tests always run
+the exact schedule builders.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.butterfly import bine_butterfly_doubling
-from repro.model.simulator import RouteTable, ScheduleProfile, StepProfile, profile_step
+from repro.model.compiled import CompiledRouteTable
+from repro.model.simulator import ScheduleProfile, StepProfile
 from repro.topology.base import Topology
 from repro.topology.mapping import RankMap
 
 __all__ = [
     "ANALYTIC_THRESHOLD",
     "ANALYTIC_PROFILES",
+    "analytic_builder",
     "ring_profile",
     "pairwise_alltoall_profile",
     "bruck_alltoall_profile",
@@ -41,32 +49,61 @@ __all__ = [
 #: use exact schedule builders at or below this rank count
 ANALYTIC_THRESHOLD = 128
 
+#: offsets of the pairwise-alltoall step space profiled explicitly
+PAIRWISE_SAMPLES = 32
 
-def _ctx(p: int, topo: Topology, rank_map: RankMap, routes: RouteTable | None):
+
+def _ctx(p: int, topo: Topology, rank_map: RankMap,
+         routes: CompiledRouteTable | None):
+    """``(routes, node array, group array)`` shared by one builder's steps."""
     if rank_map.num_ranks != p:
         raise ValueError("mapping size mismatch")
     if routes is None:
-        routes = RouteTable(topo)
-    return rank_map.groups(topo), routes
+        routes = CompiledRouteTable(topo)
+    elif routes.topo is not topo:
+        raise ValueError("routes table was built for a different topology")
+    return (
+        routes,
+        np.asarray(rank_map.nodes, dtype=np.intp),
+        np.asarray(rank_map.groups(topo), dtype=np.intp),
+    )
+
+
+def _step(ctx, dst: np.ndarray | None, nelems: int = 0, has_op: bool = False,
+          copy: int = 0) -> StepProfile:
+    """One step in which every rank ``r`` sends ``nelems`` elements to
+    ``dst[r]`` as one segment (no transfers when ``dst`` is ``None``) and
+    copies ``copy`` elements locally (none when 0)."""
+    routes, nodes, groups = ctx
+    ranks = np.arange(nodes.size, dtype=np.intp)
+    src = ranks if dst is not None else ranks[:0]
+    lrank = ranks if copy else ranks[:0]
+    return routes.profile_step_arrays(
+        src,
+        src if dst is None else dst,
+        np.full(src.size, nelems, dtype=np.int64),
+        np.ones(src.size, dtype=np.int64),
+        np.full(src.size, has_op, dtype=bool),
+        lrank,
+        np.full(lrank.size, copy, dtype=np.int64),
+        np.zeros(lrank.size, dtype=bool),
+        nodes,
+        groups,
+    )
 
 
 def ring_profile(
     p: int, topo: Topology, rank_map: RankMap, variant: str,
-    routes: RouteTable | None = None,
+    routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
     """Exact ring profile: one representative step, replicated.
 
     ``variant``: ``"reduce_scatter"``, ``"allgather"`` or ``"allreduce"``.
     """
-    groups, rtab = _ctx(p, topo, rank_map, routes)
-    rs_step = profile_step(
-        ((r, (r + 1) % p, 1, 1, True) for r in range(p)),
-        (), rtab, rank_map.nodes, groups,
-    )
-    ag_step = profile_step(
-        ((r, (r + 1) % p, 1, 1, False) for r in range(p)),
-        (), rtab, rank_map.nodes, groups,
-    )
+    ctx = _ctx(p, topo, rank_map, routes)
+    right = (np.arange(p, dtype=np.intp) + 1) % p
+    rs_step = _step(ctx, right, 1, has_op=True)
+    ag_step = _step(ctx, right, 1)
     if variant == "reduce_scatter":
         steps = (rs_step,) * (p - 1)
         meta = {"collective": "reduce_scatter", "algorithm": "ring"}
@@ -83,18 +120,17 @@ def ring_profile(
 
 
 def pairwise_alltoall_profile(
-    p: int, topo: Topology, rank_map: RankMap, samples: int = 32,
-    routes: RouteTable | None = None,
+    p: int, topo: Topology, rank_map: RankMap,
+    routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
     """Pairwise alltoall: sample the offset space, replicate to neighbours."""
-    groups, rtab = _ctx(p, topo, rank_map, routes)
-    offsets = sorted({max(1, round(1 + k * (p - 2) / max(1, samples - 1))) for k in range(samples)})
-    sampled: dict[int, StepProfile] = {}
-    for k in offsets:
-        sampled[k] = profile_step(
-            ((r, (r + k) % p, 1, 1, False) for r in range(p)),
-            (), rtab, rank_map.nodes, groups,
-        )
+    ctx = _ctx(p, topo, rank_map, routes)
+    ranks = np.arange(p, dtype=np.intp)
+    n = PAIRWISE_SAMPLES
+    offsets = sorted({max(1, round(1 + k * (p - 2) / max(1, n - 1))) for k in range(n)})
+    sampled: dict[int, StepProfile] = {
+        k: _step(ctx, (ranks + k) % p, 1) for k in offsets
+    }
     keys = sorted(sampled)
     steps = []
     for k in range(1, p):
@@ -106,37 +142,32 @@ def pairwise_alltoall_profile(
 
 
 def bruck_alltoall_profile(
-    p: int, topo: Topology, rank_map: RankMap, routes: RouteTable | None = None
+    p: int, topo: Topology, rank_map: RankMap,
+    routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
     """Bruck alltoall: packed sends (the rotation trick) + per-step pack copy.
 
     Real Bruck implementations rotate/pack blocks so each phase transmits
     contiguously; we charge one buffer-wide local copy per phase for it.
     """
-    groups, rtab = _ctx(p, topo, rank_map, routes)
+    ctx = _ctx(p, topo, rank_map, routes)
+    ranks = np.arange(p, dtype=np.intp)
     s = max(1, (p - 1).bit_length())
     steps = []
     for k in range(s):
-        dist = 1 << k
-        nelems = sum(1 for off in range(p) if (off >> k) & 1)
-        steps.append(
-            profile_step(
-                ((r, (r + dist) % p, nelems, 1, False) for r in range(p)),
-                ((r, p, False) for r in range(p)),
-                rtab, rank_map.nodes, groups,
-            )
-        )
+        # blocks whose offset has bit k set travel 2**k ranks this phase
+        nelems = int(((ranks >> k) & 1).sum())
+        steps.append(_step(ctx, (ranks + (1 << k)) % p, nelems, copy=p))
     # final local unpack (inverse rotation)
-    steps.append(
-        profile_step((), ((r, p, False) for r in range(p)), rtab, rank_map.nodes, groups)
-    )
+    steps.append(_step(ctx, None, copy=p))
     meta = {"collective": "alltoall", "algorithm": "bruck", "p": p, "n": p,
             "analytic": True}
     return ScheduleProfile(p=p, n_build=p, meta=meta, steps=tuple(steps))
 
 
 def bine_alltoall_profile(
-    p: int, topo: Topology, rank_map: RankMap, routes: RouteTable | None = None
+    p: int, topo: Topology, rank_map: RankMap,
+    routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
     """Bine alltoall with the paper's packing scheme (Sec. 4.4).
 
@@ -149,26 +180,18 @@ def bine_alltoall_profile(
     correctness oracle and the cost profile describe the same algorithm with
     the two data-handling choices the paper discusses.)
     """
-    groups, rtab = _ctx(p, topo, rank_map, routes)
-    bf = bine_butterfly_doubling(p)
-    steps = []
-    for j in range(bf.num_steps):
-        steps.append(
-            profile_step(
-                ((r, bf.partner(r, j), p // 2, 1, False) for r in range(p)),
-                ((r, p, False) for r in range(p)),
-                rtab, rank_map.nodes, groups,
-            )
-        )
-    steps.append(
-        profile_step((), ((r, p, False) for r in range(p)), rtab, rank_map.nodes, groups)
-    )
+    ctx = _ctx(p, topo, rank_map, routes)
+    steps = [
+        _step(ctx, np.asarray(row, dtype=np.intp), p // 2, copy=p)
+        for row in bine_butterfly_doubling(p).partners
+    ]
+    steps.append(_step(ctx, None, copy=p))
     meta = {"collective": "alltoall", "algorithm": "bine", "p": p, "n": p,
             "analytic": True}
     return ScheduleProfile(p=p, n_build=p, meta=meta, steps=tuple(steps))
 
 
-#: (collective, algorithm) → analytic builder(p, topo, rank_map)
+#: (collective, algorithm) → analytic builder(p, topo, rank_map, routes=None)
 ANALYTIC_PROFILES = {
     ("reduce_scatter", "ring"):
         lambda p, t, m, routes=None: ring_profile(p, t, m, "reduce_scatter", routes),
@@ -176,8 +199,24 @@ ANALYTIC_PROFILES = {
         lambda p, t, m, routes=None: ring_profile(p, t, m, "allgather", routes),
     ("allreduce", "ring"):
         lambda p, t, m, routes=None: ring_profile(p, t, m, "allreduce", routes),
-    ("alltoall", "pairwise"):
-        lambda p, t, m, routes=None: pairwise_alltoall_profile(p, t, m, routes=routes),
+    ("alltoall", "pairwise"): pairwise_alltoall_profile,
     ("alltoall", "bruck"): bruck_alltoall_profile,
     ("alltoall", "bine"): bine_alltoall_profile,
 }
+
+
+def analytic_builder(spec, p: int):
+    """The :data:`ANALYTIC_PROFILES` builder that profiles ``spec`` at ``p``
+    ranks, or ``None`` when the cell profiles its exact schedule.
+
+    Ring entries switch to their analytic profile above
+    :data:`ANALYTIC_THRESHOLD`; alltoall entries always use it, so small
+    and large rank counts are modelled consistently.  The lookup happens
+    per call, so rebinding a dict value takes effect everywhere.
+    """
+    builder = ANALYTIC_PROFILES.get((spec.collective, spec.name))
+    if builder is not None and (
+        p > ANALYTIC_THRESHOLD or spec.collective == "alltoall"
+    ):
+        return builder
+    return None

@@ -1,8 +1,9 @@
-"""Compiled profiling + grid evaluation — the sweep pipeline's fast path.
+"""Compiled profiling + grid evaluation — the package's one profiler.
 
 Three lowering stages turn the build → route → profile → evaluate pipeline
-into array programs, each bit-identical to the Python reference it replaces
-(asserted across the whole registry in ``tests/test_compiled_profile.py``):
+into array programs.  Each is bit-identical to an independent scalar
+per-transfer reference kept in the test suite (``tests/scalar_oracle.py``;
+asserted across the whole registry in ``tests/test_compiled_profile.py``):
 
 * :class:`TransferTable` — a finalized :class:`~repro.runtime.schedule.Schedule`
   flattened *once* per ``(algorithm, p)`` into structure-of-arrays,
@@ -19,25 +20,23 @@ into array programs, each bit-identical to the Python reference it replaces
   node pair, offsets into flat ``link_idx`` / ``width`` / ``cls_idx``
   arrays, plus an interned hop-signature id and a ``uses_nic`` flag.
   :meth:`CompiledRouteTable.profile_step_arrays` collapses a whole step
-  with gathers, ``np.bincount`` and ``np.add.at`` — zero per-transfer
-  Python.  Link-load contributions are expanded in exactly the
-  concatenation order of the scalar path, and ``np.add.at`` is unbuffered,
-  so the resulting :class:`~repro.model.simulator.StepProfile` floats are
-  bit-identical to :func:`~repro.model.simulator.profile_step`.
+  into a :class:`~repro.model.simulator.StepProfile` with gathers,
+  ``np.bincount`` and ``np.add.at`` — zero per-transfer Python.  Link-load
+  contributions are expanded in transfer order, and ``np.add.at`` is
+  unbuffered, so each link sums its loads in the same order a
+  per-transfer loop would.
 
 * :func:`evaluate_grid` — evaluates one profile at *all* message sizes of a
   campaign in a single NumPy pass.  Per-step structure arrays (max loads by
   class, injection/ejection/reduce/copy maxima) are cached on the profile
-  the first time it is evaluated; each call then replays
-  :func:`~repro.model.simulator.evaluate_time`'s arithmetic elementwise
-  over the size axis, with the same operation order (products
-  left-associated, per-step terms summed in step order via a running
-  ``np.cumsum`` — a prefix sum cannot be regrouped pairwise), so every
-  column equals the scalar evaluation bit for bit.
+  the first time it is evaluated; each call then applies the per-step
+  cost law elementwise over the size axis, with a fixed operation order
+  (products left-associated, per-step terms summed in step order via a
+  running ``np.cumsum`` — a prefix sum cannot be regrouped pairwise), so
+  every column equals a one-size step loop bit for bit.
 
-The sweep layer (:mod:`repro.analysis.sweep`) profiles every schedule
-through these; the scalar :mod:`repro.model.simulator` functions remain as
-the library reference and the tests' oracle.
+The sweep layer (:mod:`repro.analysis.sweep`), the DES engine and the
+analytic builders (:mod:`repro.model.analytic`) all profile through these.
 """
 
 from __future__ import annotations
@@ -67,34 +66,7 @@ __all__ = [
     "transfer_table_for",
     "profile_table",
     "evaluate_grid",
-    "resolve_profile_engine",
-    "PROFILE_ENGINES",
 ]
-
-#: accepted values for ``ProfileCache(profile_engine=...)`` —
-#: ``compiled`` is the analytic evaluator; ``des`` is the discrete-event
-#: fabric engine (:mod:`repro.des`), the only engine that can replay a
-#: :class:`~repro.faults.FaultTimeline`
-PROFILE_ENGINES = ("compiled", "des")
-
-
-def resolve_profile_engine(engine: str | None = None) -> str:
-    """The effective profile engine: ``engine``, defaulting to compiled.
-
-    Example::
-
-        >>> resolve_profile_engine()
-        'compiled'
-        >>> resolve_profile_engine("des")
-        'des'
-    """
-    if engine is None:
-        engine = "compiled"
-    if engine not in PROFILE_ENGINES:
-        raise ValueError(
-            f"unknown profile engine {engine!r}; have {PROFILE_ENGINES}"
-        )
-    return engine
 
 
 # -- transfer tables ---------------------------------------------------------
@@ -255,15 +227,12 @@ def _expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class CompiledRouteTable:
     """Interned minimal routes for one topology, in CSR layout.
 
-    The compiled counterpart of :class:`~repro.model.simulator.RouteTable`:
-    node pairs intern lazily (each ``topo.route`` call happens exactly once
-    per pair per table), but the per-pair data lands in flat arrays so a
-    whole step's transfers resolve with gathers instead of per-transfer
-    dict lookups.  :meth:`profile_step_arrays` is the vectorized
-    :func:`~repro.model.simulator.profile_step`; :meth:`profile_step`
-    adapts the generator-based calling convention so the analytic profile
-    builders (:mod:`repro.model.analytic`) run through the same kernel
-    unchanged.
+    Node pairs intern lazily (each ``topo.route`` call happens exactly
+    once per pair per table), but the per-pair data lands in flat arrays so
+    a whole step's transfers resolve with gathers instead of per-transfer
+    dict lookups.  :meth:`profile_step_arrays` is the one step kernel:
+    :func:`profile_table` feeds it lowered schedules and the analytic
+    builders (:mod:`repro.model.analytic`) feed it rank arrays.
     """
 
     def __init__(self, topo: Topology):
@@ -274,8 +243,8 @@ class CompiledRouteTable:
         self._cls_ids: dict[str, int] = {}
         self.cls_names: list[str] = []
         #: per-pair hop signatures, interned: ``sig_tuples[sig_id]`` is the
-        #: sorted ``(class, hop_count)`` tuple profile_step folds into
-        #: latency signatures
+        #: sorted ``(class, hop_count)`` tuple a step folds into latency
+        #: signatures
         self.sig_tuples: list[tuple] = []
         self._sig_ids: dict[tuple, int] = {}
         # growing build-side state; re-materialized into _CsrArrays lazily
@@ -287,9 +256,6 @@ class CompiledRouteTable:
         self._pair_nic: list[bool] = []
         self._pair_hops: list[dict[int, int]] = []
         self._arrays: _CsrArrays | None = None
-
-    def __len__(self) -> int:
-        return len(self._pair_sig)
 
     def _intern_pair(self, a: int, b: int) -> int:
         route = self.topo.route(a, b)
@@ -358,43 +324,6 @@ class CompiledRouteTable:
             )
         return arrays
 
-    def profile_step(self, transfers, local_ops, node_of, groups) -> StepProfile:
-        """Generator-convention adapter (the analytic builders' entry).
-
-        Accepts the exact arguments of
-        :func:`repro.model.simulator.profile_step` minus ``routes`` and
-        feeds the vectorized kernel.
-        """
-        transfers = list(transfers)
-        n_t = len(transfers)
-        if n_t:
-            src_l, dst_l, ne_l, nsegs_l, op_l = zip(*transfers)
-            src = np.fromiter(src_l, np.intp, n_t)
-            dst = np.fromiter(dst_l, np.intp, n_t)
-            ne = np.fromiter(ne_l, np.int64, n_t)
-            nsegs = np.fromiter(nsegs_l, np.int64, n_t)
-            has_op = np.fromiter(op_l, bool, n_t)
-        else:
-            src = dst = np.empty(0, dtype=np.intp)
-            ne = nsegs = np.empty(0, dtype=np.int64)
-            has_op = np.empty(0, dtype=bool)
-        local_ops = list(local_ops)
-        n_l = len(local_ops)
-        if n_l:
-            lrank_l, lne_l, lop_l = zip(*local_ops)
-            lrank = np.fromiter(lrank_l, np.intp, n_l)
-            lne = np.fromiter(lne_l, np.int64, n_l)
-            lop = np.fromiter(lop_l, bool, n_l)
-        else:
-            lrank = np.empty(0, dtype=np.intp)
-            lne = np.empty(0, dtype=np.int64)
-            lop = np.empty(0, dtype=bool)
-        return self.profile_step_arrays(
-            src, dst, ne, nsegs, has_op, lrank, lne, lop,
-            np.asarray(node_of, dtype=np.intp),
-            np.asarray(groups, dtype=np.intp),
-        )
-
     def profile_step_arrays(
         self,
         src: np.ndarray,
@@ -410,11 +339,12 @@ class CompiledRouteTable:
     ) -> StepProfile:
         """One step's columns → a :class:`StepProfile`, fully vectorized.
 
-        Bit-identical to the scalar :func:`~repro.model.simulator.profile_step`:
+        Bit-identical to a per-transfer scalar fold (the tests' oracle):
         integer aggregates are exact in either accumulation order (all
         magnitudes sit far below 2**53), and the only true-float quantity —
-        per-link load, where widths divide unevenly — is accumulated by the
-        *same* ``np.add.at`` over the same transfer-ordered concatenation.
+        per-link load, where widths divide unevenly — is accumulated by an
+        unbuffered ``np.add.at`` over the transfer-ordered concatenation of
+        route links.
         """
         p = node_arr.size
         n_t = src.size
@@ -442,7 +372,7 @@ class CompiledRouteTable:
             for ci in np.nonzero(hops_t.any(axis=0))[0]:
                 class_elems[self.cls_names[ci]] = int(totals[ci])
             # per-link loads: expand each transfer's route rows in transfer
-            # order — the same concatenation the scalar path builds — then
+            # order — the same concatenation a per-transfer loop builds — then
             # accumulate with the same unbuffered np.add.at
             counts = csr.off[pids + 1] - csr.off[pids]
             if counts.sum():
@@ -505,8 +435,7 @@ def profile_table(
     *,
     routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
-    """Profile a lowered schedule: the compiled
-    :func:`~repro.model.simulator.profile_schedule`.
+    """Route every transfer of a lowered schedule and collapse each step.
 
     Pass ``routes`` to share one CSR route matrix across many profiles of
     the same topology (the sweep layer always does).
@@ -571,8 +500,8 @@ class _EvalTables:
 class GridMetrics:
     """Evaluation result for one profile across a whole size grid.
 
-    Column ``j`` equals :func:`~repro.model.simulator.evaluate_time` at
-    ``n_elems[j]`` bit for bit.
+    Column ``j`` equals the evaluation at ``n_elems[j]`` alone bit for
+    bit.
     """
 
     time: np.ndarray
@@ -647,24 +576,34 @@ def evaluate_grid(
 ) -> GridMetrics:
     """Time and traffic for every vector size of ``n_elems`` in one pass.
 
-    The vectorized :func:`~repro.model.simulator.evaluate_time`: column
-    ``j`` of every output equals the scalar call at ``n_elems[j]`` bit for
-    bit (each arithmetic step is applied elementwise in the same order the
-    scalar code applies it).  The per-step structure arrays are cached on
+    Two schedule-level meta flags refine the step-sum law:
+
+    * ``segmented`` — reduction compute overlaps transport within a step
+      (Sec. 5.2.2);
+    * ``pipelined`` — successive steps forward the *same* data (chain/tree
+      pipelines like Trinaryx): bandwidth terms overlap across steps, so
+      the total pays the per-step latency sum but only
+      ``max_bw · (1 + (steps − 1)/chunks)`` of bandwidth;
+    * ``ports_used`` — how many NICs the schedule can drive concurrently
+      (App. D.4 multiported schedules); capped by the machine's ports.
+
+    Column ``j`` of every output equals a scalar step loop at
+    ``n_elems[j]`` bit for bit (each arithmetic step is applied
+    elementwise in the loop's order), so a size's result does not depend
+    on the rest of the grid.  The per-step structure arrays are cached on
     the profile, so evaluating a second size grid costs only the NumPy
     pass.
 
     Example::
 
         >>> from repro.collectives.registry import build
-        >>> from repro.model.simulator import evaluate_time, profile_schedule
         >>> from repro.systems import lumi
         >>> from repro.topology.mapping import block_mapping
         >>> preset = lumi()
-        >>> prof = profile_schedule(build("bcast", "bine", 8, 8),
-        ...                         preset.build_topology(), block_mapping(8))
+        >>> prof = profile_table(lower_schedule(build("bcast", "bine", 8, 8)),
+        ...                      preset.build_topology(), block_mapping(8))
         >>> g = evaluate_grid(prof, preset.params, [8.0, 1024.0])
-        >>> g.time[1] == evaluate_time(prof, preset.params, 1024.0).time
+        >>> bool(g.time[1] == evaluate_grid(prof, preset.params, 1024.0).time[0])
         True
     """
     n_arr = np.atleast_1d(np.asarray(n_elems, dtype=np.float64))

@@ -1,14 +1,11 @@
 """Traffic accounting: the paper's global-link byte metric (Secs. 2.4, 5.x).
 
-Two granularities:
-
-* :func:`global_traffic_elems` — group-crossing message bytes, the metric of
-  Fig. 1 ("6n vs 3n bytes over global links"), Fig. 5, and the "Traffic
-  Red." columns of Tables 3-5.  Each message counts once if its endpoints'
-  groups differ (minimal routing assumed, as in the paper).
-* :func:`traffic_by_class` / :func:`link_loads` — per-link-class byte totals
-  and per-link maxima under a concrete topology + mapping, feeding the cost
-  model's contention terms.
+:func:`global_traffic_elems` counts group-crossing message bytes, the metric
+of Fig. 1 ("6n vs 3n bytes over global links"), Fig. 5, and the "Traffic
+Red." columns of Tables 3-5.  Each message counts once if its endpoints'
+groups differ (minimal routing assumed, as in the paper), so no route is
+walked.  Per-link-class totals under a concrete topology and mapping come
+from a profile (:meth:`~repro.model.simulator.ScheduleProfile.total_class_elems`).
 """
 
 from __future__ import annotations
@@ -16,15 +13,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.runtime.schedule import Schedule
-from repro.topology.base import Topology
-from repro.topology.mapping import RankMap
 
-__all__ = [
-    "global_traffic_elems",
-    "traffic_by_class",
-    "link_loads_per_step",
-    "traffic_reduction",
-]
+__all__ = ["global_traffic_elems", "traffic_reduction"]
 
 
 def global_traffic_elems(schedule: Schedule, groups: Sequence[int]) -> int:
@@ -34,33 +24,6 @@ def global_traffic_elems(schedule: Schedule, groups: Sequence[int]) -> int:
         if groups[t.src] != groups[t.dst]:
             total += t.nelems
     return total
-
-
-def traffic_by_class(
-    schedule: Schedule, topo: Topology, rank_map: RankMap
-) -> dict[str, int]:
-    """Total element·link products per link class over the whole schedule."""
-    out: dict[str, int] = {}
-    for _, t in schedule.all_transfers():
-        src, dst = rank_map.node_of(t.src), rank_map.node_of(t.dst)
-        for link in topo.route(src, dst):
-            out[link.cls] = out.get(link.cls, 0) + t.nelems
-    return out
-
-
-def link_loads_per_step(
-    schedule: Schedule, topo: Topology, rank_map: RankMap
-) -> list[dict[tuple, int]]:
-    """Per-step ``link key → element load`` maps (diagnostics/tests)."""
-    out = []
-    for step in schedule.steps:
-        loads: dict[tuple, int] = {}
-        for t in step.transfers:
-            src, dst = rank_map.node_of(t.src), rank_map.node_of(t.dst)
-            for link in topo.route(src, dst):
-                loads[link.key] = loads.get(link.key, 0) + t.nelems
-        out.append(loads)
-    return out
 
 
 def traffic_reduction(baseline_elems: int, candidate_elems: int) -> float:

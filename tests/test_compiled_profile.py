@@ -4,9 +4,9 @@ The sweep pipeline (transfer tables, CSR route matrices, grid evaluation
 — :mod:`repro.model.compiled`) must be a pure optimization: every
 :class:`StepProfile`, every evaluated time and every sweep record must
 equal the scalar pipeline's output exactly, not merely within tolerance.
-The scalar pipeline (:func:`profile_schedule` over a :class:`RouteTable`,
-:func:`evaluate_time` per size) is the oracle here — :func:`oracle_records`
-rebuilds a sweep's records with it.  These tests pin that contract across
+The scalar pipeline in ``tests/scalar_oracle.py`` (:func:`profile_schedule`
+over a :class:`RouteTable`, :func:`evaluate_time` per size) is the oracle
+here — :func:`oracle_records` rebuilds a sweep's records with it.  These tests pin that contract across
 the whole algorithm registry (including non-power-of-two rank counts),
 the analytic profile builders, the torus catalog, and the sweep layer
 itself.
@@ -19,7 +19,6 @@ import pytest
 
 from repro.analysis.sweep import (
     ProfileCache,
-    SweepRecord,
     clear_memo_caches,
     sweep_system,
     sweep_torus,
@@ -27,86 +26,35 @@ from repro.analysis.sweep import (
 from repro.cli.main import main
 from repro.cli.manifest import ManifestError, manifest_from_dict
 from repro.collectives.registry import ALGORITHMS, spec_for
-from repro.model.analytic import ANALYTIC_PROFILES, ANALYTIC_THRESHOLD
+from repro.collectives.composed import hierarchical_allreduce_bine
+from repro.collectives.registry import build
+from repro.model.analytic import ANALYTIC_PROFILES
 from repro.model.compiled import (
     CompiledRouteTable,
     _seq_sum,
     evaluate_grid,
     lower_schedule,
     profile_table,
-    resolve_profile_engine,
     transfer_table_for,
 )
-from repro.model.simulator import (
-    RouteTable,
-    evaluate_time,
-    profile_schedule,
-)
 from repro.runtime.schedule import schedule_validation
-from repro.systems import fugaku, lumi
+from repro.systems import fugaku, lumi, marenostrum5
+from repro.topology.hierarchical import MultiRankNodes
 from repro.topology.mapping import block_mapping
+from repro.topology.torus import Torus
+from scalar_oracle import (
+    RouteTable,
+    ScalarRoutes,
+    evaluate_time,
+    oracle_profile,
+    oracle_records,
+    profile_schedule,
+    scalar_records,
+)
 
 RANK_COUNTS = (4, 8, 16, 17, 32)
 #: geometric size grid (the paper's 32 B ... 512 MiB ladder, thinned)
 N_BYTES = tuple(32 * 8**k for k in range(0, 9, 2))
-
-
-def oracle_profile(cache, spec, p, ppn=1, routes=None):
-    """Scalar-pipeline profile of one cell on ``cache``'s rank mapping."""
-    routes = routes or RouteTable(cache.topo)
-    mapping = cache.mapping_for(p, ppn)
-    analytic = ANALYTIC_PROFILES.get((spec.collective, spec.name))
-    if analytic is not None and (
-        p > ANALYTIC_THRESHOLD or spec.collective == "alltoall"
-    ):
-        if spec.pow2_only and p & (p - 1):
-            return None
-        return analytic(p, cache.topo, mapping, routes=routes)
-    try:
-        with schedule_validation(False):
-            schedule = spec.build(p, p)
-    except ValueError:
-        return None  # pow2/divisibility constraint not met
-    return profile_schedule(schedule, cache.topo, mapping, routes=routes)
-
-
-def scalar_records(profile, system, spec, p, vector_bytes, params,
-                   faults="none", ppn=1):
-    """One profile's records, scored per size by :func:`evaluate_time`."""
-    out = []
-    for nb in vector_bytes:
-        m = evaluate_time(profile, params, nb / params.itemsize)
-        out.append(SweepRecord(
-            system, spec.collective, spec.name, spec.family, p, nb,
-            float(m.time), float(m.global_bytes), faults, ppn,
-        ))
-    return out
-
-
-def oracle_records(cache, collectives, node_counts, vector_bytes, ppn=1,
-                   max_p=None):
-    """A ``sweep_system`` grid's records, rebuilt by the scalar pipeline.
-
-    Runs on ``cache``'s mappings, so sweep with the same cache first: the
-    sweep fixes the scheduler placements the oracle then reads.
-    """
-    routes = RouteTable(cache.topo)
-    records = []
-    for (coll, _name), spec in sorted(ALGORITHMS.items()):
-        if coll not in collectives:
-            continue
-        for p in node_counts:
-            if max_p and p > max_p.get(coll, p):
-                continue
-            if not cache.applicable(spec, p, ppn):
-                continue
-            profile = oracle_profile(cache, spec, p, ppn, routes)
-            if profile is not None:
-                records += scalar_records(
-                    profile, cache.preset.name, spec, p, vector_bytes,
-                    cache.preset.params, cache.faults_label, ppn,
-                )
-    return records
 
 
 def _buildable_schedules(p):
@@ -151,12 +99,13 @@ class TestStepProfileEquivalence:
             co = profile_table(lower_schedule(sched), topo, mapping)
             assert py == co
 
-    def test_analytic_builders_share_the_kernel(self):
-        # analytic profiles call profile_step, which dispatches on the
-        # routes type: a CompiledRouteTable must give identical profiles
+    def test_analytic_builders_match_scalar_kernel(self):
+        # the analytic builders hand rank arrays to
+        # routes.profile_step_arrays: the scalar oracle's kernel and the
+        # compiled one must fold them into identical profiles
         preset = lumi()
         topo = preset.build_topology()
-        routes = RouteTable(topo)
+        routes = ScalarRoutes(topo)
         croutes = CompiledRouteTable(topo)
         for (coll, name), builder in sorted(ANALYTIC_PROFILES.items()):
             for p in (16, 256):
@@ -164,6 +113,35 @@ class TestStepProfileEquivalence:
                 assert builder(p, topo, mapping, routes=routes) == builder(
                     p, topo, mapping, routes=croutes
                 ), f"analytic {coll}/{name} p={p}"
+
+    def test_analytic_builders_reject_foreign_topology(self):
+        # a 4x4-torus table must not route a LUMI-mapped profile
+        topo = lumi().build_topology()
+        for builder in ANALYTIC_PROFILES.values():
+            with pytest.raises(ValueError, match="different topology"):
+                builder(16, topo, block_mapping(16),
+                        routes=CompiledRouteTable(Torus((4, 4))))
+
+    @pytest.mark.parametrize("gpus", [16, 64])
+    def test_gpu_clique_topology_bit_identical(self, gpus):
+        # MultiRankNodes (one node per GPU, NVLink cliques inside a host):
+        # the Sec. 6.2 GPU bench's topology
+        preset = marenostrum5()
+        topo = MultiRankNodes(preset.build_topology(), 4)
+        mapping = block_mapping(gpus)
+        n_elems = [nb / 4 for nb in N_BYTES]
+        for sched in (
+            hierarchical_allreduce_bine(gpus // 4, 4, gpus),
+            build("allreduce", "bine-rsag", gpus, gpus),
+            build("allreduce", "rabenseifner", gpus, gpus),
+            build("allreduce", "ring", gpus, gpus),
+        ):
+            py = profile_schedule(sched, topo, mapping)
+            co = profile_table(lower_schedule(sched), topo, mapping)
+            assert py == co, sched.meta.get("algorithm")
+            grid = evaluate_grid(co, preset.params, n_elems)
+            for j, n in enumerate(n_elems):
+                assert grid.time[j] == evaluate_time(py, preset.params, n).time
 
     def test_profile_table_rejects_foreign_topology(self):
         topo_a = lumi().build_topology()
@@ -357,13 +335,7 @@ class TestTransferTableMemo:
 
 
 class TestEngineKnob:
-    def test_default_is_compiled(self):
-        assert resolve_profile_engine() == "compiled"
-        assert resolve_profile_engine("des") == "des"
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown profile engine"):
-            resolve_profile_engine("fortran")
         with pytest.raises(ValueError, match="unknown profile engine"):
             ProfileCache(lumi(), profile_engine="fortran")
 

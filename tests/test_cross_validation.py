@@ -5,11 +5,11 @@ import pytest
 
 from repro.collectives.registry import ALGORITHMS, build
 from repro.collectives.verify import init_buffers
-from repro.model.simulator import evaluate_time, profile_schedule
-from repro.model.traffic import global_traffic_elems, traffic_by_class
+from repro.model.traffic import global_traffic_elems
 from repro.runtime import execute
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.mapping import block_mapping
+from scalar_oracle import evaluate_time, profile_schedule, traffic_by_class
 
 KEYS = sorted(ALGORITHMS)
 

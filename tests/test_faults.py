@@ -18,7 +18,7 @@ from repro.runtime.errors import FaultSpecError, TopologyPartitionedError
 from repro.systems import fugaku, lumi, marenostrum5
 from repro.topology.base import LinkClass
 from repro.topology.dragonfly import Dragonfly
-from test_compiled_profile import oracle_records
+from scalar_oracle import oracle_records
 
 
 class TestFaultSpec:

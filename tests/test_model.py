@@ -4,17 +4,17 @@ import pytest
 
 from repro.collectives.registry import build
 from repro.model.cost import CostParams
-from repro.model.simulator import evaluate_time, profile_schedule
-from repro.model.traffic import (
-    global_traffic_elems,
-    link_loads_per_step,
-    traffic_by_class,
-    traffic_reduction,
-)
+from repro.model.traffic import global_traffic_elems, traffic_reduction
 from repro.topology.base import LinkClass
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
 from repro.topology.mapping import block_mapping
+from scalar_oracle import (
+    evaluate_time,
+    link_loads_per_step,
+    profile_schedule,
+    traffic_by_class,
+)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from repro.core.negabinary import (
     rank_to_nb_table,
     to_negabinary,
 )
-from repro.model.simulator import RouteTable, evaluate_time, profile_schedule
+from repro.model.compiled import CompiledRouteTable, lower_schedule, profile_table
 from repro.runtime.schedule import (
     Schedule,
     Step,
@@ -38,6 +38,7 @@ from repro.runtime.schedule import (
 from repro.runtime.errors import ScheduleError
 from repro.systems import lumi
 from repro.topology.mapping import block_mapping
+from scalar_oracle import evaluate_time
 
 POW2 = [2, 4, 8, 16, 32, 64, 128, 256]
 
@@ -95,23 +96,25 @@ class TestSharedRouteTable:
     def test_shared_routes_equal_private_routes(self):
         topo = lumi().build_topology()
         mapping = block_mapping(32)
-        shared = RouteTable(topo)
+        shared = CompiledRouteTable(topo)
         for flavor in ("bine-send", "bine-natural"):
             for builder in (
                 lambda bf, n: allgather_butterfly(bf, n, Strategy.NATURAL),
                 lambda bf, n: reduce_scatter_butterfly(bf, n, "sum", Strategy.NATURAL),
             ):
-                sched = builder(bine_butterfly_doubling(32), 32)
-                private = profile_schedule(sched, topo, mapping)
-                reused = profile_schedule(sched, topo, mapping, routes=shared)
+                table = lower_schedule(builder(bine_butterfly_doubling(32), 32))
+                private = profile_table(table, topo, mapping)
+                reused = profile_table(table, topo, mapping, routes=shared)
                 assert private == reused
 
     def test_route_table_rejects_foreign_topology(self):
         topo_a = lumi().build_topology()
         topo_b = lumi().build_topology()
-        sched = allgather_butterfly(bine_butterfly_doubling(8), 8)
+        table = lower_schedule(allgather_butterfly(bine_butterfly_doubling(8), 8))
         with pytest.raises(ValueError, match="different topology"):
-            profile_schedule(sched, topo_a, block_mapping(8), routes=RouteTable(topo_b))
+            profile_table(
+                table, topo_a, block_mapping(8), routes=CompiledRouteTable(topo_b)
+            )
 
 
 class TestOptionalValidation:

@@ -16,12 +16,12 @@ from repro.collectives.butterfly_collectives import allgather_butterfly
 from repro.collectives.registry import AlgorithmSpec, build
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
 from repro.core.butterfly import bine_butterfly_doubling
-from repro.model.simulator import profile_schedule
 from repro.runtime.compiled import compile_plan
 from repro.runtime.executor import execute
 from repro.runtime.schedule import schedule_validation
 from repro.systems import lumi
 from repro.topology.mapping import block_mapping
+from scalar_oracle import profile_schedule
 
 #: generous ceiling — the pre-fix pipeline exceeded it several times over
 BUDGET_S = 5.0
