@@ -16,9 +16,10 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
   :func:`repro.runtime.memo.clear_memo_caches`), the
   profiling analogue of :func:`repro.collectives.verify.compiled_plan_for`.
 
-* :class:`CompiledRouteTable` — one CSR route matrix per topology: per
-  node pair, offsets into flat ``link_idx`` / ``width`` / ``cls_idx``
-  arrays, plus an interned hop-signature id and a ``uses_nic`` flag.
+* :class:`CompiledRouteTable` — one CSR route matrix per topology, grown
+  in place (one append per step that sees new node pairs): per pair,
+  offsets into flat link-id / width / class-id arrays, plus an interned
+  hop-signature id and a ``uses_nic`` flag.
   :meth:`CompiledRouteTable.profile_step_arrays` collapses a whole step
   into a :class:`~repro.model.simulator.StepProfile` with gathers,
   ``np.bincount`` and ``np.add.at`` — zero per-transfer Python.  Link-load
@@ -202,8 +203,13 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
 
 @dataclass(frozen=True, eq=False)
 class _CsrArrays:
-    """Materialized CSR view of an interned route set."""
+    """An interned route set in CSR layout, plus its sorted pair-key index."""
 
+    #: sorted pair keys ``a * num_nodes + b`` and the pair id of each; an
+    #: int64-max sentinel closes ``keys``, so every ``searchsorted``
+    #: position indexes a key
+    keys: np.ndarray
+    key_pid: np.ndarray
     #: (num_pairs + 1,) offsets into the flat link columns
     off: np.ndarray
     link: np.ndarray   # interned link ids
@@ -227,10 +233,11 @@ def _expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class CompiledRouteTable:
     """Interned minimal routes for one topology, in CSR layout.
 
-    Node pairs intern lazily (each ``topo.route`` call happens exactly
-    once per pair per table), but the per-pair data lands in flat arrays so
-    a whole step's transfers resolve with gathers instead of per-transfer
-    dict lookups.  :meth:`profile_step_arrays` is the one step kernel:
+    The table only grows: :meth:`resolve` looks a step's node pairs up in
+    the sorted key column, routes the unseen ones in one batch (each
+    ``topo.route`` call happens exactly once per pair per table) and
+    appends their rows once, so ``_arrays`` is always current and is never
+    rebuilt.  :meth:`profile_step_arrays` is the one step kernel:
     :func:`profile_table` feeds it lowered schedules and the analytic
     builders (:mod:`repro.model.analytic`) feed it rank arrays.
     """
@@ -238,7 +245,6 @@ class CompiledRouteTable:
     def __init__(self, topo: Topology):
         self.topo = topo
         self._num_nodes = topo.num_nodes
-        self._pair_pid: dict[int, int] = {}
         self._link_ids: dict[tuple, int] = {}
         self._cls_ids: dict[str, int] = {}
         self.cls_names: list[str] = []
@@ -247,82 +253,70 @@ class CompiledRouteTable:
         #: signatures
         self.sig_tuples: list[tuple] = []
         self._sig_ids: dict[tuple, int] = {}
-        # growing build-side state; re-materialized into _CsrArrays lazily
-        self._flat_link: list[int] = []
-        self._flat_width: list[float] = []
-        self._flat_cls: list[int] = []
-        self._off: list[int] = [0]
-        self._pair_sig: list[int] = []
-        self._pair_nic: list[bool] = []
-        self._pair_hops: list[dict[int, int]] = []
-        self._arrays: _CsrArrays | None = None
-
-    def _intern_pair(self, a: int, b: int) -> int:
-        route = self.topo.route(a, b)
-        hops: dict[str, int] = {}
-        cls_row: dict[int, int] = {}
-        uses_nic = False
-        for link in route:
-            li = self._link_ids.get(link.key)
-            if li is None:
-                li = self._link_ids[link.key] = len(self._link_ids)
-            ci = self._cls_ids.get(link.cls)
-            if ci is None:
-                ci = self._cls_ids[link.cls] = len(self._cls_ids)
-                self.cls_names.append(link.cls)
-            self._flat_link.append(li)
-            self._flat_width.append(float(link.width))
-            self._flat_cls.append(ci)
-            hops[link.cls] = hops.get(link.cls, 0) + 1
-            cls_row[ci] = cls_row.get(ci, 0) + 1
-            if link.cls != LinkClass.INTRA:
-                uses_nic = True
-        self._off.append(len(self._flat_link))
-        sig = tuple(sorted(hops.items()))
-        sid = self._sig_ids.get(sig)
-        if sid is None:
-            sid = self._sig_ids[sig] = len(self._sig_ids)
-            self.sig_tuples.append(sig)
-        pid = len(self._pair_sig)
-        self._pair_sig.append(sid)
-        self._pair_nic.append(uses_nic)
-        self._pair_hops.append(cls_row)
-        self._pair_pid[a * self._num_nodes + b] = pid
-        self._arrays = None
-        return pid
+        none = np.zeros(0, dtype=np.intp)
+        self._arrays = _CsrArrays(
+            keys=np.array([np.iinfo(np.int64).max]), key_pid=none,
+            off=np.zeros(1, dtype=np.intp), link=none, width=np.zeros(0),
+            cls=none, sig=none, nic=np.zeros(0, dtype=bool),
+            hops=np.zeros((0, 0), dtype=np.int64),
+        )
 
     def resolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pair ids for node arrays ``a → b``, interning unseen pairs."""
         keys = a * self._num_nodes + b
-        uniq, inv = np.unique(keys, return_inverse=True)
-        pids = np.empty(uniq.size, dtype=np.intp)
-        get = self._pair_pid.get
-        n = self._num_nodes
-        for i, k in enumerate(uniq.tolist()):
-            pid = get(k)
-            if pid is None:
-                pid = self._intern_pair(k // n, k % n)
-            pids[i] = pid
-        return pids[inv]
+        pos = np.searchsorted(self._arrays.keys, keys)
+        unseen = self._arrays.keys[pos] != keys
+        if unseen.any():
+            self._append(np.unique(keys[unseen]))
+            pos = np.searchsorted(self._arrays.keys, keys)
+        return self._arrays.key_pid[pos]
 
-    def _csr(self) -> _CsrArrays:
-        arrays = self._arrays
-        if arrays is None:
-            n_cls = len(self.cls_names)
-            hops = np.zeros((len(self._pair_hops), n_cls), dtype=np.int64)
-            for pid, row in enumerate(self._pair_hops):
-                for ci, h in row.items():
-                    hops[pid, ci] = h
-            arrays = self._arrays = _CsrArrays(
-                off=np.asarray(self._off, dtype=np.intp),
-                link=np.asarray(self._flat_link, dtype=np.intp),
-                width=np.asarray(self._flat_width, dtype=np.float64),
-                cls=np.asarray(self._flat_cls, dtype=np.intp),
-                sig=np.asarray(self._pair_sig, dtype=np.intp),
-                nic=np.asarray(self._pair_nic, dtype=bool),
-                hops=hops,
+    def _append(self, new_keys: np.ndarray) -> None:
+        """Route the sorted, unseen ``new_keys`` and append their rows."""
+        n = self._num_nodes
+        routes = [self.topo.route(k // n, k % n) for k in new_keys.tolist()]
+        flat = [link for route in routes for link in route]
+        link_ids, cls_ids, sig_ids = self._link_ids, self._cls_ids, self._sig_ids
+        link = np.array(
+            [link_ids.setdefault(x.key, len(link_ids)) for x in flat], np.intp
+        )
+        cls = np.array(
+            [cls_ids.setdefault(x.cls, len(cls_ids)) for x in flat], np.intp
+        )
+        width = np.array([x.width for x in flat], np.float64)
+        names = self.cls_names = list(cls_ids)
+        m, n_cls = len(routes), len(names)
+        counts = np.array([len(route) for route in routes], np.intp)
+        hops = np.bincount(
+            np.repeat(np.arange(m), counts) * n_cls + cls, minlength=m * n_cls
+        ).reshape(m, n_cls)
+        rows, row_of = np.unique(hops, axis=0, return_inverse=True)
+        sig = np.array([
+            sig_ids.setdefault(
+                tuple(sorted((names[c], h) for c, h in enumerate(r) if h)),
+                len(sig_ids),
             )
-        return arrays
+            for r in rows.tolist()
+        ], np.intp)[row_of.reshape(-1)]
+        self.sig_tuples = list(sig_ids)
+        nic = hops[:, [c != LinkClass.INTRA for c in names]].any(axis=1)
+
+        old = self._arrays
+        at = np.searchsorted(old.keys, new_keys)
+        self._arrays = _CsrArrays(
+            keys=np.insert(old.keys, at, new_keys),
+            key_pid=np.insert(old.key_pid, at, np.arange(m) + old.sig.size),
+            off=np.concatenate([old.off, old.off[-1] + np.cumsum(counts)]),
+            link=np.concatenate([old.link, link]),
+            width=np.concatenate([old.width, width]),
+            cls=np.concatenate([old.cls, cls]),
+            sig=np.concatenate([old.sig, sig]),
+            nic=np.concatenate([old.nic, nic]),
+            hops=np.vstack(
+                [np.pad(old.hops, ((0, 0), (0, n_cls - old.hops.shape[1]))),
+                 hops]
+            ),
+        )
 
     def profile_step_arrays(
         self,
@@ -356,7 +350,7 @@ class CompiledRouteTable:
             a = node_arr[src]
             b = node_arr[dst]
             pids = self.resolve(a, b)
-            csr = self._csr()
+            csr = self._arrays
             nic = csr.nic[pids]
             same_node = a == b
             crosses = group_arr[src] != group_arr[dst]

@@ -10,6 +10,10 @@ swing allreduce build alone holds ~430 MB of segment tuples)::
 
     $ PYTHONPATH=src python tests/table_oracle.py --p 2048
 
+``--prewarmed-routes`` adds one route-table check at campaign scale: the
+p=4096 ppn=2 LUMI allreduce profiles from a route table first grown by
+the p=16...1024 cells equal those profiled on a fresh table.
+
 Exit code 0 when every (entry, p) cell matches; 1 on any mismatch.
 """
 
@@ -21,10 +25,12 @@ import time
 
 import numpy as np
 
+from repro.analysis.sweep import ProfileCache
 from repro.collectives.registry import AlgorithmSpec, iter_specs
 from repro.model.compiled import TransferTable, lower_schedule
 from repro.runtime.memo import clear_memo_caches
 from repro.runtime.schedule import schedule_validation
+from repro.systems import lumi
 
 #: the ten array columns of a TransferTable
 COLUMNS = (
@@ -63,10 +69,31 @@ def table_mismatches(table: TransferTable | None, oracle: TransferTable | None) 
     ]
 
 
+def prewarmed_route_mismatches(
+    p: int = 4096, ppn: int = 2, warm_counts=(16, 64, 256, 1024)
+) -> list[str]:
+    """Allreduce entries whose ``(p, ppn)`` LUMI profile changes when the
+    shared route table was first grown by the ``warm_counts`` cells."""
+    specs = iter_specs("allreduce")
+    warm = ProfileCache(lumi())
+    for q in warm_counts:
+        for spec in specs:
+            warm.get(spec, q)
+    mapping = warm.mapping_for(p, ppn)
+    return [
+        spec.name for spec in specs
+        if warm.get(spec, p, ppn)
+        != ProfileCache(lumi(), mappings={(p, ppn): mapping}).get(spec, p, ppn)
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--p", type=int, action="append", required=True,
                     help="rank count to check (repeatable)")
+    ap.add_argument("--prewarmed-routes", action="store_true",
+                    help="also check p=4096 ppn=2 allreduce profiles from a "
+                         "pre-warmed route table against a fresh one")
     args = ap.parse_args(argv)
     failures = 0
     for spec in plan_backed_specs():
@@ -84,6 +111,14 @@ def main(argv=None) -> int:
                   f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
                   f"(table {rendered_s * 1e3:.1f} ms)", flush=True)
     clear_memo_caches()
+    if args.prewarmed_routes:
+        t0 = time.perf_counter()
+        bad = prewarmed_route_mismatches()
+        failures += len(bad)
+        print(f"allreduce p=4096 ppn=2 on pre-warmed routes: "
+              f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
+              f"({time.perf_counter() - t0:.1f} s)", flush=True)
+        clear_memo_caches()
     print(f"{failures} mismatched cell(s)")
     return 1 if failures else 0
 

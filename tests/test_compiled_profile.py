@@ -28,6 +28,7 @@ from repro.cli.manifest import ManifestError, manifest_from_dict
 from repro.collectives.registry import ALGORITHMS, spec_for
 from repro.collectives.composed import hierarchical_allreduce_bine
 from repro.collectives.registry import build
+from repro.faults import FaultSpec
 from repro.model.analytic import ANALYTIC_PROFILES
 from repro.model.compiled import (
     CompiledRouteTable,
@@ -40,7 +41,8 @@ from repro.model.compiled import (
 from repro.runtime.schedule import schedule_validation
 from repro.systems import fugaku, lumi, marenostrum5
 from repro.topology.hierarchical import MultiRankNodes
-from repro.topology.mapping import block_mapping
+from repro.topology.base import LinkClass
+from repro.topology.mapping import RankMap, block_mapping
 from repro.topology.torus import Torus
 from scalar_oracle import (
     RouteTable,
@@ -158,6 +160,96 @@ class TestStepProfileEquivalence:
         sched = ALGORITHMS[("bcast", "bine")].build(8, 8)
         with pytest.raises(ValueError, match="8"):
             profile_table(lower_schedule(sched), topo, block_mapping(4))
+
+
+def _pair_rows(routes, keys):
+    """Each pair's CSR row, with interned ids replaced by what they name.
+
+    Pair, link and class ids depend on the order pairs were interned in;
+    the rows they name must not.
+    """
+    csr = routes._arrays
+    link_keys = list(routes._link_ids)
+    names = routes.cls_names
+    assert (np.diff(csr.keys) > 0).all()
+    assert csr.keys.size == csr.key_pid.size + 1  # the closing sentinel
+    assert sorted(csr.key_pid.tolist()) == list(range(csr.sig.size))
+    assert csr.off.size == csr.sig.size + 1 == csr.nic.size + 1
+    assert csr.off[-1] == csr.link.size == csr.width.size == csr.cls.size
+    assert csr.hops.shape == (csr.sig.size, len(names))
+    n = routes._num_nodes
+    pids = routes.resolve(keys // n, keys % n)
+    assert routes._arrays is csr  # every pair was already interned
+    rows = []
+    for pid in pids.tolist():
+        lo, hi = csr.off[pid], csr.off[pid + 1]
+        rows.append((
+            [link_keys[i] for i in csr.link[lo:hi].tolist()],
+            csr.width[lo:hi].tolist(),
+            [names[c] for c in csr.cls[lo:hi].tolist()],
+            routes.sig_tuples[csr.sig[pid]],
+            bool(csr.nic[pid]),
+            {names[c]: h for c, h in enumerate(csr.hops[pid].tolist()) if h},
+        ))
+    return rows
+
+
+class TestRouteTableGrowth:
+    """A table grown step by step equals one filled in a single batch."""
+
+    @staticmethod
+    def _check(topo, mapping, sched):
+        table = lower_schedule(sched)
+        grown = CompiledRouteTable(topo)
+        stepwise = profile_table(table, topo, mapping, routes=grown)
+        nodes = np.asarray(mapping.nodes, dtype=np.intp)
+        keys = np.unique(nodes[table.src] * topo.num_nodes + nodes[table.dst])
+        batch = CompiledRouteTable(topo)
+        n = topo.num_nodes
+        batch.resolve(keys // n, keys % n)
+        filled = batch._arrays
+        assert profile_table(table, topo, mapping, routes=batch) == stepwise
+        assert batch._arrays is filled
+        assert np.array_equal(grown._arrays.keys[:-1], keys)
+        assert _pair_rows(grown, keys) == _pair_rows(batch, keys)
+        return grown
+
+    def test_lumi_global_class_appears_late(self):
+        # ranks 0-7 in group 0 and 8-15 in group 1: recursive doubling
+        # stays inside a group for three steps, then crosses
+        topo = lumi().build_topology()
+        g = topo.nodes_per_group
+        mapping = RankMap(tuple(range(8)) + tuple(range(g, g + 8)))
+        sched = build("allreduce", "recursive-doubling", 16, 16)
+        first = lower_schedule(sched)
+        early = CompiledRouteTable(topo)
+        s1 = first.step_off[1]
+        nodes = np.asarray(mapping.nodes, dtype=np.intp)
+        early.resolve(nodes[first.src[:s1]], nodes[first.dst[:s1]])
+        assert early.cls_names == [LinkClass.LOCAL]
+        assert early._arrays.hops.shape[1] == 1
+        grown = self._check(topo, mapping, sched)
+        assert set(grown.cls_names) == {LinkClass.LOCAL, LinkClass.GLOBAL}
+
+    def test_faulted_topology(self):
+        cache = ProfileCache(
+            lumi(), faults=FaultSpec.parse("links=3,nodes=2,global=0.5,seed=13")
+        )
+        for coll, name in (("allreduce", "bine-rsag"), ("allgather", "ring")):
+            sched = build(coll, name, 64, 64)
+            self._check(cache.topo, cache.mapping_for(64), sched)
+
+    def test_gpu_clique_topology(self):
+        topo = MultiRankNodes(marenostrum5().build_topology(), 4)
+        grown = self._check(
+            topo, block_mapping(64), hierarchical_allreduce_bine(16, 4, 64)
+        )
+        assert LinkClass.INTRA in grown.cls_names
+
+    def test_torus(self):
+        topo = Torus((4, 4))
+        for name in ("bine-rsag", "swing"):
+            self._check(topo, block_mapping(16), build("allreduce", name, 16, 16))
 
 
 class TestEvaluateGrid:

@@ -10,16 +10,21 @@ O(transfers²)-class regression returns.
 from __future__ import annotations
 
 import time
+from collections import Counter
+
+import numpy as np
 
 from repro.analysis.sweep import clear_memo_caches, memo_cache_sizes, sweep_system
 from repro.collectives.butterfly_collectives import allgather_butterfly
 from repro.collectives.registry import AlgorithmSpec, build
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
 from repro.core.butterfly import bine_butterfly_doubling
+from repro.model.compiled import CompiledRouteTable
 from repro.runtime.compiled import compile_plan
 from repro.runtime.executor import execute
 from repro.runtime.schedule import schedule_validation
 from repro.systems import lumi
+from repro.topology.dragonfly import Dragonfly
 from repro.topology.mapping import block_mapping
 from scalar_oracle import profile_schedule
 
@@ -127,3 +132,53 @@ def test_1024_rank_compiled_oracle_absolute_budget():
     assert elapsed < BUDGET_S, (
         f"compile+verify took {elapsed:.2f}s (budget {BUDGET_S}s)"
     )
+
+
+def test_cold_sweep_routes_each_node_pair_once(monkeypatch):
+    """A cold LUMI sweep routes each distinct node pair exactly once, and a
+    step appends its unseen pairs to the shared route table in one batch:
+    exactly that many rows, while a step whose pairs are all interned
+    leaves the table's arrays untouched.  Rebuilding the table whenever
+    it grew made cold profiling quadratic in the campaign."""
+    clear_memo_caches()
+    routed = Counter()
+    route = Dragonfly.route
+
+    def counting_route(self, a, b):
+        routed[a, b] += 1
+        return route(self, a, b)
+
+    resolves = []  # (table, a, b, unseen pairs, arrays before, after)
+    resolve = CompiledRouteTable.resolve
+
+    def watching_resolve(self, a, b):
+        before = self._arrays
+        keys = np.unique(a * self.topo.num_nodes + b)
+        unseen = np.setdiff1d(keys, before.keys).size
+        pids = resolve(self, a, b)
+        resolves.append((self, a, b, unseen, before, self._arrays))
+        return pids
+
+    monkeypatch.setattr(Dragonfly, "route", counting_route)
+    monkeypatch.setattr(CompiledRouteTable, "resolve", watching_resolve)
+    records = sweep_system(
+        lumi(), ("allreduce", "allgather"), node_counts=(16, 64, 256)
+    )
+    assert records
+    (routes,) = {r[0] for r in resolves}
+    interned = routes._arrays
+    assert set(routed.values()) == {1}
+    assert len(routed) == interned.sig.size
+    for _, _, _, unseen, before, after in resolves:
+        if unseen:
+            assert after.sig.size == before.sig.size + unseen
+        else:
+            assert after is before
+    assert {bool(r[3]) for r in resolves} == {True, False}
+
+    # re-profiling every step of the sweep appends and routes nothing
+    total = sum(routed.values())
+    for _, a, b, *_ in resolves[:]:
+        routes.resolve(a, b)
+    assert routes._arrays is interned
+    assert sum(routed.values()) == total
