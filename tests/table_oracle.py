@@ -10,9 +10,9 @@ swing allreduce build alone holds ~430 MB of segment tuples)::
 
     $ PYTHONPATH=src python tests/table_oracle.py --p 2048
 
-``--prewarmed-routes`` adds one route-table check at campaign scale: the
-p=4096 ppn=2 LUMI allreduce profiles from a route table first grown by
-the p=16...1024 cells equal those profiled on a fresh table.
+It then makes one route-table check at campaign scale: the p=4096 ppn=2
+LUMI allreduce profiles from a route table first grown by the p=16...1024
+cells must equal those profiled on a fresh table (~4 s).
 
 Exit code 0 when every (entry, p) cell matches; 1 on any mismatch.
 """
@@ -91,9 +91,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--p", type=int, action="append", required=True,
                     help="rank count to check (repeatable)")
-    ap.add_argument("--prewarmed-routes", action="store_true",
-                    help="also check p=4096 ppn=2 allreduce profiles from a "
-                         "pre-warmed route table against a fresh one")
     args = ap.parse_args(argv)
     failures = 0
     for spec in plan_backed_specs():
@@ -111,14 +108,13 @@ def main(argv=None) -> int:
                   f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
                   f"(table {rendered_s * 1e3:.1f} ms)", flush=True)
     clear_memo_caches()
-    if args.prewarmed_routes:
-        t0 = time.perf_counter()
-        bad = prewarmed_route_mismatches()
-        failures += len(bad)
-        print(f"allreduce p=4096 ppn=2 on pre-warmed routes: "
-              f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
-              f"({time.perf_counter() - t0:.1f} s)", flush=True)
-        clear_memo_caches()
+    t0 = time.perf_counter()
+    bad = prewarmed_route_mismatches()
+    failures += len(bad)
+    print(f"allreduce p=4096 ppn=2 on pre-warmed routes: "
+          f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
+          f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    clear_memo_caches()
     print(f"{failures} mismatched cell(s)")
     return 1 if failures else 0
 

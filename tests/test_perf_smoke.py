@@ -9,8 +9,10 @@ O(transfers²)-class regression returns.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -134,12 +136,43 @@ def test_1024_rank_compiled_oracle_absolute_budget():
     )
 
 
+@contextmanager
+def _route_table_python_lines():
+    """Count the Python lines run inside ``CompiledRouteTable`` methods
+    (their comprehensions included) while the block runs."""
+    count = Counter()
+
+    def line(frame, event, arg):
+        count["lines"] += event == "line"
+        return line
+
+    def call(frame, event, arg):
+        in_table = frame.f_code.co_qualname.startswith("CompiledRouteTable.")
+        return line if in_table else None
+
+    outer = sys.gettrace()
+    sys.settrace(call)
+    try:
+        yield count
+    finally:
+        sys.settrace(outer)
+
+
+#: Python lines the route table may run per interned pair or route link,
+#: per resolved step, and per all-hit re-resolve.  The cold sweep below
+#: uses under half of its budget; re-deriving every held row in Python on
+#: each append runs about three times over it
+LINES_PER_ROW, LINES_PER_STEP, LINES_PER_HIT = 8, 200, 8
+
+
 def test_cold_sweep_routes_each_node_pair_once(monkeypatch):
-    """A cold LUMI sweep routes each distinct node pair exactly once, and a
-    step appends its unseen pairs to the shared route table in one batch:
-    exactly that many rows, while a step whose pairs are all interned
-    leaves the table's arrays untouched.  Rebuilding the table whenever
-    it grew made cold profiling quadratic in the campaign."""
+    """A cold LUMI sweep routes each distinct node pair exactly once, and
+    the route table's Python work is linear in what it interns: a step
+    appends its unseen pairs in one batch without touching the rows it
+    already holds, and a step whose pairs are all interned runs no
+    per-pair Python and leaves the table's arrays untouched.  Rebuilding
+    the table whenever it grew made cold profiling quadratic in the
+    campaign."""
     clear_memo_caches()
     routed = Counter()
     route = Dragonfly.route
@@ -148,37 +181,50 @@ def test_cold_sweep_routes_each_node_pair_once(monkeypatch):
         routed[a, b] += 1
         return route(self, a, b)
 
-    resolves = []  # (table, a, b, unseen pairs, arrays before, after)
+    steps = []  # (table, a, b, pairs routed, arrays before, arrays after)
     resolve = CompiledRouteTable.resolve
 
     def watching_resolve(self, a, b):
-        before = self._arrays
-        keys = np.unique(a * self.topo.num_nodes + b)
-        unseen = np.setdiff1d(keys, before.keys).size
+        before, n_routed = self._arrays, len(routed)
         pids = resolve(self, a, b)
-        resolves.append((self, a, b, unseen, before, self._arrays))
+        steps.append((self, a, b, len(routed) - n_routed, before, self._arrays))
         return pids
 
     monkeypatch.setattr(Dragonfly, "route", counting_route)
     monkeypatch.setattr(CompiledRouteTable, "resolve", watching_resolve)
-    records = sweep_system(
-        lumi(), ("allreduce", "allgather"), node_counts=(16, 64, 256)
-    )
+    with _route_table_python_lines() as cold:
+        records = sweep_system(
+            lumi(), ("allreduce", "allgather"), node_counts=(16, 64, 256)
+        )
     assert records
-    (routes,) = {r[0] for r in resolves}
+    (routes,) = {s[0] for s in steps}
     interned = routes._arrays
     assert set(routed.values()) == {1}
     assert len(routed) == interned.sig.size
-    for _, _, _, unseen, before, after in resolves:
-        if unseen:
-            assert after.sig.size == before.sig.size + unseen
-        else:
+    assert {bool(s[3]) for s in steps} == {True, False}
+    rows = interned.sig.size + interned.link.size
+    assert cold["lines"] <= LINES_PER_ROW * rows + LINES_PER_STEP * len(steps), (
+        f"{cold['lines']} route-table lines for {rows} interned rows "
+        f"over {len(steps)} steps"
+    )
+    for _, _, _, new, before, after in steps:
+        if not new:
             assert after is before
-    assert {bool(r[3]) for r in resolves} == {True, False}
+            continue
+        assert after.sig.size == before.sig.size + new
+        for col in ("off", "link", "width", "cls", "sig", "nic"):
+            old = getattr(before, col)
+            assert np.array_equal(getattr(after, col)[: old.size], old), col
+        old_hops = before.hops
+        assert np.array_equal(
+            after.hops[: old_hops.shape[0], : old_hops.shape[1]], old_hops
+        )
+        assert not after.hops[: old_hops.shape[0], old_hops.shape[1]:].any()
 
-    # re-profiling every step of the sweep appends and routes nothing
-    total = sum(routed.values())
-    for _, a, b, *_ in resolves[:]:
-        routes.resolve(a, b)
+    # re-resolving every step of the sweep routes, appends and loops nothing
+    with _route_table_python_lines() as hot:
+        for _, a, b, *_ in steps:
+            resolve(routes, a, b)
     assert routes._arrays is interned
-    assert sum(routed.values()) == total
+    assert sum(routed.values()) == len(routed)
+    assert hot["lines"] <= LINES_PER_HIT * len(steps)
