@@ -14,11 +14,19 @@ baseline, which this captures; exact send ordering internals differ.)
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.blocks import CircularRange, Partition
+from repro.collectives.butterfly_collectives import step_table
 from repro.collectives.common import VEC
 from repro.runtime.schedule import Schedule, Step, Transfer
 
-__all__ = ["allgather_bruck", "allgather_sparbit"]
+__all__ = [
+    "allgather_bruck",
+    "allgather_sparbit",
+    "allgather_bruck_table",
+    "allgather_sparbit_table",
+]
 
 
 def _rounds(p: int):
@@ -30,11 +38,16 @@ def _rounds(p: int):
         h += c
 
 
+def _meta(p: int, n: int, name: str) -> dict:
+    """Schedule meta of either allgather; rejects ``p < 1``."""
+    if p < 1:
+        raise ValueError("p must be positive")
+    return {"collective": "allgather", "algorithm": name, "p": p, "n": n}
+
+
 def _build(p: int, n: int, name: str, per_block: bool) -> Schedule:
+    sched = Schedule(p, meta=_meta(p, n, name))
     part = Partition(n, p)
-    sched = Schedule(
-        p, meta={"collective": "allgather", "algorithm": name, "p": p, "n": n}
-    )
     for k, (h, c) in enumerate(_rounds(p)):
         transfers = []
         for r in range(p):
@@ -56,15 +69,33 @@ def _build(p: int, n: int, name: str, per_block: bool) -> Schedule:
     return sched.finalize()
 
 
+def _table(p: int, name: str, per_block: bool):
+    """The sweep table of :func:`_build` at ``n = p``: round ``(h, c)`` pulls
+    ``c`` elements from ``(r + h) mod p``, in two segments where the range
+    wraps (Bruck) or in ``c`` (Sparbit)."""
+    meta, ranks = _meta(p, p, name), np.arange(p)
+    steps = []
+    for h, c in _rounds(p):
+        src = (ranks + h) % p
+        steps.append((src, ranks, c, c if per_block else 1 + (src + c > p), False))
+    return step_table(meta, steps)
+
+
 def allgather_bruck(p: int, n: int) -> Schedule:
     """Bruck allgather (any ``p``): ⌈log2 p⌉ rounds, ≤ 2 segments per send."""
-    if p < 1:
-        raise ValueError("p must be positive")
     return _build(p, n, "bruck", per_block=False)
 
 
 def allgather_sparbit(p: int, n: int) -> Schedule:
     """Sparbit-like allgather: Bruck rounds with per-block (scattered) sends."""
-    if p < 1:
-        raise ValueError("p must be positive")
     return _build(p, n, "sparbit", per_block=True)
+
+
+def allgather_bruck_table(p: int):
+    """The sweep table of :func:`allgather_bruck` at ``n = p``."""
+    return _table(p, "bruck", per_block=False)
+
+
+def allgather_sparbit_table(p: int):
+    """The sweep table of :func:`allgather_sparbit` at ``n = p``."""
+    return _table(p, "sparbit", per_block=True)

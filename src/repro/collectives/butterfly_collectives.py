@@ -40,7 +40,7 @@ op, buffer, local-op rows).  Two renderings consume it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +80,8 @@ __all__ = [
     "allreduce_rsag_flow",
     "render_schedule",
     "render_table",
+    "step_table",
+    "concat_tables",
     "rs_butterfly_for",
     "RS_FLAVORS",
 ]
@@ -499,20 +501,68 @@ def _offsets(rows) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(rows))).astype(np.intp)
 
 
+def step_table(meta: dict, steps, local_whole=None):
+    """The :class:`~repro.model.compiled.TransferTable` at ``n = p`` of
+    per-step rank arrays.
+
+    ``steps[i]`` is step ``i`` as ``(src, dst, nelems, num_segments,
+    has_op)``: two rank arrays, then values broadcast over its transfers.
+    ``local_whole[i]`` lists step ``i``'s local copies, pre then post, each
+    one per rank of the whole vector when true, else of one block (default:
+    no local copies).
+    """
+    from repro.model.compiled import TransferTable  # keeps registry imports light
+
+    p = meta["p"]
+    rows = [st[0].size for st in steps]
+    local_whole = [()] * len(steps) if local_whole is None else local_whole
+    whole = [w for step_locals in local_whole for w in step_locals]
+
+    def column(k: int, dtype) -> np.ndarray:
+        return _column([np.broadcast_to(st[k], m) for st, m in zip(steps, rows)], dtype)
+
+    return TransferTable(
+        p=p,
+        n_build=p,
+        meta=dict(meta),
+        step_off=_offsets(rows),
+        src=column(0, np.intp),
+        dst=column(1, np.intp),
+        nelems=column(2, np.int64),
+        num_segments=column(3, np.int64),
+        has_op=column(4, bool),
+        local_off=_offsets([p * len(step_locals) for step_locals in local_whole]),
+        local_rank=np.tile(np.arange(p, dtype=np.intp), len(whole)),
+        local_nelems=np.repeat(np.where(whole, p, 1).astype(np.int64), p),
+        local_has_op=np.zeros(p * len(whole), dtype=bool),
+    )
+
+
+def concat_tables(meta: dict, *tables):
+    """One table running ``tables`` back to back, as a composed schedule
+    runs its phases: the lowering of the concatenated schedules."""
+    columns = {}
+    for f in fields(tables[0]):
+        parts = [getattr(t, f.name) for t in tables]
+        if f.name.endswith("_off"):
+            columns[f.name] = _offsets(_column(map(np.diff, parts), np.intp))
+        elif isinstance(parts[0], np.ndarray):
+            columns[f.name] = _column(parts, parts[0].dtype)
+    return replace(tables[0], meta=dict(meta), **columns)
+
+
 def render_table(flow: Flow):
     """The profiler's :class:`~repro.model.compiled.TransferTable` for ``flow``.
 
     Renders at the canonical build size ``n = p`` only; equal to
     ``lower_schedule(render_schedule(flow))`` in every column.
     """
-    from repro.model.compiled import TransferTable  # keeps registry imports light
-
-    bf, p, steps = flow.bf, flow.bf.p, flow.steps
+    bf, p = flow.bf, flow.bf.p
     if flow.n != p:
         raise ValueError(f"tables render at n = p (got n={flow.n}, p={p})")
     runs = None
-    sizes, counts, locals_ = [], [], []
-    for st in steps:
+    steps = []
+    for st in flow.steps:
         if st.resp_step is None:  # one block
             size, count = 1, 1
         elif st.resp_step == 0:  # the whole vector
@@ -520,25 +570,10 @@ def render_table(flow: Flow):
         else:
             runs = runs or _run_counts(bf, flow.strategy)
             size, count = p >> st.resp_step, runs(st.resp_step, st.owner)
-        sizes.append(np.full(st.src.size, size))
-        counts.append(np.broadcast_to(count, st.src.size))
-        locals_.append([lc.whole for lc in (st.pre, st.post) if lc is not None])
-    whole = [w for step_locals in locals_ for w in step_locals]
-    return TransferTable(
-        p=p,
-        n_build=p,
-        meta=dict(flow.meta),
-        step_off=_offsets([st.src.size for st in steps]),
-        src=_column([st.src for st in steps], np.intp),
-        dst=_column([st.dst for st in steps], np.intp),
-        nelems=_column(sizes, np.int64),
-        num_segments=_column(counts, np.int64),
-        has_op=_column([np.full(st.src.size, st.op is not None) for st in steps], bool),
-        local_off=_offsets([p * len(step_locals) for step_locals in locals_]),
-        local_rank=np.tile(np.arange(p, dtype=np.intp), len(whole)),
-        local_nelems=np.repeat(np.where(whole, p, 1).astype(np.int64), p),
-        local_has_op=np.zeros(p * len(whole), dtype=bool),
-    )
+        steps.append((st.src, st.dst, size, count, st.op is not None))
+    return step_table(flow.meta, steps, [
+        [lc.whole for lc in (st.pre, st.post) if lc is not None] for st in flow.steps
+    ])
 
 
 # -- the public builders -----------------------------------------------------

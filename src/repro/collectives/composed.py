@@ -12,6 +12,10 @@
   sends (for root 0; other roots are correct but may need extra segments).
 * **hierarchical allreduce** (Sec. 6.2) — intra-node reduce-scatter →
   inter-node Bine allreduce per GPU slice → intra-node allgather.
+
+The large bcast/reduce are ``(meta, parts)`` plans, each part a tree
+:class:`Schedule` or a butterfly :class:`Flow`: :func:`composed_table`
+concatenates their sweep tables without building the butterfly half.
 """
 
 from __future__ import annotations
@@ -28,9 +32,13 @@ from repro.core.butterfly import (
 from repro.core.coverage import segments_of
 from repro.core.tree import Tree
 from repro.collectives.butterfly_collectives import (
-    allgather_butterfly,
+    Flow,
+    allgather_flow,
     allreduce_reduce_scatter_allgather,
-    reduce_scatter_butterfly,
+    concat_tables,
+    reduce_scatter_flow,
+    render_schedule,
+    render_table,
 )
 from repro.collectives.common import (
     Strategy,
@@ -47,20 +55,40 @@ __all__ = [
     "bcast_scatter_allgather_bine",
     "reduce_rsag_rabenseifner",
     "reduce_rsag_bine",
+    "bcast_scatter_allgather_binomial_plan",
+    "bcast_scatter_allgather_bine_plan",
+    "reduce_rsag_rabenseifner_plan",
+    "reduce_rsag_bine_plan",
+    "composed_schedule",
+    "composed_table",
     "hierarchical_allreduce_bine",
     "remap_schedule",
 ]
 
 
-def _concat(meta: dict, *parts: Schedule) -> Schedule:
-    p = parts[0].p
-    sched = Schedule(p, meta=meta)
+def composed_schedule(plan) -> Schedule:
+    """The executor's :class:`Schedule` of a ``(meta, parts)`` plan."""
+    meta, parts = plan
+    sched = Schedule(meta["p"], meta=meta)
     for part in parts:
-        sched.steps.extend(part.steps)
+        sched.steps.extend(
+            (render_schedule(part) if isinstance(part, Flow) else part).steps
+        )
     return sched.finalize()
 
 
-def bcast_scatter_allgather_binomial(p: int, n: int, root: int = 0) -> Schedule:
+def composed_table(plan):
+    """The sweep's transfer table of a ``(meta, parts)`` plan at ``n = p``."""
+    from repro.model.compiled import lower_schedule  # keeps registry imports light
+
+    meta, parts = plan
+    return concat_tables(meta, *(
+        render_table(part) if isinstance(part, Flow) else lower_schedule(part)
+        for part in parts
+    ))
+
+
+def bcast_scatter_allgather_binomial_plan(p: int, n: int, root: int = 0):
     """MPICH-style large broadcast: binomial-dh scatter + recursive-doubling AG.
 
     The paper's Fig. 1 / Sec. 5.1.1 baseline whose allgather phase floods
@@ -68,12 +96,11 @@ def bcast_scatter_allgather_binomial(p: int, n: int, root: int = 0) -> Schedule:
     """
     require_pow2(p, "scatter+allgather broadcast")
     tree = binomial_tree_distance_halving(p, root)
-    scatter = scatter_from_tree(tree, n)
-    ag = allgather_butterfly(recursive_halving_butterfly(p), n, Strategy.NATURAL)
-    return _concat(
+    return (
         {"collective": "bcast", "algorithm": "scatter-allgather-binomial",
          "p": p, "n": n, "root": root},
-        scatter, ag,
+        (scatter_from_tree(tree, n),
+         allgather_flow(recursive_halving_butterfly(p), n, Strategy.NATURAL)),
     )
 
 
@@ -110,7 +137,7 @@ def _pi_tree_scatter(tree: Tree, n: int) -> Schedule:
     return sched.finalize()
 
 
-def bcast_scatter_allgather_bine(p: int, n: int, root: int = 0) -> Schedule:
+def bcast_scatter_allgather_bine_plan(p: int, n: int, root: int = 0):
     """Bine large broadcast: dd-tree π scatter + dh butterfly allgather (Sec. 4.5).
 
     No local permutes anywhere: the scatter distributes π windows and the
@@ -118,28 +145,23 @@ def bcast_scatter_allgather_bine(p: int, n: int, root: int = 0) -> Schedule:
     """
     require_pow2(p, "bine large broadcast")
     tree = bine_tree_distance_doubling(p, root)
-    scatter = _pi_tree_scatter(tree, n)
-    ag = allgather_butterfly(
-        bine_butterfly_doubling(p), n, Strategy.SEND, initial_exchange=False
-    )
-    return _concat(
+    return (
         {"collective": "bcast", "algorithm": "scatter-allgather-bine",
          "p": p, "n": n, "root": root},
-        scatter, ag,
+        (_pi_tree_scatter(tree, n),
+         allgather_flow(bine_butterfly_doubling(p), n, Strategy.SEND,
+                        initial_exchange=False)),
     )
 
 
-def reduce_rsag_rabenseifner(p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
+def reduce_rsag_rabenseifner_plan(p: int, n: int, root: int = 0, op: str = "sum"):
     """Rabenseifner reduce: recursive-halving RS + binomial gather to root."""
     require_pow2(p, "Rabenseifner reduce")
-    rs = reduce_scatter_butterfly(
-        recursive_halving_butterfly(p), n, op, Strategy.NATURAL
-    )
-    gather = gather_from_tree(binomial_tree_distance_halving(p, root), n)
-    return _concat(
+    return (
         {"collective": "reduce", "algorithm": "rabenseifner",
          "p": p, "n": n, "root": root, "op": op},
-        rs, gather,
+        (reduce_scatter_flow(recursive_halving_butterfly(p), n, op, Strategy.NATURAL),
+         gather_from_tree(binomial_tree_distance_halving(p, root), n)),
     )
 
 
@@ -170,7 +192,7 @@ def _pi_tree_gather(tree: Tree, n: int) -> Schedule:
     return sched.finalize()
 
 
-def reduce_rsag_bine(p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
+def reduce_rsag_bine_plan(p: int, n: int, root: int = 0, op: str = "sum"):
     """Bine large reduce: dd-butterfly RS (send) + reversed dd-tree gather.
 
     After the send-mode reduce-scatter rank ``r`` holds reduced block π(r) at
@@ -179,15 +201,33 @@ def reduce_rsag_bine(p: int, n: int, root: int = 0, op: str = "sum") -> Schedule
     the block permutation done by the reduce-scatter" (Sec. 4.5).
     """
     require_pow2(p, "bine large reduce")
-    rs = reduce_scatter_butterfly(
-        bine_butterfly_doubling(p), n, op, Strategy.SEND, fixup=False
-    )
-    gather = _pi_tree_gather(bine_tree_distance_doubling(p, root), n)
-    return _concat(
+    return (
         {"collective": "reduce", "algorithm": "rsag-bine",
          "p": p, "n": n, "root": root, "op": op},
-        rs, gather,
+        (reduce_scatter_flow(bine_butterfly_doubling(p), n, op, Strategy.SEND,
+                             fixup=False),
+         _pi_tree_gather(bine_tree_distance_doubling(p, root), n)),
     )
+
+
+def bcast_scatter_allgather_binomial(p: int, n: int, root: int = 0) -> Schedule:
+    """Schedule of :func:`bcast_scatter_allgather_binomial_plan`."""
+    return composed_schedule(bcast_scatter_allgather_binomial_plan(p, n, root))
+
+
+def bcast_scatter_allgather_bine(p: int, n: int, root: int = 0) -> Schedule:
+    """Schedule of :func:`bcast_scatter_allgather_bine_plan`."""
+    return composed_schedule(bcast_scatter_allgather_bine_plan(p, n, root))
+
+
+def reduce_rsag_rabenseifner(p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
+    """Schedule of :func:`reduce_rsag_rabenseifner_plan`."""
+    return composed_schedule(reduce_rsag_rabenseifner_plan(p, n, root, op))
+
+
+def reduce_rsag_bine(p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
+    """Schedule of :func:`reduce_rsag_bine_plan`."""
+    return composed_schedule(reduce_rsag_bine_plan(p, n, root, op))
 
 
 def remap_schedule(sched: Schedule, rank_map, elem_offset: int) -> Schedule:

@@ -30,8 +30,9 @@ from repro.core.butterfly import (
     swing_butterfly,
 )
 from repro.collectives import alltoall as a2a
+from repro.collectives import bruck_allgather as bruck
+from repro.collectives import composed
 from repro.collectives import ring as ringmod
-from repro.collectives.bruck_allgather import allgather_bruck, allgather_sparbit
 from repro.collectives.butterfly_collectives import (
     allgather_flow,
     allreduce_recursive_flow,
@@ -41,12 +42,6 @@ from repro.collectives.butterfly_collectives import (
     render_table,
 )
 from repro.collectives.common import Strategy
-from repro.collectives.composed import (
-    bcast_scatter_allgather_bine,
-    bcast_scatter_allgather_binomial,
-    reduce_rsag_bine,
-    reduce_rsag_rabenseifner,
-)
 from repro.collectives.tree_collectives import (
     bcast_from_tree,
     gather_from_tree,
@@ -90,8 +85,10 @@ class AlgorithmSpec:
     #: optional sweep cap: schedules with Θ(p²) wire segments (per-block
     #: strategies) are skipped above this rank count
     max_p: int | None = None
-    #: ``table(p)`` renders the sweep's TransferTable at ``n = p`` without
-    #: building the schedule (butterfly flows); ``None``: build and lower
+    #: ``table(p)`` renders the sweep's TransferTable at ``n = p`` from the
+    #: entry's plan without building its schedule (butterfly flows, Bruck,
+    #: Sparbit, rings, and the composed bcast/reduce, whose tree half is
+    #: still lowered); ``None``: build and lower (trees, linear, alltoall)
     table: Callable[[int], object] | None = None
 
     def build(self, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
@@ -131,6 +128,16 @@ def _register_flow(collective: str, name: str, family: str, flow, **kw) -> None:
         collective, name, family,
         lambda p, n, root, op: render_schedule(flow(p, n, op)),
         table=lambda p: render_table(flow(p, p, "sum")),
+        **kw,
+    ))
+
+
+def _register_plan(collective: str, name: str, family: str, plan, **kw) -> None:
+    """Register a composed entry: ``plan(p, n, root, op)`` renders both ways."""
+    _register(AlgorithmSpec(
+        collective, name, family,
+        lambda p, n, root, op: composed.composed_schedule(plan(p, n, root, op)),
+        table=lambda p: composed.composed_table(plan(p, p, 0, "sum")),
         **kw,
     ))
 
@@ -219,17 +226,17 @@ _register(AlgorithmSpec(
     lambda p, n, root, op: bcast_from_tree(bine_tree_distance_halving(p, root), n),
     description="Bine distance-halving tree broadcast (Listing 1)",
 ))
-_register(AlgorithmSpec(
+_register_plan(
     "bcast", "scatter-allgather", "binomial",
-    lambda p, n, root, op: bcast_scatter_allgather_binomial(p, n, root),
+    lambda p, n, root, op: composed.bcast_scatter_allgather_binomial_plan(p, n, root),
     description="MPICH large-vector broadcast: binomial scatter + recdoub allgather",
-))
-_register(AlgorithmSpec(
+)
+_register_plan(
     "bcast", "bine-scatter-allgather", "bine",
-    lambda p, n, root, op: bcast_scatter_allgather_bine(p, n, root),
+    lambda p, n, root, op: composed.bcast_scatter_allgather_bine_plan(p, n, root),
     needs_divisible=True,
     description="Bine large-vector broadcast: dd-tree π scatter + dh butterfly allgather",
-))
+)
 
 # --------------------------------------------------------------------------
 # reduce
@@ -249,17 +256,15 @@ _register(AlgorithmSpec(
     lambda p, n, root, op: reduce_from_tree(bine_tree_distance_halving(p, root), n, op),
     description="Bine distance-halving tree reduce (small vectors)",
 ))
-_register(AlgorithmSpec(
-    "reduce", "rabenseifner", "binomial",
-    lambda p, n, root, op: reduce_rsag_rabenseifner(p, n, root, op),
+_register_plan(
+    "reduce", "rabenseifner", "binomial", composed.reduce_rsag_rabenseifner_plan,
     description="reduce-scatter + binomial gather (the standard butterfly large reduce)",
-))
-_register(AlgorithmSpec(
-    "reduce", "bine-rsag", "bine",
-    lambda p, n, root, op: reduce_rsag_bine(p, n, root, op),
+)
+_register_plan(
+    "reduce", "bine-rsag", "bine", composed.reduce_rsag_bine_plan,
     needs_divisible=True,
     description="Bine large reduce: dd butterfly RS (send) + reversed dd-tree gather",
-))
+)
 
 # --------------------------------------------------------------------------
 # gather / scatter
@@ -308,19 +313,19 @@ _register_flow(
 _register(AlgorithmSpec(
     "allgather", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_allgather(p, n),
-    pow2_only=False,
+    pow2_only=False, table=ringmod.ring_allgather_table,
     description="ring allgather",
 ))
 _register(AlgorithmSpec(
     "allgather", "bruck", "bruck",
-    lambda p, n, root, op: allgather_bruck(p, n),
-    pow2_only=False,
+    lambda p, n, root, op: bruck.allgather_bruck(p, n),
+    pow2_only=False, table=bruck.allgather_bruck_table,
     description="Bruck allgather",
 ))
 _register(AlgorithmSpec(
     "allgather", "sparbit", "sota",
-    lambda p, n, root, op: allgather_sparbit(p, n),
-    pow2_only=False, max_p=512,
+    lambda p, n, root, op: bruck.allgather_sparbit(p, n),
+    pow2_only=False, max_p=512, table=bruck.allgather_sparbit_table,
     description="sparbit-like allgather (log steps, per-block sends)",
 ))
 _register_flow(
@@ -359,7 +364,7 @@ _register_flow(
 _register(AlgorithmSpec(
     "reduce_scatter", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_reduce_scatter(p, n, op),
-    pow2_only=False,
+    pow2_only=False, table=ringmod.ring_reduce_scatter_table,
     description="ring reduce-scatter",
 ))
 _register_flow(
@@ -398,7 +403,7 @@ _register_flow(
 _register(AlgorithmSpec(
     "allreduce", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_allreduce(p, n, op),
-    pow2_only=False,
+    pow2_only=False, table=ringmod.ring_allreduce_table,
     description="ring allreduce (RS + AG)",
 ))
 _register_flow(

@@ -10,7 +10,10 @@ ones at small scale" effect (Sec. 5.3.2).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.blocks import Partition
+from repro.collectives.butterfly_collectives import step_table
 from repro.collectives.common import VEC
 from repro.runtime.schedule import Schedule, Step, Transfer
 
@@ -18,6 +21,9 @@ __all__ = [
     "ring_reduce_scatter",
     "ring_allgather",
     "ring_allreduce",
+    "ring_reduce_scatter_table",
+    "ring_allgather_table",
+    "ring_allreduce_table",
     "linear_gather",
     "linear_scatter",
 ]
@@ -27,6 +33,19 @@ def _seg(part: Partition, block: int):
     return (part.bounds(block),)
 
 
+def _meta(collective: str, p: int, n: int, **extra) -> dict:
+    """Schedule meta of a ring; rejects ``p < 2``."""
+    if p < 2:
+        raise ValueError("ring needs p >= 2")
+    return {"collective": collective, "algorithm": "ring", "p": p, "n": n, **extra}
+
+
+def _steps(p: int, has_op: bool) -> list:
+    """The ``p − 1`` identical ``r → r + 1`` table steps of one ring pass."""
+    ranks = np.arange(p)
+    return [(ranks, (ranks + 1) % p, 1, 1, has_op)] * (p - 1)
+
+
 def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:
     """Ring reduce-scatter: rank ``r`` ends holding reduced block ``r``.
 
@@ -34,12 +53,8 @@ def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:
     ``(r − 1 − k) mod p`` to ``r + 1`` and reduces the incoming partial of
     block ``(r − 2 − k) mod p``.
     """
-    if p < 2:
-        raise ValueError("ring needs p >= 2")
+    sched = Schedule(p, meta=_meta("reduce_scatter", p, n, op=op))
     part = Partition(n, p)
-    sched = Schedule(
-        p, meta={"collective": "reduce_scatter", "algorithm": "ring", "p": p, "n": n, "op": op}
-    )
     for k in range(p - 1):
         transfers = []
         for r in range(p):
@@ -57,12 +72,8 @@ def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:
 
 def ring_allgather(p: int, n: int) -> Schedule:
     """Ring allgather: each rank starts with block ``r``, ends with all."""
-    if p < 2:
-        raise ValueError("ring needs p >= 2")
+    sched = Schedule(p, meta=_meta("allgather", p, n))
     part = Partition(n, p)
-    sched = Schedule(
-        p, meta={"collective": "allgather", "algorithm": "ring", "p": p, "n": n}
-    )
     for k in range(p - 1):
         transfers = []
         for r in range(p):
@@ -82,16 +93,26 @@ def ring_allreduce(p: int, n: int, op: str = "sum") -> Schedule:
     """Ring allreduce = ring reduce-scatter + ring allgather (NCCL-style)."""
     rs = ring_reduce_scatter(p, n, op)
     ag = ring_allgather(p, n)
-    sched = Schedule(
-        p,
-        meta={
-            "collective": "allreduce", "algorithm": "ring", "p": p, "n": n, "op": op,
-            # Rings inherently pipeline fine-grained chunks (Sec. 5.2.2).
-            "segmented": True,
-        },
-    )
+    # Rings inherently pipeline fine-grained chunks (Sec. 5.2.2).
+    sched = Schedule(p, meta=_meta("allreduce", p, n, op=op, segmented=True))
     sched.steps = list(rs.steps) + list(ag.steps)
     return sched.finalize()
+
+
+def ring_reduce_scatter_table(p: int, op: str = "sum"):
+    """The sweep table of :func:`ring_reduce_scatter` at ``n = p``."""
+    return step_table(_meta("reduce_scatter", p, p, op=op), _steps(p, True))
+
+
+def ring_allgather_table(p: int):
+    """The sweep table of :func:`ring_allgather` at ``n = p``."""
+    return step_table(_meta("allgather", p, p), _steps(p, False))
+
+
+def ring_allreduce_table(p: int, op: str = "sum"):
+    """The sweep table of :func:`ring_allreduce` at ``n = p``."""
+    meta = _meta("allreduce", p, p, op=op, segmented=True)
+    return step_table(meta, _steps(p, True) + _steps(p, False))
 
 
 def linear_gather(p: int, n: int, root: int = 0) -> Schedule:

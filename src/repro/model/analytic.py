@@ -1,10 +1,13 @@
 """Fast analytic profiles for linear-step algorithms at large rank counts.
 
-Ring, pairwise-alltoall, Bruck-alltoall and Bine-alltoall build ``Θ(p²)`` or
-``Θ(p² log p)`` explicit schedules — exact but needlessly slow when only the
-*cost profile* is needed for a sweep at ``p`` in the hundreds or thousands.
-These builders produce the same :class:`~repro.model.simulator.StepProfile`
-aggregates directly from the algorithms' regular structure:
+Ring, pairwise-alltoall, Bruck-alltoall and Bine-alltoall move ``Θ(p²)``
+or ``Θ(p² log p)`` transfers.  The rings render their exact transfer
+tables from rank arrays without building a schedule (``spec.table``, up
+to ``ANALYTIC_THRESHOLD`` ranks), but profiling every transfer is still
+needlessly slow when only the *cost profile* is needed for a sweep at
+``p`` in the hundreds or thousands.  These builders produce the same
+:class:`~repro.model.simulator.StepProfile` aggregates directly from the
+algorithms' regular structure:
 
 * **ring**: every step is the same neighbour matching carrying one block —
   profile one step, replicate ``p − 1`` times (exact);

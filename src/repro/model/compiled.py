@@ -171,11 +171,13 @@ _TABLE_CACHE = Memo("compiled._TABLE_CACHE", maxsize=512, counter="table")
 def transfer_table_for(spec, p: int) -> TransferTable | None:
     """Cached :class:`TransferTable` for one ``(collective, algorithm, p)``.
 
-    Butterfly entries render the table straight from their flow
-    (``spec.table``, no schedule and no segment tuples); every other entry
-    builds the schedule at the canonical size ``n = p`` with validation off
-    (the sweep's contract: it rebuilds schedules the test suite already
-    validates) and lowers it once.  ``None`` when the entry rejects ``p``.
+    Entries with a plan render the table straight from it (``spec.table``:
+    the butterflies, Bruck, Sparbit, the rings and the composed
+    bcast/reduce, whose tree half alone is built and lowered); the tree,
+    linear and alltoall entries build the schedule at the canonical size
+    ``n = p`` and lower it once.  Either way schedule validation is off
+    (the sweep's contract: it renders schedules the test suite already
+    validates).  ``None`` when the entry rejects ``p``.
     The table is topology- and mapping-independent, so every system /
     placement / seed of a campaign shares one entry.  Eviction is FIFO at
     512 entries; :func:`repro.runtime.memo.clear_memo_caches` drops
@@ -185,11 +187,12 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
     def render() -> TransferTable | None:
         cell = {"collective": spec.collective, "algorithm": spec.name, "p": p}
         try:
-            if spec.table is not None:
-                with obs.span("schedule.table", **cell):
-                    return spec.table(p)
-            with obs.span("schedule.build", **cell), schedule_validation(False):
-                schedule = spec.build(p, p)
+            with schedule_validation(False):
+                if spec.table is not None:
+                    with obs.span("schedule.table", **cell):
+                        return spec.table(p)
+                with obs.span("schedule.build", **cell):
+                    schedule = spec.build(p, p)
         except ValueError:
             return None
         with obs.span("lower.schedule", **cell):

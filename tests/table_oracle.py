@@ -1,14 +1,18 @@
-"""Table oracle: butterfly sweep tables equal their lowered schedules.
+"""Table oracle: plan-backed sweep tables equal their lowered schedules.
 
-Every registry entry with a flow-backed table (``spec.table``) renders its
-sweep :class:`~repro.model.compiled.TransferTable` straight from
-closed-form set sizes and run counts.  The oracle is the path it replaces:
-build the full schedule at ``n = p`` and lower it.  The tier-1 suite
-checks up to p=1024 (``tests/test_butterfly_tables.py``); this script
-runs the same comparison at larger p, too heavy for tier-1 (the p=2048
-swing allreduce build alone holds ~430 MB of segment tuples)::
+Every registry entry with a plan-backed table (``spec.table``: the
+butterfly flows, Bruck, Sparbit, the rings and the composed bcast/reduce)
+renders its sweep :class:`~repro.model.compiled.TransferTable` from rank
+arrays, without building its schedule.  The oracle is the path it
+replaces: build the full schedule at ``n = p`` and lower it.  Only cells a
+sweep renders are compared (:func:`unswept` names the others, which are
+printed as skipped): above ``ANALYTIC_THRESHOLD`` ranks the rings profile
+analytically, and no sweep exceeds an entry's ``max_p``.  The tier-1
+suite checks up to p=1024 (``tests/test_plan_backed_tables.py``); this
+script runs the same comparison at larger p, too heavy for tier-1 (the
+p=2048 swing allreduce build alone holds ~430 MB of segment tuples)::
 
-    $ PYTHONPATH=src python tests/table_oracle.py --p 2048
+    $ PYTHONPATH=src python tests/table_oracle.py --p 2048 --p 1500
 
 It then makes one route-table check at campaign scale: the p=4096 ppn=2
 LUMI allreduce profiles from a route table first grown by the p=16...1024
@@ -27,6 +31,7 @@ import numpy as np
 
 from repro.analysis.sweep import ProfileCache
 from repro.collectives.registry import AlgorithmSpec, iter_specs
+from repro.model.analytic import ANALYTIC_THRESHOLD, analytic_builder
 from repro.model.compiled import TransferTable, lower_schedule
 from repro.runtime.memo import clear_memo_caches
 from repro.runtime.schedule import schedule_validation
@@ -40,8 +45,17 @@ COLUMNS = (
 
 
 def plan_backed_specs() -> list[AlgorithmSpec]:
-    """Registry entries whose sweep table renders from a butterfly flow."""
+    """Registry entries whose sweep table renders from a plan."""
     return [spec for spec in iter_specs() if spec.table is not None]
+
+
+def unswept(spec: AlgorithmSpec, p: int) -> str | None:
+    """Why no sweep renders ``spec``'s table at ``p``; ``None`` if one does."""
+    if analytic_builder(spec, p) is not None:
+        return f"profiled analytically above {ANALYTIC_THRESHOLD} ranks"
+    if spec.max_p is not None and p > spec.max_p:
+        return f"sweeps cap p at {spec.max_p}"
+    return None
 
 
 def oracle_table(spec: AlgorithmSpec, p: int) -> TransferTable | None:
@@ -95,6 +109,10 @@ def main(argv=None) -> int:
     failures = 0
     for spec in plan_backed_specs():
         for p in args.p:
+            skip = unswept(spec, p)
+            if skip:
+                print(f"{spec.collective}/{spec.name} p={p}: skipped ({skip})")
+                continue
             clear_memo_caches()  # one cell's segment tuples at a time
             t0 = time.perf_counter()
             try:

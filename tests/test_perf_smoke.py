@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis.sweep import clear_memo_caches, memo_cache_sizes, sweep_system
 from repro.collectives.butterfly_collectives import allgather_butterfly
-from repro.collectives.registry import AlgorithmSpec, build
+from repro.collectives.registry import COLLECTIVES, AlgorithmSpec, build
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
 from repro.core.butterfly import bine_butterfly_doubling
 from repro.model.compiled import CompiledRouteTable
@@ -119,6 +119,40 @@ def test_butterfly_sweep_cell_builds_no_schedule(monkeypatch):
     )
     assert records and all(r.algorithm == "swing" for r in records)
     assert builds == []
+    assert memo_cache_sizes()["butterfly_collectives._SEG_CACHE"] == 0
+
+
+#: the entries a sweep still builds schedules for: the trees and linear
+#: algorithms (alltoall profiles analytically; every other entry has a plan)
+TREE_AND_LINEAR = {
+    (collective, name)
+    for collective in ("bcast", "reduce")
+    for name in ("binomial-dd", "binomial-dh", "bine")
+} | {
+    (collective, name)
+    for collective in ("gather", "scatter")
+    for name in ("binomial", "bine", "linear")
+}
+
+
+def test_table3_sweep_builds_only_tree_and_linear_schedules(monkeypatch):
+    """A cold LUMI Table-3 sweep (8 collectives, p = 16/64/256) calls
+    ``AlgorithmSpec.build`` once per rank count for each tree and linear
+    entry and never otherwise: Bruck, Sparbit, the rings and the composed
+    bcast/reduce render their tables from plans.  No segment tuple is
+    cached either (the composed builders used to fill the cache)."""
+    clear_memo_caches()
+    builds = Counter()
+    original = AlgorithmSpec.build
+
+    def counting_build(self, *args, **kwargs):
+        builds[self.collective, self.name] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgorithmSpec, "build", counting_build)
+    records = sweep_system(lumi(), COLLECTIVES, node_counts=(16, 64, 256))
+    assert {r.collective for r in records} == set(COLLECTIVES)
+    assert builds == {entry: 3 for entry in TREE_AND_LINEAR}
     assert memo_cache_sizes()["butterfly_collectives._SEG_CACHE"] == 0
 
 

@@ -1,15 +1,17 @@
-"""Butterfly flows render sweep tables directly, equal to lowered schedules.
+"""Plan-backed entries render sweep tables directly, equal to lowered schedules.
 
-The sweep profiles butterfly entries from ``spec.table(p)``, which emits
-TransferTable columns from closed-form set sizes and run counts.  Its
-oracle is the slow path: ``lower_schedule(spec.build(p, p))``.  Larger p
-runs from ``tests/table_oracle.py``.
+The sweep profiles the butterflies, Bruck, Sparbit, the rings and the
+composed bcast/reduce from ``spec.table(p)``, which emits TransferTable
+columns from rank arrays (butterflies: closed-form set sizes and run
+counts).  Its oracle is the slow path: ``lower_schedule(spec.build(p,
+p))``, compared at every cell a sweep renders; the others are reported as
+skipped.  Larger p runs from ``tests/table_oracle.py``.
 """
 
 from __future__ import annotations
 
 import pytest
-from table_oracle import oracle_table, plan_backed_specs, table_mismatches
+from table_oracle import oracle_table, plan_backed_specs, table_mismatches, unswept
 
 from repro.collectives.butterfly_collectives import (
     allgather_flow,
@@ -37,35 +39,45 @@ PLAN_BACKED = {
 } | {
     ("allreduce", name) for name in (
         "bine-rsag", "bine-rsag-segmented", "bine-small", "rabenseifner",
-        "recursive-doubling", "swing",
+        "recursive-doubling", "ring", "swing",
     )
+} | {
+    ("allgather", "bruck"), ("allgather", "ring"), ("allgather", "sparbit"),
+    ("reduce_scatter", "ring"),
+    ("bcast", "scatter-allgather"), ("bcast", "bine-scatter-allgather"),
+    ("reduce", "rabenseifner"), ("reduce", "bine-rsag"),
 }
 
 SPECS = plan_backed_specs()
 
 
-def test_plan_backed_entries_are_exactly_the_butterflies():
+def _cells(ps):
+    """``(spec, p)`` params over ``ps``; cells no sweep renders are skipped."""
+    return [
+        pytest.param(
+            spec, p, id=f"{spec.collective}-{spec.name}-{p}",
+            marks=[pytest.mark.skip(reason=why)] if (why := unswept(spec, p)) else [],
+        )
+        for spec in SPECS for p in ps
+    ]
+
+
+def test_plan_backed_entries():
     assert {(s.collective, s.name) for s in SPECS} == PLAN_BACKED
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.collective}-{s.name}")
-@pytest.mark.parametrize("p", (4, 8, 16, 32, 64, 256, 1024))
+@pytest.mark.parametrize("spec, p", _cells((3, 4, 8, 16, 17, 24, 32, 64, 100, 256, 1024)))
 def test_rendered_table_equals_lowered_schedule(spec, p):
+    """Equal columns, or a memoised ``None`` on both paths for a
+    power-of-two entry at non-power-of-two p."""
     clear_memo_caches()
     table = transfer_table_for(spec, p)
+    cached = compiled._TABLE_CACHE[(spec.collective, spec.name, p)]
     oracle = oracle_table(spec, p)
     clear_memo_caches()
-    assert table is not None
+    assert cached is table
+    assert (table is None) == (spec.pow2_only and p & (p - 1) != 0)
     assert table_mismatches(table, oracle) == []
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.collective}-{s.name}")
-@pytest.mark.parametrize("p", (17, 24))
-def test_non_pow2_memoises_none(spec, p):
-    clear_memo_caches()
-    assert transfer_table_for(spec, p) is None
-    assert compiled._TABLE_CACHE[(spec.collective, spec.name, p)] is None
-    assert oracle_table(spec, p) is None
 
 
 @pytest.mark.parametrize("flow", (
