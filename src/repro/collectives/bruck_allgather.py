@@ -21,12 +21,7 @@ from repro.collectives.butterfly_collectives import step_table
 from repro.collectives.common import VEC
 from repro.runtime.schedule import Schedule, Step, Transfer
 
-__all__ = [
-    "allgather_bruck",
-    "allgather_sparbit",
-    "allgather_bruck_table",
-    "allgather_sparbit_table",
-]
+__all__ = ["allgather_bruck", "allgather_sparbit"]
 
 
 def _rounds(p: int):
@@ -90,12 +85,3 @@ def allgather_sparbit(p: int, n: int) -> Schedule:
     """Sparbit-like allgather: Bruck rounds with per-block (scattered) sends."""
     return _build(p, n, "sparbit", per_block=True)
 
-
-def allgather_bruck_table(p: int):
-    """The sweep table of :func:`allgather_bruck` at ``n = p``."""
-    return _table(p, "bruck", per_block=False)
-
-
-def allgather_sparbit_table(p: int):
-    """The sweep table of :func:`allgather_sparbit` at ``n = p``."""
-    return _table(p, "sparbit", per_block=True)

@@ -51,10 +51,6 @@ from repro.collectives.tree_collectives import gather_from_tree, scatter_from_tr
 from repro.runtime.schedule import Schedule, Step, Transfer
 
 __all__ = [
-    "bcast_scatter_allgather_binomial",
-    "bcast_scatter_allgather_bine",
-    "reduce_rsag_rabenseifner",
-    "reduce_rsag_bine",
     "bcast_scatter_allgather_binomial_plan",
     "bcast_scatter_allgather_bine_plan",
     "reduce_rsag_rabenseifner_plan",
@@ -208,26 +204,6 @@ def reduce_rsag_bine_plan(p: int, n: int, root: int = 0, op: str = "sum"):
                              fixup=False),
          _pi_tree_gather(bine_tree_distance_doubling(p, root), n)),
     )
-
-
-def bcast_scatter_allgather_binomial(p: int, n: int, root: int = 0) -> Schedule:
-    """Schedule of :func:`bcast_scatter_allgather_binomial_plan`."""
-    return composed_schedule(bcast_scatter_allgather_binomial_plan(p, n, root))
-
-
-def bcast_scatter_allgather_bine(p: int, n: int, root: int = 0) -> Schedule:
-    """Schedule of :func:`bcast_scatter_allgather_bine_plan`."""
-    return composed_schedule(bcast_scatter_allgather_bine_plan(p, n, root))
-
-
-def reduce_rsag_rabenseifner(p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
-    """Schedule of :func:`reduce_rsag_rabenseifner_plan`."""
-    return composed_schedule(reduce_rsag_rabenseifner_plan(p, n, root, op))
-
-
-def reduce_rsag_bine(p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
-    """Schedule of :func:`reduce_rsag_bine_plan`."""
-    return composed_schedule(reduce_rsag_bine_plan(p, n, root, op))
 
 
 def remap_schedule(sched: Schedule, rank_map, elem_offset: int) -> Schedule:

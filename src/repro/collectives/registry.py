@@ -319,13 +319,14 @@ _register(AlgorithmSpec(
 _register(AlgorithmSpec(
     "allgather", "bruck", "bruck",
     lambda p, n, root, op: bruck.allgather_bruck(p, n),
-    pow2_only=False, table=bruck.allgather_bruck_table,
+    pow2_only=False, table=lambda p: bruck._table(p, "bruck", per_block=False),
     description="Bruck allgather",
 ))
 _register(AlgorithmSpec(
     "allgather", "sparbit", "sota",
     lambda p, n, root, op: bruck.allgather_sparbit(p, n),
-    pow2_only=False, max_p=512, table=bruck.allgather_sparbit_table,
+    pow2_only=False, max_p=512,
+    table=lambda p: bruck._table(p, "sparbit", per_block=True),
     description="sparbit-like allgather (log steps, per-block sends)",
 ))
 _register_flow(

@@ -99,9 +99,9 @@ def ring_allreduce(p: int, n: int, op: str = "sum") -> Schedule:
     return sched.finalize()
 
 
-def ring_reduce_scatter_table(p: int, op: str = "sum"):
+def ring_reduce_scatter_table(p: int):
     """The sweep table of :func:`ring_reduce_scatter` at ``n = p``."""
-    return step_table(_meta("reduce_scatter", p, p, op=op), _steps(p, True))
+    return step_table(_meta("reduce_scatter", p, p, op="sum"), _steps(p, True))
 
 
 def ring_allgather_table(p: int):
@@ -109,9 +109,9 @@ def ring_allgather_table(p: int):
     return step_table(_meta("allgather", p, p), _steps(p, False))
 
 
-def ring_allreduce_table(p: int, op: str = "sum"):
+def ring_allreduce_table(p: int):
     """The sweep table of :func:`ring_allreduce` at ``n = p``."""
-    meta = _meta("allreduce", p, p, op=op, segmented=True)
+    meta = _meta("allreduce", p, p, op="sum", segmented=True)
     return step_table(meta, _steps(p, True) + _steps(p, False))
 
 

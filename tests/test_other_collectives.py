@@ -9,14 +9,8 @@ from repro.collectives.alltoall import (
     alltoall_pairwise,
 )
 from repro.collectives.bruck_allgather import allgather_bruck, allgather_sparbit
-from repro.collectives.composed import (
-    bcast_scatter_allgather_bine,
-    bcast_scatter_allgather_binomial,
-    hierarchical_allreduce_bine,
-    reduce_rsag_bine,
-    reduce_rsag_rabenseifner,
-    remap_schedule,
-)
+from repro.collectives.composed import hierarchical_allreduce_bine, remap_schedule
+from repro.collectives.registry import build
 from repro.collectives.ring import (
     linear_gather,
     linear_scatter,
@@ -125,24 +119,24 @@ class TestComposed:
     @pytest.mark.parametrize("p", [4, 8, 16, 32])
     @pytest.mark.parametrize("root", [0, 5])
     def test_bcast_large(self, p, root):
-        run_and_check(bcast_scatter_allgather_binomial(p, 4 * p, root % p))
-        run_and_check(bcast_scatter_allgather_bine(p, 4 * p, root % p))
+        run_and_check(build("bcast", "scatter-allgather", p, 4 * p, root % p))
+        run_and_check(build("bcast", "bine-scatter-allgather", p, 4 * p, root % p))
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32])
     @pytest.mark.parametrize("root", [0, 5])
     def test_reduce_large(self, p, root):
-        run_and_check(reduce_rsag_rabenseifner(p, 4 * p, root % p))
-        run_and_check(reduce_rsag_bine(p, 4 * p, root % p))
+        run_and_check(build("reduce", "rabenseifner", p, 4 * p, root % p))
+        run_and_check(build("reduce", "bine-rsag", p, 4 * p, root % p))
 
     def test_bine_bcast_no_local_copies(self):
         """Sec. 4.5: Bine large bcast never reorders data locally."""
-        sched = bcast_scatter_allgather_bine(16, 64)
+        sched = build("bcast", "bine-scatter-allgather", 16, 64)
         for step in sched.steps:
             assert not step.pre and not step.post
 
     def test_bine_reduce_contiguous_at_root0(self):
         """Sec. 4.5: contiguous transmission throughout for root 0."""
-        sched = reduce_rsag_bine(16, 64, root=0)
+        sched = build("reduce", "bine-rsag", 16, 64, root=0)
         assert all(t.num_segments == 1 for _, t in sched.all_transfers())
 
 
