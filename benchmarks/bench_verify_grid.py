@@ -9,8 +9,10 @@ at the repo root:
 * **reference** — the interpreted per-transfer executor, one seed at a
   time (what ``repro schedule --verify`` always ran), rebuilding every
   schedule from scratch like any reference run does;
-* **compiled (cold)** — first run: build + compile each cell's columnar
-  plan, then execute all seeds in one batched pass;
+* **compiled (cold)** — build + compile each cell's columnar plan, then
+  execute all seeds in one batched pass.  Timed ``COLD_RUNS`` times, each
+  after ``clear_memo_caches()``; ``compiled_cold_s`` is the median and
+  ``compiled_cold_min_s`` / ``compiled_cold_max_s`` give the spread;
 * **compiled (warm)** — second run against the in-process plan cache:
   schedule construction *and* compilation skipped, the steady state of
   repeated bulk verification (CI loops, multi-seed sweeps).
@@ -21,14 +23,15 @@ the compiled subsystem exists for — so the headline number is
 ``speedup_warm = reference_s / compiled_warm_s`` and must stay ≥ 5× (it
 measures well above that on the bench box); the cold ratio, diluted by the
 one-off schedule construction both engines share, is recorded alongside.
-Expect a couple of minutes of wall-clock: the reference engine really does
-interpret ~5M transfers.
+Expect several minutes of wall-clock: the reference engine really does
+interpret ~5M transfers, and the cold compiled run repeats three times.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -47,6 +50,8 @@ SEEDS = (0, 1)
 
 #: acceptance floor for the plan-cache steady state
 MIN_WARM_SPEEDUP = 5.0
+#: cold repetitions behind the recorded median and spread
+COLD_RUNS = 3
 
 
 def _run(engine: str) -> tuple[float, list]:
@@ -65,8 +70,12 @@ def compute() -> dict:
     clear_memo_caches()
     reference_s, ref_records = _run("reference")
 
-    clear_memo_caches()  # cold: label tables and the plan cache start empty
-    cold_s, cold_records = _run("compiled")
+    cold_times = []
+    for _ in range(COLD_RUNS):
+        clear_memo_caches()  # cold: label tables and the plan cache start empty
+        cold_s, cold_records = _run("compiled")
+        cold_times.append(cold_s)
+    cold_s = statistics.median(cold_times)
     warm_s, warm_records = _run("compiled")  # plan cache hot
 
     for records, engine in ((ref_records, "reference"),
@@ -90,6 +99,9 @@ def compute() -> dict:
         },
         "reference_s": round(reference_s, 3),
         "compiled_cold_s": round(cold_s, 3),
+        "compiled_cold_min_s": round(min(cold_times), 3),
+        "compiled_cold_max_s": round(max(cold_times), 3),
+        "compiled_cold_runs": COLD_RUNS,
         "compiled_warm_s": round(warm_s, 3),
         "speedup_cold": round(reference_s / cold_s, 2),
         "speedup_warm": round(reference_s / warm_s, 2),

@@ -344,6 +344,7 @@ class ProfileCache:
         Scheduler placements are order-dependent RNG draws, so the first
         call for a given ``(p, ppn)`` fixes the mapping for the cache's
         lifetime (and parallel sweeps pre-sample here, in serial order).
+        Raises :class:`ValueError` when ``ppn`` does not divide ``p``.
 
         Example::
 
@@ -354,6 +355,11 @@ class ProfileCache:
         """
         key = (p, ppn)
         if key not in self._mappings:
+            if ppn < 1 or p % ppn:
+                raise ValueError(
+                    f"p={p} ranks cannot be placed at ppn={ppn}: ppn must "
+                    "divide p"
+                )
             num_nodes = p // ppn
             if self._sampler is None:
                 self._mappings[key] = block_mapping(p, ppn=ppn)
@@ -423,7 +429,7 @@ class ProfileCache:
     def _build(
         self, spec: AlgorithmSpec, p: int, ppn: int, mapping: RankMap
     ) -> ScheduleProfile | None:
-        analytic = analytic_builder(spec, p)
+        analytic = analytic_builder(spec)
         if analytic is not None:
             if spec.pow2_only and p & (p - 1):
                 return None

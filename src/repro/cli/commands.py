@@ -24,7 +24,7 @@ from repro.analysis.sweep import ProfileCache, sweep_system
 from repro.analysis.verifygrid import DEFAULT_NODE_COUNTS, verify_grid
 from repro.cli import formatters as fmt
 from repro.cli.campaign import duel_summaries, run_campaign
-from repro.cli.manifest import ManifestError, load_manifest
+from repro.cli.manifest import ManifestError, load_manifest, ppn_error
 from repro.collectives.registry import COLLECTIVES, build, families, iter_specs
 from repro.faults import FaultSpec
 from repro.runtime.errors import FaultSpecError
@@ -232,7 +232,9 @@ def cmd_sweep(args) -> int:
     except KeyError as exc:
         return _fail(str(exc.args[0]))
     collectives = tuple(args.collective) if args.collective else COLLECTIVES
-    error = _check_grid_selection(collectives, args.algorithm)
+    error = _check_grid_selection(collectives, args.algorithm) or ppn_error(
+        args.nodes or preset.node_counts, args.ppn
+    )
     if error:
         return _fail(error)
     scenarios = _parse_faults(args) or (FaultSpec(),)

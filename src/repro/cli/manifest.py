@@ -80,6 +80,7 @@ __all__ = [
     "manifest_from_dict",
     "manifest_to_dict",
     "dump_manifest",
+    "ppn_error",
 ]
 
 
@@ -169,6 +170,17 @@ def _int_tuple(values, where: str) -> tuple[int, ...]:
     return out
 
 
+def ppn_error(node_counts, ppn: int) -> str | None:
+    """Why ``ppn`` ranks per node cannot place every rank count of
+    ``node_counts``, or ``None`` when it divides them all."""
+    if ppn < 1:
+        return f"ppn must be >= 1, got {ppn}"
+    bad = [p for p in node_counts if p % ppn]
+    if bad:
+        return f"node count(s) {bad} are not divisible by ppn={ppn}"
+    return None
+
+
 def _torus_grid_checks(
     data: dict, collectives: tuple[str, ...], system: str, where: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -250,12 +262,16 @@ def _grid_from_dict(data: dict, where: str, system: str) -> GridSpec:
     max_p = data.get("max_p")
     if max_p is not None:
         max_p = {str(k): int(v) for k, v in max_p.items()}
+    ppn = int(data.get("ppn", 1))
+    error = ppn_error(node_counts, ppn)
+    if error:
+        raise ManifestError(f"{where}: {error}")
     return GridSpec(
         collectives=collectives,
         node_counts=node_counts,
         vector_bytes=vector_bytes,
         algorithms=algorithms,
-        ppn=int(data.get("ppn", 1)),
+        ppn=ppn,
         max_p=max_p,
         torus_dims=torus_dims,
     )

@@ -501,7 +501,7 @@ def _offsets(rows) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(rows))).astype(np.intp)
 
 
-def step_table(meta: dict, steps, local_whole=None):
+def step_table(meta: dict, steps, local_whole=None, reps=None):
     """The :class:`~repro.model.compiled.TransferTable` at ``n = p`` of
     per-step rank arrays.
 
@@ -509,7 +509,8 @@ def step_table(meta: dict, steps, local_whole=None):
     has_op)``: two rank arrays, then values broadcast over its transfers.
     ``local_whole[i]`` lists step ``i``'s local copies, pre then post, each
     one per rank of the whole vector when true, else of one block (default:
-    no local copies).
+    no local copies).  ``reps[i]`` is how many times step ``i`` runs back
+    to back (default: once each).
     """
     from repro.model.compiled import TransferTable  # keeps registry imports light
 
@@ -526,6 +527,9 @@ def step_table(meta: dict, steps, local_whole=None):
         n_build=p,
         meta=dict(meta),
         step_off=_offsets(rows),
+        step_reps=np.asarray(
+            [1] * len(steps) if reps is None else reps, dtype=np.int64
+        ),
         src=column(0, np.intp),
         dst=column(1, np.intp),
         nelems=column(2, np.int64),
@@ -540,7 +544,8 @@ def step_table(meta: dict, steps, local_whole=None):
 
 def concat_tables(meta: dict, *tables):
     """One table running ``tables`` back to back, as a composed schedule
-    runs its phases: the lowering of the concatenated schedules."""
+    runs its phases: the lowering of the concatenated schedules (per-step
+    columns such as ``step_reps`` concatenate like the row columns)."""
     columns = {}
     for f in fields(tables[0]):
         parts = [getattr(t, f.name) for t in tables]

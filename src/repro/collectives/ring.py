@@ -40,10 +40,28 @@ def _meta(collective: str, p: int, n: int, **extra) -> dict:
     return {"collective": collective, "algorithm": "ring", "p": p, "n": n, **extra}
 
 
-def _steps(p: int, has_op: bool) -> list:
-    """The ``p − 1`` identical ``r → r + 1`` table steps of one ring pass."""
+def _table_pass(p: int, has_op: bool) -> tuple:
+    """The ``r → r + 1`` table step that one ring pass runs ``p − 1`` times."""
     ranks = np.arange(p)
-    return [(ranks, (ranks + 1) % p, 1, 1, has_op)] * (p - 1)
+    return (ranks, (ranks + 1) % p, 1, 1, has_op)
+
+
+def _ring_pass(p: int, n: int, shift: int, op: str | None, tag: str) -> list:
+    """The ``p − 1`` steps of one ring pass: at step ``k`` rank ``r``
+    forwards block ``(r − shift − k) mod p`` to ``r + 1``."""
+    part = Partition(n, p)
+    return [
+        Step(transfers=tuple(
+            Transfer(
+                src=r, dst=(r + 1) % p, src_buf=VEC, dst_buf=VEC,
+                src_segments=_seg(part, (r - shift - k) % p),
+                dst_segments=_seg(part, (r - shift - k) % p),
+                op=op, tag=f"ring-{tag}[{k}]",
+            )
+            for r in range(p)
+        ), label=f"ring {tag} step {k}")
+        for k in range(p - 1)
+    ]
 
 
 def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:
@@ -54,65 +72,45 @@ def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:
     block ``(r − 2 − k) mod p``.
     """
     sched = Schedule(p, meta=_meta("reduce_scatter", p, n, op=op))
-    part = Partition(n, p)
-    for k in range(p - 1):
-        transfers = []
-        for r in range(p):
-            block = (r - 1 - k) % p
-            transfers.append(
-                Transfer(
-                    src=r, dst=(r + 1) % p, src_buf=VEC, dst_buf=VEC,
-                    src_segments=_seg(part, block), dst_segments=_seg(part, block),
-                    op=op, tag=f"ring-rs[{k}]",
-                )
-            )
-        sched.add(Step(transfers=tuple(transfers), label=f"ring rs step {k}"))
+    sched.steps = _ring_pass(p, n, 1, op, "rs")
     return sched.finalize()
 
 
 def ring_allgather(p: int, n: int) -> Schedule:
     """Ring allgather: each rank starts with block ``r``, ends with all."""
     sched = Schedule(p, meta=_meta("allgather", p, n))
-    part = Partition(n, p)
-    for k in range(p - 1):
-        transfers = []
-        for r in range(p):
-            block = (r - k) % p
-            transfers.append(
-                Transfer(
-                    src=r, dst=(r + 1) % p, src_buf=VEC, dst_buf=VEC,
-                    src_segments=_seg(part, block), dst_segments=_seg(part, block),
-                    tag=f"ring-ag[{k}]",
-                )
-            )
-        sched.add(Step(transfers=tuple(transfers), label=f"ring ag step {k}"))
+    sched.steps = _ring_pass(p, n, 0, None, "ag")
     return sched.finalize()
 
 
 def ring_allreduce(p: int, n: int, op: str = "sum") -> Schedule:
     """Ring allreduce = ring reduce-scatter + ring allgather (NCCL-style)."""
-    rs = ring_reduce_scatter(p, n, op)
-    ag = ring_allgather(p, n)
     # Rings inherently pipeline fine-grained chunks (Sec. 5.2.2).
     sched = Schedule(p, meta=_meta("allreduce", p, n, op=op, segmented=True))
-    sched.steps = list(rs.steps) + list(ag.steps)
+    sched.steps = _ring_pass(p, n, 1, op, "rs") + _ring_pass(p, n, 0, None, "ag")
     return sched.finalize()
 
 
 def ring_reduce_scatter_table(p: int):
-    """The sweep table of :func:`ring_reduce_scatter` at ``n = p``."""
-    return step_table(_meta("reduce_scatter", p, p, op="sum"), _steps(p, True))
+    """The sweep table of :func:`ring_reduce_scatter` at ``n = p``: one
+    step row run ``p − 1`` times."""
+    meta = _meta("reduce_scatter", p, p, op="sum")
+    return step_table(meta, [_table_pass(p, True)], reps=[p - 1])
 
 
 def ring_allgather_table(p: int):
-    """The sweep table of :func:`ring_allgather` at ``n = p``."""
-    return step_table(_meta("allgather", p, p), _steps(p, False))
+    """The sweep table of :func:`ring_allgather` at ``n = p``: one step
+    row run ``p − 1`` times."""
+    meta = _meta("allgather", p, p)
+    return step_table(meta, [_table_pass(p, False)], reps=[p - 1])
 
 
 def ring_allreduce_table(p: int):
-    """The sweep table of :func:`ring_allreduce` at ``n = p``."""
+    """The sweep table of :func:`ring_allreduce` at ``n = p``: the
+    reduce-scatter row then the allgather row, each run ``p − 1`` times."""
     meta = _meta("allreduce", p, p, op="sum", segmented=True)
-    return step_table(meta, _steps(p, True) + _steps(p, False))
+    steps = [_table_pass(p, True), _table_pass(p, False)]
+    return step_table(meta, steps, reps=[p - 1] * 2)
 
 
 def linear_gather(p: int, n: int, root: int = 0) -> Schedule:

@@ -41,6 +41,8 @@ import heapq
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
 from repro.faults import (
     NIC_DERATE,
@@ -50,6 +52,7 @@ from repro.faults import (
     _global_link_population,
     _group_members,
 )
+from repro.model.compiled import step_latency
 from repro.model.cost import CostParams
 from repro.model.simulator import PIPELINE_CHUNKS, ScheduleProfile
 from repro.runtime.errors import DESEngineError, TopologyPartitionedError
@@ -404,6 +407,8 @@ class _Simulation:
         force_event_loop: bool = False,
     ):
         self.table = table
+        #: profile step -> table row (a row runs ``step_reps`` times)
+        self.row_of = np.repeat(np.arange(table.num_steps), table.step_reps)
         self.profile = profile
         self.fabric = FabricState(topo, timeline)
         self.node_of = mapping.nodes
@@ -431,13 +436,7 @@ class _Simulation:
         num_steps = max(1, len(profile.steps))
         clock = 0.0
         for s, step in enumerate(profile.steps):
-            lat = 0.0
-            for hops, segs in step.lat_signatures:
-                t = params.alpha + max(0, segs - 1) * params.seg_overhead
-                for cls, h in hops:
-                    t += h * params.alpha_hop.get(cls, 0.0)
-                lat = max(lat, t)
-            lat += max(0, step.max_node_msgs - 2) * params.msg_cpu
+            lat = step_latency(step, params)
             comp = step.max_reduce * scale * b * params.reduce_beta
             copy = step.max_copy * scale * b * params.copy_beta
             t0 = clock + lat
@@ -629,7 +628,8 @@ class _Simulation:
 
         # release every flow of the step at t0, in transfer order
         live_flows: list[_Flow] = []
-        lo, hi = int(table.step_off[s]), int(table.step_off[s + 1])
+        row = self.row_of[s]
+        lo, hi = int(table.step_off[row]), int(table.step_off[row + 1])
         for i in range(lo, hi):
             src_rank, dst_rank = int(table.src[i]), int(table.dst[i])
             a, bnode = self.node_of[src_rank], self.node_of[dst_rank]

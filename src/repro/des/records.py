@@ -7,9 +7,10 @@ the cache's :class:`~repro.faults.FaultTimeline` and returns
 :class:`~repro.analysis.sweep.SweepRecord` rows carrying the timeline
 label and the ``stalled`` flag.
 
-Analytic-profile cells (``alltoall`` at any size, every collective above
-``ANALYTIC_THRESHOLD`` ranks) have no lowered transfer program to
-simulate.  With an *empty* timeline they fall back to the compiled
+Analytic-profile cells (``alltoall``, at any rank count) have no lowered
+transfer program to simulate; every other cell, ring included, replays
+its transfer table at any ``p`` (a repeated step row once per step).
+With an *empty* timeline the analytic cells fall back to the compiled
 analytic evaluator — by the calibration contract the result is the same
 number the DES engine would produce — so mixed grids keep working; with
 a non-empty timeline they raise :class:`DESEngineError` (CLI exit
@@ -28,7 +29,7 @@ import warnings
 from typing import Sequence
 
 from repro.des.engine import simulate_profile
-from repro.model.analytic import ANALYTIC_THRESHOLD, analytic_builder
+from repro.model.analytic import analytic_builder
 from repro.model.compiled import transfer_table_for
 from repro.model.cost import CostParams
 from repro.runtime.errors import DESEngineError
@@ -65,13 +66,13 @@ def des_records(
     if profile is None:
         return []
     timeline = cache.faults.timeline
-    if analytic_builder(spec, p) is not None:
+    if analytic_builder(spec) is not None:
         if not timeline.is_null:
             raise DESEngineError(
                 f"timeline {timeline.label!r} cannot replay on analytic "
-                f"cell ({spec.collective}, {spec.name}, p={p}): no lowered "
-                f"transfer program above {ANALYTIC_THRESHOLD} ranks / for "
-                "alltoall — restrict the grid or drop the timeline"
+                f"cell ({spec.collective}, {spec.name}, p={p}): alltoall "
+                "has no lowered transfer program — restrict the grid or "
+                "drop the timeline"
             )
         # Calm analytic cells are exactly the analytic evaluation (the
         # calibration contract), so mixed grids keep working under "des".

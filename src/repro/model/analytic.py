@@ -1,16 +1,12 @@
-"""Fast analytic profiles for linear-step algorithms at large rank counts.
+"""Analytic alltoall profiles: cost aggregates without a transfer table.
 
-Ring, pairwise-alltoall, Bruck-alltoall and Bine-alltoall move ``Θ(p²)``
-or ``Θ(p² log p)`` transfers.  The rings render their exact transfer
-tables from rank arrays without building a schedule (``spec.table``, up
-to ``ANALYTIC_THRESHOLD`` ranks), but profiling every transfer is still
-needlessly slow when only the *cost profile* is needed for a sweep at
-``p`` in the hundreds or thousands.  These builders produce the same
+Pairwise-alltoall, Bruck-alltoall and Bine-alltoall move ``Θ(p²)`` or
+``Θ(p² log p)`` transfers; profiling every one is needlessly slow when
+only the *cost profile* is needed for a sweep at ``p`` in the hundreds or
+thousands.  These builders produce
 :class:`~repro.model.simulator.StepProfile` aggregates directly from the
 algorithms' regular structure:
 
-* **ring**: every step is the same neighbour matching carrying one block —
-  profile one step, replicate ``p − 1`` times (exact);
 * **pairwise alltoall**: step ``k`` is the offset-``k`` matching with one
   block — profile a spread sample of offsets and replicate to neighbours
   (step costs vary smoothly in ``k``; sampling error only affects the
@@ -23,10 +19,12 @@ algorithms' regular structure:
 
 Each builder hands its steps as rank arrays to the one step kernel,
 :meth:`~repro.model.compiled.CompiledRouteTable.profile_step_arrays`.
-:func:`analytic_builder` is the single rule for which cells use them: ring
-above ``ANALYTIC_THRESHOLD`` ranks and alltoall always (the sweep, the DES
-records and the tests' oracle all ask it); correctness tests always run
-the exact schedule builders.
+:func:`analytic_builder` is the single rule for which cells use them:
+every alltoall cell, at any ``p`` (the sweep, the DES records and the
+tests' oracle all ask it); correctness tests always run the exact
+schedule builders.  The rings need no analytic path: their transfer
+tables repeat one step row ``p − 1`` times (``step_reps``), so the exact
+table profiles one step per pass at any ``p``.
 """
 
 from __future__ import annotations
@@ -40,17 +38,12 @@ from repro.topology.base import Topology
 from repro.topology.mapping import RankMap
 
 __all__ = [
-    "ANALYTIC_THRESHOLD",
     "ANALYTIC_PROFILES",
     "analytic_builder",
-    "ring_profile",
     "pairwise_alltoall_profile",
     "bruck_alltoall_profile",
     "bine_alltoall_profile",
 ]
-
-#: use exact schedule builders at or below this rank count
-ANALYTIC_THRESHOLD = 128
 
 #: offsets of the pairwise-alltoall step space profiled explicitly
 PAIRWISE_SAMPLES = 32
@@ -72,7 +65,7 @@ def _ctx(p: int, topo: Topology, rank_map: RankMap,
     )
 
 
-def _step(ctx, dst: np.ndarray | None, nelems: int = 0, has_op: bool = False,
+def _step(ctx, dst: np.ndarray | None, nelems: int = 0,
           copy: int = 0) -> StepProfile:
     """One step in which every rank ``r`` sends ``nelems`` elements to
     ``dst[r]`` as one segment (no transfers when ``dst`` is ``None``) and
@@ -86,40 +79,13 @@ def _step(ctx, dst: np.ndarray | None, nelems: int = 0, has_op: bool = False,
         src if dst is None else dst,
         np.full(src.size, nelems, dtype=np.int64),
         np.ones(src.size, dtype=np.int64),
-        np.full(src.size, has_op, dtype=bool),
+        np.zeros(src.size, dtype=bool),
         lrank,
         np.full(lrank.size, copy, dtype=np.int64),
         np.zeros(lrank.size, dtype=bool),
         nodes,
         groups,
     )
-
-
-def ring_profile(
-    p: int, topo: Topology, rank_map: RankMap, variant: str,
-    routes: CompiledRouteTable | None = None,
-) -> ScheduleProfile:
-    """Exact ring profile: one representative step, replicated.
-
-    ``variant``: ``"reduce_scatter"``, ``"allgather"`` or ``"allreduce"``.
-    """
-    ctx = _ctx(p, topo, rank_map, routes)
-    right = (np.arange(p, dtype=np.intp) + 1) % p
-    rs_step = _step(ctx, right, 1, has_op=True)
-    ag_step = _step(ctx, right, 1)
-    if variant == "reduce_scatter":
-        steps = (rs_step,) * (p - 1)
-        meta = {"collective": "reduce_scatter", "algorithm": "ring"}
-    elif variant == "allgather":
-        steps = (ag_step,) * (p - 1)
-        meta = {"collective": "allgather", "algorithm": "ring"}
-    elif variant == "allreduce":
-        steps = (rs_step,) * (p - 1) + (ag_step,) * (p - 1)
-        meta = {"collective": "allreduce", "algorithm": "ring", "segmented": True}
-    else:
-        raise ValueError(f"unknown ring variant {variant!r}")
-    meta.update({"p": p, "n": p, "analytic": True})
-    return ScheduleProfile(p=p, n_build=p, meta=meta, steps=steps)
 
 
 def pairwise_alltoall_profile(
@@ -196,30 +162,17 @@ def bine_alltoall_profile(
 
 #: (collective, algorithm) → analytic builder(p, topo, rank_map, routes=None)
 ANALYTIC_PROFILES = {
-    ("reduce_scatter", "ring"):
-        lambda p, t, m, routes=None: ring_profile(p, t, m, "reduce_scatter", routes),
-    ("allgather", "ring"):
-        lambda p, t, m, routes=None: ring_profile(p, t, m, "allgather", routes),
-    ("allreduce", "ring"):
-        lambda p, t, m, routes=None: ring_profile(p, t, m, "allreduce", routes),
     ("alltoall", "pairwise"): pairwise_alltoall_profile,
     ("alltoall", "bruck"): bruck_alltoall_profile,
     ("alltoall", "bine"): bine_alltoall_profile,
 }
 
 
-def analytic_builder(spec, p: int):
-    """The :data:`ANALYTIC_PROFILES` builder that profiles ``spec`` at ``p``
-    ranks, or ``None`` when the cell profiles its exact schedule.
+def analytic_builder(spec):
+    """The :data:`ANALYTIC_PROFILES` builder that profiles ``spec``, or
+    ``None`` when its cells profile the exact transfer table.
 
-    Ring entries switch to their analytic profile above
-    :data:`ANALYTIC_THRESHOLD`; alltoall entries always use it, so small
-    and large rank counts are modelled consistently.  The lookup happens
-    per call, so rebinding a dict value takes effect everywhere.
+    The lookup happens per call, so rebinding a dict value takes effect
+    everywhere.
     """
-    builder = ANALYTIC_PROFILES.get((spec.collective, spec.name))
-    if builder is not None and (
-        p > ANALYTIC_THRESHOLD or spec.collective == "alltoall"
-    ):
-        return builder
-    return None
+    return ANALYTIC_PROFILES.get((spec.collective, spec.name))

@@ -8,9 +8,10 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
 * :class:`TransferTable` — a finalized :class:`~repro.runtime.schedule.Schedule`
   flattened *once* per ``(algorithm, p)`` into structure-of-arrays,
   step-segmented columns (``src`` / ``dst`` / ``nelems`` / ``num_segments`` /
-  ``has_op`` plus the pre/post local-op columns).  The table depends only on
-  the schedule — not on the topology or rank mapping — so one lowering
-  serves every system, placement and seed of a campaign.
+  ``has_op`` plus the pre/post local-op columns, and a per-step repeat
+  count).  The table depends only on the schedule — not on the topology
+  or rank mapping — so one lowering serves every system, placement and
+  seed of a campaign.
   :func:`transfer_table_for` memoizes tables per registry cell (a bounded
   FIFO :class:`repro.runtime.memo.Memo`, cleared by
   :func:`repro.runtime.memo.clear_memo_caches`), the
@@ -64,6 +65,7 @@ __all__ = [
     "CompiledRouteTable",
     "GridMetrics",
     "lower_schedule",
+    "step_latency",
     "transfer_table_for",
     "profile_table",
     "evaluate_grid",
@@ -79,9 +81,11 @@ class TransferTable:
 
     Step ``i``'s transfers are rows ``step_off[i]:step_off[i+1]`` of the
     transfer columns; its local ops (``pre`` then ``post``, in order) are
-    rows ``local_off[i]:local_off[i+1]`` of the local columns.  Everything
-    the profiler needs, nothing the executor needs: segment lists are
-    collapsed to ``nelems`` / ``num_segments`` at lowering time.
+    rows ``local_off[i]:local_off[i+1]`` of the local columns, and it runs
+    ``step_reps[i]`` times back to back (a ring's ``p − 1`` identical
+    steps are one row).  Everything the profiler needs, nothing the
+    executor needs: segment lists are collapsed to ``nelems`` /
+    ``num_segments`` at lowering time.
     """
 
     p: int
@@ -89,6 +93,8 @@ class TransferTable:
     meta: dict = field(hash=False)
     #: (num_steps + 1,) row offsets into the transfer columns
     step_off: np.ndarray = field(default=None)
+    #: (num_steps,) times each step row runs back to back
+    step_reps: np.ndarray = field(default=None)
     src: np.ndarray = field(default=None)
     dst: np.ndarray = field(default=None)
     nelems: np.ndarray = field(default=None)
@@ -110,7 +116,8 @@ class TransferTable:
 
 
 def lower_schedule(schedule: Schedule) -> TransferTable:
-    """Flatten a schedule into a :class:`TransferTable` (one linear pass).
+    """Flatten a schedule into a :class:`TransferTable` (one linear pass;
+    one row per step, so every ``step_reps`` entry is 1).
 
     Example::
 
@@ -147,6 +154,7 @@ def lower_schedule(schedule: Schedule) -> TransferTable:
         n_build=schedule.meta.get("n", schedule.p),
         meta=dict(schedule.meta),
         step_off=np.asarray(step_off, dtype=np.intp),
+        step_reps=np.ones(len(schedule.steps), dtype=np.int64),
         src=np.asarray(src, dtype=np.intp),
         dst=np.asarray(dst, dtype=np.intp),
         nelems=np.asarray(ne, dtype=np.int64),
@@ -434,8 +442,9 @@ def profile_table(
 ) -> ScheduleProfile:
     """Route every transfer of a lowered schedule and collapse each step.
 
-    Pass ``routes`` to share one CSR route matrix across many profiles of
-    the same topology (the sweep layer always does).
+    Each step row is profiled once and its ``StepProfile`` repeated
+    ``step_reps`` times.  Pass ``routes`` to share one CSR route matrix
+    across many profiles of the same topology (the sweep layer does).
     """
     if rank_map.num_ranks != table.p:
         raise ValueError(
@@ -451,20 +460,19 @@ def profile_table(
     for i in range(table.num_steps):
         s0, s1 = table.step_off[i], table.step_off[i + 1]
         l0, l1 = table.local_off[i], table.local_off[i + 1]
-        steps.append(
-            routes.profile_step_arrays(
-                table.src[s0:s1],
-                table.dst[s0:s1],
-                table.nelems[s0:s1],
-                table.num_segments[s0:s1],
-                table.has_op[s0:s1],
-                table.local_rank[l0:l1],
-                table.local_nelems[l0:l1],
-                table.local_has_op[l0:l1],
-                node_arr,
-                group_arr,
-            )
+        step = routes.profile_step_arrays(
+            table.src[s0:s1],
+            table.dst[s0:s1],
+            table.nelems[s0:s1],
+            table.num_segments[s0:s1],
+            table.has_op[s0:s1],
+            table.local_rank[l0:l1],
+            table.local_nelems[l0:l1],
+            table.local_has_op[l0:l1],
+            node_arr,
+            group_arr,
         )
+        steps.extend([step] * int(table.step_reps[i]))
     return ScheduleProfile(
         p=table.p,
         n_build=table.n_build,
@@ -531,26 +539,31 @@ def _eval_tables(profile: ScheduleProfile) -> _EvalTables:
     return tabs
 
 
+def step_latency(step: StepProfile, params: CostParams) -> float:
+    """One step's latency term — the slowest ``(hops, segments)``
+    signature plus per-message CPU cost — for :func:`evaluate_grid` and
+    the DES engine alike, so the two agree bit for bit."""
+    lat = 0.0
+    for hops, segs in step.lat_signatures:
+        t = params.alpha + max(0, segs - 1) * params.seg_overhead
+        for cls, h in hops:
+            t += h * params.alpha_hop.get(cls, 0.0)
+        lat = max(lat, t)
+    return lat + max(0, step.max_node_msgs - 2) * params.msg_cpu
+
+
 def _lat_array(profile: ScheduleProfile, params: CostParams) -> np.ndarray:
     """Per-step latency terms (size-invariant, so computed once per call).
 
-    Identical step objects (analytic profiles replicate one
-    :class:`StepProfile` thousands of times) are evaluated once.
+    Identical step objects (a repeated table row, or an analytic profile's
+    replicated samples) are evaluated once.
     """
     lat = np.empty(len(profile.steps), dtype=np.float64)
     memo: dict[int, float] = {}
-    alpha_hop = params.alpha_hop
     for i, step in enumerate(profile.steps):
         cached = memo.get(id(step))
         if cached is None:
-            val = 0.0
-            for hops, segs in step.lat_signatures:
-                t = params.alpha + max(0, segs - 1) * params.seg_overhead
-                for cls, h in hops:
-                    t += h * alpha_hop.get(cls, 0.0)
-                val = max(val, t)
-            val += max(0, step.max_node_msgs - 2) * params.msg_cpu
-            cached = memo[id(step)] = val
+            cached = memo[id(step)] = step_latency(step, params)
         lat[i] = cached
     return lat
 

@@ -80,9 +80,9 @@ class DESEngineError(RuntimeSubstrateError):
     Raised when a fault timeline is forced onto an engine that cannot
     replay it (``ProfileCache(profile_engine="compiled")``), when a
     timeline is asked of a cell the DES engine has no transfer program for
-    (analytic-profile cells: ``alltoall`` and rank counts above
-    ``ANALYTIC_THRESHOLD``), or when a timeline event is inapplicable to
-    the fabric mid-run.  Mapped to CLI exit code 8.
+    (the analytic-profile ``alltoall`` cells, at any rank count), or when
+    a timeline event is inapplicable to the fabric mid-run.  Mapped to CLI
+    exit code 8.
     """
 
 

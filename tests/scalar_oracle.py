@@ -379,7 +379,7 @@ def oracle_profile(cache, spec, p, ppn=1, routes=None):
     """Scalar-pipeline profile of one cell on ``cache``'s rank mapping."""
     routes = routes or ScalarRoutes(cache.topo)
     mapping = cache.mapping_for(p, ppn)
-    analytic = analytic_builder(spec, p)
+    analytic = analytic_builder(spec)
     if analytic is not None:
         if spec.pow2_only and p & (p - 1):
             return None

@@ -214,6 +214,18 @@ class TestSweep:
         assert duels and duels[0]["collective"] == "bcast"
         assert "win_pct" in duels[0]
 
+    def test_ppn_not_dividing_nodes_fails(self, capsys):
+        # 17 ranks at 2 per node: a usage error, not a traceback
+        assert main(["sweep", "--system", "lumi", "--collective", "allreduce",
+                     "--nodes", "17", "--ppn", "2", "--sizes", "1024"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[17]" in err and "ppn=2" in err
+
+    def test_mapping_rejects_ppn_not_dividing_p(self):
+        cache = ProfileCache(lumi(), placement="block")
+        with pytest.raises(ValueError, match="p=17 .*ppn=2"):
+            cache.mapping_for(17, 2)
+
 
 # -- repro campaign ----------------------------------------------------------
 
@@ -334,6 +346,15 @@ class TestManifest:
                 assert m.summary is not None
                 assert m.summary.baseline_for("alltoall") == "bruck"
         assert {"lumi", "leonardo", "marenostrum5", "fugaku"} <= systems
+
+    def test_ppn_must_divide_node_counts(self):
+        data = json.loads(json.dumps(TINY_MANIFEST))
+        data["grid"][0].update(node_counts=[16, 17], ppn=2)
+        with pytest.raises(ManifestError, match=r"\[17\] .*ppn=2"):
+            manifest_from_dict(data)
+        data["grid"][0].update(node_counts=[16], ppn=0)
+        with pytest.raises(ManifestError, match="ppn must be >= 1"):
+            manifest_from_dict(data)
 
     def test_paper_vector_keyword(self):
         data = json.loads(json.dumps(TINY_MANIFEST))

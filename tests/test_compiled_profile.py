@@ -301,13 +301,15 @@ class TestEvaluateGrid:
                 assert grid.time[j] == evaluate_time(profile, preset.params, n).time
         assert seen_pipelined  # the flag's code path was actually exercised
 
-    def test_analytic_ring_large_p(self):
-        # thousands of replicated steps: the _lat_array id-memo path
+    def test_repeated_ring_steps_large_p(self):
+        # thousands of repeated step rows: the _lat_array id-memo path
         preset = lumi()
         topo = preset.build_topology()
-        profile = ANALYTIC_PROFILES[("allreduce", "ring")](
-            1024, topo, block_mapping(1024)
+        profile = profile_table(
+            spec_for("allreduce", "ring").table(1024), topo, block_mapping(1024)
         )
+        assert len(profile.steps) == 2 * 1023
+        assert len({id(step) for step in profile.steps}) == 2
         n_elems = [nb / preset.params.itemsize for nb in N_BYTES]
         grid = evaluate_grid(profile, preset.params, n_elems)
         for j, n in enumerate(n_elems):
@@ -386,12 +388,16 @@ class TestSweepRecordEquivalence:
             assert got == want and got
 
     def test_profile_cache_matches_scalar_oracle_including_analytic(self):
-        # p=256 allreduce/ring crosses ANALYTIC_THRESHOLD: the cache must
-        # hand the analytic builder its CSR table and still produce the
-        # same profile object graph as the scalar route table
+        # alltoall is analytic: the cache must hand the analytic builder
+        # its CSR table and still produce the same profile object graph as
+        # the scalar route table; the p=256 ring profiles its repeated
+        # table rows against the oracle's full schedule
         cache = ProfileCache(lumi())
-        spec = spec_for("allreduce", "ring")
-        for p in (256, 16):
+        for coll, name, p in (
+            ("alltoall", "bine", 256), ("allreduce", "ring", 256),
+            ("allreduce", "ring", 16),
+        ):
+            spec = spec_for(coll, name)
             assert cache.get(spec, p) == oracle_profile(cache, spec, p)
 
 

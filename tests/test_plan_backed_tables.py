@@ -4,14 +4,16 @@ The sweep profiles the butterflies, Bruck, Sparbit, the rings and the
 composed bcast/reduce from ``spec.table(p)``, which emits TransferTable
 columns from rank arrays (butterflies: closed-form set sizes and run
 counts).  Its oracle is the slow path: ``lower_schedule(spec.build(p,
-p))``, compared at every cell a sweep renders; the others are reported as
-skipped.  Larger p runs from ``tests/table_oracle.py``.
+p))``, compared with the rendered table's repeated step rows expanded, at
+every cell a sweep renders up to the ring oracle's cap; the others are
+reported as skipped.  Larger p runs from ``tests/table_oracle.py``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from table_oracle import oracle_table, plan_backed_specs, table_mismatches, unswept
+from table_oracle import oracle_table, plan_backed_specs, skip_reason, table_mismatches
 
 from repro.collectives.butterfly_collectives import (
     allgather_flow,
@@ -20,6 +22,7 @@ from repro.collectives.butterfly_collectives import (
     render_table,
 )
 from repro.collectives.common import Strategy
+from repro.collectives.registry import spec_for
 from repro.core.butterfly import bine_butterfly_halving, recursive_halving_butterfly
 from repro.model import compiled
 from repro.model.compiled import transfer_table_for
@@ -56,7 +59,7 @@ def _cells(ps):
     return [
         pytest.param(
             spec, p, id=f"{spec.collective}-{spec.name}-{p}",
-            marks=[pytest.mark.skip(reason=why)] if (why := unswept(spec, p)) else [],
+            marks=[pytest.mark.skip(reason=why)] if (why := skip_reason(spec, p)) else [],
         )
         for spec in SPECS for p in ps
     ]
@@ -94,6 +97,18 @@ def test_pi_window_check_raises_schedule_error_on_both_paths(flow, make_bf):
     with pytest.raises(ScheduleError, match="π window not contiguous") as rendered:
         render_table(plan)
     assert str(rendered.value) == str(built.value)
+
+
+@pytest.mark.parametrize("collective, rows", [
+    ("reduce_scatter", 1), ("allgather", 1), ("allreduce", 2),
+])
+def test_ring_tables_repeat_one_row_per_pass(collective, rows):
+    p = 4096
+    table = spec_for(collective, "ring").table(p)
+    assert table.num_steps == rows
+    assert np.array_equal(np.diff(table.step_off), [p] * rows)
+    assert np.array_equal(table.step_reps, [p - 1] * rows)
+    assert table.step_reps.dtype == np.int64
 
 
 def test_table_renders_only_at_canonical_size():

@@ -219,6 +219,21 @@ class TestPartitionStall:
                          vector_bytes=(1024,),
                          faults=FaultSpec(timeline="at=0.001:links=1"))
 
+    def test_ring_replays_timelines_above_128_ranks(self):
+        # the ring table's repeated step row replays once per step, so a
+        # ring cell has a transfer program at any p; calm, the replay
+        # still equals the compiled engine exactly
+        grid = dict(collectives=("allgather",), node_counts=(256,),
+                    vector_bytes=(1024, 16777216), algorithms=("ring",))
+        tl = FaultTimeline.parse(PERTURB_TIMELINE)
+        records = sweep_system(lumi(), faults=FaultSpec(timeline=tl), **grid)
+        assert [(r.algorithm, r.p) for r in records] == [("ring", 256)] * 2
+        assert all(r.timeline == tl.label and not r.stalled for r in records)
+        des = ProfileCache(lumi(), profile_engine="des")
+        assert sweep_system(lumi(), cache=des, **grid) == sweep_system(
+            lumi(), **grid
+        )
+
     def test_bad_timeline_exits_3(self, capsys):
         code = main(["sweep", "--system", "lumi", "--collective", "bcast",
                      "--nodes", "16", "--sizes", "1024",
