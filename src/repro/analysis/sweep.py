@@ -17,9 +17,8 @@ group-aligned mapping (useful to expose the pure-structure upper bound).
 Campaign performance rests on four shared caches, all transparent to the
 numbers produced:
 
-* schedule builders run with validation off (:func:`schedule_validation`;
-  override with ``REPRO_VALIDATE=1``) — sweeps rebuild known-good schedules
-  in bulk;
+* schedule builders run with validation off (:func:`schedule_validation`)
+  — sweeps render known-good schedules in bulk;
 * ν-label / π permutation tables are memoized per ``p`` in the core layer;
 * one CSR :class:`~repro.model.compiled.CompiledRouteTable` per
   :class:`ProfileCache` shares node-pair routes across every algorithm and
@@ -53,7 +52,7 @@ collide with pristine ones.
 
 A spec with a :class:`~repro.faults.FaultTimeline` runs on the
 discrete-event engine (:mod:`repro.des`), which replays the timeline's
-mid-run failures/heals while executing the lowered transfer program; its
+mid-run failures/heals while executing the cell's transfer table; its
 records carry the timeline label plus a ``stalled`` flag.  Every other
 spec runs on the compiled analytic evaluator.  With an empty timeline
 the DES engine reproduces the compiled engine bit for bit (the
@@ -84,7 +83,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.collectives.registry import ALGORITHMS, AlgorithmSpec
-from repro.model.analytic import analytic_builder
 from repro.model.compiled import (
     CompiledRouteTable,
     evaluate_grid,
@@ -272,7 +270,7 @@ class ProfileCache:
     The evaluation backend follows from the fault spec: ``"des"``
     (discrete-event simulation, :mod:`repro.des`) when it carries a
     :class:`~repro.faults.FaultTimeline`, ``"compiled"`` (analytic)
-    otherwise.  Both engines lower each schedule once into a memoized
+    otherwise.  Both engines render each cell once into a memoized
     :class:`~repro.model.compiled.TransferTable` and profile it through
     the CSR route table (bit-identical to the scalar oracle in
     ``tests/scalar_oracle.py``, asserted in
@@ -429,17 +427,6 @@ class ProfileCache:
     def _build(
         self, spec: AlgorithmSpec, p: int, ppn: int, mapping: RankMap
     ) -> ScheduleProfile | None:
-        analytic = analytic_builder(spec)
-        if analytic is not None:
-            if spec.pow2_only and p & (p - 1):
-                return None
-            with obs.span(
-                "profile.analytic",
-                collective=spec.collective,
-                algorithm=spec.name,
-                p=p,
-            ):
-                return analytic(p, self.topo, mapping, routes=self.routes)
         # schedules lower once per (collective, algorithm, p) — the table
         # is shared across systems, placements and seeds
         table = transfer_table_for(spec, p)
@@ -773,8 +760,8 @@ def sweep_system(
 ) -> list[SweepRecord]:
     """Evaluate every applicable algorithm across the grid.
 
-    ``max_p`` optionally caps the rank count per collective (the O(p²)
-    alltoall builders get expensive past a few hundred ranks).
+    ``max_p`` optionally caps the rank count per collective (campaign
+    manifests use it to keep a collective's grid smaller than the rest).
 
     ``workers=N`` (N > 1) shards the grid over ``(collective, p)`` pairs
     onto a process pool; results are identical to the serial sweep, in the

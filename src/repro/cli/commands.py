@@ -180,7 +180,7 @@ def cmd_schedule(args) -> int:
         )
     ]
     lines.append(
-        "validation: on" if validation_enabled() else "validation: off (REPRO_VALIDATE)"
+        "validation: on" if validation_enabled() else "validation: off"
     )
     if args.verify:
         from repro.collectives.verify import run_and_check

@@ -8,9 +8,9 @@ Exit codes (:data:`EXIT_CODES`): 0 success; 1 drift / verify failure;
 2 usage or domain error; 3 invalid fault spec; 4 partitioned topology;
 5 corrupted profile-cache entry surfaced as an error; 6 worker shard
 failure with fallback disabled; 7 corrupted or mismatched decision-table
-artifact; 8 DES engine error (a timeline on an analytic-only cell, which
-the discrete-event engine cannot replay) — also returned, with complete
-record output, when a timeline stalled at least one flow mid-run;
+artifact; 8 a timeline stalled at least one flow mid-run (with complete
+record output), or a DES engine error (a timeline the discrete-event
+engine cannot apply);
 9 graceful drain — a journaled campaign stopped at a cell boundary after
 SIGINT/SIGTERM with its progress flushed (resume with ``--resume``);
 10 unusable record journal (corrupt beyond the torn tail, or sealed for
@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "schedule",
         help="build + validate + pretty-print one collective schedule",
-        description="Build one schedule from the registry (validation on by "
-        "default; REPRO_VALIDATE=0 disables) and print a step-by-step digest.",
+        description="Build and validate one schedule from the registry and "
+        "print a step-by-step digest.",
     )
     p.add_argument("collective", help="e.g. allreduce (see `repro list`)")
     p.add_argument("algorithm", help="e.g. bine-rsag (see `repro list`)")

@@ -48,6 +48,7 @@ from repro.collectives.tree_collectives import (
     reduce_from_tree,
     scatter_from_tree,
 )
+from repro.model import analytic
 from repro.runtime.schedule import Schedule
 
 __all__ = [
@@ -85,10 +86,11 @@ class AlgorithmSpec:
     #: optional sweep cap: schedules with Θ(p²) wire segments (per-block
     #: strategies) are skipped above this rank count
     max_p: int | None = None
-    #: ``table(p)`` renders the sweep's TransferTable at ``n = p`` from the
-    #: entry's plan without building its schedule (butterfly flows, Bruck,
+    #: ``table(p)`` renders the sweep's TransferTable at ``n = p`` without
+    #: building the schedule: from the entry's plan (butterfly flows, Bruck,
     #: Sparbit, rings, and the composed bcast/reduce, whose tree half is
-    #: still lowered); ``None``: build and lower (trees, linear, alltoall)
+    #: still lowered), or as alltoall's packed/sampled cost model
+    #: (:mod:`repro.model.analytic`); ``None``: build and lower (trees, linear)
     table: Callable[[int], object] | None = None
 
     def build(self, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
@@ -448,16 +450,19 @@ _register(AlgorithmSpec(
     lambda p, n, root, op: a2a.alltoall_bruck(p, n),
     pow2_only=False, needs_divisible=True,
     description="Bruck alltoall (log steps)",
+    table=analytic.bruck_alltoall_table,
 ))
 _register(AlgorithmSpec(
     "alltoall", "pairwise", "linear",
     lambda p, n, root, op: a2a.alltoall_pairwise(p, n),
     pow2_only=False, needs_divisible=True,
     description="pairwise-exchange alltoall (p−1 steps)",
+    table=analytic.pairwise_alltoall_table,
 ))
 _register(AlgorithmSpec(
     "alltoall", "bine", "bine",
     lambda p, n, root, op: a2a.alltoall_bine(p, n),
     needs_divisible=True,
     description="Bine butterfly alltoall (Sec. 4.4)",
+    table=analytic.bine_alltoall_table,
 ))

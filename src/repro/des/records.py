@@ -7,19 +7,16 @@ the cache's :class:`~repro.faults.FaultTimeline` and returns
 :class:`~repro.analysis.sweep.SweepRecord` rows carrying the timeline
 label and the ``stalled`` flag.
 
-Analytic-profile cells (``alltoall``, at any rank count) have no lowered
-transfer program to simulate; every other cell, ring included, replays
-its transfer table at any ``p`` (a repeated step row once per step).
-With an *empty* timeline the analytic cells fall back to the compiled
-analytic evaluator — by the calibration contract the result is the same
-number the DES engine would produce — so mixed grids keep working; with
-a non-empty timeline they raise :class:`DESEngineError` (CLI exit
-code 8), because silently ignoring the timeline would mislabel records.
+Every cell replays the transfer table its profile was built from, at
+any ``p``: a repeated step row (``step_reps``) once per step, and
+alltoall's packed or sampled tables like any other.  With an empty
+timeline the result equals the compiled evaluator's, bit for bit (the
+calibration contract).
 
 Simulation results memoize in the module-level ``_SIM_CACHE`` (a bounded
 FIFO declared in :mod:`repro.runtime.memo`): campaign summaries and
 decision tables revisit identical cells, and a simulated cell is far
-more expensive than an analytic one.
+more expensive than a compiled evaluation.
 """
 
 from __future__ import annotations
@@ -29,10 +26,8 @@ import warnings
 from typing import Sequence
 
 from repro.des.engine import simulate_profile
-from repro.model.analytic import analytic_builder
 from repro.model.compiled import transfer_table_for
 from repro.model.cost import CostParams
-from repro.runtime.errors import DESEngineError
 from repro.runtime.memo import Memo
 
 __all__ = ["des_records"]
@@ -61,28 +56,12 @@ def des_records(
     the sweep (engine ``"des"``); ``profile`` is ``cache.get(spec, p,
     ppn)``, passed in so the sweep core keeps owning cache interaction.
     """
-    from repro.analysis.sweep import SweepRecord, _profile_records
+    from repro.analysis.sweep import SweepRecord
 
     if profile is None:
         return []
     timeline = cache.faults.timeline
-    if analytic_builder(spec) is not None:
-        if not timeline.is_null:
-            raise DESEngineError(
-                f"timeline {timeline.label!r} cannot replay on analytic "
-                f"cell ({spec.collective}, {spec.name}, p={p}): alltoall "
-                "has no lowered transfer program — restrict the grid or "
-                "drop the timeline"
-            )
-        # Calm analytic cells are exactly the analytic evaluation (the
-        # calibration contract), so mixed grids keep working under "des".
-        return _profile_records(
-            profile, system, spec, p, vector_bytes, params,
-            faults=cache.faults_label, ppn=ppn,
-        )
     table = transfer_table_for(spec, p)
-    if table is None:
-        return []
     mapping = cache.mapping_for(p, ppn)
     mdigest = hashlib.sha1(repr(mapping.nodes).encode()).hexdigest()[:12]
     pdigest = _params_digest(params)

@@ -37,8 +37,9 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
   running ``np.cumsum`` — a prefix sum cannot be regrouped pairwise), so
   every column equals a one-size step loop bit for bit.
 
-The sweep layer (:mod:`repro.analysis.sweep`), the DES engine and the
-analytic builders (:mod:`repro.model.analytic`) all profile through these.
+The sweep layer (:mod:`repro.analysis.sweep`) and the DES engine profile
+every cell through these, alltoall's packed and sampled tables
+(:mod:`repro.model.analytic`) included.
 """
 
 from __future__ import annotations
@@ -180,10 +181,10 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
     """Cached :class:`TransferTable` for one ``(collective, algorithm, p)``.
 
     Entries with a plan render the table straight from it (``spec.table``:
-    the butterflies, Bruck, Sparbit, the rings and the composed
-    bcast/reduce, whose tree half alone is built and lowered); the tree,
-    linear and alltoall entries build the schedule at the canonical size
-    ``n = p`` and lower it once.  Either way schedule validation is off
+    the butterflies, Bruck, Sparbit, the rings, alltoall's packed and
+    sampled cost models, and the composed bcast/reduce, whose tree half
+    alone is built and lowered); the tree and linear entries build the
+    schedule at the canonical size ``n = p`` and lower it once.  Either way schedule validation is off
     (the sweep's contract: it renders schedules the test suite already
     validates).  ``None`` when the entry rejects ``p``.
     The table is topology- and mapping-independent, so every system /
@@ -248,9 +249,8 @@ class CompiledRouteTable:
     the sorted key column, routes the unseen ones in one batch (each
     ``topo.route`` call happens exactly once per pair per table) and
     appends their rows once, so ``_arrays`` is always current and is never
-    rebuilt.  :meth:`profile_step_arrays` is the one step kernel:
-    :func:`profile_table` feeds it lowered schedules and the analytic
-    builders (:mod:`repro.model.analytic`) feed it rank arrays.
+    rebuilt.  :meth:`profile_step_arrays` is the one step kernel, fed
+    one table row at a time by :func:`profile_table`.
     """
 
     def __init__(self, topo: Topology):
@@ -555,8 +555,7 @@ def step_latency(step: StepProfile, params: CostParams) -> float:
 def _lat_array(profile: ScheduleProfile, params: CostParams) -> np.ndarray:
     """Per-step latency terms (size-invariant, so computed once per call).
 
-    Identical step objects (a repeated table row, or an analytic profile's
-    replicated samples) are evaluated once.
+    Identical step objects (a repeated table row) are evaluated once.
     """
     lat = np.empty(len(profile.steps), dtype=np.float64)
     memo: dict[int, float] = {}

@@ -9,8 +9,8 @@ This mirrors how the algorithms behave: their communication structure does
 not depend on the vector size, only their per-transfer byte counts do.
 
 :func:`repro.model.compiled.profile_table` produces these records and
-:func:`repro.model.compiled.evaluate_grid` scores them; the analytic
-builders (:mod:`repro.model.analytic`) produce them without a schedule.
+:func:`repro.model.compiled.evaluate_grid` scores them, for every cell
+from a :class:`~repro.model.compiled.TransferTable`.
 The records stay in this module because on-disk profile caches pickle
 them by module path.
 """

@@ -78,11 +78,9 @@ class DESEngineError(RuntimeSubstrateError):
     """The discrete-event fabric engine cannot execute the requested cell.
 
     Raised when a fault timeline is forced onto an engine that cannot
-    replay it (``ProfileCache(profile_engine="compiled")``), when a
-    timeline is asked of a cell the DES engine has no transfer program for
-    (the analytic-profile ``alltoall`` cells, at any rank count), or when
-    a timeline event is inapplicable to the fabric mid-run.  Mapped to CLI
-    exit code 8.
+    replay it (``ProfileCache(profile_engine="compiled")``) or when a
+    timeline event is inapplicable to the fabric mid-run.  Mapped to CLI
+    exit code 8, which a sweep whose simulation stalled also returns.
     """
 
 

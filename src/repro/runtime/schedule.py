@@ -22,14 +22,12 @@ destination, otherwise the named associative reduce op combines into it.
 
 Builders finish with :meth:`Schedule.finalize`, which validates the
 schedule only when validation is enabled: always under normal library use
-and pytest, toggled off by the sweep layer (which rebuilds the same
-schedules thousands of times) and overridable either way through the
-``REPRO_VALIDATE`` environment variable (``1``/``0``).
+and pytest, toggled off by the sweep layer (which renders known-good
+schedules in bulk) through :func:`schedule_validation`.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -49,39 +47,30 @@ __all__ = [
 
 Segment = tuple[int, int]
 
-#: process-local override installed by :func:`schedule_validation`; ``None``
-#: means "use the default" (validate).  The ``REPRO_VALIDATE`` environment
-#: variable, when set, wins over both.
-_VALIDATE_OVERRIDE: bool | None = None
+#: process-local switch set by :func:`schedule_validation`
+_VALIDATE = True
 
 
 def validation_enabled() -> bool:
     """Whether :meth:`Schedule.finalize` should run the full validation pass.
 
-    Resolution order: ``REPRO_VALIDATE`` env var (``0``/``false``/``off``
-    disable, anything else enables) → :func:`schedule_validation` override →
-    default *on*.  The default keeps library users and the test suite fully
-    checked; sweeps opt out explicitly because they rebuild known-good
-    schedules in bulk.
+    On unless a :func:`schedule_validation` block turned it off: library
+    users and the test suite stay fully checked; sweeps opt out explicitly
+    because they render known-good schedules in bulk.
     """
-    env = os.environ.get("REPRO_VALIDATE")
-    if env is not None and env.strip():  # empty string behaves like unset
-        return env.strip().lower() not in ("0", "false", "off", "no")
-    if _VALIDATE_OVERRIDE is not None:
-        return _VALIDATE_OVERRIDE
-    return True
+    return _VALIDATE
 
 
 @contextmanager
 def schedule_validation(enabled: bool) -> Iterator[None]:
     """Temporarily force schedule validation on or off for this process."""
-    global _VALIDATE_OVERRIDE
-    prev = _VALIDATE_OVERRIDE
-    _VALIDATE_OVERRIDE = enabled
+    global _VALIDATE
+    prev = _VALIDATE
+    _VALIDATE = enabled
     try:
         yield
     finally:
-        _VALIDATE_OVERRIDE = prev
+        _VALIDATE = prev
 
 
 def total_elems(segments: Sequence[Segment]) -> int:

@@ -12,9 +12,10 @@ independent per-transfer reference it must equal bit for bit:
 * :func:`evaluate_time` — one vector size at a time, a plain step loop;
 * :func:`traffic_by_class` / :func:`link_loads_per_step` — re-route every
   transfer through ``topo.route`` with no table at all;
-* :class:`ScalarRoutes` — a route table the analytic builders
-  (:mod:`repro.model.analytic`) accept, so their profiles can be rebuilt
-  without the compiled kernel;
+* :class:`ScalarRoutes` — a route table
+  :func:`~repro.model.compiled.profile_table` accepts, so alltoall's
+  packed and sampled tables (``meta["analytic"]``, no lowered schedule)
+  profile without the compiled kernel;
 * :func:`oracle_profile` / :func:`scalar_records` / :func:`oracle_records`
   — a sweep's profiles and records rebuilt from the pieces above.
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.analysis.sweep import SweepRecord
 from repro.collectives.registry import ALGORITHMS
-from repro.model.analytic import analytic_builder
+from repro.model.compiled import profile_table, transfer_table_for
 from repro.model.cost import CostParams
 from repro.model.simulator import PIPELINE_CHUNKS, ScheduleProfile, StepProfile
 from repro.runtime.schedule import Schedule, schedule_validation
@@ -356,7 +357,7 @@ def link_loads_per_step(
 class ScalarRoutes(RouteTable):
     """A :class:`RouteTable` that takes the compiled table's step columns.
 
-    The analytic builders hand their steps to
+    :func:`~repro.model.compiled.profile_table` hands each table row to
     ``routes.profile_step_arrays``; this one feeds the columns, as Python
     values, to the scalar :func:`profile_step`.
     """
@@ -379,11 +380,11 @@ def oracle_profile(cache, spec, p, ppn=1, routes=None):
     """Scalar-pipeline profile of one cell on ``cache``'s rank mapping."""
     routes = routes or ScalarRoutes(cache.topo)
     mapping = cache.mapping_for(p, ppn)
-    analytic = analytic_builder(spec)
-    if analytic is not None:
-        if spec.pow2_only and p & (p - 1):
-            return None
-        return analytic(p, cache.topo, mapping, routes=routes)
+    table = transfer_table_for(spec, p) if spec.table is not None else None
+    if table is not None and table.meta.get("analytic"):
+        # a packed or sampled cost model, not a lowered schedule: the
+        # scalar kernel profiles the table's rows themselves
+        return profile_table(table, cache.topo, mapping, routes=routes)
     try:
         with schedule_validation(False):
             schedule = spec.build(p, p)

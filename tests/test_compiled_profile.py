@@ -8,8 +8,8 @@ The scalar pipeline in ``tests/scalar_oracle.py`` (:func:`profile_schedule`
 over a :class:`RouteTable`, :func:`evaluate_time` per size) is the oracle
 here — :func:`oracle_records` rebuilds a sweep's records with it.  These tests pin that contract across
 the whole algorithm registry (including non-power-of-two rank counts),
-the analytic profile builders, the torus catalog, and the sweep layer
-itself.
+alltoall's packed and sampled tables, the torus catalog, and the sweep
+layer itself.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.collectives.registry import ALGORITHMS, spec_for
 from repro.collectives.composed import hierarchical_allreduce_bine
 from repro.collectives.registry import build
 from repro.faults import FaultSpec
-from repro.model.analytic import ANALYTIC_PROFILES
 from repro.model.compiled import (
     CompiledRouteTable,
     _seq_sum,
@@ -101,28 +100,20 @@ class TestStepProfileEquivalence:
             co = profile_table(lower_schedule(sched), topo, mapping)
             assert py == co
 
-    def test_analytic_builders_match_scalar_kernel(self):
-        # the analytic builders hand rank arrays to
-        # routes.profile_step_arrays: the scalar oracle's kernel and the
-        # compiled one must fold them into identical profiles
-        preset = lumi()
-        topo = preset.build_topology()
-        routes = ScalarRoutes(topo)
-        croutes = CompiledRouteTable(topo)
-        for (coll, name), builder in sorted(ANALYTIC_PROFILES.items()):
-            for p in (16, 256):
-                mapping = block_mapping(p)
-                assert builder(p, topo, mapping, routes=routes) == builder(
-                    p, topo, mapping, routes=croutes
-                ), f"analytic {coll}/{name} p={p}"
-
-    def test_analytic_builders_reject_foreign_topology(self):
-        # a 4x4-torus table must not route a LUMI-mapped profile
+    @pytest.mark.parametrize("name, p", [
+        (name, p) for name in ("pairwise", "bruck", "bine") for p in (16, 256)
+    ] + [(name, p) for name in ("pairwise", "bruck") for p in (17, 100)])
+    def test_alltoall_tables_match_scalar_kernel(self, name, p):
+        # alltoall's packed and sampled tables are no lowered schedule,
+        # so the scalar oracle profiles the table itself: its kernel and
+        # the compiled one must fold the rows into identical profiles
         topo = lumi().build_topology()
-        for builder in ANALYTIC_PROFILES.values():
-            with pytest.raises(ValueError, match="different topology"):
-                builder(16, topo, block_mapping(16),
-                        routes=CompiledRouteTable(Torus((4, 4))))
+        table = spec_for("alltoall", name).table(p)
+        mapping = block_mapping(p)
+        assert table.meta["analytic"]
+        assert profile_table(table, topo, mapping, routes=ScalarRoutes(topo)) == (
+            profile_table(table, topo, mapping, routes=CompiledRouteTable(topo))
+        )
 
     @pytest.mark.parametrize("gpus", [16, 64])
     def test_gpu_clique_topology_bit_identical(self, gpus):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.collectives.registry import build
+from repro.collectives.registry import build, spec_for
+from repro.model.compiled import profile_table
 from repro.model.cost import CostParams
 from repro.model.traffic import global_traffic_elems, traffic_reduction
 from repro.topology.base import LinkClass
@@ -126,30 +127,23 @@ class TestCostModel:
             profile_schedule(sched, lumi_like, block_mapping(8))
 
 
-class TestAnalyticProfiles:
-    """Analytic alltoall profiles must agree with exact schedule profiling."""
+#: (algorithm, p) cells where an alltoall table moves its exact schedule's
+#: elements: Bruck at any p, Bine at powers of two, pairwise while its 32
+#: sampled offsets still cover every offset 1 … p − 1
+ALLTOALL_CELLS = [
+    ("bruck", p) for p in (16, 17, 33, 64, 100, 256)
+] + [("bine", p) for p in (16, 64, 256)] + [("pairwise", p) for p in (16, 17, 33)]
 
-    def test_bine_alltoall_bytes_match_exact(self, lumi_like):
-        """The analytic (packed) profile moves the same bytes over the same
-        routes as the executor's slot-tracking builder; only the wire
-        segmentation/pack trade-off differs (Sec. 4.4's two data handlings)."""
-        from repro.model.analytic import bine_alltoall_profile
 
-        p = 32
-        mapping = block_mapping(p)
-        analytic = bine_alltoall_profile(p, lumi_like, mapping)
-        exact = profile_schedule(build("alltoall", "bine", p, p), lumi_like, mapping)
-        assert analytic.total_global_elems() == exact.total_global_elems()
-        # Times intentionally differ: the packed implementation trades
-        # per-step rotation copies for contiguous wire segments, the
-        # slot-tracking executor does the opposite (Sec. 4.4) — but both
-        # move identical bytes over identical routes (checked above).
-
-    def test_bruck_alltoall_bytes_match_exact(self, lumi_like):
-        from repro.model.analytic import bruck_alltoall_profile
-
-        p = 32
-        mapping = block_mapping(p)
-        analytic = bruck_alltoall_profile(p, lumi_like, mapping)
-        exact = profile_schedule(build("alltoall", "bruck", p, p), lumi_like, mapping)
-        assert analytic.total_global_elems() == exact.total_global_elems()
+@pytest.mark.parametrize("name, p", ALLTOALL_CELLS)
+def test_alltoall_table_moves_exact_elements_per_class(name, p):
+    """An alltoall sweep table (packed or sampled cost model) moves the same
+    elements over each link class as the executor's slot-tracking schedule;
+    only the wire segmentation/pack trade-off differs (Sec. 4.4's two data
+    handlings), so times intentionally differ."""
+    topo = Dragonfly(32, 8, links_per_group_pair=4)  # both link classes from p=9
+    mapping = block_mapping(p)
+    table = profile_table(spec_for("alltoall", name).table(p), topo, mapping)
+    exact = traffic_by_class(build("alltoall", name, p, p), topo, mapping)
+    assert table.total_class_elems() == exact
+    assert exact.get(LinkClass.GLOBAL)  # the check covers global links

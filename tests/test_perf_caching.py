@@ -142,19 +142,6 @@ class TestOptionalValidation:
             sched = self._overlapping_schedule().finalize()
         assert sched.num_steps == 1
 
-    def test_env_var_overrides_context(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VALIDATE", "1")
-        with schedule_validation(False):
-            assert validation_enabled()
-        monkeypatch.setenv("REPRO_VALIDATE", "0")
-        assert not validation_enabled()
-
-    def test_empty_env_var_behaves_like_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VALIDATE", "")
-        assert validation_enabled()  # the `export REPRO_VALIDATE=` idiom
-        with schedule_validation(False):
-            assert not validation_enabled()
-
     def test_reducing_overlap_still_allowed(self):
         sched = Schedule(3)
         sched.add(

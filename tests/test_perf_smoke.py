@@ -16,12 +16,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.analysis import sweep
 from repro.analysis.sweep import clear_memo_caches, memo_cache_sizes, sweep_system
 from repro.collectives.butterfly_collectives import allgather_butterfly
-from repro.collectives.registry import COLLECTIVES, AlgorithmSpec, build
+from repro.collectives.registry import COLLECTIVES, AlgorithmSpec, build, iter_specs, spec_for
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
 from repro.core.butterfly import bine_butterfly_doubling
-from repro.model.compiled import CompiledRouteTable
+from repro.model.compiled import CompiledRouteTable, transfer_table_for
 from repro.runtime.compiled import compile_plan
 from repro.runtime.executor import execute
 from repro.runtime.schedule import schedule_validation
@@ -123,7 +124,7 @@ def test_butterfly_sweep_cell_builds_no_schedule(monkeypatch):
 
 
 #: the entries a sweep still builds schedules for: the trees and linear
-#: algorithms (alltoall profiles analytically; every other entry has a plan)
+#: algorithms (every other entry renders its table without a schedule)
 TREE_AND_LINEAR = {
     (collective, name)
     for collective in ("bcast", "reduce")
@@ -154,6 +155,29 @@ def test_table3_sweep_builds_only_tree_and_linear_schedules(monkeypatch):
     assert {r.collective for r in records} == set(COLLECTIVES)
     assert builds == {entry: 3 for entry in TREE_AND_LINEAR}
     assert memo_cache_sizes()["butterfly_collectives._SEG_CACHE"] == 0
+
+
+def test_cold_sweep_profiles_every_cell_through_one_table(monkeypatch):
+    """A cold 8-collective LUMI sweep profiles every ``(spec, p)`` cell,
+    alltoall included, through ``profile_table`` exactly once, on the
+    cell's memoised transfer table: one profile path for every entry."""
+    clear_memo_caches()
+    profiled = Counter()
+    original = sweep.profile_table
+
+    def counting_profile(table, *args, **kwargs):
+        profiled[id(table)] += 1
+        return original(table, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "profile_table", counting_profile)
+    records = sweep_system(
+        lumi(), COLLECTIVES, node_counts=(16, 64), vector_bytes=(1024,)
+    )
+    cells = {(spec.collective, spec.name, p) for spec in iter_specs() for p in (16, 64)}
+    assert {(r.collective, r.algorithm, r.p) for r in records} == cells
+    assert profiled == Counter(
+        id(transfer_table_for(spec_for(coll, name), p)) for coll, name, p in cells
+    )
 
 
 def test_1024_rank_compiled_oracle_absolute_budget():

@@ -35,6 +35,7 @@ from repro.cli.formatters import records_json
 from repro.cli.main import main
 from repro.cli.manifest import ManifestError, manifest_from_dict, manifest_to_dict
 from repro.collectives.registry import spec_for
+from repro.des import records as records_mod
 from repro.des import simulate_profile
 from repro.faults import FaultSpec, FaultTimeline, TimelineEvent
 from repro.model.compiled import transfer_table_for
@@ -100,23 +101,35 @@ class TestTimelineGrammar:
         assert FaultSpec.from_dict(only.to_dict()) == only
 
 
-#: the three-collective LUMI calibration grid asserted by the contract
-CALIBRATION_GRID = dict(
-    collectives=("allgather", "allreduce", "bcast"),
-    node_counts=(16, 64),
-    vector_bytes=(1024, 16777216),
-)
+#: the calibration grids asserted by the contract: three collectives, and
+#: every alltoall entry (its packed and sampled tables replay like any other)
+CALIBRATION_GRIDS = [
+    dict(collectives=collectives, node_counts=(16, 64),
+         vector_bytes=(1024, 16777216))
+    for collectives in (("allgather", "allreduce", "bcast"), ("alltoall",))
+]
 
 
 class TestCalibration:
-    def test_des_records_exactly_equal_compiled(self):
-        compiled = sweep_system(lumi(), **CALIBRATION_GRID)
+    @pytest.mark.parametrize("grid", CALIBRATION_GRIDS,
+                             ids=lambda grid: "-".join(grid["collectives"]))
+    def test_des_records_exactly_equal_compiled(self, grid, monkeypatch):
+        clear_memo_caches()  # an empty _SIM_CACHE: every record simulates
+        simulated = []
+
+        def counting_simulate(*args, **kwargs):
+            simulated.append(args[0])
+            return simulate_profile(*args, **kwargs)
+
+        monkeypatch.setattr(records_mod, "simulate_profile", counting_simulate)
+        compiled = sweep_system(lumi(), **grid)
         des = sweep_system(
-            lumi(), cache=ProfileCache(lumi(), profile_engine="des"),
-            **CALIBRATION_GRID,
+            lumi(), cache=ProfileCache(lumi(), profile_engine="des"), **grid,
         )
         assert compiled  # a vacuous grid would prove nothing
         assert des == compiled
+        # every record was replayed, none scored by the compiled evaluator
+        assert len(simulated) == len(des)
 
     def test_event_loop_exactly_equals_fast_path(self):
         preset = lumi()
@@ -205,19 +218,17 @@ class TestPartitionStall:
         expected = FaultTimeline.parse(STALL_TIMELINE).label
         assert all(row["timeline"] == expected for row in rows)
 
-    def test_timeline_on_analytic_cell_exits_8(self, capsys):
-        code = main(["sweep", "--system", "lumi", "--collective", "alltoall",
-                     "--nodes", "16", "--sizes", "1024",
-                     "--timeline", "at=0.001:links=1"])
-        assert code == 8
-        assert "DESEngineError" in capsys.readouterr().err
-
-    def test_analytic_cells_reject_timelines(self):
-        # alltoall is always analytic: no lowered transfer program to replay
-        with pytest.raises(DESEngineError, match="analytic"):
-            sweep_system(lumi(), ("alltoall",), node_counts=(16,),
-                         vector_bytes=(1024,),
-                         faults=FaultSpec(timeline="at=0.001:links=1"))
+    def test_alltoall_replays_timelines(self):
+        # alltoall's packed (Bruck, Bine) and sampled (pairwise) tables
+        # replay under a timeline like every other cell
+        records = sweep_system(
+            lumi(), ("alltoall",), node_counts=(16, 64), vector_bytes=(1024,),
+            faults=FaultSpec(timeline=PERTURB_TIMELINE))
+        label = FaultTimeline.parse(PERTURB_TIMELINE).label
+        assert sorted((r.algorithm, r.p) for r in records) == [
+            (name, p) for name in ("bine", "bruck", "pairwise") for p in (16, 64)
+        ]
+        assert all(r.timeline == label and not r.stalled for r in records)
 
     def test_ring_replays_timelines_above_128_ranks(self):
         # the ring table's repeated step row replays once per step, so a
