@@ -287,8 +287,8 @@ def run_and_check_compiled(
     return matrices
 
 
-#: plan memo — keyed per grid cell; bounded FIFO so 1024-rank plans (tens of
-#: MB of index arrays each) cannot accumulate without limit
+#: plan memo — keyed per grid cell; bounded FIFO so 1024-rank plans (block
+#: runs, but up to millions of them for a ring) cannot accumulate without limit
 _PLAN_CACHE = Memo("verify._PLAN_CACHE", maxsize=128, counter="plan")
 
 

@@ -717,6 +717,8 @@ def simulate_profile(
     n_elems: float,
     *,
     force_event_loop: bool = False,
+    collective: str | None = None,
+    algorithm: str | None = None,
 ) -> SimResult:
     """Simulate one collective execution; the DES counterpart of
     :func:`~repro.model.compiled.evaluate_grid` at one size.
@@ -724,14 +726,16 @@ def simulate_profile(
     With an empty ``timeline`` the result's ``time`` is bit-identical to
     the analytic engine's (the calibration contract, asserted in tier-1);
     ``force_event_loop`` additionally pushes calm phases through the full
-    event heap (used by the internal-consistency tests).
+    event heap (used by the internal-consistency tests).  ``collective``
+    and ``algorithm`` only label the ``des.simulate`` trace span.
     """
     sim = _Simulation(
         table, profile, topo, mapping, params, timeline, n_elems,
         force_event_loop=force_event_loop,
     )
     with obs.span(
-        "des.simulate", steps=len(profile.steps), timeline=timeline.label
+        "des.simulate", collective=collective, algorithm=algorithm, p=table.p,
+        steps=len(profile.steps), timeline=timeline.label,
     ) as sim_span:
         result = sim.run()
         sim_span.set(

@@ -79,6 +79,7 @@ def des_records(
             result = simulate_profile(
                 table, profile, cache.topo, mapping, params, timeline,
                 nb / params.itemsize,
+                collective=spec.collective, algorithm=spec.name,
             )
             if result.stalled:
                 first = result.stalls[0]

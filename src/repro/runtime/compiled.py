@@ -1,17 +1,27 @@
 """Compiled columnar execution plans — the correctness oracle's fast path.
 
 :func:`compile_plan` lowers a finalized :class:`~repro.runtime.schedule.Schedule`
-*once* into a structure-of-arrays plan: flat ``intp`` index arrays (per-element
-source and destination positions, write-group boundaries, reduce ufunc per
-group) addressing a single 2-D buffer matrix of shape
-``(p, total_buffer_elems)`` in which every named per-rank buffer owns a fixed
-column slice (:class:`BufferLayout`).  Indices are pre-flattened
-(``rank * total + column``), so :meth:`CompiledPlan.execute` replays a step as
-one ``np.take`` gather plus one vectorized scatter (or ``ufunc.at`` when
-reduce destinations genuinely collide) per write group — no per-transfer
-Python, no dict lookups, no ``np.concatenate`` staging — and is bit-identical
-to :func:`repro.runtime.executor.execute` (asserted across the whole registry
-in ``tests/test_compiled_executor.py``).
+*once* into a structure-of-arrays plan over a single 2-D buffer matrix of
+shape ``(p, total_buffer_elems)`` in which every named per-rank buffer owns a
+fixed column slice (:class:`BufferLayout`).  The plan stores **block runs**,
+not per-element indices: a run is a flat source start, a flat destination
+start (``rank * total + column``) and a length, so a whole-vector exchange
+or a half-vector butterfly block is one run however many elements it moves.
+Runs contiguous in both source and destination are merged, never across a
+write-group start; when every run of a phase has one length, the lengths
+are not stored at all.
+
+Compilation takes each step's segment tuples in bulk and checks ranks,
+buffers, segment bounds and the sent/received balance with vectorised
+passes over many steps at once, raising the error a transfer-by-transfer
+check would raise first.  Execution expands a phase's runs to positions
+just before its gather and its scatter and drops them after (a run start
+*is* its position when runs have length 1; equal lengths ``L`` expand as
+``start + arange(L)``), then replays a step as one ``np.take`` gather plus
+one vectorized scatter (or ``ufunc.at`` when reduce destinations genuinely
+collide) per write group — no per-transfer Python — bit-identical to
+:func:`repro.runtime.executor.execute` (asserted across the whole registry,
+on even and uneven data, in ``tests/test_compiled_executor.py``).
 
 Semantics preserved exactly:
 
@@ -21,32 +31,34 @@ Semantics preserved exactly:
   groups apply in transfer order, so a later reduce sees an earlier
   overwrite's value exactly as the sequential executor would.  Within an
   overwrite group duplicate destinations keep the *last* write (the reference
-  executor's later-transfer-wins order), made explicit by a compile-time
-  dedup rather than relying on NumPy's fancy-assignment iteration order;
-* **reduce accumulation** — groups whose destinations are pairwise distinct
-  (checked at compile time) reduce via one vectorized
-  ``gather → op → scatter``; colliding groups fall back to ``ufunc.at``,
-  which applies repeated indices one by one in element order — both match
-  the reference's sequential ``buf[lo:hi] = op(buf[lo:hi], chunk)`` loop
-  (exact for the integer dtypes the oracle uses, and the same accumulation
-  order even for floats);
+  executor's later-transfer-wins order): such a group — the only one ever
+  expanded to elements at compile time — is deduplicated and stored back as
+  runs, rather than relying on NumPy's fancy-assignment iteration order;
+* **reduce accumulation** — groups whose destination runs are pairwise
+  disjoint (an interval-overlap test at compile time) reduce via one
+  vectorized ``gather → op → scatter``; colliding groups fall back to
+  ``ufunc.at``, which applies repeated indices one by one in element order —
+  both match the reference's sequential ``buf[lo:hi] = op(buf[lo:hi], chunk)``
+  loop (exact for the integer dtypes the oracle uses, and the same
+  accumulation order even for floats);
 * **local copies** — ``pre``/``post`` copies run in order; consecutive copies
   touching pairwise-distinct ranks (and sharing one op) are batched into a
   single gather/scatter phase, which cannot change results because a local
   copy only ever reads and writes its own rank.
 
 The payoff is batching: :meth:`CompiledPlan.execute_batch` runs a stack of
-``(seeds, p, total_elems)`` matrices through the same index arrays in one
-pass, so verifying many seeds costs one compile plus a few vectorized ops per
-step (see :func:`repro.collectives.verify.run_and_check_compiled` and the
-``repro verify`` CLI).  Compilation itself is a single linear pass over the
-schedule and is memoized per grid cell by
+``(seeds, p, total_elems)`` matrices through the same runs in one pass, so
+verifying many seeds costs one compile plus a few vectorized ops per step
+(see :func:`repro.collectives.verify.run_and_check_compiled` and the
+``repro verify`` CLI).  Plans are memoized per grid cell by
 :func:`repro.collectives.verify.compiled_plan_for`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, is_
 from typing import Mapping
 
 import numpy as np
@@ -55,7 +67,7 @@ from repro.runtime.buffers import RankBuffers
 from repro.runtime.errors import BufferMismatchError, ScheduleError
 from repro.runtime.executor import ExecutionTrace
 from repro.runtime.reduce_ops import named_op
-from repro.runtime.schedule import LocalCopy, Schedule, Step
+from repro.runtime.schedule import LocalCopy, Schedule
 
 __all__ = [
     "BufferLayout",
@@ -67,16 +79,15 @@ __all__ = [
 ]
 
 
+_SRC_BUF, _DST_BUF = attrgetter("src_buf"), attrgetter("dst_buf")
+
+
 def buffers_used(schedule: Schedule) -> set[str]:
     """Every named buffer referenced by the schedule's transfers and copies."""
     names: set[str] = set()
     for step in schedule.steps:
-        for t in step.transfers:
-            names.add(t.src_buf)
-            names.add(t.dst_buf)
-        for lc in step.pre + step.post:
-            names.add(lc.src_buf)
-            names.add(lc.dst_buf)
+        for items in (step.transfers, step.pre, step.post):
+            names.update(map(_SRC_BUF, items), map(_DST_BUF, items))
     return names
 
 
@@ -187,20 +198,35 @@ def matrix_to_buffers(
 
 @dataclass(frozen=True)
 class _Write:
-    """One write group: a contiguous run of same-op staged elements."""
+    """One write group: a contiguous slice of a phase's staged elements."""
 
-    sel: object  # slice (or intp array after overwrite dedup) into staged
-    idx: np.ndarray  # flat destination positions (rank * total + column)
+    sel: slice  # staged elements (and their expanded destinations) it writes
     ufunc: np.ufunc | None  # None = overwrite
     disjoint: bool  # destinations pairwise distinct → vectorized reduce
 
 
 @dataclass(frozen=True)
 class _Phase:
-    """Gather-then-scatter with snapshot semantics (all reads before writes)."""
+    """Gather-then-scatter with snapshot semantics (all reads before writes).
 
-    src: np.ndarray  # flat source positions, staged in transfer order
+    Run ``j`` moves a block of elements from flat position ``src[j]`` on to
+    flat position ``dst[j]`` on; the staged elements are the runs back to
+    back, and each write group is a slice of them.
+    """
+
+    src: np.ndarray  # flat source start of each run
+    dst: np.ndarray  # flat destination start of each run
+    width: int  # the common run length, or 0 when lengths differ
+    lens: np.ndarray | None  # run lengths (all > 0) when they differ
     writes: tuple[_Write, ...]
+
+    def positions(self, starts: np.ndarray) -> np.ndarray:
+        """Per-element flat positions of the runs beginning at ``starts``."""
+        if self.width == 1:
+            return starts
+        if self.width:
+            return (starts[:, None] + np.arange(self.width, dtype=np.intp)).ravel()
+        return _expand(starts, self.lens)
 
 
 @dataclass(frozen=True)
@@ -211,7 +237,7 @@ class _StepPlan:
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A schedule lowered to flat index arrays over one buffer matrix."""
+    """A schedule lowered to block runs over one buffer matrix."""
 
     p: int
     layout: BufferLayout
@@ -256,22 +282,23 @@ class CompiledPlan:
         take = np.take
         for step in self.steps:
             for phase in step.phases:
-                staged = take(flat, phase.src)
+                staged = take(flat, phase.positions(phase.src))
+                idx = phase.positions(phase.dst)
                 for w in phase.writes:
-                    chunk = staged[w.sel]
+                    chunk, dst = staged[w.sel], idx[w.sel]
                     if w.ufunc is None:
-                        flat[w.idx] = chunk
+                        flat[dst] = chunk
                     elif w.disjoint:
-                        flat[w.idx] = w.ufunc(take(flat, w.idx), chunk)
+                        flat[dst] = w.ufunc(take(flat, dst), chunk)
                     else:
-                        w.ufunc.at(flat, w.idx, chunk)
+                        w.ufunc.at(flat, dst, chunk)
         return self._trace()
 
     def execute_batch(self, matrices: np.ndarray) -> ExecutionTrace:
         """Run the plan on a ``(batch, p, total)`` stack in one pass.
 
         Every layer evolves exactly as :meth:`execute` would evolve it alone
-        (the plan's index arrays broadcast over the leading axis), so one
+        (the plan's positions broadcast over the leading axis), so one
         batched call verifies many seeds for one compile.  The returned trace
         describes a single run — all layers share the schedule structure.
         """
@@ -284,15 +311,16 @@ class CompiledPlan:
         take = np.take
         for step in self.steps:
             for phase in step.phases:
-                staged = take(flat, phase.src, axis=1)
+                staged = take(flat, phase.positions(phase.src), axis=1)
+                idx = phase.positions(phase.dst)
                 for w in phase.writes:
-                    chunk = staged[:, w.sel]
+                    chunk, dst = staged[:, w.sel], idx[w.sel]
                     if w.ufunc is None:
-                        flat[:, w.idx] = chunk
+                        flat[:, dst] = chunk
                     elif w.disjoint:
-                        flat[:, w.idx] = w.ufunc(take(flat, w.idx, axis=1), chunk)
+                        flat[:, dst] = w.ufunc(take(flat, dst, axis=1), chunk)
                     else:
-                        w.ufunc.at(flat, (batch, w.idx[None, :]), chunk)
+                        w.ufunc.at(flat, (batch, dst[None, :]), chunk)
         return self._trace()
 
 
@@ -309,167 +337,287 @@ def _ufunc_for(op_name: str) -> np.ufunc:
     return fn
 
 
-def _expand_flat(los: list[int], lens: list[int]) -> np.ndarray:
-    """Segment (start, length) lists → one flat per-element index array.
+def _expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Runs ``starts[j] .. starts[j] + lens[j]`` → one flat position array."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1], dtype=np.intp)
 
-    ``los`` are already flattened start positions (``rank * total + offset +
-    lo``); segment ``j`` expands to ``los[j] .. los[j] + lens[j])``.
+
+def _merge(src: np.ndarray, dst: np.ndarray, lens: np.ndarray,
+           fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coalesce neighbouring runs contiguous in both source and destination.
+
+    A run flagged in ``fixed`` (a write-group start) always starts a new run.
     """
-    if not lens:
-        return np.empty(0, dtype=np.intp)
-    len_arr = np.asarray(lens, dtype=np.intp)
-    lo_arr = np.asarray(los, dtype=np.intp)
-    total = int(len_arr.sum())
-    cum = np.cumsum(len_arr)
-    return np.repeat(lo_arr - (cum - len_arr), len_arr) + np.arange(
-        total, dtype=np.intp
-    )
+    brk = fixed.copy()
+    brk[0] = True
+    brk[1:] |= (src[1:] != src[:-1] + lens[:-1]) | (dst[1:] != dst[:-1] + lens[:-1])
+    first = np.flatnonzero(brk)
+    return src[first], dst[first], np.add.reduceat(lens, first)
 
 
-def _make_write(sel: slice, idx: np.ndarray, op_name: str | None) -> _Write:
-    """Finalize one write group: resolve the ufunc, classify destinations.
+def _keep_last(src: np.ndarray, dst: np.ndarray, lens: np.ndarray):
+    """An overwrite group's runs with only the last write per destination.
 
-    Overwrite groups with duplicate destinations keep only the last write per
-    position (the reference's later-transfer-wins order); reduce groups are
-    flagged ``disjoint`` when no position repeats, unlocking the vectorized
-    reduce path.  Both classifications cost one ``np.unique`` per group, paid
-    once at compile time.
+    The reference executor applies an overwrite group transfer by transfer,
+    so a later write to a position wins; the survivors keep staging order
+    and are coalesced back into runs.
     """
-    uniq, first_rev = np.unique(idx[::-1], return_index=True)
-    disjoint = uniq.size == idx.size
-    if op_name is None:
-        if not disjoint:
-            keep = np.sort(idx.size - 1 - first_rev)
-            return _Write(keep + sel.start, idx[keep], None, True)
-        return _Write(sel, idx, None, True)
-    return _Write(sel, idx, _ufunc_for(op_name), disjoint)
+    d_pos = _expand(dst, lens)
+    _, first_rev = np.unique(d_pos[::-1], return_index=True)
+    keep = np.sort(d_pos.size - 1 - first_rev)
+    ones = np.ones(keep.size, dtype=np.intp)
+    return _merge(_expand(src, lens)[keep], d_pos[keep], ones,
+                  np.zeros(keep.size, dtype=bool))
 
 
-class _PhaseBuilder:
-    """Accumulates one gather/scatter phase as flat (start, length) scalars."""
+#: a phase item's columns: source rank, buffer, segments; the same for the
+#: destination; reduce op; tag.  Read one column at a time: a tuple per item
+#: would wake the cyclic GC, which then rescans the whole schedule
+_TRANSFER_COLS = tuple(map(attrgetter, (
+    "src", "src_buf", "src_segments", "dst", "dst_buf", "dst_segments", "op", "tag"
+)))
+_LOCAL_COLS = tuple(map(attrgetter, (
+    "rank", "src_buf", "src_segments", "rank", "dst_buf", "dst_segments", "op", "tag"
+)))
 
-    __slots__ = ("layout", "total", "s_los", "s_lens", "d_los", "d_lens",
-                 "groups", "pos", "where")
+#: a vectorised pass lowers whole steps until it holds this many items:
+#: enough to amortize NumPy call overhead over many small steps, few enough
+#: to bound the pass's transient arrays
+_BATCH_ITEMS = 1 << 16
 
-    def __init__(self, layout: BufferLayout, where: str):
-        self.layout = layout
-        self.total = layout.total
-        self.s_los: list[int] = []
-        self.s_lens: list[int] = []
-        self.d_los: list[int] = []
-        self.d_lens: list[int] = []
-        # write groups: [op_name, start_elem, stop_elem] in transfer order
-        self.groups: list[list] = []
-        self.pos = 0
-        self.where = where
 
-    def add(self, src_rank, src_buf, src_segments, dst_rank, dst_buf,
-            dst_segments, op_name, tag: str) -> int:
-        layout, where = self.layout, self.where
-        groups = self.groups
-        if not groups or groups[-1][0] != op_name:
-            groups.append([op_name, self.pos, self.pos])
-        try:
-            s_base = src_rank * self.total + layout.offsets[src_buf]
-            s_width = layout.widths[src_buf]
-            d_base = dst_rank * self.total + layout.offsets[dst_buf]
-            d_width = layout.widths[dst_buf]
-        except KeyError as exc:
-            raise BufferMismatchError(
-                f"buffer {exc.args[0]!r} not in layout {layout.names} "
-                f"({where}, {tag!r})"
-            ) from None
-        sent = self._segments(src_segments, s_base, s_width, self.s_los,
-                              self.s_lens, tag)
-        got = self._segments(dst_segments, d_base, d_width, self.d_los,
-                             self.d_lens, tag)
-        if sent != got:
-            raise BufferMismatchError(
-                f"{where} ({tag!r}): {sent} elems sent, {got} expected"
-            )
-        self.pos += sent
-        groups[-1][2] = self.pos
-        return sent
+class _Side:
+    """One side (sources or destinations) of a batch of items, in bulk."""
 
-    def _segments(self, segments, base, width, los, lens, tag) -> int:
-        moved = 0
-        for lo, hi in segments:
-            if lo < 0 or hi < lo:
-                raise ScheduleError(
-                    f"invalid segment ({lo}, {hi}) in {self.where} ({tag!r})"
-                )
-            if hi > width:
-                raise BufferMismatchError(
-                    f"segment ({lo},{hi}) exceeds buffer of {width} elems "
-                    f"in {self.where} ({tag!r})"
-                )
-            los.append(base + lo)
-            lens.append(hi - lo)
-            moved += hi - lo
-        return moved
+    __slots__ = ("rank", "lo", "hi", "item", "width", "starts", "moved", "invalid")
 
-    def build(self) -> _Phase | None:
-        if self.pos == 0 and not self.groups:
-            return None
-        src = _expand_flat(self.s_los, self.s_lens)
-        dst = _expand_flat(self.d_los, self.d_lens)
-        writes = tuple(
-            _make_write(slice(start, stop), dst[start:stop], op_name)
-            for op_name, start, stop in self.groups
+    def __init__(self, layout: BufferLayout, ranks, bufs: np.ndarray, segments,
+                 like: "_Side | None" = None):
+        items = len(segments)
+        self.rank = np.fromiter(ranks, np.intp, items)
+        if like is not None:
+            # the same segment tuples as ``like`` (butterflies pass one tuple
+            # as both ends): reuse its parse
+            self.lo, self.hi, self.item = like.lo, like.hi, like.item
+            self.moved = like.moved
+        else:
+            count = np.fromiter(map(len, segments), np.intp, items)
+            seg = np.fromiter(
+                chain.from_iterable(chain.from_iterable(segments)),
+                np.intp, 2 * int(count.sum()),
+            ).reshape(-1, 2)
+            self.lo, self.hi = seg[:, 0], seg[:, 1]
+            self.item = np.repeat(np.arange(items, dtype=np.intp), count)
+            self.moved = np.bincount(
+                self.item, weights=self.hi - self.lo, minlength=items
+            ).astype(np.intp)
+        names = layout.names
+        offsets = np.array([layout.offsets[name] for name in names], dtype=np.intp)
+        self.width = np.array([layout.widths[name] for name in names],
+                              dtype=np.intp)[bufs]
+        base = self.rank * layout.total + offsets[bufs]
+        self.starts = base[self.item] + self.lo
+        self.invalid = (
+            (self.lo < 0) | (self.hi < self.lo) | (self.hi > self.width[self.item])
         )
-        return _Phase(src, writes)
+
+    def raise_invalid(self, k: int, where: str, tag: str) -> None:
+        """Raise for item ``k``'s first invalid segment, if it has one."""
+        bad = np.flatnonzero(self.invalid & (self.item == k))
+        if not bad.size:
+            return
+        lo, hi = int(self.lo[bad[0]]), int(self.hi[bad[0]])
+        if lo < 0 or hi < lo:
+            raise ScheduleError(f"invalid segment ({lo}, {hi}) in {where} ({tag!r})")
+        raise BufferMismatchError(
+            f"segment ({lo},{hi}) exceeds buffer of {int(self.width[k])} "
+            f"elems in {where} ({tag!r})"
+        )
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat starts and lengths of the non-empty segments."""
+        lens = self.hi - self.lo
+        keep = lens > 0
+        return self.starts[keep], lens[keep]
 
 
-def _compile_transfers(step: Step, layout: BufferLayout, p: int, where: str) -> _Phase | None:
-    """All transfers of a step → one snapshot-gather phase with write groups."""
-    if not step.transfers:
-        return None
-    builder = _PhaseBuilder(layout, where)
-    for t in step.transfers:
-        if not (0 <= t.src < p and 0 <= t.dst < p):
-            raise ScheduleError(f"rank out of range in {where} ({t.tag!r})")
-        builder.add(t.src, t.src_buf, t.src_segments, t.dst, t.dst_buf,
-                    t.dst_segments, t.op, t.tag)
-    return builder.build()
+def _lookup(index: dict, keys: list) -> np.ndarray:
+    """``index[key]`` for every key, ``-1`` where a key is missing."""
+    if index.keys() >= set(keys):
+        return np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    return np.array([index.get(key, -1) for key in keys], dtype=np.intp)
 
 
-def _compile_locals(
-    ops: tuple[LocalCopy, ...], layout: BufferLayout, p: int, where: str
-) -> tuple[list[_Phase], int]:
-    """Sequential local copies → phases, batching independent ranks.
+def _lower(layout: BufferLayout, p: int, phases: list) -> list:
+    """Lower phases ``(where, items, column getters)`` in one vectorised pass.
 
-    Consecutive copies are merged into one gather/scatter phase while they
-    share a reduce op and touch pairwise-distinct ranks; a repeated rank (or
-    an op change) starts a new phase, preserving the reference executor's
+    Returns one ``(phase or None when it moves nothing, elements moved)``
+    pair per phase.  Every item is checked at once; on a failed check each
+    phase is lowered alone, in order, so the error raised is the one
+    checking item by item would raise first.
+    """
+    sizes = [len(items) for _, items, _ in phases]
+
+    def column(c: int) -> list:
+        return list(chain.from_iterable(
+            map(getters[c], items) for _, items, getters in phases
+        ))
+
+    src_ranks, src_bufs, src_segs, dst_ranks, dst_bufs, dst_segs, ops = map(
+        column, range(7)
+    )
+    index = {name: i for i, name in enumerate(layout.names)}
+    s_buf, d_buf = _lookup(index, src_bufs), _lookup(index, dst_bufs)
+    src = _Side(layout, src_ranks, s_buf, src_segs)
+    dst = _Side(layout, dst_ranks, d_buf, dst_segs,
+                src if all(map(is_, src_segs, dst_segs)) else None)
+    rank_bad = (src.rank < 0) | (src.rank >= p) | (dst.rank < 0) | (dst.rank >= p)
+    item_bad = rank_bad | (s_buf < 0) | (d_buf < 0) | (src.moved != dst.moved)
+    item_bad[src.item[src.invalid]] = True
+    item_bad[dst.item[dst.invalid]] = True
+    if item_bad.any():
+        if len(phases) > 1:
+            for phase in phases:  # the first failing phase raises
+                _lower(layout, p, [phase])
+        k = int(np.argmax(item_bad))
+        where, tag = phases[0][0], column(7)[k]
+        if rank_bad[k]:
+            rank = f"rank {src.rank[k]}" if phases[0][2] is _LOCAL_COLS else "rank"
+            raise ScheduleError(f"{rank} out of range in {where} ({tag!r})")
+        if s_buf[k] < 0 or d_buf[k] < 0:
+            name = src_bufs[k] if s_buf[k] < 0 else dst_bufs[k]
+            raise BufferMismatchError(
+                f"buffer {name!r} not in layout {layout.names} ({where}, {tag!r})"
+            )
+        src.raise_invalid(k, where, tag)
+        dst.raise_invalid(k, where, tag)
+        raise BufferMismatchError(
+            f"{where} ({tag!r}): {src.moved[k]} elems sent, "
+            f"{dst.moved[k]} expected"
+        )
+
+    # write groups: maximal spans of one phase's consecutive same-op items
+    phase_first = np.cumsum(sizes) - sizes
+    op_code = _lookup({op: i for i, op in enumerate(set(ops))}, ops)
+    fresh = np.ones(len(ops), dtype=bool)
+    fresh[1:] = op_code[1:] != op_code[:-1]
+    fresh[phase_first] = True
+    firsts = np.flatnonzero(fresh)
+    resolved: dict = {None: None}
+    for i in firsts.tolist():
+        if ops[i] not in resolved:
+            resolved[ops[i]] = _ufunc_for(ops[i])
+    ufuncs = [resolved[ops[i]] for i in firsts.tolist()]
+    item_end = np.cumsum(src.moved)
+    total = int(item_end[-1])
+    if total == 0:
+        return [(None, 0)] * len(phases)
+    # group g stages elements bounds[g] .. bounds[g + 1], phase j elements
+    # edges[j] .. edges[j + 1]
+    bounds = np.append((item_end - src.moved)[firsts], total)
+    edges = np.append((item_end - src.moved)[phase_first], total)
+    moved = np.diff(edges)
+
+    run_src, run_dst, lens = _runs(src, dst, bounds)
+    run_off = np.cumsum(lens) - lens
+    group = np.searchsorted(bounds, run_off, "right") - 1
+    # a group overlaps itself iff two of its runs, sorted by destination,
+    # overlap as neighbours
+    order = np.lexsort((run_dst, group))
+    d_lo, g = run_dst[order], group[order]
+    d_hi = d_lo + lens[order]
+    clash = set(g[1:][(g[1:] == g[:-1]) & (d_lo[1:] < d_hi[:-1])].tolist())
+    dedup = [g for g in clash if ufuncs[g] is None]
+    if dedup:
+        cut = np.searchsorted(run_off, bounds)  # group g: runs cut[g:g+2]
+        parts = [(run_src[a:b], run_dst[a:b], lens[a:b])
+                 for a, b in zip(cut[:-1], cut[1:])]
+        for g in dedup:
+            parts[g] = _keep_last(*parts[g])
+        run_src, run_dst, lens = (np.concatenate(col) for col in zip(*parts))
+        bounds = np.append(0, np.cumsum([int(part[2].sum()) for part in parts]))
+        edges = bounds[np.append(np.searchsorted(firsts, phase_first), len(firsts))]
+        run_off = np.cumsum(lens) - lens
+
+    # split runs and write groups by phase
+    writes: list[list[_Write]] = [[] for _ in phases]
+    phase_of = np.searchsorted(phase_first, firsts, "right") - 1
+    for g, (j, ufunc, a, b) in enumerate(zip(
+        phase_of.tolist(), ufuncs, bounds[:-1].tolist(), bounds[1:].tolist()
+    )):
+        if b > a:
+            base = int(edges[j])
+            writes[j].append(_Write(slice(a - base, b - base), ufunc,
+                                    ufunc is None or g not in clash))
+    at = np.searchsorted(run_off, edges)  # phase j: runs at[j] .. at[j + 1]
+    live = np.flatnonzero(moved)
+    narrow = np.minimum.reduceat(lens, at[live])
+    wide = np.maximum.reduceat(lens, at[live])
+    width = dict(zip(live.tolist(), np.where(narrow == wide, narrow, 0).tolist()))
+    out = []
+    for j, (a, b) in enumerate(zip(at[:-1].tolist(), at[1:].tolist())):
+        if j not in width:
+            out.append((None, 0))
+            continue
+        # uniform runs need no lengths; copied so no view pins the batch's
+        phase_lens = None if width[j] else lens[a:b].copy()
+        phase = _Phase(run_src[a:b], run_dst[a:b], width[j], phase_lens,
+                       tuple(writes[j]))
+        out.append((phase, int(moved[j])))
+    return out
+
+
+def _runs(src: _Side, dst: _Side, bounds: np.ndarray):
+    """Merged block runs ``(src starts, dst starts, lengths)`` of a batch.
+
+    ``bounds`` are the write groups' staged element offsets, ending with the
+    total; no run crosses a group start.
+    """
+    total = int(bounds[-1])
+    s_start, s_len = src.runs()
+    d_start, d_len = dst.runs()
+    if np.array_equal(s_len, d_len):
+        # the common case: both sides split alike, runs are the segments
+        run_src, run_dst, lens = s_start, d_start, s_len
+    else:
+        # cut at the union of source, destination and group boundaries
+        s_off, d_off = np.cumsum(s_len) - s_len, np.cumsum(d_len) - d_len
+        cuts = np.unique(np.concatenate((s_off, d_off, bounds[:-1])))
+        cuts = cuts[cuts < total]
+        lens = np.diff(np.append(cuts, total))
+        i = np.searchsorted(s_off, cuts, "right") - 1
+        j = np.searchsorted(d_off, cuts, "right") - 1
+        run_src = s_start[i] + (cuts - s_off[i])
+        run_dst = d_start[j] + (cuts - d_off[j])
+    starts = bounds[:-1][bounds[:-1] < total]
+    fixed = np.zeros(lens.size, dtype=bool)
+    fixed[np.searchsorted(np.cumsum(lens) - lens, starts)] = True
+    return _merge(run_src, run_dst, lens, fixed)
+
+
+def _local_phases(ops: tuple[LocalCopy, ...], where: str) -> list:
+    """Sequential local copies → phases ``(where, copies, column getters)``.
+
+    Consecutive copies share one gather/scatter phase while they share a
+    reduce op and touch pairwise-distinct ranks; a repeated rank (or an op
+    change) starts a new phase, preserving the reference executor's
     sequential semantics.
     """
-    phases: list[_Phase] = []
-    moved_total = 0
-    builder: _PhaseBuilder | None = None
+    phases = []
+    start = 0
     cur_op: object = None
     cur_ranks: set[int] = set()
-    for op in ops:
-        if not 0 <= op.rank < p:
-            raise ScheduleError(
-                f"rank {op.rank} out of range in {where} ({op.tag!r})"
-            )
-        if builder is not None and (op.op != cur_op or op.rank in cur_ranks):
-            phase = builder.build()
-            if phase is not None:
-                phases.append(phase)
-            builder = None
-        if builder is None:
-            builder = _PhaseBuilder(layout, where)
+    for i, op in enumerate(ops):
+        if i > start and (op.op != cur_op or op.rank in cur_ranks):
+            phases.append((where, ops[start:i], _LOCAL_COLS))
+            start = i
+        if i == start:
             cur_op, cur_ranks = op.op, set()
         cur_ranks.add(op.rank)
-        moved_total += builder.add(op.rank, op.src_buf, op.src_segments,
-                                   op.rank, op.dst_buf, op.dst_segments,
-                                   op.op, op.tag)
-    if builder is not None:
-        phase = builder.build()
-        if phase is not None:
-            phases.append(phase)
-    return phases, moved_total
+    if ops:
+        phases.append((where, ops[start:], _LOCAL_COLS))
+    return phases
 
 
 def compile_plan(schedule: Schedule, layout: BufferLayout | None = None) -> CompiledPlan:
@@ -488,26 +636,44 @@ def compile_plan(schedule: Schedule, layout: BufferLayout | None = None) -> Comp
         >>> plan.num_steps
         3
     """
-    if schedule.p <= 0:
+    p = schedule.p
+    if p <= 0:
         raise ScheduleError("schedule needs p > 0")
     layout = layout or BufferLayout.for_schedule(schedule)
-    steps: list[_StepPlan] = []
-    transfers_run = 0
-    local_elems = 0
+    pending: list = []  # phases not yet lowered
+    pending_items = 0
+    lowered: list = []
+    shape: list[tuple[int, bool, int]] = []  # per step: pre, transfers?, post
     for i, step in enumerate(schedule.steps):
         where = f"step {i}" + (f" [{step.label}]" if step.label else "")
-        pre, pre_elems = _compile_locals(step.pre, layout, schedule.p, where)
-        xfer = _compile_transfers(step, layout, schedule.p, where)
-        post, post_elems = _compile_locals(step.post, layout, schedule.p, where)
-        phases = pre + ([xfer] if xfer is not None else []) + post
-        comm = sum(t.nelems for t in step.transfers)
-        steps.append(_StepPlan(tuple(phases), comm))
-        transfers_run += len(step.transfers)
-        local_elems += pre_elems + post_elems
+        pre = _local_phases(step.pre, where)
+        xfer = [(where, step.transfers, _TRANSFER_COLS)] if step.transfers else []
+        post = _local_phases(step.post, where)
+        pending += pre + xfer + post
+        pending_items += len(step.pre) + len(step.transfers) + len(step.post)
+        shape.append((len(pre), bool(xfer), len(post)))
+        if pending_items >= _BATCH_ITEMS:
+            lowered += _lower(layout, p, pending)
+            pending, pending_items = [], 0
+    if pending:
+        lowered += _lower(layout, p, pending)
+
+    steps: list[_StepPlan] = []
+    local_elems = 0
+    at = 0
+    for n_pre, has_xfer, n_post in shape:
+        n = n_pre + has_xfer + n_post
+        parts = lowered[at:at + n]
+        at += n
+        comm = parts[n_pre][1] if has_xfer else 0
+        local_elems += sum(moved for _, moved in parts) - comm
+        steps.append(_StepPlan(
+            tuple(phase for phase, _ in parts if phase is not None), comm
+        ))
     return CompiledPlan(
-        p=schedule.p,
+        p=p,
         layout=layout,
         steps=tuple(steps),
-        transfers_run=transfers_run,
+        transfers_run=sum(len(step.transfers) for step in schedule.steps),
         local_elems=local_elems,
     )

@@ -11,6 +11,7 @@ write ordering, duplicate reductions, error reporting).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -42,39 +43,55 @@ from repro.runtime.compiled import (
 )
 from repro.runtime.errors import BufferMismatchError, ScheduleError
 from repro.runtime.executor import execute
-from repro.runtime.schedule import LocalCopy, Schedule, Step, Transfer
+from repro.runtime.schedule import (
+    LocalCopy,
+    Schedule,
+    Step,
+    Transfer,
+    schedule_validation,
+)
 
 #: acceptance grid — non-power-of-two included
 PS = (4, 8, 16, 17, 32)
 SEEDS = (0, 1)
 
 
-def _grid_cases():
+def _grid_cases(uneven: bool = False):
     for (coll, name), spec in sorted(ALGORITHMS.items()):
+        if uneven and spec.needs_divisible:
+            continue
         for p in PS:
             yield pytest.param(spec, p, id=f"{coll}/{name}-p{p}")
+
+
+def _assert_bit_identical(spec, p: int, n: int) -> None:
+    if spec.pow2_only and p & (p - 1):
+        pytest.skip("pow2-only algorithm")
+    try:
+        schedule = spec.build(p, n)
+    except ValueError as exc:
+        pytest.skip(f"constraint: {exc}")
+    plan = compile_plan(schedule)
+    matrices = run_and_check_compiled(schedule, SEEDS, plan)
+    for i, seed in enumerate(SEEDS):
+        reference = init_buffers(schedule, seed)
+        execute(schedule, reference)
+        ref_matrix = matrix_from_buffers(reference, plan.layout)
+        assert np.array_equal(ref_matrix, matrices[i]), (
+            f"{spec.collective}/{spec.name} p={p} n={n} seed={seed}: "
+            "compiled buffers differ from reference"
+        )
 
 
 class TestBitIdentityAcrossRegistry:
     @pytest.mark.parametrize("spec,p", _grid_cases())
     def test_compiled_matches_reference(self, spec, p):
-        n = 4 * p
-        if spec.pow2_only and p & (p - 1):
-            pytest.skip("pow2-only algorithm")
-        try:
-            schedule = spec.build(p, n)
-        except ValueError as exc:
-            pytest.skip(f"constraint: {exc}")
-        plan = compile_plan(schedule)
-        matrices = run_and_check_compiled(schedule, SEEDS, plan)
-        for i, seed in enumerate(SEEDS):
-            reference = init_buffers(schedule, seed)
-            execute(schedule, reference)
-            ref_matrix = matrix_from_buffers(reference, plan.layout)
-            assert np.array_equal(ref_matrix, matrices[i]), (
-                f"{spec.collective}/{spec.name} p={p} seed={seed}: "
-                "compiled buffers differ from reference"
-            )
+        _assert_bit_identical(spec, p, 4 * p)
+
+    @pytest.mark.parametrize("spec,p", _grid_cases(uneven=True))
+    def test_compiled_matches_reference_uneven(self, spec, p):
+        # n = 4p + 3: uneven blocks, so runs differ in length within a step
+        _assert_bit_identical(spec, p, 4 * p + 3)
 
     def test_every_collective_covered(self):
         # the parametrized grid above spans the full registry by construction;
@@ -187,6 +204,99 @@ class TestExecutorSemantics:
         self._run(sched, bufs)
         assert bufs.get(1, "vec").tolist() == [0, 0, 0, 1, 4, 5]
 
+    def _matches_reference(self, sched: Schedule, p: int, n: int) -> RankBuffers:
+        bufs = RankBuffers(p)
+        bufs.allocate("vec", n, dtype=np.int64)
+        for r in range(p):
+            bufs.set(r, "vec", np.arange(n, dtype=np.int64) + 100 * r)
+        ref = RankBuffers(p)
+        ref.allocate("vec", n, dtype=np.int64)
+        for r in range(p):
+            ref.set(r, "vec", bufs.get(r, "vec").copy())
+        with schedule_validation(False):  # it rejects overlapping overwrites
+            execute(sched, ref)
+        self._run(sched, bufs)
+        for r in range(p):
+            assert bufs.get(r, "vec").tolist() == ref.get(r, "vec").tolist(), r
+        return bufs
+
+    def test_sides_split_differently(self):
+        sched = Schedule(2, meta={})
+        sched.add(Step(transfers=(
+            Transfer(0, 1, "vec", "vec", ((0, 2), (5, 7)), ((1, 5),)),
+        )))
+        bufs = self._matches_reference(sched, 2, 8)
+        assert bufs.get(1, "vec").tolist() == [100, 0, 1, 5, 6, 105, 106, 107]
+
+    def test_zero_length_segments(self):
+        sched = Schedule(3, meta={})
+        sched.add(Step(transfers=(
+            Transfer(0, 1, "vec", "vec", ((0, 0), (1, 3), (3, 3)), ((2, 2), (4, 6))),
+            Transfer(1, 2, "vec", "vec", ((5, 5),), ((0, 0),), op="sum"),
+            Transfer(2, 0, "vec", "vec", ((0, 2),), ((0, 1), (1, 1), (6, 7))),
+        )))
+        bufs = self._matches_reference(sched, 3, 8)
+        assert bufs.get(1, "vec").tolist()[4:6] == [1, 2]
+
+    def test_overwrite_duplicates_mid_run_keep_last(self):
+        # transfers 2 and 3 overwrite the middle and the tail of transfer 1's
+        # destination run: the later write must win position by position
+        sched = Schedule(4, meta={})
+        sched.add(Step(transfers=(
+            Transfer(1, 0, "vec", "vec", ((0, 6),), ((0, 6),)),
+            Transfer(2, 0, "vec", "vec", ((0, 2),), ((2, 4),)),
+            Transfer(3, 0, "vec", "vec", ((0, 3),), ((5, 8),)),
+        )))
+        bufs = self._matches_reference(sched, 4, 8)
+        assert bufs.get(0, "vec").tolist() == [100, 101, 200, 201, 104, 300, 301, 302]
+
+    def test_first_failing_transfer_is_reported(self):
+        bad_segment = Transfer(3, 0, "vec", "vec", ((0, 9),), ((0, 9),), tag="t3")
+        unbalanced = Transfer(1, 2, "vec", "vec", ((0, 2),), ((0, 2),), tag="t1")
+        # construction rejects unbalanced transfers; unbalance one afterwards
+        object.__setattr__(unbalanced, "dst_segments", ((0, 3),))
+        sched = Schedule(4, meta={})
+        sched.add(Step(transfers=(
+            Transfer(0, 1, "vec", "vec", ((0, 1),), ((0, 1),), tag="t0"),
+            unbalanced,
+            Transfer(2, 3, "vec", "vec", ((0, 1),), ((0, 1),), tag="t2"),
+            bad_segment,
+        ), label="mixed"))
+        with pytest.raises(BufferMismatchError) as info:
+            compile_plan(sched, BufferLayout({"vec": 8}))
+        assert str(info.value) == "step 0 [mixed] ('t1'): 2 elems sent, 3 expected"
+
+    def test_first_failing_segment_is_reported(self):
+        sched = Schedule(4, meta={})
+        sched.add(Step(transfers=(
+            Transfer(0, 1, "vec", "vec", ((0, 1),), ((0, 1),), tag="t0"),
+            Transfer(1, 2, "vec", "vec", ((2, 4), (6, 10)), ((0, 6),), tag="t1"),
+            Transfer(2, 3, "vec", "vec", ((0, 1),), ((0, 1),), tag="t2"),
+            Transfer(3, 9, "vec", "vec", ((0, 1),), ((0, 1),), tag="t3"),
+        )))
+        with pytest.raises(BufferMismatchError) as info:
+            compile_plan(sched, BufferLayout({"vec": 8}))
+        assert str(info.value) == (
+            "segment (6,10) exceeds buffer of 8 elems in step 0 ('t1')"
+        )
+
+    def test_first_failing_step_is_reported(self):
+        ok = Transfer(0, 1, "vec", "vec", ((0, 1),), ((0, 1),))
+        beyond = Transfer(1, 0, "vec", "vec", ((0, 9),), ((0, 9),), tag="far")
+        sched = Schedule(2, meta={})
+        sched.add(Step(transfers=(ok,), post=(
+            LocalCopy(1, "vec", "vec", ((0, 1),), ((1, 2),)),
+            LocalCopy(5, "vec", "vec", ((0, 1),), ((1, 2),), tag="c"),
+        )))
+        sched.add(Step(transfers=(beyond,)))
+        with pytest.raises(ScheduleError, match=r"^rank 5 out of range in step 0 \('c'\)$"):
+            compile_plan(sched, BufferLayout({"vec": 8}))
+        sched = Schedule(2, meta={})
+        sched.add(Step(transfers=(ok,)))
+        sched.add(Step(transfers=(beyond,), label="late"))
+        with pytest.raises(BufferMismatchError, match=r"in step 1 \[late\] \('far'\)$"):
+            compile_plan(sched, BufferLayout({"vec": 8}))
+
     def test_local_copies_sequential_on_same_rank(self):
         bufs = RankBuffers(1)
         bufs.allocate("vec", 4, dtype=np.int64)
@@ -225,6 +335,28 @@ class TestExecutorSemantics:
         )))
         with pytest.raises(BufferMismatchError):
             compile_plan(sched, BufferLayout({"vec": 4}))
+
+
+def _index_entries(obj) -> int:
+    """Index array entries reachable from a plan's step structure."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, (tuple, list)):
+        return sum(map(_index_entries, obj))
+    if dataclasses.is_dataclass(obj):
+        return sum(_index_entries(getattr(obj, f.name))
+                   for f in dataclasses.fields(obj))
+    return 0
+
+
+class TestPlanCompactness:
+    def test_whole_vector_exchanges_store_block_runs(self):
+        schedule = ALGORITHMS[("allreduce", "recursive-doubling")].build(256, 256)
+        plan = compile_plan(schedule)
+        trace = plan.execute(plan.new_matrix())
+        moved = trace.elems_moved + trace.local_elems_moved
+        assert moved == 8 * 256 * 256
+        assert _index_entries(plan.steps) * 64 <= moved
 
 
 class TestPlanCache:

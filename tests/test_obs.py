@@ -263,6 +263,12 @@ class TestDesTraced:
         assert obs.validate_trace(doc) == []
         names = {e["name"] for e in doc["traceEvents"]}
         assert "des.simulate" in names
+        cells = {
+            (e["args"]["collective"], e["args"]["algorithm"], e["args"]["p"])
+            for e in doc["traceEvents"]
+            if e["name"] == "des.simulate" and e["ph"] == "B"
+        }
+        assert cells == {("allgather", "bine-send", 64)}  # the REROUTE_GRID cell
         assert "des.reroute" in names  # flows genuinely detoured
         assert "des.link_busy" in names  # per-link busy-time samples
         counters = json.loads(obs.sidecar_path(trace).read_text())["counters"]
