@@ -328,17 +328,23 @@ def trace_stats_text(doc) -> str:
 
     Example::
 
-        >>> print(trace_stats_text({"trace": "t.json", "events": 2,
+        >>> print(trace_stats_text({"trace": "t.json", "events": 4,
         ...     "counters": {"cache.profile.hit": 5},
-        ...     "spans": {"sweep.system": {"count": 1, "total_us": 1500.0}}}))
-        trace: t.json  events: 2
+        ...     "spans": {
+        ...         "sweep.system": {"count": 1, "total_us": 1500.0, "self_us": 300.0},
+        ...         "profile.table": {"count": 2, "total_us": 1200.0, "self_us": 1200.0},
+        ...     }}))
+        trace: t.json  events: 4
         <BLANKLINE>
         counters:
           cache.profile.hit             5
         <BLANKLINE>
         spans:
-          name          count       total
-          sweep.system      1      1.50ms
+          name           count       total        self
+          profile.table      2      1.20ms      1.20ms
+          sweep.system       1      1.50ms      0.30ms
+
+    Sidecars written before self time was recorded show ``-`` there.
     """
     head = []
     if doc.get("trace"):
@@ -354,12 +360,16 @@ def trace_stats_text(doc) -> str:
     if spans:
         lines += ["", "spans:"]
         width = max(max(len(n) for n in spans), len("name"))
-        lines.append(f"  {'name':<{width}}  {'count':>5}  {'total':>10}")
+        lines.append(
+            f"  {'name':<{width}}  {'count':>5}  {'total':>10}  {'self':>10}"
+        )
         for name in sorted(spans):
             agg = spans[name]
+            self_us = agg.get("self_us")
+            own = "-" if self_us is None else f"{self_us / 1000.0:.2f}ms"
             lines.append(
                 f"  {name:<{width}}  {agg['count']:>5}  "
-                f"{agg['total_us'] / 1000.0:>8.2f}ms"
+                f"{agg['total_us'] / 1000.0:>8.2f}ms  {own:>10}"
             )
     return "\n".join(lines)
 

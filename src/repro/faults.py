@@ -18,11 +18,13 @@ first-class, deterministic campaign knob:
   :class:`~repro.runtime.errors.TopologyPartitionedError` names it.
   Width derates scale link widths, which the cost model divides load by.
 
-The CSR :class:`~repro.model.compiled.CompiledRouteTable` (and the
-tests' scalar oracle table) query ``topo.route(src, dst)`` lazily per node
-pair, so wrapping the topology degrades both identically — sweep records
-stay bit-identical to the scalar oracle under any spec (asserted in
-``tests/test_faults.py``).
+The CSR :class:`~repro.model.compiled.CompiledRouteTable` routes unseen
+node pairs in batches through ``topo.route_arrays``.  A degraded topology
+keeps the base class's loop over its own ``route(src, dst)`` (only bare
+Dragonflies route in NumPy), and the tests' scalar oracle table calls
+``route`` per pair, so wrapping the topology degrades both identically —
+sweep records stay bit-identical to the scalar oracle under any spec
+(asserted in ``tests/test_faults.py``).
 
 Example::
 
@@ -56,13 +58,6 @@ __all__ = [
 #: width factor applied to node-adjacent links when one of a node's NICs
 #: is out (half the injection/ejection bundle survives)
 NIC_DERATE = 0.5
-
-_LINK_CLASSES = (
-    LinkClass.LOCAL,
-    LinkClass.GLOBAL,
-    LinkClass.TORUS,
-    LinkClass.INTRA,
-)
 
 #: manifest / to_dict keys of a fault scenario
 FAULT_KEYS = {
@@ -136,10 +131,10 @@ class TimelineEvent:
             if getattr(self, name) < 0:
                 raise FaultSpecError(f"timeline event: {name} must be >= 0")
         for cls, factor in self.derate:
-            if cls not in _LINK_CLASSES:
+            if cls not in LinkClass.ALL:
                 raise FaultSpecError(
                     f"timeline event: unknown link class {cls!r}; "
-                    f"have {list(_LINK_CLASSES)}"
+                    f"have {list(LinkClass.ALL)}"
                 )
             if not 0.0 < factor <= 1.0:
                 raise FaultSpecError(
@@ -231,7 +226,7 @@ def _parse_event(text: str) -> TimelineEvent:
                 ) from None
         elif key == "heal":
             kwargs["heal"] = value
-        elif key in _LINK_CLASSES:
+        elif key in LinkClass.ALL:
             try:
                 kwargs["derate"][key] = float(value)
             except ValueError:
@@ -243,7 +238,7 @@ def _parse_event(text: str) -> TimelineEvent:
             raise FaultSpecError(
                 f"timeline event {text!r}: unknown field {key!r}; have "
                 f"links, nodes, nics, seed, background, heal and the link "
-                f"classes {list(_LINK_CLASSES)}"
+                f"classes {list(LinkClass.ALL)}"
             )
     return TimelineEvent(**kwargs)
 
@@ -362,10 +357,10 @@ class FaultSpec:
             if getattr(self, name) < 0:
                 raise FaultSpecError(f"fault spec: {name} must be >= 0")
         for cls, factor in self.derate:
-            if cls not in _LINK_CLASSES:
+            if cls not in LinkClass.ALL:
                 raise FaultSpecError(
                     f"fault spec: unknown link class {cls!r}; "
-                    f"have {list(_LINK_CLASSES)}"
+                    f"have {list(LinkClass.ALL)}"
                 )
             if not 0.0 < factor <= 1.0:
                 raise FaultSpecError(
@@ -453,7 +448,7 @@ class FaultSpec:
                     "nics": "nic_outages", "seed": "seed",
                 }[key]
                 kwargs[field_name] = ivalue
-            elif key in _LINK_CLASSES:
+            elif key in LinkClass.ALL:
                 try:
                     kwargs["derate"][key] = float(value)
                 except ValueError:
@@ -465,7 +460,7 @@ class FaultSpec:
                 raise FaultSpecError(
                     f"fault spec {text!r}: unknown key {key!r}; have "
                     f"links, nodes, nics, seed, and the link classes "
-                    f"{list(_LINK_CLASSES)}"
+                    f"{list(LinkClass.ALL)}"
                 )
         return cls(**kwargs)
 

@@ -18,15 +18,20 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
   profiling analogue of :func:`repro.collectives.verify.compiled_plan_for`.
 
 * :class:`CompiledRouteTable` — one CSR route matrix per topology, grown
-  in place (one append per step that sees new node pairs): per pair,
+  in place (one append per row batch that sees new node pairs): per pair,
   offsets into flat link-id / width / class-id arrays, plus an interned
-  hop-signature id and a ``uses_nic`` flag.
-  :meth:`CompiledRouteTable.profile_step_arrays` collapses a whole step
-  into a :class:`~repro.model.simulator.StepProfile` with gathers,
-  ``np.bincount`` and ``np.add.at`` — zero per-transfer Python.  Link-load
-  contributions are expanded in transfer order, and ``np.add.at`` is
-  unbuffered, so each link sums its loads in the same order a
-  per-transfer loop would.
+  hop-signature id and a ``uses_nic`` flag.  New pairs are routed in one
+  :meth:`~repro.topology.base.Topology.route_arrays` call: Dragonfly and
+  Dragonfly+ route in NumPy, while wrapped or degraded topologies
+  (multi-rank nodes, :mod:`repro.faults`) go through their ``route()``
+  loop.  Link codes are interned with ``np.unique`` / ``searchsorted``.
+  :meth:`CompiledRouteTable.profile_rows` collapses a batch of table rows
+  into one :class:`~repro.model.simulator.StepProfile` each with gathers,
+  per-row ``np.bincount`` and one ``np.add.at`` — zero per-transfer
+  Python.  Link-load contributions are expanded in transfer order over
+  ``row * num_links + link`` keys, and ``np.add.at`` is unbuffered, so
+  each row's link sums its loads in the same order a per-transfer loop
+  would.
 
 * :func:`evaluate_grid` — evaluates one profile at *all* message sizes of a
   campaign in a single NumPy pass.  Per-step structure arrays (max loads by
@@ -212,25 +217,42 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
 
 # -- CSR route matrices ------------------------------------------------------
 
+#: row-batch caps of :func:`profile_table`: a batch takes rows while it
+#: holds at most this many transfers and this many dense (row, rank)
+#: cells, so its temporaries stay the size of one large row; a row over
+#: either cap is a batch of its own
+_BATCH_TRANSFERS = 4096
+_BATCH_CELLS = 65536
+
+#: route-table class columns are ``LinkClass.ALL``; profiles list classes
+#: by name, so their columns are read in name order
+_NUM_CLASSES = len(LinkClass.ALL)
+_BY_NAME = sorted(range(_NUM_CLASSES), key=LinkClass.ALL.__getitem__)
+_NIC_CLASSES = np.array([c != LinkClass.INTRA for c in LinkClass.ALL])
+
 
 @dataclass(frozen=True, eq=False)
 class _CsrArrays:
-    """An interned route set in CSR layout, plus its sorted pair-key index."""
+    """An interned route set in CSR layout, plus its sorted key indexes."""
 
     #: sorted pair keys ``a * num_nodes + b`` and the pair id of each; an
     #: int64-max sentinel closes ``keys``, so every ``searchsorted``
     #: position indexes a key
     keys: np.ndarray
     key_pid: np.ndarray
+    #: sorted topology link codes (sentinel-closed like ``keys``) and the
+    #: interned link id of each
+    codes: np.ndarray
+    code_link: np.ndarray
     #: (num_pairs + 1,) offsets into the flat link columns
     off: np.ndarray
     link: np.ndarray   # interned link ids
     width: np.ndarray  # parallel physical-link widths
-    cls: np.ndarray    # link class ids
+    cls: np.ndarray    # link class ids (indices into LinkClass.ALL)
     #: per-pair hop-signature id / NIC flag / dense per-class hop counts
     sig: np.ndarray
     nic: np.ndarray
-    hops: np.ndarray   # (num_pairs, num_classes) int64
+    hops: np.ndarray   # (num_pairs, len(LinkClass.ALL)) int64
 
 
 def _expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -242,34 +264,46 @@ def _expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
+def _row_batches(step_off: np.ndarray, p: int):
+    """``(r0, r1)`` row ranges of a table within the batch caps."""
+    max_rows = max(1, _BATCH_CELLS // max(p, 1))
+    r0 = taken = 0
+    for r, n_t in enumerate(np.diff(step_off).tolist()):
+        if r > r0 and (taken + n_t > _BATCH_TRANSFERS or r - r0 >= max_rows):
+            yield r0, r
+            r0, taken = r, 0
+        taken += n_t
+    if step_off.size > 1:
+        yield r0, step_off.size - 1
+
+
 class CompiledRouteTable:
     """Interned minimal routes for one topology, in CSR layout.
 
-    The table only grows: :meth:`resolve` looks a step's node pairs up in
-    the sorted key column, routes the unseen ones in one batch (each
-    ``topo.route`` call happens exactly once per pair per table) and
-    appends their rows once, so ``_arrays`` is always current and is never
-    rebuilt.  :meth:`profile_step_arrays` is the one step kernel, fed
-    one table row at a time by :func:`profile_table`.
+    The table only grows: :meth:`resolve` looks node pairs up in the
+    sorted key column, routes the unseen ones in one
+    :meth:`~repro.topology.base.Topology.route_arrays` batch (so each pair
+    is routed exactly once per table) and appends their rows once, so
+    ``_arrays`` is always current and is never rebuilt.
+    :meth:`profile_rows` is the one kernel, fed batches of table rows by
+    :func:`profile_table`.
     """
 
     def __init__(self, topo: Topology):
         self.topo = topo
         self._num_nodes = topo.num_nodes
-        self._link_ids: dict[tuple, int] = {}
-        self._cls_ids: dict[str, int] = {}
-        self.cls_names: list[str] = []
         #: per-pair hop signatures, interned: ``sig_tuples[sig_id]`` is the
         #: sorted ``(class, hop_count)`` tuple a step folds into latency
         #: signatures
         self.sig_tuples: list[tuple] = []
         self._sig_ids: dict[tuple, int] = {}
         none = np.zeros(0, dtype=np.intp)
+        closed = np.array([np.iinfo(np.int64).max])
         self._arrays = _CsrArrays(
-            keys=np.array([np.iinfo(np.int64).max]), key_pid=none,
+            keys=closed, key_pid=none, codes=closed, code_link=none,
             off=np.zeros(1, dtype=np.intp), link=none, width=np.zeros(0),
             cls=none, sig=none, nic=np.zeros(0, dtype=bool),
-            hops=np.zeros((0, 0), dtype=np.int64),
+            hops=np.zeros((0, _NUM_CLASSES), dtype=np.int64),
         )
 
     def resolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,152 +319,174 @@ class CompiledRouteTable:
     def _append(self, new_keys: np.ndarray) -> None:
         """Route the sorted, unseen ``new_keys`` and append their rows."""
         n = self._num_nodes
-        routes = [self.topo.route(k // n, k % n) for k in new_keys.tolist()]
-        flat = [link for route in routes for link in route]
-        link_ids, cls_ids, sig_ids = self._link_ids, self._cls_ids, self._sig_ids
-        link = np.array(
-            [link_ids.setdefault(x.key, len(link_ids)) for x in flat], np.intp
+        routes = self.topo.route_arrays(new_keys // n, new_keys % n)
+        old = self._arrays
+        # intern the link codes this batch sees first
+        codes = np.unique(routes.code)
+        codes = codes[old.codes[np.searchsorted(old.codes, codes)] != codes]
+        at = np.searchsorted(old.codes, codes)
+        all_codes = np.insert(old.codes, at, codes)
+        code_link = np.insert(
+            old.code_link, at, np.arange(codes.size) + old.code_link.size
         )
-        cls = np.array(
-            [cls_ids.setdefault(x.cls, len(cls_ids)) for x in flat], np.intp
-        )
-        width = np.array([x.width for x in flat], np.float64)
-        names = self.cls_names = list(cls_ids)
-        m, n_cls = len(routes), len(names)
-        counts = np.array([len(route) for route in routes], np.intp)
+        m = new_keys.size
         hops = np.bincount(
-            np.repeat(np.arange(m), counts) * n_cls + cls, minlength=m * n_cls
-        ).reshape(m, n_cls)
+            np.repeat(np.arange(m), routes.counts) * _NUM_CLASSES + routes.cls,
+            minlength=m * _NUM_CLASSES,
+        ).reshape(m, _NUM_CLASSES)
         rows, row_of = np.unique(hops, axis=0, return_inverse=True)
+        sig_ids = self._sig_ids
         sig = np.array([
             sig_ids.setdefault(
-                tuple(sorted((names[c], h) for c, h in enumerate(r) if h)),
+                tuple(sorted((LinkClass.ALL[c], h) for c, h in enumerate(r) if h)),
                 len(sig_ids),
             )
             for r in rows.tolist()
         ], np.intp)[row_of.reshape(-1)]
         self.sig_tuples = list(sig_ids)
-        nic = hops[:, [c != LinkClass.INTRA for c in names]].any(axis=1)
 
-        old = self._arrays
         at = np.searchsorted(old.keys, new_keys)
         self._arrays = _CsrArrays(
             keys=np.insert(old.keys, at, new_keys),
             key_pid=np.insert(old.key_pid, at, np.arange(m) + old.sig.size),
-            off=np.concatenate([old.off, old.off[-1] + np.cumsum(counts)]),
-            link=np.concatenate([old.link, link]),
-            width=np.concatenate([old.width, width]),
-            cls=np.concatenate([old.cls, cls]),
-            sig=np.concatenate([old.sig, sig]),
-            nic=np.concatenate([old.nic, nic]),
-            hops=np.vstack(
-                [np.pad(old.hops, ((0, 0), (0, n_cls - old.hops.shape[1]))),
-                 hops]
+            codes=all_codes,
+            code_link=code_link,
+            off=np.concatenate(
+                [old.off, old.off[-1] + np.cumsum(routes.counts)]
             ),
+            link=np.concatenate(
+                [old.link, code_link[np.searchsorted(all_codes, routes.code)]]
+            ),
+            width=np.concatenate([old.width, routes.width]),
+            cls=np.concatenate([old.cls, routes.cls]),
+            sig=np.concatenate([old.sig, sig]),
+            nic=np.concatenate([old.nic, hops[:, _NIC_CLASSES].any(axis=1)]),
+            hops=np.vstack([old.hops, hops]),
         )
 
-    def profile_step_arrays(
+    def profile_rows(
         self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        ne: np.ndarray,
-        nsegs: np.ndarray,
-        has_op: np.ndarray,
-        lrank: np.ndarray,
-        lne: np.ndarray,
-        lhas_op: np.ndarray,
+        table: TransferTable,
+        r0: int,
+        r1: int,
         node_arr: np.ndarray,
         group_arr: np.ndarray,
-    ) -> StepProfile:
-        """One step's columns → a :class:`StepProfile`, fully vectorized.
+    ) -> list[StepProfile]:
+        """Table rows ``r0:r1`` → one :class:`StepProfile` each, in one
+        vectorized pass over the rows' transfers and local ops.
 
-        Bit-identical to a per-transfer scalar fold (the tests' oracle):
-        integer aggregates are exact in either accumulation order (all
-        magnitudes sit far below 2**53), and the only true-float quantity —
-        per-link load, where widths divide unevenly — is accumulated by an
-        unbuffered ``np.add.at`` over the transfer-ordered concatenation of
-        route links.
+        Bit-identical to a per-transfer scalar fold of each row (the
+        tests' oracle): integer aggregates are per-row ``np.bincount``
+        sums, exact in any order (all magnitudes sit far below 2**53); the
+        only true-float quantity — per-link load, where widths divide
+        unevenly — is one unbuffered ``np.add.at`` over
+        ``row * num_links + link`` keys, expanded in transfer order, so
+        each row's link sums its loads in the order a per-transfer loop
+        would.
         """
         p = node_arr.size
-        n_t = src.size
-        signatures: set = set()
-        max_by_class: dict[str, float] = {}
-        class_elems: dict[str, int] = {}
+        rows = r1 - r0
+        s0, s1 = table.step_off[r0], table.step_off[r1]
+        l0, l1 = table.local_off[r0], table.local_off[r1]
+        src, dst = table.src[s0:s1], table.dst[s0:s1]
+        ne, nsegs = table.nelems[s0:s1], table.num_segments[s0:s1]
+        has_op = table.has_op[s0:s1]
+        row = np.repeat(np.arange(rows), np.diff(table.step_off[r0:r1 + 1]))
+        lrow = np.repeat(np.arange(rows), np.diff(table.local_off[r0:r1 + 1]))
+        lkey = lrow * p + table.local_rank[l0:l1]
+        lne = table.local_nelems[l0:l1]
+        lhas_op = table.local_has_op[l0:l1]
 
-        if n_t:
-            a = node_arr[src]
-            b = node_arr[dst]
-            pids = self.resolve(a, b)
-            csr = self._arrays
-            nic = csr.nic[pids]
-            same_node = a == b
-            crosses = group_arr[src] != group_arr[dst]
-            # unique (hop-signature, segment-count) latency signatures
-            seg_base = int(nsegs.max()) + 1 if n_t else 1
-            for code in np.unique(csr.sig[pids] * seg_base + nsegs):
-                signatures.add(
-                    (self.sig_tuples[int(code) // seg_base], int(code) % seg_base)
-                )
-            # element·hop products per class (exact int64 matmul)
-            hops_t = csr.hops[pids]
-            totals = ne @ hops_t
-            for ci in np.nonzero(hops_t.any(axis=0))[0]:
-                class_elems[self.cls_names[ci]] = int(totals[ci])
-            # per-link loads: expand each transfer's route rows in transfer
-            # order — the same concatenation a per-transfer loop builds — then
-            # accumulate with the same unbuffered np.add.at
-            counts = csr.off[pids + 1] - csr.off[pids]
-            if counts.sum():
-                rows = _expand_rows(csr.off[pids], counts)
-                cat_idx = csr.link[rows]
-                cat_contrib = np.repeat(ne, counts) / csr.width[rows]
-                cat_cls = csr.cls[rows]
-                uniq, local = np.unique(cat_idx, return_inverse=True)
-                loads = np.zeros(uniq.size, dtype=np.float64)
-                np.add.at(loads, local, cat_contrib)
-                link_cls = np.zeros(uniq.size, dtype=np.intp)
-                link_cls[local] = cat_cls
-                for ci in np.unique(link_cls):
-                    m = loads[link_cls == ci].max()
-                    if m > 0:
-                        max_by_class[self.cls_names[ci]] = float(m)
+        a, b = node_arr[src], node_arr[dst]
+        pids = self.resolve(a, b)
+        csr = self._arrays
+        nic = csr.nic[pids]
 
-            msgs = np.bincount(src, minlength=p) + np.bincount(dst, minlength=p)
-            max_node_msgs = int(msgs.max())
-            max_inj = int(np.bincount(src[nic], weights=ne[nic], minlength=p).max())
-            max_ej = int(np.bincount(dst[nic], weights=ne[nic], minlength=p).max())
-            copy_mask = ~nic & same_node
-            copy_by_rank = np.bincount(
-                dst[copy_mask], weights=ne[copy_mask], minlength=p
-            )
-            red_by_rank = np.bincount(
-                dst[has_op], weights=ne[has_op], minlength=p
-            )
-            global_elems = int(ne[crosses].sum())
-        else:
-            max_node_msgs = max_inj = max_ej = global_elems = 0
-            copy_by_rank = np.zeros(p, dtype=np.float64)
-            red_by_rank = np.zeros(p, dtype=np.float64)
+        # unique (row, hop-signature, segment-count) latency signatures
+        n_sig = max(len(self.sig_tuples), 1)
+        seg_base = int(nsegs.max()) + 1 if src.size else 1
+        codes = np.unique((row * n_sig + csr.sig[pids]) * seg_base + nsegs)
+        sig_row, code = np.divmod(codes, n_sig * seg_base)
+        signatures: list[list] = [[] for _ in range(rows)]
+        for r, sig, segs in zip(
+            sig_row.tolist(), (code // seg_base).tolist(),
+            (code % seg_base).tolist(),
+        ):
+            signatures[r].append((self.sig_tuples[sig], segs))
 
-        if lrank.size:
-            copy_by_rank = copy_by_rank + np.bincount(
-                lrank, weights=lne, minlength=p
-            )
-            red_by_rank = red_by_rank + np.bincount(
-                lrank[lhas_op], weights=lne[lhas_op], minlength=p
-            )
+        # element·hop products per (row, class), and which classes occur
+        hops_t = csr.hops[pids]
+        cells = (row[:, None] * _NUM_CLASSES + np.arange(_NUM_CLASSES)).ravel()
+        n_cells = rows * _NUM_CLASSES
+        class_elems = np.bincount(
+            cells, weights=(ne[:, None] * hops_t).ravel(), minlength=n_cells
+        ).astype(np.int64).reshape(rows, _NUM_CLASSES)
+        class_seen = np.bincount(
+            cells[hops_t.ravel() > 0], minlength=n_cells
+        ).reshape(rows, _NUM_CLASSES) > 0
 
-        return StepProfile(
-            lat_signatures=tuple(sorted(signatures)),
-            max_link_load=tuple(sorted(max_by_class.items())),
-            max_inj=max_inj,
-            max_ej=max_ej,
-            max_reduce=int(red_by_rank.max()) if p else 0,
-            max_copy=int(copy_by_rank.max()) if p else 0,
-            global_elems=global_elems,
-            class_elems=tuple(sorted(class_elems.items())),
-            max_node_msgs=max_node_msgs,
+        # per-(row, link) loads: expand each transfer's route rows in
+        # transfer order — the concatenation a per-transfer loop builds —
+        # and accumulate with one unbuffered np.add.at; then the peak load
+        # per (row, class)
+        counts = csr.off[pids + 1] - csr.off[pids]
+        flat = _expand_rows(csr.off[pids], counts)
+        n_links = csr.code_link.size
+        row_link, local = np.unique(
+            np.repeat(row, counts) * n_links + csr.link[flat],
+            return_inverse=True,
         )
+        loads = np.zeros(row_link.size, dtype=np.float64)
+        np.add.at(loads, local, np.repeat(ne, counts) / csr.width[flat])
+        link_cls = np.zeros(row_link.size, dtype=np.intp)
+        link_cls[local] = csr.cls[flat]
+        peak = np.zeros(n_cells, dtype=np.float64)
+        np.maximum.at(peak, row_link // n_links * _NUM_CLASSES + link_cls, loads)
+        peak = peak.reshape(rows, _NUM_CLASSES)
+
+        # per-(row, rank) tallies; the per-row maximum of each
+        def row_max(keys, weights=None) -> list[int]:
+            dense = np.bincount(keys, weights=weights, minlength=rows * p)
+            return dense.reshape(rows, p).max(axis=1).astype(np.int64).tolist()
+
+        skey, dkey = row * p + src, row * p + dst
+        copy = ~nic & (a == b)
+        msgs = row_max(np.concatenate([skey, dkey]))
+        inj = row_max(skey[nic], ne[nic])
+        ej = row_max(dkey[nic], ne[nic])
+        max_copy = row_max(
+            np.concatenate([dkey[copy], lkey]), np.concatenate([ne[copy], lne])
+        )
+        max_red = row_max(
+            np.concatenate([dkey[has_op], lkey[lhas_op]]),
+            np.concatenate([ne[has_op], lne[lhas_op]]),
+        )
+        crosses = group_arr[src] != group_arr[dst]
+        global_elems = np.bincount(
+            row[crosses], weights=ne[crosses], minlength=rows
+        ).astype(np.int64).tolist()
+
+        names = LinkClass.ALL
+        out = []
+        for r, (pk, elems, seen) in enumerate(
+            zip(peak.tolist(), class_elems.tolist(), class_seen.tolist())
+        ):
+            out.append(StepProfile(
+                lat_signatures=tuple(sorted(signatures[r])),
+                max_link_load=tuple(
+                    (names[c], pk[c]) for c in _BY_NAME if pk[c] > 0
+                ),
+                max_inj=inj[r],
+                max_ej=ej[r],
+                max_reduce=max_red[r],
+                max_copy=max_copy[r],
+                global_elems=global_elems[r],
+                class_elems=tuple(
+                    (names[c], elems[c]) for c in _BY_NAME if seen[c]
+                ),
+                max_node_msgs=msgs[r],
+            ))
+        return out
 
 
 def profile_table(
@@ -442,9 +498,10 @@ def profile_table(
 ) -> ScheduleProfile:
     """Route every transfer of a lowered schedule and collapse each step.
 
-    Each step row is profiled once and its ``StepProfile`` repeated
-    ``step_reps`` times.  Pass ``routes`` to share one CSR route matrix
-    across many profiles of the same topology (the sweep layer does).
+    Rows are profiled in batches (:meth:`CompiledRouteTable.profile_rows`)
+    and each row's ``StepProfile`` repeated ``step_reps`` times.  Pass
+    ``routes`` to share one CSR route matrix across many profiles of the
+    same topology (the sweep layer does).
     """
     if rank_map.num_ranks != table.p:
         raise ValueError(
@@ -456,23 +513,12 @@ def profile_table(
         raise ValueError("routes table was built for a different topology")
     node_arr = np.asarray(rank_map.nodes, dtype=np.intp)
     group_arr = np.asarray(rank_map.groups(topo), dtype=np.intp)
+    reps = table.step_reps.tolist()
     steps = []
-    for i in range(table.num_steps):
-        s0, s1 = table.step_off[i], table.step_off[i + 1]
-        l0, l1 = table.local_off[i], table.local_off[i + 1]
-        step = routes.profile_step_arrays(
-            table.src[s0:s1],
-            table.dst[s0:s1],
-            table.nelems[s0:s1],
-            table.num_segments[s0:s1],
-            table.has_op[s0:s1],
-            table.local_rank[l0:l1],
-            table.local_nelems[l0:l1],
-            table.local_has_op[l0:l1],
-            node_arr,
-            group_arr,
-        )
-        steps.extend([step] * int(table.step_reps[i]))
+    for r0, r1 in _row_batches(table.step_off, node_arr.size):
+        rows = routes.profile_rows(table, r0, r1, node_arr, group_arr)
+        for step, k in zip(rows, reps[r0:r1]):
+            steps.extend([step] * k)
     return ScheduleProfile(
         p=table.p,
         n_build=table.n_build,

@@ -97,12 +97,28 @@ def validate_trace(data) -> list[str]:
 
 
 def span_aggregates(events: Iterable[Mapping]) -> dict[str, dict[str, float]]:
-    """Per-span-name totals: ``{name: {"count": n, "total_us": t}}``.
+    """Per-span-name totals: ``{name: {"count": n, "total_us": t,
+    "self_us": s}}``.
 
-    Walks balanced ``B``/``E`` pairs per ``(pid, tid)`` track; malformed
-    pairs are skipped (``validate_trace`` is the loud path).
+    A span's self time is its time minus the time of its direct children
+    on the same ``(pid, tid)`` track.  Walks balanced ``B``/``E`` pairs
+    per track; malformed pairs are skipped (``validate_trace`` is the
+    loud path).
+
+    Example::
+
+        >>> aggs = span_aggregates([
+        ...     {"name": "a", "ph": "B", "ts": 0.0, "pid": 1, "tid": 1},
+        ...     {"name": "b", "ph": "B", "ts": 1.0, "pid": 1, "tid": 1},
+        ...     {"name": "b", "ph": "E", "ts": 3.0, "pid": 1, "tid": 1},
+        ...     {"name": "a", "ph": "E", "ts": 10.0, "pid": 1, "tid": 1}])
+        >>> aggs["a"]
+        {'count': 1, 'total_us': 10.0, 'self_us': 8.0}
+        >>> aggs["b"]
+        {'count': 1, 'total_us': 2.0, 'self_us': 2.0}
     """
-    stacks: dict[tuple, list[tuple[str, float]]] = {}
+    # per track, the open spans: [name, start ts, children's time]
+    stacks: dict[tuple, list[list]] = {}
     totals: dict[str, list[float]] = {}
     for event in events:
         ph = event.get("ph")
@@ -110,16 +126,20 @@ def span_aggregates(events: Iterable[Mapping]) -> dict[str, dict[str, float]]:
             continue
         track = (event.get("pid"), event.get("tid"))
         if ph == "B":
-            stacks.setdefault(track, []).append((event["name"], event["ts"]))
+            stacks.setdefault(track, []).append([event["name"], event["ts"], 0.0])
             continue
         stack = stacks.get(track)
         if not stack or stack[-1][0] != event["name"]:
             continue
-        name, t0 = stack.pop()
-        agg = totals.setdefault(name, [0, 0.0])
+        name, t0, children = stack.pop()
+        elapsed = event["ts"] - t0
+        if stack:
+            stack[-1][2] += elapsed
+        agg = totals.setdefault(name, [0, 0.0, 0.0])
         agg[0] += 1
-        agg[1] += event["ts"] - t0
+        agg[1] += elapsed
+        agg[2] += elapsed - children
     return {
-        name: {"count": int(c), "total_us": round(t, 3)}
-        for name, (c, t) in sorted(totals.items())
+        name: {"count": int(c), "total_us": round(t, 3), "self_us": round(s, 3)}
+        for name, (c, t, s) in sorted(totals.items())
     }

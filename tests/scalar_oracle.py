@@ -355,25 +355,29 @@ def link_loads_per_step(
 
 
 class ScalarRoutes(RouteTable):
-    """A :class:`RouteTable` that takes the compiled table's step columns.
+    """A :class:`RouteTable` that takes the compiled table's row batches.
 
-    :func:`~repro.model.compiled.profile_table` hands each table row to
-    ``routes.profile_step_arrays``; this one feeds the columns, as Python
-    values, to the scalar :func:`profile_step`.
+    :func:`~repro.model.compiled.profile_table` hands each batch of table
+    rows to ``routes.profile_rows``; this one folds each row's columns,
+    as Python values, through the scalar :func:`profile_step`.
     """
 
-    def profile_step_arrays(
-        self, src, dst, ne, nsegs, has_op, lrank, lne, lhas_op,
-        node_arr, group_arr,
-    ) -> StepProfile:
-        return profile_step(
-            zip(src.tolist(), dst.tolist(), ne.tolist(), nsegs.tolist(),
-                has_op.tolist()),
-            zip(lrank.tolist(), lne.tolist(), lhas_op.tolist()),
-            self,
-            node_arr.tolist(),
-            group_arr.tolist(),
-        )
+    def profile_rows(self, table, r0, r1, node_arr, group_arr):
+        nodes, groups = node_arr.tolist(), group_arr.tolist()
+        steps = []
+        for i in range(r0, r1):
+            t = slice(table.step_off[i], table.step_off[i + 1])
+            loc = slice(table.local_off[i], table.local_off[i + 1])
+            steps.append(profile_step(
+                zip(table.src[t].tolist(), table.dst[t].tolist(),
+                    table.nelems[t].tolist(), table.num_segments[t].tolist(),
+                    table.has_op[t].tolist()),
+                zip(table.local_rank[loc].tolist(),
+                    table.local_nelems[loc].tolist(),
+                    table.local_has_op[loc].tolist()),
+                self, nodes, groups,
+            ))
+        return steps
 
 
 def oracle_profile(cache, spec, p, ppn=1, routes=None):

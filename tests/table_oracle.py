@@ -22,6 +22,19 @@ It then makes one route-table check at campaign scale: the p=4096 ppn=2
 LUMI allreduce profiles from a route table first grown by the p=16...1024
 cells must equal those profiled on a fresh table (~4 s).
 
+``--profiles P`` (repeatable) adds the scalar-oracle profile comparison
+at scale: at each ``P``, every entry a LUMI sweep runs (rings skipped as
+above) must profile through ``ProfileCache.get`` exactly as
+``tests/scalar_oracle.py``'s ``oracle_profile`` does, on the pristine
+fabric and under ``links=4,seed=13``::
+
+    $ PYTHONPATH=src python tests/table_oracle.py --p 2048 --p 1500 \\
+          --profiles 1500 --profiles 2048
+
+At p=1500 only the non-power-of-two entries profile (Bruck, Sparbit,
+alltoall, linear gather/scatter); p=2048 adds the butterflies and trees
+(~35 s for both fabrics on a 2-CPU x86 machine).
+
 Exit code 0 when every (entry, p) cell matches; 1 on any mismatch.
 """
 
@@ -36,10 +49,15 @@ import numpy as np
 
 from repro.analysis.sweep import ProfileCache
 from repro.collectives.registry import AlgorithmSpec, iter_specs
+from repro.faults import FaultSpec
 from repro.model.compiled import TransferTable, lower_schedule
 from repro.runtime.memo import clear_memo_caches
 from repro.runtime.schedule import schedule_validation
 from repro.systems import lumi
+from scalar_oracle import ScalarRoutes, oracle_profile
+
+#: fault scenarios of the profile comparison (``--profiles``)
+PROFILE_FAULTS = ("none", "links=4,seed=13")
 
 #: the eleven array columns of a TransferTable
 COLUMNS = (
@@ -139,10 +157,36 @@ def prewarmed_route_mismatches(
     ]
 
 
+def profile_mismatches(p: int, faults: str) -> tuple[list[str], int]:
+    """Entries a LUMI sweep runs at ``p`` under ``faults`` whose
+    ``ProfileCache.get`` differs from the scalar ``oracle_profile``, and
+    how many entries profiled (the rest reject ``p``); skipped entries
+    are printed."""
+    cache = ProfileCache(lumi(), faults=FaultSpec.parse(faults))
+    routes = ScalarRoutes(cache.topo)
+    bad, profiled = [], 0
+    for spec in iter_specs():
+        if not cache.applicable(spec, p):
+            continue
+        skip = skip_reason(spec, p)
+        if skip:
+            print(f"profile {spec.collective}/{spec.name} p={p} "
+                  f"faults={faults}: skipped ({skip})")
+            continue
+        got = cache.get(spec, p)
+        if got != oracle_profile(cache, spec, p, routes=routes):
+            bad.append(f"{spec.collective}/{spec.name}")
+        profiled += got is not None
+    return bad, profiled
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--p", type=int, action="append", required=True,
                     help="rank count to check (repeatable)")
+    ap.add_argument("--profiles", type=int, action="append", default=[],
+                    metavar="P", help="rank count for the scalar-oracle "
+                    "profile comparison (repeatable)")
     args = ap.parse_args(argv)
     failures = 0
     for spec in plan_backed_specs():
@@ -163,6 +207,16 @@ def main(argv=None) -> int:
             print(f"{spec.collective}/{spec.name} p={p}: "
                   f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
                   f"(table {rendered_s * 1e3:.1f} ms)", flush=True)
+    for p in args.profiles:
+        for faults in PROFILE_FAULTS:
+            clear_memo_caches()
+            t0 = time.perf_counter()
+            bad, profiled = profile_mismatches(p, faults)
+            failures += len(bad)
+            print(f"profiles p={p} faults={faults} vs scalar oracle: "
+                  f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
+                  f"({profiled} entries profiled, "
+                  f"{time.perf_counter() - t0:.1f} s)", flush=True)
     clear_memo_caches()
     t0 = time.perf_counter()
     bad = prewarmed_route_mismatches()

@@ -29,6 +29,7 @@ from repro.collectives.registry import ALGORITHMS, spec_for
 from repro.collectives.composed import hierarchical_allreduce_bine
 from repro.collectives.registry import build
 from repro.faults import FaultSpec
+from repro.model import compiled
 from repro.model.compiled import (
     CompiledRouteTable,
     _seq_sum,
@@ -38,7 +39,7 @@ from repro.model.compiled import (
     transfer_table_for,
 )
 from repro.runtime.schedule import schedule_validation
-from repro.systems import fugaku, lumi, marenostrum5
+from repro.systems import fugaku, leonardo, lumi, marenostrum5
 from repro.topology.hierarchical import MultiRankNodes
 from repro.topology.base import LinkClass
 from repro.topology.mapping import RankMap, block_mapping
@@ -153,18 +154,103 @@ class TestStepProfileEquivalence:
             profile_table(lower_schedule(sched), topo, block_mapping(4))
 
 
+#: cells whose tables have rows the batch kernel must not blur: the
+#: transfer-less unpack row of alltoall Bruck/Bine and the bine-permute
+#: allgather (local ops only), repeated rows (ring, ``step_reps > 1``)
+#: and non-power-of-two p
+BATCH_CELLS = (
+    ("alltoall", "bruck", 16), ("alltoall", "bruck", 17),
+    ("alltoall", "bine", 16), ("allgather", "bine-permute", 16),
+    ("allgather", "ring", 17), ("allreduce", "ring", 16),
+    ("allgather", "bruck", 17), ("allreduce", "bine-rsag", 32),
+    ("gather", "linear", 100), ("allgather", "sparbit", 24),
+)
+
+
+class TestRowBatches:
+    """``profile_table`` equals the per-row scalar fold wherever the
+    batch boundaries fall."""
+
+    @staticmethod
+    def _batches(monkeypatch) -> list[tuple[int, int]]:
+        batches = []
+        kernel = CompiledRouteTable.profile_rows
+
+        def spy(self, table, r0, r1, *args):
+            batches.append((r0, r1))
+            return kernel(self, table, r0, r1, *args)
+
+        monkeypatch.setattr(CompiledRouteTable, "profile_rows", spy)
+        return batches
+
+    @pytest.mark.parametrize("caps", ["default", "one transfer", "one dense row"])
+    @pytest.mark.parametrize("faults", ["none", "links=4,global=0.5,seed=13"])
+    @pytest.mark.parametrize("ppn", [1, 2])
+    def test_matches_scalar_oracle(self, monkeypatch, caps, faults, ppn):
+        cache = ProfileCache(lumi(), faults=FaultSpec.parse(faults))
+        batches = self._batches(monkeypatch)
+        if caps == "one transfer":
+            monkeypatch.setattr(compiled, "_BATCH_TRANSFERS", 1)
+        checked = 0
+        for coll, name, p in BATCH_CELLS:
+            if p % ppn:
+                continue
+            if caps == "one dense row":
+                monkeypatch.setattr(compiled, "_BATCH_CELLS", p)
+            table = transfer_table_for(spec_for(coll, name), p)
+            mapping = cache.mapping_for(p, ppn)
+            batches.clear()
+            got = profile_table(table, cache.topo, mapping, routes=cache.routes)
+            want = profile_table(
+                table, cache.topo, mapping, routes=ScalarRoutes(cache.topo)
+            )
+            assert got == want, f"{coll}/{name} p={p}"
+            assert [r for r0, r1 in batches for r in range(r0, r1)] == list(
+                range(table.num_steps)
+            )
+            if caps == "default":
+                assert len(batches) == 1  # these tables fit one batch
+            elif caps == "one dense row":
+                assert all(r1 - r0 == 1 for r0, r1 in batches)
+            else:  # rows join a batch only while it holds <= 1 transfer
+                off = table.step_off
+                assert all(
+                    r1 - r0 == 1 or off[r1] - off[r0] <= 1 for r0, r1 in batches
+                )
+            checked += 1
+        assert checked >= 7
+
+    def test_caps_split_large_tables(self, monkeypatch):
+        # p=16: every row in one batch; p=2048: ~2048 transfers a row, so
+        # the transfer cap pairs rows up; p=4096: 4096 transfers a row,
+        # so every row is a batch of its own
+        batches = self._batches(monkeypatch)
+        topo = leonardo().build_topology()  # 4140 nodes
+        for p, most in ((16, None), (2048, 2), (4096, 1)):
+            batches.clear()
+            table = transfer_table_for(spec_for("allgather", "bine-send"), p)
+            profile_table(table, topo, block_mapping(p))
+            sizes = [r1 - r0 for r0, r1 in batches]
+            assert sum(sizes) == table.num_steps
+            assert max(sizes) == (most or table.num_steps)
+
+
 def _pair_rows(routes, keys):
     """Each pair's CSR row, with interned ids replaced by what they name.
 
-    Pair, link and class ids depend on the order pairs were interned in;
-    the rows they name must not.
+    Pair and link ids depend on the order pairs were interned in; the
+    rows they name (links by their topology code) must not.
     """
     csr = routes._arrays
-    link_keys = list(routes._link_ids)
-    names = routes.cls_names
+    names = LinkClass.ALL
     assert (np.diff(csr.keys) > 0).all()
     assert csr.keys.size == csr.key_pid.size + 1  # the closing sentinel
     assert sorted(csr.key_pid.tolist()) == list(range(csr.sig.size))
+    assert (np.diff(csr.codes) > 0).all()
+    assert csr.codes.size == csr.code_link.size + 1
+    assert sorted(csr.code_link.tolist()) == list(range(csr.code_link.size))
+    link_codes = np.empty(csr.code_link.size, dtype=np.int64)
+    link_codes[csr.code_link] = csr.codes[:-1]
     assert csr.off.size == csr.sig.size + 1 == csr.nic.size + 1
     assert csr.off[-1] == csr.link.size == csr.width.size == csr.cls.size
     assert csr.hops.shape == (csr.sig.size, len(names))
@@ -175,7 +261,7 @@ def _pair_rows(routes, keys):
     for pid in pids.tolist():
         lo, hi = csr.off[pid], csr.off[pid + 1]
         rows.append((
-            [link_keys[i] for i in csr.link[lo:hi].tolist()],
+            link_codes[csr.link[lo:hi]].tolist(),
             csr.width[lo:hi].tolist(),
             [names[c] for c in csr.cls[lo:hi].tolist()],
             routes.sig_tuples[csr.sig[pid]],
@@ -185,8 +271,19 @@ def _pair_rows(routes, keys):
     return rows
 
 
+def _classes(routes) -> set[str]:
+    """The link classes some interned route uses."""
+    used = routes._arrays.hops.any(axis=0)
+    return {cls for cls, on in zip(LinkClass.ALL, used.tolist()) if on}
+
+
 class TestRouteTableGrowth:
     """A table grown step by step equals one filled in a single batch."""
+
+    @pytest.fixture(autouse=True)
+    def _one_row_per_batch(self, monkeypatch):
+        # profile_table then grows the table once per step row
+        monkeypatch.setattr(compiled, "_BATCH_CELLS", 1)
 
     @staticmethod
     def _check(topo, mapping, sched):
@@ -217,10 +314,9 @@ class TestRouteTableGrowth:
         s1 = first.step_off[1]
         nodes = np.asarray(mapping.nodes, dtype=np.intp)
         early.resolve(nodes[first.src[:s1]], nodes[first.dst[:s1]])
-        assert early.cls_names == [LinkClass.LOCAL]
-        assert early._arrays.hops.shape[1] == 1
+        assert _classes(early) == {LinkClass.LOCAL}
         grown = self._check(topo, mapping, sched)
-        assert set(grown.cls_names) == {LinkClass.LOCAL, LinkClass.GLOBAL}
+        assert _classes(grown) == {LinkClass.LOCAL, LinkClass.GLOBAL}
 
     def test_faulted_topology(self):
         cache = ProfileCache(
@@ -235,7 +331,7 @@ class TestRouteTableGrowth:
         grown = self._check(
             topo, block_mapping(64), hierarchical_allreduce_bine(16, 4, 64)
         )
-        assert LinkClass.INTRA in grown.cls_names
+        assert LinkClass.INTRA in _classes(grown)
 
     def test_torus(self):
         topo = Torus((4, 4))

@@ -36,6 +36,7 @@ from repro.analysis.sweep import (
     sweep_system,
 )
 from repro.cli.campaign import run_campaign
+from repro.cli.formatters import trace_stats_text
 from repro.cli.main import main
 from repro.cli.manifest import manifest_from_dict
 from repro.faults import FaultSpec
@@ -105,6 +106,45 @@ class TestSpanApi:
             obs.end_session()
         with pytest.raises(RuntimeError, match="no active"):
             obs.end_session()
+
+
+class TestSpanAggregates:
+    @staticmethod
+    def _event(name, ph, ts, tid):
+        return {"name": name, "ph": ph, "ts": ts, "pid": 1, "tid": tid}
+
+    def test_self_time_subtracts_direct_children_per_track(self):
+        ev = self._event
+        events = [
+            ev("outer", "B", 0.0, 1),
+            ev("outer", "B", 1.0, 2),  # the same name on a second track
+            ev("mid", "B", 2.0, 1),
+            ev("leaf", "B", 3.0, 1),
+            ev("leaf", "E", 5.0, 1),
+            {"name": "mark", "ph": "i", "ts": 5.5, "pid": 1, "tid": 1, "s": "t"},
+            ev("leaf", "B", 6.0, 1),
+            ev("leaf", "E", 7.0, 1),
+            ev("mid", "E", 9.0, 1),
+            ev("leaf", "B", 4.0, 2),   # track 2 interleaves in time
+            ev("leaf", "E", 8.0, 2),
+            ev("stray", "E", 8.5, 2),  # unmatched: skipped
+            ev("outer", "E", 10.0, 2),
+            ev("outer", "E", 20.0, 1),
+        ]
+        aggs = obs.span_aggregates(events)
+        # track 1: outer 20 with child mid 7; mid 7 with leaves 2 + 1;
+        # track 2: outer 9 with child leaf 4; grandchildren never count
+        assert aggs == {
+            "leaf": {"count": 3, "total_us": 7.0, "self_us": 7.0},
+            "mid": {"count": 1, "total_us": 7.0, "self_us": 4.0},
+            "outer": {"count": 2, "total_us": 29.0, "self_us": 18.0},
+        }
+        text = trace_stats_text({"events": len(events), "spans": aggs})
+        assert text.splitlines()[-3:] == [
+            "  leaf       3      0.01ms      0.01ms",
+            "  mid        1      0.01ms      0.00ms",
+            "  outer      2      0.03ms      0.02ms",
+        ]
 
 
 class TestMetricsRegistry:

@@ -224,20 +224,24 @@ LINES_PER_ROW, LINES_PER_STEP, LINES_PER_HIT = 8, 200, 8
 
 
 def test_cold_sweep_routes_each_node_pair_once(monkeypatch):
-    """A cold LUMI sweep routes each distinct node pair exactly once, and
-    the route table's Python work is linear in what it interns: a step
-    appends its unseen pairs in one batch without touching the rows it
-    already holds, and a step whose pairs are all interned runs no
+    """A cold LUMI sweep routes each distinct node pair exactly once, in
+    Dragonfly's array batches (no scalar ``route`` call), and the route
+    table's Python work is linear in what it interns: a batch of table
+    rows appends its unseen pairs at once without touching the rows the
+    table already holds, and a batch whose pairs are all interned runs no
     per-pair Python and leaves the table's arrays untouched.  Rebuilding
     the table whenever it grew made cold profiling quadratic in the
     campaign."""
     clear_memo_caches()
     routed = Counter()
-    route = Dragonfly.route
+    route_arrays = Dragonfly.route_arrays
 
-    def counting_route(self, a, b):
-        routed[a, b] += 1
-        return route(self, a, b)
+    def counting_route_arrays(self, a, b):
+        routed.update(zip(a.tolist(), b.tolist()))
+        return route_arrays(self, a, b)
+
+    def no_scalar_route(self, a, b):
+        raise AssertionError("Dragonfly pairs route in batches")
 
     steps = []  # (table, a, b, pairs routed, arrays before, arrays after)
     resolve = CompiledRouteTable.resolve
@@ -248,7 +252,8 @@ def test_cold_sweep_routes_each_node_pair_once(monkeypatch):
         steps.append((self, a, b, len(routed) - n_routed, before, self._arrays))
         return pids
 
-    monkeypatch.setattr(Dragonfly, "route", counting_route)
+    monkeypatch.setattr(Dragonfly, "route_arrays", counting_route_arrays)
+    monkeypatch.setattr(Dragonfly, "route", no_scalar_route)
     monkeypatch.setattr(CompiledRouteTable, "resolve", watching_resolve)
     with _route_table_python_lines() as cold:
         records = sweep_system(
