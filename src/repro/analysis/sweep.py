@@ -889,11 +889,14 @@ def sweep_torus(
         routes = CompiledRouteTable(topo)
         records: list[SweepRecord] = []
         for spec in torus_specs(collectives, algorithms):
-            with schedule_validation(False):
+            cell = {"collective": spec.collective, "algorithm": spec.name,
+                    "p": shape.num_ranks}
+            with schedule_validation(False), obs.span("schedule.build", **cell):
                 schedule = spec.build(shape)
-            profile = profile_table(
-                lower_schedule(schedule), topo, mapping, routes=routes
-            )
+            with obs.span("lower.schedule", **cell):
+                table = lower_schedule(schedule)
+            with obs.span("profile.table", **cell):
+                profile = profile_table(table, topo, mapping, routes=routes)
             records.extend(
                 _profile_records(
                     profile, system, spec, shape.num_ranks, vector_bytes,

@@ -27,10 +27,13 @@ The four non-contiguous-data strategies of Sec. 4.3.1 map onto layouts:
 
 Each flow is described once, as a :class:`Flow`: a per-step plan over rank
 arrays (partner row, whose responsibility set is sent at which resp step,
-op, buffer, local-op rows).  Two renderings consume it:
+op, buffer, local-op rows).  Two renderings consume it, both reading one
+per-step set geometry (:class:`_SetGeometry`: ν-mask rotations, circular
+ranges, hypercube ranges, π windows, evaluated over all ranks at once):
 
-* :func:`render_schedule` — the executor's :class:`Schedule`, with segment
-  tuples from the cached responsibility-set backends;
+* :func:`render_schedule` — the executor's :class:`Schedule`; a step's
+  segment tuples come from every rank's block ranges in one NumPy pass,
+  and steps of one call that walk the same sets share them;
 * :func:`render_table` — the profiler's
   :class:`~repro.model.compiled.TransferTable` at the canonical size
   ``n = p``, straight from closed-form set sizes and run counts: no
@@ -41,6 +44,8 @@ op, buffer, local-op rows).  Two renderings consume it:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +59,7 @@ from repro.core.butterfly import (
     recursive_halving_butterfly,
     swing_butterfly,
 )
+from repro.core.coverage import responsibility
 from repro.collectives.common import (
     TMP,
     VEC,
@@ -62,9 +68,7 @@ from repro.collectives.common import (
     global_pi_inv,
     require_divisible,
 )
-from repro.collectives.fastresp import resp_backend, sorted_runs
 from repro.runtime.errors import ScheduleError
-from repro.runtime.memo import Memo
 from repro.runtime.schedule import LocalCopy, Schedule, Step, Transfer
 
 __all__ = [
@@ -279,85 +283,185 @@ def allreduce_rsag_flow(
     return Flow(bf, n, strategy, meta, tuple(rs + ag))
 
 
+# -- the responsibility-set geometry -----------------------------------------
+
+
+class _SetGeometry:
+    """Every rank's responsibility set under ``bf``, one step at a time.
+
+    The sets obey the butterfly recursion ``resp(r, j) = resp(r, j+1) ⊎
+    resp(partner(r, j), j+1)`` (:mod:`repro.core.coverage`); here they are
+    evaluated over rank arrays, from the kind's closed form or merged up
+    the recursion.  Both renderers read one geometry:
+
+    * :meth:`counts` — each owner's wire-segment count at ``n = p``, in
+      closed form with no runs materialised, so sweep tables stay O(p) per
+      step (:func:`render_table`);
+    * :meth:`bounds` — the block ranges of every rank's set
+      (:func:`render_schedule`).
+
+    Under the π-space strategies a set is one window of π positions;
+    :meth:`check` is the one place its contiguity is checked.
+    """
+
+    def __init__(self, bf: Butterfly, strategy: Strategy):
+        self.bf, self.strategy, self.p = bf, strategy, bf.p
+
+    @cached_property
+    def _pi_bounds(self):
+        # min/max π position of each set, merged up the recursion
+        s, pi, rows = self.bf.num_steps, _pi_array(self.p), _partner_rows(self.bf)
+        lo, hi = {s: pi}, {s: pi}
+        for j in range(s - 1, 0, -1):
+            lo[j] = np.minimum(lo[j + 1], lo[j + 1][rows[j]])
+            hi[j] = np.maximum(hi[j + 1], hi[j + 1][rows[j]])
+        return lo, hi
+
+    @cached_property
+    def _circular_start(self) -> dict[int, np.ndarray]:
+        # bine-halving: circular (start, len) ranges merged up the
+        # recursion; a partner's range must continue one's own
+        p, s, rows = self.p, self.bf.num_steps, _partner_rows(self.bf)
+        start = {s: np.arange(p)}
+        for j in range(s - 1, 0, -1):
+            mine, theirs, size = start[j + 1], start[j + 1][rows[j]], p >> (j + 1)
+            mine_first = (mine + size) % p == theirs
+            bad = np.nonzero(~mine_first & ((theirs + size) % p != mine))[0]
+            if bad.size:
+                raise ValueError(
+                    f"{self.bf.kind}: responsibility sets not circular-contiguous "
+                    f"at rank {bad[0]} step {j}"
+                )
+            start[j] = np.where(mine_first, mine, theirs)
+        return start
+
+    @cached_property
+    def _nus(self) -> np.ndarray:
+        return np.array(nu_labels(self.p), dtype=np.int64)
+
+    def _nu_base(self, step: int) -> np.ndarray:
+        # B = {b : ν(b) & ones(step) = 0}: resp(r, step) = r ± B (Sec. 3.2.3)
+        return (self._nus & ((1 << step) - 1)) == 0
+
+    def check(self, step: int, owner: np.ndarray) -> None:
+        """Raise unless each owner's π window before ``step`` is contiguous,
+        naming the first failing owner in ``owner`` order (no-op outside
+        π space)."""
+        if self.strategy not in _PI_SPACE:
+            return
+        lo, hi = self._pi_bounds
+        span = hi[step][owner] - lo[step][owner] + 1
+        bad = np.nonzero(span != self.p >> step)[0]
+        if bad.size:
+            raise ScheduleError(
+                f"π window not contiguous for {self.bf.kind} "
+                f"rank {owner[bad[0]]} step {step}"
+            )
+
+    def counts(self, step: int, owner: np.ndarray):
+        """Wire segments of each owner's set before ``step`` at ``n = p``
+        (block ``b`` is element ``b``): an array over ``owner``, or a
+        scalar when all are equal."""
+        p, kind = self.p, self.bf.kind
+        if self.strategy is Strategy.BLOCKS:
+            return p >> step
+        if self.strategy in _PI_SPACE:
+            self.check(step, owner)
+            return 1
+        if kind == "rechalv":  # contiguous halves
+            return 1
+        if kind == "recdoub":  # stride 2^step: every block its own run
+            return p >> step
+        if kind in ("bine-doubling", "swing"):
+            # a rotation or reflection of B, so its circular run count is
+            # B's; a circular run through p−1 → 0 splits into two
+            ranks, in_b = np.arange(p), self._nu_base(step)
+            even = ranks % 2 == 0
+            circ = np.count_nonzero(in_b & ~np.roll(in_b, 1))
+            has_first = np.where(even, in_b[-ranks % p], in_b[ranks])
+            has_last = np.where(even, in_b[(p - 1 - ranks) % p], in_b[(ranks + 1) % p])
+            return (circ + (has_first & has_last))[owner]
+        if kind == "bine-halving":
+            return 1 + (self._circular_start[step][owner] + (p >> step) > p)
+        raise NotImplementedError(f"no closed-form segment counts for {kind!r}")
+
+    def bounds(self, step: int):
+        """Every rank's set before ``step`` as block ranges ``(rank, lo,
+        hi)``: flat, rank-major, disjoint and ascending within a rank (π
+        windows in π positions).  Ranges may touch; :func:`_wire_segments`
+        merges them."""
+        p, kind, ranks = self.p, self.bf.kind, np.arange(self.p)
+        size = p >> step
+        if self.strategy in _PI_SPACE:
+            lo = self._pi_bounds[0][step]
+            return ranks, lo, lo + size
+        if kind == "rechalv":
+            lo = ranks - ranks % size
+            return ranks, lo, lo + size
+        if kind == "bine-halving":
+            # a range wrapping past p − 1 is [0, end − p) then [start, p)
+            start = self._circular_start[step]
+            end = start + size
+            keep = np.stack([end > p, np.ones(p, dtype=bool)], axis=1)
+            rank = np.stack([ranks, ranks], axis=1)[keep]
+            lo = np.stack([np.zeros(p, dtype=start.dtype), start], axis=1)[keep]
+            hi = np.stack([end - p, np.minimum(end, p)], axis=1)[keep]
+            return rank, lo, hi
+        if kind in ("bine-doubling", "swing"):
+            base = np.flatnonzero(self._nu_base(step))
+            sign = np.where(ranks % 2 == 0, 1, -1)[:, None]
+            blocks = np.sort((ranks[:, None] + sign * base) % p, axis=1).ravel()
+            rank = np.repeat(ranks, size)
+        elif kind == "recdoub":  # the blocks sharing r's low ``step`` bits
+            blocks = ((ranks % (1 << step))[:, None] + (np.arange(size) << step)).ravel()
+            rank = np.repeat(ranks, size)
+        else:
+            # no closed form: the generic recursion, one rank at a time
+            sets = [sorted(responsibility(self.bf, r, step)) for r in range(p)]
+            rank = np.repeat(ranks, [len(b) for b in sets])
+            blocks = np.fromiter(chain.from_iterable(sets), np.intp, rank.size)
+        return rank, blocks, blocks + 1
+
+
 # -- rendering: Schedule -----------------------------------------------------
 
 
-def _segments_for(part: Partition, blocks: np.ndarray, strategy: Strategy):
-    """Wire segments for a sorted block array under a segmentation policy."""
-    if strategy is Strategy.BLOCKS:
-        return tuple(part.bounds(int(b)) for b in blocks)
-    if part.n == part.p:
-        # canonical build size: block index == element offset
-        return tuple(sorted_runs(blocks))
-    return tuple(part.segments(blocks.tolist()))
+def _block_edges(n: int, p: int) -> np.ndarray:
+    """Element offset of every block boundary ``0..p`` of ``Partition(n,
+    p)``: the first ``n mod p`` blocks hold one extra element."""
+    q, r = divmod(n, p)
+    b = np.arange(p + 1)
+    return b * q + np.minimum(b, r)
 
 
-#: butterfly kinds whose matching (hence responsibility sets) is a pure
-#: function of (kind, p) — safe keys for the cross-schedule segment cache.
-#: Swing shares the distance-doubling Bine sets, so the two kinds alias.
-_CACHEABLE_KINDS = {
-    "bine-doubling": "bine-doubling",
-    "swing": "bine-doubling",
-    "bine-halving": "bine-halving",
-    "recdoub": "recdoub",
-    "rechalv": "rechalv",
-}
-
-#: (kind, p, strategy/π, step, rank) → segment tuple at the canonical build
-#: size.  Reduce-scatter and allgather walk the same responsibility sets
-#: (allreduce builds both back to back, and verification revisits the same
-#: butterflies per collective), so entries are reused several times over.
-#: Only :func:`render_schedule` fills it: sweep tables render without
-#: segment tuples.  Unbounded and uncounted: the inner loop reads it as a
-#: plain dict.
-_SEG_CACHE = Memo("butterfly_collectives._SEG_CACHE")
+def _merged(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Rank-major ranges with each rank's touching neighbours joined."""
+    join = (rank[1:] == rank[:-1]) & (hi[:-1] == lo[1:])
+    first = np.flatnonzero(np.append(True, ~join))
+    last = np.append(first[1:], rank.size) - 1
+    return rank[first], lo[first], hi[last]
 
 
-def _set_segments(bf: Butterfly, n: int, strategy: Strategy):
-    """``segs(rank, step)``: wire segments of ``resp(rank, step)``.
+def _wire_segments(n: int, p: int, strategy: Strategy, bounds) -> list[tuple]:
+    """Every rank's wire segments from its block ranges, as
+    :class:`~repro.core.blocks.Partition` lays blocks out.
 
-    Natural-layout segments are cached across schedules at the canonical
-    size ``n = p``, π windows at any size.
+    ``Strategy.BLOCKS`` sends one segment per block.  Natural layouts
+    coalesce on element adjacency, as ``Partition.segments`` does: with
+    ``n < p`` zero-size blocks join ranges across blocks that are not
+    consecutive.
     """
-    p, resp = bf.p, resp_backend(bf)
-    if strategy in _PI_SPACE:
-        pi, bs = _pi_array(p), n // p
-
-        def compute(rank: int, step: int):
-            ctx = f"{bf.kind} rank {rank} step {step}"
-            return _pi_window(pi, resp(rank, step), bs, ctx)
-
-        layout = ("pi", bs)
+    edge = _block_edges(n, p)
+    rank, lo, hi = bounds
+    if strategy is Strategy.BLOCKS:
+        lens = hi - lo
+        blocks = np.arange(lens.sum()) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        rank, lo, hi = np.repeat(rank, lens), edge[blocks], edge[blocks + 1]
     else:
-        part = Partition(n, p)
-
-        def compute(rank: int, step: int):
-            return _segments_for(part, resp(rank, step), strategy)
-
-        layout = (strategy.value,) if n == p else None
-    ckind = _CACHEABLE_KINDS.get(bf.kind)
-    if ckind is None or layout is None:
-        return compute
-    prefix = (ckind, p) + layout
-
-    def segs(rank: int, step: int):
-        key = prefix + (step, rank)
-        out = _SEG_CACHE.get(key)
-        if out is None:
-            out = _SEG_CACHE[key] = compute(rank, step)
-        return out
-
-    return segs
-
-
-def _pi_window(pi_arr: np.ndarray, blocks: np.ndarray, block_size: int, ctx: str):
-    """Single contiguous element segment covering π(blocks), or raise."""
-    positions = pi_arr[blocks]
-    lo = int(positions.min())
-    hi = int(positions.max()) + 1
-    if hi - lo != positions.size:
-        raise ScheduleError(f"π window not contiguous for {ctx}")
-    return ((lo * block_size, hi * block_size),)
+        rank, lo, hi = _merged(rank, edge[lo], edge[hi])
+    cut = np.searchsorted(rank, np.arange(p + 1)).tolist()
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    return [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
 
 
 def _local_copies(local: _Local | None, p: int, n: int) -> tuple[LocalCopy, ...]:
@@ -390,11 +494,19 @@ def _local_copies(local: _Local | None, p: int, n: int) -> tuple[LocalCopy, ...]
 
 
 def render_schedule(flow: Flow) -> Schedule:
-    """The executor's :class:`Schedule` for ``flow`` (validated on exit)."""
+    """The executor's :class:`Schedule` for ``flow`` (validated on exit).
+
+    A resp step's wire segments are computed for every rank in one NumPy
+    pass; steps walking the same sets (the reduce-scatter and allgather
+    halves of an allreduce) share the tuples, for this call only.
+    """
     bf, n, strategy = flow.bf, flow.n, flow.strategy
     p = bf.p
     bs = n // p
-    resp_segs = _set_segments(bf, n, strategy)
+    if strategy not in _PI_SPACE:
+        Partition(n, p)  # natural layouts reject a negative n
+    sets = _SetGeometry(bf, strategy)
+    segs_at: dict[int, list[tuple]] = {}  # resp step → segments by rank
     sched = Schedule(p, meta=flow.meta)
     for st in flow.steps:
         owners = st.owner.tolist()
@@ -403,7 +515,13 @@ def render_schedule(flow: Flow) -> Schedule:
         elif st.resp_step == 0:
             segs = [((0, n),)] * len(owners)
         else:
-            segs = [resp_segs(o, st.resp_step) for o in owners]
+            sets.check(st.resp_step, st.owner)
+            by_rank = segs_at.get(st.resp_step)
+            if by_rank is None:
+                by_rank = segs_at[st.resp_step] = _wire_segments(
+                    n, p, strategy, sets.bounds(st.resp_step)
+                )
+            segs = [by_rank[o] for o in owners]
         transfers = tuple(
             Transfer(
                 src=r, dst=q, src_buf=st.buf, dst_buf=st.buf,
@@ -421,76 +539,6 @@ def render_schedule(flow: Flow) -> Schedule:
 
 
 # -- rendering: TransferTable ------------------------------------------------
-
-
-def _run_counts(bf: Butterfly, strategy: Strategy):
-    """``runs(step, owner)``: wire segments of each owner's set before ``step``.
-
-    Closed forms at ``n = p`` (block ``b`` is element ``b``), one array
-    pass per step; entry ``i`` equals the segment count the schedule path
-    gets for ``resp(owner[i], step)`` (a scalar when all are equal).
-    """
-    p, s = bf.p, bf.num_steps
-    rows = _partner_rows(bf)
-    ranks = np.arange(p)
-    if strategy is Strategy.BLOCKS:
-        return lambda step, owner: p >> step
-    if strategy in _PI_SPACE:
-        # each set is one π window; check contiguity exactly as
-        # _pi_window does, with min/max merged up the butterfly recursion
-        # resp(r, j) = resp(r, j+1) ⊎ resp(partner(r, j), j+1)
-        pi = _pi_array(p)
-        lo, hi = {s: pi}, {s: pi}
-        for j in range(s - 1, 0, -1):
-            lo[j] = np.minimum(lo[j + 1], lo[j + 1][rows[j]])
-            hi[j] = np.maximum(hi[j + 1], hi[j + 1][rows[j]])
-
-        def windows(step: int, owner: np.ndarray) -> int:
-            span = hi[step][owner] - lo[step][owner] + 1
-            bad = np.nonzero(span != p >> step)[0]
-            if bad.size:
-                raise ScheduleError(
-                    f"π window not contiguous for {bf.kind} "
-                    f"rank {owner[bad[0]]} step {step}"
-                )
-            return 1
-
-        return windows
-    if bf.kind == "rechalv":  # contiguous halves
-        return lambda step, owner: 1
-    if bf.kind == "recdoub":  # stride 2^step: every block its own run
-        return lambda step, owner: p >> step
-    if bf.kind in ("bine-doubling", "swing"):
-        # resp(r, step) = r ± B, B = {b : ν(b) & ones(step) = 0} (Sec.
-        # 3.2.3): a rotation or reflection of B, so its circular run count
-        # is B's; a circular run through p−1 → 0 splits into two
-        nus = np.array(nu_labels(p), dtype=np.int64)
-        even = ranks % 2 == 0
-
-        def rotated(step: int, owner: np.ndarray) -> np.ndarray:
-            in_b = (nus & ((1 << step) - 1)) == 0
-            circ = np.count_nonzero(in_b & ~np.roll(in_b, 1))
-            has_first = np.where(even, in_b[-ranks % p], in_b[ranks])
-            has_last = np.where(even, in_b[(p - 1 - ranks) % p], in_b[(ranks + 1) % p])
-            return (circ + (has_first & has_last))[owner]
-
-        return rotated
-    if bf.kind == "bine-halving":
-        # circular (start, len) ranges merged up the recursion, as
-        # fastresp's circular backend does per rank
-        start = {s: ranks}
-        for j in range(s - 1, 0, -1):
-            mine, theirs, size = start[j + 1], start[j + 1][rows[j]], p >> (j + 1)
-            mine_first = (mine + size) % p == theirs
-            bad = np.nonzero(~mine_first & ((theirs + size) % p != mine))[0]
-            if bad.size:
-                raise ValueError(
-                    f"{bf.kind}: responsibility sets not circular-contiguous "
-                    f"at rank {bad[0]} step {j}"
-                )
-            start[j] = np.where(mine_first, mine, theirs)
-        return lambda step, owner: 1 + (start[step][owner] + (p >> step) > p)
-    raise NotImplementedError(f"no closed-form segment counts for {bf.kind!r}")
 
 
 def _column(parts, dtype) -> np.ndarray:
@@ -565,7 +613,7 @@ def render_table(flow: Flow):
     bf, p = flow.bf, flow.bf.p
     if flow.n != p:
         raise ValueError(f"tables render at n = p (got n={flow.n}, p={p})")
-    runs = None
+    sets = _SetGeometry(bf, flow.strategy)
     steps = []
     for st in flow.steps:
         if st.resp_step is None:  # one block
@@ -573,8 +621,7 @@ def render_table(flow: Flow):
         elif st.resp_step == 0:  # the whole vector
             size, count = p, 1
         else:
-            runs = runs or _run_counts(bf, flow.strategy)
-            size, count = p >> st.resp_step, runs(st.resp_step, st.owner)
+            size, count = p >> st.resp_step, sets.counts(st.resp_step, st.owner)
         steps.append((st.src, st.dst, size, count, st.op is not None))
     return step_table(flow.meta, steps, [
         [lc.whole for lc in (st.pre, st.post) if lc is not None] for st in flow.steps

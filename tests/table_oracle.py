@@ -35,6 +35,14 @@ At p=1500 only the non-power-of-two entries profile (Bruck, Sparbit,
 alltoall, linear gather/scatter); p=2048 adds the butterflies and trees
 (~35 s for both fabrics on a 2-CPU x86 machine).
 
+``--segments P`` (repeatable) adds the segment-oracle comparison at scale:
+every flow-backed entry (the butterflies and the composed bcast/reduce)
+built at ``P`` ranks with ``n = P`` and ``n = 4P + 3`` must equal
+``tests/segment_oracle.py``'s per-rank rendering transfer for transfer,
+or raise the same error::
+
+    $ PYTHONPATH=src python tests/table_oracle.py --segments 1024
+
 Exit code 0 when every (entry, p) cell matches; 1 on any mismatch.
 """
 
@@ -55,6 +63,7 @@ from repro.runtime.memo import clear_memo_caches
 from repro.runtime.schedule import schedule_validation
 from repro.systems import lumi
 from scalar_oracle import ScalarRoutes, oracle_profile
+from segment_oracle import flow_backed_specs, schedule_mismatches
 
 #: fault scenarios of the profile comparison (``--profiles``)
 PROFILE_FAULTS = ("none", "links=4,seed=13")
@@ -182,11 +191,14 @@ def profile_mismatches(p: int, faults: str) -> tuple[list[str], int]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--p", type=int, action="append", required=True,
+    ap.add_argument("--p", type=int, action="append", default=[],
                     help="rank count to check (repeatable)")
     ap.add_argument("--profiles", type=int, action="append", default=[],
                     metavar="P", help="rank count for the scalar-oracle "
                     "profile comparison (repeatable)")
+    ap.add_argument("--segments", type=int, action="append", default=[],
+                    metavar="P", help="rank count for the segment-oracle "
+                    "schedule comparison (repeatable)")
     args = ap.parse_args(argv)
     failures = 0
     for spec in plan_backed_specs():
@@ -217,6 +229,17 @@ def main(argv=None) -> int:
                   f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'} "
                   f"({profiled} entries profiled, "
                   f"{time.perf_counter() - t0:.1f} s)", flush=True)
+    for p in args.segments:
+        for spec in flow_backed_specs():
+            for n in (p, 4 * p + 3):
+                clear_memo_caches()
+                t0 = time.perf_counter()
+                with schedule_validation(False):
+                    bad = schedule_mismatches(spec, p, n)
+                failures += bool(bad)
+                print(f"segments {spec.collective}/{spec.name} p={p} n={n}: "
+                      f"{'MISMATCH ' + '; '.join(bad[:3]) if bad else 'ok'} "
+                      f"({time.perf_counter() - t0:.1f} s)", flush=True)
     clear_memo_caches()
     t0 = time.perf_counter()
     bad = prewarmed_route_mismatches()

@@ -1,10 +1,9 @@
-"""Tests for the fast responsibility backends and block permutations."""
+"""Tests for the per-rank responsibility backends and block permutations."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.fastresp import resp_backend, sorted_runs
 from repro.core.butterfly import (
     bine_butterfly_doubling,
     bine_butterfly_halving,
@@ -24,6 +23,7 @@ from repro.core.permutation import (
     mirror_permutation,
     rotation_permutation,
 )
+from segment_oracle import resp_backend, sorted_runs
 
 BUILDERS = [
     bine_butterfly_doubling,

@@ -34,13 +34,14 @@ from repro.analysis.sweep import (
     memo_cache_registry,
     memo_cache_sizes,
     sweep_system,
+    sweep_torus,
 )
 from repro.cli.campaign import run_campaign
 from repro.cli.formatters import trace_stats_text
 from repro.cli.main import main
 from repro.cli.manifest import manifest_from_dict
 from repro.faults import FaultSpec
-from repro.systems import lumi
+from repro.systems import fugaku, lumi
 from repro.tune import build_decision_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -203,7 +204,6 @@ class TestMetricsRegistry:
             "bine_tree._nu_inverse_table",
             "common._pi_table",
             "common._pi_inv_table",
-            "butterfly_collectives._SEG_CACHE",
             "verify._PLAN_CACHE",
             "verify._PATTERN_CACHE",
             "compiled._TABLE_CACHE",
@@ -330,6 +330,30 @@ class TestDesTraced:
         assert all(r.stalled for r in records)
         assert stats_doc["counters"]["des.stalls"] > 0
         assert "des.stall" in {e["name"] for e in trace_doc["traceEvents"]}
+
+
+class TestTorusTraced:
+    def test_sweep_torus_opens_build_lower_and_profile_spans(self):
+        """A torus sweep attributes its time like a registry sweep: one
+        ``schedule.build``, ``lower.schedule`` and ``profile.table`` span
+        per catalog entry, tagged with collective, algorithm and p."""
+        grid = dict(collectives=("bcast", "allreduce"), vector_bytes=(1024,))
+        plain = sweep_torus(fugaku(), (2, 2), **grid)
+        obs.begin_session(None)
+        try:
+            traced = sweep_torus(fugaku(), (2, 2), **grid)
+        finally:
+            trace_doc, _ = obs.end_session()
+        assert traced == plain
+        assert obs.validate_trace(trace_doc) == []
+        entries = {(r.collective, r.algorithm, r.p) for r in plain}
+        for name in ("schedule.build", "lower.schedule", "profile.table"):
+            spans = [
+                (e["args"]["collective"], e["args"]["algorithm"], e["args"]["p"])
+                for e in trace_doc["traceEvents"]
+                if e["name"] == name and e["ph"] == "B"
+            ]
+            assert sorted(spans) == sorted(entries), name
 
 
 class TestShardFallbackWarnOnce:

@@ -287,7 +287,7 @@ def test_transfer_nelems_cached_consistent():
     t = Transfer(0, 1, "vec", "vec", ((0, 3), (5, 9)), ((1, 4), (6, 10)))
     assert t.nelems == 7
     arr = np.array([0, 1, 2, 5, 6, 7])
-    from repro.collectives.fastresp import sorted_runs
+    from segment_oracle import sorted_runs
 
     assert sorted_runs(arr) == [(0, 3), (5, 8)]
     # large-array path agrees with the small-array scan

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.analysis import sweep
-from repro.analysis.sweep import clear_memo_caches, memo_cache_sizes, sweep_system
+from repro.analysis.sweep import clear_memo_caches, sweep_system
 from repro.collectives.butterfly_collectives import allgather_butterfly
 from repro.collectives.registry import COLLECTIVES, AlgorithmSpec, build, iter_specs, spec_for
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
@@ -103,9 +103,9 @@ def test_4096_rank_sweep_cell_under_budget():
 
 def test_butterfly_sweep_cell_builds_no_schedule(monkeypatch):
     """A cold p=2048 swing allreduce cell renders its table from the flow:
-    no ``AlgorithmSpec.build`` call and no segment tuple cached.  The
-    schedule path holds ~400 MB of segment tuples for this cell, so these
-    exact counts guard peak memory as well as time."""
+    no ``AlgorithmSpec.build`` call.  The schedule path holds ~400 MB of
+    segment tuples for this cell, so this exact count guards peak memory
+    as well as time."""
     clear_memo_caches()
     builds = []
     original = AlgorithmSpec.build
@@ -120,7 +120,6 @@ def test_butterfly_sweep_cell_builds_no_schedule(monkeypatch):
     )
     assert records and all(r.algorithm == "swing" for r in records)
     assert builds == []
-    assert memo_cache_sizes()["butterfly_collectives._SEG_CACHE"] == 0
 
 
 #: the entries a sweep still builds schedules for: the trees and linear
@@ -140,8 +139,7 @@ def test_table3_sweep_builds_only_tree_and_linear_schedules(monkeypatch):
     """A cold LUMI Table-3 sweep (8 collectives, p = 16/64/256) calls
     ``AlgorithmSpec.build`` once per rank count for each tree and linear
     entry and never otherwise: Bruck, Sparbit, the rings and the composed
-    bcast/reduce render their tables from plans.  No segment tuple is
-    cached either (the composed builders used to fill the cache)."""
+    bcast/reduce render their tables from plans."""
     clear_memo_caches()
     builds = Counter()
     original = AlgorithmSpec.build
@@ -154,7 +152,6 @@ def test_table3_sweep_builds_only_tree_and_linear_schedules(monkeypatch):
     records = sweep_system(lumi(), COLLECTIVES, node_counts=(16, 64, 256))
     assert {r.collective for r in records} == set(COLLECTIVES)
     assert builds == {entry: 3 for entry in TREE_AND_LINEAR}
-    assert memo_cache_sizes()["butterfly_collectives._SEG_CACHE"] == 0
 
 
 def test_cold_sweep_profiles_every_cell_through_one_table(monkeypatch):
