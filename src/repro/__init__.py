@@ -13,4 +13,23 @@ Layers (see ``docs/architecture.md``):
 * :mod:`repro.cli`         — the ``repro`` command-line front door
 """
 
+import importlib
+
 __version__ = "1.0.0"
+
+
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """A package ``__getattr__`` (PEP 562) that imports each public name
+    from its submodule on first use: ``exports`` maps submodule → names.
+
+    Importing one submodule then loads only what that submodule needs,
+    not every sibling the package re-exports.
+    """
+    where = {name: f"{package}.{mod}" for mod, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(where[name]), name)
+
+    return __getattr__

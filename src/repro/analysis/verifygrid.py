@@ -2,7 +2,8 @@
 
 The sweep layer answers "how fast is each algorithm"; this module answers
 "is every schedule *correct*" at grid scale: for each registry cell
-``(collective, algorithm, p)`` it builds the schedule, runs the executor
+``(collective, algorithm, p)`` it gets the cell's compiled plan (rendered
+from the entry's step arrays, or built and compiled), runs the executor
 oracle (:mod:`repro.collectives.verify`) for a set of seeds, and reduces the
 outcome to one :class:`VerifyRecord` — ``ok``, ``failed`` (with the first
 mismatch), or ``skipped`` (constraint not applicable, e.g. a power-of-two
@@ -10,19 +11,24 @@ algorithm at p=17).
 
 Engines:
 
-* ``compiled`` (default) — compile once per cell via
+* ``compiled`` (default) — one plan per cell via
   :func:`~repro.collectives.verify.compiled_plan_for` (memoized, so repeat
-  grids skip both schedule build and compilation) and execute every seed in
-  one batched columnar pass;
-* ``reference`` — the interpreted executor, one seed at a time;
+  grids skip rendering, building and compiling), every seed executed in
+  one batched columnar pass.  The butterfly flows, rings, Bruck and
+  Sparbit render their plan from step arrays and never build a schedule;
+  the other entries build and compile;
+* ``reference`` — build the schedule and run the interpreted executor, one
+  seed at a time;
 * ``both`` — run both and additionally assert their final buffer matrices
-  are bit-identical, the strongest cross-check.
+  are bit-identical, the strongest cross-check (for a rendered entry,
+  rendered plan against built schedule).
 
 Execution runs with schedule validation switched off
 (:func:`~repro.runtime.schedule.schedule_validation`): the structural pass
-already ran once when the builder finalized the schedule, and the oracle's
-end-state comparison is the stronger check — no need to pay validation twice
-per cell.
+already ran once, when the builder finalized the schedule or, for a
+rendered plan, on its step arrays (:meth:`~repro.runtime.schedule.ArrayPhase.finalize_error`),
+and the oracle's end-state comparison is the stronger check — no need to
+pay validation twice per cell.
 
 ``verify_grid(..., workers=N)`` shards cells over a
 :class:`~concurrent.futures.ProcessPoolExecutor`; cells are independent
@@ -215,8 +221,9 @@ def _verify_cell_impl(
         return record("failed", f"build: {exc}")
 
     try:
-        # validation already ran at build time (Schedule.finalize); the
-        # end-state check below is the stronger signal
+        # validation already ran when the plan was made (Schedule.finalize,
+        # or its array form for a rendered plan); the end-state check below
+        # is the stronger signal
         with schedule_validation(False):
             if engine == "compiled":
                 run_and_check_compiled(schedule, seeds, plan)

@@ -13,22 +13,21 @@ harness proves all of it by killing the process on purpose.
   second-signal-aborts handling
 * :mod:`repro.checkpoint.chaos` — ``REPRO_CHAOS`` fault injection at
   cell boundaries
+
+The names below load from their submodule on first use: a sweep that
+imports only :mod:`~repro.checkpoint.drain` loads neither the journal nor
+the chaos harness.
 """
 
-from repro.checkpoint.chaos import CHAOS_ENV, chaos_boundary
-from repro.checkpoint.drain import drain_requested, drain_scope
-from repro.checkpoint.journal import (
-    JOURNAL_SCHEMA,
-    JOURNAL_VERSION,
-    CampaignJournal,
-    GridJournal,
-    JournalDoc,
-    JournalWriter,
-    journal_path,
-    manifest_digest,
-    read_journal,
-    summarize_journal,
-)
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "chaos": ("CHAOS_ENV", "chaos_boundary"),
+    "drain": ("drain_requested", "drain_scope"),
+    "journal": ("JOURNAL_SCHEMA", "JOURNAL_VERSION", "CampaignJournal", "GridJournal",
+                "JournalDoc", "JournalWriter", "journal_path", "manifest_digest",
+                "read_journal", "summarize_journal"),
+})
 
 __all__ = [
     "CHAOS_ENV",

@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import CircularRange, Partition
-from repro.collectives.butterfly_collectives import step_table
-from repro.collectives.common import VEC
-from repro.runtime.schedule import Schedule, Step, Transfer
+from repro.core.blocks import Partition
+from repro.collectives.butterfly_collectives import (
+    block_edges,
+    circular_bounds,
+    step_table,
+    wire_arrays,
+)
+from repro.runtime.compiled import plan_from_arrays
+from repro.runtime.schedule import ArrayPhase, ArrayStep, Schedule, schedule_from_arrays
 
-__all__ = ["allgather_bruck", "allgather_sparbit"]
+__all__ = ["allgather_bruck", "allgather_sparbit", "bruck_plan"]
 
 
 def _rounds(p: int):
@@ -40,34 +45,36 @@ def _meta(p: int, n: int, name: str) -> dict:
     return {"collective": "allgather", "algorithm": name, "p": p, "n": n}
 
 
-def _build(p: int, n: int, name: str, per_block: bool) -> Schedule:
-    sched = Schedule(p, meta=_meta(p, n, name))
-    part = Partition(n, p)
+def _round_steps(p: int, n: int, name: str, per_block: bool):
+    """The rounds as arrays: in round ``k``, ``(h, c)``, rank ``r`` pulls
+    ``src = (r + h) mod p``'s first ``c`` blocks ``[src, src + c)`` into
+    the same slots, one segment per block in circular order (Sparbit) or
+    coalesced as ``Partition.segments`` does (Bruck, ≤ 2 per send)."""
+    ranks = np.arange(p)
+    edge = block_edges(n, p)
     for k, (h, c) in enumerate(_rounds(p)):
-        transfers = []
-        for r in range(p):
-            src = (r + h) % p
-            # r pulls src's first c blocks [src, src+c) into the same slots.
-            blocks = CircularRange(src, c, p).indices()
-            if per_block:
-                segs = tuple(part.bounds(b) for b in blocks)
-            else:
-                segs = tuple(part.segments(blocks))
-            transfers.append(
-                Transfer(
-                    src=src, dst=r, src_buf=VEC, dst_buf=VEC,
-                    src_segments=segs, dst_segments=segs,
-                    tag=f"{name}[{k}]",
-                )
-            )
-        sched.add(Step(transfers=tuple(transfers), label=f"{name} round {k}"))
-    return sched.finalize()
+        src = (ranks + h) % p
+        if per_block:
+            blocks = ((src[:, None] + np.arange(c)) % p).ravel()
+            counts, lo, hi = np.full(p, c), edge[blocks], edge[blocks + 1]
+        else:
+            cut, lo, hi = wire_arrays(n, p, False, circular_bounds(src, c, p))
+            counts = np.diff(cut)
+        yield ArrayStep(f"{name} round {k}", ArrayPhase(
+            src, ranks, counts, lo, hi, tag=f"{name}[{k}]",
+        ))
+
+
+def _render(p: int, n: int, name: str, per_block: bool, render):
+    meta = _meta(p, n, name)
+    Partition(n, p)  # rejects a negative n
+    return render(p, meta, _round_steps(p, n, name, per_block))
 
 
 def _table(p: int, name: str, per_block: bool):
-    """The sweep table of :func:`_build` at ``n = p``: round ``(h, c)`` pulls
-    ``c`` elements from ``(r + h) mod p``, in two segments where the range
-    wraps (Bruck) or in ``c`` (Sparbit)."""
+    """The sweep table at ``n = p``: round ``(h, c)`` pulls ``c`` elements
+    from ``(r + h) mod p``, in two segments where the range wraps (Bruck)
+    or in ``c`` (Sparbit)."""
     meta, ranks = _meta(p, p, name), np.arange(p)
     steps = []
     for h, c in _rounds(p):
@@ -78,10 +85,15 @@ def _table(p: int, name: str, per_block: bool):
 
 def allgather_bruck(p: int, n: int) -> Schedule:
     """Bruck allgather (any ``p``): ⌈log2 p⌉ rounds, ≤ 2 segments per send."""
-    return _build(p, n, "bruck", per_block=False)
+    return _render(p, n, "bruck", False, schedule_from_arrays)
 
 
 def allgather_sparbit(p: int, n: int) -> Schedule:
     """Sparbit-like allgather: Bruck rounds with per-block (scattered) sends."""
-    return _build(p, n, "sparbit", per_block=True)
+    return _render(p, n, "sparbit", True, schedule_from_arrays)
 
+
+def bruck_plan(p: int, n: int, name: str, per_block: bool):
+    """The verifier's ``(schedule stub, plan)`` of either allgather, equal
+    to compiling its built schedule, rendered from the same round arrays."""
+    return _render(p, n, name, per_block, plan_from_arrays)

@@ -27,13 +27,17 @@ The four non-contiguous-data strategies of Sec. 4.3.1 map onto layouts:
 
 Each flow is described once, as a :class:`Flow`: a per-step plan over rank
 arrays (partner row, whose responsibility set is sent at which resp step,
-op, buffer, local-op rows).  Two renderings consume it, both reading one
+op, buffer, local-op rows).  Three renderings consume it, all reading one
 per-step set geometry (:class:`_SetGeometry`: ν-mask rotations, circular
 ranges, hypercube ranges, π windows, evaluated over all ranks at once):
 
 * :func:`render_schedule` — the executor's :class:`Schedule`; a step's
   segment tuples come from every rank's block ranges in one NumPy pass,
   and steps of one call that walk the same sets share them;
+* :func:`render_compiled_plan` — the verifier's
+  :class:`~repro.runtime.compiled.CompiledPlan`, from the same block
+  ranges as arrays (:class:`~repro.runtime.schedule.ArrayStep`), equal to
+  compiling :func:`render_schedule`'s schedule, with no schedule built;
 * :func:`render_table` — the profiler's
   :class:`~repro.model.compiled.TransferTable` at the canonical size
   ``n = p``, straight from closed-form set sizes and run counts: no
@@ -68,8 +72,16 @@ from repro.collectives.common import (
     global_pi_inv,
     require_divisible,
 )
+from repro.runtime.compiled import plan_from_arrays
 from repro.runtime.errors import ScheduleError
-from repro.runtime.schedule import LocalCopy, Schedule, Step, Transfer
+from repro.runtime.schedule import (
+    ArrayPhase,
+    ArrayStep,
+    LocalCopy,
+    Schedule,
+    Step,
+    Transfer,
+)
 
 __all__ = [
     "reduce_scatter_butterfly",
@@ -83,7 +95,11 @@ __all__ = [
     "allreduce_recursive_flow",
     "allreduce_rsag_flow",
     "render_schedule",
+    "render_compiled_plan",
     "render_table",
+    "block_edges",
+    "circular_bounds",
+    "wire_arrays",
     "step_table",
     "concat_tables",
     "rs_butterfly_for",
@@ -399,14 +415,7 @@ class _SetGeometry:
             lo = ranks - ranks % size
             return ranks, lo, lo + size
         if kind == "bine-halving":
-            # a range wrapping past p − 1 is [0, end − p) then [start, p)
-            start = self._circular_start[step]
-            end = start + size
-            keep = np.stack([end > p, np.ones(p, dtype=bool)], axis=1)
-            rank = np.stack([ranks, ranks], axis=1)[keep]
-            lo = np.stack([np.zeros(p, dtype=start.dtype), start], axis=1)[keep]
-            hi = np.stack([end - p, np.minimum(end, p)], axis=1)[keep]
-            return rank, lo, hi
+            return circular_bounds(self._circular_start[step], size, p)
         if kind in ("bine-doubling", "swing"):
             base = np.flatnonzero(self._nu_base(step))
             sign = np.where(ranks % 2 == 0, 1, -1)[:, None]
@@ -426,12 +435,30 @@ class _SetGeometry:
 # -- rendering: Schedule -----------------------------------------------------
 
 
-def _block_edges(n: int, p: int) -> np.ndarray:
+def block_edges(n: int, p: int) -> np.ndarray:
     """Element offset of every block boundary ``0..p`` of ``Partition(n,
     p)``: the first ``n mod p`` blocks hold one extra element."""
     q, r = divmod(n, p)
     b = np.arange(p + 1)
     return b * q + np.minimum(b, r)
+
+
+def circular_bounds(start: np.ndarray, size: int, p: int):
+    """Item ``i``'s circular block range ``[start[i], start[i] + size)``
+    as ascending block ranges ``(item, lo, hi)``: a range wrapping past
+    ``p − 1`` is ``[0, end − p)`` then ``[start, p)``."""
+    items = np.arange(start.size)
+    end = start + size
+    keep = np.stack([end > p, np.ones(start.size, dtype=bool)], axis=1)
+    item = np.stack([items, items], axis=1)[keep]
+    lo = np.stack([np.zeros_like(start), start], axis=1)[keep]
+    hi = np.stack([end - p, np.minimum(end, p)], axis=1)[keep]
+    return item, lo, hi
+
+
+def _spans(start: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``start[i] .. start[i] + lens[i]`` for every ``i``, back to back."""
+    return np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
 
 
 def _merged(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -442,24 +469,33 @@ def _merged(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return rank[first], lo[first], hi[last]
 
 
-def _wire_segments(n: int, p: int, strategy: Strategy, bounds) -> list[tuple]:
-    """Every rank's wire segments from its block ranges, as
-    :class:`~repro.core.blocks.Partition` lays blocks out.
+def wire_arrays(n: int, p: int, per_block: bool, bounds):
+    """Every item's wire segments from its block ranges ``(item, lo,
+    hi)`` (items ``0..p − 1``, item-major), as
+    :class:`~repro.core.blocks.Partition` lays blocks out: flat columns
+    ``(cut, lo, hi)``, item ``i``'s segments at ``cut[i]:cut[i + 1]``.
 
-    ``Strategy.BLOCKS`` sends one segment per block.  Natural layouts
-    coalesce on element adjacency, as ``Partition.segments`` does: with
-    ``n < p`` zero-size blocks join ranges across blocks that are not
+    ``per_block`` sends one segment per block, in range order.  Otherwise
+    ranges coalesce on element adjacency, as ``Partition.segments`` does:
+    with ``n < p`` zero-size blocks join ranges across blocks that are not
     consecutive.
     """
-    edge = _block_edges(n, p)
-    rank, lo, hi = bounds
-    if strategy is Strategy.BLOCKS:
+    edge = block_edges(n, p)
+    item, lo, hi = bounds
+    if per_block:
         lens = hi - lo
-        blocks = np.arange(lens.sum()) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
-        rank, lo, hi = np.repeat(rank, lens), edge[blocks], edge[blocks + 1]
+        blocks = _spans(lo, lens)
+        item, lo, hi = np.repeat(item, lens), edge[blocks], edge[blocks + 1]
     else:
-        rank, lo, hi = _merged(rank, edge[lo], edge[hi])
-    cut = np.searchsorted(rank, np.arange(p + 1)).tolist()
+        item, lo, hi = _merged(item, edge[lo], edge[hi])
+    return np.searchsorted(item, np.arange(p + 1)), lo, hi
+
+
+def _wire_segments(n: int, p: int, strategy: Strategy, bounds) -> list[tuple]:
+    """:func:`wire_arrays` for a butterfly's sets, as one tuple of segment
+    tuples per rank."""
+    cut, lo, hi = wire_arrays(n, p, strategy is Strategy.BLOCKS, bounds)
+    cut = cut.tolist()
     pairs = list(zip(lo.tolist(), hi.tolist()))
     return [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
 
@@ -536,6 +572,76 @@ def render_schedule(flow: Flow) -> Schedule:
             label=st.label,
         ))
     return sched.finalize()
+
+
+# -- rendering: CompiledPlan -------------------------------------------------
+
+
+def _local_arrays(local: _Local | None, p: int, n: int) -> tuple[ArrayPhase, ...]:
+    """:func:`_local_copies` as one batch of arrays."""
+    if local is None:
+        return ()
+    bs, ranks, pi = n // p, np.arange(p), _pi_array(p)
+    if local.whole:
+        counts = np.full(p, p)
+        nat, perm = np.tile(ranks * bs, p), np.tile(pi * bs, p)
+    else:
+        counts = np.ones(p, dtype=np.intp)
+        nat, perm = ranks * bs, pi * bs
+    src, dst = (nat, perm) if local.to_pi else (perm, nat)
+    return (ArrayPhase(
+        ranks, ranks, counts, src, src + bs, (counts, dst, dst + bs),
+        VEC if local.to_pi else TMP, TMP if local.to_pi else VEC, tag=local.tag,
+    ),)
+
+
+def render_compiled_plan(flow: Flow):
+    """The verifier's ``(schedule stub, plan)`` for ``flow``, equal to
+    ``compile_plan(render_schedule(flow))`` with no schedule built.
+
+    Every step's segments come from the set geometry as arrays (the wire
+    segments of each resp step once per call, as :func:`render_schedule`
+    shares its tuples), and the π-window and circular-range checks run as
+    they do there.
+    """
+    bf, n, strategy = flow.bf, flow.n, flow.strategy
+    p = bf.p
+    bs = n // p
+    if strategy not in _PI_SPACE:
+        Partition(n, p)  # natural layouts reject a negative n
+    sets = _SetGeometry(bf, strategy)
+    wires: dict[int, tuple] = {}  # resp step → (cut, lo, hi)
+
+    def steps():
+        for st in flow.steps:
+            owner = st.owner
+            ones = np.ones(owner.size, dtype=np.intp)
+            if st.resp_step is None:
+                lo, hi, counts = owner * bs, (owner + 1) * bs, ones
+            elif st.resp_step == 0:
+                lo, hi, counts = 0 * ones, n * ones, ones
+            else:
+                sets.check(st.resp_step, owner)
+                if st.resp_step not in wires:
+                    wires[st.resp_step] = wire_arrays(
+                        n, p, strategy is Strategy.BLOCKS, sets.bounds(st.resp_step)
+                    )
+                cut, w_lo, w_hi = wires[st.resp_step]
+                counts = cut[owner + 1] - cut[owner]
+                at = _spans(cut[owner], counts)
+                lo, hi = w_lo[at], w_hi[at]
+            yield ArrayStep(
+                st.label,
+                ArrayPhase(st.src, st.dst, counts, lo, hi, None, st.buf, st.buf,
+                           st.op, st.tag),
+                _local_arrays(st.pre, p, n),
+                _local_arrays(st.post, p, n),
+            )
+
+    buffers = {st.buf for st in flow.steps if st.src.size}
+    if any(st.pre or st.post for st in flow.steps):
+        buffers |= {VEC, TMP}
+    return plan_from_arrays(p, flow.meta, steps(), buffers or {VEC})
 
 
 # -- rendering: TransferTable ------------------------------------------------

@@ -38,6 +38,7 @@ from repro.collectives.butterfly_collectives import (
     allreduce_recursive_flow,
     allreduce_rsag_flow,
     reduce_scatter_flow,
+    render_compiled_plan,
     render_schedule,
     render_table,
 )
@@ -92,6 +93,11 @@ class AlgorithmSpec:
     #: still lowered), or as alltoall's packed/sampled cost model
     #: (:mod:`repro.model.analytic`); ``None``: build and lower (trees, linear)
     table: Callable[[int], object] | None = None
+    #: ``compiled(p, n, root, op)`` renders the verifier's ``(schedule
+    #: stub, CompiledPlan)`` from the same plan, equal to compiling the
+    #: built schedule, without building it (butterfly flows, rings, Bruck,
+    #: Sparbit); ``None``: build and compile
+    compiled: Callable[[int, int, int, str], tuple] | None = None
 
     def build(self, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
         return self.builder(p, n, root, op)
@@ -125,11 +131,12 @@ def _register(spec: AlgorithmSpec) -> None:
 
 
 def _register_flow(collective: str, name: str, family: str, flow, **kw) -> None:
-    """Register a butterfly entry: ``flow(p, n, op)`` renders both ways."""
+    """Register a butterfly entry: ``flow(p, n, op)`` renders all three ways."""
     _register(AlgorithmSpec(
         collective, name, family,
         lambda p, n, root, op: render_schedule(flow(p, n, op)),
         table=lambda p: render_table(flow(p, p, "sum")),
+        compiled=lambda p, n, root, op: render_compiled_plan(flow(p, n, op)),
         **kw,
     ))
 
@@ -315,13 +322,15 @@ _register_flow(
 _register(AlgorithmSpec(
     "allgather", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_allgather(p, n),
-    pow2_only=False, table=ringmod.ring_allgather_table,
+    pow2_only=False, table=lambda p: ringmod.ring_table("allgather", p),
+    compiled=lambda p, n, root, op: ringmod.ring_plan("allgather", p, n, op),
     description="ring allgather",
 ))
 _register(AlgorithmSpec(
     "allgather", "bruck", "bruck",
     lambda p, n, root, op: bruck.allgather_bruck(p, n),
     pow2_only=False, table=lambda p: bruck._table(p, "bruck", per_block=False),
+    compiled=lambda p, n, root, op: bruck.bruck_plan(p, n, "bruck", per_block=False),
     description="Bruck allgather",
 ))
 _register(AlgorithmSpec(
@@ -329,6 +338,7 @@ _register(AlgorithmSpec(
     lambda p, n, root, op: bruck.allgather_sparbit(p, n),
     pow2_only=False, max_p=512,
     table=lambda p: bruck._table(p, "sparbit", per_block=True),
+    compiled=lambda p, n, root, op: bruck.bruck_plan(p, n, "sparbit", per_block=True),
     description="sparbit-like allgather (log steps, per-block sends)",
 ))
 _register_flow(
@@ -367,7 +377,8 @@ _register_flow(
 _register(AlgorithmSpec(
     "reduce_scatter", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_reduce_scatter(p, n, op),
-    pow2_only=False, table=ringmod.ring_reduce_scatter_table,
+    pow2_only=False, table=lambda p: ringmod.ring_table("reduce_scatter", p),
+    compiled=lambda p, n, root, op: ringmod.ring_plan("reduce_scatter", p, n, op),
     description="ring reduce-scatter",
 ))
 _register_flow(
@@ -406,7 +417,8 @@ _register_flow(
 _register(AlgorithmSpec(
     "allreduce", "ring", "ring",
     lambda p, n, root, op: ringmod.ring_allreduce(p, n, op),
-    pow2_only=False, table=ringmod.ring_allreduce_table,
+    pow2_only=False, table=lambda p: ringmod.ring_table("allreduce", p),
+    compiled=lambda p, n, root, op: ringmod.ring_plan("allreduce", p, n, op),
     description="ring allreduce (RS + AG)",
 ))
 _register_flow(

@@ -6,24 +6,38 @@ regime where the paper shows Bine winning on small/medium vectors and large
 node counts (Fig. 9a/10a).  Linear (flat) gather/scatter/alltoall send every
 block directly and model the "linear algorithms often outperform logarithmic
 ones at small scale" effect (Sec. 5.3.2).
+
+A ring pass is described once, as per-step arrays (:func:`_ring_pass`):
+its executor schedule, its verifier plan (:func:`ring_plan`) and, at
+``n = p``, its sweep table (:func:`ring_table`, one row run ``p − 1``
+times) all read the same ``r → r + 1`` rank arrays.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.core.blocks import Partition
-from repro.collectives.butterfly_collectives import step_table
+from repro.collectives.butterfly_collectives import block_edges, step_table
 from repro.collectives.common import VEC
-from repro.runtime.schedule import Schedule, Step, Transfer
+from repro.runtime.compiled import plan_from_arrays
+from repro.runtime.schedule import (
+    ArrayPhase,
+    ArrayStep,
+    Schedule,
+    Step,
+    Transfer,
+    schedule_from_arrays,
+)
 
 __all__ = [
     "ring_reduce_scatter",
     "ring_allgather",
     "ring_allreduce",
-    "ring_reduce_scatter_table",
-    "ring_allgather_table",
-    "ring_allreduce_table",
+    "ring_plan",
+    "ring_table",
     "linear_gather",
     "linear_scatter",
 ]
@@ -46,22 +60,39 @@ def _table_pass(p: int, has_op: bool) -> tuple:
     return (ranks, (ranks + 1) % p, 1, 1, has_op)
 
 
-def _ring_pass(p: int, n: int, shift: int, op: str | None, tag: str) -> list:
-    """The ``p − 1`` steps of one ring pass: at step ``k`` rank ``r``
-    forwards block ``(r − shift − k) mod p`` to ``r + 1``."""
-    part = Partition(n, p)
-    return [
-        Step(transfers=tuple(
-            Transfer(
-                src=r, dst=(r + 1) % p, src_buf=VEC, dst_buf=VEC,
-                src_segments=_seg(part, (r - shift - k) % p),
-                dst_segments=_seg(part, (r - shift - k) % p),
-                op=op, tag=f"ring-{tag}[{k}]",
-            )
-            for r in range(p)
-        ), label=f"ring {tag} step {k}")
-        for k in range(p - 1)
-    ]
+def _ring_pass(p: int, n: int, shift: int, op: str | None, tag: str):
+    """The ``p − 1`` steps of one ring pass, as arrays: at step ``k`` rank
+    ``r`` forwards block ``(r − shift − k) mod p`` to ``r + 1``."""
+    src, dst, *_ = _table_pass(p, op is not None)
+    edge = block_edges(n, p)
+    ones = np.ones(p, dtype=np.intp)
+    for k in range(p - 1):
+        block = (src - shift - k) % p
+        yield ArrayStep(f"ring {tag} step {k}", ArrayPhase(
+            src, dst, ones, edge[block], edge[block + 1], op=op, tag=f"ring-{tag}[{k}]",
+        ))
+
+
+#: collective → (its passes as (shift, reduces?, tag), extra meta)
+_RINGS = {
+    "reduce_scatter": (((1, True, "rs"),), {}),
+    "allgather": (((0, False, "ag"),), {}),
+    # rings inherently pipeline fine-grained chunks (Sec. 5.2.2)
+    "allreduce": (((1, True, "rs"), (0, False, "ag")), {"segmented": True}),
+}
+
+
+def _ring(collective: str, p: int, n: int, op: str, render):
+    """``render(p, meta, steps)`` of a ring collective's passes."""
+    passes, extra = _RINGS[collective]
+    ops = {"op": op} if any(reduces for _, reduces, _ in passes) else {}
+    meta = _meta(collective, p, n, **ops, **extra)
+    Partition(n, p)  # rejects a negative n
+    steps = chain.from_iterable(
+        _ring_pass(p, n, shift, op if reduces else None, tag)
+        for shift, reduces, tag in passes
+    )
+    return render(p, meta, steps)
 
 
 def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:
@@ -71,46 +102,32 @@ def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:
     ``(r − 1 − k) mod p`` to ``r + 1`` and reduces the incoming partial of
     block ``(r − 2 − k) mod p``.
     """
-    sched = Schedule(p, meta=_meta("reduce_scatter", p, n, op=op))
-    sched.steps = _ring_pass(p, n, 1, op, "rs")
-    return sched.finalize()
+    return _ring("reduce_scatter", p, n, op, schedule_from_arrays)
 
 
 def ring_allgather(p: int, n: int) -> Schedule:
     """Ring allgather: each rank starts with block ``r``, ends with all."""
-    sched = Schedule(p, meta=_meta("allgather", p, n))
-    sched.steps = _ring_pass(p, n, 0, None, "ag")
-    return sched.finalize()
+    return _ring("allgather", p, n, "sum", schedule_from_arrays)
 
 
 def ring_allreduce(p: int, n: int, op: str = "sum") -> Schedule:
     """Ring allreduce = ring reduce-scatter + ring allgather (NCCL-style)."""
-    # Rings inherently pipeline fine-grained chunks (Sec. 5.2.2).
-    sched = Schedule(p, meta=_meta("allreduce", p, n, op=op, segmented=True))
-    sched.steps = _ring_pass(p, n, 1, op, "rs") + _ring_pass(p, n, 0, None, "ag")
-    return sched.finalize()
+    return _ring("allreduce", p, n, op, schedule_from_arrays)
 
 
-def ring_reduce_scatter_table(p: int):
-    """The sweep table of :func:`ring_reduce_scatter` at ``n = p``: one
-    step row run ``p − 1`` times."""
-    meta = _meta("reduce_scatter", p, p, op="sum")
-    return step_table(meta, [_table_pass(p, True)], reps=[p - 1])
+def ring_plan(collective: str, p: int, n: int, op: str = "sum"):
+    """The verifier's ``(schedule stub, plan)`` of a ring collective, equal
+    to compiling its built schedule, rendered from the same pass arrays."""
+    return _ring(collective, p, n, op, plan_from_arrays)
 
 
-def ring_allgather_table(p: int):
-    """The sweep table of :func:`ring_allgather` at ``n = p``: one step
-    row run ``p − 1`` times."""
-    meta = _meta("allgather", p, p)
-    return step_table(meta, [_table_pass(p, False)], reps=[p - 1])
-
-
-def ring_allreduce_table(p: int):
-    """The sweep table of :func:`ring_allreduce` at ``n = p``: the
-    reduce-scatter row then the allgather row, each run ``p − 1`` times."""
-    meta = _meta("allreduce", p, p, op="sum", segmented=True)
-    steps = [_table_pass(p, True), _table_pass(p, False)]
-    return step_table(meta, steps, reps=[p - 1] * 2)
+def ring_table(collective: str, p: int):
+    """The sweep table of a ring collective at ``n = p``: one step row per
+    pass, each run ``p − 1`` times."""
+    passes, extra = _RINGS[collective]
+    reduces = [r for _, r, _ in passes]
+    meta = _meta(collective, p, p, **({"op": "sum"} if any(reduces) else {}), **extra)
+    return step_table(meta, [_table_pass(p, r) for r in reduces], reps=[p - 1] * len(passes))
 
 
 def linear_gather(p: int, n: int, root: int = 0) -> Schedule:

@@ -15,7 +15,8 @@ Two execution engines share the oracle:
   seeds in one batched pass, check each layer.  Plans are memoized per
   ``(collective, algorithm, p, n, root, op)`` cell
   (:func:`compiled_plan_for`) so grid-scale verification amortizes
-  compilation across seeds and repeat runs.
+  compilation across seeds and repeat runs; entries with a plan renderer
+  get theirs without a schedule ever being built.
 """
 
 from __future__ import annotations
@@ -307,11 +308,14 @@ def compiled_plan_for(
     compiled analogue of the sweep layer's profile caches.  The returned
     schedule is a **steps-free stub** carrying only ``p`` and ``meta``:
     everything :func:`init_matrix` / :func:`check_matrix` /
-    :func:`run_and_check_compiled` need, while the full step list (millions
-    of ``Transfer`` objects for a 1024-rank ring) is dropped right after
-    compilation instead of pinning memory for the cache's lifetime.
-    Eviction is FIFO at 128 entries;
-    :func:`repro.runtime.memo.clear_memo_caches` drops everything.
+    :func:`run_and_check_compiled` need.  Entries with a plan renderer
+    (``spec.compiled``: the butterfly flows, rings, Bruck and Sparbit)
+    render the plan straight from their step arrays and never build a
+    schedule (millions of ``Transfer`` objects for a 1024-rank ring); the
+    rest (trees, linear gather/scatter, composed bcast/reduce) build, are
+    compiled, and drop the step list right after.  Either way the plan is
+    the one ``compile_plan(build(...))`` gives.  Eviction is FIFO at 128
+    entries; :func:`repro.runtime.memo.clear_memo_caches` drops everything.
 
     Example::
 
@@ -319,13 +323,20 @@ def compiled_plan_for(
         >>> plan.num_steps, sched.num_steps  # stub drops the step list
         (3, 0)
     """
-    from repro.collectives.registry import build
+    from repro.collectives.registry import spec_for
+
+    spec = spec_for(collective, algorithm)
 
     def compile_cell() -> tuple[Schedule, CompiledPlan]:
+        if spec.compiled is not None:
+            with obs.span(
+                "lower.plan", collective=collective, algorithm=algorithm, p=p, n=n
+            ):
+                return spec.compiled(p, n, root, op)
         with obs.span(
             "schedule.build", collective=collective, algorithm=algorithm, p=p
         ):
-            schedule = build(collective, algorithm, p, n, root, op)
+            schedule = spec.build(p, n, root, op)
         stub = Schedule(p=schedule.p, steps=[], meta=dict(schedule.meta))
         with obs.span(
             "lower.plan", collective=collective, algorithm=algorithm, p=p, n=n

@@ -18,20 +18,20 @@ keeps record sets comparable across reruns:
 
 ``repro plot`` and ``repro compare`` are the CLI front ends
 (:mod:`repro.cli.commands`); ``benchmarks/_shared.py`` can emit the same
-artifacts per campaign with ``REPRO_BENCH_ARTIFACTS=1``.
+artifacts per campaign with ``REPRO_BENCH_ARTIFACTS=1``.  The names below
+load from their submodule on first use, so importing one submodule (the
+sweep and tune layers read :func:`records_digest`) loads no other.
 """
 
-from repro.report.artifacts import render_report, records_digest
-from repro.report.baseline import check_baseline, write_baseline
-from repro.report.diff import (
-    RecordSet,
-    RecordSetDiff,
-    RecordSetError,
-    diff_record_sets,
-    load_record_set,
-    record_set_from_records,
-)
-from repro.report.figures import boxplot_svg, heatmap_svg
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "artifacts": ("render_report", "records_digest"),
+    "baseline": ("check_baseline", "write_baseline"),
+    "diff": ("RecordSet", "RecordSetDiff", "RecordSetError", "diff_record_sets",
+             "load_record_set", "record_set_from_records"),
+    "figures": ("boxplot_svg", "heatmap_svg"),
+})
 
 __all__ = [
     "RecordSet",

@@ -18,11 +18,12 @@ import re
 from dataclasses import dataclass
 from html import escape
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.sweep import SweepRecord
-from repro.cli.manifest import CampaignManifest
-from repro.report.figures import boxplot_figure, heatmap_figure
+
+if TYPE_CHECKING:
+    from repro.cli.manifest import CampaignManifest
 
 __all__ = ["Artifact", "records_digest", "render_report", "write_index"]
 
@@ -126,6 +127,9 @@ def render_report(
     suffixed with the tags.  Returns the written paths (figures first,
     then ``index.md`` / ``index.html``).
     """
+    # the figure layer loads only when figures are drawn, not for digests
+    from repro.report.figures import boxplot_figure, heatmap_figure
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if collectives is None:

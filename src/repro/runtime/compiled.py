@@ -11,10 +11,15 @@ Runs contiguous in both source and destination are merged, never across a
 write-group start; when every run of a phase has one length, the lengths
 are not stored at all.
 
-Compilation takes each step's segment tuples in bulk and checks ranks,
-buffers, segment bounds and the sent/received balance with vectorised
-passes over many steps at once, raising the error a transfer-by-transfer
-check would raise first.  Execution expands a phase's runs to positions
+Compilation has two front ends and one back end.  A front end reads a
+batch of steps into flat columns (per item: ranks, buffer, op; per
+segment: ``lo``, ``hi``, item): :func:`compile_plan` from a schedule's
+``Transfer``/``LocalCopy`` objects, :func:`plan_from_arrays` from steps
+written as arrays (:class:`~repro.runtime.schedule.ArrayStep`), with no
+schedule built.  The back end checks ranks, buffers, segment bounds and
+the sent/received balance with vectorised passes over many steps at once,
+raising the error a transfer-by-transfer check would raise first, then
+merges runs and forms write groups; equal columns give equal plans.  Execution expands a phase's runs to positions
 just before its gather and its scatter and drops them after (a run start
 *is* its position when runs have length 1; equal lengths ``L`` expand as
 ``start + arange(L)``), then replays a step as one ``np.take`` gather plus
@@ -59,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, is_
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -67,12 +72,19 @@ from repro.runtime.buffers import RankBuffers
 from repro.runtime.errors import BufferMismatchError, ScheduleError
 from repro.runtime.executor import ExecutionTrace
 from repro.runtime.reduce_ops import named_op
-from repro.runtime.schedule import LocalCopy, Schedule
+from repro.runtime.schedule import (
+    ArrayPhase,
+    ArrayStep,
+    LocalCopy,
+    Schedule,
+    validation_enabled,
+)
 
 __all__ = [
     "BufferLayout",
     "CompiledPlan",
     "compile_plan",
+    "plan_from_arrays",
     "buffers_used",
     "matrix_from_buffers",
     "matrix_to_buffers",
@@ -372,19 +384,42 @@ def _keep_last(src: np.ndarray, dst: np.ndarray, lens: np.ndarray):
 
 
 #: a phase item's columns: source rank, buffer, segments; the same for the
-#: destination; reduce op; tag.  Read one column at a time: a tuple per item
+#: destination; reduce op.  Read one column at a time: a tuple per item
 #: would wake the cyclic GC, which then rescans the whole schedule
 _TRANSFER_COLS = tuple(map(attrgetter, (
-    "src", "src_buf", "src_segments", "dst", "dst_buf", "dst_segments", "op", "tag"
+    "src", "src_buf", "src_segments", "dst", "dst_buf", "dst_segments", "op"
 )))
 _LOCAL_COLS = tuple(map(attrgetter, (
-    "rank", "src_buf", "src_segments", "rank", "dst_buf", "dst_segments", "op", "tag"
+    "rank", "src_buf", "src_segments", "rank", "dst_buf", "dst_segments", "op"
 )))
 
 #: a vectorised pass lowers whole steps until it holds this many items:
 #: enough to amortize NumPy call overhead over many small steps, few enough
 #: to bound the pass's transient arrays
 _BATCH_ITEMS = 1 << 16
+#: the same bound on a rendered batch, counted in segments: each segment
+#: takes a slot in every one of the pass's per-segment arrays
+_BATCH_SEGMENTS = 1 << 14
+
+
+class _Columns(NamedTuple):
+    """A batch of phases as flat columns: all the back end reads.
+
+    Per item: source and destination rank, buffer index into the layout
+    (``-1`` where the layout lacks the buffer) and op code (an index into
+    ``ops``).  Per segment, for each side: ``(lo, hi, item)``;
+    ``dst_segs`` is ``None`` when both ends move the same segments.
+    """
+
+    sizes: list[int]  # items per phase
+    src_rank: np.ndarray
+    dst_rank: np.ndarray
+    src_buf: np.ndarray
+    dst_buf: np.ndarray
+    op_code: np.ndarray
+    ops: list
+    src_segs: tuple
+    dst_segs: tuple | None
 
 
 class _Side:
@@ -392,35 +427,20 @@ class _Side:
 
     __slots__ = ("rank", "lo", "hi", "item", "width", "starts", "moved", "invalid")
 
-    def __init__(self, layout: BufferLayout, ranks, bufs: np.ndarray, segments,
-                 like: "_Side | None" = None):
-        items = len(segments)
-        self.rank = np.fromiter(ranks, np.intp, items)
-        if like is not None:
-            # the same segment tuples as ``like`` (butterflies pass one tuple
-            # as both ends): reuse its parse
-            self.lo, self.hi, self.item = like.lo, like.hi, like.item
-            self.moved = like.moved
-        else:
-            count = np.fromiter(map(len, segments), np.intp, items)
-            seg = np.fromiter(
-                chain.from_iterable(chain.from_iterable(segments)),
-                np.intp, 2 * int(count.sum()),
-            ).reshape(-1, 2)
-            self.lo, self.hi = seg[:, 0], seg[:, 1]
-            self.item = np.repeat(np.arange(items, dtype=np.intp), count)
-            self.moved = np.bincount(
-                self.item, weights=self.hi - self.lo, minlength=items
-            ).astype(np.intp)
+    def __init__(self, layout: BufferLayout, rank: np.ndarray, bufs: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray, item: np.ndarray,
+                 moved: np.ndarray | None = None):
+        self.rank, self.lo, self.hi, self.item = rank, lo, hi, item
+        if moved is None:
+            moved = np.bincount(item, weights=hi - lo, minlength=rank.size).astype(np.intp)
+        self.moved = moved
         names = layout.names
         offsets = np.array([layout.offsets[name] for name in names], dtype=np.intp)
         self.width = np.array([layout.widths[name] for name in names],
                               dtype=np.intp)[bufs]
-        base = self.rank * layout.total + offsets[bufs]
-        self.starts = base[self.item] + self.lo
-        self.invalid = (
-            (self.lo < 0) | (self.hi < self.lo) | (self.hi > self.width[self.item])
-        )
+        base = rank * layout.total + offsets[bufs]
+        self.starts = base[item] + lo
+        self.invalid = (lo < 0) | (hi < lo) | (hi > self.width[item])
 
     def raise_invalid(self, k: int, where: str, tag: str) -> None:
         """Raise for item ``k``'s first invalid segment, if it has one."""
@@ -439,6 +459,8 @@ class _Side:
         """Flat starts and lengths of the non-empty segments."""
         lens = self.hi - self.lo
         keep = lens > 0
+        if keep.all():
+            return self.starts, lens
         return self.starts[keep], lens[keep]
 
 
@@ -449,77 +471,163 @@ def _lookup(index: dict, keys: list) -> np.ndarray:
     return np.array([index.get(key, -1) for key in keys], dtype=np.intp)
 
 
-def _lower(layout: BufferLayout, p: int, phases: list) -> list:
-    """Lower phases ``(where, items, column getters)`` in one vectorised pass.
+def _parse(segments: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment tuples, one per item → flat ``(lo, hi, item)`` columns."""
+    items = len(segments)
+    count = np.fromiter(map(len, segments), np.intp, items)
+    seg = np.fromiter(
+        chain.from_iterable(chain.from_iterable(segments)), np.intp, 2 * int(count.sum())
+    ).reshape(-1, 2)
+    return seg[:, 0], seg[:, 1], np.repeat(np.arange(items, dtype=np.intp), count)
 
-    Returns one ``(phase or None when it moves nothing, elements moved)``
-    pair per phase.  Every item is checked at once; on a failed check each
-    phase is lowered alone, in order, so the error raised is the one
-    checking item by item would raise first.
-    """
-    sizes = [len(items) for _, items, _ in phases]
+
+def _object_columns(layout: BufferLayout, phases: list) -> _Columns:
+    """Front end: phases of :class:`Transfer` / :class:`LocalCopy` objects."""
 
     def column(c: int) -> list:
         return list(chain.from_iterable(
-            map(getters[c], items) for _, items, getters in phases
+            map((_LOCAL_COLS if local else _TRANSFER_COLS)[c], items)
+            for _, local, items in phases
         ))
 
     src_ranks, src_bufs, src_segs, dst_ranks, dst_bufs, dst_segs, ops = map(
         column, range(7)
     )
     index = {name: i for i, name in enumerate(layout.names)}
-    s_buf, d_buf = _lookup(index, src_bufs), _lookup(index, dst_bufs)
-    src = _Side(layout, src_ranks, s_buf, src_segs)
-    dst = _Side(layout, dst_ranks, d_buf, dst_segs,
-                src if all(map(is_, src_segs, dst_segs)) else None)
+    codes = {op: i for i, op in enumerate(dict.fromkeys(ops))}
+    return _Columns(
+        sizes=[len(items) for _, _, items in phases],
+        src_rank=np.fromiter(src_ranks, np.intp, len(ops)),
+        dst_rank=np.fromiter(dst_ranks, np.intp, len(ops)),
+        src_buf=_lookup(index, src_bufs),
+        dst_buf=_lookup(index, dst_bufs),
+        op_code=_lookup(codes, ops),
+        ops=list(codes),
+        src_segs=_parse(src_segs),
+        # butterflies pass one tuple as both ends: parse it once
+        dst_segs=None if all(map(is_, src_segs, dst_segs)) else _parse(dst_segs),
+    )
+
+
+def _array_columns(layout: BufferLayout, phases: list) -> _Columns:
+    """Front end: phases of :class:`~repro.runtime.schedule.ArrayPhase` arrays."""
+    arrays = [ph for _, _, ph in phases]
+    sizes = [ph.src.size for ph in arrays]
+    index = {name: i for i, name in enumerate(layout.names)}
+    ops = list(dict.fromkeys(ph.op for ph in arrays))
+
+    def per_item(values) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=np.intp), sizes)
+
+    def cat(parts) -> np.ndarray:
+        parts = list(parts)
+        if len(parts) == 1:
+            return np.asarray(parts[0], dtype=np.intp)
+        return np.concatenate(parts, dtype=np.intp)
+
+    def segments(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        counts, lo, hi = map(cat, zip(*parts))
+        return lo, hi, np.repeat(np.arange(counts.size, dtype=np.intp), counts)
+
+    shared = all(ph.dst_segments is None for ph in arrays)
+    return _Columns(
+        sizes=sizes,
+        src_rank=cat(ph.src for ph in arrays),
+        dst_rank=cat(ph.dst for ph in arrays),
+        src_buf=per_item([index.get(ph.src_buf, -1) for ph in arrays]),
+        dst_buf=per_item([index.get(ph.dst_buf, -1) for ph in arrays]),
+        op_code=per_item([ops.index(ph.op) for ph in arrays]),
+        ops=ops,
+        src_segs=segments((ph.counts, ph.lo, ph.hi) for ph in arrays),
+        dst_segs=None if shared else segments(
+            ph.dst_segments or (ph.counts, ph.lo, ph.hi) for ph in arrays
+        ),
+    )
+
+
+def _raise_first(layout: BufferLayout, phases: list, cols: _Columns,
+                 src: _Side, dst: _Side, item_bad: np.ndarray,
+                 rank_bad: np.ndarray, phase_first: np.ndarray) -> None:
+    """Raise the error lowering phase by phase, in order, would raise first."""
+    k = int(np.argmax(item_bad))
+    j = int(np.searchsorted(phase_first, k, "right")) - 1
+    # each earlier phase would have lowered, resolving its ops, before it
+    before = cols.op_code[:phase_first[j]]
+    _, seen = np.unique(before, return_index=True)
+    for code in before[np.sort(seen)].tolist():
+        if cols.ops[code] is not None:
+            _ufunc_for(cols.ops[code])
+    where, local, payload = phases[j]
+    # an array phase carries one tag and buffer pair for all its items
+    item = payload if isinstance(payload, ArrayPhase) else payload[k - phase_first[j]]
+    tag = item.tag
+    if rank_bad[k]:
+        rank = f"rank {src.rank[k]}" if local else "rank"
+        raise ScheduleError(f"{rank} out of range in {where} ({tag!r})")
+    if cols.src_buf[k] < 0 or cols.dst_buf[k] < 0:
+        name = item.src_buf if cols.src_buf[k] < 0 else item.dst_buf
+        raise BufferMismatchError(
+            f"buffer {name!r} not in layout {layout.names} ({where}, {tag!r})"
+        )
+    src.raise_invalid(k, where, tag)
+    dst.raise_invalid(k, where, tag)
+    raise BufferMismatchError(
+        f"{where} ({tag!r}): {src.moved[k]} elems sent, {dst.moved[k]} expected"
+    )
+
+
+def _lower_columns(layout: BufferLayout, p: int, phases: list, columns) -> list:
+    """The back end: lower a batch of phases ``(where, local, payload)``,
+    read by the front end ``columns``, in one vectorised pass.
+
+    Returns one ``(phase or None when it moves nothing, elements moved)``
+    pair per phase.  Every item is checked at once (ranks, buffers,
+    segment bounds, sent == received); a failure raises the error checking
+    item by item would raise first.
+    """
+    cols: _Columns = columns(layout, phases)
+    sizes = cols.sizes
+    src = _Side(layout, cols.src_rank, cols.src_buf, *cols.src_segs)
+    shared = cols.dst_segs is None
+    dst = _Side(layout, cols.dst_rank, cols.dst_buf,
+                *(cols.src_segs if shared else cols.dst_segs),
+                moved=src.moved if shared else None)
     rank_bad = (src.rank < 0) | (src.rank >= p) | (dst.rank < 0) | (dst.rank >= p)
-    item_bad = rank_bad | (s_buf < 0) | (d_buf < 0) | (src.moved != dst.moved)
+    item_bad = (rank_bad | (cols.src_buf < 0) | (cols.dst_buf < 0)
+                | (src.moved != dst.moved))
     item_bad[src.item[src.invalid]] = True
     item_bad[dst.item[dst.invalid]] = True
+    phase_first = np.cumsum(sizes) - sizes
     if item_bad.any():
-        if len(phases) > 1:
-            for phase in phases:  # the first failing phase raises
-                _lower(layout, p, [phase])
-        k = int(np.argmax(item_bad))
-        where, tag = phases[0][0], column(7)[k]
-        if rank_bad[k]:
-            rank = f"rank {src.rank[k]}" if phases[0][2] is _LOCAL_COLS else "rank"
-            raise ScheduleError(f"{rank} out of range in {where} ({tag!r})")
-        if s_buf[k] < 0 or d_buf[k] < 0:
-            name = src_bufs[k] if s_buf[k] < 0 else dst_bufs[k]
-            raise BufferMismatchError(
-                f"buffer {name!r} not in layout {layout.names} ({where}, {tag!r})"
-            )
-        src.raise_invalid(k, where, tag)
-        dst.raise_invalid(k, where, tag)
-        raise BufferMismatchError(
-            f"{where} ({tag!r}): {src.moved[k]} elems sent, "
-            f"{dst.moved[k]} expected"
-        )
+        _raise_first(layout, phases, cols, src, dst, item_bad, rank_bad, phase_first)
 
     # write groups: maximal spans of one phase's consecutive same-op items
-    phase_first = np.cumsum(sizes) - sizes
-    op_code = _lookup({op: i for i, op in enumerate(set(ops))}, ops)
-    fresh = np.ones(len(ops), dtype=bool)
+    op_code = cols.op_code
+    fresh = np.ones(op_code.size, dtype=bool)
     fresh[1:] = op_code[1:] != op_code[:-1]
     fresh[phase_first] = True
     firsts = np.flatnonzero(fresh)
-    resolved: dict = {None: None}
-    for i in firsts.tolist():
-        if ops[i] not in resolved:
-            resolved[ops[i]] = _ufunc_for(ops[i])
-    ufuncs = [resolved[ops[i]] for i in firsts.tolist()]
-    item_end = np.cumsum(src.moved)
-    total = int(item_end[-1])
+    resolved: dict = {}
+    for code in op_code[firsts].tolist():
+        if code not in resolved:
+            op = cols.ops[code]
+            resolved[code] = None if op is None else _ufunc_for(op)
+    ufuncs = [resolved[code] for code in op_code[firsts].tolist()]
+    item_start = np.cumsum(src.moved) - src.moved
+    total = int(item_start[-1] + src.moved[-1])
     if total == 0:
         return [(None, 0)] * len(phases)
     # group g stages elements bounds[g] .. bounds[g + 1], phase j elements
     # edges[j] .. edges[j + 1]
-    bounds = np.append((item_end - src.moved)[firsts], total)
-    edges = np.append((item_end - src.moved)[phase_first], total)
+    bounds = np.append(item_start[firsts], total)
+    edges = np.append(item_start[phase_first], total)
     moved = np.diff(edges)
 
-    run_src, run_dst, lens = _runs(src, dst, bounds)
+    # from here on only the runs are read: drop the parse before merging
+    runs = src.runs(), dst.runs()
+    del cols, src, dst
+    run_src, run_dst, lens = _runs(*runs, bounds)
+    del runs
     run_off = np.cumsum(lens) - lens
     group = np.searchsorted(bounds, run_off, "right") - 1
     # a group overlaps itself iff two of its runs, sorted by destination,
@@ -568,15 +676,15 @@ def _lower(layout: BufferLayout, p: int, phases: list) -> list:
     return out
 
 
-def _runs(src: _Side, dst: _Side, bounds: np.ndarray):
-    """Merged block runs ``(src starts, dst starts, lengths)`` of a batch.
+def _runs(src_runs: tuple, dst_runs: tuple, bounds: np.ndarray):
+    """Merged block runs ``(src starts, dst starts, lengths)`` of a batch,
+    from each side's :meth:`_Side.runs`.
 
     ``bounds`` are the write groups' staged element offsets, ending with the
     total; no run crosses a group start.
     """
     total = int(bounds[-1])
-    s_start, s_len = src.runs()
-    d_start, d_len = dst.runs()
+    (s_start, s_len), (d_start, d_len) = src_runs, dst_runs
     if np.array_equal(s_len, d_len):
         # the common case: both sides split alike, runs are the segments
         run_src, run_dst, lens = s_start, d_start, s_len
@@ -597,7 +705,7 @@ def _runs(src: _Side, dst: _Side, bounds: np.ndarray):
 
 
 def _local_phases(ops: tuple[LocalCopy, ...], where: str) -> list:
-    """Sequential local copies → phases ``(where, copies, column getters)``.
+    """Sequential local copies → phases ``(where, True, copies)``.
 
     Consecutive copies share one gather/scatter phase while they share a
     reduce op and touch pairwise-distinct ranks; a repeated rank (or an op
@@ -610,14 +718,77 @@ def _local_phases(ops: tuple[LocalCopy, ...], where: str) -> list:
     cur_ranks: set[int] = set()
     for i, op in enumerate(ops):
         if i > start and (op.op != cur_op or op.rank in cur_ranks):
-            phases.append((where, ops[start:i], _LOCAL_COLS))
+            phases.append((where, True, ops[start:i]))
             start = i
         if i == start:
             cur_op, cur_ranks = op.op, set()
         cur_ranks.add(op.rank)
     if ops:
-        phases.append((where, ops[start:], _LOCAL_COLS))
+        phases.append((where, True, ops[start:]))
     return phases
+
+
+def _where(i: int, label: str) -> str:
+    return f"step {i}" + (f" [{label}]" if label else "")
+
+
+def _plan_steps(p: int, layout: BufferLayout, steps, columns, cap: int) -> CompiledPlan:
+    """Lower ``steps`` into a plan, whole steps per batch.
+
+    ``steps`` yields, per step, its phases ``(where, local, payload)`` as
+    ``pre``, transfer and ``post`` lists, then its size and transfer
+    count; a batch closes once its sizes reach ``cap``.
+    ``columns(layout, phases)`` is the front end reading a batch's
+    payloads.  A failed batch raises only once ``steps`` is exhausted, so
+    an error the step source raises while rendering a later step comes
+    first, as it would while building a schedule.
+    """
+    pending: list = []  # phases not yet lowered
+    pending_size = transfers_run = 0
+    lowered: list = []
+    shape: list[tuple[int, bool, int]] = []  # per step: pre, transfers?, post
+    failure: Exception | None = None
+
+    def lower() -> None:
+        nonlocal failure
+        if failure is None:
+            try:
+                lowered.extend(_lower_columns(layout, p, pending, columns))
+            except Exception as exc:  # re-raised once the steps are drained
+                failure = exc
+
+    for pre, xfer, post, size, transfers in steps:
+        pending += pre + xfer + post
+        pending_size += size
+        transfers_run += transfers
+        shape.append((len(pre), bool(xfer), len(post)))
+        if pending_size >= cap:
+            lower()
+            pending, pending_size = [], 0
+    if pending:
+        lower()
+    if failure is not None:
+        raise failure
+
+    plan_steps: list[_StepPlan] = []
+    local_elems = 0
+    at = 0
+    for n_pre, has_xfer, n_post in shape:
+        n = n_pre + has_xfer + n_post
+        parts = lowered[at:at + n]
+        at += n
+        comm = parts[n_pre][1] if has_xfer else 0
+        local_elems += sum(moved for _, moved in parts) - comm
+        plan_steps.append(_StepPlan(
+            tuple(phase for phase, _ in parts if phase is not None), comm
+        ))
+    return CompiledPlan(
+        p=p,
+        layout=layout,
+        steps=tuple(plan_steps),
+        transfers_run=transfers_run,
+        local_elems=local_elems,
+    )
 
 
 def compile_plan(schedule: Schedule, layout: BufferLayout | None = None) -> CompiledPlan:
@@ -640,40 +811,61 @@ def compile_plan(schedule: Schedule, layout: BufferLayout | None = None) -> Comp
     if p <= 0:
         raise ScheduleError("schedule needs p > 0")
     layout = layout or BufferLayout.for_schedule(schedule)
-    pending: list = []  # phases not yet lowered
-    pending_items = 0
-    lowered: list = []
-    shape: list[tuple[int, bool, int]] = []  # per step: pre, transfers?, post
-    for i, step in enumerate(schedule.steps):
-        where = f"step {i}" + (f" [{step.label}]" if step.label else "")
-        pre = _local_phases(step.pre, where)
-        xfer = [(where, step.transfers, _TRANSFER_COLS)] if step.transfers else []
-        post = _local_phases(step.post, where)
-        pending += pre + xfer + post
-        pending_items += len(step.pre) + len(step.transfers) + len(step.post)
-        shape.append((len(pre), bool(xfer), len(post)))
-        if pending_items >= _BATCH_ITEMS:
-            lowered += _lower(layout, p, pending)
-            pending, pending_items = [], 0
-    if pending:
-        lowered += _lower(layout, p, pending)
 
-    steps: list[_StepPlan] = []
-    local_elems = 0
-    at = 0
-    for n_pre, has_xfer, n_post in shape:
-        n = n_pre + has_xfer + n_post
-        parts = lowered[at:at + n]
-        at += n
-        comm = parts[n_pre][1] if has_xfer else 0
-        local_elems += sum(moved for _, moved in parts) - comm
-        steps.append(_StepPlan(
-            tuple(phase for phase, _ in parts if phase is not None), comm
-        ))
-    return CompiledPlan(
-        p=p,
-        layout=layout,
-        steps=tuple(steps),
-        transfers_run=sum(len(step.transfers) for step in schedule.steps),
-        local_elems=local_elems,
-    )
+    def steps():
+        for i, step in enumerate(schedule.steps):
+            where = _where(i, step.label)
+            xfer = [(where, False, step.transfers)] if step.transfers else []
+            yield (
+                _local_phases(step.pre, where), xfer, _local_phases(step.post, where),
+                len(step.pre) + len(step.transfers) + len(step.post),
+                len(step.transfers),
+            )
+
+    return _plan_steps(p, layout, steps(), _object_columns, _BATCH_ITEMS)
+
+
+def plan_from_arrays(
+    p: int, meta: dict, steps: Iterable[ArrayStep], buffers=("vec",)
+) -> tuple[Schedule, CompiledPlan]:
+    """The plan of ``schedule_from_arrays(p, meta, steps)``, with no schedule.
+
+    Returns the steps-free schedule stub (``p`` and ``meta`` only, what
+    verification reads) and a plan equal to compiling the built schedule:
+    both front ends feed one back end.  ``buffers`` names every buffer the
+    steps touch (``meta["n"]`` elements each).  The checks building would
+    run still run: a transfer to self raises at its step and, with schedule
+    validation on, :meth:`Schedule.finalize`'s rank-range and
+    overlapping-write checks raise for the first failing step once every
+    step has rendered.  ``steps`` is consumed lazily, a batch at a time.
+    """
+    if p <= 0:
+        raise ScheduleError("schedule needs p > 0")
+    layout = BufferLayout({name: meta["n"] for name in buffers})
+    validate = validation_enabled()
+
+    def phases():
+        invalid = None
+        for i, step in enumerate(steps):
+            where = _where(i, step.label)
+            xfer, transfers, segments = [], 0, 0
+            if step.transfers is not None and step.transfers.src.size:
+                ph = step.transfers
+                same = np.flatnonzero(ph.src == ph.dst)
+                if same.size:
+                    raise ScheduleError(
+                        f"transfer to self at rank {ph.src[same[0]]} ({ph.tag})"
+                    )
+                if validate and invalid is None:
+                    invalid = ph.finalize_error(p, step.label)
+                xfer, transfers, segments = [(where, False, ph)], ph.src.size, ph.lo.size
+            yield (
+                [(where, True, ph) for ph in step.pre], xfer,
+                [(where, True, ph) for ph in step.post],
+                segments + sum(ph.lo.size for ph in step.pre + step.post), transfers,
+            )
+        if invalid is not None:
+            raise invalid
+
+    plan = _plan_steps(p, layout, phases(), _array_columns, _BATCH_SEGMENTS)
+    return Schedule(p=p, steps=[], meta=dict(meta)), plan

@@ -24,13 +24,21 @@ Builders finish with :meth:`Schedule.finalize`, which validates the
 schedule only when validation is enabled: always under normal library use
 and pytest, toggled off by the sweep layer (which renders known-good
 schedules in bulk) through :func:`schedule_validation`.
+
+A step can also be written as arrays (:class:`ArrayStep`): one rank,
+segment-count and segment column per phase instead of one object per
+transfer.  :func:`schedule_from_arrays` turns such steps into a
+:class:`Schedule`; :func:`repro.runtime.compiled.plan_from_arrays` lowers
+the same steps straight to a compiled plan, with no objects in between.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.runtime.errors import BufferMismatchError, ScheduleError
 
@@ -40,6 +48,9 @@ __all__ = [
     "LocalCopy",
     "Step",
     "Schedule",
+    "ArrayPhase",
+    "ArrayStep",
+    "schedule_from_arrays",
     "total_elems",
     "validation_enabled",
     "schedule_validation",
@@ -233,3 +244,111 @@ def _check_disjoint(segments: list[Segment], where: str) -> None:
             raise ScheduleError(
                 f"overlapping non-reducing writes [{al},{ah}) and [{bl},{bh}) in {where}"
             )
+
+
+# -- steps as arrays ---------------------------------------------------------
+
+
+class ArrayPhase(NamedTuple):
+    """A step's transfers, or one batch of local copies, as arrays.
+
+    Item ``i`` moves ``counts[i]`` segments, the next ones of ``lo``/``hi``
+    in item order, from buffer ``src_buf`` of rank ``src[i]`` into buffer
+    ``dst_buf`` of rank ``dst[i]``, at the segments ``dst_segments``
+    (``(counts, lo, hi)`` again) names, or at the same ones when it is
+    ``None``.  Local copies have ``src == dst``; one batch runs as one
+    executor phase, so its ranks are pairwise distinct.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    counts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    dst_segments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    src_buf: str = "vec"
+    dst_buf: str = "vec"
+    op: str | None = None
+    tag: str = ""
+
+    def segment_tuples(self) -> tuple[list, list]:
+        """Each item's source and destination segment tuples (one tuple
+        for both ends when they move the same segments)."""
+        src = _tuples(self.counts, self.lo, self.hi)
+        dst = src if self.dst_segments is None else _tuples(*self.dst_segments)
+        return src, dst
+
+    def finalize_error(self, p: int, label: str) -> ScheduleError | None:
+        """What :meth:`Step.validate` raises for these transfers, or ``None``.
+
+        The checks and texts are the object path's: the first transfer
+        with a rank outside ``[0, p)``, then, when not reducing, the first
+        destination rank (in order of first write) whose segments overlap,
+        naming its first overlapping pair in sorted order.
+        """
+        src, dst = self.src, self.dst
+        out = (src < 0) | (src >= p) | (dst < 0) | (dst >= p)
+        if out.any():
+            i = int(np.argmax(out))
+            rank = src[i] if not 0 <= src[i] < p else dst[i]
+            return ScheduleError(f"rank {rank} out of range in step {label!r}")
+        if self.op is not None:
+            return None
+        counts, lo, hi = self.dst_segments or (self.counts, self.lo, self.hi)
+        rank = np.repeat(dst, counts)
+        order = np.lexsort((hi, lo, rank))
+        rank, lo, hi = rank[order], lo[order], hi[order]
+        bad = np.flatnonzero((rank[1:] == rank[:-1]) & (lo[1:] < hi[:-1]))
+        if not bad.size:
+            return None
+        ranks, first_write = np.unique(dst, return_index=True)
+        k = bad[np.argmin(first_write[np.searchsorted(ranks, rank[bad])])]
+        return ScheduleError(
+            f"overlapping non-reducing writes [{lo[k]},{hi[k]}) and "
+            f"[{lo[k + 1]},{hi[k + 1]}) in step {label!r} rank {rank[k]} "
+            f"buf {self.dst_buf}"
+        )
+
+
+class ArrayStep(NamedTuple):
+    """One :class:`Step` as arrays: its transfers (``None``: none) and its
+    ``pre``/``post`` local-copy batches, in order."""
+
+    label: str
+    transfers: ArrayPhase | None
+    pre: tuple[ArrayPhase, ...] = ()
+    post: tuple[ArrayPhase, ...] = ()
+
+
+def _tuples(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
+    """Per-item segment tuples from flat segment columns."""
+    cut = np.concatenate(([0], np.cumsum(counts))).tolist()
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    return [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
+
+
+def _local_copies(phases: tuple[ArrayPhase, ...]) -> tuple[LocalCopy, ...]:
+    copies = []
+    for ph in phases:
+        src_segs, dst_segs = ph.segment_tuples()
+        copies += [
+            LocalCopy(rank, ph.src_buf, ph.dst_buf, a, b, ph.op, ph.tag)
+            for rank, a, b in zip(ph.src.tolist(), src_segs, dst_segs)
+        ]
+    return tuple(copies)
+
+
+def schedule_from_arrays(p: int, meta: dict, steps: Iterable[ArrayStep]) -> Schedule:
+    """The :class:`Schedule` of ``steps`` (validated on exit)."""
+    sched = Schedule(p, meta=meta)
+    for st in steps:
+        transfers: tuple[Transfer, ...] = ()
+        ph = st.transfers
+        if ph is not None:
+            src_segs, dst_segs = ph.segment_tuples()
+            transfers = tuple(
+                Transfer(s, d, ph.src_buf, ph.dst_buf, a, b, ph.op, ph.tag)
+                for s, d, a, b in zip(ph.src.tolist(), ph.dst.tolist(), src_segs, dst_segs)
+            )
+        sched.add(Step(transfers, _local_copies(st.pre), _local_copies(st.post), st.label))
+    return sched.finalize()

@@ -43,6 +43,14 @@ or raise the same error::
 
     $ PYTHONPATH=src python tests/table_oracle.py --segments 1024
 
+``--plans P`` (repeatable) adds the plan-oracle comparison at scale: every
+entry with a plan renderer (``spec.compiled``: the butterflies, rings,
+Bruck and Sparbit), rendered at ``P`` ranks with ``n = P`` and
+``n = 4P + 3``, must equal ``compile_plan(spec.build(...))`` run for run,
+or raise the same error (cells skipped as above)::
+
+    $ PYTHONPATH=src python tests/table_oracle.py --plans 1024
+
 Exit code 0 when every (entry, p) cell matches; 1 on any mismatch.
 """
 
@@ -59,6 +67,7 @@ from repro.analysis.sweep import ProfileCache
 from repro.collectives.registry import AlgorithmSpec, iter_specs
 from repro.faults import FaultSpec
 from repro.model.compiled import TransferTable, lower_schedule
+from repro.runtime.compiled import CompiledPlan, compile_plan
 from repro.runtime.memo import clear_memo_caches
 from repro.runtime.schedule import schedule_validation
 from repro.systems import lumi
@@ -148,6 +157,68 @@ def table_mismatches(table: TransferTable | None, oracle: TransferTable | None) 
     ]
 
 
+def rendered_specs() -> list[AlgorithmSpec]:
+    """Registry entries whose verifier plan renders without a schedule."""
+    return [spec for spec in iter_specs() if spec.compiled is not None]
+
+
+def _same_array(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def plan_mismatches(got: CompiledPlan, want: CompiledPlan) -> list[str]:
+    """Where two compiled plans differ: the layout, the run counts, or per
+    phase its runs (``src``, ``dst``, ``width``, ``lens``) and write
+    groups (slice, ufunc, disjoint)."""
+    layout = [tuple(getattr(plan.layout, a) for a in ("names", "widths", "offsets", "total"))
+              for plan in (got, want)]
+    bad = [a for a in ("p", "transfers_run", "local_elems")
+           if getattr(got, a) != getattr(want, a)]
+    bad += ["layout"] if layout[0] != layout[1] else []
+    if len(got.steps) != len(want.steps):
+        return bad + [f"{len(got.steps)} steps != {len(want.steps)}"]
+    for i, (a, b) in enumerate(zip(got.steps, want.steps)):
+        if a.comm_elems != b.comm_elems:
+            bad.append(f"step {i} comm_elems")
+        if len(a.phases) != len(b.phases):
+            bad.append(f"step {i}: {len(a.phases)} phases != {len(b.phases)}")
+            continue
+        for j, (x, y) in enumerate(zip(a.phases, b.phases)):
+            bad += [f"step {i} phase {j} {col}" for col in ("src", "dst", "lens")
+                    if not _same_array(getattr(x, col), getattr(y, col))]
+            bad += [f"step {i} phase {j} {attr}" for attr in ("width", "writes")
+                    if getattr(x, attr) != getattr(y, attr)]
+    return bad
+
+
+def _outcome(make):
+    try:
+        return make(), None
+    except Exception as exc:  # the error is part of the rendering
+        return None, (type(exc), str(exc))
+
+
+def _built(spec: AlgorithmSpec, p: int, n: int, root: int, op: str):
+    schedule = spec.build(p, n, root, op)
+    return schedule, compile_plan(schedule)
+
+
+def cell_plan_mismatches(spec: AlgorithmSpec, p: int, n: int, root: int = 0,
+                         op: str = "sum") -> list[str]:
+    """Where ``spec.compiled(p, n, root, op)`` differs from building and
+    compiling: its stub (``p``, ``meta``, no steps), its plan, or a
+    differing error (type and text)."""
+    got, got_err = _outcome(lambda: spec.compiled(p, n, root, op))
+    want, want_err = _outcome(lambda: _built(spec, p, n, root, op))
+    if got_err or want_err:
+        return [] if got_err == want_err else [f"error {got_err} != {want_err}"]
+    (stub, plan), (schedule, compiled) = got, want
+    bad = [] if (stub.p, stub.meta, stub.steps) == (schedule.p, schedule.meta, []) else ["stub"]
+    return bad + plan_mismatches(plan, compiled)
+
+
 def prewarmed_route_mismatches(
     p: int = 4096, ppn: int = 2, warm_counts=(16, 64, 256, 1024)
 ) -> list[str]:
@@ -199,6 +270,9 @@ def main(argv=None) -> int:
     ap.add_argument("--segments", type=int, action="append", default=[],
                     metavar="P", help="rank count for the segment-oracle "
                     "schedule comparison (repeatable)")
+    ap.add_argument("--plans", type=int, action="append", default=[],
+                    metavar="P", help="rank count for the plan-oracle "
+                    "comparison (repeatable)")
     args = ap.parse_args(argv)
     failures = 0
     for spec in plan_backed_specs():
@@ -238,6 +312,20 @@ def main(argv=None) -> int:
                     bad = schedule_mismatches(spec, p, n)
                 failures += bool(bad)
                 print(f"segments {spec.collective}/{spec.name} p={p} n={n}: "
+                      f"{'MISMATCH ' + '; '.join(bad[:3]) if bad else 'ok'} "
+                      f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    for p in args.plans:
+        for spec in rendered_specs():
+            skip = skip_reason(spec, p)
+            if skip:
+                print(f"plans {spec.collective}/{spec.name} p={p}: skipped ({skip})")
+                continue
+            for n in (p, 4 * p + 3):
+                clear_memo_caches()
+                t0 = time.perf_counter()
+                bad = cell_plan_mismatches(spec, p, n)
+                failures += bool(bad)
+                print(f"plans {spec.collective}/{spec.name} p={p} n={n}: "
                       f"{'MISMATCH ' + '; '.join(bad[:3]) if bad else 'ok'} "
                       f"({time.perf_counter() - t0:.1f} s)", flush=True)
     clear_memo_caches()

@@ -9,6 +9,8 @@ O(transfers²)-class regression returns.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -288,3 +290,27 @@ def test_cold_sweep_routes_each_node_pair_once(monkeypatch):
     assert routes._arrays is interned
     assert sum(routed.values()) == len(routed)
     assert hot["lines"] <= LINES_PER_HIT * len(steps)
+
+
+#: modules a sweep, verify or tune process never uses: the CLI, the figure
+#: and diff layers, the campaign journal and the chaos harness
+UNUSED_BY_PIPELINES = (
+    "repro.cli", "repro.report.figures", "repro.report.svg", "repro.report.diff",
+    "repro.report.baseline", "repro.checkpoint.journal", "repro.checkpoint.chaos",
+)
+
+
+def test_pipeline_imports_load_no_cli():
+    """Importing the sweep, verify-grid and tune-table layers loads none of
+    :data:`UNUSED_BY_PIPELINES` (their package ``__init__``s export lazily)."""
+    code = (
+        "import sys\n"
+        "import repro.analysis.sweep, repro.analysis.verifygrid, repro.tune.tables\n"
+        f"prefixes = {UNUSED_BY_PIPELINES!r}\n"
+        "print(sorted(n for n in sys.modules if n.startswith(prefixes)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"
