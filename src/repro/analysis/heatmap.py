@@ -65,9 +65,12 @@ def families_without_letter() -> list[str]:
     break heatmap rendering.
     """
     from repro.collectives.registry import families
-    from repro.collectives.torus import TORUS_ALGORITHMS
+    from repro.collectives.torus import torus_algorithms
+    from repro.core.torus_opt import TorusShape
 
-    known = set(families()) | {s.family for s in TORUS_ALGORITHMS.values()}
+    # the torus catalog's families do not depend on the shape
+    torus = torus_algorithms(TorusShape((2,))).values()
+    known = set(families()) | {s.family for s in torus}
     return sorted(known - set(FAMILY_LETTERS) - {"bine"})
 
 

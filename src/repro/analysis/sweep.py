@@ -34,8 +34,8 @@ numbers produced:
 Every sweep runs through one cell loop (:func:`_run_cells`).
 :func:`sweep_system` plans its grid as ``(collective, p)`` cells,
 pre-sampling scheduler placements in the exact first-touch order of a
-serial walk of the grid; :func:`sweep_torus` is a single
-``("<torus>", ranks)`` cell.  A cell runs inline, or — with
+serial walk of the grid.  A ``torus_dims`` grid is the same loop over the
+torus catalog on a block-mapped sub-torus.  A cell runs inline, or — with
 ``workers=N`` — on a :class:`~concurrent.futures.ProcessPoolExecutor`
 that ships the pre-sampled placements to the workers.  Shard execution is
 resilient: crashed or timed-out shards are re-queued once onto a fresh
@@ -59,7 +59,7 @@ the DES engine reproduces the compiled engine bit for bit (the
 calibration contract), so the engine is derived from the spec rather
 than chosen.
 
-``cell_sink=...`` (on either sweep) wires the cell loop into the campaign
+``cell_sink=...`` wires the cell loop into the campaign
 record journal (:mod:`repro.checkpoint`): the loop plans its cells with
 the sink, serves already-journaled cells from it on resume, stores every
 finished cell, and polls the graceful drain between cells — so a resumed
@@ -69,7 +69,9 @@ sharded.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 import os
 import pickle
 import re
@@ -86,7 +88,6 @@ from repro.collectives.registry import ALGORITHMS, AlgorithmSpec
 from repro.model.compiled import (
     CompiledRouteTable,
     evaluate_grid,
-    lower_schedule,
     profile_table,
     transfer_table_for,
 )
@@ -106,16 +107,15 @@ from repro.runtime.memo import (
     memo_cache_registry,
     memo_cache_sizes,
 )
-from repro.runtime.schedule import schedule_validation
 from repro.systems.presets import SystemPreset
 from repro.topology.allocation import AllocationSampler, SystemShape
 from repro.topology.mapping import RankMap, allocation_mapping, block_mapping
+from repro.topology.torus import Torus
 
 __all__ = [
     "SweepRecord",
     "RECORD_FIELDS",
     "sweep_system",
-    "sweep_torus",
     "ProfileCache",
     "clear_memo_caches",
     "memo_cache_registry",
@@ -555,13 +555,26 @@ def _shape_of(topo, name: str) -> SystemShape:
 
 
 def _selected_specs(
-    collectives: Sequence[str], algorithms: Iterable[str] | None
+    collectives: Sequence[str],
+    algorithms: Iterable[str] | None,
+    torus_dims: tuple[int, ...] | None = None,
 ) -> list[AlgorithmSpec]:
-    """Registry entries of the sweep, in the serial iteration order."""
+    """Catalog entries of the sweep, in the serial iteration order.
+
+    The catalog is the registry, or with ``torus_dims`` the torus catalog
+    bound to that sub-torus.
+    """
+    catalog = ALGORITHMS
+    if torus_dims is not None:
+        # imported on use: registry sweeps never load the torus builders
+        from repro.collectives.torus import torus_algorithms
+        from repro.core.torus_opt import TorusShape
+
+        catalog = torus_algorithms(TorusShape(torus_dims))
     names = None if algorithms is None else set(algorithms)
     return [
         spec
-        for (coll, name), spec in sorted(ALGORITHMS.items())
+        for (coll, name), spec in sorted(catalog.items())
         if coll in collectives and (names is None or name in names)
     ]
 
@@ -757,6 +770,7 @@ def sweep_system(
     disk_dir: str | os.PathLike | None = None,
     faults: FaultSpec | None = None,
     cell_sink=None,
+    torus_dims: Sequence[int] | None = None,
 ) -> list[SweepRecord]:
     """Evaluate every applicable algorithm across the grid.
 
@@ -782,6 +796,16 @@ def sweep_system(
     :class:`~repro.runtime.errors.InterruptedRunError` at the next cell
     boundary instead of starting new work.
 
+    ``torus_dims`` sweeps the torus catalog
+    (:func:`repro.collectives.torus.torus_algorithms`) on one sub-torus
+    of the preset (Fig. 11b, App. D): the grid is a block-mapped
+    ``Torus(torus_dims)`` at ppn 1, its one node count is the torus's
+    rank count, and records are tagged ``system="<preset>:<AxBxC>"``, so
+    sub-tori of one rank count (the paper's 4x4x4 and 8x8) stay distinct.
+    The sweep builds its own cache on that torus, and a torus has no
+    global links to fail, so ``cache``, a non-null ``faults`` and a
+    ``ppn`` other than 1 raise :class:`ValueError`.
+
     Example (one-cell grid)::
 
         >>> from repro.systems import lumi
@@ -789,7 +813,28 @@ def sweep_system(
         ...                     vector_bytes=(1024,), algorithms=("bine",))
         >>> [(r.algorithm, r.p, r.n_bytes) for r in recs]
         [('bine', 16, 1024)]
+        >>> from repro.systems import fugaku
+        >>> recs = sweep_system(fugaku(), ("bcast",), torus_dims=(2, 2),
+        ...                     vector_bytes=(1024,), algorithms=("bine-torus",))
+        >>> [(r.system, r.algorithm, r.p) for r in recs]
+        [('fugaku:2x2', 'bine-torus', 4)]
     """
+    if torus_dims is not None:
+        torus_dims = tuple(torus_dims)
+        degraded = faults is not None and not faults.is_null
+        if cache is not None or ppn != 1 or degraded:
+            raise ValueError(
+                "torus_dims sweeps run on their own block-mapped torus "
+                "cache at ppn=1 and a pristine fabric; pass neither cache, "
+                "ppn nor faults"
+            )
+        preset = dataclasses.replace(
+            preset,
+            name=f"{preset.name}:{'x'.join(str(d) for d in torus_dims)}",
+            topology=lambda: Torus(torus_dims),
+        )
+        node_counts = (math.prod(torus_dims),)
+        placement = "block"
     node_counts = tuple(node_counts if node_counts is not None else preset.node_counts)
     vector_bytes = tuple(
         vector_bytes if vector_bytes is not None else preset.vector_bytes
@@ -798,7 +843,7 @@ def sweep_system(
     cache = cache or ProfileCache(
         preset, placement=placement, disk_dir=disk_dir, faults=faults,
     )
-    specs = _selected_specs(collectives, algorithms)
+    specs = _selected_specs(collectives, algorithms, torus_dims)
     with obs.span(
         "sweep.system",
         system=preset.name,
@@ -825,7 +870,7 @@ def sweep_system(
                 cache.busy_fraction, dict(cache._mappings),
                 str(cache.disk_dir) if cache.disk_dir is not None else None,
                 cache.engine, coll, p, vector_bytes,
-                tuple(s.name for s in cell_specs[i]), ppn,
+                tuple(s.name for s in cell_specs[i]), ppn, torus_dims,
             )
 
         records = _reassemble(
@@ -833,79 +878,6 @@ def sweep_system(
             specs, node_counts,
         )
         sweep_span.set(records=len(records))
-    return records
-
-
-def sweep_torus(
-    preset: SystemPreset,
-    dims: Sequence[int],
-    collectives: Sequence[str],
-    *,
-    vector_bytes: Sequence[int] | None = None,
-    algorithms: Iterable[str] | None = None,
-    params: CostParams | None = None,
-    cell_sink=None,
-) -> list[SweepRecord]:
-    """Evaluate the torus algorithm catalog on one sub-torus (Fig. 11b).
-
-    The torus-optimised builders take a :class:`TorusShape` instead of a
-    bare rank count, so they run through
-    :data:`repro.collectives.torus.TORUS_ALGORITHMS` rather than the
-    generic registry: every applicable catalog entry is built once at its
-    canonical size on a block-mapped ``Torus(dims)``, profiled, then
-    evaluated at every vector size — exactly what the Fugaku benches have
-    always computed, now addressable from campaign manifests
-    (``torus_dims`` grids).  Records are tagged
-    ``system="<preset>:<DxDxD>"`` so multiple sub-tori of one campaign
-    (e.g. the paper's 4x4x4 and 8x8 at 64 ranks) stay distinct cells.
-
-    The whole grid is one ``("<torus>", ranks)`` cell of the sweep cell
-    loop, so ``cell_sink`` journals, resumes and drains it exactly like a
-    :func:`sweep_system` cell.  The torus catalog is scored analytically
-    (a torus has no global links for a fault timeline to fail).
-
-    Example::
-
-        >>> from repro.systems import fugaku
-        >>> recs = sweep_torus(fugaku(), (2, 2), ("bcast",),
-        ...                    vector_bytes=(1024,), algorithms=("bine-torus",))
-        >>> [(r.system, r.algorithm, r.p) for r in recs]
-        [('fugaku:2x2', 'bine-torus', 4)]
-    """
-    from repro.collectives.torus import torus_specs
-    from repro.core.torus_opt import TorusShape
-    from repro.topology.torus import Torus
-
-    shape = TorusShape(tuple(dims))
-    params = params or preset.params
-    vector_bytes = tuple(
-        vector_bytes if vector_bytes is not None else preset.vector_bytes
-    )
-    system = f"{preset.name}:{'x'.join(str(d) for d in dims)}"
-
-    def run_cell(_i: int) -> list[SweepRecord]:
-        topo = Torus(tuple(dims))
-        mapping = block_mapping(shape.num_ranks)
-        routes = CompiledRouteTable(topo)
-        records: list[SweepRecord] = []
-        for spec in torus_specs(collectives, algorithms):
-            cell = {"collective": spec.collective, "algorithm": spec.name,
-                    "p": shape.num_ranks}
-            with schedule_validation(False), obs.span("schedule.build", **cell):
-                schedule = spec.build(shape)
-            with obs.span("lower.schedule", **cell):
-                table = lower_schedule(schedule)
-            with obs.span("profile.table", **cell):
-                profile = profile_table(table, topo, mapping, routes=routes)
-            records.extend(
-                _profile_records(
-                    profile, system, spec, shape.num_ranks, vector_bytes,
-                    params,
-                )
-            )
-        return records
-
-    [records] = _run_cells([("<torus>", shape.num_ranks)], run_cell, cell_sink)
     return records
 
 
@@ -963,13 +935,15 @@ def _sweep_shard(
     vector_bytes: tuple[int, ...],
     algorithm_names: tuple[str, ...],
     ppn: int,
+    torus_dims: tuple[int, ...] | None,
 ) -> list[SweepRecord]:
     """Worker: evaluate one ``(collective, p)`` cell of the grid.
 
     Mappings are pre-sampled in the parent (placement draws are
     order-dependent), so the worker never touches the allocation RNG.  A
     degraded ``topo`` arrives pickled with its fault sets intact, so the
-    worker reproduces the parent's routes exactly.
+    worker reproduces the parent's routes exactly.  ``torus_dims``
+    rebuilds the parent's torus catalog.
     """
     if os.environ.get("REPRO_TEST_CRASH_SHARD"):
         # test chaos hook: die the way a seg-faulting worker would, so the
@@ -991,7 +965,7 @@ def _sweep_shard(
         mappings=mappings,
         profile_engine=profile_engine,
     )
-    specs = _selected_specs((collective,), algorithm_names)
+    specs = _selected_specs((collective,), algorithm_names, torus_dims)
     with obs.shard_scope():
         with obs.span("shard.run", collective=collective, p=p):
             return _evaluate_cell(

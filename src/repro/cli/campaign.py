@@ -3,11 +3,12 @@
 This is the layer both entry points share: ``repro campaign`` drives it
 from the CLI and ``benchmarks/_shared.py`` drives it from the bench
 suite, so the Table 3/4/5 reproductions are *defined* by the manifests in
-``campaigns/`` rather than duplicated in scripts.  All grids of a
-campaign run against one :class:`~repro.analysis.sweep.ProfileCache`
-(same placement draws, shared route table), which makes the records
-identical to calling :func:`~repro.analysis.sweep.sweep_system` directly
-with the same arguments.
+``campaigns/`` rather than duplicated in scripts.  All registry grids of
+a campaign run against one :class:`~repro.analysis.sweep.ProfileCache`
+(same placement draws, shared route table), and each ``torus_dims`` grid
+against its sub-torus's own, which makes the records identical to calling
+:func:`~repro.analysis.sweep.sweep_system` directly with the same
+arguments.
 
 Example::
 
@@ -35,7 +36,6 @@ from repro.analysis.sweep import (
     SweepRecord,
     shard_fallback_scope,
     sweep_system,
-    sweep_torus,
 )
 from repro.checkpoint import CampaignJournal, drain_scope
 from repro.cli.manifest import CampaignManifest
@@ -98,8 +98,8 @@ def run_campaign(
     identity: any combination yields record-for-record identical output
     (parallel shards pre-sample placements in serial order; warm disk
     caches replay the cold run's profiles).  An explicit ``cache``
-    overrides the manifest's placement context — the bench suite uses
-    this to share one cache across benches.
+    overrides the manifest's placement context of the registry grids —
+    the bench suite uses this to share one cache across benches.
 
     ``faults`` overrides the manifest's ``[[faults]]`` scenario list (the
     ``--faults`` CLI flag).  Every grid runs once per scenario against a
@@ -182,21 +182,8 @@ def run_campaign(
                         scenario=scenario.label,
                         collectives=",".join(grid.collectives),
                     ):
-                        if grid.torus_dims is not None:
-                            # torus grids build one schedule per catalog
-                            # entry — cheap enough that the profile cache /
-                            # worker knobs don't apply
-                            records.extend(
-                                sweep_torus(
-                                    preset,
-                                    grid.torus_dims,
-                                    grid.collectives,
-                                    vector_bytes=grid.vector_bytes,
-                                    algorithms=grid.algorithms,
-                                    cell_sink=grid_journal,
-                                )
-                            )
-                            continue
+                        # torus grids build their own cache on the sub-torus
+                        torus = grid.torus_dims is not None
                         records.extend(
                             sweep_system(
                                 preset,
@@ -206,9 +193,11 @@ def run_campaign(
                                 algorithms=grid.algorithms,
                                 max_p=grid.max_p,
                                 ppn=grid.ppn,
-                                cache=scenario_cache,
+                                cache=None if torus else scenario_cache,
                                 workers=workers,
+                                disk_dir=disk_dir,
                                 cell_sink=grid_journal,
+                                torus_dims=grid.torus_dims,
                             )
                         )
     finally:

@@ -101,9 +101,10 @@ class GridSpec:
     ppn: int = 1
     #: per-collective rank-count cap (the Θ(p²) alltoall escape hatch)
     max_p: dict[str, int] | None = None
-    #: set → run this grid on a sub-torus through the torus catalog
-    #: (:data:`repro.collectives.torus.TORUS_ALGORITHMS`) instead of the
-    #: generic registry; Fig. 11b / App. D grids
+    #: set → sweep this grid on a block-mapped sub-torus through the torus
+    #: catalog (:func:`repro.collectives.torus.torus_algorithms`) instead
+    #: of the generic registry (``sweep_system(..., torus_dims=...)``);
+    #: Fig. 11b / App. D grids
     torus_dims: tuple[int, ...] | None = None
 
 
@@ -185,7 +186,7 @@ def _torus_grid_checks(
     data: dict, collectives: tuple[str, ...], system: str, where: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Validate a ``torus_dims`` grid; returns (dims, node_counts)."""
-    from repro.collectives.torus import torus_specs
+    from repro.collectives.torus import torus_algorithms
     from repro.core.torus_opt import TorusShape
 
     if system != "fugaku":
@@ -200,9 +201,9 @@ def _torus_grid_checks(
         shape = TorusShape(dims)
     except ValueError as exc:
         raise ManifestError(f"{where}.torus_dims: {exc}") from None
-    no_algo = [c for c in collectives if not torus_specs((c,))]
+    known = sorted({c for c, _ in torus_algorithms(shape)})
+    no_algo = [c for c in collectives if c not in known]
     if no_algo:
-        known = sorted({s.collective for s in torus_specs()})
         raise ManifestError(
             f"{where}: no torus algorithm for collective(s) {no_algo}; "
             f"torus catalog covers {known}"
@@ -248,9 +249,13 @@ def _grid_from_dict(data: dict, where: str, system: str) -> GridSpec:
     if algorithms is not None:
         algorithms = tuple(str(a) for a in algorithms)
         if torus_dims is not None:
-            from repro.collectives.torus import torus_specs
+            from repro.collectives.torus import torus_algorithms
+            from repro.core.torus_opt import TorusShape
 
-            known = {s.name for s in torus_specs(collectives)}
+            known = {
+                name for c, name in torus_algorithms(TorusShape(torus_dims))
+                if c in collectives
+            }
         else:
             known = {s.name for c in collectives for s in iter_specs(c)}
         bad = [a for a in algorithms if a not in known]

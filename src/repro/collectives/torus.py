@@ -16,11 +16,14 @@ Implemented algorithms:
   vector, pipelined (modelled with the ``pipelined`` cost flag);
 * plain **binomial** trees (topology-agnostic, the paper's 40×-slower
   baseline) come straight from the generic registry.
+
+:func:`torus_algorithms` binds these builders to one sub-torus as
+:class:`~repro.collectives.registry.AlgorithmSpec` entries, the catalog
+``torus_dims`` sweeps run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.collectives.butterfly_collectives import (
@@ -31,16 +34,13 @@ from repro.collectives.butterfly_collectives import (
 )
 from repro.collectives.common import Strategy, VEC
 from repro.collectives.composed import remap_schedule
+from repro.collectives.registry import AlgorithmSpec, spec_for
 from repro.collectives.ring import ring_allgather, ring_reduce_scatter
 from repro.collectives.tree_collectives import bcast_from_tree, reduce_from_tree
 from repro.core.multiport import multiport_plans
-from repro.core.torus_opt import (
-    TorusShape,
-    dimension_schedule,
-    torus_bine_butterfly,
-    torus_bine_tree,
-)
-from repro.core.tree import build_tree, log2_exact
+from repro.core.torus_opt import TorusShape, torus_bine_butterfly, torus_bine_tree
+from repro.model.compiled import lower_schedule
+from repro.runtime.memo import label_table
 from repro.runtime.schedule import Schedule, Step, Transfer
 
 __all__ = [
@@ -56,9 +56,7 @@ __all__ = [
     "bucket_allgather",
     "trinaryx_bcast",
     "trinaryx_reduce",
-    "TorusAlgorithmSpec",
-    "TORUS_ALGORITHMS",
-    "torus_specs",
+    "torus_algorithms",
 ]
 
 
@@ -89,8 +87,9 @@ def torus_bine_allgather(shape: TorusShape, n: int) -> Schedule:
 
 
 def torus_bine_allreduce(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
-    """Allreduce: small-vector recursive exchange on the torus butterfly for
-    tiny vectors is equivalent in structure; this is the RS+AG large form."""
+    """Allreduce as a reduce-scatter then an allgather, both on the
+    per-dimension Bine butterfly (natural layout): the bandwidth-optimal
+    form.  :func:`torus_bine_allreduce_small` is the full-vector variant."""
     sched = allreduce_reduce_scatter_allgather(
         torus_bine_butterfly(shape), n, op, Strategy.NATURAL
     )
@@ -366,114 +365,100 @@ def trinaryx_reduce(shape: TorusShape, n: int, root: int = 0, op: str = "sum") -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusAlgorithmSpec:
-    """Catalog entry for the torus sweep path.
+def _bound(
+    shape: TorusShape,
+    collective: str,
+    name: str,
+    family: str,
+    build: Callable[[int, int, str], Schedule],
+    description: str,
+    blocks: int = 1,
+) -> AlgorithmSpec:
+    """An :class:`AlgorithmSpec` whose ``build(n, root, op)`` runs on ``shape``.
+
+    Its sweep table lowers the canonical build, ``n = blocks · p``.
+    """
+    p = shape.num_ranks
+
+    def builder(q: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
+        if q != p:
+            raise ValueError(
+                f"{collective}/{name} is bound to a {p}-rank torus, not p={q}"
+            )
+        return build(n, root, op)
+
+    return AlgorithmSpec(
+        collective, name, family, builder,
+        description=description,
+        table=lambda q: lower_schedule(builder(q, blocks * q)),
+    )
+
+
+@label_table("torus.torus_algorithms")
+def torus_algorithms(shape: TorusShape) -> dict[tuple[str, str], AlgorithmSpec]:
+    """The torus catalog bound to one sub-torus, keyed ``(collective, name)``.
 
     Torus builders take a :class:`TorusShape` instead of a bare rank
-    count, so they cannot live in the generic registry; this parallel
-    catalog gives campaign manifests (``torus_dims`` grids) and the
-    Fugaku benches one shared source of truth.  ``build(shape)`` returns
-    the schedule at the algorithm's canonical profiling size — the exact
-    sizes ``bench_fig11b_fugaku.py`` has always used, so records stay
-    identical by construction.
+    count, so the entries stay out of the generic registry: their names
+    reuse registry names under other families (``rabenseifner`` is
+    ``sota`` here), and they apply only on ``shape``.  Campaign manifests
+    (``torus_dims`` grids) and the Fugaku benches sweep them through
+    :func:`repro.analysis.sweep.sweep_system`.  Each entry renders its
+    sweep table from the canonical build the Fig. 11b records were always
+    profiled at: ``n = 2·D·p`` for ``bine-multiport`` (one slice per
+    port) and ``n = p`` for every other entry.  The catalog is memoized
+    per shape, so a shape's specs (and their memoized tables) are shared.
+
+    Example::
+
+        >>> specs = torus_algorithms(TorusShape((2, 2)))
+        >>> specs["allreduce", "rabenseifner"].family
+        'sota'
     """
 
-    collective: str
-    name: str
-    family: str
-    build: Callable[[TorusShape], Schedule]
-    description: str = ""
+    def generic(collective: str, name: str):
+        spec = spec_for(collective, name)
+        return lambda n, root, op: spec.build(shape.num_ranks, n, root, op)
 
-
-def _generic(collective: str, name: str) -> Callable[[TorusShape], Schedule]:
-    def build(shape: TorusShape) -> Schedule:
-        from repro.collectives.registry import build as build_registry
-
-        p = shape.num_ranks
-        return build_registry(collective, name, p, p)
-
-    return build
-
-
-#: ``(collective, name) -> spec``; names are what campaign manifests and
-#: the Fig. 11b records use
-TORUS_ALGORITHMS: dict[tuple[str, str], TorusAlgorithmSpec] = {
-    (s.collective, s.name): s
-    for s in (
-        TorusAlgorithmSpec(
-            "allreduce", "bine-multiport", "bine",
-            lambda sh: torus_bine_allreduce_multiport(
-                sh, 2 * sh.num_dims * sh.num_ranks
-            ),
-            "2*D rotated sub-collectives driving every NIC (App. D.4)",
-        ),
-        TorusAlgorithmSpec(
-            "allreduce", "bine-torus", "bine",
-            lambda sh: torus_bine_allreduce(sh, sh.num_ranks),
-            "per-dimension Bine butterfly allreduce",
-        ),
-        TorusAlgorithmSpec(
-            "allreduce", "bine-torus-small", "bine",
-            lambda sh: torus_bine_allreduce_small(sh, sh.num_ranks),
-            "latency-optimal torus Bine allreduce (small vectors)",
-        ),
-        TorusAlgorithmSpec(
-            "allreduce", "bucket", "bucket",
-            lambda sh: bucket_allreduce(sh, sh.num_ranks),
-            "multi-dimensional ring (Jain & Sabharwal), bandwidth-optimal",
-        ),
-        TorusAlgorithmSpec(
-            "allreduce", "binomial", "binomial",
-            _generic("allreduce", "recursive-doubling"),
-            "topology-agnostic recursive doubling baseline",
-        ),
-        TorusAlgorithmSpec(
-            "allreduce", "rabenseifner", "sota",
-            _generic("allreduce", "rabenseifner"),
-            "topology-agnostic Rabenseifner baseline",
-        ),
-        TorusAlgorithmSpec(
-            "bcast", "bine-torus", "bine",
-            lambda sh: torus_bine_bcast(sh, sh.num_ranks),
-            "torus-optimised Bine tree broadcast (Fig. 16)",
-        ),
-        TorusAlgorithmSpec(
-            "bcast", "trinaryx", "trinaryx",
-            lambda sh: trinaryx_bcast(sh, sh.num_ranks),
-            "Trinaryx-like pipelined multi-chain broadcast (Fujitsu MPI)",
-        ),
-        TorusAlgorithmSpec(
-            "bcast", "binomial", "binomial",
-            _generic("bcast", "binomial-dd"),
-            "topology-agnostic binomial tree baseline",
-        ),
-        TorusAlgorithmSpec(
-            "reduce", "bine-torus", "bine",
-            lambda sh: torus_bine_reduce(sh, sh.num_ranks),
-            "reversed torus Bine tree reduce",
-        ),
-        TorusAlgorithmSpec(
-            "reduce", "trinaryx", "trinaryx",
-            lambda sh: trinaryx_reduce(sh, sh.num_ranks),
-            "Trinaryx-like pipelined multi-chain reduce",
-        ),
-        TorusAlgorithmSpec(
-            "reduce", "binomial", "binomial",
-            _generic("reduce", "binomial-dd"),
-            "topology-agnostic binomial tree baseline",
-        ),
+    # (collective, name, family, build(n, root, op), description[, blocks])
+    rows = (
+        ("allreduce", "bine-multiport", "bine",
+         lambda n, root, op: torus_bine_allreduce_multiport(shape, n, op),
+         "2*D rotated sub-collectives driving every NIC (App. D.4)",
+         2 * shape.num_dims),
+        ("allreduce", "bine-torus", "bine",
+         lambda n, root, op: torus_bine_allreduce(shape, n, op),
+         "per-dimension Bine butterfly allreduce"),
+        ("allreduce", "bine-torus-small", "bine",
+         lambda n, root, op: torus_bine_allreduce_small(shape, n, op),
+         "latency-optimal torus Bine allreduce (small vectors)"),
+        ("allreduce", "bucket", "bucket",
+         lambda n, root, op: bucket_allreduce(shape, n, op),
+         "multi-dimensional ring (Jain & Sabharwal), bandwidth-optimal"),
+        ("allreduce", "binomial", "binomial",
+         generic("allreduce", "recursive-doubling"),
+         "topology-agnostic recursive doubling baseline"),
+        ("allreduce", "rabenseifner", "sota",
+         generic("allreduce", "rabenseifner"),
+         "topology-agnostic Rabenseifner baseline"),
+        ("bcast", "bine-torus", "bine",
+         lambda n, root, op: torus_bine_bcast(shape, n, root),
+         "torus-optimised Bine tree broadcast (Fig. 16)"),
+        ("bcast", "trinaryx", "trinaryx",
+         lambda n, root, op: trinaryx_bcast(shape, n, root),
+         "Trinaryx-like pipelined multi-chain broadcast (Fujitsu MPI)"),
+        ("bcast", "binomial", "binomial",
+         generic("bcast", "binomial-dd"),
+         "topology-agnostic binomial tree baseline"),
+        ("reduce", "bine-torus", "bine",
+         lambda n, root, op: torus_bine_reduce(shape, n, root, op),
+         "reversed torus Bine tree reduce"),
+        ("reduce", "trinaryx", "trinaryx",
+         lambda n, root, op: trinaryx_reduce(shape, n, root, op),
+         "Trinaryx-like pipelined multi-chain reduce"),
+        ("reduce", "binomial", "binomial",
+         generic("reduce", "binomial-dd"),
+         "topology-agnostic binomial tree baseline"),
     )
-}
-
-
-def torus_specs(
-    collectives=None, algorithms=None
-) -> "list[TorusAlgorithmSpec]":
-    """Catalog entries in deterministic (collective, name) sort order."""
-    return [
-        spec
-        for key, spec in sorted(TORUS_ALGORITHMS.items())
-        if (collectives is None or spec.collective in collectives)
-        and (algorithms is None or spec.name in algorithms)
-    ]
+    specs = [_bound(shape, *row) for row in rows]
+    return {(spec.collective, spec.name): spec for spec in specs}

@@ -12,7 +12,7 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
   count).  The table depends only on the schedule — not on the topology
   or rank mapping — so one lowering serves every system, placement and
   seed of a campaign.
-  :func:`transfer_table_for` memoizes tables per registry cell (a bounded
+  :func:`transfer_table_for` memoizes tables per catalog cell (a bounded
   FIFO :class:`repro.runtime.memo.Memo`, cleared by
   :func:`repro.runtime.memo.clear_memo_caches`), the
   profiling analogue of :func:`repro.collectives.verify.compiled_plan_for`.
@@ -173,7 +173,7 @@ def lower_schedule(schedule: Schedule) -> TransferTable:
     )
 
 
-#: table memo — keyed per registry cell; bounded FIFO so 4096-rank tables
+#: table memo — keyed per ``(spec, p)``; bounded FIFO so 4096-rank tables
 #: cannot accumulate without limit.  ``None`` entries record constraint
 #: misses (pow2/divisibility) so they are not re-attempted.  The bound must
 #: exceed a full campaign's exact-cell count (the reference 3-collective
@@ -183,19 +183,22 @@ _TABLE_CACHE = Memo("compiled._TABLE_CACHE", maxsize=512, counter="table")
 
 
 def transfer_table_for(spec, p: int) -> TransferTable | None:
-    """Cached :class:`TransferTable` for one ``(collective, algorithm, p)``.
+    """Cached :class:`TransferTable` for one catalog entry at ``p`` ranks.
 
     Entries with a plan render the table straight from it (``spec.table``:
     the butterflies, Bruck, Sparbit, the rings, alltoall's packed and
     sampled cost models, and the composed bcast/reduce, whose tree half
-    alone is built and lowered); the tree and linear entries build the
-    schedule at the canonical size ``n = p`` and lower it once.  Either way schedule validation is off
-    (the sweep's contract: it renders schedules the test suite already
-    validates).  ``None`` when the entry rejects ``p``.
+    alone is built and lowered); the torus catalog's ``spec.table`` lowers
+    its canonical build; the tree and linear entries build the schedule at
+    the canonical size ``n = p`` and lower it once.  Either way schedule
+    validation is off (the sweep's contract: it renders schedules the test
+    suite already validates).  ``None`` when the entry rejects ``p``.
     The table is topology- and mapping-independent, so every system /
-    placement / seed of a campaign shares one entry.  Eviction is FIFO at
-    512 entries; :func:`repro.runtime.memo.clear_memo_caches` drops
-    everything.
+    placement / seed of a campaign shares one entry.  The memo is keyed
+    on the spec itself, not on its name: the torus catalog binds one spec
+    per sub-torus, and sub-tori of one rank count (4x4x4 and 8x8) share
+    names.  Eviction is FIFO at 512 entries;
+    :func:`repro.runtime.memo.clear_memo_caches` drops everything.
     """
 
     def render() -> TransferTable | None:
@@ -212,7 +215,7 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
         with obs.span("lower.schedule", **cell):
             return lower_schedule(schedule)
 
-    return _TABLE_CACHE.get_or((spec.collective, spec.name, p), render)
+    return _TABLE_CACHE.get_or((spec, p), render)
 
 
 # -- CSR route matrices ------------------------------------------------------

@@ -149,6 +149,14 @@ class TestFamilyLetters:
         # break heatmap rendering — fail here first, naming the family
         assert families_without_letter() == []
 
+    def test_torus_catalog_families_covered(self, monkeypatch):
+        from repro.analysis import heatmap
+
+        letters = {f: c for f, c in FAMILY_LETTERS.items()
+                   if f not in ("bucket", "trinaryx")}
+        monkeypatch.setattr(heatmap, "FAMILY_LETTERS", letters)
+        assert families_without_letter() == ["bucket", "trinaryx"]
+
     def test_render_heatmap_unknown_family_fails_loudly(self):
         cells = {(8, 1024): (self.mk("carrier-pigeon"), None)}
         with pytest.raises(ValueError, match="carrier-pigeon"):

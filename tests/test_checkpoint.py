@@ -279,7 +279,8 @@ class TestResumeIdentity:
 
 
 class TestTorusJournal:
-    """Torus grids journal as one ``("<torus>", ranks)`` cell each."""
+    """Torus grids journal one ``(collective, ranks)`` cell per collective,
+    like registry grids."""
 
     def test_journaled_run_identical_to_plain(self, tmp_path):
         plain = run_campaign(torus_manifest())
@@ -288,7 +289,11 @@ class TestTorusJournal:
         doc = read_journal(journal_path(tmp_path, "tiny-torus"))
         cells = [(e["grid"], e["collective"], e["p"])
                  for e in doc.entries if e["kind"] == "cell"]
-        assert cells == [(0, "bcast", 8), (1, "<torus>", 4), (2, "<torus>", 8)]
+        assert cells == [
+            (0, "bcast", 8),
+            (1, "allreduce", 4), (1, "bcast", 4),
+            (2, "allreduce", 8), (2, "bcast", 8),
+        ]
 
     def test_resume_after_first_cell_identical(self, tmp_path):
         plain = run_campaign(torus_manifest())
@@ -300,7 +305,7 @@ class TestTorusJournal:
         resumed = run_campaign(torus_manifest(), journal=tmp_path,
                                resume=True)
         assert record_bytes(resumed) == record_bytes(plain)
-        assert summarize_journal(read_journal(path))["cells_done"] == 3
+        assert summarize_journal(read_journal(path))["cells_done"] == 5
 
     def test_drain_before_torus_cell_flushes_journal(self, tmp_path,
                                                      monkeypatch):
@@ -321,14 +326,36 @@ class TestTorusJournal:
             run_campaign(torus_manifest(), journal=tmp_path)
         monkeypatch.undo()
         assert exc.value.signal_name == "SIGTERM"
-        # the registry cell is durable and the torus cell planned, not run
+        # the registry cell is durable and the torus cells planned, not run
         path = journal_path(tmp_path, "tiny-torus")
         summary = summarize_journal(read_journal(path))
         assert summary["cells_done"] == 1
-        assert summary["cells_planned"] == 2
+        assert summary["cells_planned"] == 3
         resumed = run_campaign(torus_manifest(), journal=tmp_path,
                                resume=True)
         assert record_bytes(resumed) == record_bytes(plain)
+
+    def test_workers_identical_to_serial(self):
+        from repro.obs import metrics
+
+        plain = run_campaign(torus_manifest())
+        before = metrics.counters().get("shard.cells", 0)
+        sharded = run_campaign(torus_manifest(), workers=2)
+        # every cell, torus cells included, went through the pool
+        assert metrics.counters()["shard.cells"] - before == 5
+        assert record_bytes(sharded) == record_bytes(plain)
+
+    def test_warm_disk_cache_builds_no_profile(self, tmp_path):
+        from repro.obs import metrics
+
+        plain = run_campaign(torus_manifest())
+        cold = run_campaign(torus_manifest(), disk_dir=tmp_path)
+        before = metrics.counters()
+        warm = run_campaign(torus_manifest(), disk_dir=tmp_path)
+        after = metrics.counters()
+        assert after.get("profile.built", 0) == before.get("profile.built", 0)
+        assert after.get("cache.disk.hit", 0) > before.get("cache.disk.hit", 0)
+        assert record_bytes(warm) == record_bytes(cold) == record_bytes(plain)
 
 
 # -- chaos harness (subprocess) ----------------------------------------------
@@ -400,6 +427,25 @@ class TestChaosHarness:
         ref, out, kills = _chaos_until_done(manifest, tmp_path, seed=29)
         assert kills >= 3
         assert ref == out
+
+    def test_torus_killed_inside_grid_resume_identical(self, tmp_path):
+        manifest = tmp_path / "torus.json"
+        manifest.write_text(json.dumps(TORUS_MANIFEST))
+        ref = tmp_path / "ref.json"
+        out = tmp_path / "out.json"
+        assert _run_repro(["campaign", str(manifest), "--format", "json",
+                           "-o", str(ref)]).returncode == 0
+        base = ["campaign", str(manifest), "--journal", str(tmp_path / "j"),
+                "--format", "json", "-o", str(out)]
+        # the second journaled cell is the first of the 2x2 grid's two
+        proc = _run_repro(base, chaos="kill_after=2")
+        assert proc.returncode in (-9, 137), proc.stderr
+        doc = read_journal(journal_path(tmp_path / "j", "tiny-torus"))
+        assert [(e["grid"], e["collective"]) for e in doc.entries
+                if e["kind"] == "cell"] == [(0, "bcast"), (1, "allreduce")]
+        proc = _run_repro(base + ["--resume"])
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_sigint_drains_to_exit_9_with_flushed_journal(self, tmp_path):
         manifest = tmp_path / "tiny.toml"

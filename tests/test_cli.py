@@ -521,15 +521,14 @@ class TestTorusManifest:
     }
 
     def test_campaign_matches_direct_sweep_torus(self, tmp_path, capsys):
-        from repro.analysis.sweep import sweep_torus
         from repro.systems import fugaku
 
         manifest = tmp_path / "torus.json"
         manifest.write_text(json.dumps(self.TINY_TORUS))
         assert main(["campaign", str(manifest), "--format", "json"]) == 0
         got = [SweepRecord.from_dict(d) for d in json.loads(capsys.readouterr().out)]
-        want = sweep_torus(fugaku(), (2, 2, 2), ("allreduce", "bcast"),
-                           vector_bytes=(1024, 1048576))
+        want = sweep_system(fugaku(), ("allreduce", "bcast"),
+                            torus_dims=(2, 2, 2), vector_bytes=(1024, 1048576))
         assert got == want
         assert {r.system for r in got} == {"fugaku:2x2x2"}
         assert {r.algorithm for r in got if r.collective == "allreduce"} >= {

@@ -21,7 +21,6 @@ from repro.analysis.sweep import (
     ProfileCache,
     clear_memo_caches,
     sweep_system,
-    sweep_torus,
 )
 from repro.cli.main import main
 from repro.cli.manifest import ManifestError, manifest_from_dict
@@ -57,6 +56,13 @@ from scalar_oracle import (
 RANK_COUNTS = (4, 8, 16, 17, 32)
 #: geometric size grid (the paper's 32 B ... 512 MiB ladder, thinned)
 N_BYTES = tuple(32 * 8**k for k in range(0, 9, 2))
+
+
+def _torus_canonical_n(shape, name):
+    """The size a torus catalog entry's sweep table is built at: one
+    slice per port for ``bine-multiport``, ``n = p`` for the rest."""
+    p = shape.num_ranks
+    return 2 * shape.num_dims * p if name == "bine-multiport" else p
 
 
 def _buildable_schedules(p):
@@ -369,17 +375,17 @@ class TestEvaluateGrid:
 
     def test_pipelined_meta_matches(self):
         # the trinaryx torus chains carry the ``pipelined`` cost flag
-        from repro.collectives.torus import torus_specs
+        from repro.collectives.torus import torus_algorithms
         from repro.core.torus_opt import TorusShape
-        from repro.topology.torus import Torus
 
         preset = fugaku()
         shape, topo = TorusShape((2, 2, 2)), Torus((2, 2, 2))
-        mapping = block_mapping(shape.num_ranks)
+        p = shape.num_ranks
+        mapping = block_mapping(p)
         seen_pipelined = False
-        for spec in torus_specs():
+        for spec in torus_algorithms(shape).values():
             with schedule_validation(False):
-                sched = spec.build(shape)
+                sched = spec.build(p, _torus_canonical_n(shape, spec.name))
             seen_pipelined |= bool(sched.meta.get("pipelined"))
             profile = profile_schedule(sched, topo, mapping)
             n_elems = [nb / 4 for nb in N_BYTES]
@@ -453,25 +459,30 @@ class TestSweepRecordEquivalence:
         assert co == oracle_records(cache, ("allreduce",), **kwargs) and co
 
     def test_torus_sweep_matches_scalar_oracle(self):
-        from repro.collectives.torus import torus_specs
+        # both 8-rank shapes run in one process, so the table memo must
+        # tell them apart by spec, not by (collective, name, p)
+        from repro.collectives.torus import torus_algorithms
         from repro.core.torus_opt import TorusShape
-        from repro.topology.torus import Torus
 
         preset = fugaku()
         collectives = ("bcast", "allreduce", "allgather")
         for dims in ((2, 4), (2, 2, 2)):
             shape, topo = TorusShape(dims), Torus(dims)
-            mapping = block_mapping(shape.num_ranks)
+            p = shape.num_ranks
+            mapping = block_mapping(p)
             system = "fugaku:" + "x".join(str(d) for d in dims)
             want = []
-            for spec in torus_specs(collectives):
+            for (coll, name), spec in sorted(torus_algorithms(shape).items()):
+                if coll not in collectives:
+                    continue
                 with schedule_validation(False):
-                    sched = spec.build(shape)
+                    sched = spec.build(p, _torus_canonical_n(shape, name))
                 want += scalar_records(
                     profile_schedule(sched, topo, mapping), system, spec,
-                    shape.num_ranks, N_BYTES, preset.params,
+                    p, N_BYTES, preset.params,
                 )
-            got = sweep_torus(preset, dims, collectives, vector_bytes=N_BYTES)
+            got = sweep_system(preset, collectives, torus_dims=dims,
+                               vector_bytes=N_BYTES)
             assert got == want and got
 
     def test_profile_cache_matches_scalar_oracle_including_analytic(self):

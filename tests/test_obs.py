@@ -34,7 +34,6 @@ from repro.analysis.sweep import (
     memo_cache_registry,
     memo_cache_sizes,
     sweep_system,
-    sweep_torus,
 )
 from repro.cli.campaign import run_campaign
 from repro.cli.formatters import trace_stats_text
@@ -204,6 +203,7 @@ class TestMetricsRegistry:
             "bine_tree._nu_inverse_table",
             "common._pi_table",
             "common._pi_inv_table",
+            "torus.torus_algorithms",
             "verify._PLAN_CACHE",
             "verify._PATTERN_CACHE",
             "compiled._TABLE_CACHE",
@@ -333,21 +333,28 @@ class TestDesTraced:
 
 
 class TestTorusTraced:
-    def test_sweep_torus_opens_build_lower_and_profile_spans(self):
-        """A torus sweep attributes its time like a registry sweep: one
-        ``schedule.build``, ``lower.schedule`` and ``profile.table`` span
-        per catalog entry, tagged with collective, algorithm and p."""
-        grid = dict(collectives=("bcast", "allreduce"), vector_bytes=(1024,))
-        plain = sweep_torus(fugaku(), (2, 2), **grid)
+    def test_torus_sweep_opens_table_profile_and_evaluate_spans(self):
+        """A torus sweep attributes its time like a plan-backed registry
+        sweep: one ``schedule.table``, ``profile.table`` and
+        ``evaluate.grid`` span per catalog entry, tagged with collective,
+        algorithm and p, and tracing changes no record byte."""
+        grid = dict(collectives=("bcast", "allreduce"), torus_dims=(2, 2),
+                    vector_bytes=(1024,))
+        clear_memo_caches()
+        plain = sweep_system(fugaku(), **grid)
+        clear_memo_caches()  # cold traced run: tables re-rendered
         obs.begin_session(None)
         try:
-            traced = sweep_torus(fugaku(), (2, 2), **grid)
+            traced = sweep_system(fugaku(), **grid)
         finally:
             trace_doc, _ = obs.end_session()
-        assert traced == plain
+        assert json.dumps([r.to_dict() for r in traced]) == json.dumps(
+            [r.to_dict() for r in plain]
+        )
         assert obs.validate_trace(trace_doc) == []
         entries = {(r.collective, r.algorithm, r.p) for r in plain}
-        for name in ("schedule.build", "lower.schedule", "profile.table"):
+        assert len(entries) == 9
+        for name in ("schedule.table", "profile.table", "evaluate.grid"):
             spans = [
                 (e["args"]["collective"], e["args"]["algorithm"], e["args"]["p"])
                 for e in trace_doc["traceEvents"]

@@ -75,7 +75,7 @@ def test_rendered_table_equals_lowered_schedule(spec, p):
     power-of-two entry at non-power-of-two p."""
     clear_memo_caches()
     table = transfer_table_for(spec, p)
-    cached = compiled._TABLE_CACHE[(spec.collective, spec.name, p)]
+    cached = compiled._TABLE_CACHE[(spec, p)]
     oracle = oracle_table(spec, p)
     clear_memo_caches()
     assert cached is table

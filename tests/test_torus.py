@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.sweep import ProfileCache, sweep_system
+from repro.collectives.registry import ALGORITHMS
 from repro.collectives.torus import (
     bucket_allgather,
     bucket_allreduce,
@@ -13,12 +15,15 @@ from repro.collectives.torus import (
     torus_bine_bcast,
     torus_bine_reduce,
     torus_bine_reduce_scatter,
+    torus_algorithms,
     trinaryx_bcast,
     trinaryx_reduce,
 )
 from repro.collectives.verify import run_and_check
 from repro.core.multiport import multiport_plans, rotated_dimension_schedule
 from repro.core.torus_opt import TorusShape, dimension_schedule, torus_bine_tree
+from repro.faults import FaultSpec
+from repro.systems import fugaku
 from repro.topology.torus import Torus
 
 SHAPES = [(4, 4), (2, 4, 2), (2, 2, 2), (8, 4)]
@@ -146,3 +151,42 @@ class TestMultiportPlans:
         sched = trinaryx_bcast(sh, 12)
         for _, t in sched.all_transfers():
             assert torus.torus_distance(t.src, t.dst) == 1
+
+
+class TestTorusCatalog:
+    def test_names_and_families(self):
+        specs = torus_algorithms(TorusShape((2, 2, 2)))
+        assert {key: s.family for key, s in specs.items()} == {
+            ("allreduce", "bine-multiport"): "bine",
+            ("allreduce", "bine-torus"): "bine",
+            ("allreduce", "bine-torus-small"): "bine",
+            ("allreduce", "bucket"): "bucket",
+            ("allreduce", "binomial"): "binomial",
+            ("allreduce", "rabenseifner"): "sota",
+            ("bcast", "bine-torus"): "bine",
+            ("bcast", "trinaryx"): "trinaryx",
+            ("bcast", "binomial"): "binomial",
+            ("reduce", "bine-torus"): "bine",
+            ("reduce", "trinaryx"): "trinaryx",
+            ("reduce", "binomial"): "binomial",
+        }
+        # kept out of the registry: the registry's rabenseifner is binomial
+        assert ALGORITHMS["allreduce", "rabenseifner"].family == "binomial"
+        assert torus_algorithms(TorusShape((2, 2, 2))) is specs
+
+    def test_builder_honours_n_and_rejects_other_p(self):
+        sh = TorusShape((2, 4))
+        spec = torus_algorithms(sh)["allreduce", "bine-torus"]
+        run_and_check(spec.build(8, 4 * 8))
+        with pytest.raises(ValueError, match="8-rank torus"):
+            spec.build(16, 16)
+
+    def test_sweep_rejects_cache_faults_and_ppn(self):
+        for kwargs in (
+            {"cache": ProfileCache(fugaku(), placement="block")},
+            {"faults": FaultSpec(failed_links=1, seed=3)},
+            {"ppn": 2},
+        ):
+            with pytest.raises(ValueError, match="torus_dims"):
+                sweep_system(fugaku(), ("bcast",), torus_dims=(2, 2),
+                             vector_bytes=(1024,), **kwargs)
