@@ -34,10 +34,12 @@ ranges, hypercube ranges, π windows, evaluated over all ranks at once):
 * :func:`render_schedule` — the executor's :class:`Schedule`; a step's
   segment tuples come from every rank's block ranges in one NumPy pass,
   and steps of one call that walk the same sets share them;
-* :func:`render_compiled_plan` — the verifier's
-  :class:`~repro.runtime.compiled.CompiledPlan`, from the same block
-  ranges as arrays (:class:`~repro.runtime.schedule.ArrayStep`), equal to
-  compiling :func:`render_schedule`'s schedule, with no schedule built;
+* :func:`flow_steps` — the same block ranges as arrays
+  (:class:`~repro.runtime.schedule.ArrayStep`), from which
+  :func:`render_compiled_plan` lowers the verifier's
+  :class:`~repro.runtime.compiled.CompiledPlan` (equal to compiling
+  :func:`render_schedule`'s schedule, with no schedule built) and the
+  torus and hierarchical builders overlay sub-collectives;
 * :func:`render_table` — the profiler's
   :class:`~repro.model.compiled.TransferTable` at the canonical size
   ``n = p``, straight from closed-form set sizes and run counts: no
@@ -50,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -95,6 +97,7 @@ __all__ = [
     "allreduce_recursive_flow",
     "allreduce_rsag_flow",
     "render_schedule",
+    "flow_steps",
     "render_compiled_plan",
     "render_table",
     "block_edges",
@@ -595,14 +598,15 @@ def _local_arrays(local: _Local | None, p: int, n: int) -> tuple[ArrayPhase, ...
     ),)
 
 
-def render_compiled_plan(flow: Flow):
-    """The verifier's ``(schedule stub, plan)`` for ``flow``, equal to
-    ``compile_plan(render_schedule(flow))`` with no schedule built.
+def flow_steps(flow: Flow) -> Iterator[ArrayStep]:
+    """``flow``'s steps as arrays, built into :func:`render_schedule`'s
+    schedule by :func:`~repro.runtime.schedule.schedule_from_arrays`.
 
     Every step's segments come from the set geometry as arrays (the wire
     segments of each resp step once per call, as :func:`render_schedule`
     shares its tuples), and the π-window and circular-range checks run as
-    they do there.
+    they do there.  A natural layout rejects a negative ``n`` on the call;
+    the steps render lazily.
     """
     bf, n, strategy = flow.bf, flow.n, flow.strategy
     p = bf.p
@@ -638,10 +642,16 @@ def render_compiled_plan(flow: Flow):
                 _local_arrays(st.post, p, n),
             )
 
+    return steps()
+
+
+def render_compiled_plan(flow: Flow):
+    """The verifier's ``(schedule stub, plan)`` for ``flow``, equal to
+    ``compile_plan(render_schedule(flow))`` with no schedule built."""
     buffers = {st.buf for st in flow.steps if st.src.size}
     if any(st.pre or st.post for st in flow.steps):
         buffers |= {VEC, TMP}
-    return plan_from_arrays(p, flow.meta, steps(), buffers or {VEC})
+    return plan_from_arrays(flow.bf.p, flow.meta, flow_steps(flow), buffers or {VEC})
 
 
 # -- rendering: TransferTable ------------------------------------------------

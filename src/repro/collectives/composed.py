@@ -11,7 +11,9 @@
   permutation, delivering the natural vector at the root with contiguous
   sends (for root 0; other roots are correct but may need extra segments).
 * **hierarchical allreduce** (Sec. 6.2) — intra-node reduce-scatter →
-  inter-node Bine allreduce per GPU slice → intra-node allgather.
+  inter-node Bine allreduce per GPU slice → intra-node allgather, all
+  written as step arrays: the per-GPU inter-node allreduces run in
+  lockstep through :func:`~repro.runtime.schedule.overlay_steps`.
 
 The large bcast/reduce are ``(meta, parts)`` plans, each part a tree
 :class:`Schedule` or a butterfly :class:`Flow`: :func:`composed_table`
@@ -20,10 +22,11 @@ concatenates their sweep tables without building the butterfly half.
 
 from __future__ import annotations
 
-from repro.core.bine_tree import (
-    bine_tree_distance_doubling,
-    bine_tree_distance_halving,
-)
+from itertools import chain
+
+import numpy as np
+
+from repro.core.bine_tree import bine_tree_distance_doubling
 from repro.core.binomial_tree import binomial_tree_distance_halving
 from repro.core.butterfly import (
     bine_butterfly_doubling,
@@ -34,8 +37,9 @@ from repro.core.tree import Tree
 from repro.collectives.butterfly_collectives import (
     Flow,
     allgather_flow,
-    allreduce_reduce_scatter_allgather,
+    allreduce_rsag_flow,
     concat_tables,
+    flow_steps,
     reduce_scatter_flow,
     render_schedule,
     render_table,
@@ -48,7 +52,15 @@ from repro.collectives.common import (
     require_pow2,
 )
 from repro.collectives.tree_collectives import gather_from_tree, scatter_from_tree
-from repro.runtime.schedule import Schedule, Step, Transfer
+from repro.runtime.schedule import (
+    ArrayPhase,
+    ArrayStep,
+    Schedule,
+    Step,
+    Transfer,
+    overlay_steps,
+    schedule_from_arrays,
+)
 
 __all__ = [
     "bcast_scatter_allgather_binomial_plan",
@@ -58,7 +70,6 @@ __all__ = [
     "composed_schedule",
     "composed_table",
     "hierarchical_allreduce_bine",
-    "remap_schedule",
 ]
 
 
@@ -100,36 +111,40 @@ def bcast_scatter_allgather_binomial_plan(p: int, n: int, root: int = 0):
     )
 
 
-def _pi_tree_scatter(tree: Tree, n: int) -> Schedule:
-    """Scatter along a tree whose subtree *π windows* are the payload.
+def _pi_tree(tree: Tree, n: int, collective: str) -> Schedule:
+    """Scatter (or gather) along a tree whose subtree *π windows* are the
+    payload.
 
-    The root holds the natural vector; each edge forwards the receiving
-    child's subtree π-position window untouched (send semantics): the data
-    that lands at rank ``r`` is the natural block π(r) — exactly the state
-    the π-space allgather resumes from.
+    The scatter's root holds the natural vector; each edge forwards the
+    receiving child's subtree π-position window untouched (send
+    semantics): the data that lands at rank ``r`` is the natural block
+    π(r) — exactly the state the π-space allgather resumes from.  The
+    gather runs the same edges backwards, in reverse step order.
     """
-    p = tree.p
-    bs = require_divisible(n, p, "bine large broadcast")
+    p, gather = tree.p, collective == "gather"
+    bs = require_divisible(n, p, "bine large reduce" if gather else "bine large broadcast")
     pi = global_pi(p)
     sched = Schedule(
-        p, meta={"collective": "scatter", "algorithm": f"pi-{tree.kind}",
+        p, meta={"collective": collective, "algorithm": f"pi-{tree.kind}",
                  "p": p, "n": n, "root": tree.root},
     )
-    for step_idx in range(tree.num_steps):
+    order = range(tree.num_steps)
+    for step_idx in reversed(order) if gather else order:
         transfers = []
         for (u, v) in tree.edges[step_idx]:
             positions = {pi[x] for x in tree.subtree(v)}
             segs = tuple(
                 (lo * bs, hi * bs) for lo, hi in segments_of(positions)
             )
+            src, dst = (v, u) if gather else (u, v)
             transfers.append(
                 Transfer(
-                    src=u, dst=v, src_buf=VEC, dst_buf=VEC,
+                    src=src, dst=dst, src_buf=VEC, dst_buf=VEC,
                     src_segments=segs, dst_segments=segs,
-                    tag=f"pi-scatter[{step_idx}]",
+                    tag=f"pi-{collective}[{step_idx}]",
                 )
             )
-        sched.add(Step(transfers=tuple(transfers), label=f"pi scatter {step_idx}"))
+        sched.add(Step(transfers=tuple(transfers), label=f"pi {collective} {step_idx}"))
     return sched.finalize()
 
 
@@ -144,7 +159,7 @@ def bcast_scatter_allgather_bine_plan(p: int, n: int, root: int = 0):
     return (
         {"collective": "bcast", "algorithm": "scatter-allgather-bine",
          "p": p, "n": n, "root": root},
-        (_pi_tree_scatter(tree, n),
+        (_pi_tree(tree, n, "scatter"),
          allgather_flow(bine_butterfly_doubling(p), n, Strategy.SEND,
                         initial_exchange=False)),
     )
@@ -161,33 +176,6 @@ def reduce_rsag_rabenseifner_plan(p: int, n: int, root: int = 0, op: str = "sum"
     )
 
 
-def _pi_tree_gather(tree: Tree, n: int) -> Schedule:
-    """Gather π windows to the tree root (reverse of :func:`_pi_tree_scatter`)."""
-    p = tree.p
-    bs = require_divisible(n, p, "bine large reduce")
-    pi = global_pi(p)
-    sched = Schedule(
-        p, meta={"collective": "gather", "algorithm": f"pi-{tree.kind}",
-                 "p": p, "n": n, "root": tree.root},
-    )
-    for step_idx in reversed(range(tree.num_steps)):
-        transfers = []
-        for (u, v) in tree.edges[step_idx]:
-            positions = {pi[x] for x in tree.subtree(v)}
-            segs = tuple(
-                (lo * bs, hi * bs) for lo, hi in segments_of(positions)
-            )
-            transfers.append(
-                Transfer(
-                    src=v, dst=u, src_buf=VEC, dst_buf=VEC,
-                    src_segments=segs, dst_segments=segs,
-                    tag=f"pi-gather[{step_idx}]",
-                )
-            )
-        sched.add(Step(transfers=tuple(transfers), label=f"pi gather {step_idx}"))
-    return sched.finalize()
-
-
 def reduce_rsag_bine_plan(p: int, n: int, root: int = 0, op: str = "sum"):
     """Bine large reduce: dd-butterfly RS (send) + reversed dd-tree gather.
 
@@ -202,79 +190,8 @@ def reduce_rsag_bine_plan(p: int, n: int, root: int = 0, op: str = "sum"):
          "p": p, "n": n, "root": root, "op": op},
         (reduce_scatter_flow(bine_butterfly_doubling(p), n, op, Strategy.SEND,
                              fixup=False),
-         _pi_tree_gather(bine_tree_distance_doubling(p, root), n)),
+         _pi_tree(bine_tree_distance_doubling(p, root), n, "gather")),
     )
-
-
-def remap_schedule(sched: Schedule, rank_map, elem_offset: int) -> Schedule:
-    """Embed a schedule into a larger job: relabel ranks and shift elements.
-
-    ``rank_map[i]`` is the global rank acting as local rank ``i``;
-    ``elem_offset`` shifts every segment (the sub-vector this instance
-    operates on).  Buffer names are preserved.
-    """
-
-    def shift(segs):
-        return tuple((lo + elem_offset, hi + elem_offset) for lo, hi in segs)
-
-    out = Schedule(max(rank_map) + 1, meta=dict(sched.meta))
-    for step in sched.steps:
-        out.add(
-            Step(
-                transfers=tuple(
-                    Transfer(
-                        src=rank_map[t.src], dst=rank_map[t.dst],
-                        src_buf=t.src_buf, dst_buf=t.dst_buf,
-                        src_segments=shift(t.src_segments),
-                        dst_segments=shift(t.dst_segments),
-                        op=t.op, tag=t.tag,
-                    )
-                    for t in step.transfers
-                ),
-                pre=tuple(
-                    type(lc)(
-                        rank=rank_map[lc.rank], src_buf=lc.src_buf,
-                        dst_buf=lc.dst_buf,
-                        src_segments=shift(lc.src_segments),
-                        dst_segments=shift(lc.dst_segments),
-                        op=lc.op, tag=lc.tag,
-                    )
-                    for lc in step.pre
-                ),
-                post=tuple(
-                    type(lc)(
-                        rank=rank_map[lc.rank], src_buf=lc.src_buf,
-                        dst_buf=lc.dst_buf,
-                        src_segments=shift(lc.src_segments),
-                        dst_segments=shift(lc.dst_segments),
-                        op=lc.op, tag=lc.tag,
-                    )
-                    for lc in step.post
-                ),
-                label=step.label,
-            )
-        )
-    return out
-
-
-def _merge_parallel(p: int, meta: dict, schedules: list[Schedule]) -> Schedule:
-    """Overlay independent schedules step-by-step (they must not conflict)."""
-    out = Schedule(p, meta=meta)
-    depth = max(s.num_steps for s in schedules)
-    for i in range(depth):
-        transfers: list = []
-        pre: list = []
-        post: list = []
-        label = ""
-        for s in schedules:
-            if i < s.num_steps:
-                st = s.steps[i]
-                transfers.extend(st.transfers)
-                pre.extend(st.pre)
-                post.extend(st.post)
-                label = label or st.label
-        out.add(Step(transfers=tuple(transfers), pre=tuple(pre), post=tuple(post), label=label))
-    return out.finalize()
 
 
 def hierarchical_allreduce_bine(
@@ -294,68 +211,35 @@ def hierarchical_allreduce_bine(
     p = num_nodes * gpus_per_node
     require_divisible(n, gpus_per_node, "hierarchical bine allreduce")
     slice_n = n // gpus_per_node
-
-    def gslice(g: int) -> tuple[int, int]:
-        return (g * slice_n, (g + 1) * slice_n)
-
     meta = {
         "collective": "allreduce", "algorithm": "hierarchical-bine",
         "p": p, "n": n, "op": op,
         "num_nodes": num_nodes, "gpus_per_node": gpus_per_node,
         "hierarchical": True,
     }
-    sched = Schedule(p, meta=meta)
 
-    # Phase 1 — intra-node reduce-scatter: every GPU pushes each peer's slice
-    # to that peer in one fully-connected round (all-port concurrent).
-    transfers = []
-    for node in range(num_nodes):
-        base = node * gpus_per_node
-        for g_src in range(gpus_per_node):
-            for g_dst in range(gpus_per_node):
-                if g_src == g_dst:
-                    continue
-                seg = (gslice(g_dst),)
-                transfers.append(
-                    Transfer(
-                        src=base + g_src, dst=base + g_dst,
-                        src_buf=VEC, dst_buf=VEC,
-                        src_segments=seg, dst_segments=seg, op=op,
-                        tag="intra rs",
-                    )
-                )
-    sched.add(Step(transfers=tuple(transfers), label="intra-node reduce-scatter"))
+    # every ordered GPU pair of every node, node-major then source GPU
+    gpus = np.arange(gpus_per_node)
+    node, g_src, g_dst = np.meshgrid(np.arange(num_nodes), gpus, gpus, indexing="ij")
+    peers = g_src != g_dst
+    base, g_src, g_dst = node[peers] * gpus_per_node, g_src[peers], g_dst[peers]
 
-    # Phase 2 — inter-node Bine allreduce per local GPU id on its slice.
-    inner = [
-        remap_schedule(
-            allreduce_reduce_scatter_allgather(
-                bine_butterfly_doubling(num_nodes), slice_n, op, Strategy.SEND
-            ),
-            rank_map=[node * gpus_per_node + g for node in range(num_nodes)],
-            elem_offset=g * slice_n,
-        )
-        for g in range(gpus_per_node)
-    ]
-    merged = _merge_parallel(p, {}, inner)
-    sched.steps.extend(merged.steps)
+    def intra(label: str, g: np.ndarray, op: str | None, tag: str) -> ArrayStep:
+        # one fully connected round (all-port concurrent): pair i moves slice g[i]
+        return ArrayStep(label, ArrayPhase(
+            base + g_src, base + g_dst, np.ones_like(g), g * slice_n,
+            (g + 1) * slice_n, op=op, tag=tag,
+        ))
 
-    # Phase 3 — intra-node allgather (reverse of phase 1, no reduction).
-    transfers = []
-    for node in range(num_nodes):
-        base = node * gpus_per_node
-        for g_src in range(gpus_per_node):
-            seg = (gslice(g_src),)
-            for g_dst in range(gpus_per_node):
-                if g_src == g_dst:
-                    continue
-                transfers.append(
-                    Transfer(
-                        src=base + g_src, dst=base + g_dst,
-                        src_buf=VEC, dst_buf=VEC,
-                        src_segments=seg, dst_segments=seg,
-                        tag="intra ag",
-                    )
-                )
-    sched.add(Step(transfers=tuple(transfers), label="intra-node allgather"))
-    return sched.finalize()
+    # Phase 2's inter-node Bine allreduce, run per local GPU id on its slice
+    inner = list(flow_steps(allreduce_rsag_flow(
+        bine_butterfly_doubling(num_nodes), slice_n, op, Strategy.SEND
+    )))
+    nodes = np.arange(num_nodes) * gpus_per_node
+    return schedule_from_arrays(p, meta, chain(
+        # Phase 1 — intra-node reduce-scatter: every GPU pushes each peer's slice
+        [intra("intra-node reduce-scatter", g_dst, op, "intra rs")],
+        overlay_steps((inner, nodes + g, g * slice_n) for g in range(gpus_per_node)),
+        # Phase 3 — intra-node allgather: every GPU pushes its own slice
+        [intra("intra-node allgather", g_src, None, "intra ag")],
+    ))

@@ -7,15 +7,17 @@ node counts (Fig. 9a/10a).  Linear (flat) gather/scatter/alltoall send every
 block directly and model the "linear algorithms often outperform logarithmic
 ones at small scale" effect (Sec. 5.3.2).
 
-A ring pass is described once, as per-step arrays (:func:`_ring_pass`):
-its executor schedule, its verifier plan (:func:`ring_plan`) and, at
-``n = p``, its sweep table (:func:`ring_table`, one row run ``p − 1``
-times) all read the same ``r → r + 1`` rank arrays.
+A ring pass is described once, as per-step arrays (:func:`ring_pass`):
+its executor schedule, its verifier plan (:func:`ring_plan`), the torus
+bucket algorithm's per-line rings and, at ``n = p``, its sweep table
+(:func:`ring_table`, one row run ``p − 1`` times) all read the same
+``r → r + 1`` rank arrays.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "ring_reduce_scatter",
     "ring_allgather",
     "ring_allreduce",
+    "ring_pass",
     "ring_plan",
     "ring_table",
     "linear_gather",
@@ -60,17 +63,23 @@ def _table_pass(p: int, has_op: bool) -> tuple:
     return (ranks, (ranks + 1) % p, 1, 1, has_op)
 
 
-def _ring_pass(p: int, n: int, shift: int, op: str | None, tag: str):
-    """The ``p − 1`` steps of one ring pass, as arrays: at step ``k`` rank
-    ``r`` forwards block ``(r − shift − k) mod p`` to ``r + 1``."""
+def ring_pass(p: int, n: int, shift: int, op: str | None, tag: str) -> Iterator[ArrayStep]:
+    """The ``p − 1`` steps of one ring pass over ``Partition(n, p)``, as
+    arrays: at step ``k`` rank ``r`` forwards block ``(r − shift − k) mod
+    p`` to ``r + 1``.  A negative ``n`` raises on the call; the steps
+    render lazily."""
+    Partition(n, p)
     src, dst, *_ = _table_pass(p, op is not None)
     edge = block_edges(n, p)
     ones = np.ones(p, dtype=np.intp)
-    for k in range(p - 1):
+
+    def step(k: int) -> ArrayStep:
         block = (src - shift - k) % p
-        yield ArrayStep(f"ring {tag} step {k}", ArrayPhase(
+        return ArrayStep(f"ring {tag} step {k}", ArrayPhase(
             src, dst, ones, edge[block], edge[block + 1], op=op, tag=f"ring-{tag}[{k}]",
         ))
+
+    return map(step, range(p - 1))
 
 
 #: collective → (its passes as (shift, reduces?, tag), extra meta)
@@ -87,12 +96,10 @@ def _ring(collective: str, p: int, n: int, op: str, render):
     passes, extra = _RINGS[collective]
     ops = {"op": op} if any(reduces for _, reduces, _ in passes) else {}
     meta = _meta(collective, p, n, **ops, **extra)
-    Partition(n, p)  # rejects a negative n
-    steps = chain.from_iterable(
-        _ring_pass(p, n, shift, op if reduces else None, tag)
+    return render(p, meta, chain.from_iterable([
+        ring_pass(p, n, shift, op if reduces else None, tag)
         for shift, reduces, tag in passes
-    )
-    return render(p, meta, steps)
+    ]))
 
 
 def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:

@@ -17,6 +17,12 @@ Implemented algorithms:
 * plain **binomial** trees (topology-agnostic, the paper's 40×-slower
   baseline) come straight from the generic registry.
 
+Multiport and bucket run their sub-collectives in lockstep as step
+arrays: each port's flow (:func:`~repro.collectives.butterfly_collectives.flow_steps`)
+or each line's ring (:func:`~repro.collectives.ring.ring_pass`) is one
+part of :func:`~repro.runtime.schedule.overlay_steps`, embedded on its
+ranks and vector slice, and the overlay builds one schedule.
+
 :func:`torus_algorithms` binds these builders to one sub-torus as
 :class:`~repro.collectives.registry.AlgorithmSpec` entries, the catalog
 ``torus_dims`` sweeps run.
@@ -24,24 +30,35 @@ Implemented algorithms:
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
+
+import numpy as np
 
 from repro.collectives.butterfly_collectives import (
     allgather_butterfly,
     allreduce_recursive,
     allreduce_reduce_scatter_allgather,
+    allreduce_rsag_flow,
+    flow_steps,
     reduce_scatter_butterfly,
 )
 from repro.collectives.common import Strategy, VEC
-from repro.collectives.composed import remap_schedule
 from repro.collectives.registry import AlgorithmSpec, spec_for
-from repro.collectives.ring import ring_allgather, ring_reduce_scatter
+from repro.collectives.ring import ring_pass
 from repro.collectives.tree_collectives import bcast_from_tree, reduce_from_tree
 from repro.core.multiport import multiport_plans
 from repro.core.torus_opt import TorusShape, torus_bine_butterfly, torus_bine_tree
 from repro.model.compiled import lower_schedule
 from repro.runtime.memo import label_table
-from repro.runtime.schedule import Schedule, Step, Transfer
+from repro.runtime.schedule import (
+    ArrayStep,
+    Schedule,
+    Step,
+    Transfer,
+    overlay_steps,
+    schedule_from_arrays,
+)
 
 __all__ = [
     "torus_bine_bcast",
@@ -120,37 +137,19 @@ def torus_bine_allreduce_multiport(
         raise ValueError(f"multiport allreduce requires {nports} | n")
     slice_n = n // nports
     p = shape.num_ranks
-    merged = Schedule(
-        p,
-        meta={
-            "collective": "allreduce",
-            "algorithm": "torus-bine-multiport",
-            "p": p,
-            "n": n,
-            "op": op,
-            "ports_used": nports,
-        },
-    )
-    subs = []
-    for plan in plans:
-        bf = _butterfly_for_plan(shape, plan)
-        sub = allreduce_reduce_scatter_allgather(bf, slice_n, op, Strategy.NATURAL)
-        subs.append(
-            remap_schedule(sub, rank_map=list(range(p)), elem_offset=plan.port * slice_n)
-        )
-    depth = max(s.num_steps for s in subs)
-    for i in range(depth):
-        transfers = []
-        pre = []
-        post = []
-        for s in subs:
-            if i < s.num_steps:
-                transfers.extend(s.steps[i].transfers)
-                pre.extend(s.steps[i].pre)
-                post.extend(s.steps[i].post)
-        merged.add(Step(transfers=tuple(transfers), pre=tuple(pre), post=tuple(post),
-                        label=f"multiport step {i}"))
-    return merged.finalize()
+    meta = {"collective": "allreduce", "algorithm": "torus-bine-multiport",
+            "p": p, "n": n, "op": op, "ports_used": nports}
+    ranks = np.arange(p)
+    parts = [
+        (list(flow_steps(allreduce_rsag_flow(
+            _butterfly_for_plan(shape, plan), slice_n, op, Strategy.NATURAL
+        ))), ranks, plan.port * slice_n)
+        for plan in plans
+    ]
+    return schedule_from_arrays(p, meta, (
+        st._replace(label=f"multiport step {i}")
+        for i, st in enumerate(overlay_steps(parts))
+    ))
 
 
 def _butterfly_for_plan(shape: TorusShape, plan):
@@ -183,17 +182,10 @@ def _butterfly_for_plan(shape: TorusShape, plan):
 # ---------------------------------------------------------------------------
 
 def _lines(shape: TorusShape, dim: int) -> list[list[int]]:
-    """All torus lines along ``dim`` (ranks varying only that coordinate)."""
-    lines = []
-    buckets: dict[tuple, list[int]] = {}
-    for r in range(shape.num_ranks):
-        coords = shape.coords(r)
-        key = tuple(c for k, c in enumerate(coords) if k != dim)
-        buckets.setdefault(key, []).append(r)
-    for key in sorted(buckets):
-        line = sorted(buckets[key], key=lambda r: shape.coords(r)[dim])
-        lines.append(line)
-    return lines
+    """All torus lines along ``dim`` (ranks varying only that coordinate),
+    in order of their other coordinates."""
+    ranks = np.arange(shape.num_ranks).reshape(shape.dims)
+    return np.moveaxis(ranks, dim, -1).reshape(-1, shape.dims[dim]).tolist()
 
 
 def _nested_bounds(shape: TorusShape, rank: int, n: int, upto_dim: int) -> tuple[int, int]:
@@ -208,73 +200,53 @@ def _nested_bounds(shape: TorusShape, rank: int, n: int, upto_dim: int) -> tuple
     return lo, hi
 
 
-def bucket_reduce_scatter(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
-    """Per-dimension ring reduce-scatter phases (bucket algorithm [32])."""
-    p = shape.num_ranks
-    if n % p:
-        raise ValueError("bucket requires p | n")
-    sched = Schedule(
-        p, meta={"collective": "reduce_scatter", "algorithm": "bucket",
-                 "p": p, "n": n, "op": op, "segmented": True},
-    )
-    for dim in range(shape.num_dims):
+def _bucket_phases(shape: TorusShape, n: int, dims, shift: int, op: str | None,
+                   tag: str) -> Iterator[ArrayStep]:
+    """One ring pass per torus line along each of ``dims`` in turn, the
+    lines of a dimension overlaid on their nested slices."""
+    for dim in dims:
         d = shape.dims[dim]
         if d == 1:
             continue
-        subs = []
+        parts = []
         for line in _lines(shape, dim):
             lo, hi = _nested_bounds(shape, line[0], n, dim)
-            subs.append(
-                remap_schedule(ring_reduce_scatter(d, hi - lo, op), line, lo)
-            )
-        _merge_into(sched, subs)
-    return sched.finalize()
+            parts.append((list(ring_pass(d, hi - lo, shift, op, tag)), line, lo))
+        yield from (st._replace(label="") for st in overlay_steps(parts))
+
+
+def _bucket(shape: TorusShape, n: int, collective: str, op: str, **extra) -> Schedule:
+    """The bucket schedule: ring reduce-scatter phases over the dimensions
+    in order, then ring allgather phases in reverse, as ``collective``
+    needs."""
+    p = shape.num_ranks
+    if n % p:
+        raise ValueError("bucket requires p | n")
+    dims = range(shape.num_dims)
+    phases = []
+    if collective != "allgather":
+        phases.append(_bucket_phases(shape, n, dims, 1, op, "rs"))
+    if collective != "reduce_scatter":
+        phases.append(_bucket_phases(shape, n, reversed(dims), 0, None, "ag"))
+    ops = {} if collective == "allgather" else {"op": op}
+    meta = {"collective": collective, "algorithm": "bucket",
+            "p": p, "n": n, **ops, "segmented": True, **extra}
+    return schedule_from_arrays(p, meta, chain.from_iterable(phases))
+
+
+def bucket_reduce_scatter(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
+    """Per-dimension ring reduce-scatter phases (bucket algorithm [32])."""
+    return _bucket(shape, n, "reduce_scatter", op)
 
 
 def bucket_allgather(shape: TorusShape, n: int) -> Schedule:
     """Per-dimension ring allgather phases (reverse dimension order)."""
-    p = shape.num_ranks
-    if n % p:
-        raise ValueError("bucket requires p | n")
-    sched = Schedule(
-        p, meta={"collective": "allgather", "algorithm": "bucket",
-                 "p": p, "n": n, "segmented": True},
-    )
-    for dim in reversed(range(shape.num_dims)):
-        d = shape.dims[dim]
-        if d == 1:
-            continue
-        subs = []
-        for line in _lines(shape, dim):
-            lo, hi = _nested_bounds(shape, line[0], n, dim)
-            subs.append(remap_schedule(ring_allgather(d, hi - lo), line, lo))
-        _merge_into(sched, subs)
-    return sched.finalize()
+    return _bucket(shape, n, "allgather", "sum")
 
 
 def bucket_allreduce(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
     """Bucket allreduce: RS phases forward, AG phases backward."""
-    rs = bucket_reduce_scatter(shape, n, op)
-    ag = bucket_allgather(shape, n)
-    sched = Schedule(
-        shape.num_ranks,
-        meta={"collective": "allreduce", "algorithm": "bucket",
-              "p": shape.num_ranks, "n": n, "op": op, "segmented": True,
-              "ports_used": 2},
-    )
-    sched.steps = list(rs.steps) + list(ag.steps)
-    return sched.finalize()
-
-
-def _merge_into(sched: Schedule, subs: list[Schedule]) -> None:
-    """Append parallel per-line schedules step-aligned into ``sched``."""
-    depth = max(s.num_steps for s in subs)
-    for i in range(depth):
-        transfers = []
-        for s in subs:
-            if i < s.num_steps:
-                transfers.extend(s.steps[i].transfers)
-        sched.add(Step(transfers=tuple(transfers)))
+    return _bucket(shape, n, "allreduce", op, ports_used=2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ segment-count and segment column per phase instead of one object per
 transfer.  :func:`schedule_from_arrays` turns such steps into a
 :class:`Schedule`; :func:`repro.runtime.compiled.plan_from_arrays` lowers
 the same steps straight to a compiled plan, with no objects in between.
+:func:`overlay_steps` runs several such step lists in lockstep, each on
+its own ranks and vector slice: the one way sub-collectives compose.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "Schedule",
     "ArrayPhase",
     "ArrayStep",
+    "overlay_steps",
     "schedule_from_arrays",
     "total_elems",
     "validation_enabled",
@@ -318,6 +321,66 @@ class ArrayStep(NamedTuple):
     transfers: ArrayPhase | None
     pre: tuple[ArrayPhase, ...] = ()
     post: tuple[ArrayPhase, ...] = ()
+
+
+def _embed(ph: ArrayPhase, ranks: np.ndarray, offset: int) -> ArrayPhase:
+    """``ph`` with local rank ``i`` acting as ``ranks[i]`` and every
+    segment shifted by ``offset`` elements."""
+    segs = ph.dst_segments
+    return ph._replace(
+        src=ranks[ph.src], dst=ranks[ph.dst], lo=ph.lo + offset, hi=ph.hi + offset,
+        dst_segments=None if segs is None else (segs[0], segs[1] + offset, segs[2] + offset),
+    )
+
+
+def _concat(phases: list[ArrayPhase], label: str) -> ArrayPhase:
+    """One transfer phase of ``phases``' items, in order."""
+    first = phases[0]
+
+    def kind(ph: ArrayPhase) -> tuple:
+        return ph.src_buf, ph.dst_buf, ph.op, ph.tag, ph.dst_segments is None
+
+    if any(kind(ph) != kind(first) for ph in phases[1:]):
+        raise ValueError(
+            f"step {label!r}: overlaid transfers disagree on buffers, op, tag "
+            "or destination segments"
+        )
+    segs = None if first.dst_segments is None else tuple(
+        np.concatenate(cols) for cols in zip(*(ph.dst_segments for ph in phases))
+    )
+    return first._replace(
+        **{k: np.concatenate([getattr(ph, k) for ph in phases])
+           for k in ("src", "dst", "counts", "lo", "hi")},
+        dst_segments=segs,
+    )
+
+
+def overlay_steps(parts: Iterable[tuple[Sequence[ArrayStep], Sequence[int], int]]
+                  ) -> Iterator[ArrayStep]:
+    """Steps running several step lists in lockstep, each embedded in a
+    larger job.
+
+    A part ``(steps, ranks, offset)`` runs ``steps`` on local ranks
+    ``0..len(ranks) − 1``, local rank ``i`` acting as ``ranks[i]``, with
+    every segment shifted by ``offset`` elements.  Step ``i`` of the
+    overlay is every part's step ``i`` in part order, labelled as the
+    first: their transfers concatenate into one phase (they must agree on
+    buffers, op, tag and whether they name destination segments, else
+    ``ValueError``), their local-copy batches stay separate phases.  A
+    part with fewer steps drops out.
+    """
+    parts = [(steps, np.asarray(ranks), offset) for steps, ranks, offset in parts]
+    for i in range(max((len(steps) for steps, _, _ in parts), default=0)):
+        here = [(steps[i], ranks, off) for steps, ranks, off in parts if i < len(steps)]
+        label = here[0][0].label
+        moves = [_embed(st.transfers, ranks, off)
+                 for st, ranks, off in here if st.transfers is not None]
+        yield ArrayStep(
+            label,
+            _concat(moves, label) if moves else None,
+            tuple(_embed(ph, ranks, off) for st, ranks, off in here for ph in st.pre),
+            tuple(_embed(ph, ranks, off) for st, ranks, off in here for ph in st.post),
+        )
 
 
 def _tuples(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple]:

@@ -21,7 +21,8 @@ from repro.report.diff import DEFAULT_TOLERANCE, diff_summary
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINES = REPO_ROOT / "campaigns" / "baselines"
 
-#: the paper-table campaigns gated in tier-1
+#: the paper-table campaigns gated in tier-1 (the torus baselines,
+#: ``appd_torus`` and ``fig11b_fugaku``, gate in a CI step instead)
 GATED = ("table3_lumi", "table4_leonardo", "table5_mn5")
 
 

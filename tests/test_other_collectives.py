@@ -1,5 +1,7 @@
 """Tests for ring, Bruck, alltoall, composed, and hierarchical collectives."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,16 +11,18 @@ from repro.collectives.alltoall import (
     alltoall_pairwise,
 )
 from repro.collectives.bruck_allgather import allgather_bruck, allgather_sparbit
-from repro.collectives.composed import hierarchical_allreduce_bine, remap_schedule
+from repro.collectives.composed import hierarchical_allreduce_bine
 from repro.collectives.registry import build
 from repro.collectives.ring import (
     linear_gather,
     linear_scatter,
     ring_allgather,
     ring_allreduce,
+    ring_pass,
     ring_reduce_scatter,
 )
 from repro.collectives.verify import run_and_check
+from repro.runtime.schedule import overlay_steps
 
 
 class TestRing:
@@ -140,10 +144,26 @@ class TestComposed:
         assert all(t.num_segments == 1 for _, t in sched.all_transfers())
 
 
+#: sha256 of ``repr(meta) + repr(steps)`` at n = 3 · nodes · gpus, pinned
+#: from the builder that merged remapped ``Schedule`` objects step by step
+HIERARCHICAL_PINNED = {
+    (2,2): "c60d9ab497b731467f51fb98a4f467ceabad399f57e63584e1a46e1d39f6f661",
+    (4,4): "670192ba86e5754be0a7c7a2acd62d5c5e80b4f5abc50e31d7e68400929e0a83",
+    (8,2): "6306ef69e6f4a41647e8188349e1d36fa46390fa707eef93eba962860038411e",
+    (2,8): "4dfe09cd37008de48471a6bb3a4da85be8f60c68f86e9dfe07caa3c0613582c2",
+}
+
+
 class TestHierarchical:
     @pytest.mark.parametrize("nodes,gpus", [(2, 2), (4, 4), (8, 2), (2, 8)])
     def test_correct(self, nodes, gpus):
         run_and_check(hierarchical_allreduce_bine(nodes, gpus, 2 * nodes * gpus))
+
+    @pytest.mark.parametrize("nodes,gpus", list(HIERARCHICAL_PINNED))
+    def test_pinned(self, nodes, gpus):
+        sched = hierarchical_allreduce_bine(nodes, gpus, 3 * nodes * gpus)
+        digest = hashlib.sha256((repr(sched.meta) + repr(sched.steps)).encode())
+        assert digest.hexdigest() == HIERARCHICAL_PINNED[nodes, gpus]
 
     def test_meta(self):
         sched = hierarchical_allreduce_bine(4, 4, 32)
@@ -158,10 +178,22 @@ class TestHierarchical:
                 assert t.src // 4 == t.dst // 4  # same node
 
 
-class TestRemap:
-    def test_remap_shifts(self):
-        sched = ring_allreduce(4, 8)
-        out = remap_schedule(sched, [10, 11, 12, 13], 100)
-        _, t = next(iter(out.all_transfers()))
-        assert t.src >= 10 and t.dst >= 10
-        assert all(lo >= 100 for lo, _ in t.src_segments)
+def test_overlay_embeds_parts_in_lockstep():
+    # part 0: a 3-rank ring on ranks 10, 11, 12 of slice [100, 106);
+    # part 1: a 2-rank ring (one step) on ranks 20, 21 of slice [0, 4)
+    parts = [(list(ring_pass(3, 6, 0, None, "ag")), [10, 11, 12], 100),
+             (list(ring_pass(2, 4, 0, None, "ag")), [20, 21], 0)]
+    first, second = overlay_steps(parts)
+    assert first.label == "ring ag step 0"
+    ph = first.transfers
+    assert ph.src.tolist() == [10, 11, 12, 20, 21]
+    assert ph.dst.tolist() == [11, 12, 10, 21, 20]
+    assert list(zip(ph.lo.tolist(), ph.hi.tolist())) == [
+        (100, 102), (102, 104), (104, 106), (0, 2), (2, 4)]
+    # the shorter part has dropped out
+    assert second.transfers.src.tolist() == [10, 11, 12]
+    assert second.transfers.lo.tolist() == [104, 100, 102]
+    # parts whose transfer phases differ in tag cannot share a phase
+    parts[1] = (list(ring_pass(2, 4, 0, None, "other")), [20, 21], 0)
+    with pytest.raises(ValueError, match="step 'ring ag step 0'"):
+        list(overlay_steps(parts))

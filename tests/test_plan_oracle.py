@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.verifygrid import verify_cell
-from repro.collectives import butterfly_collectives
 from repro.collectives.butterfly_collectives import (
     Flow,
     FlowStep,
     allgather_flow,
+    flow_steps,
     reduce_scatter_flow,
     render_compiled_plan,
     render_schedule,
@@ -165,18 +165,12 @@ def test_structural_errors_equal_built_path(flow):
 
 
 @pytest.mark.parametrize("p, n", [(8, 8), (8, 37), (16, 13)])
-def test_array_steps_build_the_flow_schedule(p, n, monkeypatch):
+def test_array_steps_build_the_flow_schedule(p, n):
     # a flow's plan steps, built as objects, are render_schedule's schedule
-    captured = []
-    monkeypatch.setattr(
-        butterfly_collectives, "plan_from_arrays",
-        lambda p, meta, steps, buffers: captured.append(list(steps)),
-    )
     for flow in (reduce_scatter_flow(bine_butterfly_halving(p), n),
                  allgather_flow(bine_butterfly_doubling(p), p * (n // p),
                                 Strategy.PERMUTE)):
-        render_compiled_plan(flow)
-        built = schedule_from_arrays(p, flow.meta, captured.pop())
+        built = schedule_from_arrays(p, flow.meta, flow_steps(flow))
         assert built.steps == render_schedule(flow).steps
 
 

@@ -1,5 +1,7 @@
 """Tests for torus-optimised collectives (Sec. 5.4, Appendix D)."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis.sweep import ProfileCache, sweep_system
@@ -122,6 +124,43 @@ class TestTorusCollectivesCorrect:
         sh = TorusShape(dims)
         run_and_check(trinaryx_bcast(sh, 12))
         run_and_check(trinaryx_reduce(sh, 12))
+
+
+#: sha256 of ``repr(meta) + repr(steps)``: multiport at n = 2·D·(p + 1)
+#: (a slice size no block count divides), bucket at n = 3·p; pinned from
+#: the builders that merged remapped ``Schedule`` objects step by step
+PINNED = {
+    ("multiport", (2, 4)): "771f74800f048085b02e86faf4202cd5d401abf21bbd57b76020eecf259681a2",
+    ("bucket_rs", (2, 4)): "ff161e7531a02902c0125c3a8eb88d535a4d411cc6c7094b87691b0044f367c5",
+    ("bucket_ag", (2, 4)): "1457ef5346ffd6efbdf9a4f0ee4bf6b50ec8bf521340bd1fc415dcc405cd2c08",
+    ("bucket_ar", (2, 4)): "944e8c1a2dd466b8ca84eba6ac1ada5c687e20ed37715fbcb734a829ad8a074e",
+    ("multiport", (2, 2, 2)): "e90cc8cc0bb668b032b76ab8644a792dafc5230fef635f5af2d60975aeca4cff",
+    ("bucket_rs", (2, 2, 2)): "6132012bf22e211a29094afa14a03496bff3efc42fc11066fb5984e4cdd61b19",
+    ("bucket_ag", (2, 2, 2)): "73537c76fa9e0783b76100c269275362644b3658d0a3b804338be9d58eb8cad0",
+    ("bucket_ar", (2, 2, 2)): "a76b3af6e91f56120e79d68d859fee17816cdea66db86f80e0bab0cec451d18d",
+    ("multiport", (4, 4)): "8a4d95c549a251cf7f47f7ae824007ffccfe9a367328fd6a5c3c7a5a29133e9e",
+    ("bucket_rs", (4, 4)): "d19f775cd5a4e8467c06f740b5e8618096098ad8c622fa448c6ecb18430cf535",
+    ("bucket_ag", (4, 4)): "43d55750822807bc8b2d12ef14b56a4947b40e22ee3fbbb5b0786e6f2c7dc7a3",
+    ("bucket_ar", (4, 4)): "95ed5082e0a772345bd1660b40ef6a2c83040561aa815794260ea59d27ae54c6",
+    ("multiport", (4, 4, 4)): "72401d67d39f69b8cb9c84521702977567fa1fc9f04ce30f2be1bfe0748e4d5c",
+    ("bucket_rs", (4, 4, 4)): "92a87303e8ec2f6c6df9781b305174ffe837addebd1d090463cf9e394ff026f0",
+    ("bucket_ag", (4, 4, 4)): "a58ea1e028911b5a5748baa549238f909b641ea731ef03bb3752afb3785f7515",
+    ("bucket_ar", (4, 4, 4)): "ebe93d73cb4ec03589632971729ca5dc6a693c4130628f2628130d1442645e63",
+}
+
+
+@pytest.mark.parametrize("name, dims", list(PINNED), ids=str)
+def test_overlaid_schedules_are_pinned(name, dims):
+    sh = TorusShape(dims)
+    p = sh.num_ranks
+    sched = {
+        "multiport": lambda: torus_bine_allreduce_multiport(sh, 2 * sh.num_dims * (p + 1)),
+        "bucket_rs": lambda: bucket_reduce_scatter(sh, 3 * p),
+        "bucket_ag": lambda: bucket_allgather(sh, 3 * p),
+        "bucket_ar": lambda: bucket_allreduce(sh, 3 * p),
+    }[name]()
+    digest = hashlib.sha256((repr(sched.meta) + repr(sched.steps)).encode()).hexdigest()
+    assert digest == PINNED[name, dims]
 
 
 class TestMultiportPlans:
