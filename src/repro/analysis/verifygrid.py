@@ -12,11 +12,11 @@ algorithm at p=17).
 Engines:
 
 * ``compiled`` (default) — one plan per cell via
-  :func:`~repro.collectives.verify.compiled_plan_for` (memoized, so repeat
-  grids skip rendering, building and compiling), every seed executed in
-  one batched columnar pass.  The butterfly flows, rings, Bruck and
-  Sparbit render their plan from step arrays and never build a schedule;
-  the other entries build and compile;
+  :func:`~repro.collectives.verify.compiled_plan_for` (made for the cell
+  and dropped after it: a grid holds one plan at a time), every seed
+  executed in one batched columnar pass.  The butterfly flows, rings,
+  Bruck and Sparbit render their plan from step arrays and never build a
+  schedule; the other entries build and compile;
 * ``reference`` — build the schedule and run the interpreted executor, one
   seed at a time;
 * ``both`` — run both and additionally assert their final buffer matrices

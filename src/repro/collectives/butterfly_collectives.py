@@ -79,10 +79,11 @@ from repro.runtime.errors import ScheduleError
 from repro.runtime.schedule import (
     ArrayPhase,
     ArrayStep,
-    LocalCopy,
+    EveryRank,
     Schedule,
     Step,
     Transfer,
+    local_copies,
 )
 
 __all__ = [
@@ -503,33 +504,25 @@ def _wire_segments(n: int, p: int, strategy: Strategy, bounds) -> list[tuple]:
     return [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
 
 
-def _local_copies(local: _Local | None, p: int, n: int) -> tuple[LocalCopy, ...]:
-    """``local`` on every rank, natural ↔ π layout (the Fig. 8 permutation).
-
-    Whole-vector copies share one pair of segment tuples across all ranks.
-    """
+def _local_arrays(local: _Local | None, p: int, n: int) -> tuple:
+    """``local`` on every rank, natural ↔ π layout (the Fig. 8
+    permutation), as one batch of arrays; a whole-vector copy is one copy
+    run on every rank (:class:`EveryRank`), whose segment tuples every
+    rank shares when built (:func:`~repro.runtime.schedule.local_copies`)."""
     if local is None:
         return ()
-    bs, pi = n // p, global_pi(p)
-
-    def block(b: int):
-        return (b * bs, (b + 1) * bs)
-
+    bs, ranks, pi = n // p, np.arange(p), _pi_array(p)
     if local.whole:
-        whole = (tuple(map(block, range(p))), tuple(block(pi[b]) for b in range(p)))
-        pairs = [whole] * p
+        items, counts = np.zeros(1, dtype=np.intp), np.array([p])
     else:
-        pairs = [((block(r),), (block(pi[r]),)) for r in range(p)]
-    src_buf, dst_buf = (VEC, TMP) if local.to_pi else (TMP, VEC)
-    return tuple(
-        LocalCopy(
-            rank=r, src_buf=src_buf, dst_buf=dst_buf,
-            src_segments=nat if local.to_pi else perm,
-            dst_segments=perm if local.to_pi else nat,
-            tag=local.tag,
-        )
-        for r, (nat, perm) in enumerate(pairs)
+        items, counts = ranks, np.ones(p, dtype=np.intp)
+    nat, perm = ranks * bs, pi * bs
+    src, dst = (nat, perm) if local.to_pi else (perm, nat)
+    phase = ArrayPhase(
+        items, items, counts, src, src + bs, (counts, dst, dst + bs),
+        VEC if local.to_pi else TMP, TMP if local.to_pi else VEC, tag=local.tag,
     )
+    return (EveryRank(phase) if local.whole else phase,)
 
 
 def render_schedule(flow: Flow) -> Schedule:
@@ -570,32 +563,14 @@ def render_schedule(flow: Flow) -> Schedule:
         )
         sched.add(Step(
             transfers=transfers,
-            pre=_local_copies(st.pre, p, n),
-            post=_local_copies(st.post, p, n),
+            pre=local_copies(_local_arrays(st.pre, p, n), p),
+            post=local_copies(_local_arrays(st.post, p, n), p),
             label=st.label,
         ))
     return sched.finalize()
 
 
 # -- rendering: CompiledPlan -------------------------------------------------
-
-
-def _local_arrays(local: _Local | None, p: int, n: int) -> tuple[ArrayPhase, ...]:
-    """:func:`_local_copies` as one batch of arrays."""
-    if local is None:
-        return ()
-    bs, ranks, pi = n // p, np.arange(p), _pi_array(p)
-    if local.whole:
-        counts = np.full(p, p)
-        nat, perm = np.tile(ranks * bs, p), np.tile(pi * bs, p)
-    else:
-        counts = np.ones(p, dtype=np.intp)
-        nat, perm = ranks * bs, pi * bs
-    src, dst = (nat, perm) if local.to_pi else (perm, nat)
-    return (ArrayPhase(
-        ranks, ranks, counts, src, src + bs, (counts, dst, dst + bs),
-        VEC if local.to_pi else TMP, TMP if local.to_pi else VEC, tag=local.tag,
-    ),)
 
 
 def flow_steps(flow: Flow) -> Iterator[ArrayStep]:

@@ -7,17 +7,14 @@ node counts (Fig. 9a/10a).  Linear (flat) gather/scatter/alltoall send every
 block directly and model the "linear algorithms often outperform logarithmic
 ones at small scale" effect (Sec. 5.3.2).
 
-A ring pass is described once, as per-step arrays (:func:`ring_pass`):
-its executor schedule, its verifier plan (:func:`ring_plan`), the torus
-bucket algorithm's per-line rings and, at ``n = p``, its sweep table
-(:func:`ring_table`, one row run ``p − 1`` times) all read the same
-``r → r + 1`` rank arrays.
+A ring pass is described once, as a block rotation of one step's arrays
+(:func:`ring_pass`): its executor schedule, its verifier plan
+(:func:`ring_plan`, one phase per pass), the torus bucket algorithm's
+per-line rings and, at ``n = p``, its sweep table (:func:`ring_table`,
+one row run ``p − 1`` times) all read the same ``r → r + 1`` rank arrays.
 """
 
 from __future__ import annotations
-
-from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +24,7 @@ from repro.collectives.common import VEC
 from repro.runtime.compiled import plan_from_arrays
 from repro.runtime.schedule import (
     ArrayPhase,
-    ArrayStep,
+    BlockRotation,
     Schedule,
     Step,
     Transfer,
@@ -63,23 +60,18 @@ def _table_pass(p: int, has_op: bool) -> tuple:
     return (ranks, (ranks + 1) % p, 1, 1, has_op)
 
 
-def ring_pass(p: int, n: int, shift: int, op: str | None, tag: str) -> Iterator[ArrayStep]:
-    """The ``p − 1`` steps of one ring pass over ``Partition(n, p)``, as
-    arrays: at step ``k`` rank ``r`` forwards block ``(r − shift − k) mod
-    p`` to ``r + 1``.  A negative ``n`` raises on the call; the steps
-    render lazily."""
+def ring_pass(p: int, n: int, shift: int, op: str | None, tag: str) -> BlockRotation:
+    """The ``p − 1`` steps of one ring pass over ``Partition(n, p)``: at
+    step ``k`` rank ``r`` forwards block ``(r − shift − k) mod p`` to
+    ``r + 1``.  A negative ``n`` raises on the call; iterating renders
+    the steps as arrays."""
     Partition(n, p)
     src, dst, *_ = _table_pass(p, op is not None)
     edge = block_edges(n, p)
-    ones = np.ones(p, dtype=np.intp)
-
-    def step(k: int) -> ArrayStep:
-        block = (src - shift - k) % p
-        return ArrayStep(f"ring {tag} step {k}", ArrayPhase(
-            src, dst, ones, edge[block], edge[block + 1], op=op, tag=f"ring-{tag}[{k}]",
-        ))
-
-    return map(step, range(p - 1))
+    block = (src - shift) % p
+    first = ArrayPhase(src, dst, np.ones(p, dtype=np.intp), edge[block], edge[block + 1],
+                       op=op, tag=f"ring-{tag}[{{k}}]")
+    return BlockRotation(first, block, edge, p - 1, f"ring {tag} step {{k}}")
 
 
 #: collective → (its passes as (shift, reduces?, tag), extra meta)
@@ -96,10 +88,10 @@ def _ring(collective: str, p: int, n: int, op: str, render):
     passes, extra = _RINGS[collective]
     ops = {"op": op} if any(reduces for _, reduces, _ in passes) else {}
     meta = _meta(collective, p, n, **ops, **extra)
-    return render(p, meta, chain.from_iterable([
+    return render(p, meta, [
         ring_pass(p, n, shift, op if reduces else None, tag)
         for shift, reduces, tag in passes
-    ]))
+    ])
 
 
 def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:

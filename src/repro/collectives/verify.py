@@ -12,11 +12,11 @@ Two execution engines share the oracle:
   (:func:`repro.runtime.executor.execute`), one seed at a time;
 * :func:`run_and_check_compiled` — the columnar fast path
   (:mod:`repro.runtime.compiled`): compile the schedule once, execute *all*
-  seeds in one batched pass, check each layer.  Plans are memoized per
-  ``(collective, algorithm, p, n, root, op)`` cell
-  (:func:`compiled_plan_for`) so grid-scale verification amortizes
-  compilation across seeds and repeat runs; entries with a plan renderer
-  get theirs without a schedule ever being built.
+  seeds in one batched pass, check each layer.  :func:`compiled_plan_for`
+  makes one cell's plan, so grid-scale verification amortizes compilation
+  across seeds; entries with a plan renderer get theirs without a
+  schedule ever being built.  Plans are not memoized: a grid visits each
+  cell once, and holds one plan at a time.
 """
 
 from __future__ import annotations
@@ -288,11 +288,6 @@ def run_and_check_compiled(
     return matrices
 
 
-#: plan memo — keyed per grid cell; bounded FIFO so 1024-rank plans (block
-#: runs, but up to millions of them for a ring) cannot accumulate without limit
-_PLAN_CACHE = Memo("verify._PLAN_CACHE", maxsize=128, counter="plan")
-
-
 def compiled_plan_for(
     collective: str,
     algorithm: str,
@@ -301,21 +296,18 @@ def compiled_plan_for(
     root: int = 0,
     op: str = "sum",
 ) -> tuple[Schedule, CompiledPlan]:
-    """Cached ``(schedule stub, plan)`` for one registry cell.
+    """``(schedule stub, plan)`` for one registry cell, made on every call.
 
-    The schedule's *structure* depends on every key component (``n`` fixes
-    segment offsets), so the memo key is the full build signature — the
-    compiled analogue of the sweep layer's profile caches.  The returned
-    schedule is a **steps-free stub** carrying only ``p`` and ``meta``:
-    everything :func:`init_matrix` / :func:`check_matrix` /
+    The returned schedule is a **steps-free stub** carrying only ``p`` and
+    ``meta``: everything :func:`init_matrix` / :func:`check_matrix` /
     :func:`run_and_check_compiled` need.  Entries with a plan renderer
     (``spec.compiled``: the butterfly flows, rings, Bruck and Sparbit)
     render the plan straight from their step arrays and never build a
     schedule (millions of ``Transfer`` objects for a 1024-rank ring); the
     rest (trees, linear gather/scatter, composed bcast/reduce) build, are
-    compiled, and drop the step list right after.  Either way the plan is
-    the one ``compile_plan(build(...))`` gives.  Eviction is FIFO at 128
-    entries; :func:`repro.runtime.memo.clear_memo_caches` drops everything.
+    compiled, and drop the step list right after.  Either way the plan,
+    its compact phases written out (:meth:`CompiledPlan.expanded`), is the
+    one ``compile_plan(build(...))`` gives.
 
     Example::
 
@@ -326,21 +318,17 @@ def compiled_plan_for(
     from repro.collectives.registry import spec_for
 
     spec = spec_for(collective, algorithm)
-
-    def compile_cell() -> tuple[Schedule, CompiledPlan]:
-        if spec.compiled is not None:
-            with obs.span(
-                "lower.plan", collective=collective, algorithm=algorithm, p=p, n=n
-            ):
-                return spec.compiled(p, n, root, op)
-        with obs.span(
-            "schedule.build", collective=collective, algorithm=algorithm, p=p
-        ):
-            schedule = spec.build(p, n, root, op)
-        stub = Schedule(p=schedule.p, steps=[], meta=dict(schedule.meta))
+    if spec.compiled is not None:
         with obs.span(
             "lower.plan", collective=collective, algorithm=algorithm, p=p, n=n
         ):
-            return stub, compile_plan(schedule)
-
-    return _PLAN_CACHE.get_or((collective, algorithm, p, n, root, op), compile_cell)
+            return spec.compiled(p, n, root, op)
+    with obs.span(
+        "schedule.build", collective=collective, algorithm=algorithm, p=p
+    ):
+        schedule = spec.build(p, n, root, op)
+    stub = Schedule(p=schedule.p, steps=[], meta=dict(schedule.meta))
+    with obs.span(
+        "lower.plan", collective=collective, algorithm=algorithm, p=p, n=n
+    ):
+        return stub, compile_plan(schedule)

@@ -14,8 +14,10 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
   seed of a campaign.
   :func:`transfer_table_for` memoizes tables per catalog cell (a bounded
   FIFO :class:`repro.runtime.memo.Memo`, cleared by
-  :func:`repro.runtime.memo.clear_memo_caches`), the
-  profiling analogue of :func:`repro.collectives.verify.compiled_plan_for`.
+  :func:`repro.runtime.memo.clear_memo_caches`): a sweep profiles one
+  table under many systems and placements, while a verify grid runs each
+  compiled plan once and does not memoize it
+  (:func:`repro.collectives.verify.compiled_plan_for`).
 
 * :class:`CompiledRouteTable` — one CSR route matrix per topology, grown
   in place (one append per row batch that sees new node pairs): per pair,
@@ -24,7 +26,7 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
   :meth:`~repro.topology.base.Topology.route_arrays` call: Dragonfly and
   Dragonfly+ route in NumPy, while wrapped or degraded topologies
   (multi-rank nodes, :mod:`repro.faults`) go through their ``route()``
-  loop.  Link codes are interned with ``np.unique`` / ``searchsorted``.
+  loop.  Link codes are interned with ``sorted_unique`` / ``searchsorted``.
   :meth:`CompiledRouteTable.profile_rows` collapses a batch of table rows
   into one :class:`~repro.model.simulator.StepProfile` each with gathers,
   per-row ``np.bincount`` and one ``np.add.at`` — zero per-transfer
@@ -61,6 +63,7 @@ from repro.model.simulator import (
     ScheduleProfile,
     StepProfile,
 )
+from repro.runtime.compiled import sorted_unique
 from repro.runtime.memo import Memo
 from repro.runtime.schedule import Schedule, schedule_validation
 from repro.topology.base import LinkClass, Topology
@@ -315,7 +318,7 @@ class CompiledRouteTable:
         pos = np.searchsorted(self._arrays.keys, keys)
         unseen = self._arrays.keys[pos] != keys
         if unseen.any():
-            self._append(np.unique(keys[unseen]))
+            self._append(sorted_unique(keys[unseen]))
             pos = np.searchsorted(self._arrays.keys, keys)
         return self._arrays.key_pid[pos]
 
@@ -325,7 +328,7 @@ class CompiledRouteTable:
         routes = self.topo.route_arrays(new_keys // n, new_keys % n)
         old = self._arrays
         # intern the link codes this batch sees first
-        codes = np.unique(routes.code)
+        codes = sorted_unique(routes.code)
         codes = codes[old.codes[np.searchsorted(old.codes, codes)] != codes]
         at = np.searchsorted(old.codes, codes)
         all_codes = np.insert(old.codes, at, codes)
@@ -408,7 +411,7 @@ class CompiledRouteTable:
         # unique (row, hop-signature, segment-count) latency signatures
         n_sig = max(len(self.sig_tuples), 1)
         seg_base = int(nsegs.max()) + 1 if src.size else 1
-        codes = np.unique((row * n_sig + csr.sig[pids]) * seg_base + nsegs)
+        codes = sorted_unique((row * n_sig + csr.sig[pids]) * seg_base + nsegs)
         sig_row, code = np.divmod(codes, n_sig * seg_base)
         signatures: list[list] = [[] for _ in range(rows)]
         for r, sig, segs in zip(

@@ -55,16 +55,30 @@ The payoff is batching: :meth:`CompiledPlan.execute_batch` runs a stack of
 ``(seeds, p, total_elems)`` matrices through the same runs in one pass, so
 verifying many seeds costs one compile plus a few vectorized ops per step
 (see :func:`repro.collectives.verify.run_and_check_compiled` and the
-``repro verify`` CLI).  Plans are memoized per grid cell by
-:func:`repro.collectives.verify.compiled_plan_for`.
+``repro verify`` CLI, which makes one plan per grid cell and keeps none).
+
+Plans rendered from arrays have two compact phase forms, so a ring or a
+π-permuted cell stores O(p) or O(n) entries rather than O(p²) runs:
+
+* a :class:`~repro.runtime.schedule.BlockRotation` (a ring pass) lowers
+  its step 0 and is stored once, as a phase replayed once per step with
+  every item's block rotated (the sweep table's ``step_reps``, with the
+  rotation the table does not need); its writes never overlap, so one
+  write group serves every step;
+* an :class:`~repro.runtime.schedule.EveryRank` copy lowers on rank 0 and
+  is stored as that rank's source and destination columns, gathered and
+  scattered on every rank at once through a ``(batch, p, total)`` view.
+
+:meth:`CompiledPlan.expanded` writes both out as the run phases compiling
+the built schedule gives; :func:`compile_plan` itself emits run phases only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter, is_
-from typing import Iterable, Mapping, NamedTuple
+from typing import ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -75,6 +89,8 @@ from repro.runtime.reduce_ops import named_op
 from repro.runtime.schedule import (
     ArrayPhase,
     ArrayStep,
+    BlockRotation,
+    EveryRank,
     LocalCopy,
     Schedule,
     validation_enabled,
@@ -86,6 +102,7 @@ __all__ = [
     "compile_plan",
     "plan_from_arrays",
     "buffers_used",
+    "sorted_unique",
     "matrix_from_buffers",
     "matrix_to_buffers",
 ]
@@ -208,6 +225,16 @@ def matrix_to_buffers(
 # -- plan structure ----------------------------------------------------------
 
 
+def _positions(starts: np.ndarray, width: int, lens: np.ndarray | None) -> np.ndarray:
+    """Per-element positions of the runs beginning at ``starts``: each
+    ``width`` long, or ``lens[j]`` long when ``width`` is 0."""
+    if width == 1:
+        return starts
+    if width:
+        return (starts[:, None] + np.arange(width, dtype=np.intp)).ravel()
+    return _expand(starts, lens)
+
+
 @dataclass(frozen=True)
 class _Write:
     """One write group: a contiguous slice of a phase's staged elements."""
@@ -226,25 +253,81 @@ class _Phase:
     back, and each write group is a slice of them.
     """
 
+    per_rank: ClassVar[bool] = False  # positions index the flat matrix
     src: np.ndarray  # flat source start of each run
     dst: np.ndarray  # flat destination start of each run
     width: int  # the common run length, or 0 when lengths differ
     lens: np.ndarray | None  # run lengths (all > 0) when they differ
     writes: tuple[_Write, ...]
 
-    def positions(self, starts: np.ndarray) -> np.ndarray:
-        """Per-element flat positions of the runs beginning at ``starts``."""
-        if self.width == 1:
-            return starts
-        if self.width:
-            return (starts[:, None] + np.arange(self.width, dtype=np.intp)).ravel()
-        return _expand(starts, self.lens)
+    def runs(self) -> Iterator[tuple]:
+        """Per step, the runs of its gather and scatter: source and
+        destination starts, then the common width or the lengths."""
+        yield self.src, self.dst, self.width, self.lens
+
+
+@dataclass(frozen=True)
+class _Permute:
+    """An :class:`~repro.runtime.schedule.EveryRank` copy: every rank
+    moves column ``src[j]`` to column ``dst[j]``, through a ``(batch, p,
+    total)`` view of the matrix, so the plan stores one rank's columns."""
+
+    per_rank: ClassVar[bool] = True  # positions index a rank's columns
+    copy: ArrayPhase  # the one-item copy, to write the phase out as runs
+    src: np.ndarray
+    dst: np.ndarray
+    writes: tuple[_Write, ...]
+
+    def runs(self) -> Iterator[tuple]:
+        yield self.src, self.dst, 1, None
+
+    def expand(self, layout: BufferLayout, p: int) -> _Phase:
+        """The run phase lowering the copy once per rank gives."""
+        c, ranks = self.copy, np.arange(p, dtype=np.intp)
+        counts, lo, hi = (np.tile(col, p) for col in (c.counts, c.lo, c.hi))
+        segs = c.dst_segments and tuple(np.tile(col, p) for col in c.dst_segments)
+        every = c._replace(src=ranks, dst=ranks, counts=counts, lo=lo, hi=hi,
+                           dst_segments=segs)
+        return _lower_columns(layout, p, [("", True, every)], _array_columns)[0][0]
+
+
+@dataclass(frozen=True)
+class _Rotation:
+    """A :class:`~repro.runtime.schedule.BlockRotation`: one transfer
+    phase replayed as ``rotation.reps`` steps, step ``k`` moving each
+    item's block ``(block − k) mod B`` from row start ``src`` to row start
+    ``dst``.  Destinations are pairwise distinct, so one write group
+    covers every step."""
+
+    per_rank: ClassVar[bool] = False
+    rotation: BlockRotation
+    src: np.ndarray  # flat start of each item's source buffer row
+    dst: np.ndarray  # flat start of each item's destination buffer row
+    writes: tuple[_Write]
+
+    def runs(self) -> Iterator[tuple]:
+        rot = self.rotation
+        lens = np.diff(rot.edges)
+        width = int(lens[0]) if (lens == lens[0]).all() else 0
+        for k in range(rot.reps):
+            block = (rot.block - k) % lens.size
+            lo = rot.edges[block]
+            yield self.src + lo, self.dst + lo, width, lens[block]
+
+    def expand(self, layout: BufferLayout, p: int) -> list:
+        """Per step, the run phase (``None``: moves nothing) and element
+        count that lowering the step gives."""
+        return _lower_columns(layout, p, [("", False, st.transfers) for st in self.rotation],
+                              _array_columns)
 
 
 @dataclass(frozen=True)
 class _StepPlan:
-    phases: tuple[_Phase, ...]
-    comm_elems: int
+    """One step, or the steps of one rotation: its phases and the elements
+    each step moves between ranks."""
+
+    phases: tuple[_Phase | _Permute | _Rotation, ...]
+    comm: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -259,30 +342,30 @@ class CompiledPlan:
 
     @property
     def num_steps(self) -> int:
-        return len(self.steps)
+        return sum(len(step.comm) for step in self.steps)
 
     def new_matrix(self, dtype=np.int64) -> np.ndarray:
         """A zeroed buffer matrix of the right shape for this plan."""
         return np.zeros((self.p, self.layout.total), dtype=dtype)
 
     def _trace(self) -> ExecutionTrace:
-        per_step = [s.comm_elems for s in self.steps]
+        per_step = list(chain.from_iterable(step.comm for step in self.steps))
         return ExecutionTrace(
-            steps_run=len(self.steps),
+            steps_run=len(per_step),
             transfers_run=self.transfers_run,
             elems_moved=sum(per_step),
             local_elems_moved=self.local_elems,
             per_step_elems=per_step,
         )
 
-    def _flat_view(self, matrix: np.ndarray, shape: tuple) -> np.ndarray:
+    @staticmethod
+    def _check(matrix: np.ndarray, shape: tuple) -> None:
         if matrix.shape != shape:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match plan {shape}"
             )
         if not matrix.flags.c_contiguous:
             raise ValueError("compiled execution needs a C-contiguous matrix")
-        return matrix.reshape(matrix.shape[:-2] + (-1,))
 
     def execute(self, matrix: np.ndarray) -> ExecutionTrace:
         """Run the plan on one ``(p, total)`` matrix, mutating it in place.
@@ -290,21 +373,8 @@ class CompiledPlan:
         Returns the same :class:`ExecutionTrace` the reference executor
         would produce for this schedule.
         """
-        flat = self._flat_view(matrix, (self.p, self.layout.total))
-        take = np.take
-        for step in self.steps:
-            for phase in step.phases:
-                staged = take(flat, phase.positions(phase.src))
-                idx = phase.positions(phase.dst)
-                for w in phase.writes:
-                    chunk, dst = staged[w.sel], idx[w.sel]
-                    if w.ufunc is None:
-                        flat[dst] = chunk
-                    elif w.disjoint:
-                        flat[dst] = w.ufunc(take(flat, dst), chunk)
-                    else:
-                        w.ufunc.at(flat, dst, chunk)
-        return self._trace()
+        self._check(matrix, (self.p, self.layout.total))
+        return self._run(matrix[None])
 
     def execute_batch(self, matrices: np.ndarray) -> ExecutionTrace:
         """Run the plan on a ``(batch, p, total)`` stack in one pass.
@@ -316,24 +386,45 @@ class CompiledPlan:
         """
         if matrices.ndim != 3:
             raise ValueError(f"expected a 3-D batch, got shape {matrices.shape}")
-        flat = self._flat_view(
-            matrices, (matrices.shape[0],) + (self.p, self.layout.total)
-        )
-        batch = np.arange(matrices.shape[0], dtype=np.intp)[:, None]
+        self._check(matrices, (matrices.shape[0], self.p, self.layout.total))
+        return self._run(matrices)
+
+    def _run(self, rows: np.ndarray) -> ExecutionTrace:
+        flat = rows.reshape(rows.shape[0], -1)
         take = np.take
         for step in self.steps:
             for phase in step.phases:
-                staged = take(flat, phase.positions(phase.src), axis=1)
-                idx = phase.positions(phase.dst)
-                for w in phase.writes:
-                    chunk, dst = staged[:, w.sel], idx[w.sel]
-                    if w.ufunc is None:
-                        flat[:, dst] = chunk
-                    elif w.disjoint:
-                        flat[:, dst] = w.ufunc(take(flat, dst, axis=1), chunk)
-                    else:
-                        w.ufunc.at(flat, (batch, dst[None, :]), chunk)
+                view = rows if phase.per_rank else flat
+                for src, dst, width, lens in phase.runs():
+                    staged = take(view, _positions(src, width, lens), axis=-1)
+                    dst = _positions(dst, width, lens)
+                    for w in phase.writes:
+                        chunk, idx = staged[..., w.sel], dst[w.sel]
+                        if w.ufunc is None:
+                            view[..., idx] = chunk
+                        elif w.disjoint:
+                            view[..., idx] = w.ufunc(take(view, idx, axis=-1), chunk)
+                        else:
+                            w.ufunc.at(view, (..., idx), chunk)
         return self._trace()
+
+    def expanded(self) -> "CompiledPlan":
+        """This plan with its compact phases written out as run phases:
+        what :func:`compile_plan` gives for the same steps built as a
+        schedule, phase for phase."""
+        steps = []
+        for step in self.steps:
+            if step.phases and isinstance(step.phases[0], _Rotation):
+                steps += [
+                    _StepPlan(() if phase is None else (phase,), (moved,))
+                    for phase, moved in step.phases[0].expand(self.layout, self.p)
+                ]
+                continue
+            steps.append(replace(step, phases=tuple(
+                phase.expand(self.layout, self.p) if isinstance(phase, _Permute)
+                else phase for phase in step.phases
+            )))
+        return replace(self, steps=tuple(steps))
 
 
 # -- compilation -------------------------------------------------------------
@@ -347,6 +438,17 @@ def _ufunc_for(op_name: str) -> np.ufunc:
             "executor needs np.ufunc ops (use the reference executor)"
         )
     return fn
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``: the sorted distinct values.  Called with no
+    index outputs, ``np.unique`` imports ``numpy.ma`` (NumPy 2.4), which
+    nothing else here loads, and takes a hash path that is slower than
+    this sort on many distinct integers."""
+    out = np.sort(values, axis=None)
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def _expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -691,7 +793,7 @@ def _runs(src_runs: tuple, dst_runs: tuple, bounds: np.ndarray):
     else:
         # cut at the union of source, destination and group boundaries
         s_off, d_off = np.cumsum(s_len) - s_len, np.cumsum(d_len) - d_len
-        cuts = np.unique(np.concatenate((s_off, d_off, bounds[:-1])))
+        cuts = sorted_unique(np.concatenate((s_off, d_off, bounds[:-1])))
         cuts = cuts[cuts < total]
         lens = np.diff(np.append(cuts, total))
         i = np.searchsorted(s_off, cuts, "right") - 1
@@ -732,36 +834,71 @@ def _where(i: int, label: str) -> str:
     return f"step {i}" + (f" [{label}]" if label else "")
 
 
+def _permute(every: EveryRank, part: tuple, p: int) -> tuple:
+    """``part``, the lowering of ``every``'s copy on rank 0, as the phase
+    running it on every rank and the elements that moves."""
+    phase, moved = part
+    if phase is None:
+        return None, 0
+    # rank 0's flat positions are its columns
+    src, dst = (_positions(starts, phase.width, phase.lens) for starts in (phase.src, phase.dst))
+    return _Permute(every.copy, src, dst, phase.writes), moved * p
+
+
+def _rotation_step(rot: BlockRotation, layout: BufferLayout) -> _StepPlan:
+    """The steps of ``rot``, whose step 0 lowered cleanly, as one phase."""
+    ph, lens = rot.phase, np.diff(rot.edges)
+
+    def row_start(ranks: np.ndarray, buf: str) -> np.ndarray:
+        return ranks * layout.total + layout.offsets[buf]
+
+    ufunc = None if ph.op is None else _ufunc_for(ph.op)
+    comm = tuple(int(lens[(rot.block - k) % lens.size].sum()) for k in range(rot.reps))
+    rotation = _Rotation(rot, row_start(ph.src, ph.src_buf), row_start(ph.dst, ph.dst_buf),
+                         (_Write(slice(None), ufunc, True),))
+    return _StepPlan((rotation,), comm)
+
+
 def _plan_steps(p: int, layout: BufferLayout, steps, columns, cap: int) -> CompiledPlan:
     """Lower ``steps`` into a plan, whole steps per batch.
 
     ``steps`` yields, per step, its phases ``(where, local, payload)`` as
-    ``pre``, transfer and ``post`` lists, then its size and transfer
-    count; a batch closes once its sizes reach ``cap``.
+    ``pre``, transfer and ``post`` lists, its size and transfer count, and
+    the :class:`BlockRotation` it stands for step 0 of (``None``: a plain
+    step); a batch closes once its sizes reach ``cap``.
     ``columns(layout, phases)`` is the front end reading a batch's
-    payloads.  A failed batch raises only once ``steps`` is exhausted, so
+    payloads; an :class:`EveryRank` payload lowers as its copy on rank 0.
+    A failed batch raises only once ``steps`` is exhausted, so
     an error the step source raises while rendering a later step comes
     first, as it would while building a schedule.
     """
     pending: list = []  # phases not yet lowered
     pending_size = transfers_run = 0
     lowered: list = []
-    shape: list[tuple[int, bool, int]] = []  # per step: pre, transfers?, post
+    shape: list[tuple] = []  # per step: pre, transfers?, post, rotation
     failure: Exception | None = None
 
     def lower() -> None:
         nonlocal failure
         if failure is None:
             try:
-                lowered.extend(_lower_columns(layout, p, pending, columns))
+                parts = _lower_columns(layout, p, [
+                    (where, local, ph.copy if isinstance(ph, EveryRank) else ph)
+                    for where, local, ph in pending
+                ], columns)
             except Exception as exc:  # re-raised once the steps are drained
                 failure = exc
+                return
+            lowered.extend(
+                _permute(ph, part, p) if isinstance(ph, EveryRank) else part
+                for (_, _, ph), part in zip(pending, parts)
+            )
 
-    for pre, xfer, post, size, transfers in steps:
+    for pre, xfer, post, size, transfers, rotation in steps:
         pending += pre + xfer + post
         pending_size += size
         transfers_run += transfers
-        shape.append((len(pre), bool(xfer), len(post)))
+        shape.append((len(pre), bool(xfer), len(post), rotation))
         if pending_size >= cap:
             lower()
             pending, pending_size = [], 0
@@ -773,14 +910,17 @@ def _plan_steps(p: int, layout: BufferLayout, steps, columns, cap: int) -> Compi
     plan_steps: list[_StepPlan] = []
     local_elems = 0
     at = 0
-    for n_pre, has_xfer, n_post in shape:
+    for n_pre, has_xfer, n_post, rotation in shape:
         n = n_pre + has_xfer + n_post
         parts = lowered[at:at + n]
         at += n
+        if rotation is not None:
+            plan_steps.append(_rotation_step(rotation, layout))
+            continue
         comm = parts[n_pre][1] if has_xfer else 0
         local_elems += sum(moved for _, moved in parts) - comm
         plan_steps.append(_StepPlan(
-            tuple(phase for phase, _ in parts if phase is not None), comm
+            tuple(phase for phase, _ in parts if phase is not None), (comm,)
         ))
     return CompiledPlan(
         p=p,
@@ -819,35 +959,76 @@ def compile_plan(schedule: Schedule, layout: BufferLayout | None = None) -> Comp
             yield (
                 _local_phases(step.pre, where), xfer, _local_phases(step.post, where),
                 len(step.pre) + len(step.transfers) + len(step.post),
-                len(step.transfers),
+                len(step.transfers), None,
             )
 
     return _plan_steps(p, layout, steps(), _object_columns, _BATCH_ITEMS)
 
 
+def _segments(ph: ArrayPhase | EveryRank) -> int:
+    """Segments a local-copy batch adds to a lowering pass."""
+    return (ph.copy if isinstance(ph, EveryRank) else ph).lo.size
+
+
+def _replays(rot: BlockRotation, layout: BufferLayout) -> bool:
+    """Whether every step of ``rot`` lowers as its step 0 does, rotated.
+
+    That holds with one segment per item, the same at both ends, every
+    block inside both buffers, and each destination rank taking distinct
+    blocks: no step then overlaps its writes, so none keeps a last write,
+    collides on a reduce or fails validation where step 0 passes.
+    """
+    ph, edges = rot.phase, rot.edges
+    if rot.reps < 1 or not ph.src.size or ph.dst_segments is not None or (ph.counts != 1).any():
+        return False
+    width = min(layout.widths.get(ph.src_buf, -1), layout.widths.get(ph.dst_buf, -1))
+    if edges[0] < 0 or edges[-1] > width or (np.diff(edges) < 0).any():
+        return False
+    count = edges.size - 1
+    key = np.sort(ph.dst * count + rot.block % count)
+    return bool((key[1:] != key[:-1]).all())
+
+
 def plan_from_arrays(
-    p: int, meta: dict, steps: Iterable[ArrayStep], buffers=("vec",)
+    p: int, meta: dict, steps: Iterable[ArrayStep | BlockRotation], buffers=("vec",)
 ) -> tuple[Schedule, CompiledPlan]:
     """The plan of ``schedule_from_arrays(p, meta, steps)``, with no schedule.
 
     Returns the steps-free schedule stub (``p`` and ``meta`` only, what
-    verification reads) and a plan equal to compiling the built schedule:
-    both front ends feed one back end.  ``buffers`` names every buffer the
-    steps touch (``meta["n"]`` elements each).  The checks building would
-    run still run: a transfer to self raises at its step and, with schedule
-    validation on, :meth:`Schedule.finalize`'s rank-range and
-    overlapping-write checks raise for the first failing step once every
-    step has rendered.  ``steps`` is consumed lazily, a batch at a time.
+    verification reads) and a plan equal to compiling the built schedule
+    once its compact phases are written out (:meth:`CompiledPlan.expanded`):
+    both front ends feed one back end.  A :class:`BlockRotation` whose
+    steps all lower alike becomes one rotation phase, and an
+    :class:`EveryRank` copy one permutation phase.  ``buffers`` names every
+    buffer the steps touch (``meta["n"]`` elements each).  The checks
+    building would run still run: a transfer to self raises at its step
+    and, with schedule validation on, :meth:`Schedule.finalize`'s
+    rank-range and overlapping-write checks raise for the first failing
+    step once every step has rendered.  ``steps`` is consumed lazily, a
+    batch at a time.
     """
     if p <= 0:
         raise ScheduleError("schedule needs p > 0")
     layout = BufferLayout({name: meta["n"] for name in buffers})
     validate = validation_enabled()
 
+    def entries():
+        """Each step with the rotation it stands for, if any."""
+        for item in steps:
+            if not isinstance(item, BlockRotation):
+                yield item, None
+            elif _replays(item, layout):
+                yield item.step(0), item
+            else:
+                yield from ((step, None) for step in item)
+
     def phases():
         invalid = None
-        for i, step in enumerate(steps):
+        i = 0
+        for step, rotation in entries():
+            reps = 1 if rotation is None else rotation.reps
             where = _where(i, step.label)
+            i += reps
             xfer, transfers, segments = [], 0, 0
             if step.transfers is not None and step.transfers.src.size:
                 ph = step.transfers
@@ -862,7 +1043,8 @@ def plan_from_arrays(
             yield (
                 [(where, True, ph) for ph in step.pre], xfer,
                 [(where, True, ph) for ph in step.post],
-                segments + sum(ph.lo.size for ph in step.pre + step.post), transfers,
+                segments + sum(_segments(ph) for ph in step.pre + step.post),
+                transfers * reps, rotation,
             )
         if invalid is not None:
             raise invalid

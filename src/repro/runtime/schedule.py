@@ -30,6 +30,9 @@ segment-count and segment column per phase instead of one object per
 transfer.  :func:`schedule_from_arrays` turns such steps into a
 :class:`Schedule`; :func:`repro.runtime.compiled.plan_from_arrays` lowers
 the same steps straight to a compiled plan, with no objects in between.
+Two compact forms keep what a plan stores small: :class:`EveryRank`, one
+local copy run alike on every rank, and :class:`BlockRotation`, a run of
+steps that differ only by a rotation of their blocks (a ring pass).
 :func:`overlay_steps` runs several such step lists in lockstep, each on
 its own ranks and vector slice: the one way sub-collectives compose.
 """
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -52,6 +56,9 @@ __all__ = [
     "Schedule",
     "ArrayPhase",
     "ArrayStep",
+    "EveryRank",
+    "BlockRotation",
+    "local_copies",
     "overlay_steps",
     "schedule_from_arrays",
     "total_elems",
@@ -313,14 +320,56 @@ class ArrayPhase(NamedTuple):
         )
 
 
+class EveryRank(NamedTuple):
+    """One local-copy batch running ``copy`` on every rank ``0 .. p − 1``.
+
+    ``copy`` is a one-item :class:`ArrayPhase` whose rank is ignored.  A
+    whole-vector permutation on every rank is ``p`` segments here, not
+    the ``p²`` of one item per rank.
+    """
+
+    copy: ArrayPhase
+
+
 class ArrayStep(NamedTuple):
     """One :class:`Step` as arrays: its transfers (``None``: none) and its
     ``pre``/``post`` local-copy batches, in order."""
 
     label: str
     transfers: ArrayPhase | None
-    pre: tuple[ArrayPhase, ...] = ()
-    post: tuple[ArrayPhase, ...] = ()
+    pre: tuple[ArrayPhase | EveryRank, ...] = ()
+    post: tuple[ArrayPhase | EveryRank, ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class BlockRotation:
+    """``reps`` steps of one transfer phase each, differing only by the
+    blocks they move: a ring pass.
+
+    At step ``k`` item ``i`` of ``phase`` moves block ``(block[i] − k) mod
+    B`` of the ``B = edges.size − 1`` blocks ``edges[b] .. edges[b + 1]``,
+    as one segment, the same at both ends; ``label`` and ``phase.tag`` are
+    format strings of ``k``.  Iterating yields the steps (how
+    :func:`schedule_from_arrays` reads it);
+    :func:`~repro.runtime.compiled.plan_from_arrays` lowers step 0 and
+    stores the rotation, one phase for all ``reps`` steps.
+    """
+
+    phase: ArrayPhase
+    block: np.ndarray
+    edges: np.ndarray
+    reps: int
+    label: str
+
+    def step(self, k: int) -> ArrayStep:
+        """Step ``k`` as arrays."""
+        b = (self.block - k) % (self.edges.size - 1)
+        return ArrayStep(self.label.format(k=k), self.phase._replace(
+            lo=self.edges[b], hi=self.edges[b + 1], tag=self.phase.tag.format(k=k),
+        ))
+
+    def __iter__(self) -> Iterator[ArrayStep]:
+        return map(self.step, range(self.reps))
 
 
 def _embed(ph: ArrayPhase, ranks: np.ndarray, offset: int) -> ArrayPhase:
@@ -390,21 +439,34 @@ def _tuples(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
     return [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
 
 
-def _local_copies(phases: tuple[ArrayPhase, ...]) -> tuple[LocalCopy, ...]:
+def local_copies(phases: tuple[ArrayPhase | EveryRank, ...], p: int) -> tuple[LocalCopy, ...]:
+    """The :class:`LocalCopy` objects of local-copy batches, in order."""
     copies = []
     for ph in phases:
-        src_segs, dst_segs = ph.segment_tuples()
+        if isinstance(ph, EveryRank):
+            # every rank shares the copy's one pair of segment tuples
+            ph, ranks = ph.copy, range(p)
+            (a,), (b,) = ph.segment_tuples()
+            src_segs, dst_segs = [a] * p, [b] * p
+        else:
+            ranks = ph.src.tolist()
+            src_segs, dst_segs = ph.segment_tuples()
         copies += [
             LocalCopy(rank, ph.src_buf, ph.dst_buf, a, b, ph.op, ph.tag)
-            for rank, a, b in zip(ph.src.tolist(), src_segs, dst_segs)
+            for rank, a, b in zip(ranks, src_segs, dst_segs)
         ]
     return tuple(copies)
 
 
-def schedule_from_arrays(p: int, meta: dict, steps: Iterable[ArrayStep]) -> Schedule:
-    """The :class:`Schedule` of ``steps`` (validated on exit)."""
+def schedule_from_arrays(
+    p: int, meta: dict, steps: Iterable[ArrayStep | BlockRotation]
+) -> Schedule:
+    """The :class:`Schedule` of ``steps`` (validated on exit), each
+    :class:`BlockRotation` written out step by step."""
     sched = Schedule(p, meta=meta)
-    for st in steps:
+    for st in chain.from_iterable(
+        st if isinstance(st, BlockRotation) else (st,) for st in steps
+    ):
         transfers: tuple[Transfer, ...] = ()
         ph = st.transfers
         if ph is not None:
@@ -413,5 +475,5 @@ def schedule_from_arrays(p: int, meta: dict, steps: Iterable[ArrayStep]) -> Sche
                 Transfer(s, d, ph.src_buf, ph.dst_buf, a, b, ph.op, ph.tag)
                 for s, d, a, b in zip(ph.src.tolist(), ph.dst.tolist(), src_segs, dst_segs)
             )
-        sched.add(Step(transfers, _local_copies(st.pre), _local_copies(st.post), st.label))
+        sched.add(Step(transfers, local_copies(st.pre, p), local_copies(st.post, p), st.label))
     return sched.finalize()

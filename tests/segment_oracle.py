@@ -34,7 +34,7 @@ import numpy as np
 from repro.collectives import composed, registry
 from repro.collectives.butterfly_collectives import (
     _PI_SPACE,
-    _local_copies,
+    _local_arrays,
     _pi_array,
 )
 from repro.collectives.common import Strategy
@@ -43,7 +43,7 @@ from repro.core.blocks import Partition
 from repro.core.butterfly import Butterfly
 from repro.core.coverage import responsibility
 from repro.runtime.errors import ScheduleError
-from repro.runtime.schedule import Schedule, Step, Transfer
+from repro.runtime.schedule import Schedule, Step, Transfer, local_copies
 
 __all__ = [
     "resp_backend",
@@ -237,8 +237,8 @@ def oracle_render(flow) -> Schedule:
         )
         sched.add(Step(
             transfers=transfers,
-            pre=_local_copies(st.pre, p, n),
-            post=_local_copies(st.post, p, n),
+            pre=local_copies(_local_arrays(st.pre, p, n), p),
+            post=local_copies(_local_arrays(st.post, p, n), p),
             label=st.label,
         ))
     return sched.finalize()

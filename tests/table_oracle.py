@@ -46,8 +46,9 @@ or raise the same error::
 ``--plans P`` (repeatable) adds the plan-oracle comparison at scale: every
 entry with a plan renderer (``spec.compiled``: the butterflies, rings,
 Bruck and Sparbit), rendered at ``P`` ranks with ``n = P`` and
-``n = 4P + 3``, must equal ``compile_plan(spec.build(...))`` run for run,
-or raise the same error (cells skipped as above)::
+``n = 4P + 3``, its compact phases written out as runs
+(``CompiledPlan.expanded``), must equal ``compile_plan(spec.build(...))``
+run for run, or raise the same error (cells skipped as above)::
 
     $ PYTHONPATH=src python tests/table_oracle.py --plans 1024
 
@@ -169,9 +170,11 @@ def _same_array(a, b) -> bool:
 
 
 def plan_mismatches(got: CompiledPlan, want: CompiledPlan) -> list[str]:
-    """Where two compiled plans differ: the layout, the run counts, or per
-    phase its runs (``src``, ``dst``, ``width``, ``lens``) and write
-    groups (slice, ufunc, disjoint)."""
+    """Where two compiled plans differ, ``got``'s compact phases written
+    out as runs first: the layout, the run counts, or per phase its runs
+    (``src``, ``dst``, ``width``, ``lens``) and write groups (slice,
+    ufunc, disjoint)."""
+    got = got.expanded()
     layout = [tuple(getattr(plan.layout, a) for a in ("names", "widths", "offsets", "total"))
               for plan in (got, want)]
     bad = [a for a in ("p", "transfers_run", "local_elems")
@@ -180,8 +183,8 @@ def plan_mismatches(got: CompiledPlan, want: CompiledPlan) -> list[str]:
     if len(got.steps) != len(want.steps):
         return bad + [f"{len(got.steps)} steps != {len(want.steps)}"]
     for i, (a, b) in enumerate(zip(got.steps, want.steps)):
-        if a.comm_elems != b.comm_elems:
-            bad.append(f"step {i} comm_elems")
+        if a.comm != b.comm:
+            bad.append(f"step {i} comm")
         if len(a.phases) != len(b.phases):
             bad.append(f"step {i}: {len(a.phases)} phases != {len(b.phases)}")
             continue

@@ -617,7 +617,6 @@ class TestVerify:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         from repro.collectives.registry import ALGORITHMS, AlgorithmSpec
-        from repro.collectives.verify import _PLAN_CACHE
         from repro.runtime.schedule import Schedule
 
         spec = AlgorithmSpec(
@@ -633,7 +632,6 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "1 failed" in captured.err or "2 failed" in captured.err
         assert "failures:" in captured.out
-        _PLAN_CACHE.clear()
 
     def test_unknown_collective_fails(self, capsys):
         assert main(["verify", "--collective", "bogus"]) == 2

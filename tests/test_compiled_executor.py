@@ -25,7 +25,6 @@ import pytest
 from repro.analysis.verifygrid import verify_cell, verify_grid
 from repro.collectives.registry import ALGORITHMS, COLLECTIVES
 from repro.collectives.verify import (
-    _PLAN_CACHE,
     check_matrix,
     compiled_plan_for,
     init_buffers,
@@ -358,35 +357,70 @@ class TestPlanCompactness:
         assert moved == 8 * 256 * 256
         assert _index_entries(plan.steps) * 64 <= moved
 
+    def test_ring_plan_stores_one_rotation_per_pass(self):
+        # one phase per step would store about 2 M run entries here
+        p = 1024
+        _, plan = compiled_plan_for("allreduce", "ring", p, p)
+        assert (plan.num_steps, len(plan.steps)) == (2 * (p - 1), 2)
+        assert _index_entries(plan.steps) <= 32 * p
 
-class TestPlanCache:
-    def test_cache_hit_returns_same_plan(self):
-        _PLAN_CACHE.clear()
-        s1, p1 = compiled_plan_for("bcast", "bine", 8, 32)
-        s2, p2 = compiled_plan_for("bcast", "bine", 8, 32)
-        assert p1 is p2 and s1 is s2
-        _, p3 = compiled_plan_for("bcast", "bine", 8, 64)  # n is part of the key
-        assert p3 is not p1
-        _PLAN_CACHE.clear()
-        _, p4 = compiled_plan_for("bcast", "bine", 8, 32)
-        assert p4 is not p1
+    def test_pi_copy_stores_one_ranks_columns(self):
+        # the whole-vector π copy, one item per rank, lowers to p² runs
+        p = 256
+        _, plan = compiled_plan_for("allgather", "bine-permute", p, p)
+        copies = [ph for st in plan.steps for ph in st.phases
+                  if type(ph).__name__ == "_Permute"]
+        assert len(copies) == 1
+        assert _index_entries(copies[0]) <= 8 * p
+        (whole,) = [ph for st in plan.expanded().steps for ph in st.phases
+                    if ph.src.size >= p * p]
+        assert _index_entries(whole) >= 2 * p * p
+
+
+class TestCompactPhases:
+    """Rendered plans with rotation and permutation phases execute as the
+    reference executor runs the built schedule: same buffers, same trace."""
+
+    @pytest.mark.parametrize("coll,name,p,n", [
+        ("allreduce", "ring", 17, 4 * 17 + 3),
+        ("allreduce", "ring", 16, 13),  # zero-size blocks
+        ("reduce_scatter", "ring", 8, 0),  # nothing moves
+        ("allgather", "ring", 16, 64),
+        ("allgather", "bine-permute", 16, 64),
+        ("reduce_scatter", "bine-permute", 32, 96),
+    ])
+    def test_trace_and_buffers_match_reference(self, coll, name, p, n):
+        stub, plan = compiled_plan_for(coll, name, p, n)
+        schedule = ALGORITHMS[(coll, name)].build(p, n)
+        matrices = run_and_check_compiled(stub, SEEDS, plan)
+        for i, seed in enumerate(SEEDS):
+            bufs = init_buffers(schedule, seed)
+            ref = execute(schedule, bufs)
+            got = plan.execute(init_matrix(stub, plan.layout, seed))
+            assert got == ref
+            assert np.array_equal(matrix_from_buffers(bufs, plan.layout), matrices[i])
+
+
+class TestPlanPerCall:
+    def test_each_call_makes_an_equal_plan(self):
+        from repro.runtime.memo import memo_cache_sizes
+
+        from table_oracle import plan_mismatches
+
+        for cell in (("bcast", "bine", 8, 32), ("allreduce", "ring", 8, 35)):
+            s1, p1 = compiled_plan_for(*cell)
+            s2, p2 = compiled_plan_for(*cell)
+            assert p1 is not p2 and s1 is not s2
+            assert (s1.p, s1.meta) == (s2.p, s2.meta)
+            assert plan_mismatches(p1, p2.expanded()) == []
+        assert not any("plan" in name.lower() for name in memo_cache_sizes())
 
     def test_stub_schedule_is_light_but_sufficient(self):
-        _PLAN_CACHE.clear()
         stub, plan = compiled_plan_for("alltoall", "bruck", 8, 32)
         assert stub.num_steps == 0  # steps dropped
         assert stub.meta["collective"] == "alltoall"
         # the stub still drives init + check end to end
         run_and_check_compiled(stub, (0, 1), plan)
-
-    def test_clear_memo_caches_reaches_plan_cache(self):
-        from repro.analysis.sweep import clear_memo_caches
-        from repro.collectives import verify as vf
-
-        compiled_plan_for("bcast", "bine", 8, 32)
-        assert vf._PLAN_CACHE
-        clear_memo_caches()
-        assert not vf._PLAN_CACHE
 
 
 class TestVerifyGrid:
@@ -418,7 +452,6 @@ class TestVerifyGrid:
             r = verify_cell("bcast", "broken", 4, 8, engine=engine)
             assert r.status == "failed", engine
             assert "wrong" in r.detail
-        _PLAN_CACHE.clear()  # drop the broken cell's memoized plan
 
     def test_record_roundtrip_and_workers(self):
         from repro.analysis.verifygrid import VerifyRecord

@@ -204,7 +204,6 @@ class TestMetricsRegistry:
             "common._pi_table",
             "common._pi_inv_table",
             "torus.torus_algorithms",
-            "verify._PLAN_CACHE",
             "verify._PATTERN_CACHE",
             "compiled._TABLE_CACHE",
             "tune.serve._SERVE_CACHE",

@@ -43,10 +43,12 @@ from repro.runtime.memo import clear_memo_caches
 from repro.runtime.schedule import (
     ArrayPhase,
     ArrayStep,
+    BlockRotation,
+    EveryRank,
     schedule_from_arrays,
     schedule_validation,
 )
-from table_oracle import cell_plan_mismatches, plan_mismatches, rendered_specs
+from table_oracle import _outcome, cell_plan_mismatches, plan_mismatches, rendered_specs
 
 P_GRID = (2, 3, 4, 5, 8, 16, 17, 32, 64, 256)
 
@@ -186,7 +188,9 @@ def _phase(src, dst, lo, hi, op=None, tag="t") -> ArrayPhase:
     # the unknown op of step 0 raises before the bad segment of step 1
     [ArrayStep("a", _phase([0], [1], [0], [2], op="nope")),
      ArrayStep("b", _phase([1], [0], [3], [9]))],
-], ids=["segment-beyond-buffer", "op-before-segment"])
+    # a copy run on every rank fails as its rank-0 copy does
+    [ArrayStep("copy", None, pre=(EveryRank(_phase([0], [0], [0], [9])),))],
+], ids=["segment-beyond-buffer", "op-before-segment", "every-rank-copy"])
 def test_array_lowering_errors_equal_compiled_build(steps):
     meta = {"collective": "allgather", "algorithm": "hand-made", "p": 2, "n": 4}
     with pytest.raises(Exception) as got:
@@ -194,6 +198,41 @@ def test_array_lowering_errors_equal_compiled_build(steps):
     with pytest.raises(Exception) as want:
         compile_plan(schedule_from_arrays(2, meta, steps))
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def _rotation(dst, block, edges, reps=2, op=None) -> BlockRotation:
+    """Ranks 0, 1, ... send block ``block[i] − k`` to ``dst[i]`` at step ``k``."""
+    dst, block, edges = np.array(dst), np.array(block), np.array(edges)
+    src, ones = np.arange(dst.size), np.ones(dst.size, dtype=np.intp)
+    b = block % (edges.size - 1)
+    return BlockRotation(ArrayPhase(src, dst, ones, edges[b], edges[b + 1], op=op,
+                                    tag="rot[{k}]"), block, edges, reps, "rot {k}")
+
+
+@pytest.mark.parametrize("rotation, compact", [
+    (_rotation([1, 2, 0], [0, 1, 2], [0, 2, 5, 6]), True),  # a ring pass
+    (_rotation([2, 2], [0, 1], [0, 2, 5, 6], 3, op="sum"), True),
+    # block 3 is block 0: every step reduces one block twice into rank 2
+    (_rotation([2, 2], [0, 3], [0, 2, 5, 6], op="sum"), False),
+    (_rotation([2, 2], [1, 1], [0, 2, 5, 6]), False),  # overlapping writes
+    (_rotation([1, 0], [0, 1], [0, 2, 5, 8]), False),  # block 2 past the buffer
+    (_rotation([1, 1], [0, 1], [0, 2, 5, 6]), True),  # transfer to self
+], ids=["ring", "reduce-distinct", "reduce-collide", "overwrite-collide",
+        "beyond-buffer", "to-self"])
+def test_rotation_plan_equals_compiled_steps(rotation, compact):
+    # a rotation whose steps might not lower alike is written out step by
+    # step; either way plan and errors are those of the built steps
+    meta = {"collective": "allgather", "algorithm": "hand-made", "p": 3, "n": 6}
+    for validate in (True, False):
+        with schedule_validation(validate):
+            got, got_err = _outcome(lambda: plan_from_arrays(3, meta, [rotation])[1])
+            want, want_err = _outcome(
+                lambda: compile_plan(schedule_from_arrays(3, meta, [rotation])))
+        assert got_err == want_err
+        if got is not None:
+            assert plan_mismatches(got, want) == []
+            kinds = {type(ph).__name__ for st in got.steps for ph in st.phases}
+            assert ("_Rotation" in kinds) == compact
 
 
 def test_rendered_cells_build_no_schedule(monkeypatch):
