@@ -10,6 +10,12 @@ whose defining cost trait, for our model, is that blocks keep their natural
 reproduce that by running the Bruck round structure with per-block wire
 segments.  (The paper uses Sparbit purely as a non-contiguous log-time
 baseline, which this captures; exact send ordering internals differ.)
+
+Both are described once, as one step of rank arrays per round
+(:func:`bruck_steps`): the registry builds the executor's schedule and
+lowers the verifier's plan from those rounds, and the sweep table at
+``n = p`` (:func:`_table`) counts the same rounds' segments in closed
+form.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from repro.collectives.butterfly_collectives import (
     step_table,
     wire_arrays,
 )
-from repro.runtime.compiled import plan_from_arrays
-from repro.runtime.schedule import ArrayPhase, ArrayStep, Schedule, schedule_from_arrays
+from repro.collectives.common import VEC
+from repro.runtime.schedule import ArrayPhase, ArrayStep
 
-__all__ = ["allgather_bruck", "allgather_sparbit", "bruck_plan"]
+__all__ = ["bruck_steps"]
 
 
 def _rounds(p: int):
@@ -65,10 +71,11 @@ def _round_steps(p: int, n: int, name: str, per_block: bool):
         ))
 
 
-def _render(p: int, n: int, name: str, per_block: bool, render):
+def bruck_steps(p: int, n: int, name: str, per_block: bool):
+    """``(meta, buffers, rounds)`` of either allgather, all in ``vec``."""
     meta = _meta(p, n, name)
     Partition(n, p)  # rejects a negative n
-    return render(p, meta, _round_steps(p, n, name, per_block))
+    return meta, {VEC}, _round_steps(p, n, name, per_block)
 
 
 def _table(p: int, name: str, per_block: bool):
@@ -81,19 +88,3 @@ def _table(p: int, name: str, per_block: bool):
         src = (ranks + h) % p
         steps.append((src, ranks, c, c if per_block else 1 + (src + c > p), False))
     return step_table(meta, steps)
-
-
-def allgather_bruck(p: int, n: int) -> Schedule:
-    """Bruck allgather (any ``p``): ⌈log2 p⌉ rounds, ≤ 2 segments per send."""
-    return _render(p, n, "bruck", False, schedule_from_arrays)
-
-
-def allgather_sparbit(p: int, n: int) -> Schedule:
-    """Sparbit-like allgather: Bruck rounds with per-block (scattered) sends."""
-    return _render(p, n, "sparbit", True, schedule_from_arrays)
-
-
-def bruck_plan(p: int, n: int, name: str, per_block: bool):
-    """The verifier's ``(schedule stub, plan)`` of either allgather, equal
-    to compiling its built schedule, rendered from the same round arrays."""
-    return _render(p, n, name, per_block, plan_from_arrays)

@@ -27,23 +27,23 @@ The four non-contiguous-data strategies of Sec. 4.3.1 map onto layouts:
 
 Each flow is described once, as a :class:`Flow`: a per-step plan over rank
 arrays (partner row, whose responsibility set is sent at which resp step,
-op, buffer, local-op rows).  Three renderings consume it, all reading one
+op, buffer, local-op rows).  Two renderings consume it, both reading one
 per-step set geometry (:class:`_SetGeometry`: ν-mask rotations, circular
 ranges, hypercube ranges, π windows, evaluated over all ranks at once):
 
-* :func:`render_schedule` — the executor's :class:`Schedule`; a step's
-  segment tuples come from every rank's block ranges in one NumPy pass,
-  and steps of one call that walk the same sets share them;
-* :func:`flow_steps` — the same block ranges as arrays
-  (:class:`~repro.runtime.schedule.ArrayStep`), from which
-  :func:`render_compiled_plan` lowers the verifier's
-  :class:`~repro.runtime.compiled.CompiledPlan` (equal to compiling
-  :func:`render_schedule`'s schedule, with no schedule built) and the
-  torus and hierarchical builders overlay sub-collectives;
+* :func:`flow_steps` — the flow's steps as arrays
+  (:class:`~repro.runtime.schedule.ArrayStep`), each step's block ranges
+  for every rank in one NumPy pass.  It is the flow's one description of
+  what moves: :func:`render_schedule` builds the executor's
+  :class:`Schedule` from it
+  (:func:`~repro.runtime.schedule.schedule_from_arrays`), the registry
+  lowers the verifier's plan from it
+  (:func:`~repro.runtime.compiled.plan_from_arrays`), and the torus and
+  hierarchical builders overlay sub-collectives with it;
 * :func:`render_table` — the profiler's
   :class:`~repro.model.compiled.TransferTable` at the canonical size
   ``n = p``, straight from closed-form set sizes and run counts: no
-  per-rank Python, no segment tuples.  It equals
+  per-rank Python, no segment arrays.  It equals
   ``lower_schedule(render_schedule(flow))`` column for column.
 """
 
@@ -74,16 +74,13 @@ from repro.collectives.common import (
     global_pi_inv,
     require_divisible,
 )
-from repro.runtime.compiled import plan_from_arrays
 from repro.runtime.errors import ScheduleError
 from repro.runtime.schedule import (
     ArrayPhase,
     ArrayStep,
     EveryRank,
     Schedule,
-    Step,
-    Transfer,
-    local_copies,
+    schedule_from_arrays,
 )
 
 __all__ = [
@@ -99,7 +96,7 @@ __all__ = [
     "allreduce_rsag_flow",
     "render_schedule",
     "flow_steps",
-    "render_compiled_plan",
+    "flow_buffers",
     "render_table",
     "block_edges",
     "circular_bounds",
@@ -318,7 +315,7 @@ class _SetGeometry:
       closed form with no runs materialised, so sweep tables stay O(p) per
       step (:func:`render_table`);
     * :meth:`bounds` — the block ranges of every rank's set
-      (:func:`render_schedule`).
+      (:func:`flow_steps`).
 
     Under the π-space strategies a set is one window of π positions;
     :meth:`check` is the one place its contiguity is checked.
@@ -408,7 +405,7 @@ class _SetGeometry:
     def bounds(self, step: int):
         """Every rank's set before ``step`` as block ranges ``(rank, lo,
         hi)``: flat, rank-major, disjoint and ascending within a rank (π
-        windows in π positions).  Ranges may touch; :func:`_wire_segments`
+        windows in π positions).  Ranges may touch; :func:`wire_arrays`
         merges them."""
         p, kind, ranks = self.p, self.bf.kind, np.arange(self.p)
         size = p >> step
@@ -436,7 +433,7 @@ class _SetGeometry:
         return rank, blocks, blocks + 1
 
 
-# -- rendering: Schedule -----------------------------------------------------
+# -- rendering: steps as arrays ----------------------------------------------
 
 
 def block_edges(n: int, p: int) -> np.ndarray:
@@ -495,15 +492,6 @@ def wire_arrays(n: int, p: int, per_block: bool, bounds):
     return np.searchsorted(item, np.arange(p + 1)), lo, hi
 
 
-def _wire_segments(n: int, p: int, strategy: Strategy, bounds) -> list[tuple]:
-    """:func:`wire_arrays` for a butterfly's sets, as one tuple of segment
-    tuples per rank."""
-    cut, lo, hi = wire_arrays(n, p, strategy is Strategy.BLOCKS, bounds)
-    cut = cut.tolist()
-    pairs = list(zip(lo.tolist(), hi.tolist()))
-    return [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
-
-
 def _local_arrays(local: _Local | None, p: int, n: int) -> tuple:
     """``local`` on every rank, natural ↔ π layout (the Fig. 8
     permutation), as one batch of arrays; a whole-vector copy is one copy
@@ -525,62 +513,14 @@ def _local_arrays(local: _Local | None, p: int, n: int) -> tuple:
     return (EveryRank(phase) if local.whole else phase,)
 
 
-def render_schedule(flow: Flow) -> Schedule:
-    """The executor's :class:`Schedule` for ``flow`` (validated on exit).
-
-    A resp step's wire segments are computed for every rank in one NumPy
-    pass; steps walking the same sets (the reduce-scatter and allgather
-    halves of an allreduce) share the tuples, for this call only.
-    """
-    bf, n, strategy = flow.bf, flow.n, flow.strategy
-    p = bf.p
-    bs = n // p
-    if strategy not in _PI_SPACE:
-        Partition(n, p)  # natural layouts reject a negative n
-    sets = _SetGeometry(bf, strategy)
-    segs_at: dict[int, list[tuple]] = {}  # resp step → segments by rank
-    sched = Schedule(p, meta=flow.meta)
-    for st in flow.steps:
-        owners = st.owner.tolist()
-        if st.resp_step is None:
-            segs = [((b * bs, (b + 1) * bs),) for b in owners]
-        elif st.resp_step == 0:
-            segs = [((0, n),)] * len(owners)
-        else:
-            sets.check(st.resp_step, st.owner)
-            by_rank = segs_at.get(st.resp_step)
-            if by_rank is None:
-                by_rank = segs_at[st.resp_step] = _wire_segments(
-                    n, p, strategy, sets.bounds(st.resp_step)
-                )
-            segs = [by_rank[o] for o in owners]
-        transfers = tuple(
-            Transfer(
-                src=r, dst=q, src_buf=st.buf, dst_buf=st.buf,
-                src_segments=g, dst_segments=g, op=st.op, tag=st.tag,
-            )
-            for r, q, g in zip(st.src.tolist(), st.dst.tolist(), segs)
-        )
-        sched.add(Step(
-            transfers=transfers,
-            pre=local_copies(_local_arrays(st.pre, p, n), p),
-            post=local_copies(_local_arrays(st.post, p, n), p),
-            label=st.label,
-        ))
-    return sched.finalize()
-
-
-# -- rendering: CompiledPlan -------------------------------------------------
-
-
 def flow_steps(flow: Flow) -> Iterator[ArrayStep]:
-    """``flow``'s steps as arrays, built into :func:`render_schedule`'s
-    schedule by :func:`~repro.runtime.schedule.schedule_from_arrays`.
+    """``flow``'s steps as arrays: what every rank sends, receives and
+    copies locally at each step.
 
-    Every step's segments come from the set geometry as arrays (the wire
-    segments of each resp step once per call, as :func:`render_schedule`
-    shares its tuples), and the π-window and circular-range checks run as
-    they do there.  A natural layout rejects a negative ``n`` on the call;
+    A resp step's wire segments come from the set geometry for every
+    rank at once, once per call however many steps walk those sets, and
+    the π-window and circular-range checks run at the first step that
+    needs them.  A natural layout rejects a negative ``n`` on the call;
     the steps render lazily.
     """
     bf, n, strategy = flow.bf, flow.n, flow.strategy
@@ -620,13 +560,20 @@ def flow_steps(flow: Flow) -> Iterator[ArrayStep]:
     return steps()
 
 
-def render_compiled_plan(flow: Flow):
-    """The verifier's ``(schedule stub, plan)`` for ``flow``, equal to
-    ``compile_plan(render_schedule(flow))`` with no schedule built."""
+def flow_buffers(flow: Flow) -> set[str]:
+    """The buffers ``flow``'s steps touch, as building its schedule finds
+    them: the transfers' buffer, and ``vec`` and ``tmp`` where a step
+    copies between the layouts."""
     buffers = {st.buf for st in flow.steps if st.src.size}
     if any(st.pre or st.post for st in flow.steps):
         buffers |= {VEC, TMP}
-    return plan_from_arrays(flow.bf.p, flow.meta, flow_steps(flow), buffers or {VEC})
+    return buffers or {VEC}
+
+
+def render_schedule(flow: Flow) -> Schedule:
+    """The executor's :class:`Schedule` for ``flow`` (validated on exit),
+    built from :func:`flow_steps`."""
+    return schedule_from_arrays(flow.bf.p, flow.meta, flow_steps(flow))
 
 
 # -- rendering: TransferTable ------------------------------------------------

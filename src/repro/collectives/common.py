@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from enum import Enum
 
-from repro.core.blocks import Partition
 from repro.core.bine_tree import nu_labels
 from repro.core.negabinary import bit_reverse
 from repro.core.tree import log2_exact
 from repro.runtime.memo import label_table
-from repro.runtime.schedule import Segment
+from repro.runtime.schedule import Schedule, schedule_from_arrays
 
 __all__ = [
     "Strategy",
@@ -30,11 +29,9 @@ __all__ = [
     "TMP",
     "global_pi",
     "global_pi_inv",
-    "block_segments",
-    "blocks_as_segments",
-    "per_block_segments",
     "require_pow2",
     "require_divisible",
+    "build_stream",
 ]
 
 #: main working buffer name
@@ -83,23 +80,6 @@ def global_pi_inv(p: int) -> list[int]:
     return list(_pi_inv_table(p))
 
 
-def block_segments(part: Partition, blocks) -> tuple[Segment, ...]:
-    """Coalesced element segments covering ``blocks`` (natural layout)."""
-    return tuple(part.segments(blocks))
-
-
-def per_block_segments(part: Partition, blocks) -> tuple[Segment, ...]:
-    """One element segment per block, never coalesced (block-by-block)."""
-    return tuple(part.bounds(b) for b in sorted(set(blocks)))
-
-
-def blocks_as_segments(part: Partition, blocks, strategy: Strategy) -> tuple[Segment, ...]:
-    """Segments for a block set under the requested segmentation policy."""
-    if strategy is Strategy.BLOCKS:
-        return per_block_segments(part, blocks)
-    return block_segments(part, blocks)
-
-
 def require_pow2(p: int, what: str) -> int:
     try:
         return log2_exact(p)
@@ -117,3 +97,11 @@ def require_divisible(n: int, p: int, what: str) -> int:
             f"(got n={n}, p={p}); use the 'natural' or 'blocks' strategy instead"
         )
     return n // p
+
+
+def build_stream(stream) -> Schedule:
+    """The :class:`~repro.runtime.schedule.Schedule` of a ``(meta,
+    buffers, steps)`` stream, what a registry entry's ``steps`` hook
+    returns (building finds the buffers itself)."""
+    meta, _, steps = stream
+    return schedule_from_arrays(meta["p"], meta, steps)

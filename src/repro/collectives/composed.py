@@ -16,8 +16,11 @@
   lockstep through :func:`~repro.runtime.schedule.overlay_steps`.
 
 The large bcast/reduce are ``(meta, parts)`` plans, each part a tree
-:class:`Schedule` or a butterfly :class:`Flow`: :func:`composed_table`
-concatenates their sweep tables without building the butterfly half.
+half's steps (:func:`~repro.collectives.tree_collectives.tree_steps`) or a
+butterfly :class:`Flow`.  :func:`composed_steps` chains the halves' step
+arrays, from which the registry builds the schedule and lowers the
+verifier's plan; :func:`composed_table` concatenates the halves' sweep
+tables without building the butterfly half.
 """
 
 from __future__ import annotations
@@ -32,32 +35,30 @@ from repro.core.butterfly import (
     bine_butterfly_doubling,
     recursive_halving_butterfly,
 )
-from repro.core.coverage import segments_of
 from repro.core.tree import Tree
 from repro.collectives.butterfly_collectives import (
     Flow,
+    _merged,
+    _pi_array,
     allgather_flow,
     allreduce_rsag_flow,
     concat_tables,
+    flow_buffers,
     flow_steps,
     reduce_scatter_flow,
-    render_schedule,
     render_table,
 )
 from repro.collectives.common import (
     Strategy,
     VEC,
-    global_pi,
     require_divisible,
     require_pow2,
 )
-from repro.collectives.tree_collectives import gather_from_tree, scatter_from_tree
+from repro.collectives.tree_collectives import tree_steps, tree_stream
 from repro.runtime.schedule import (
     ArrayPhase,
     ArrayStep,
     Schedule,
-    Step,
-    Transfer,
     overlay_steps,
     schedule_from_arrays,
 )
@@ -67,21 +68,21 @@ __all__ = [
     "bcast_scatter_allgather_bine_plan",
     "reduce_rsag_rabenseifner_plan",
     "reduce_rsag_bine_plan",
-    "composed_schedule",
+    "composed_steps",
     "composed_table",
     "hierarchical_allreduce_bine",
 ]
 
 
-def composed_schedule(plan) -> Schedule:
-    """The executor's :class:`Schedule` of a ``(meta, parts)`` plan."""
+def composed_steps(plan):
+    """``(meta, buffers, steps)`` of a ``(meta, parts)`` plan: the parts'
+    steps back to back."""
     meta, parts = plan
-    sched = Schedule(meta["p"], meta=meta)
-    for part in parts:
-        sched.steps.extend(
-            (render_schedule(part) if isinstance(part, Flow) else part).steps
-        )
-    return sched.finalize()
+    buffers = set().union(*(
+        flow_buffers(part) if isinstance(part, Flow) else {VEC} for part in parts
+    ))
+    steps = [flow_steps(part) if isinstance(part, Flow) else part for part in parts]
+    return meta, buffers, chain.from_iterable(steps)
 
 
 def composed_table(plan):
@@ -90,7 +91,8 @@ def composed_table(plan):
 
     meta, parts = plan
     return concat_tables(meta, *(
-        render_table(part) if isinstance(part, Flow) else lower_schedule(part)
+        render_table(part) if isinstance(part, Flow)
+        else lower_schedule(schedule_from_arrays(meta["p"], meta, part))
         for part in parts
     ))
 
@@ -106,46 +108,34 @@ def bcast_scatter_allgather_binomial_plan(p: int, n: int, root: int = 0):
     return (
         {"collective": "bcast", "algorithm": "scatter-allgather-binomial",
          "p": p, "n": n, "root": root},
-        (scatter_from_tree(tree, n),
+        (tree_stream(tree, n, "scatter")[2],
          allgather_flow(recursive_halving_butterfly(p), n, Strategy.NATURAL)),
     )
 
 
-def _pi_tree(tree: Tree, n: int, collective: str) -> Schedule:
-    """Scatter (or gather) along a tree whose subtree *π windows* are the
-    payload.
+def _pi_tree(tree: Tree, n: int, collective: str):
+    """Steps scattering (or gathering) along a tree whose subtree *π
+    windows* are the payload.
 
     The scatter's root holds the natural vector; each edge forwards the
     receiving child's subtree π-position window untouched (send
     semantics): the data that lands at rank ``r`` is the natural block
     π(r) — exactly the state the π-space allgather resumes from.  The
-    gather runs the same edges backwards, in reverse step order.
+    gather runs the same edges backwards, in reverse step order.  A
+    window that is not contiguous travels as its maximal runs.
     """
     p, gather = tree.p, collective == "gather"
     bs = require_divisible(n, p, "bine large reduce" if gather else "bine large broadcast")
-    pi = global_pi(p)
-    sched = Schedule(
-        p, meta={"collective": collective, "algorithm": f"pi-{tree.kind}",
-                 "p": p, "n": n, "root": tree.root},
-    )
-    order = range(tree.num_steps)
-    for step_idx in reversed(order) if gather else order:
-        transfers = []
-        for (u, v) in tree.edges[step_idx]:
-            positions = {pi[x] for x in tree.subtree(v)}
-            segs = tuple(
-                (lo * bs, hi * bs) for lo, hi in segments_of(positions)
-            )
-            src, dst = (v, u) if gather else (u, v)
-            transfers.append(
-                Transfer(
-                    src=src, dst=dst, src_buf=VEC, dst_buf=VEC,
-                    src_segments=segs, dst_segments=segs,
-                    tag=f"pi-{collective}[{step_idx}]",
-                )
-            )
-        sched.add(Step(transfers=tuple(transfers), label=f"pi {collective} {step_idx}"))
-    return sched.finalize()
+    pi = _pi_array(p)
+
+    def windows(child: np.ndarray) -> tuple:
+        blocks = [np.sort(pi[tree.subtree(v)]) for v in child.tolist()]
+        item = np.repeat(np.arange(child.size), [b.size for b in blocks])
+        pos = np.concatenate(blocks)
+        item, lo, hi = _merged(item, pos, pos + 1)
+        return np.bincount(item, minlength=child.size), lo * bs, hi * bs
+
+    return tree_steps(tree, windows, gather, f"pi-{collective}", f"pi {collective}")
 
 
 def bcast_scatter_allgather_bine_plan(p: int, n: int, root: int = 0):
@@ -172,7 +162,7 @@ def reduce_rsag_rabenseifner_plan(p: int, n: int, root: int = 0, op: str = "sum"
         {"collective": "reduce", "algorithm": "rabenseifner",
          "p": p, "n": n, "root": root, "op": op},
         (reduce_scatter_flow(recursive_halving_butterfly(p), n, op, Strategy.NATURAL),
-         gather_from_tree(binomial_tree_distance_halving(p, root), n)),
+         tree_stream(binomial_tree_distance_halving(p, root), n, "gather")[2]),
     )
 
 

@@ -6,7 +6,12 @@ algorithms as ``(collective, name)``.  Each entry knows its family (``bine``
 "Bine vs best state-of-the-art" summaries can group correctly, plus its
 constraints (power-of-two ranks, divisibility).
 
-Builders share the signature ``build(p, n, root=0, op="sum") -> Schedule``.
+Every entry builds through ``build(p, n, root=0, op="sum") -> Schedule``.
+Most describe their schedule once, as a ``steps`` hook returning ``(meta,
+buffers, steps)``, a stream of step arrays: ``build`` is
+:func:`~repro.runtime.schedule.schedule_from_arrays` over it and the
+verifier's plan :func:`~repro.runtime.compiled.plan_from_arrays`, so the
+two agree by construction.  The bcast trees and alltoall have a ``builder``.
 """
 
 from __future__ import annotations
@@ -14,10 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.bine_tree import (
-    bine_tree_distance_doubling,
-    bine_tree_distance_halving,
-)
+from repro.core.bine_tree import bine_tree_distance_halving
 from repro.core.binomial_tree import (
     binomial_tree_distance_doubling,
     binomial_tree_distance_halving,
@@ -37,18 +39,13 @@ from repro.collectives.butterfly_collectives import (
     allgather_flow,
     allreduce_recursive_flow,
     allreduce_rsag_flow,
+    flow_buffers,
+    flow_steps,
     reduce_scatter_flow,
-    render_compiled_plan,
-    render_schedule,
     render_table,
 )
-from repro.collectives.common import Strategy
-from repro.collectives.tree_collectives import (
-    bcast_from_tree,
-    gather_from_tree,
-    reduce_from_tree,
-    scatter_from_tree,
-)
+from repro.collectives.common import Strategy, build_stream
+from repro.collectives.tree_collectives import bcast_from_tree, tree_stream
 from repro.model import analytic
 from repro.runtime.schedule import Schedule
 
@@ -80,27 +77,31 @@ class AlgorithmSpec:
     collective: str
     name: str
     family: str  # 'bine' | 'binomial' | 'ring' | 'bruck' | 'swing' | 'linear' | 'sota'
-    builder: Callable[..., Schedule]
+    #: ``builder(p, n, root, op)`` builds the schedule of an entry without
+    #: a ``steps`` hook (the bcast trees, alltoall, the torus catalog)
+    builder: Callable[..., Schedule] | None = None
     pow2_only: bool = True
     needs_divisible: bool = False
     description: str = ""
     #: optional sweep cap: schedules with Θ(p²) wire segments (per-block
     #: strategies) are skipped above this rank count
     max_p: int | None = None
-    #: ``table(p)`` renders the sweep's TransferTable at ``n = p`` without
-    #: building the schedule: from the entry's plan (butterfly flows, Bruck,
-    #: Sparbit, rings, and the composed bcast/reduce, whose tree half is
-    #: still lowered), or as alltoall's packed/sampled cost model
+    #: ``table(p)`` renders the sweep's TransferTable at ``n = p`` from
+    #: closed-form counts, without building the schedule (butterfly flows,
+    #: Bruck, Sparbit, rings, and the composed bcast/reduce, whose tree half
+    #: is still lowered), or as alltoall's packed/sampled cost model
     #: (:mod:`repro.model.analytic`); ``None``: build and lower (trees, linear)
     table: Callable[[int], object] | None = None
-    #: ``compiled(p, n, root, op)`` renders the verifier's ``(schedule
-    #: stub, CompiledPlan)`` from the same plan, equal to compiling the
-    #: built schedule, without building it (butterfly flows, rings, Bruck,
-    #: Sparbit); ``None``: build and compile
-    compiled: Callable[[int, int, int, str], tuple] | None = None
+    #: ``steps(p, n, root, op)`` describes the schedule once, as ``(meta,
+    #: buffers, steps)``: ``build`` writes the steps out as objects and the
+    #: verifier lowers its plan from them without building; ``None``: the
+    #: entry has a ``builder``
+    steps: Callable[[int, int, int, str], tuple] | None = None
 
     def build(self, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
-        return self.builder(p, n, root, op)
+        if self.steps is None:
+            return self.builder(p, n, root, op)
+        return build_stream(self.steps(p, n, root, op))
 
     @property
     def constraints(self) -> tuple[str, ...]:
@@ -131,24 +132,40 @@ def _register(spec: AlgorithmSpec) -> None:
 
 
 def _register_flow(collective: str, name: str, family: str, flow, **kw) -> None:
-    """Register a butterfly entry: ``flow(p, n, op)`` renders all three ways."""
+    """Register a butterfly entry over ``flow(p, n, op)``."""
+
+    def steps(p, n, root, op):
+        f = flow(p, n, op)
+        return f.meta, flow_buffers(f), flow_steps(f)
+
     _register(AlgorithmSpec(
-        collective, name, family,
-        lambda p, n, root, op: render_schedule(flow(p, n, op)),
-        table=lambda p: render_table(flow(p, p, "sum")),
-        compiled=lambda p, n, root, op: render_compiled_plan(flow(p, n, op)),
-        **kw,
+        collective, name, family, steps=steps,
+        table=lambda p: render_table(flow(p, p, "sum")), **kw,
     ))
 
 
 def _register_plan(collective: str, name: str, family: str, plan, **kw) -> None:
-    """Register a composed entry: ``plan(p, n, root, op)`` renders both ways."""
+    """Register a composed entry over ``plan(p, n, root, op)``."""
     _register(AlgorithmSpec(
         collective, name, family,
-        lambda p, n, root, op: composed.composed_schedule(plan(p, n, root, op)),
+        steps=lambda p, n, root, op: composed.composed_steps(plan(p, n, root, op)),
         table=lambda p: composed.composed_table(plan(p, p, 0, "sum")),
         **kw,
     ))
+
+
+def _register_tree(collective: str, name: str, family: str, tree, **kw) -> None:
+    """Register a tree entry over ``tree(p, root)``.
+
+    The bcast trees get a ``builder`` over the same steps, not a ``steps``
+    hook, so that verifying them still runs ``build`` → ``compile_plan``:
+    ``benchmarks/perf``'s ``verify_grid`` workload times those layers.
+    """
+    if collective == "bcast":
+        hooks = {"builder": lambda p, n, root, op: bcast_from_tree(tree(p, root), n)}
+    else:
+        hooks = {"steps": lambda p, n, root, op: tree_stream(tree(p, root), n, collective, op)}
+    _register(AlgorithmSpec(collective, name, family, **hooks, **kw))
 
 
 def build(collective: str, name: str, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
@@ -220,21 +237,18 @@ def families() -> list[str]:
 # --------------------------------------------------------------------------
 # bcast
 # --------------------------------------------------------------------------
-_register(AlgorithmSpec(
-    "bcast", "binomial-dd", "binomial",
-    lambda p, n, root, op: bcast_from_tree(binomial_tree_distance_doubling(p, root), n),
+_register_tree(
+    "bcast", "binomial-dd", "binomial", binomial_tree_distance_doubling,
     description="Open MPI binomial broadcast (distance doubling, Fig. 1 top)",
-))
-_register(AlgorithmSpec(
-    "bcast", "binomial-dh", "binomial",
-    lambda p, n, root, op: bcast_from_tree(binomial_tree_distance_halving(p, root), n),
+)
+_register_tree(
+    "bcast", "binomial-dh", "binomial", binomial_tree_distance_halving,
     description="MPICH binomial broadcast (distance halving, Fig. 1 bottom)",
-))
-_register(AlgorithmSpec(
-    "bcast", "bine", "bine",
-    lambda p, n, root, op: bcast_from_tree(bine_tree_distance_halving(p, root), n),
+)
+_register_tree(
+    "bcast", "bine", "bine", bine_tree_distance_halving,
     description="Bine distance-halving tree broadcast (Listing 1)",
-))
+)
 _register_plan(
     "bcast", "scatter-allgather", "binomial",
     lambda p, n, root, op: composed.bcast_scatter_allgather_binomial_plan(p, n, root),
@@ -250,21 +264,18 @@ _register_plan(
 # --------------------------------------------------------------------------
 # reduce
 # --------------------------------------------------------------------------
-_register(AlgorithmSpec(
-    "reduce", "binomial-dd", "binomial",
-    lambda p, n, root, op: reduce_from_tree(binomial_tree_distance_doubling(p, root), n, op),
+_register_tree(
+    "reduce", "binomial-dd", "binomial", binomial_tree_distance_doubling,
     description="binomial tree reduce (distance doubling)",
-))
-_register(AlgorithmSpec(
-    "reduce", "binomial-dh", "binomial",
-    lambda p, n, root, op: reduce_from_tree(binomial_tree_distance_halving(p, root), n, op),
+)
+_register_tree(
+    "reduce", "binomial-dh", "binomial", binomial_tree_distance_halving,
     description="binomial tree reduce (distance halving)",
-))
-_register(AlgorithmSpec(
-    "reduce", "bine", "bine",
-    lambda p, n, root, op: reduce_from_tree(bine_tree_distance_halving(p, root), n, op),
+)
+_register_tree(
+    "reduce", "bine", "bine", bine_tree_distance_halving,
     description="Bine distance-halving tree reduce (small vectors)",
-))
+)
 _register_plan(
     "reduce", "rabenseifner", "binomial", composed.reduce_rsag_rabenseifner_plan,
     description="reduce-scatter + binomial gather (the standard butterfly large reduce)",
@@ -278,35 +289,31 @@ _register_plan(
 # --------------------------------------------------------------------------
 # gather / scatter
 # --------------------------------------------------------------------------
-_register(AlgorithmSpec(
-    "gather", "binomial", "binomial",
-    lambda p, n, root, op: gather_from_tree(binomial_tree_distance_halving(p, root), n),
+_register_tree(
+    "gather", "binomial", "binomial", binomial_tree_distance_halving,
     description="binomial gather (contiguous subtree ranges)",
-))
-_register(AlgorithmSpec(
-    "gather", "bine", "bine",
-    lambda p, n, root, op: gather_from_tree(bine_tree_distance_halving(p, root), n),
+)
+_register_tree(
+    "gather", "bine", "bine", bine_tree_distance_halving,
     description="Bine gather with circular ranges (Fig. 7)",
-))
+)
 _register(AlgorithmSpec(
     "gather", "linear", "linear",
-    lambda p, n, root, op: ringmod.linear_gather(p, n, root),
+    steps=lambda p, n, root, op: ringmod.linear_steps("gather", p, n, root),
     pow2_only=False,
     description="flat gather: everyone sends directly to the root",
 ))
-_register(AlgorithmSpec(
-    "scatter", "binomial", "binomial",
-    lambda p, n, root, op: scatter_from_tree(binomial_tree_distance_halving(p, root), n),
+_register_tree(
+    "scatter", "binomial", "binomial", binomial_tree_distance_halving,
     description="binomial scatter",
-))
-_register(AlgorithmSpec(
-    "scatter", "bine", "bine",
-    lambda p, n, root, op: scatter_from_tree(bine_tree_distance_halving(p, root), n),
+)
+_register_tree(
+    "scatter", "bine", "bine", bine_tree_distance_halving,
     description="Bine scatter (Sec. 4.2)",
-))
+)
 _register(AlgorithmSpec(
     "scatter", "linear", "linear",
-    lambda p, n, root, op: ringmod.linear_scatter(p, n, root),
+    steps=lambda p, n, root, op: ringmod.linear_steps("scatter", p, n, root),
     pow2_only=False,
     description="flat scatter",
 ))
@@ -321,24 +328,21 @@ _register_flow(
 )
 _register(AlgorithmSpec(
     "allgather", "ring", "ring",
-    lambda p, n, root, op: ringmod.ring_allgather(p, n),
+    steps=lambda p, n, root, op: ringmod.ring_steps("allgather", p, n, op),
     pow2_only=False, table=lambda p: ringmod.ring_table("allgather", p),
-    compiled=lambda p, n, root, op: ringmod.ring_plan("allgather", p, n, op),
     description="ring allgather",
 ))
 _register(AlgorithmSpec(
     "allgather", "bruck", "bruck",
-    lambda p, n, root, op: bruck.allgather_bruck(p, n),
+    steps=lambda p, n, root, op: bruck.bruck_steps(p, n, "bruck", per_block=False),
     pow2_only=False, table=lambda p: bruck._table(p, "bruck", per_block=False),
-    compiled=lambda p, n, root, op: bruck.bruck_plan(p, n, "bruck", per_block=False),
     description="Bruck allgather",
 ))
 _register(AlgorithmSpec(
     "allgather", "sparbit", "sota",
-    lambda p, n, root, op: bruck.allgather_sparbit(p, n),
+    steps=lambda p, n, root, op: bruck.bruck_steps(p, n, "sparbit", per_block=True),
     pow2_only=False, max_p=512,
     table=lambda p: bruck._table(p, "sparbit", per_block=True),
-    compiled=lambda p, n, root, op: bruck.bruck_plan(p, n, "sparbit", per_block=True),
     description="sparbit-like allgather (log steps, per-block sends)",
 ))
 _register_flow(
@@ -376,9 +380,8 @@ _register_flow(
 )
 _register(AlgorithmSpec(
     "reduce_scatter", "ring", "ring",
-    lambda p, n, root, op: ringmod.ring_reduce_scatter(p, n, op),
+    steps=lambda p, n, root, op: ringmod.ring_steps("reduce_scatter", p, n, op),
     pow2_only=False, table=lambda p: ringmod.ring_table("reduce_scatter", p),
-    compiled=lambda p, n, root, op: ringmod.ring_plan("reduce_scatter", p, n, op),
     description="ring reduce-scatter",
 ))
 _register_flow(
@@ -416,9 +419,8 @@ _register_flow(
 )
 _register(AlgorithmSpec(
     "allreduce", "ring", "ring",
-    lambda p, n, root, op: ringmod.ring_allreduce(p, n, op),
+    steps=lambda p, n, root, op: ringmod.ring_steps("allreduce", p, n, op),
     pow2_only=False, table=lambda p: ringmod.ring_table("allreduce", p),
-    compiled=lambda p, n, root, op: ringmod.ring_plan("allreduce", p, n, op),
     description="ring allreduce (RS + AG)",
 ))
 _register_flow(

@@ -8,10 +8,13 @@ block directly and model the "linear algorithms often outperform logarithmic
 ones at small scale" effect (Sec. 5.3.2).
 
 A ring pass is described once, as a block rotation of one step's arrays
-(:func:`ring_pass`): its executor schedule, its verifier plan
-(:func:`ring_plan`, one phase per pass), the torus bucket algorithm's
-per-line rings and, at ``n = p``, its sweep table (:func:`ring_table`,
-one row run ``p − 1`` times) all read the same ``r → r + 1`` rank arrays.
+(:func:`ring_pass`): :func:`ring_steps` hands a ring collective's passes
+to the registry, which builds the executor's schedule from them and
+lowers the verifier's plan from them (one phase per pass); the torus
+bucket algorithm's per-line rings and, at ``n = p``, the sweep table
+(:func:`ring_table`, one row run ``p − 1`` times) read the same
+``r → r + 1`` rank arrays.  A linear gather or scatter is one step of
+such arrays (:func:`linear_steps`).
 """
 
 from __future__ import annotations
@@ -21,30 +24,14 @@ import numpy as np
 from repro.core.blocks import Partition
 from repro.collectives.butterfly_collectives import block_edges, step_table
 from repro.collectives.common import VEC
-from repro.runtime.compiled import plan_from_arrays
-from repro.runtime.schedule import (
-    ArrayPhase,
-    BlockRotation,
-    Schedule,
-    Step,
-    Transfer,
-    schedule_from_arrays,
-)
+from repro.runtime.schedule import ArrayPhase, ArrayStep, BlockRotation
 
 __all__ = [
-    "ring_reduce_scatter",
-    "ring_allgather",
-    "ring_allreduce",
     "ring_pass",
-    "ring_plan",
+    "ring_steps",
     "ring_table",
-    "linear_gather",
-    "linear_scatter",
+    "linear_steps",
 ]
-
-
-def _seg(part: Partition, block: int):
-    return (part.bounds(block),)
 
 
 def _meta(collective: str, p: int, n: int, **extra) -> dict:
@@ -83,41 +70,16 @@ _RINGS = {
 }
 
 
-def _ring(collective: str, p: int, n: int, op: str, render):
-    """``render(p, meta, steps)`` of a ring collective's passes."""
+def ring_steps(collective: str, p: int, n: int, op: str = "sum"):
+    """``(meta, buffers, passes)`` of a ring collective: one
+    :func:`ring_pass` per pass, all in ``vec``."""
     passes, extra = _RINGS[collective]
     ops = {"op": op} if any(reduces for _, reduces, _ in passes) else {}
     meta = _meta(collective, p, n, **ops, **extra)
-    return render(p, meta, [
+    return meta, {VEC}, [
         ring_pass(p, n, shift, op if reduces else None, tag)
         for shift, reduces, tag in passes
-    ])
-
-
-def ring_reduce_scatter(p: int, n: int, op: str = "sum") -> Schedule:
-    """Ring reduce-scatter: rank ``r`` ends holding reduced block ``r``.
-
-    At step ``k`` rank ``r`` forwards its running partial of block
-    ``(r − 1 − k) mod p`` to ``r + 1`` and reduces the incoming partial of
-    block ``(r − 2 − k) mod p``.
-    """
-    return _ring("reduce_scatter", p, n, op, schedule_from_arrays)
-
-
-def ring_allgather(p: int, n: int) -> Schedule:
-    """Ring allgather: each rank starts with block ``r``, ends with all."""
-    return _ring("allgather", p, n, "sum", schedule_from_arrays)
-
-
-def ring_allreduce(p: int, n: int, op: str = "sum") -> Schedule:
-    """Ring allreduce = ring reduce-scatter + ring allgather (NCCL-style)."""
-    return _ring("allreduce", p, n, op, schedule_from_arrays)
-
-
-def ring_plan(collective: str, p: int, n: int, op: str = "sum"):
-    """The verifier's ``(schedule stub, plan)`` of a ring collective, equal
-    to compiling its built schedule, rendered from the same pass arrays."""
-    return _ring(collective, p, n, op, plan_from_arrays)
+    ]
 
 
 def ring_table(collective: str, p: int):
@@ -129,39 +91,18 @@ def ring_table(collective: str, p: int):
     return step_table(meta, [_table_pass(p, r) for r in reduces], reps=[p - 1] * len(passes))
 
 
-def linear_gather(p: int, n: int, root: int = 0) -> Schedule:
-    """Flat gather: every rank sends its block straight to the root."""
-    part = Partition(n, p)
-    transfers = tuple(
-        Transfer(
-            src=r, dst=root, src_buf=VEC, dst_buf=VEC,
-            src_segments=_seg(part, r), dst_segments=_seg(part, r),
-            tag="linear-gather",
-        )
-        for r in range(p)
-        if r != root
-    )
-    sched = Schedule(
-        p, meta={"collective": "gather", "algorithm": "linear", "p": p, "n": n, "root": root}
-    )
-    sched.add(Step(transfers=transfers, label="linear gather"))
-    return sched.finalize()
-
-
-def linear_scatter(p: int, n: int, root: int = 0) -> Schedule:
-    """Flat scatter: the root sends each rank its block directly."""
-    part = Partition(n, p)
-    transfers = tuple(
-        Transfer(
-            src=root, dst=r, src_buf=VEC, dst_buf=VEC,
-            src_segments=_seg(part, r), dst_segments=_seg(part, r),
-            tag="linear-scatter",
-        )
-        for r in range(p)
-        if r != root
-    )
-    sched = Schedule(
-        p, meta={"collective": "scatter", "algorithm": "linear", "p": p, "n": n, "root": root}
-    )
-    sched.add(Step(transfers=transfers, label="linear scatter"))
-    return sched.finalize()
+def linear_steps(collective: str, p: int, n: int, root: int = 0):
+    """``(meta, buffers, steps)`` of a flat gather or scatter: one step in
+    which every other rank sends its block to ``root`` (gather) or
+    ``root`` sends each rank its block (scatter)."""
+    Partition(n, p)
+    ranks = np.arange(p)
+    others = ranks[ranks != root]
+    edge = block_edges(n, p)
+    ends = (others, np.full_like(others, root))
+    src, dst = ends if collective == "gather" else ends[::-1]
+    meta = {"collective": collective, "algorithm": "linear", "p": p, "n": n, "root": root}
+    return meta, {VEC}, [ArrayStep(f"linear {collective}", ArrayPhase(
+        src, dst, np.ones_like(others), edge[others], edge[others + 1],
+        tag=f"linear-{collective}",
+    ))]

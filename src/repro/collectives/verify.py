@@ -14,9 +14,9 @@ Two execution engines share the oracle:
   (:mod:`repro.runtime.compiled`): compile the schedule once, execute *all*
   seeds in one batched pass, check each layer.  :func:`compiled_plan_for`
   makes one cell's plan, so grid-scale verification amortizes compilation
-  across seeds; entries with a plan renderer get theirs without a
-  schedule ever being built.  Plans are not memoized: a grid visits each
-  cell once, and holds one plan at a time.
+  across seeds; entries with a ``steps`` hook get theirs from their
+  step arrays, without a schedule ever being built.  Plans are not
+  memoized: a grid visits each cell once, and holds one plan at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.runtime.compiled import (
     buffers_used,
     compile_plan,
     matrix_to_buffers,
+    plan_from_arrays,
 )
 from repro.runtime.executor import execute
 from repro.runtime.memo import Memo
@@ -300,14 +301,17 @@ def compiled_plan_for(
 
     The returned schedule is a **steps-free stub** carrying only ``p`` and
     ``meta``: everything :func:`init_matrix` / :func:`check_matrix` /
-    :func:`run_and_check_compiled` need.  Entries with a plan renderer
-    (``spec.compiled``: the butterfly flows, rings, Bruck and Sparbit)
-    render the plan straight from their step arrays and never build a
-    schedule (millions of ``Transfer`` objects for a 1024-rank ring); the
-    rest (trees, linear gather/scatter, composed bcast/reduce) build, are
-    compiled, and drop the step list right after.  Either way the plan,
-    its compact phases written out (:meth:`CompiledPlan.expanded`), is the
-    one ``compile_plan(build(...))`` gives.
+    :func:`run_and_check_compiled` need.  An entry with a ``steps`` hook
+    (every entry but the three bcast trees and alltoall) lowers the plan
+    straight from its step arrays and never builds a schedule (millions
+    of ``Transfer`` objects for a 1024-rank ring).  The bcast trees build
+    through a ``builder`` over the same tree steps instead, so
+    verification keeps one cheap entry on the build → compile path that
+    ``benchmarks/perf``'s ``verify_grid`` workload times; they and
+    alltoall build, are compiled, and drop the step list right after.
+    Either way the plan, its compact phases written out
+    (:meth:`CompiledPlan.expanded`), is the one ``compile_plan(build(...))``
+    gives.
 
     Example::
 
@@ -318,17 +322,13 @@ def compiled_plan_for(
     from repro.collectives.registry import spec_for
 
     spec = spec_for(collective, algorithm)
-    if spec.compiled is not None:
-        with obs.span(
-            "lower.plan", collective=collective, algorithm=algorithm, p=p, n=n
-        ):
-            return spec.compiled(p, n, root, op)
-    with obs.span(
-        "schedule.build", collective=collective, algorithm=algorithm, p=p
-    ):
+    span = {"collective": collective, "algorithm": algorithm, "p": p}
+    if spec.steps is not None:
+        with obs.span("lower.plan", **span, n=n):
+            meta, buffers, steps = spec.steps(p, n, root, op)
+            return plan_from_arrays(p, meta, steps, buffers)
+    with obs.span("schedule.build", **span):
         schedule = spec.build(p, n, root, op)
     stub = Schedule(p=schedule.p, steps=[], meta=dict(schedule.meta))
-    with obs.span(
-        "lower.plan", collective=collective, algorithm=algorithm, p=p, n=n
-    ):
+    with obs.span("lower.plan", **span, n=n):
         return stub, compile_plan(schedule)

@@ -1001,7 +1001,8 @@ def plan_from_arrays(
     steps all lower alike becomes one rotation phase, and an
     :class:`EveryRank` copy one permutation phase.  ``buffers`` names every
     buffer the steps touch (``meta["n"]`` elements each).  The checks
-    building would run still run: a transfer to self raises at its step
+    building would run still run: what making a step's :class:`Transfer`
+    objects raises (:meth:`ArrayPhase.check_transfers`) raises at its step
     and, with schedule validation on, :meth:`Schedule.finalize`'s
     rank-range and overlapping-write checks raise for the first failing
     step once every step has rendered.  ``steps`` is consumed lazily, a
@@ -1009,7 +1010,10 @@ def plan_from_arrays(
     """
     if p <= 0:
         raise ScheduleError("schedule needs p > 0")
-    layout = BufferLayout({name: meta["n"] for name in buffers})
+    try:
+        layout, layout_error = BufferLayout({name: meta["n"] for name in buffers}), None
+    except ValueError as exc:  # raised after any error building would raise
+        layout, layout_error = None, exc
     validate = validation_enabled()
 
     def entries():
@@ -1017,7 +1021,7 @@ def plan_from_arrays(
         for item in steps:
             if not isinstance(item, BlockRotation):
                 yield item, None
-            elif _replays(item, layout):
+            elif layout is not None and _replays(item, layout):
                 yield item.step(0), item
             else:
                 yield from ((step, None) for step in item)
@@ -1032,11 +1036,7 @@ def plan_from_arrays(
             xfer, transfers, segments = [], 0, 0
             if step.transfers is not None and step.transfers.src.size:
                 ph = step.transfers
-                same = np.flatnonzero(ph.src == ph.dst)
-                if same.size:
-                    raise ScheduleError(
-                        f"transfer to self at rank {ph.src[same[0]]} ({ph.tag})"
-                    )
+                ph.check_transfers()
                 if validate and invalid is None:
                     invalid = ph.finalize_error(p, step.label)
                 xfer, transfers, segments = [(where, False, ph)], ph.src.size, ph.lo.size
@@ -1049,5 +1049,9 @@ def plan_from_arrays(
         if invalid is not None:
             raise invalid
 
+    if layout_error is not None:
+        for _ in phases():
+            pass
+        raise layout_error
     plan = _plan_steps(p, layout, phases(), _array_columns, _BATCH_SEGMENTS)
     return Schedule(p=p, steps=[], meta=dict(meta)), plan

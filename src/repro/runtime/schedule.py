@@ -281,12 +281,31 @@ class ArrayPhase(NamedTuple):
     op: str | None = None
     tag: str = ""
 
-    def segment_tuples(self) -> tuple[list, list]:
+    def segment_tuples(self, interned: dict) -> tuple[list, list]:
         """Each item's source and destination segment tuples (one tuple
-        for both ends when they move the same segments)."""
-        src = _tuples(self.counts, self.lo, self.hi)
-        dst = src if self.dst_segments is None else _tuples(*self.dst_segments)
+        for both ends when they move the same segments), interned in
+        ``interned`` (see :func:`_tuples`)."""
+        src = _tuples(self.counts, self.lo, self.hi, interned)
+        dst = src if self.dst_segments is None else _tuples(*self.dst_segments, interned)
         return src, dst
+
+    def transfers(self, interned: dict) -> tuple[Transfer, ...]:
+        """These items as :class:`Transfer` objects, which check
+        themselves as they are made (segment tuples interned)."""
+        src_segs, dst_segs = self.segment_tuples(interned)
+        return tuple(
+            Transfer(s, d, self.src_buf, self.dst_buf, a, b, self.op, self.tag)
+            for s, d, a, b in zip(self.src.tolist(), self.dst.tolist(), src_segs, dst_segs)
+        )
+
+    def check_transfers(self) -> None:
+        """Raise what making :meth:`transfers` raises, making them only
+        when a check could fail: a transfer to self, an invalid source
+        segment, or destination segments of their own."""
+        lo, hi = self.lo, self.hi
+        if (self.dst_segments is not None or (self.src == self.dst).any()
+                or (lo < 0).any() or (hi < lo).any()):
+            self.transfers({})
 
     def finalize_error(self, p: int, label: str) -> ScheduleError | None:
         """What :meth:`Step.validate` raises for these transfers, or ``None``.
@@ -432,25 +451,39 @@ def overlay_steps(parts: Iterable[tuple[Sequence[ArrayStep], Sequence[int], int]
         )
 
 
-def _tuples(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
-    """Per-item segment tuples from flat segment columns."""
+def _tuples(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray, interned: dict) -> list[tuple]:
+    """Per-item segment tuples from flat segment columns.
+
+    ``interned`` maps each segment list seen so far, keyed by the bytes
+    of its ``(lo, hi)`` pairs as int64 (16 bytes a segment), to its one
+    tuple: only an unseen list is made into a tuple.
+    """
     cut = np.concatenate(([0], np.cumsum(counts))).tolist()
-    pairs = list(zip(lo.tolist(), hi.tolist()))
-    return [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
+    raw = np.stack((lo, hi), axis=1).astype(np.int64, copy=False).tobytes()
+    out = []
+    for a, b in zip(cut, cut[1:]):
+        key = raw[16 * a:16 * b]
+        segs = interned.get(key)
+        if segs is None:
+            segs = interned[key] = tuple(zip(lo[a:b].tolist(), hi[a:b].tolist()))
+        out.append(segs)
+    return out
 
 
-def local_copies(phases: tuple[ArrayPhase | EveryRank, ...], p: int) -> tuple[LocalCopy, ...]:
-    """The :class:`LocalCopy` objects of local-copy batches, in order."""
+def local_copies(phases: tuple[ArrayPhase | EveryRank, ...], p: int,
+                 interned: dict) -> tuple[LocalCopy, ...]:
+    """The :class:`LocalCopy` objects of local-copy batches, in order,
+    their segment tuples interned in ``interned``."""
     copies = []
     for ph in phases:
         if isinstance(ph, EveryRank):
             # every rank shares the copy's one pair of segment tuples
             ph, ranks = ph.copy, range(p)
-            (a,), (b,) = ph.segment_tuples()
+            (a,), (b,) = ph.segment_tuples(interned)
             src_segs, dst_segs = [a] * p, [b] * p
         else:
             ranks = ph.src.tolist()
-            src_segs, dst_segs = ph.segment_tuples()
+            src_segs, dst_segs = ph.segment_tuples(interned)
         copies += [
             LocalCopy(rank, ph.src_buf, ph.dst_buf, a, b, ph.op, ph.tag)
             for rank, a, b in zip(ranks, src_segs, dst_segs)
@@ -462,18 +495,20 @@ def schedule_from_arrays(
     p: int, meta: dict, steps: Iterable[ArrayStep | BlockRotation]
 ) -> Schedule:
     """The :class:`Schedule` of ``steps`` (validated on exit), each
-    :class:`BlockRotation` written out step by step."""
+    :class:`BlockRotation` written out step by step.
+
+    Equal segment tuples are one object throughout the schedule (interned
+    for this call only): the steps of a butterfly walk each rank's sets
+    more than once, and a transfer that moves the same segments at both
+    ends holds one tuple for both.
+    """
     sched = Schedule(p, meta=meta)
+    interned: dict = {}
     for st in chain.from_iterable(
         st if isinstance(st, BlockRotation) else (st,) for st in steps
     ):
-        transfers: tuple[Transfer, ...] = ()
         ph = st.transfers
-        if ph is not None:
-            src_segs, dst_segs = ph.segment_tuples()
-            transfers = tuple(
-                Transfer(s, d, ph.src_buf, ph.dst_buf, a, b, ph.op, ph.tag)
-                for s, d, a, b in zip(ph.src.tolist(), ph.dst.tolist(), src_segs, dst_segs)
-            )
-        sched.add(Step(transfers, local_copies(st.pre, p), local_copies(st.post, p), st.label))
+        transfers = () if ph is None else ph.transfers(interned)
+        sched.add(Step(transfers, local_copies(st.pre, p, interned),
+                       local_copies(st.post, p, interned), st.label))
     return sched.finalize()

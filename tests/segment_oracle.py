@@ -1,6 +1,6 @@
 """The per-rank segment renderer: the test suite's oracle for butterfly schedules.
 
-:func:`repro.collectives.butterfly_collectives.render_schedule` computes a
+:func:`repro.collectives.butterfly_collectives.flow_steps` computes a
 step's wire segments for every owner in one NumPy pass over the per-step
 set geometry it shares with the table renderer.  This module keeps the
 path it replaced, which walks owners one at a time:
@@ -12,11 +12,15 @@ path it replaced, which walks owners one at a time:
   recursion for ``bine-halving`` and the generic recursion of
   :mod:`repro.core.coverage` for any other kind;
 * :func:`sorted_runs` — maximal runs of a sorted block array;
-* :func:`oracle_render` — a :class:`~repro.collectives.butterfly_collectives.Flow`
-  rendered owner by owner through those backends: ``Partition`` segments
-  (one per block under ``Strategy.BLOCKS``) or one π window per set;
-* :func:`oracle_build` — a registry entry built with every flow rendered
-  by :func:`oracle_render`, composed bcast/reduce halves included;
+* :func:`oracle_steps` — a :class:`~repro.collectives.butterfly_collectives.Flow`'s
+  steps as arrays, segments computed owner by owner through those
+  backends: ``Partition`` segments (one per block under
+  ``Strategy.BLOCKS``) or one π window per set; :func:`oracle_render`
+  builds them into a schedule;
+* :func:`oracle_build` — a registry entry built with every flow's steps
+  from :func:`oracle_steps` (patched in where the registry and the
+  composed plans call ``flow_steps``), composed bcast/reduce halves
+  included;
 * :func:`flow_backed_specs` / :func:`schedule_mismatches` — the entries
   to compare and the comparison, transfer for transfer.
 
@@ -43,11 +47,12 @@ from repro.core.blocks import Partition
 from repro.core.butterfly import Butterfly
 from repro.core.coverage import responsibility
 from repro.runtime.errors import ScheduleError
-from repro.runtime.schedule import Schedule, Step, Transfer, local_copies
+from repro.runtime.schedule import ArrayPhase, ArrayStep, Schedule, schedule_from_arrays
 
 __all__ = [
     "resp_backend",
     "sorted_runs",
+    "oracle_steps",
     "oracle_render",
     "oracle_build",
     "flow_backed_specs",
@@ -213,48 +218,52 @@ def _set_segments(bf: Butterfly, n: int, strategy: Strategy):
     return lambda rank, step: _segments_for(part, resp(rank, step), strategy)
 
 
-def oracle_render(flow) -> Schedule:
-    """``flow``'s :class:`Schedule`, its segments computed owner by owner."""
+def oracle_steps(flow):
+    """``flow``'s steps as arrays, their segments computed owner by owner
+    (a natural layout rejects a negative ``n`` on the call)."""
     bf, n, strategy = flow.bf, flow.n, flow.strategy
     p = bf.p
     bs = n // p
     resp_segs = _set_segments(bf, n, strategy)
-    sched = Schedule(p, meta=flow.meta)
-    for st in flow.steps:
-        owners = st.owner.tolist()
-        if st.resp_step is None:
-            segs = [((b * bs, (b + 1) * bs),) for b in owners]
-        elif st.resp_step == 0:
-            segs = [((0, n),)] * len(owners)
-        else:
-            segs = [resp_segs(o, st.resp_step) for o in owners]
-        transfers = tuple(
-            Transfer(
-                src=r, dst=q, src_buf=st.buf, dst_buf=st.buf,
-                src_segments=g, dst_segments=g, op=st.op, tag=st.tag,
+
+    def steps():
+        for st in flow.steps:
+            owners = st.owner.tolist()
+            if st.resp_step is None:
+                segs = [((b * bs, (b + 1) * bs),) for b in owners]
+            elif st.resp_step == 0:
+                segs = [((0, n),)] * len(owners)
+            else:
+                segs = [resp_segs(o, st.resp_step) for o in owners]
+            flat = np.array([seg for g in segs for seg in g], dtype=np.intp).reshape(-1, 2)
+            counts = np.array([len(g) for g in segs], dtype=np.intp)
+            yield ArrayStep(
+                st.label,
+                ArrayPhase(st.src, st.dst, counts, flat[:, 0], flat[:, 1], None,
+                           st.buf, st.buf, st.op, st.tag),
+                _local_arrays(st.pre, p, n),
+                _local_arrays(st.post, p, n),
             )
-            for r, q, g in zip(st.src.tolist(), st.dst.tolist(), segs)
-        )
-        sched.add(Step(
-            transfers=transfers,
-            pre=local_copies(_local_arrays(st.pre, p, n), p),
-            post=local_copies(_local_arrays(st.post, p, n), p),
-            label=st.label,
-        ))
-    return sched.finalize()
+
+    return steps()
+
+
+def oracle_render(flow) -> Schedule:
+    """``flow``'s :class:`Schedule`, built from :func:`oracle_steps`."""
+    return schedule_from_arrays(flow.bf.p, flow.meta, oracle_steps(flow))
 
 
 @contextmanager
-def _rendering_with(render):
-    """Registry and composed builders render their flows with ``render``."""
-    with mock.patch.object(registry, "render_schedule", render), \
-            mock.patch.object(composed, "render_schedule", render):
+def _rendering_with(steps):
+    """Registry and composed entries take their flows' steps from ``steps``."""
+    with mock.patch.object(registry, "flow_steps", steps), \
+            mock.patch.object(composed, "flow_steps", steps):
         yield
 
 
 def oracle_build(spec, p: int, n: int, root: int = 0) -> Schedule:
-    """``spec.build(p, n, root)`` with every flow rendered by :func:`oracle_render`."""
-    with _rendering_with(oracle_render):
+    """``spec.build(p, n, root)`` with every flow's steps from :func:`oracle_steps`."""
+    with _rendering_with(oracle_steps):
         return spec.build(p, n, root)
 
 
@@ -265,7 +274,7 @@ def flow_backed_specs() -> list:
 
     def counting(flow):
         rendered.append(flow)
-        return oracle_render(flow)
+        return oracle_steps(flow)
 
     specs = []
     with _rendering_with(counting):

@@ -14,7 +14,8 @@ the ring oracle stops below p=1024, where building the allreduce ring
 schedule alone takes 16-20 s and 1.4 GB (2-CPU x86 machine).  The tier-1
 suite checks up to p=1024 (``tests/test_plan_backed_tables.py``); this
 script runs the same comparison at larger p, too heavy for tier-1 (the
-p=2048 swing allreduce build alone holds ~430 MB of segment tuples)::
+p=2048 swing allreduce build alone peaks at ~130 MB, traced, while its
+segment tuples are made)::
 
     $ PYTHONPATH=src python tests/table_oracle.py --p 2048 --p 1500
 
@@ -44,11 +45,13 @@ or raise the same error::
     $ PYTHONPATH=src python tests/table_oracle.py --segments 1024
 
 ``--plans P`` (repeatable) adds the plan-oracle comparison at scale: every
-entry with a plan renderer (``spec.compiled``: the butterflies, rings,
-Bruck and Sparbit), rendered at ``P`` ranks with ``n = P`` and
-``n = 4P + 3``, its compact phases written out as runs
-(``CompiledPlan.expanded``), must equal ``compile_plan(spec.build(...))``
-run for run, or raise the same error (cells skipped as above)::
+entry with a ``steps`` hook (the butterflies, rings, Bruck, Sparbit, the
+reduce/gather/scatter trees, linear gather/scatter and the composed
+bcast/reduce), its plan lowered from those steps at ``P`` ranks with
+``n = P`` and ``n = 4P + 3`` and its compact phases written out as runs
+(``CompiledPlan.expanded``), must equal ``compile_plan(spec.build(...))``,
+the same steps built as objects and compiled, run for run, or raise the
+same error (cells skipped as above)::
 
     $ PYTHONPATH=src python tests/table_oracle.py --plans 1024
 
@@ -68,7 +71,7 @@ from repro.analysis.sweep import ProfileCache
 from repro.collectives.registry import AlgorithmSpec, iter_specs
 from repro.faults import FaultSpec
 from repro.model.compiled import TransferTable, lower_schedule
-from repro.runtime.compiled import CompiledPlan, compile_plan
+from repro.runtime.compiled import CompiledPlan, compile_plan, plan_from_arrays
 from repro.runtime.memo import clear_memo_caches
 from repro.runtime.schedule import schedule_validation
 from repro.systems import lumi
@@ -159,8 +162,15 @@ def table_mismatches(table: TransferTable | None, oracle: TransferTable | None) 
 
 
 def rendered_specs() -> list[AlgorithmSpec]:
-    """Registry entries whose verifier plan renders without a schedule."""
-    return [spec for spec in iter_specs() if spec.compiled is not None]
+    """Registry entries whose verifier plan renders without a schedule:
+    those with a ``steps`` hook."""
+    return [spec for spec in iter_specs() if spec.steps is not None]
+
+
+def rendered_plan(spec: AlgorithmSpec, p: int, n: int, root: int = 0, op: str = "sum"):
+    """The verifier's ``(schedule stub, plan)``, lowered from ``spec.steps``."""
+    meta, buffers, steps = spec.steps(p, n, root, op)
+    return plan_from_arrays(p, meta, steps, buffers)
 
 
 def _same_array(a, b) -> bool:
@@ -210,10 +220,10 @@ def _built(spec: AlgorithmSpec, p: int, n: int, root: int, op: str):
 
 def cell_plan_mismatches(spec: AlgorithmSpec, p: int, n: int, root: int = 0,
                          op: str = "sum") -> list[str]:
-    """Where ``spec.compiled(p, n, root, op)`` differs from building and
-    compiling: its stub (``p``, ``meta``, no steps), its plan, or a
-    differing error (type and text)."""
-    got, got_err = _outcome(lambda: spec.compiled(p, n, root, op))
+    """Where :func:`rendered_plan` differs from building and compiling:
+    its stub (``p``, ``meta``, no steps), its plan, or a differing error
+    (type and text)."""
+    got, got_err = _outcome(lambda: rendered_plan(spec, p, n, root, op))
     want, want_err = _outcome(lambda: _built(spec, p, n, root, op))
     if got_err or want_err:
         return [] if got_err == want_err else [f"error {got_err} != {want_err}"]

@@ -10,17 +10,9 @@ from repro.collectives.alltoall import (
     alltoall_bruck,
     alltoall_pairwise,
 )
-from repro.collectives.bruck_allgather import allgather_bruck, allgather_sparbit
 from repro.collectives.composed import hierarchical_allreduce_bine
 from repro.collectives.registry import build
-from repro.collectives.ring import (
-    linear_gather,
-    linear_scatter,
-    ring_allgather,
-    ring_allreduce,
-    ring_pass,
-    ring_reduce_scatter,
-)
+from repro.collectives.ring import ring_pass
 from repro.collectives.verify import run_and_check
 from repro.runtime.schedule import overlay_steps
 
@@ -28,55 +20,55 @@ from repro.runtime.schedule import overlay_steps
 class TestRing:
     @pytest.mark.parametrize("p", [2, 3, 5, 8, 16, 17])
     def test_allreduce_any_p(self, p):
-        run_and_check(ring_allreduce(p, 3 * p + 1))
+        run_and_check(build("allreduce", "ring", p, 3 * p + 1))
 
     @pytest.mark.parametrize("p", [2, 4, 7, 16])
     def test_rs_ag(self, p):
-        run_and_check(ring_reduce_scatter(p, 2 * p + 1))
-        run_and_check(ring_allgather(p, 2 * p + 1))
+        run_and_check(build("reduce_scatter", "ring", p, 2 * p + 1))
+        run_and_check(build("allgather", "ring", p, 2 * p + 1))
 
     def test_step_count_linear(self):
-        assert ring_allgather(10, 20).num_steps == 9
-        assert ring_allreduce(10, 20).num_steps == 18
+        assert build("allgather", "ring", 10, 20).num_steps == 9
+        assert build("allreduce", "ring", 10, 20).num_steps == 18
 
     def test_marked_segmented(self):
-        assert ring_allreduce(4, 8).meta["segmented"] is True
+        assert build("allreduce", "ring", 4, 8).meta["segmented"] is True
 
     def test_p1_rejected(self):
         with pytest.raises(ValueError):
-            ring_allgather(1, 4)
+            build("allgather", "ring", 1, 4)
 
 
 class TestLinear:
     @pytest.mark.parametrize("p", [2, 5, 9])
     @pytest.mark.parametrize("root", [0, 1])
     def test_gather_scatter(self, p, root):
-        run_and_check(linear_gather(p, 3 * p, root % p))
-        run_and_check(linear_scatter(p, 3 * p, root % p))
+        run_and_check(build("gather", "linear", p, 3 * p, root % p))
+        run_and_check(build("scatter", "linear", p, 3 * p, root % p))
 
     def test_single_step(self):
-        assert linear_gather(9, 18).num_steps == 1
+        assert build("gather", "linear", 9, 18).num_steps == 1
 
 
 class TestBruckAllgather:
     @pytest.mark.parametrize("p", [2, 3, 5, 8, 12, 16, 31])
     def test_correct_any_p(self, p):
-        run_and_check(allgather_bruck(p, 2 * p))
+        run_and_check(build("allgather", "bruck", p, 2 * p))
 
     @pytest.mark.parametrize("p", [2, 5, 8, 13])
     def test_sparbit_correct(self, p):
-        run_and_check(allgather_sparbit(p, 2 * p))
+        run_and_check(build("allgather", "sparbit", p, 2 * p))
 
     def test_log_rounds(self):
-        assert allgather_bruck(16, 32).num_steps == 4
-        assert allgather_bruck(17, 34).num_steps == 5
+        assert build("allgather", "bruck", 16, 32).num_steps == 4
+        assert build("allgather", "bruck", 17, 34).num_steps == 5
 
     def test_bruck_segments_at_most_two(self):
-        sched = allgather_bruck(16, 32)
+        sched = build("allgather", "bruck", 16, 32)
         assert max(t.num_segments for _, t in sched.all_transfers()) <= 2
 
     def test_sparbit_per_block(self):
-        sched = allgather_sparbit(16, 32)
+        sched = build("allgather", "sparbit", 16, 32)
         assert max(t.num_segments for _, t in sched.all_transfers()) > 2
 
 

@@ -1,14 +1,16 @@
-"""Rendered verifier plans equal compiled built schedules, run for run.
+"""Verifier plans lowered from step arrays equal compiled built schedules, run for run.
 
-Entries with a plan renderer (``spec.compiled``: the butterfly flows, the
-rings, Bruck and Sparbit) give ``repro verify`` its
+Entries with a ``steps`` hook (every registry entry but the three bcast
+trees and alltoall) give ``repro verify`` its
 :class:`~repro.runtime.compiled.CompiledPlan` straight from their step
-arrays, through the back end ``compile_plan`` also feeds.  The oracle is
-the path they replace: build the schedule, compile it.  Every such entry
-is compared at every p of :data:`P_GRID` with n ∈ {p, 4p, 4p + 3, p − 3}
-(``p − 3`` leaves zero-size blocks); shapes an entry rejects must raise
-the same error both ways.  ``tests/table_oracle.py --plans P`` runs the
-same comparison at larger p.
+arrays (``plan_from_arrays``), through the back end ``compile_plan``
+also feeds; ``spec.build`` writes the same steps out as objects
+(``schedule_from_arrays``).  The oracle is the object path: build the
+schedule, compile it.  Every such entry is compared at every p of
+:data:`P_GRID` with n ∈ {p, 4p, 4p + 3, p − 3} (``p − 3`` leaves
+zero-size blocks); shapes an entry rejects must raise the same error
+both ways.  ``tests/table_oracle.py --plans P`` runs the same comparison
+at larger p.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from repro.collectives.butterfly_collectives import (
     Flow,
     FlowStep,
     allgather_flow,
+    flow_buffers,
     flow_steps,
     reduce_scatter_flow,
-    render_compiled_plan,
     render_schedule,
 )
 from repro.collectives.common import Strategy
@@ -33,7 +35,6 @@ from repro.collectives.registry import AlgorithmSpec, spec_for
 from repro.collectives.verify import compiled_plan_for
 from repro.core.butterfly import (
     Butterfly,
-    bine_butterfly_doubling,
     bine_butterfly_halving,
     recursive_doubling_butterfly,
 )
@@ -64,12 +65,15 @@ CASES = [(spec, p) for spec in RENDERED for p in P_GRID]
 
 def test_rendered_entries():
     names = {(s.collective, s.name) for s in RENDERED}
-    # 20 butterflies, three rings, Bruck and Sparbit
-    assert len(names) == 25
+    # every entry but the three bcast trees and the three alltoalls
+    assert len(names) == 38
     assert {("allreduce", "ring"), ("allgather", "bruck"),
-            ("allgather", "sparbit"), ("allreduce", "swing")} <= names
-    assert not {("bcast", "bine"), ("bcast", "scatter-allgather"),
-                ("gather", "linear")} & names
+            ("allgather", "sparbit"), ("allreduce", "swing"),
+            ("reduce", "bine"), ("gather", "binomial"), ("scatter", "bine"),
+            ("gather", "linear"), ("scatter", "linear"),
+            ("bcast", "scatter-allgather"), ("reduce", "bine-rsag")} <= names
+    assert not {("bcast", "bine"), ("bcast", "binomial-dd"),
+                ("bcast", "binomial-dh"), ("alltoall", "bine")} & names
 
 
 @pytest.mark.parametrize(
@@ -84,6 +88,11 @@ def test_plan_equals_compiled_build(spec, p):
 def test_plan_with_other_root_and_op(spec):
     # renderers ignore the root, as the builders do; the op reaches the plan
     assert cell_plan_mismatches(spec, 8, 32, root=7, op="max") == []
+
+
+def _plan(flow):
+    """``flow``'s ``(schedule stub, plan)``, lowered from its steps."""
+    return plan_from_arrays(flow.bf.p, flow.meta, flow_steps(flow), flow_buffers(flow))
 
 
 def _error(render, flow):
@@ -107,7 +116,7 @@ FAKE_HALVING = Butterfly(8, "bine-halving", RD8.partners)
 ], ids=["rs-recdoub-permute", "ag-recdoub-send", "rs-halving-send",
         "ag-not-circular", "rs-not-circular"])
 def test_errors_equal_built_path(flow):
-    err = _error(render_compiled_plan, flow)
+    err = _error(_plan, flow)
     assert err == _error(render_schedule, flow)
     assert "not contiguous" in err[1] or "not circular-contiguous" in err[1]
 
@@ -129,7 +138,7 @@ OVERLAP = _flow(_whole("fine", [0, 1], [1, 0]),
 
 
 def test_overlapping_writes_raise_finalize_error():
-    err = _error(render_compiled_plan, OVERLAP)
+    err = _error(_plan, OVERLAP)
     assert err == _error(render_schedule, OVERLAP)
     assert err == (
         ScheduleError,
@@ -139,7 +148,7 @@ def test_overlapping_writes_raise_finalize_error():
 
 def test_overlapping_reduce_writes_pass():
     flow = _flow(_whole("sum", [0, 0, 1, 1], [3, 2, 2, 3], op="sum"))
-    assert plan_mismatches(render_compiled_plan(flow)[1],
+    assert plan_mismatches(_plan(flow)[1],
                            compile_plan(render_schedule(flow))) == []
 
 
@@ -147,7 +156,7 @@ def test_unvalidated_overlap_renders_the_compiled_plan():
     # with validation off both paths accept the clash; the overwrite group
     # keeps the last write per element in both plans
     with schedule_validation(False):
-        got = render_compiled_plan(OVERLAP)[1]
+        got = _plan(OVERLAP)[1]
         want = compile_plan(render_schedule(OVERLAP))
     assert plan_mismatches(got, want) == []
 
@@ -163,17 +172,7 @@ def test_unvalidated_overlap_renders_the_compiled_plan():
     ),
 ], ids=["rank-out-of-range", "transfer-to-self", "construction-error-first"])
 def test_structural_errors_equal_built_path(flow):
-    assert _error(render_compiled_plan, flow) == _error(render_schedule, flow)
-
-
-@pytest.mark.parametrize("p, n", [(8, 8), (8, 37), (16, 13)])
-def test_array_steps_build_the_flow_schedule(p, n):
-    # a flow's plan steps, built as objects, are render_schedule's schedule
-    for flow in (reduce_scatter_flow(bine_butterfly_halving(p), n),
-                 allgather_flow(bine_butterfly_doubling(p), p * (n // p),
-                                Strategy.PERMUTE)):
-        built = schedule_from_arrays(p, flow.meta, flow_steps(flow))
-        assert built.steps == render_schedule(flow).steps
+    assert _error(_plan, flow) == _error(render_schedule, flow)
 
 
 def _phase(src, dst, lo, hi, op=None, tag="t") -> ArrayPhase:
@@ -266,4 +265,4 @@ def test_verify_cell_compiled_equals_both(collective, name, p, n):
     assert dataclasses.replace(compiled, elapsed_s=0.0, engine="both") == (
         dataclasses.replace(both, elapsed_s=0.0)
     )
-    assert spec_for(collective, name).compiled is not None
+    assert spec_for(collective, name).steps is not None

@@ -1,7 +1,7 @@
 """Butterfly schedules equal the per-rank segment oracle, transfer for transfer.
 
-``render_schedule`` computes each step's wire segments for every owner in
-one NumPy pass; ``tests/segment_oracle.py`` keeps the per-owner path it
+``flow_steps`` computes each step's wire segments for every owner in one
+NumPy pass; ``tests/segment_oracle.py`` keeps the per-owner path it
 replaced.  Every flow-backed registry entry (the butterflies and the
 composed bcast/reduce) is built both ways at every p of :data:`P_GRID`,
 with n ∈ {p, 4p, 4p + 3, p − 3}: ``p − 3`` leaves zero-size blocks, which
@@ -22,11 +22,11 @@ from repro.collectives.butterfly_collectives import (
     render_table,
 )
 from repro.collectives.common import Strategy
+from repro.collectives.registry import spec_for
 from repro.core.butterfly import (
     Butterfly,
     bine_butterfly_halving,
     recursive_doubling_butterfly,
-    swing_butterfly,
 )
 from repro.core.torus_opt import TorusShape, torus_bine_butterfly
 from repro.runtime.memo import clear_memo_caches, memo_cache_sizes
@@ -124,14 +124,27 @@ def test_kind_without_closed_form_equals_oracle(dims, strategy):
             assert [s.transfers for s in got.steps] == [s.transfers for s in want.steps]
 
 
-def test_allreduce_halves_share_segment_tuples():
-    """The reduce-scatter and allgather halves walk the same sets: one
-    tuple per (owner, resp step), shared within one rendering."""
-    bf = swing_butterfly(16)
-    sched = render_schedule(allreduce_rsag_flow(bf, 16))
-    transfers = [t for step in sched.steps for t in step.transfers]
-    assert len(transfers) == 2 * 16 * bf.num_steps
-    assert len({id(t.src_segments) for t in transfers}) == 16 * bf.num_steps
+@pytest.mark.parametrize("collective, name", [
+    ("allreduce", "swing"), ("allgather", "bine-natural"),
+])
+def test_built_schedule_holds_one_tuple_per_segment_list(collective, name):
+    """Steps walking the same sets, within one half or across the
+    reduce-scatter and allgather halves, share their segment tuples: the
+    schedule holds one object per distinct segment list."""
+    sched = spec_for(collective, name).build(64, 64)
+    segs = [segs for step in sched.steps for t in step.transfers
+            for segs in (t.src_segments, t.dst_segments)]
+    assert len({id(s) for s in segs}) == len(set(segs)) < len(segs) // 2
+
+
+def test_butterfly_transfers_hold_one_tuple_for_both_ends():
+    for spec in FLOW_SPECS:
+        try:
+            sched = spec.build(16, 16)
+        except ValueError:
+            continue
+        for step in sched.steps:
+            assert all(t.src_segments is t.dst_segments for t in step.transfers)
 
 
 def test_building_flow_entries_grows_only_label_tables():
