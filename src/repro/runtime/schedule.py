@@ -289,7 +289,7 @@ class ArrayPhase(NamedTuple):
         dst = src if self.dst_segments is None else _tuples(*self.dst_segments, interned)
         return src, dst
 
-    def transfers(self, interned: dict) -> tuple[Transfer, ...]:
+    def to_transfers(self, interned: dict) -> tuple[Transfer, ...]:
         """These items as :class:`Transfer` objects, which check
         themselves as they are made (segment tuples interned)."""
         src_segs, dst_segs = self.segment_tuples(interned)
@@ -299,13 +299,13 @@ class ArrayPhase(NamedTuple):
         )
 
     def check_transfers(self) -> None:
-        """Raise what making :meth:`transfers` raises, making them only
+        """Raise what making :meth:`to_transfers` raises, making them only
         when a check could fail: a transfer to self, an invalid source
         segment, or destination segments of their own."""
         lo, hi = self.lo, self.hi
         if (self.dst_segments is not None or (self.src == self.dst).any()
                 or (lo < 0).any() or (hi < lo).any()):
-            self.transfers({})
+            self.to_transfers({})
 
     def finalize_error(self, p: int, label: str) -> ScheduleError | None:
         """What :meth:`Step.validate` raises for these transfers, or ``None``.
@@ -508,7 +508,7 @@ def schedule_from_arrays(
         st if isinstance(st, BlockRotation) else (st,) for st in steps
     ):
         ph = st.transfers
-        transfers = () if ph is None else ph.transfers(interned)
+        transfers = () if ph is None else ph.to_transfers(interned)
         sched.add(Step(transfers, local_copies(st.pre, p, interned),
                        local_copies(st.post, p, interned), st.label))
     return sched.finalize()
