@@ -25,7 +25,13 @@ per node, plus p = 4096 at ppn = 2 (LUMI has 2976 nodes) — and writes
 * **trace overhead** — the estimated cost of the *disabled* telemetry
   hooks (``obs.span`` no-ops and always-on counter increments) on the
   warm compiled evaluation pass: hooks actually crossed × per-call
-  microbenchmark cost, asserted under 3% of the untraced wall-clock.
+  microbenchmark cost, asserted under 3% of the untraced wall-clock;
+* **peak memory** — ``peak_rss_mb`` is the ``ru_maxrss`` of a fresh
+  process running the cold campaign once (asserted at most
+  ``MAX_RSS_MB``, which CI also checks), and ``records_digest`` the
+  digest of its records.  It is measured first, while this process is
+  small: Linux carries a parent's resident peak into a child's
+  ``ru_maxrss`` across exec.
 
 The seed pipeline measured ~50 s for the p ≤ 1024 campaign on the
 paper-repro reference box and could not reach p = 4096 interactively; the
@@ -39,10 +45,13 @@ import json
 import os
 import shutil
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 from repro.analysis.sweep import ProfileCache, clear_memo_caches, sweep_system
+from repro.report.artifacts import records_digest
 from repro.systems import lumi
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -65,9 +74,12 @@ COLD_RUNS = 3
 WARM_EVAL_BUDGET_S = 0.25
 #: disabled telemetry hooks must stay under 3% of the warm-eval wall-clock
 TRACE_OVERHEAD_CEILING = 0.03
+#: ceiling on the fresh-process cold campaign's peak RSS (measured ~76 MB
+#: with int32 tables and route columns, ~100 MB with int64 ones)
+MAX_RSS_MB = 95.0
 
 
-def _run_campaign(cache=None, **kwargs) -> tuple[float, int]:
+def _run_campaign(cache=None, **kwargs) -> tuple[float, list]:
     """Both grids of the campaign, timed; returns (seconds, records)."""
     preset = cache.preset if cache is not None else lumi()
     t0 = time.perf_counter()
@@ -81,7 +93,27 @@ def _run_campaign(cache=None, **kwargs) -> tuple[float, int]:
         preset, COLLECTIVES, node_counts=(P4096,), ppn=P4096_PPN,
         vector_bytes=VECTOR_BYTES, cache=cache, **kwargs,
     )
-    return time.perf_counter() - t0, len(records)
+    return time.perf_counter() - t0, records
+
+
+def peak_rss_mb() -> tuple[float, str]:
+    """``ru_maxrss`` in MB of a fresh process running the cold campaign
+    once, and the ``records_digest`` of its records."""
+    code = (
+        "import resource\n"
+        "from benchmarks.bench_perf_sweep import _run_campaign\n"
+        "from repro.report.artifacts import records_digest\n"
+        "_, records = _run_campaign()\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(records_digest(records), rss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": f"{REPO_ROOT / 'src'}{os.pathsep}{REPO_ROOT}"},
+    )
+    digest, rss = out.stdout.split()[-2:]
+    return round(float(rss), 1), digest
 
 
 def _warm_eval() -> dict:
@@ -142,18 +174,21 @@ def _trace_overhead(untraced_warm_eval_s: float) -> dict:
 
 
 def compute() -> dict:
+    # first, while this process is small (see the module docstring)
+    rss_mb, digest = peak_rss_mb()
     shutil.rmtree(CACHE_DIR, ignore_errors=True)
 
     cold_times = []
     for _ in range(COLD_RUNS):
         clear_memo_caches()
-        cold_s, n_cold = _run_campaign()
+        cold_s, cold_records = _run_campaign()
         cold_times.append(cold_s)
+    n_cold = len(cold_records)
 
     # populate the disk cache (memo caches stay warm: that is the steady
     # state a second process inherits from), then measure the warm run
     _run_campaign(disk_dir=CACHE_DIR)
-    warm_s, n_warm = _run_campaign(disk_dir=CACHE_DIR)
+    warm_s, warm_records = _run_campaign(disk_dir=CACHE_DIR)
 
     cpu_count = os.cpu_count() or 1
     if cpu_count < 2:
@@ -163,14 +198,15 @@ def compute() -> dict:
         parallel_note = f"skipped: cpu_count={cpu_count} < 2 (pool overhead only)"
     else:
         clear_memo_caches()
-        parallel_s, n_par = _run_campaign(workers=4)
+        parallel_s, par_records = _run_campaign(workers=4)
         parallel_note = None
-        assert n_cold == n_par
+        assert n_cold == len(par_records)
 
     warm_eval = _warm_eval()
     trace_overhead = _trace_overhead(warm_eval["compiled_s"])
 
-    assert n_cold == n_warm
+    assert n_cold == len(warm_records)
+    assert records_digest(cold_records) == digest
     result = {
         "campaign": {
             "system": "lumi",
@@ -184,6 +220,8 @@ def compute() -> dict:
         "cold_min_s": round(min(cold_times), 3),
         "cold_max_s": round(max(cold_times), 3),
         "cold_runs": COLD_RUNS,
+        "peak_rss_mb": rss_mb,
+        "records_digest": digest,
         "warm_disk_cache_s": round(warm_s, 3),
         "parallel_workers4_s": round(parallel_s, 3) if parallel_s is not None else None,
         "warm_eval": warm_eval,
@@ -207,6 +245,7 @@ def test_perf_sweep():
         result["trace_overhead"]["fraction_of_warm_eval"]
         < TRACE_OVERHEAD_CEILING
     )
+    assert result["peak_rss_mb"] <= MAX_RSS_MB, result["peak_rss_mb"]
 
 
 if __name__ == "__main__":

@@ -580,7 +580,7 @@ def render_schedule(flow: Flow) -> Schedule:
 
 
 def _column(parts, dtype) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype), *parts]).astype(dtype)
+    return np.concatenate([np.zeros(0, dtype), *parts]).astype(dtype, copy=False)
 
 
 def _offsets(rows) -> np.ndarray:
@@ -598,7 +598,7 @@ def step_table(meta: dict, steps, local_whole=None, reps=None):
     no local copies).  ``reps[i]`` is how many times step ``i`` runs back
     to back (default: once each).
     """
-    from repro.model.compiled import TransferTable  # keeps registry imports light
+    from repro.model.compiled import TransferTable, narrow  # keeps registry imports light
 
     p = meta["p"]
     rows = [st[0].size for st in steps]
@@ -606,7 +606,8 @@ def step_table(meta: dict, steps, local_whole=None, reps=None):
     whole = [w for step_locals in local_whole for w in step_locals]
 
     def column(k: int, dtype) -> np.ndarray:
-        return _column([np.broadcast_to(st[k], m) for st, m in zip(steps, rows)], dtype)
+        parts = [np.broadcast_to(st[k], m) for st, m in zip(steps, rows)]
+        return narrow(np.concatenate([np.zeros(0, dtype), *parts]), dtype)
 
     return TransferTable(
         p=p,
@@ -616,14 +617,14 @@ def step_table(meta: dict, steps, local_whole=None, reps=None):
         step_reps=np.asarray(
             [1] * len(steps) if reps is None else reps, dtype=np.int64
         ),
-        src=column(0, np.intp),
-        dst=column(1, np.intp),
-        nelems=column(2, np.int64),
-        num_segments=column(3, np.int64),
+        src=column(0, np.int32),
+        dst=column(1, np.int32),
+        nelems=column(2, np.int32),
+        num_segments=column(3, np.int32),
         has_op=column(4, bool),
         local_off=_offsets([p * len(step_locals) for step_locals in local_whole]),
-        local_rank=np.tile(np.arange(p, dtype=np.intp), len(whole)),
-        local_nelems=np.repeat(np.where(whole, p, 1).astype(np.int64), p),
+        local_rank=np.tile(np.arange(p, dtype=np.int32), len(whole)),
+        local_nelems=np.repeat(narrow(np.where(whole, p, 1)), p),
         local_has_op=np.zeros(p * len(whole), dtype=bool),
     )
 

@@ -47,6 +47,17 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
 The sweep layer (:mod:`repro.analysis.sweep`) and the DES engine profile
 every cell through these, alltoall's packed and sampled tables
 (:mod:`repro.model.analytic`) included.
+
+Column widths.  Tables and route tables live for a whole campaign, so
+they store arrays at natural widths: table columns ``src`` / ``dst`` /
+``nelems`` / ``num_segments`` / ``local_rank`` / ``local_nelems`` are
+int32 (:class:`TransferTable` names any column of another dtype); route
+columns ``key_pid`` / ``code_link`` / ``off`` / ``link`` / ``sig`` /
+``hops`` are int32 and ``cls`` int8, but pair keys ``a * num_nodes + b``
+and link codes stay int64 (they pass 2**31 on large Dragonflies).
+Narrowing goes through :func:`narrow`, which raises instead of wrapping,
+and every derived key (``row * p + rank``, ``row * num_links + link``,
+latency-signature codes) starts from an explicitly int64 operand.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ __all__ = [
     "TransferTable",
     "CompiledRouteTable",
     "GridMetrics",
+    "narrow",
     "lower_schedule",
     "step_latency",
     "transfer_table_for",
@@ -82,6 +94,29 @@ __all__ = [
 
 
 # -- transfer tables ---------------------------------------------------------
+
+
+def narrow(values, dtype=np.int32) -> np.ndarray:
+    """``values`` as ``dtype``; an integer outside an integer ``dtype``'s
+    range raises :class:`OverflowError` where ``astype`` would wrap it."""
+    arr, dtype = np.asarray(values), np.dtype(dtype)
+    if arr.dtype != dtype and arr.size and dtype.kind in "iu":
+        info, lo, hi = np.iinfo(dtype), arr.min(), arr.max()
+        if lo < info.min or hi > info.max:
+            raise OverflowError(
+                f"value {lo if lo < info.min else hi} out of bounds for {dtype}"
+            )
+    return arr.astype(dtype, copy=False)
+
+
+#: the dtype every :class:`TransferTable` column must have
+_COLUMN_DTYPES = {
+    "step_off": np.dtype(np.intp), "step_reps": np.dtype(np.int64),
+    "has_op": np.dtype(bool), "local_off": np.dtype(np.intp),
+    "local_has_op": np.dtype(bool),
+    **dict.fromkeys(("src", "dst", "nelems", "num_segments", "local_rank",
+                     "local_nelems"), np.dtype(np.int32)),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +129,8 @@ class TransferTable:
     ``step_reps[i]`` times back to back (a ring's ``p − 1`` identical
     steps are one row).  Everything the profiler needs, nothing the
     executor needs: segment lists are collapsed to ``nelems`` /
-    ``num_segments`` at lowering time.
+    ``num_segments`` at lowering time.  A column of another dtype than
+    :data:`_COLUMN_DTYPES` declares raises :class:`TypeError`.
     """
 
     p: int
@@ -114,6 +150,12 @@ class TransferTable:
     local_rank: np.ndarray = field(default=None)
     local_nelems: np.ndarray = field(default=None)
     local_has_op: np.ndarray = field(default=None)
+
+    def __post_init__(self) -> None:
+        for name, want in _COLUMN_DTYPES.items():
+            if getattr(self, name).dtype != want:
+                raise TypeError(f"TransferTable column {name!r} is "
+                                f"{getattr(self, name).dtype}, expected {want}")
 
     @property
     def num_steps(self) -> int:
@@ -158,20 +200,21 @@ def lower_schedule(schedule: Schedule) -> TransferTable:
             lop.append(lc.op is not None)
         step_off.append(len(src))
         local_off.append(len(lrank))
+    # a Python int outside an int32 column's range raises OverflowError
     return TransferTable(
         p=schedule.p,
         n_build=schedule.meta.get("n", schedule.p),
         meta=dict(schedule.meta),
         step_off=np.asarray(step_off, dtype=np.intp),
         step_reps=np.ones(len(schedule.steps), dtype=np.int64),
-        src=np.asarray(src, dtype=np.intp),
-        dst=np.asarray(dst, dtype=np.intp),
-        nelems=np.asarray(ne, dtype=np.int64),
-        num_segments=np.asarray(nseg, dtype=np.int64),
+        src=np.asarray(src, dtype=np.int32),
+        dst=np.asarray(dst, dtype=np.int32),
+        nelems=np.asarray(ne, dtype=np.int32),
+        num_segments=np.asarray(nseg, dtype=np.int32),
         has_op=np.asarray(has_op, dtype=bool),
         local_off=np.asarray(local_off, dtype=np.intp),
-        local_rank=np.asarray(lrank, dtype=np.intp),
-        local_nelems=np.asarray(lne, dtype=np.int64),
+        local_rank=np.asarray(lrank, dtype=np.int32),
+        local_nelems=np.asarray(lne, dtype=np.int32),
         local_has_op=np.asarray(lop, dtype=bool),
     )
 
@@ -241,24 +284,24 @@ _NIC_CLASSES = np.array([c != LinkClass.INTRA for c in LinkClass.ALL])
 class _CsrArrays:
     """An interned route set in CSR layout, plus its sorted key indexes."""
 
-    #: sorted pair keys ``a * num_nodes + b`` and the pair id of each; an
-    #: int64-max sentinel closes ``keys``, so every ``searchsorted``
-    #: position indexes a key
+    #: sorted int64 pair keys ``a * num_nodes + b`` and the int32 pair id
+    #: of each; an int64-max sentinel closes ``keys``, so every
+    #: ``searchsorted`` position indexes a key
     keys: np.ndarray
     key_pid: np.ndarray
-    #: sorted topology link codes (sentinel-closed like ``keys``) and the
-    #: interned link id of each
+    #: sorted int64 topology link codes (sentinel-closed like ``keys``)
+    #: and the int32 interned link id of each
     codes: np.ndarray
     code_link: np.ndarray
-    #: (num_pairs + 1,) offsets into the flat link columns
+    #: (num_pairs + 1,) int32 offsets into the flat link columns
     off: np.ndarray
-    link: np.ndarray   # interned link ids
-    width: np.ndarray  # parallel physical-link widths
-    cls: np.ndarray    # link class ids (indices into LinkClass.ALL)
+    link: np.ndarray   # int32 interned link ids
+    width: np.ndarray  # float64 parallel physical-link widths
+    cls: np.ndarray    # int8 link class ids (indices into LinkClass.ALL)
     #: per-pair hop-signature id / NIC flag / dense per-class hop counts
     sig: np.ndarray
     nic: np.ndarray
-    hops: np.ndarray   # (num_pairs, len(LinkClass.ALL)) int64
+    hops: np.ndarray   # (num_pairs, len(LinkClass.ALL)) int32
 
 
 def _expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -292,7 +335,8 @@ class CompiledRouteTable:
     is routed exactly once per table) and appends their rows once, so
     ``_arrays`` is always current and is never rebuilt.
     :meth:`profile_rows` is the one kernel, fed batches of table rows by
-    :func:`profile_table`.
+    :func:`profile_table`, which takes each rank map's node and group
+    arrays from :meth:`rank_arrays`.
     """
 
     def __init__(self, topo: Topology):
@@ -303,14 +347,27 @@ class CompiledRouteTable:
         #: signatures
         self.sig_tuples: list[tuple] = []
         self._sig_ids: dict[tuple, int] = {}
-        none = np.zeros(0, dtype=np.intp)
+        #: per rank map: its (node, group) arrays under this topology
+        self._rank_arrays: dict[RankMap, tuple[np.ndarray, np.ndarray]] = {}
+        none = np.zeros(0, dtype=np.int32)
         closed = np.array([np.iinfo(np.int64).max])
         self._arrays = _CsrArrays(
             keys=closed, key_pid=none, codes=closed, code_link=none,
-            off=np.zeros(1, dtype=np.intp), link=none, width=np.zeros(0),
-            cls=none, sig=none, nic=np.zeros(0, dtype=bool),
-            hops=np.zeros((0, _NUM_CLASSES), dtype=np.int64),
+            off=np.zeros(1, dtype=np.int32), link=none, width=np.zeros(0),
+            cls=np.zeros(0, dtype=np.int8), sig=none, nic=np.zeros(0, dtype=bool),
+            hops=np.zeros((0, _NUM_CLASSES), dtype=np.int32),
         )
+
+    def rank_arrays(self, rank_map: RankMap) -> tuple[np.ndarray, np.ndarray]:
+        """Each rank's node and group under this topology as int64 arrays,
+        made once per map (the groups cost a ``group_of`` call a rank)."""
+        arrays = self._rank_arrays.get(rank_map)
+        if arrays is None:
+            arrays = self._rank_arrays[rank_map] = (
+                np.asarray(rank_map.nodes, dtype=np.int64),
+                np.asarray(rank_map.groups(self.topo), dtype=np.int64),
+            )
+        return arrays
 
     def resolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pair ids for node arrays ``a → b``, interning unseen pairs."""
@@ -333,13 +390,13 @@ class CompiledRouteTable:
         at = np.searchsorted(old.codes, codes)
         all_codes = np.insert(old.codes, at, codes)
         code_link = np.insert(
-            old.code_link, at, np.arange(codes.size) + old.code_link.size
+            old.code_link, at, narrow(np.arange(codes.size) + old.code_link.size)
         )
         m = new_keys.size
-        hops = np.bincount(
+        hops = narrow(np.bincount(
             np.repeat(np.arange(m), routes.counts) * _NUM_CLASSES + routes.cls,
             minlength=m * _NUM_CLASSES,
-        ).reshape(m, _NUM_CLASSES)
+        )).reshape(m, _NUM_CLASSES)
         rows, row_of = np.unique(hops, axis=0, return_inverse=True)
         sig_ids = self._sig_ids
         sig = np.array([
@@ -348,23 +405,23 @@ class CompiledRouteTable:
                 len(sig_ids),
             )
             for r in rows.tolist()
-        ], np.intp)[row_of.reshape(-1)]
+        ], np.int32)[row_of.reshape(-1)]
         self.sig_tuples = list(sig_ids)
 
         at = np.searchsorted(old.keys, new_keys)
         self._arrays = _CsrArrays(
             keys=np.insert(old.keys, at, new_keys),
-            key_pid=np.insert(old.key_pid, at, np.arange(m) + old.sig.size),
+            key_pid=np.insert(old.key_pid, at, narrow(np.arange(m) + old.sig.size)),
             codes=all_codes,
             code_link=code_link,
             off=np.concatenate(
-                [old.off, old.off[-1] + np.cumsum(routes.counts)]
+                [old.off, narrow(old.off[-1] + np.cumsum(routes.counts))]
             ),
             link=np.concatenate(
                 [old.link, code_link[np.searchsorted(all_codes, routes.code)]]
             ),
             width=np.concatenate([old.width, routes.width]),
-            cls=np.concatenate([old.cls, routes.cls]),
+            cls=np.concatenate([old.cls, narrow(routes.cls, np.int8)]),
             sig=np.concatenate([old.sig, sig]),
             nic=np.concatenate([old.nic, hops[:, _NIC_CLASSES].any(axis=1)]),
             hops=np.vstack([old.hops, hops]),
@@ -397,8 +454,11 @@ class CompiledRouteTable:
         src, dst = table.src[s0:s1], table.dst[s0:s1]
         ne, nsegs = table.nelems[s0:s1], table.num_segments[s0:s1]
         has_op = table.has_op[s0:s1]
-        row = np.repeat(np.arange(rows), np.diff(table.step_off[r0:r1 + 1]))
-        lrow = np.repeat(np.arange(rows), np.diff(table.local_off[r0:r1 + 1]))
+        # int64 row ids: every key derived from them below is int64
+        row = np.repeat(np.arange(rows, dtype=np.int64),
+                        np.diff(table.step_off[r0:r1 + 1]))
+        lrow = np.repeat(np.arange(rows, dtype=np.int64),
+                         np.diff(table.local_off[r0:r1 + 1]))
         lkey = lrow * p + table.local_rank[l0:l1]
         lne = table.local_nelems[l0:l1]
         lhas_op = table.local_has_op[l0:l1]
@@ -425,7 +485,8 @@ class CompiledRouteTable:
         cells = (row[:, None] * _NUM_CLASSES + np.arange(_NUM_CLASSES)).ravel()
         n_cells = rows * _NUM_CLASSES
         class_elems = np.bincount(
-            cells, weights=(ne[:, None] * hops_t).ravel(), minlength=n_cells
+            cells, weights=np.multiply(ne[:, None], hops_t, dtype=np.float64).ravel(),
+            minlength=n_cells,
         ).astype(np.int64).reshape(rows, _NUM_CLASSES)
         class_seen = np.bincount(
             cells[hops_t.ravel() > 0], minlength=n_cells
@@ -517,8 +578,7 @@ def profile_table(
         routes = CompiledRouteTable(topo)
     elif routes.topo is not topo:
         raise ValueError("routes table was built for a different topology")
-    node_arr = np.asarray(rank_map.nodes, dtype=np.intp)
-    group_arr = np.asarray(rank_map.groups(topo), dtype=np.intp)
+    node_arr, group_arr = routes.rank_arrays(rank_map)
     reps = table.step_reps.tolist()
     steps = []
     for r0, r1 in _row_batches(table.step_off, node_arr.size):

@@ -20,10 +20,11 @@ buffers; a transfer carries parallel segment lists for source and
 destination whose total lengths must match.  ``op=None`` overwrites the
 destination, otherwise the named associative reduce op combines into it.
 
-Builders finish with :meth:`Schedule.finalize`, which validates the
-schedule only when validation is enabled: always under normal library use
-and pytest, toggled off by the sweep layer (which renders known-good
-schedules in bulk) through :func:`schedule_validation`.
+Builders finish with :meth:`Schedule.finalize` (array steps: the same
+checks on their arrays), which validates only when validation is enabled:
+always under normal library use and pytest, toggled off by the sweep layer
+(which renders known-good schedules in bulk) through
+:func:`schedule_validation`.
 
 A step can also be written as arrays (:class:`ArrayStep`): one rank,
 segment-count and segment column per phase instead of one object per
@@ -500,15 +501,25 @@ def schedule_from_arrays(
     Equal segment tuples are one object throughout the schedule (interned
     for this call only): the steps of a butterfly walk each rank's sets
     more than once, and a transfer that moves the same segments at both
-    ends holds one tuple for both.
+    ends holds one tuple for both.  Validation checks the arrays
+    (:meth:`ArrayPhase.finalize_error`) and raises, after every object's
+    own checks, what :meth:`Schedule.finalize` would.
     """
     sched = Schedule(p, meta=meta)
     interned: dict = {}
+    validate = validation_enabled()
+    invalid = None
     for st in chain.from_iterable(
         st if isinstance(st, BlockRotation) else (st,) for st in steps
     ):
         ph = st.transfers
         transfers = () if ph is None else ph.to_transfers(interned)
+        if validate and invalid is None and transfers:
+            invalid = ph.finalize_error(p, st.label)
         sched.add(Step(transfers, local_copies(st.pre, p, interned),
                        local_copies(st.post, p, interned), st.label))
-    return sched.finalize()
+    if validate and p <= 0:
+        raise ScheduleError("schedule needs p > 0")
+    if invalid is not None:
+        raise invalid
+    return sched

@@ -362,6 +362,11 @@ class ScalarRoutes(RouteTable):
     as Python values, through the scalar :func:`profile_step`.
     """
 
+    def rank_arrays(self, rank_map: RankMap) -> tuple[np.ndarray, np.ndarray]:
+        """Each rank's node and group, looked up afresh on every call."""
+        return (np.asarray(rank_map.nodes, dtype=np.int64),
+                np.asarray([self.topo.group_of(v) for v in rank_map.nodes], dtype=np.int64))
+
     def profile_rows(self, table, r0, r1, node_arr, group_arr):
         nodes, groups = node_arr.tolist(), group_arr.tolist()
         steps = []

@@ -46,6 +46,9 @@ from repro.runtime.schedule import (
     ArrayStep,
     BlockRotation,
     EveryRank,
+    Schedule,
+    Step,
+    local_copies,
     schedule_from_arrays,
     schedule_validation,
 )
@@ -197,6 +200,63 @@ def test_array_lowering_errors_equal_compiled_build(steps):
     with pytest.raises(Exception) as want:
         compile_plan(schedule_from_arrays(2, meta, steps))
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def _object_schedule(p: int, meta: dict, steps) -> Schedule:
+    """``steps`` made into objects and validated by :meth:`Schedule.finalize`."""
+    sched = Schedule(p, meta=meta)
+    for st in steps:
+        transfers = () if st.transfers is None else st.transfers.to_transfers({})
+        sched.add(Step(transfers, local_copies(st.pre, p, {}),
+                       local_copies(st.post, p, {}), st.label))
+    return sched.finalize()
+
+
+#: rank 3 takes [0, 3) from rank 0 and [2, 5) from rank 1
+CLASH = _phase([0, 1, 2], [3, 3, 1], [0, 2, 0], [3, 5, 1])
+
+
+@pytest.mark.parametrize("p, steps, error", [
+    (4, [ArrayStep("far", _phase([0, 1], [1, 4], [0, 0], [1, 1]))],
+     "rank 4 out of range in step 'far'"),
+    (4, [ArrayStep("neg", _phase([1, -1], [0, 2], [0, 0], [1, 1]))],
+     "rank -1 out of range in step 'neg'"),
+    (4, [ArrayStep("fine", _phase([0, 1], [1, 0], [0, 0], [4, 4])),
+         ArrayStep("clash", CLASH)],
+     "overlapping non-reducing writes [0,3) and [2,5) in step 'clash' rank 3 buf vec"),
+    # the destination segments, not the source ones, are the writes
+    (4, [ArrayStep("dst", CLASH._replace(
+        lo=np.array([0, 4, 0]), hi=np.array([3, 7, 1]),
+        dst_segments=(CLASH.counts, CLASH.lo, CLASH.hi)))],
+     "overlapping non-reducing writes [0,3) and [2,5) in step 'dst' rank 3 buf vec"),
+    # a range error is found before an overlap in the same step, and the
+    # first failing step raises
+    (4, [ArrayStep("both", CLASH._replace(dst=np.array([3, 3, 9]))),
+         ArrayStep("later", CLASH)],
+     "rank 9 out of range in step 'both'"),
+    # a construction error in a later step raises before validation
+    (4, [ArrayStep("clash", CLASH), ArrayStep("self", _phase([2], [2], [0], [1]))],
+     "transfer to self at rank 2 (t)"),
+    (0, [ArrayStep("empty", CLASH)], "schedule needs p > 0"),
+    (4, [ArrayStep("sum", CLASH._replace(op="sum"))], None),
+    (4, [ArrayStep("copies", None, pre=(_phase([0], [0], [0], [2]),))], None),
+], ids=["dst-out-of-range", "src-out-of-range", "overlap", "dst-segment-overlap",
+        "range-first", "construction-first", "p-zero", "reduce-overlap-passes",
+        "local-copies-only"])
+def test_array_validation_equals_finalize(p, steps, error):
+    # schedule_from_arrays validates on the arrays, the object path runs
+    # Step.validate over the transfers: the same schedule or the same
+    # exception and text, validation on and off
+    meta = {"collective": "allgather", "algorithm": "hand-made", "p": p, "n": 8}
+    for validate in (True, False):
+        with schedule_validation(validate):
+            got, got_err = _outcome(lambda: schedule_from_arrays(p, meta, steps))
+            want, want_err = _outcome(lambda: _object_schedule(p, meta, steps))
+        assert got_err == want_err
+        assert repr(got) == repr(want)
+    with schedule_validation(True):
+        _, err = _outcome(lambda: schedule_from_arrays(p, meta, steps))
+    assert err == (None if error is None else (ScheduleError, error))
 
 
 def _rotation(dst, block, edges, reps=2, op=None) -> BlockRotation:
