@@ -13,9 +13,7 @@ baseline, which this captures; exact send ordering internals differ.)
 
 Both are described once, as one step of rank arrays per round
 (:func:`bruck_steps`): the registry builds the executor's schedule and
-lowers the verifier's plan from those rounds, and the sweep table at
-``n = p`` (:func:`_table`) counts the same rounds' segments in closed
-form.
+lowers the verifier's plan and the sweep table from those rounds.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.core.blocks import Partition
 from repro.collectives.butterfly_collectives import (
     block_edges,
     circular_bounds,
-    step_table,
     wire_arrays,
 )
 from repro.collectives.common import VEC
@@ -77,14 +74,3 @@ def bruck_steps(p: int, n: int, name: str, per_block: bool):
     Partition(n, p)  # rejects a negative n
     return meta, {VEC}, _round_steps(p, n, name, per_block)
 
-
-def _table(p: int, name: str, per_block: bool):
-    """The sweep table at ``n = p``: round ``(h, c)`` pulls ``c`` elements
-    from ``(r + h) mod p``, in two segments where the range wraps (Bruck)
-    or in ``c`` (Sparbit)."""
-    meta, ranks = _meta(p, p, name), np.arange(p)
-    steps = []
-    for h, c in _rounds(p):
-        src = (ranks + h) % p
-        steps.append((src, ranks, c, c if per_block else 1 + (src + c > p), False))
-    return step_table(meta, steps)

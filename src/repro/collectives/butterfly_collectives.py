@@ -49,9 +49,8 @@ ranges, hypercube ranges, π windows, evaluated over all ranks at once):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -65,7 +64,6 @@ from repro.core.butterfly import (
     recursive_halving_butterfly,
     swing_butterfly,
 )
-from repro.core.coverage import responsibility
 from repro.collectives.common import (
     TMP,
     VEC,
@@ -97,12 +95,12 @@ __all__ = [
     "render_schedule",
     "flow_steps",
     "flow_buffers",
+    "flow_stream",
     "render_table",
     "block_edges",
     "circular_bounds",
     "wire_arrays",
     "step_table",
-    "concat_tables",
     "rs_butterfly_for",
     "RS_FLAVORS",
 ]
@@ -421,16 +419,14 @@ class _SetGeometry:
             base = np.flatnonzero(self._nu_base(step))
             sign = np.where(ranks % 2 == 0, 1, -1)[:, None]
             blocks = np.sort((ranks[:, None] + sign * base) % p, axis=1).ravel()
-            rank = np.repeat(ranks, size)
         elif kind == "recdoub":  # the blocks sharing r's low ``step`` bits
             blocks = ((ranks % (1 << step))[:, None] + (np.arange(size) << step)).ravel()
-            rank = np.repeat(ranks, size)
-        else:
-            # no closed form: the generic recursion, one rank at a time
-            sets = [sorted(responsibility(self.bf, r, step)) for r in range(p)]
-            rank = np.repeat(ranks, [len(b) for b in sets])
-            blocks = np.fromiter(chain.from_iterable(sets), np.intp, rank.size)
-        return rank, blocks, blocks + 1
+        else:  # no closed form: every rank's blocks merged up the recursion
+            blocks, rows = ranks[:, None], _partner_rows(self.bf)
+            for j in range(self.bf.num_steps - 1, step - 1, -1):
+                blocks = np.hstack((blocks, blocks[rows[j]]))
+            blocks = np.sort(blocks, axis=1).ravel()
+        return np.repeat(ranks, size), blocks, blocks + 1
 
 
 # -- rendering: steps as arrays ----------------------------------------------
@@ -570,6 +566,13 @@ def flow_buffers(flow: Flow) -> set[str]:
     return buffers or {VEC}
 
 
+def flow_stream(flow: Flow, **meta):
+    """``(meta, buffers, steps)`` of ``flow``, what a ``steps`` hook
+    returns: its meta updated by ``meta``, :func:`flow_buffers` and
+    :func:`flow_steps`."""
+    return {**flow.meta, **meta}, flow_buffers(flow), flow_steps(flow)
+
+
 def render_schedule(flow: Flow) -> Schedule:
     """The executor's :class:`Schedule` for ``flow`` (validated on exit),
     built from :func:`flow_steps`."""
@@ -577,14 +580,6 @@ def render_schedule(flow: Flow) -> Schedule:
 
 
 # -- rendering: TransferTable ------------------------------------------------
-
-
-def _column(parts, dtype) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype), *parts]).astype(dtype, copy=False)
-
-
-def _offsets(rows) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(rows))).astype(np.intp)
 
 
 def step_table(meta: dict, steps, local_whole=None, reps=None):
@@ -598,49 +593,21 @@ def step_table(meta: dict, steps, local_whole=None, reps=None):
     no local copies).  ``reps[i]`` is how many times step ``i`` runs back
     to back (default: once each).
     """
-    from repro.model.compiled import TransferTable, narrow  # keeps registry imports light
+    from repro.model.compiled import table_from_columns  # keeps registry imports light
 
     p = meta["p"]
     rows = [st[0].size for st in steps]
     local_whole = [()] * len(steps) if local_whole is None else local_whole
     whole = [w for step_locals in local_whole for w in step_locals]
-
-    def column(k: int, dtype) -> np.ndarray:
-        parts = [np.broadcast_to(st[k], m) for st, m in zip(steps, rows)]
-        return narrow(np.concatenate([np.zeros(0, dtype), *parts]), dtype)
-
-    return TransferTable(
-        p=p,
-        n_build=p,
-        meta=dict(meta),
-        step_off=_offsets(rows),
-        step_reps=np.asarray(
-            [1] * len(steps) if reps is None else reps, dtype=np.int64
-        ),
-        src=column(0, np.int32),
-        dst=column(1, np.int32),
-        nelems=column(2, np.int32),
-        num_segments=column(3, np.int32),
-        has_op=column(4, bool),
-        local_off=_offsets([p * len(step_locals) for step_locals in local_whole]),
-        local_rank=np.tile(np.arange(p, dtype=np.int32), len(whole)),
-        local_nelems=np.repeat(narrow(np.where(whole, p, 1)), p),
-        local_has_op=np.zeros(p * len(whole), dtype=bool),
+    moves = [np.concatenate([np.zeros(0, np.int64),
+                             *(np.broadcast_to(st[k], m) for st, m in zip(steps, rows))])
+             for k in range(5)]
+    copies = (np.tile(np.arange(p), len(whole)), np.repeat(np.where(whole, p, 1), p),
+              np.zeros(p * len(whole), dtype=bool))
+    return table_from_columns(
+        p, meta, [1] * len(steps) if reps is None else reps, rows,
+        [p * len(step_locals) for step_locals in local_whole], moves, copies,
     )
-
-
-def concat_tables(meta: dict, *tables):
-    """One table running ``tables`` back to back, as a composed schedule
-    runs its phases: the lowering of the concatenated schedules (per-step
-    columns such as ``step_reps`` concatenate like the row columns)."""
-    columns = {}
-    for f in fields(tables[0]):
-        parts = [getattr(t, f.name) for t in tables]
-        if f.name.endswith("_off"):
-            columns[f.name] = _offsets(_column(map(np.diff, parts), np.intp))
-        elif isinstance(parts[0], np.ndarray):
-            columns[f.name] = _column(parts, parts[0].dtype)
-    return replace(tables[0], meta=dict(meta), **columns)
 
 
 def render_table(flow: Flow):

@@ -19,8 +19,7 @@ The large bcast/reduce are ``(meta, parts)`` plans, each part a tree
 half's steps (:func:`~repro.collectives.tree_collectives.tree_steps`) or a
 butterfly :class:`Flow`.  :func:`composed_steps` chains the halves' step
 arrays, from which the registry builds the schedule and lowers the
-verifier's plan; :func:`composed_table` concatenates the halves' sweep
-tables without building the butterfly half.
+verifier's plan and the sweep table.
 """
 
 from __future__ import annotations
@@ -42,11 +41,9 @@ from repro.collectives.butterfly_collectives import (
     _pi_array,
     allgather_flow,
     allreduce_rsag_flow,
-    concat_tables,
     flow_buffers,
     flow_steps,
     reduce_scatter_flow,
-    render_table,
 )
 from repro.collectives.common import (
     Strategy,
@@ -69,7 +66,6 @@ __all__ = [
     "reduce_rsag_rabenseifner_plan",
     "reduce_rsag_bine_plan",
     "composed_steps",
-    "composed_table",
     "hierarchical_allreduce_bine",
 ]
 
@@ -83,18 +79,6 @@ def composed_steps(plan):
     ))
     steps = [flow_steps(part) if isinstance(part, Flow) else part for part in parts]
     return meta, buffers, chain.from_iterable(steps)
-
-
-def composed_table(plan):
-    """The sweep's transfer table of a ``(meta, parts)`` plan at ``n = p``."""
-    from repro.model.compiled import lower_schedule  # keeps registry imports light
-
-    meta, parts = plan
-    return concat_tables(meta, *(
-        render_table(part) if isinstance(part, Flow)
-        else lower_schedule(schedule_from_arrays(meta["p"], meta, part))
-        for part in parts
-    ))
 
 
 def bcast_scatter_allgather_binomial_plan(p: int, n: int, root: int = 0):

@@ -9,9 +9,10 @@ constraints (power-of-two ranks, divisibility).
 Every entry builds through ``build(p, n, root=0, op="sum") -> Schedule``.
 Most describe their schedule once, as a ``steps`` hook returning ``(meta,
 buffers, steps)``, a stream of step arrays: ``build`` is
-:func:`~repro.runtime.schedule.schedule_from_arrays` over it and the
-verifier's plan :func:`~repro.runtime.compiled.plan_from_arrays`, so the
-two agree by construction.  The bcast trees and alltoall have a ``builder``.
+:func:`~repro.runtime.schedule.schedule_from_arrays` over it, the
+verifier's plan :func:`~repro.runtime.compiled.plan_from_arrays` and the
+sweep's table :func:`~repro.model.compiled.lower_steps`, so the three
+agree by construction.  The bcast trees and alltoall have a ``builder``.
 """
 
 from __future__ import annotations
@@ -86,16 +87,15 @@ class AlgorithmSpec:
     #: optional sweep cap: schedules with Θ(p²) wire segments (per-block
     #: strategies) are skipped above this rank count
     max_p: int | None = None
-    #: ``table(p)`` renders the sweep's TransferTable at ``n = p`` from
-    #: closed-form counts, without building the schedule (butterfly flows,
-    #: Bruck, Sparbit, rings, and the composed bcast/reduce, whose tree half
-    #: is still lowered), or as alltoall's packed/sampled cost model
-    #: (:mod:`repro.model.analytic`); ``None``: build and lower (trees, linear)
+    #: ``table(p)``: the sweep's TransferTable, only for closed-form counts
+    #: (butterfly flows, whose segments grow as p²) or a cost model
+    #: (alltoall, :mod:`repro.model.analytic`); ``None``: lowered from
+    #: ``steps`` (:func:`repro.model.compiled.lower_steps`) or a build
     table: Callable[[int], object] | None = None
     #: ``steps(p, n, root, op)`` describes the schedule once, as ``(meta,
-    #: buffers, steps)``: ``build`` writes the steps out as objects and the
-    #: verifier lowers its plan from them without building; ``None``: the
-    #: entry has a ``builder``
+    #: buffers, steps)``: ``build`` writes the steps out as objects, the
+    #: verifier lowers its plan from them and the sweep its table, neither
+    #: building; ``None``: the entry has a ``builder``
     steps: Callable[[int, int, int, str], tuple] | None = None
 
     def build(self, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
@@ -149,7 +149,6 @@ def _register_plan(collective: str, name: str, family: str, plan, **kw) -> None:
     _register(AlgorithmSpec(
         collective, name, family,
         steps=lambda p, n, root, op: composed.composed_steps(plan(p, n, root, op)),
-        table=lambda p: composed.composed_table(plan(p, p, 0, "sum")),
         **kw,
     ))
 
@@ -329,20 +328,19 @@ _register_flow(
 _register(AlgorithmSpec(
     "allgather", "ring", "ring",
     steps=lambda p, n, root, op: ringmod.ring_steps("allgather", p, n, op),
-    pow2_only=False, table=lambda p: ringmod.ring_table("allgather", p),
+    pow2_only=False,
     description="ring allgather",
 ))
 _register(AlgorithmSpec(
     "allgather", "bruck", "bruck",
     steps=lambda p, n, root, op: bruck.bruck_steps(p, n, "bruck", per_block=False),
-    pow2_only=False, table=lambda p: bruck._table(p, "bruck", per_block=False),
+    pow2_only=False,
     description="Bruck allgather",
 ))
 _register(AlgorithmSpec(
     "allgather", "sparbit", "sota",
     steps=lambda p, n, root, op: bruck.bruck_steps(p, n, "sparbit", per_block=True),
     pow2_only=False, max_p=512,
-    table=lambda p: bruck._table(p, "sparbit", per_block=True),
     description="sparbit-like allgather (log steps, per-block sends)",
 ))
 _register_flow(
@@ -381,7 +379,7 @@ _register_flow(
 _register(AlgorithmSpec(
     "reduce_scatter", "ring", "ring",
     steps=lambda p, n, root, op: ringmod.ring_steps("reduce_scatter", p, n, op),
-    pow2_only=False, table=lambda p: ringmod.ring_table("reduce_scatter", p),
+    pow2_only=False,
     description="ring reduce-scatter",
 ))
 _register_flow(
@@ -420,7 +418,7 @@ _register_flow(
 _register(AlgorithmSpec(
     "allreduce", "ring", "ring",
     steps=lambda p, n, root, op: ringmod.ring_steps("allreduce", p, n, op),
-    pow2_only=False, table=lambda p: ringmod.ring_table("allreduce", p),
+    pow2_only=False,
     description="ring allreduce (RS + AG)",
 ))
 _register_flow(

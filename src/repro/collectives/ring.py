@@ -10,11 +10,10 @@ ones at small scale" effect (Sec. 5.3.2).
 A ring pass is described once, as a block rotation of one step's arrays
 (:func:`ring_pass`): :func:`ring_steps` hands a ring collective's passes
 to the registry, which builds the executor's schedule from them and
-lowers the verifier's plan from them (one phase per pass); the torus
-bucket algorithm's per-line rings and, at ``n = p``, the sweep table
-(:func:`ring_table`, one row run ``p − 1`` times) read the same
-``r → r + 1`` rank arrays.  A linear gather or scatter is one step of
-such arrays (:func:`linear_steps`).
+lowers the verifier's plan (one phase per pass) and the sweep table (one
+row run ``p − 1`` times) from them; the torus bucket algorithm runs one
+pass per torus line.  A linear gather or scatter is one step of such
+arrays (:func:`linear_steps`).
 """
 
 from __future__ import annotations
@@ -22,14 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocks import Partition
-from repro.collectives.butterfly_collectives import block_edges, step_table
+from repro.collectives.butterfly_collectives import block_edges
 from repro.collectives.common import VEC
 from repro.runtime.schedule import ArrayPhase, ArrayStep, BlockRotation
 
 __all__ = [
     "ring_pass",
     "ring_steps",
-    "ring_table",
     "linear_steps",
 ]
 
@@ -41,19 +39,14 @@ def _meta(collective: str, p: int, n: int, **extra) -> dict:
     return {"collective": collective, "algorithm": "ring", "p": p, "n": n, **extra}
 
 
-def _table_pass(p: int, has_op: bool) -> tuple:
-    """The ``r → r + 1`` table step that one ring pass runs ``p − 1`` times."""
-    ranks = np.arange(p)
-    return (ranks, (ranks + 1) % p, 1, 1, has_op)
-
-
 def ring_pass(p: int, n: int, shift: int, op: str | None, tag: str) -> BlockRotation:
     """The ``p − 1`` steps of one ring pass over ``Partition(n, p)``: at
     step ``k`` rank ``r`` forwards block ``(r − shift − k) mod p`` to
     ``r + 1``.  A negative ``n`` raises on the call; iterating renders
     the steps as arrays."""
     Partition(n, p)
-    src, dst, *_ = _table_pass(p, op is not None)
+    src = np.arange(p)
+    dst = (src + 1) % p
     edge = block_edges(n, p)
     block = (src - shift) % p
     first = ArrayPhase(src, dst, np.ones(p, dtype=np.intp), edge[block], edge[block + 1],
@@ -80,15 +73,6 @@ def ring_steps(collective: str, p: int, n: int, op: str = "sum"):
         ring_pass(p, n, shift, op if reduces else None, tag)
         for shift, reduces, tag in passes
     ]
-
-
-def ring_table(collective: str, p: int):
-    """The sweep table of a ring collective at ``n = p``: one step row per
-    pass, each run ``p − 1`` times."""
-    passes, extra = _RINGS[collective]
-    reduces = [r for _, r, _ in passes]
-    meta = _meta(collective, p, p, **({"op": "sum"} if any(reduces) else {}), **extra)
-    return step_table(meta, [_table_pass(p, r) for r in reduces], reps=[p - 1] * len(passes))
 
 
 def linear_steps(collective: str, p: int, n: int, root: int = 0):

@@ -17,15 +17,15 @@ Implemented algorithms:
 * plain **binomial** trees (topology-agnostic, the paper's 40×-slower
   baseline) come straight from the generic registry.
 
-Multiport and bucket run their sub-collectives in lockstep as step
-arrays: each port's flow (:func:`~repro.collectives.butterfly_collectives.flow_steps`)
-or each line's ring (:func:`~repro.collectives.ring.ring_pass`) is one
-part of :func:`~repro.runtime.schedule.overlay_steps`, embedded on its
-ranks and vector slice, and the overlay builds one schedule.
-
-:func:`torus_algorithms` binds these builders to one sub-torus as
-:class:`~repro.collectives.registry.AlgorithmSpec` entries, the catalog
-``torus_dims`` sweeps run.
+All but trinaryx (whose three chains carry different tags within one
+step, which one array phase cannot hold) are ``(meta, buffers, steps)``
+streams of step arrays: the public builders write them out, and the
+catalog (:func:`torus_algorithms`) binds them to one sub-torus as
+``steps`` hooks, from which sweeps lower their tables without building.
+Multiport and bucket run their sub-collectives in lockstep: each port's
+flow or each line's ring (:func:`~repro.collectives.ring.ring_pass`) is
+one part of :func:`~repro.runtime.schedule.overlay_steps`, embedded on
+its ranks and vector slice.
 """
 
 from __future__ import annotations
@@ -36,20 +36,27 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.collectives.butterfly_collectives import (
-    allgather_butterfly,
-    allreduce_recursive,
-    allreduce_reduce_scatter_allgather,
+    allgather_flow,
+    allreduce_recursive_flow,
     allreduce_rsag_flow,
     flow_steps,
-    reduce_scatter_butterfly,
+    flow_stream,
+    reduce_scatter_flow,
 )
-from repro.collectives.common import Strategy, VEC
+from repro.collectives.common import Strategy, VEC, build_stream
 from repro.collectives.registry import AlgorithmSpec, spec_for
 from repro.collectives.ring import ring_pass
-from repro.collectives.tree_collectives import bcast_from_tree, reduce_from_tree
+from repro.collectives.tree_collectives import tree_stream
+from repro.core.binomial_tree import binomial_tree_distance_doubling
+from repro.core.butterfly import Butterfly, bine_sigma
 from repro.core.multiport import multiport_plans
-from repro.core.torus_opt import TorusShape, torus_bine_butterfly, torus_bine_tree
-from repro.model.compiled import lower_schedule
+from repro.core.torus_opt import (
+    TorusShape,
+    _torus_butterfly,
+    torus_bine_butterfly,
+    torus_bine_tree,
+)
+from repro.model.compiled import lower_steps
 from repro.runtime.memo import label_table
 from repro.runtime.schedule import (
     ArrayStep,
@@ -57,7 +64,6 @@ from repro.runtime.schedule import (
     Step,
     Transfer,
     overlay_steps,
-    schedule_from_arrays,
 )
 
 __all__ = [
@@ -83,54 +89,49 @@ __all__ = [
 
 def torus_bine_bcast(shape: TorusShape, n: int, root: int = 0) -> Schedule:
     """Broadcast along the torus-optimised Bine tree (Fig. 16 right)."""
-    return bcast_from_tree(torus_bine_tree(shape, root), n)
+    return build_stream(tree_stream(torus_bine_tree(shape, root), n, "bcast"))
 
 
 def torus_bine_reduce(shape: TorusShape, n: int, root: int = 0, op: str = "sum") -> Schedule:
     """Reduce along the reversed torus Bine tree."""
-    return reduce_from_tree(torus_bine_tree(shape, root), n, op)
+    return build_stream(tree_stream(torus_bine_tree(shape, root), n, "reduce", op))
 
 
 def torus_bine_reduce_scatter(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
     """Reduce-scatter on the per-dimension Bine butterfly (natural layout)."""
-    return reduce_scatter_butterfly(
+    return build_stream(flow_stream(reduce_scatter_flow(
         torus_bine_butterfly(shape), n, op, Strategy.NATURAL
-    )
+    )))
 
 
 def torus_bine_allgather(shape: TorusShape, n: int) -> Schedule:
     """Allgather reversing the torus Bine reduce-scatter."""
-    return allgather_butterfly(torus_bine_butterfly(shape), n, Strategy.NATURAL)
+    return build_stream(flow_stream(allgather_flow(
+        torus_bine_butterfly(shape), n, Strategy.NATURAL
+    )))
+
+
+def _allreduce_stream(shape: TorusShape, n: int, op: str, small: bool = False):
+    bf = torus_bine_butterfly(shape)
+    if small:
+        return flow_stream(allreduce_recursive_flow(bf, n, op), algorithm="torus-bine-small")
+    return flow_stream(allreduce_rsag_flow(bf, n, op, Strategy.NATURAL), algorithm="torus-bine")
 
 
 def torus_bine_allreduce(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
     """Allreduce as a reduce-scatter then an allgather, both on the
     per-dimension Bine butterfly (natural layout): the bandwidth-optimal
     form.  :func:`torus_bine_allreduce_small` is the full-vector variant."""
-    sched = allreduce_reduce_scatter_allgather(
-        torus_bine_butterfly(shape), n, op, Strategy.NATURAL
-    )
-    sched.meta["algorithm"] = "torus-bine"
-    return sched
+    return build_stream(_allreduce_stream(shape, n, op))
 
 
 def torus_bine_allreduce_small(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
     """Small-vector torus allreduce: full-vector exchange per step."""
-    sched = allreduce_recursive(torus_bine_butterfly(shape), n, op)
-    sched.meta["algorithm"] = "torus-bine-small"
-    return sched
+    return build_stream(_allreduce_stream(shape, n, op, small=True))
 
 
-def torus_bine_allreduce_multiport(
-    shape: TorusShape, n: int, op: str = "sum"
-) -> Schedule:
-    """App. D.4: ``2·D`` parallel Bine allreduces on vector slices.
-
-    Each sub-collective runs the per-dimension butterfly with its plan's
-    rotated dimension order (mirrored for the second half), on its own
-    ``n / 2D`` slice, so all NICs inject concurrently
-    (``meta["ports_used"] = 2·D``).
-    """
+def _multiport_stream(shape: TorusShape, n: int, op: str):
+    """``(meta, buffers, steps)`` of :func:`torus_bine_allreduce_multiport`."""
     plans = multiport_plans(shape)
     nports = len(plans)
     if n % nports:
@@ -146,35 +147,34 @@ def torus_bine_allreduce_multiport(
         ))), ranks, plan.port * slice_n)
         for plan in plans
     ]
-    return schedule_from_arrays(p, meta, (
+    return meta, {VEC}, (
         st._replace(label=f"multiport step {i}")
         for i, st in enumerate(overlay_steps(parts))
-    ))
+    )
 
 
-def _butterfly_for_plan(shape: TorusShape, plan):
+def torus_bine_allreduce_multiport(
+    shape: TorusShape, n: int, op: str = "sum"
+) -> Schedule:
+    """App. D.4: ``2·D`` parallel Bine allreduces on vector slices.
+
+    Each sub-collective runs the per-dimension butterfly with its plan's
+    rotated dimension order (mirrored for the second half), on its own
+    ``n / 2D`` slice, so all NICs inject concurrently
+    (``meta["ports_used"] = 2·D``).
+    """
+    return build_stream(_multiport_stream(shape, n, op))
+
+
+def _butterfly_for_plan(shape: TorusShape, plan) -> Butterfly:
     """Torus Bine butterfly following a port plan's dimension order/mirror."""
-    from repro.core.butterfly import Butterfly, bine_sigma
-
-    p = shape.num_ranks
+    sign = -1 if plan.mirror else 1
 
     def partner_1d(coord: int, i: int, d: int) -> int:
-        sigma = bine_sigma(i + 1)
-        if plan.mirror:
-            sigma = -sigma
+        sigma = sign * bine_sigma(i + 1)
         return (coord + sigma) % d if coord % 2 == 0 else (coord - sigma) % d
 
-    partners = []
-    for dim, i in plan.order:
-        row = []
-        for r in range(p):
-            coords = list(shape.coords(r))
-            coords[dim] = partner_1d(coords[dim], i, shape.dims[dim])
-            row.append(shape.rank(tuple(coords)))
-        partners.append(tuple(row))
-    bf = Butterfly(p, f"bine-torus-port{plan.port}", tuple(partners))
-    bf.validate()
-    return bf
+    return _torus_butterfly(shape, f"bine-torus-port{plan.port}", partner_1d, plan.order)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +215,10 @@ def _bucket_phases(shape: TorusShape, n: int, dims, shift: int, op: str | None,
         yield from (st._replace(label="") for st in overlay_steps(parts))
 
 
-def _bucket(shape: TorusShape, n: int, collective: str, op: str, **extra) -> Schedule:
-    """The bucket schedule: ring reduce-scatter phases over the dimensions
-    in order, then ring allgather phases in reverse, as ``collective``
-    needs."""
+def _bucket_stream(shape: TorusShape, n: int, collective: str, op: str, **extra):
+    """``(meta, buffers, steps)`` of the bucket algorithm: ring
+    reduce-scatter phases over the dimensions in order, then ring
+    allgather phases in reverse, as ``collective`` needs."""
     p = shape.num_ranks
     if n % p:
         raise ValueError("bucket requires p | n")
@@ -231,22 +231,22 @@ def _bucket(shape: TorusShape, n: int, collective: str, op: str, **extra) -> Sch
     ops = {} if collective == "allgather" else {"op": op}
     meta = {"collective": collective, "algorithm": "bucket",
             "p": p, "n": n, **ops, "segmented": True, **extra}
-    return schedule_from_arrays(p, meta, chain.from_iterable(phases))
+    return meta, {VEC}, chain.from_iterable(phases)
 
 
 def bucket_reduce_scatter(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
     """Per-dimension ring reduce-scatter phases (bucket algorithm [32])."""
-    return _bucket(shape, n, "reduce_scatter", op)
+    return build_stream(_bucket_stream(shape, n, "reduce_scatter", op))
 
 
 def bucket_allgather(shape: TorusShape, n: int) -> Schedule:
     """Per-dimension ring allgather phases (reverse dimension order)."""
-    return _bucket(shape, n, "allgather", "sum")
+    return build_stream(_bucket_stream(shape, n, "allgather", "sum"))
 
 
 def bucket_allreduce(shape: TorusShape, n: int, op: str = "sum") -> Schedule:
     """Bucket allreduce: RS phases forward, AG phases backward."""
-    return _bucket(shape, n, "allreduce", op, ports_used=2)
+    return build_stream(_bucket_stream(shape, n, "allreduce", op, ports_used=2))
 
 
 # ---------------------------------------------------------------------------
@@ -342,28 +342,27 @@ def _bound(
     collective: str,
     name: str,
     family: str,
-    build: Callable[[int, int, str], Schedule],
+    make: Callable,
     description: str,
-    blocks: int = 1,
+    blocks: int | None = None,
 ) -> AlgorithmSpec:
-    """An :class:`AlgorithmSpec` whose ``build(n, root, op)`` runs on ``shape``.
-
-    Its sweep table lowers the canonical build, ``n = blocks · p``.
-    """
+    """An :class:`AlgorithmSpec` whose ``steps`` hook (trinaryx: whose
+    ``builder``) is ``make(n, root, op)`` on ``shape``; given ``blocks``,
+    its ``table`` is lowered from the steps at ``n = blocks · p``."""
     p = shape.num_ranks
 
-    def builder(q: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
+    def on_shape(q: int, n: int, root: int = 0, op: str = "sum"):
         if q != p:
             raise ValueError(
                 f"{collective}/{name} is bound to a {p}-rank torus, not p={q}"
             )
-        return build(n, root, op)
+        return make(n, root, op)
 
-    return AlgorithmSpec(
-        collective, name, family, builder,
-        description=description,
-        table=lambda q: lower_schedule(builder(q, blocks * q)),
-    )
+    if family == "trinaryx":  # its chains cannot share one array phase
+        return AlgorithmSpec(collective, name, family, on_shape, description=description)
+    table = None if blocks is None else (lambda q: lower_steps(on_shape(q, blocks * q)))
+    return AlgorithmSpec(collective, name, family, steps=on_shape, table=table,
+                         description=description)
 
 
 @label_table("torus.torus_algorithms")
@@ -375,11 +374,13 @@ def torus_algorithms(shape: TorusShape) -> dict[tuple[str, str], AlgorithmSpec]:
     reuse registry names under other families (``rabenseifner`` is
     ``sota`` here), and they apply only on ``shape``.  Campaign manifests
     (``torus_dims`` grids) and the Fugaku benches sweep them through
-    :func:`repro.analysis.sweep.sweep_system`.  Each entry renders its
-    sweep table from the canonical build the Fig. 11b records were always
-    profiled at: ``n = 2·D·p`` for ``bine-multiport`` (one slice per
-    port) and ``n = p`` for every other entry.  The catalog is memoized
-    per shape, so a shape's specs (and their memoized tables) are shared.
+    :func:`repro.analysis.sweep.sweep_system`.  Every entry but trinaryx
+    has a ``steps`` hook, so its sweep table is lowered from the steps
+    the Fig. 11b records were always profiled at, the canonical size:
+    ``n = 2·D·p`` for ``bine-multiport`` (one slice per port) and
+    ``n = p`` for every other entry; trinaryx builds and lowers.  The
+    catalog is memoized per shape, so a shape's specs (and their memoized
+    tables) are shared.
 
     Example::
 
@@ -387,25 +388,26 @@ def torus_algorithms(shape: TorusShape) -> dict[tuple[str, str], AlgorithmSpec]:
         >>> specs["allreduce", "rabenseifner"].family
         'sota'
     """
+    p = shape.num_ranks
 
     def generic(collective: str, name: str):
         spec = spec_for(collective, name)
-        return lambda n, root, op: spec.build(shape.num_ranks, n, root, op)
+        return lambda n, root, op: spec.steps(p, n, root, op)
 
-    # (collective, name, family, build(n, root, op), description[, blocks])
+    # (collective, name, family, make(n, root, op), description[, blocks])
     rows = (
         ("allreduce", "bine-multiport", "bine",
-         lambda n, root, op: torus_bine_allreduce_multiport(shape, n, op),
+         lambda n, root, op: _multiport_stream(shape, n, op),
          "2*D rotated sub-collectives driving every NIC (App. D.4)",
          2 * shape.num_dims),
         ("allreduce", "bine-torus", "bine",
-         lambda n, root, op: torus_bine_allreduce(shape, n, op),
+         lambda n, root, op: _allreduce_stream(shape, n, op),
          "per-dimension Bine butterfly allreduce"),
         ("allreduce", "bine-torus-small", "bine",
-         lambda n, root, op: torus_bine_allreduce_small(shape, n, op),
+         lambda n, root, op: _allreduce_stream(shape, n, op, small=True),
          "latency-optimal torus Bine allreduce (small vectors)"),
         ("allreduce", "bucket", "bucket",
-         lambda n, root, op: bucket_allreduce(shape, n, op),
+         lambda n, root, op: _bucket_stream(shape, n, "allreduce", op, ports_used=2),
          "multi-dimensional ring (Jain & Sabharwal), bandwidth-optimal"),
         ("allreduce", "binomial", "binomial",
          generic("allreduce", "recursive-doubling"),
@@ -414,16 +416,17 @@ def torus_algorithms(shape: TorusShape) -> dict[tuple[str, str], AlgorithmSpec]:
          generic("allreduce", "rabenseifner"),
          "topology-agnostic Rabenseifner baseline"),
         ("bcast", "bine-torus", "bine",
-         lambda n, root, op: torus_bine_bcast(shape, n, root),
+         lambda n, root, op: tree_stream(torus_bine_tree(shape, root), n, "bcast"),
          "torus-optimised Bine tree broadcast (Fig. 16)"),
         ("bcast", "trinaryx", "trinaryx",
          lambda n, root, op: trinaryx_bcast(shape, n, root),
          "Trinaryx-like pipelined multi-chain broadcast (Fujitsu MPI)"),
         ("bcast", "binomial", "binomial",
-         generic("bcast", "binomial-dd"),
+         lambda n, root, op: tree_stream(
+             binomial_tree_distance_doubling(p, root), n, "bcast"),
          "topology-agnostic binomial tree baseline"),
         ("reduce", "bine-torus", "bine",
-         lambda n, root, op: torus_bine_reduce(shape, n, root, op),
+         lambda n, root, op: tree_stream(torus_bine_tree(shape, root), n, "reduce", op),
          "reversed torus Bine tree reduce"),
         ("reduce", "trinaryx", "trinaryx",
          lambda n, root, op: trinaryx_reduce(shape, n, root, op),

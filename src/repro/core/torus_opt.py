@@ -140,9 +140,10 @@ def torus_bine_tree(shape: TorusShape, root: int = 0) -> Tree:
     )
 
 
-def _torus_butterfly(shape: TorusShape, kind: str, partner_1d) -> Butterfly:
-    """Interleave per-dimension butterflies into one matching sequence."""
-    order = dimension_schedule(shape)
+def _torus_butterfly(shape: TorusShape, kind: str, partner_1d, order=None) -> Butterfly:
+    """Interleave per-dimension butterflies into one matching sequence, in
+    ``order`` (``(dim, step)`` pairs; default :func:`dimension_schedule`)."""
+    order = dimension_schedule(shape) if order is None else order
     p = shape.num_ranks
     partners = []
     for dim, i in order:

@@ -5,13 +5,16 @@ into array programs.  Each is bit-identical to an independent scalar
 per-transfer reference kept in the test suite (``tests/scalar_oracle.py``;
 asserted across the whole registry in ``tests/test_compiled_profile.py``):
 
-* :class:`TransferTable` — a finalized :class:`~repro.runtime.schedule.Schedule`
-  flattened *once* per ``(algorithm, p)`` into structure-of-arrays,
-  step-segmented columns (``src`` / ``dst`` / ``nelems`` / ``num_segments`` /
-  ``has_op`` plus the pre/post local-op columns, and a per-step repeat
-  count).  The table depends only on the schedule — not on the topology
-  or rank mapping — so one lowering serves every system, placement and
-  seed of a campaign.
+* :class:`TransferTable` — a schedule flattened *once* per ``(algorithm,
+  p)`` into structure-of-arrays, step-segmented columns (``src`` / ``dst``
+  / ``nelems`` / ``num_segments`` / ``has_op`` plus the pre/post local-op
+  columns, and a per-step repeat count).  :func:`lower_steps` derives it
+  from an entry's step arrays without building the schedule (a ring pass
+  one row run ``p − 1`` times); :func:`lower_schedule` flattens a built
+  :class:`~repro.runtime.schedule.Schedule` and is the oracle of every
+  table made without one.  The table depends only on the schedule — not
+  on the topology or rank mapping — so one lowering serves every system,
+  placement and seed of a campaign.
   :func:`transfer_table_for` memoizes tables per catalog cell (a bounded
   FIFO :class:`repro.runtime.memo.Memo`, cleared by
   :func:`repro.runtime.memo.clear_memo_caches`): a sweep profiles one
@@ -76,7 +79,12 @@ from repro.model.simulator import (
 )
 from repro.runtime.compiled import sorted_unique
 from repro.runtime.memo import Memo
-from repro.runtime.schedule import Schedule, schedule_validation
+from repro.runtime.schedule import (
+    BlockRotation,
+    EveryRank,
+    Schedule,
+    schedule_validation,
+)
 from repro.topology.base import LinkClass, Topology
 from repro.topology.mapping import RankMap
 
@@ -86,6 +94,8 @@ __all__ = [
     "GridMetrics",
     "narrow",
     "lower_schedule",
+    "lower_steps",
+    "table_from_columns",
     "step_latency",
     "transfer_table_for",
     "profile_table",
@@ -166,6 +176,28 @@ class TransferTable:
         return int(self.src.size)
 
 
+def table_from_columns(p: int, meta: dict, reps, rows, local_rows, moves,
+                       copies) -> TransferTable:
+    """The table of steps run ``reps[i]`` times with ``rows[i]`` transfer
+    and ``local_rows[i]`` local rows, from the flat columns ``moves``
+    (``src``, ``dst``, ``nelems``, ``num_segments``, ``has_op``) and
+    ``copies`` (``local_rank``, ``local_nelems``, ``local_has_op``)."""
+    src, dst, nelems, num_segments, has_op = moves
+    local_rank, local_nelems, local_has_op = copies
+
+    def offsets(counts) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(counts, dtype=np.intp))).astype(np.intp)
+
+    return TransferTable(
+        p=p, n_build=meta.get("n", p), meta=dict(meta),
+        step_off=offsets(rows), step_reps=np.asarray(reps, dtype=np.int64),
+        src=narrow(src), dst=narrow(dst), nelems=narrow(nelems),
+        num_segments=narrow(num_segments), has_op=narrow(has_op, bool),
+        local_off=offsets(local_rows), local_rank=narrow(local_rank),
+        local_nelems=narrow(local_nelems), local_has_op=narrow(local_has_op, bool),
+    )
+
+
 def lower_schedule(schedule: Schedule) -> TransferTable:
     """Flatten a schedule into a :class:`TransferTable` (one linear pass;
     one row per step, so every ``step_reps`` entry is 1).
@@ -177,46 +209,84 @@ def lower_schedule(schedule: Schedule) -> TransferTable:
         >>> t.num_steps, t.num_transfers
         (3, 7)
     """
-    step_off = [0]
-    local_off = [0]
-    src: list[int] = []
-    dst: list[int] = []
-    ne: list[int] = []
-    nseg: list[int] = []
-    has_op: list[bool] = []
-    lrank: list[int] = []
-    lne: list[int] = []
-    lop: list[bool] = []
-    for step in schedule.steps:
-        for t in step.transfers:
-            src.append(t.src)
-            dst.append(t.dst)
-            ne.append(t.nelems)
-            nseg.append(t.num_segments)
-            has_op.append(t.op is not None)
-        for lc in chain(step.pre, step.post):
-            lrank.append(lc.rank)
-            lne.append(lc.nelems)
-            lop.append(lc.op is not None)
-        step_off.append(len(src))
-        local_off.append(len(lrank))
-    # a Python int outside an int32 column's range raises OverflowError
-    return TransferTable(
-        p=schedule.p,
-        n_build=schedule.meta.get("n", schedule.p),
-        meta=dict(schedule.meta),
-        step_off=np.asarray(step_off, dtype=np.intp),
-        step_reps=np.ones(len(schedule.steps), dtype=np.int64),
-        src=np.asarray(src, dtype=np.int32),
-        dst=np.asarray(dst, dtype=np.int32),
-        nelems=np.asarray(ne, dtype=np.int32),
-        num_segments=np.asarray(nseg, dtype=np.int32),
-        has_op=np.asarray(has_op, dtype=bool),
-        local_off=np.asarray(local_off, dtype=np.intp),
-        local_rank=np.asarray(lrank, dtype=np.int32),
-        local_nelems=np.asarray(lne, dtype=np.int32),
-        local_has_op=np.asarray(lop, dtype=bool),
+    steps = schedule.steps
+    moves = [(t.src, t.dst, t.nelems, t.num_segments, t.op is not None)
+             for st in steps for t in st.transfers]
+    copies = [(lc.rank, lc.nelems, lc.op is not None)
+              for st in steps for lc in chain(st.pre, st.post)]
+    return table_from_columns(
+        schedule.p, schedule.meta, [1] * len(steps),
+        [len(st.transfers) for st in steps], [len(st.pre) + len(st.post) for st in steps],
+        np.array(moves, dtype=np.int64).reshape(-1, 5).T,
+        np.array(copies, dtype=np.int64).reshape(-1, 3).T,
     )
+
+
+def _item_elems(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each item's total segment length, from flat segment columns."""
+    total = np.concatenate(([0], np.cumsum(hi - lo)))
+    end = np.cumsum(counts)
+    return total[end] - total[end - counts]
+
+
+def _step_runs(steps):
+    """``(step, reps)`` pairs: a :class:`BlockRotation` of equal blocks is
+    its step 0 run ``reps`` times, every other step (written out) once."""
+    for st in steps:
+        if not isinstance(st, BlockRotation):
+            yield st, 1
+        elif st.reps and np.ptp(np.diff(st.edges)) == 0:
+            yield st.step(0), st.reps
+        else:
+            yield from ((step, 1) for step in st)
+
+
+def lower_steps(stream) -> TransferTable:
+    """The :class:`TransferTable` of a ``(meta, buffers, steps)`` stream,
+    what an ``AlgorithmSpec.steps`` hook returns, without building it.
+
+    It is ``lower_schedule`` of the steps' schedule, a rotation of equal
+    blocks (a ring pass) one row run ``reps`` times: per transfer item the
+    summed segment lengths and the larger of its two segment counts, one
+    local row per copy item (per rank for :class:`EveryRank`).  Transfers
+    check themselves as building them would.
+
+    Example::
+
+        >>> from repro.collectives.registry import spec_for
+        >>> t = lower_steps(spec_for("allreduce", "ring").steps(8, 8, 0, "sum"))
+        >>> t.num_steps, t.step_reps.tolist(), t.num_transfers
+        (2, [7, 7], 16)
+    """
+    meta, _, steps = stream
+    p = meta["p"]
+    moves, copies, rows, local_rows, reps = [], [], [], [], []
+    for st, k in _step_runs(steps):
+        ph = st.transfers
+        if ph is not None:
+            ph.check_transfers()
+            dst_counts = ph.counts if ph.dst_segments is None else ph.dst_segments[0]
+            moves.append((ph.src, ph.dst, _item_elems(ph.counts, ph.lo, ph.hi),
+                          np.maximum(ph.counts, dst_counts),
+                          np.full(ph.src.size, ph.op is not None)))
+        rows.append(0 if ph is None else ph.src.size)
+        local_rows.append(0)
+        for lc in st.pre + st.post:
+            whole = isinstance(lc, EveryRank)
+            lc = lc.copy if whole else lc
+            ranks = np.arange(p) if whole else lc.src
+            elems = _item_elems(lc.counts, lc.lo, lc.hi)
+            copies.append((ranks, np.broadcast_to(elems, ranks.shape),
+                           np.full(ranks.size, lc.op is not None)))
+            local_rows[-1] += ranks.size
+        reps.append(k)
+
+    def columns(parts, width: int) -> list[np.ndarray]:
+        return [np.concatenate([np.zeros(0, np.int64), *(part[k] for part in parts)])
+                for k in range(width)]
+
+    return table_from_columns(p, meta, reps, rows, local_rows, columns(moves, 5),
+                              columns(copies, 3))
 
 
 #: table memo — keyed per ``(spec, p)``; bounded FIFO so 4096-rank tables
@@ -231,14 +301,13 @@ _TABLE_CACHE = Memo("compiled._TABLE_CACHE", maxsize=512, counter="table")
 def transfer_table_for(spec, p: int) -> TransferTable | None:
     """Cached :class:`TransferTable` for one catalog entry at ``p`` ranks.
 
-    Entries with a plan render the table straight from it (``spec.table``:
-    the butterflies, Bruck, Sparbit, the rings, alltoall's packed and
-    sampled cost models, and the composed bcast/reduce, whose tree half
-    alone is built and lowered); the torus catalog's ``spec.table`` lowers
-    its canonical build; the tree and linear entries build the schedule at
-    the canonical size ``n = p`` and lower it once.  Either way schedule
-    validation is off (the sweep's contract: it renders schedules the test
-    suite already validates).  ``None`` when the entry rejects ``p``.
+    The first of ``spec.table(p)`` (closed-form counts or a cost model:
+    the butterfly flows, alltoall, torus ``bine-multiport``),
+    :func:`lower_steps` over ``spec.steps(p, p, 0, "sum")`` (every other
+    entry but the bcast trees and trinaryx), or building at ``n = p`` and
+    lowering, inside one ``schedule.table`` span.  Schedule validation is
+    off (the sweep's contract: it renders schedules the test suite
+    already validates).  ``None`` when the entry rejects ``p``.
     The table is topology- and mapping-independent, so every system /
     placement / seed of a campaign shares one entry.  The memo is keyed
     on the spec itself, not on its name: the torus catalog binds one spec
@@ -249,17 +318,18 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
 
     def render() -> TransferTable | None:
         cell = {"collective": spec.collective, "algorithm": spec.name, "p": p}
-        try:
-            with schedule_validation(False):
+        with obs.span("schedule.table", **cell), schedule_validation(False):
+            try:
                 if spec.table is not None:
-                    with obs.span("schedule.table", **cell):
-                        return spec.table(p)
+                    return spec.table(p)
+                if spec.steps is not None:
+                    return lower_steps(spec.steps(p, p, 0, "sum"))
                 with obs.span("schedule.build", **cell):
                     schedule = spec.build(p, p)
-        except ValueError:
-            return None
-        with obs.span("lower.schedule", **cell):
-            return lower_schedule(schedule)
+            except ValueError:
+                return None
+            with obs.span("lower.schedule", **cell):
+                return lower_schedule(schedule)
 
     return _TABLE_CACHE.get_or((spec, p), render)
 

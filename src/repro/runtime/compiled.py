@@ -1005,16 +1005,17 @@ def plan_from_arrays(
     objects raises (:meth:`ArrayPhase.check_transfers`) raises at its step
     and, with schedule validation on, :meth:`Schedule.finalize`'s
     rank-range and overlapping-write checks raise for the first failing
-    step once every step has rendered.  ``steps`` is consumed lazily, a
-    batch at a time.
+    step once every step has rendered.  ``p ≤ 0`` and a buffer layout
+    error raise once every step has rendered, as building and then
+    compiling do.  ``steps`` is consumed lazily, a batch at a time.
     """
-    if p <= 0:
-        raise ScheduleError("schedule needs p > 0")
     try:
-        layout, layout_error = BufferLayout({name: meta["n"] for name in buffers}), None
+        layout, early = BufferLayout({name: meta["n"] for name in buffers}), None
     except ValueError as exc:  # raised after any error building would raise
-        layout, layout_error = None, exc
-    validate = validation_enabled()
+        layout, early = None, exc
+    if p <= 0:
+        early = ScheduleError("schedule needs p > 0")
+    validate = validation_enabled() and p > 0
 
     def entries():
         """Each step with the rotation it stands for, if any."""
@@ -1049,9 +1050,9 @@ def plan_from_arrays(
         if invalid is not None:
             raise invalid
 
-    if layout_error is not None:
+    if early is not None:
         for _ in phases():
             pass
-        raise layout_error
+        raise early
     plan = _plan_steps(p, layout, phases(), _array_columns, _BATCH_SEGMENTS)
     return Schedule(p=p, steps=[], meta=dict(meta)), plan

@@ -1,21 +1,26 @@
 """Table oracle: plan-backed sweep tables equal their lowered schedules.
 
-Every registry entry with a plan-backed table (``spec.table``: the
-butterfly flows, Bruck, Sparbit, the rings and the composed bcast/reduce;
-alltoall's cost-model tables are not plan-backed) renders its sweep
-:class:`~repro.model.compiled.TransferTable` from rank arrays, without
-building its schedule.  The oracle is the path it
-replaces: build the full schedule at ``n = p`` and lower it.  A rendered
-table may run a step row several times (``step_reps``; the rings are one
-row per pass), so it is compared with its rows expanded
-(:func:`expand_reps`).  :func:`skip_reason` names the cells left out,
-which are printed as skipped: no sweep exceeds an entry's ``max_p``, and
-the ring oracle stops below p=1024, where building the allreduce ring
-schedule alone takes 16-20 s and 1.4 GB (2-CPU x86 machine).  The tier-1
-suite checks up to p=1024 (``tests/test_plan_backed_tables.py``); this
-script runs the same comparison at larger p, too heavy for tier-1 (the
-p=2048 swing allreduce build alone peaks at ~130 MB, traced, while its
-segment tuples are made)::
+Every registry entry with a ``steps`` hook gets its sweep
+:class:`~repro.model.compiled.TransferTable` without building its
+schedule: the butterfly flows render it from closed-form counts
+(``spec.table``), every other entry (the rings, Bruck, Sparbit, the
+reduce/gather/scatter trees, linear gather/scatter and the composed
+bcast/reduce) lowers it from its steps
+(:func:`~repro.model.compiled.lower_steps`); alltoall's cost-model
+tables are not plan-backed.  The oracle is the path both replace: build
+the full schedule at ``n = p`` and lower it.  A table may run a step row
+several times (``step_reps``; the rings are one row per pass), so it is
+compared with its rows expanded (:func:`expand_reps`).
+:func:`skip_reason` names the cells left out, which are printed as
+skipped: no sweep exceeds an entry's ``max_p`` (a table lowered from
+steps is still compared there: Sparbit at p=1500 and 2048, whose oracle
+build peaks near 0.7 GB), and the ring oracle stops below p=1024, where
+building the allreduce ring schedule alone takes 16-20 s and 1.4 GB
+(2-CPU x86 machine).  The tier-1 suite checks up to p=1024
+(``tests/test_plan_backed_tables.py``); this script runs the same
+comparison at larger p, too heavy for tier-1 (the p=2048 swing allreduce
+build alone peaks at ~130 MB, traced, while its segment tuples are
+made)::
 
     $ PYTHONPATH=src python tests/table_oracle.py --p 2048 --p 1500
 
@@ -70,7 +75,7 @@ import numpy as np
 from repro.analysis.sweep import ProfileCache
 from repro.collectives.registry import AlgorithmSpec, iter_specs
 from repro.faults import FaultSpec
-from repro.model.compiled import TransferTable, lower_schedule
+from repro.model.compiled import TransferTable, lower_schedule, transfer_table_for
 from repro.runtime.compiled import CompiledPlan, compile_plan, plan_from_arrays
 from repro.runtime.memo import clear_memo_caches
 from repro.runtime.schedule import schedule_validation
@@ -92,7 +97,8 @@ RING_ORACLE_SKIP_P = 1024
 
 
 def plan_backed_specs() -> list[AlgorithmSpec]:
-    """Registry entries whose sweep table renders from a plan.
+    """Registry entries whose sweep table is not a built schedule lowered:
+    those with a ``steps`` hook, or with a table of their own.
 
     Alltoall's tables are left out by their ``meta["analytic"]`` flag:
     they are packed or sampled cost models, not the lowering of the
@@ -100,13 +106,15 @@ def plan_backed_specs() -> list[AlgorithmSpec]:
     """
     return [
         spec for spec in iter_specs()
-        if spec.table is not None and not spec.table(4).meta.get("analytic")
+        if spec.steps is not None
+        or spec.table is not None and not spec.table(4).meta.get("analytic")
     ]
 
 
-def skip_reason(spec: AlgorithmSpec, p: int) -> str | None:
-    """Why ``spec``'s table is not compared at ``p``; ``None`` if it is."""
-    if spec.max_p is not None and p > spec.max_p:
+def skip_reason(spec: AlgorithmSpec, p: int, capped: bool = True) -> str | None:
+    """Why ``spec``'s table is not compared at ``p``; ``None`` if it is.
+    ``capped=False`` compares past the entry's sweep cap too."""
+    if capped and spec.max_p is not None and p > spec.max_p:
         return f"sweeps cap p at {spec.max_p}"
     if spec.name == "ring" and p >= RING_ORACLE_SKIP_P:
         return (f"ring oracle skipped at p >= {RING_ORACLE_SKIP_P}: the "
@@ -290,16 +298,15 @@ def main(argv=None) -> int:
     failures = 0
     for spec in plan_backed_specs():
         for p in args.p:
-            skip = skip_reason(spec, p)
+            # a table lowered from steps is compared past the sweep cap;
+            # a capped flow's oracle build there holds Θ(p²) segments
+            skip = skip_reason(spec, p, capped=spec.table is not None)
             if skip:
                 print(f"{spec.collective}/{spec.name} p={p}: skipped ({skip})")
                 continue
             clear_memo_caches()  # one cell's segment tuples at a time
             t0 = time.perf_counter()
-            try:
-                table = spec.table(p)
-            except ValueError:
-                table = None
+            table = transfer_table_for(spec, p)
             rendered_s = time.perf_counter() - t0
             bad = table_mismatches(table, oracle_table(spec, p))
             failures += bool(bad)

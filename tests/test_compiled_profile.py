@@ -399,7 +399,8 @@ class TestEvaluateGrid:
         preset = lumi()
         topo = preset.build_topology()
         profile = profile_table(
-            spec_for("allreduce", "ring").table(1024), topo, block_mapping(1024)
+            transfer_table_for(spec_for("allreduce", "ring"), 1024), topo,
+            block_mapping(1024),
         )
         assert len(profile.steps) == 2 * 1023
         assert len({id(step) for step in profile.steps}) == 2

@@ -124,24 +124,17 @@ def test_butterfly_sweep_cell_builds_no_schedule(monkeypatch):
     assert builds == []
 
 
-#: the entries a sweep still builds schedules for: the trees and linear
-#: algorithms (every other entry renders its table without a schedule)
-TREE_AND_LINEAR = {
-    (collective, name)
-    for collective in ("bcast", "reduce")
-    for name in ("binomial-dd", "binomial-dh", "bine")
-} | {
-    (collective, name)
-    for collective in ("gather", "scatter")
-    for name in ("binomial", "bine", "linear")
-}
+#: the entries a sweep still builds schedules for: the bcast trees (every
+#: other entry renders its table, or lowers it from its steps, without a
+#: schedule)
+BCAST_TREES = {("bcast", name) for name in ("binomial-dd", "binomial-dh", "bine")}
 
 
-def test_table3_sweep_builds_only_tree_and_linear_schedules(monkeypatch):
+def test_table3_sweep_builds_only_bcast_tree_schedules(monkeypatch):
     """A cold LUMI Table-3 sweep (8 collectives, p = 16/64/256) calls
-    ``AlgorithmSpec.build`` once per rank count for each tree and linear
-    entry and never otherwise: Bruck, Sparbit, the rings and the composed
-    bcast/reduce render their tables from plans."""
+    ``AlgorithmSpec.build`` once per rank count for each bcast tree and
+    never otherwise: every other entry's table comes from its own
+    renderer or from its steps."""
     clear_memo_caches()
     builds = Counter()
     original = AlgorithmSpec.build
@@ -153,7 +146,7 @@ def test_table3_sweep_builds_only_tree_and_linear_schedules(monkeypatch):
     monkeypatch.setattr(AlgorithmSpec, "build", counting_build)
     records = sweep_system(lumi(), COLLECTIVES, node_counts=(16, 64, 256))
     assert {r.collective for r in records} == set(COLLECTIVES)
-    assert builds == {entry: 3 for entry in TREE_AND_LINEAR}
+    assert builds == {entry: 3 for entry in BCAST_TREES}
 
 
 def test_cold_sweep_profiles_every_cell_through_one_table(monkeypatch):

@@ -1,12 +1,15 @@
-"""Plan-backed entries render sweep tables directly, equal to lowered schedules.
+"""Plan-backed entries make sweep tables without a build, equal to lowered schedules.
 
-The sweep profiles the butterflies, Bruck, Sparbit, the rings and the
-composed bcast/reduce from ``spec.table(p)``, which emits TransferTable
-columns from rank arrays (butterflies: closed-form set sizes and run
-counts).  Its oracle is the slow path: ``lower_schedule(spec.build(p,
-p))``, compared with the rendered table's repeated step rows expanded, at
-every cell a sweep renders up to the ring oracle's cap; the others are
-reported as skipped.  Larger p runs from ``tests/table_oracle.py``.
+The sweep profiles the butterflies from ``spec.table(p)``, which emits
+TransferTable columns from closed-form set sizes and run counts, and
+every other entry with a ``steps`` hook (the rings, Bruck, Sparbit, the
+reduce/gather/scatter trees, linear gather/scatter, the composed
+bcast/reduce, and the torus catalog but trinaryx) from ``lower_steps``
+over its steps.  The oracle is the slow path: ``lower_schedule(spec.build(p,
+n))`` at the canonical size, compared with the table's repeated step rows
+expanded, at every cell a sweep renders up to the ring oracle's cap; the
+others are reported as skipped.  Larger p runs from
+``tests/table_oracle.py``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ from repro.collectives.butterfly_collectives import (
 )
 from repro.collectives.common import Strategy
 from repro.collectives.registry import spec_for
+from repro.collectives.torus import torus_algorithms
 from repro.core.butterfly import bine_butterfly_halving, recursive_halving_butterfly
+from repro.core.torus_opt import TorusShape
 from repro.model import compiled
-from repro.model.compiled import transfer_table_for
+from repro.model.compiled import lower_schedule, transfer_table_for
 from repro.runtime.errors import ScheduleError
 from repro.runtime.memo import clear_memo_caches
 
@@ -49,6 +54,10 @@ PLAN_BACKED = {
     ("reduce_scatter", "ring"),
     ("bcast", "scatter-allgather"), ("bcast", "bine-scatter-allgather"),
     ("reduce", "rabenseifner"), ("reduce", "bine-rsag"),
+} | {
+    ("reduce", "binomial-dd"), ("reduce", "binomial-dh"), ("reduce", "bine"),
+    ("gather", "binomial"), ("gather", "bine"), ("gather", "linear"),
+    ("scatter", "binomial"), ("scatter", "bine"), ("scatter", "linear"),
 }
 
 SPECS = plan_backed_specs()
@@ -104,7 +113,7 @@ def test_pi_window_check_raises_schedule_error_on_both_paths(flow, make_bf):
 ])
 def test_ring_tables_repeat_one_row_per_pass(collective, rows):
     p = 4096
-    table = spec_for(collective, "ring").table(p)
+    table = transfer_table_for(spec_for(collective, "ring"), p)
     assert table.num_steps == rows
     assert np.array_equal(np.diff(table.step_off), [p] * rows)
     assert np.array_equal(table.step_reps, [p - 1] * rows)
@@ -114,3 +123,19 @@ def test_ring_tables_repeat_one_row_per_pass(collective, rows):
 def test_table_renders_only_at_canonical_size():
     with pytest.raises(ValueError, match="n = p"):
         render_table(reduce_scatter_flow(recursive_halving_butterfly(8), 16))
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (2, 2, 2), (4, 4), (4, 4, 4)],
+                         ids=lambda d: "x".join(map(str, d)))
+def test_torus_tables_equal_lowered_builds(dims):
+    """Every torus catalog entry's sweep table (lowered from its steps,
+    trinaryx's from its build) equals its build at the canonical size
+    lowered: ``n = 2·D·p`` for ``bine-multiport``, ``n = p`` otherwise."""
+    shape = TorusShape(dims)
+    p = shape.num_ranks
+    clear_memo_caches()
+    for (collective, name), spec in torus_algorithms(shape).items():
+        n = 2 * len(dims) * p if name == "bine-multiport" else p
+        oracle = lower_schedule(spec.build(p, n))
+        assert table_mismatches(transfer_table_for(spec, p), oracle) == [], name
+    clear_memo_caches()

@@ -238,22 +238,28 @@ CLASH = _phase([0, 1, 2], [3, 3, 1], [0, 2, 0], [3, 5, 1])
     (4, [ArrayStep("clash", CLASH), ArrayStep("self", _phase([2], [2], [0], [1]))],
      "transfer to self at rank 2 (t)"),
     (0, [ArrayStep("empty", CLASH)], "schedule needs p > 0"),
+    # with no ranks, every step is still made (and fails) first
+    (0, [ArrayStep("self", _phase([1], [1], [0], [1]))], "transfer to self at rank 1 (t)"),
     (4, [ArrayStep("sum", CLASH._replace(op="sum"))], None),
     (4, [ArrayStep("copies", None, pre=(_phase([0], [0], [0], [2]),))], None),
 ], ids=["dst-out-of-range", "src-out-of-range", "overlap", "dst-segment-overlap",
-        "range-first", "construction-first", "p-zero", "reduce-overlap-passes",
-        "local-copies-only"])
+        "range-first", "construction-first", "p-zero", "p-zero-construction-first",
+        "reduce-overlap-passes", "local-copies-only"])
 def test_array_validation_equals_finalize(p, steps, error):
     # schedule_from_arrays validates on the arrays, the object path runs
     # Step.validate over the transfers: the same schedule or the same
-    # exception and text, validation on and off
+    # exception and text, validation on and off; plan_from_arrays raises
+    # what compiling the built schedule does
     meta = {"collective": "allgather", "algorithm": "hand-made", "p": p, "n": 8}
     for validate in (True, False):
         with schedule_validation(validate):
             got, got_err = _outcome(lambda: schedule_from_arrays(p, meta, steps))
             want, want_err = _outcome(lambda: _object_schedule(p, meta, steps))
+            _, plan_err = _outcome(lambda: plan_from_arrays(p, meta, steps))
+            _, built_err = _outcome(lambda: compile_plan(schedule_from_arrays(p, meta, steps)))
         assert got_err == want_err
         assert repr(got) == repr(want)
+        assert plan_err == built_err
     with schedule_validation(True):
         _, err = _outcome(lambda: schedule_from_arrays(p, meta, steps))
     assert err == (None if error is None else (ScheduleError, error))
