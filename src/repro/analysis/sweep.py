@@ -77,7 +77,7 @@ import pickle
 import re
 import tempfile
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
@@ -991,6 +991,7 @@ def _run_shard_round(
     as *abandoned* — never failed, they must not be retried — while
     in-flight shards are awaited (and journaled) as usual.
     """
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     failed: list[int] = []
     abandoned: list[int] = []
     pool = ProcessPoolExecutor(

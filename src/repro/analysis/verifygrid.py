@@ -38,7 +38,6 @@ same order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
@@ -312,6 +311,7 @@ def verify_grid(
         workers=workers or 1,
     ):
         if workers is not None and workers > 1 and len(cells) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
             pool = ProcessPoolExecutor(
                 max_workers=workers, initializer=pool_worker_init
             )

@@ -13,10 +13,14 @@ baseline, which this captures; exact send ordering internals differ.)
 
 Both are described once, as one step of rank arrays per round
 (:func:`bruck_steps`): the registry builds the executor's schedule and
-lowers the verifier's plan and the sweep table from those rounds.
+lowers the verifier's plan from those rounds, and the sweep table from
+their element and segment counts (Sparbit's in closed form, so its
+``Θ(p²)`` per-block segments are made only to build or plan).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -48,24 +52,31 @@ def _meta(p: int, n: int, name: str) -> dict:
     return {"collective": "allgather", "algorithm": name, "p": p, "n": n}
 
 
+def _per_block(src: np.ndarray, c: int, edge: np.ndarray) -> tuple:
+    """One segment per block of each circular range ``[src, src + c)``."""
+    blocks = ((src[:, None] + np.arange(c)) % src.size).ravel()
+    return np.full(src.size, c), edge[blocks], edge[blocks + 1]
+
+
 def _round_steps(p: int, n: int, name: str, per_block: bool):
     """The rounds as arrays: in round ``k``, ``(h, c)``, rank ``r`` pulls
     ``src = (r + h) mod p``'s first ``c`` blocks ``[src, src + c)`` into
-    the same slots, one segment per block in circular order (Sparbit) or
-    coalesced as ``Partition.segments`` does (Bruck, ≤ 2 per send)."""
+    the same slots, one segment per block in circular order (Sparbit:
+    counted in closed form, its ``p · c`` segments made only when read)
+    or coalesced as ``Partition.segments`` does (Bruck, ≤ 2 per send)."""
     ranks = np.arange(p)
     edge = block_edges(n, p)
     for k, (h, c) in enumerate(_rounds(p)):
-        src = (ranks + h) % p
+        src, tag = (ranks + h) % p, f"{name}[{k}]"
         if per_block:
-            blocks = ((src[:, None] + np.arange(c)) % p).ravel()
-            counts, lo, hi = np.full(p, c), edge[blocks], edge[blocks + 1]
+            end = src + c  # the range wraps past block p − 1 where end > p
+            nelems = edge[np.minimum(end, p)] - edge[src] + edge[np.maximum(end - p, 0)]
+            phase = ArrayPhase(src, ranks, nelems, np.full(p, c),
+                               partial(_per_block, src, c, edge), tag=tag)
         else:
             cut, lo, hi = wire_arrays(n, p, False, circular_bounds(src, c, p))
-            counts = np.diff(cut)
-        yield ArrayStep(f"{name} round {k}", ArrayPhase(
-            src, ranks, counts, lo, hi, tag=f"{name}[{k}]",
-        ))
+            phase = ArrayPhase.of(src, ranks, np.diff(cut), lo, hi, tag=tag)
+        yield ArrayStep(f"{name} round {k}", phase)
 
 
 def bruck_steps(p: int, n: int, name: str, per_block: bool):

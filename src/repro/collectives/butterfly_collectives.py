@@ -27,30 +27,30 @@ The four non-contiguous-data strategies of Sec. 4.3.1 map onto layouts:
 
 Each flow is described once, as a :class:`Flow`: a per-step plan over rank
 arrays (partner row, whose responsibility set is sent at which resp step,
-op, buffer, local-op rows).  Two renderings consume it, both reading one
-per-step set geometry (:class:`_SetGeometry`: ν-mask rotations, circular
-ranges, hypercube ranges, π windows, evaluated over all ranks at once):
+op, buffer, local-op rows).  :func:`flow_steps` renders it as arrays
+(:class:`~repro.runtime.schedule.ArrayStep`), reading one per-step set
+geometry (:class:`_SetGeometry`: ν-mask rotations, circular ranges,
+hypercube ranges, π windows, evaluated over all ranks at once).  It is
+the flow's one description of what moves:
 
-* :func:`flow_steps` — the flow's steps as arrays
-  (:class:`~repro.runtime.schedule.ArrayStep`), each step's block ranges
-  for every rank in one NumPy pass.  It is the flow's one description of
-  what moves: :func:`render_schedule` builds the executor's
-  :class:`Schedule` from it
+* the sweep's :class:`~repro.model.compiled.TransferTable` is lowered
+  from each step's element and segment counts
+  (:func:`~repro.model.compiled.lower_steps`), closed-form set sizes and
+  run counts when every block holds ``n / p`` elements: no per-rank
+  Python, no segment arrays;
+* each step's wire segments, every rank's in one NumPy pass, are made
+  only when read: :func:`render_schedule` builds the executor's
+  :class:`Schedule` from them
   (:func:`~repro.runtime.schedule.schedule_from_arrays`), the registry
-  lowers the verifier's plan from it
+  lowers the verifier's plan from them
   (:func:`~repro.runtime.compiled.plan_from_arrays`), and the torus and
-  hierarchical builders overlay sub-collectives with it;
-* :func:`render_table` — the profiler's
-  :class:`~repro.model.compiled.TransferTable` at the canonical size
-  ``n = p``, straight from closed-form set sizes and run counts: no
-  per-rank Python, no segment arrays.  It equals
-  ``lower_schedule(render_schedule(flow))`` column for column.
+  hierarchical builders overlay sub-collectives with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -78,6 +78,7 @@ from repro.runtime.schedule import (
     ArrayStep,
     EveryRank,
     Schedule,
+    expand_runs,
     schedule_from_arrays,
 )
 
@@ -96,11 +97,9 @@ __all__ = [
     "flow_steps",
     "flow_buffers",
     "flow_stream",
-    "render_table",
     "block_edges",
     "circular_bounds",
     "wire_arrays",
-    "step_table",
     "rs_butterfly_for",
     "RS_FLAVORS",
 ]
@@ -306,26 +305,21 @@ class _SetGeometry:
 
     The sets obey the butterfly recursion ``resp(r, j) = resp(r, j+1) ⊎
     resp(partner(r, j), j+1)`` (:mod:`repro.core.coverage`); here they are
-    evaluated over rank arrays, from the kind's closed form or merged up
-    the recursion.  Both renderers read one geometry:
-
-    * :meth:`counts` — each owner's wire-segment count at ``n = p``, in
-      closed form with no runs materialised, so sweep tables stay O(p) per
-      step (:func:`render_table`);
-    * :meth:`bounds` — the block ranges of every rank's set
-      (:func:`flow_steps`).
+    evaluated over rank arrays, from the kind's closed form or merged
+    along the partner rows: :meth:`counts` (closed-form where the kind
+    has one, so sweep tables stay O(p) per step) and :meth:`bounds`.
 
     Under the π-space strategies a set is one window of π positions;
     :meth:`check` is the one place its contiguity is checked.
     """
 
     def __init__(self, bf: Butterfly, strategy: Strategy):
-        self.bf, self.strategy, self.p = bf, strategy, bf.p
+        self.bf, self.strategy, self.p, self.rows = bf, strategy, bf.p, _partner_rows(bf)
 
     @cached_property
     def _pi_bounds(self):
         # min/max π position of each set, merged up the recursion
-        s, pi, rows = self.bf.num_steps, _pi_array(self.p), _partner_rows(self.bf)
+        s, pi, rows = self.bf.num_steps, _pi_array(self.p), self.rows
         lo, hi = {s: pi}, {s: pi}
         for j in range(s - 1, 0, -1):
             lo[j] = np.minimum(lo[j + 1], lo[j + 1][rows[j]])
@@ -336,7 +330,7 @@ class _SetGeometry:
     def _circular_start(self) -> dict[int, np.ndarray]:
         # bine-halving: circular (start, len) ranges merged up the
         # recursion; a partner's range must continue one's own
-        p, s, rows = self.p, self.bf.num_steps, _partner_rows(self.bf)
+        p, s, rows = self.p, self.bf.num_steps, self.rows
         start = {s: np.arange(p)}
         for j in range(s - 1, 0, -1):
             mine, theirs, size = start[j + 1], start[j + 1][rows[j]], p >> (j + 1)
@@ -373,20 +367,14 @@ class _SetGeometry:
                 f"rank {owner[bad[0]]} step {step}"
             )
 
-    def counts(self, step: int, owner: np.ndarray):
-        """Wire segments of each owner's set before ``step`` at ``n = p``
-        (block ``b`` is element ``b``): an array over ``owner``, or a
-        scalar when all are equal."""
+    def counts(self, step: int):
+        """Wire segments of every rank's set before ``step`` when no block
+        is empty (an array over ranks, or a scalar when all are equal)."""
         p, kind = self.p, self.bf.kind
-        if self.strategy is Strategy.BLOCKS:
-            return p >> step
-        if self.strategy in _PI_SPACE:
-            self.check(step, owner)
-            return 1
-        if kind == "rechalv":  # contiguous halves
-            return 1
-        if kind == "recdoub":  # stride 2^step: every block its own run
-            return p >> step
+        if self.strategy is Strategy.BLOCKS or kind == "recdoub":
+            return p >> step  # every block its own run
+        if self.strategy in _PI_SPACE or kind == "rechalv":
+            return 1  # one window, or contiguous halves
         if kind in ("bine-doubling", "swing"):
             # a rotation or reflection of B, so its circular run count is
             # B's; a circular run through p−1 → 0 splits into two
@@ -395,10 +383,23 @@ class _SetGeometry:
             circ = np.count_nonzero(in_b & ~np.roll(in_b, 1))
             has_first = np.where(even, in_b[-ranks % p], in_b[ranks])
             has_last = np.where(even, in_b[(p - 1 - ranks) % p], in_b[(ranks + 1) % p])
-            return (circ + (has_first & has_last))[owner]
+            return circ + (has_first & has_last)
         if kind == "bine-halving":
-            return 1 + (self._circular_start[step][owner] + (p >> step) > p)
-        raise NotImplementedError(f"no closed-form segment counts for {kind!r}")
+            return 1 + (self._circular_start[step] + (p >> step) > p)
+        # no closed form: the runs of the merged blocks, 2**14 blocks at a time
+        per = max(1, (1 << 14) // (p >> step))
+        return np.concatenate([
+            1 + np.count_nonzero(np.diff(self._blocks(part, step), axis=1) > 1, axis=1)
+            for part in np.array_split(np.arange(p), range(per, p, per))
+        ])
+
+    def _blocks(self, ranks: np.ndarray, step: int) -> np.ndarray:
+        """Each of ``ranks``' sets before ``step``, one ascending row per
+        rank: every rank the steps ``step, step + 1, …`` carry it to."""
+        blocks = ranks[:, None]
+        for row in self.rows[step:]:
+            blocks = np.hstack((blocks, row[blocks]))
+        return np.sort(blocks, axis=1)
 
     def bounds(self, step: int):
         """Every rank's set before ``step`` as block ranges ``(rank, lo,
@@ -415,17 +416,10 @@ class _SetGeometry:
             return ranks, lo, lo + size
         if kind == "bine-halving":
             return circular_bounds(self._circular_start[step], size, p)
-        if kind in ("bine-doubling", "swing"):
-            base = np.flatnonzero(self._nu_base(step))
-            sign = np.where(ranks % 2 == 0, 1, -1)[:, None]
-            blocks = np.sort((ranks[:, None] + sign * base) % p, axis=1).ravel()
-        elif kind == "recdoub":  # the blocks sharing r's low ``step`` bits
+        if kind == "recdoub":  # the blocks sharing r's low ``step`` bits
             blocks = ((ranks % (1 << step))[:, None] + (np.arange(size) << step)).ravel()
-        else:  # no closed form: every rank's blocks merged up the recursion
-            blocks, rows = ranks[:, None], _partner_rows(self.bf)
-            for j in range(self.bf.num_steps - 1, step - 1, -1):
-                blocks = np.hstack((blocks, blocks[rows[j]]))
-            blocks = np.sort(blocks, axis=1).ravel()
+        else:  # every rank's blocks, merged along the partner rows
+            blocks = self._blocks(ranks, step).ravel()
         return np.repeat(ranks, size), blocks, blocks + 1
 
 
@@ -453,11 +447,6 @@ def circular_bounds(start: np.ndarray, size: int, p: int):
     return item, lo, hi
 
 
-def _spans(start: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``start[i] .. start[i] + lens[i]`` for every ``i``, back to back."""
-    return np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
-
-
 def _merged(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Rank-major ranges with each rank's touching neighbours joined."""
     join = (rank[1:] == rank[:-1]) & (hi[:-1] == lo[1:])
@@ -481,7 +470,7 @@ def wire_arrays(n: int, p: int, per_block: bool, bounds):
     item, lo, hi = bounds
     if per_block:
         lens = hi - lo
-        blocks = _spans(lo, lens)
+        blocks = expand_runs(lo, lens)
         item, lo, hi = np.repeat(item, lens), edge[blocks], edge[blocks + 1]
     else:
         item, lo, hi = _merged(item, edge[lo], edge[hi])
@@ -501,9 +490,9 @@ def _local_arrays(local: _Local | None, p: int, n: int) -> tuple:
     else:
         items, counts = ranks, np.ones(p, dtype=np.intp)
     nat, perm = ranks * bs, pi * bs
-    src, dst = (nat, perm) if local.to_pi else (perm, nat)
+    lo, dst = (nat, perm) if local.to_pi else (perm, nat)
     phase = ArrayPhase(
-        items, items, counts, src, src + bs, (counts, dst, dst + bs),
+        items, items, counts * bs, counts, lambda: (counts, lo, lo + bs), (counts, dst, dst + bs),
         VEC if local.to_pi else TMP, TMP if local.to_pi else VEC, tag=local.tag,
     )
     return (EveryRank(phase) if local.whole else phase,)
@@ -513,11 +502,11 @@ def flow_steps(flow: Flow) -> Iterator[ArrayStep]:
     """``flow``'s steps as arrays: what every rank sends, receives and
     copies locally at each step.
 
-    A resp step's wire segments come from the set geometry for every
-    rank at once, once per call however many steps walk those sets, and
-    the π-window and circular-range checks run at the first step that
-    needs them.  A natural layout rejects a negative ``n`` on the call;
-    the steps render lazily.
+    A resp step's counts (closed-form when every block holds ``n / p > 0``
+    elements, else from its segments) and its segments, made when read,
+    come from the set geometry for every rank at once, once per call.  The
+    π-window and circular-range checks run at the first step that needs
+    them.  A natural layout rejects a negative ``n`` on the call.
     """
     bf, n, strategy = flow.bf, flow.n, flow.strategy
     p = bf.p
@@ -525,35 +514,39 @@ def flow_steps(flow: Flow) -> Iterator[ArrayStep]:
     if strategy not in _PI_SPACE:
         Partition(n, p)  # natural layouts reject a negative n
     sets = _SetGeometry(bf, strategy)
-    wires: dict[int, tuple] = {}  # resp step → (cut, lo, hi)
 
-    def steps():
-        for st in flow.steps:
-            owner = st.owner
+    @cache
+    def wire(j: int) -> tuple:  # every rank's segments (cut, lo, hi)
+        return wire_arrays(n, p, strategy is Strategy.BLOCKS, sets.bounds(j))
+
+    @cache
+    def size(j: int) -> tuple:  # every rank's (nelems, num_segments)
+        return tuple(np.broadcast_to(c, p) for c in ((p >> j) * bs, sets.counts(j)))
+
+    def segments(j: int, owner: np.ndarray) -> tuple:
+        cut, lo, hi = wire(j)
+        counts = cut[owner + 1] - cut[owner]
+        at = expand_runs(cut[owner], counts)
+        return counts, lo[at], hi[at]
+
+    def phase(st: FlowStep) -> ArrayPhase:
+        owner, j, kinds = st.owner, st.resp_step, (st.buf, st.buf, st.op, st.tag)
+        if j is None or j == 0:  # one block, or the whole vector
             ones = np.ones(owner.size, dtype=np.intp)
-            if st.resp_step is None:
-                lo, hi, counts = owner * bs, (owner + 1) * bs, ones
-            elif st.resp_step == 0:
-                lo, hi, counts = 0 * ones, n * ones, ones
-            else:
-                sets.check(st.resp_step, owner)
-                if st.resp_step not in wires:
-                    wires[st.resp_step] = wire_arrays(
-                        n, p, strategy is Strategy.BLOCKS, sets.bounds(st.resp_step)
-                    )
-                cut, w_lo, w_hi = wires[st.resp_step]
-                counts = cut[owner + 1] - cut[owner]
-                at = _spans(cut[owner], counts)
-                lo, hi = w_lo[at], w_hi[at]
-            yield ArrayStep(
-                st.label,
-                ArrayPhase(st.src, st.dst, counts, lo, hi, None, st.buf, st.buf,
-                           st.op, st.tag),
-                _local_arrays(st.pre, p, n),
-                _local_arrays(st.post, p, n),
-            )
+            lo, hi = (owner * bs, (owner + 1) * bs) if j is None else (0 * ones, n * ones)
+            return ArrayPhase.of(st.src, st.dst, ones, lo, hi, None, *kinds)
+        sets.check(j, owner)
+        if n % p or not n:  # uneven or empty blocks: counted from the segments
+            return ArrayPhase.of(st.src, st.dst, *segments(j, owner), None, *kinds)
+        nelems, nsegs = size(j)
+        return ArrayPhase(st.src, st.dst, nelems[owner], nsegs[owner],
+                          lambda: segments(j, owner), None, *kinds)
 
-    return steps()
+    return (
+        ArrayStep(st.label, phase(st), _local_arrays(st.pre, p, n),
+                  _local_arrays(st.post, p, n))
+        for st in flow.steps
+    )
 
 
 def flow_buffers(flow: Flow) -> set[str]:
@@ -577,61 +570,6 @@ def render_schedule(flow: Flow) -> Schedule:
     """The executor's :class:`Schedule` for ``flow`` (validated on exit),
     built from :func:`flow_steps`."""
     return schedule_from_arrays(flow.bf.p, flow.meta, flow_steps(flow))
-
-
-# -- rendering: TransferTable ------------------------------------------------
-
-
-def step_table(meta: dict, steps, local_whole=None, reps=None):
-    """The :class:`~repro.model.compiled.TransferTable` at ``n = p`` of
-    per-step rank arrays.
-
-    ``steps[i]`` is step ``i`` as ``(src, dst, nelems, num_segments,
-    has_op)``: two rank arrays, then values broadcast over its transfers.
-    ``local_whole[i]`` lists step ``i``'s local copies, pre then post, each
-    one per rank of the whole vector when true, else of one block (default:
-    no local copies).  ``reps[i]`` is how many times step ``i`` runs back
-    to back (default: once each).
-    """
-    from repro.model.compiled import table_from_columns  # keeps registry imports light
-
-    p = meta["p"]
-    rows = [st[0].size for st in steps]
-    local_whole = [()] * len(steps) if local_whole is None else local_whole
-    whole = [w for step_locals in local_whole for w in step_locals]
-    moves = [np.concatenate([np.zeros(0, np.int64),
-                             *(np.broadcast_to(st[k], m) for st, m in zip(steps, rows))])
-             for k in range(5)]
-    copies = (np.tile(np.arange(p), len(whole)), np.repeat(np.where(whole, p, 1), p),
-              np.zeros(p * len(whole), dtype=bool))
-    return table_from_columns(
-        p, meta, [1] * len(steps) if reps is None else reps, rows,
-        [p * len(step_locals) for step_locals in local_whole], moves, copies,
-    )
-
-
-def render_table(flow: Flow):
-    """The profiler's :class:`~repro.model.compiled.TransferTable` for ``flow``.
-
-    Renders at the canonical build size ``n = p`` only; equal to
-    ``lower_schedule(render_schedule(flow))`` in every column.
-    """
-    bf, p = flow.bf, flow.bf.p
-    if flow.n != p:
-        raise ValueError(f"tables render at n = p (got n={flow.n}, p={p})")
-    sets = _SetGeometry(bf, flow.strategy)
-    steps = []
-    for st in flow.steps:
-        if st.resp_step is None:  # one block
-            size, count = 1, 1
-        elif st.resp_step == 0:  # the whole vector
-            size, count = p, 1
-        else:
-            size, count = p >> st.resp_step, sets.counts(st.resp_step, st.owner)
-        steps.append((st.src, st.dst, size, count, st.op is not None))
-    return step_table(flow.meta, steps, [
-        [lc.whole for lc in (st.pre, st.post) if lc is not None] for st in flow.steps
-    ])
 
 
 # -- the public builders -----------------------------------------------------

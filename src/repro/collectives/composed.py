@@ -200,7 +200,7 @@ def hierarchical_allreduce_bine(
 
     def intra(label: str, g: np.ndarray, op: str | None, tag: str) -> ArrayStep:
         # one fully connected round (all-port concurrent): pair i moves slice g[i]
-        return ArrayStep(label, ArrayPhase(
+        return ArrayStep(label, ArrayPhase.of(
             base + g_src, base + g_dst, np.ones_like(g), g * slice_n,
             (g + 1) * slice_n, op=op, tag=tag,
         ))

@@ -43,7 +43,6 @@ from repro.collectives.butterfly_collectives import (
     flow_buffers,
     flow_steps,
     reduce_scatter_flow,
-    render_table,
 )
 from repro.collectives.common import Strategy, build_stream
 from repro.collectives.tree_collectives import bcast_from_tree, tree_stream
@@ -87,16 +86,16 @@ class AlgorithmSpec:
     #: optional sweep cap: schedules with Θ(p²) wire segments (per-block
     #: strategies) are skipped above this rank count
     max_p: int | None = None
-    #: ``table(p)``: the sweep's TransferTable, only for closed-form counts
-    #: (butterfly flows, whose segments grow as p²) or a cost model
-    #: (alltoall, :mod:`repro.model.analytic`); ``None``: lowered from
-    #: ``steps`` (:func:`repro.model.compiled.lower_steps`) or a build
+    #: ``table(p)``: the sweep's TransferTable when it is a cost model, not the
+    #: schedule's (alltoall, :mod:`repro.model.analytic`); else ``None``
     table: Callable[[int], object] | None = None
     #: ``steps(p, n, root, op)`` describes the schedule once, as ``(meta,
     #: buffers, steps)``: ``build`` writes the steps out as objects, the
-    #: verifier lowers its plan from them and the sweep its table, neither
-    #: building; ``None``: the entry has a ``builder``
+    #: verifier lowers its plan from them and the sweep its table from their
+    #: counts alone, neither building; ``None``: the entry has a ``builder``
     steps: Callable[[int, int, int, str], tuple] | None = None
+    #: the sweep's table is lowered from ``steps`` at ``n = table_blocks · p``
+    table_blocks: int = 1
 
     def build(self, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
         if self.steps is None:
@@ -138,10 +137,7 @@ def _register_flow(collective: str, name: str, family: str, flow, **kw) -> None:
         f = flow(p, n, op)
         return f.meta, flow_buffers(f), flow_steps(f)
 
-    _register(AlgorithmSpec(
-        collective, name, family, steps=steps,
-        table=lambda p: render_table(flow(p, p, "sum")), **kw,
-    ))
+    _register(AlgorithmSpec(collective, name, family, steps=steps, **kw))
 
 
 def _register_plan(collective: str, name: str, family: str, plan, **kw) -> None:

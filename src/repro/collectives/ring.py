@@ -49,8 +49,8 @@ def ring_pass(p: int, n: int, shift: int, op: str | None, tag: str) -> BlockRota
     dst = (src + 1) % p
     edge = block_edges(n, p)
     block = (src - shift) % p
-    first = ArrayPhase(src, dst, np.ones(p, dtype=np.intp), edge[block], edge[block + 1],
-                       op=op, tag=f"ring-{tag}[{{k}}]")
+    first = ArrayPhase.of(src, dst, np.ones(p, dtype=np.intp), edge[block], edge[block + 1],
+                          op=op, tag=f"ring-{tag}[{{k}}]")
     return BlockRotation(first, block, edge, p - 1, f"ring {tag} step {{k}}")
 
 
@@ -86,7 +86,7 @@ def linear_steps(collective: str, p: int, n: int, root: int = 0):
     ends = (others, np.full_like(others, root))
     src, dst = ends if collective == "gather" else ends[::-1]
     meta = {"collective": collective, "algorithm": "linear", "p": p, "n": n, "root": root}
-    return meta, {VEC}, [ArrayStep(f"linear {collective}", ArrayPhase(
+    return meta, {VEC}, [ArrayStep(f"linear {collective}", ArrayPhase.of(
         src, dst, np.ones_like(others), edge[others], edge[others + 1],
         tag=f"linear-{collective}",
     ))]

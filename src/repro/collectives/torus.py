@@ -21,7 +21,9 @@ All but trinaryx (whose three chains carry different tags within one
 step, which one array phase cannot hold) are ``(meta, buffers, steps)``
 streams of step arrays: the public builders write them out, and the
 catalog (:func:`torus_algorithms`) binds them to one sub-torus as
-``steps`` hooks, from which sweeps lower their tables without building.
+``steps`` hooks, from whose element and segment counts sweeps lower their
+tables without building or making a segment (the port butterflies have
+no closed form: their counts are the run counts of their merged sets).
 Multiport and bucket run their sub-collectives in lockstep: each port's
 flow or each line's ring (:func:`~repro.collectives.ring.ring_pass`) is
 one part of :func:`~repro.runtime.schedule.overlay_steps`, embedded on
@@ -56,7 +58,6 @@ from repro.core.torus_opt import (
     torus_bine_butterfly,
     torus_bine_tree,
 )
-from repro.model.compiled import lower_steps
 from repro.runtime.memo import label_table
 from repro.runtime.schedule import (
     ArrayStep,
@@ -344,11 +345,11 @@ def _bound(
     family: str,
     make: Callable,
     description: str,
-    blocks: int | None = None,
+    blocks: int = 1,
 ) -> AlgorithmSpec:
     """An :class:`AlgorithmSpec` whose ``steps`` hook (trinaryx: whose
-    ``builder``) is ``make(n, root, op)`` on ``shape``; given ``blocks``,
-    its ``table`` is lowered from the steps at ``n = blocks · p``."""
+    ``builder``) is ``make(n, root, op)`` on ``shape``, its table lowered
+    from the steps at ``n = blocks · p``."""
     p = shape.num_ranks
 
     def on_shape(q: int, n: int, root: int = 0, op: str = "sum"):
@@ -360,8 +361,7 @@ def _bound(
 
     if family == "trinaryx":  # its chains cannot share one array phase
         return AlgorithmSpec(collective, name, family, on_shape, description=description)
-    table = None if blocks is None else (lambda q: lower_steps(on_shape(q, blocks * q)))
-    return AlgorithmSpec(collective, name, family, steps=on_shape, table=table,
+    return AlgorithmSpec(collective, name, family, steps=on_shape, table_blocks=blocks,
                          description=description)
 
 
@@ -377,8 +377,9 @@ def torus_algorithms(shape: TorusShape) -> dict[tuple[str, str], AlgorithmSpec]:
     :func:`repro.analysis.sweep.sweep_system`.  Every entry but trinaryx
     has a ``steps`` hook, so its sweep table is lowered from the steps
     the Fig. 11b records were always profiled at, the canonical size:
-    ``n = 2·D·p`` for ``bine-multiport`` (one slice per port) and
-    ``n = p`` for every other entry; trinaryx builds and lowers.  The
+    ``n = 2·D·p`` for ``bine-multiport`` (one slice per port,
+    ``table_blocks = 2·D``) and ``n = p`` for every other entry;
+    trinaryx builds and lowers.  The
     catalog is memoized per shape, so a shape's specs (and their memoized
     tables) are shared.
 

@@ -68,7 +68,7 @@ def tree_steps(tree: TreeLike, ranges: Ranges, up: bool, tag: str, label: str,
         if tree.edges[i]:
             parent, child = np.array(tree.edges[i], dtype=np.intp).T
             src, dst = (child, parent) if up else (parent, child)
-            phase = ArrayPhase(src, dst, *ranges(child), op=op, tag=f"{tag}[{i}]")
+            phase = ArrayPhase.of(src, dst, *ranges(child), op=op, tag=f"{tag}[{i}]")
         yield ArrayStep(f"{label} {i}", phase)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.collectives.butterfly_collectives import step_table
 from repro.core.butterfly import bine_butterfly_doubling
 
 __all__ = [
@@ -35,12 +34,32 @@ __all__ = [
     "pairwise_alltoall_table",
     "bruck_alltoall_table",
     "bine_alltoall_table",
+    "step_table",
 ]
 
 #: offsets of the pairwise-alltoall step space profiled explicitly
 PAIRWISE_SAMPLES = 32
 
 _NO_TRANSFERS = (np.zeros(0, dtype=np.intp),) * 2 + (0, 1, False)
+
+
+def step_table(meta: dict, steps, pack=False, reps=None):
+    """The :class:`~repro.model.compiled.TransferTable` at ``n = p`` of
+    ``steps``, step ``i`` as ``(src, dst, nelems, num_segments, has_op)``
+    (two rank arrays, then values broadcast over its transfers), run
+    ``reps[i]`` times back to back (default: once), each also copying the
+    whole vector on every rank with ``pack``."""
+    from repro.model.compiled import narrow, table_from_columns  # keeps registry imports light
+
+    p, k = meta["p"], len(steps) if pack else 0
+    rows = [st[0].size for st in steps]
+    moves = [np.concatenate([np.zeros(0, dtype), *(narrow(np.broadcast_to(st[c], m), dtype)
+                                                   for st, m in zip(steps, rows))])
+             for c, dtype in enumerate([np.int32] * 4 + [bool])]
+    copies = (np.tile(np.arange(p, dtype=np.int32), k), np.full(p * k, p, dtype=np.int32),
+              np.zeros(p * k, dtype=bool))
+    return table_from_columns(p, meta, [1] * len(steps) if reps is None else reps, rows,
+                              [p if pack else 0] * len(steps), moves, copies)
 
 
 def _meta(algorithm: str, p: int) -> dict:
@@ -74,8 +93,7 @@ def bruck_alltoall_table(p: int):
         (ranks, (ranks + (1 << k)) % p, int(((ranks >> k) & 1).sum()), 1, False)
         for k in phases
     ]
-    return step_table(_meta("bruck", p), steps + [_NO_TRANSFERS],
-                      local_whole=[(True,)] * (len(steps) + 1))
+    return step_table(_meta("bruck", p), steps + [_NO_TRANSFERS], pack=True)
 
 
 def bine_alltoall_table(p: int):
@@ -95,8 +113,7 @@ def bine_alltoall_table(p: int):
         (ranks, np.asarray(row), p // 2, 1, False)
         for row in bine_butterfly_doubling(p).partners
     ]
-    return step_table(_meta("bine", p), steps + [_NO_TRANSFERS],
-                      local_whole=[(True,)] * (len(steps) + 1))
+    return step_table(_meta("bine", p), steps + [_NO_TRANSFERS], pack=True)
 
 
 #: (collective, algorithm) → the registry entry's table renderer ``f(p)``

@@ -9,8 +9,9 @@ asserted across the whole registry in ``tests/test_compiled_profile.py``):
   p)`` into structure-of-arrays, step-segmented columns (``src`` / ``dst``
   / ``nelems`` / ``num_segments`` / ``has_op`` plus the pre/post local-op
   columns, and a per-step repeat count).  :func:`lower_steps` derives it
-  from an entry's step arrays without building the schedule (a ring pass
-  one row run ``p − 1`` times); :func:`lower_schedule` flattens a built
+  from an entry's step arrays' element and segment counts, without
+  building the schedule or making a segment (a ring pass one row run
+  ``p − 1`` times); :func:`lower_schedule` flattens a built
   :class:`~repro.runtime.schedule.Schedule` and is the oracle of every
   table made without one.  The table depends only on the schedule — not
   on the topology or rank mapping — so one lowering serves every system,
@@ -78,11 +79,14 @@ from repro.model.simulator import (
     StepProfile,
 )
 from repro.runtime.compiled import sorted_unique
+from repro.runtime.errors import ScheduleError
 from repro.runtime.memo import Memo
 from repro.runtime.schedule import (
     BlockRotation,
     EveryRank,
     Schedule,
+    expand_runs,
+    rank_error,
     schedule_validation,
 )
 from repro.topology.base import LinkClass, Topology
@@ -222,13 +226,6 @@ def lower_schedule(schedule: Schedule) -> TransferTable:
     )
 
 
-def _item_elems(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each item's total segment length, from flat segment columns."""
-    total = np.concatenate(([0], np.cumsum(hi - lo)))
-    end = np.cumsum(counts)
-    return total[end] - total[end - counts]
-
-
 def _step_runs(steps):
     """``(step, reps)`` pairs: a :class:`BlockRotation` of equal blocks is
     its step 0 run ``reps`` times, every other step (written out) once."""
@@ -246,10 +243,11 @@ def lower_steps(stream) -> TransferTable:
     what an ``AlgorithmSpec.steps`` hook returns, without building it.
 
     It is ``lower_schedule`` of the steps' schedule, a rotation of equal
-    blocks (a ring pass) one row run ``reps`` times: per transfer item the
-    summed segment lengths and the larger of its two segment counts, one
-    local row per copy item (per rank for :class:`EveryRank`).  Transfers
-    check themselves as building them would.
+    blocks (a ring pass) one row run ``reps`` times, read from each
+    phase's ``nelems`` and ``num_segments`` alone: no segment is made.
+    Validation on or off, it raises what a validated build would for what
+    those show (a transfer to self, a negative count, a rank out of
+    range, ``p ≤ 0``); segments are checked where they are made.
 
     Example::
 
@@ -260,30 +258,38 @@ def lower_steps(stream) -> TransferTable:
     """
     meta, _, steps = stream
     p = meta["p"]
-    moves, copies, rows, local_rows, reps = [], [], [], [], []
+    moves, copies, reps, rows, local_rows = [], [], [], [], []
+    invalid = None
+
+    def part(*cols, op) -> np.ndarray:  # one phase's columns, the last has_op
+        return narrow(np.array((*cols, np.full(cols[0].size, op is not None))))
+
     for st, k in _step_runs(steps):
         ph = st.transfers
-        if ph is not None:
-            ph.check_transfers()
-            dst_counts = ph.counts if ph.dst_segments is None else ph.dst_segments[0]
-            moves.append((ph.src, ph.dst, _item_elems(ph.counts, ph.lo, ph.hi),
-                          np.maximum(ph.counts, dst_counts),
-                          np.full(ph.src.size, ph.op is not None)))
+        reps.append(k)
         rows.append(0 if ph is None else ph.src.size)
+        if ph is not None:
+            if (ph.dst_segments is not None or (ph.src == ph.dst).any()
+                    or (ph.nelems < 0).any()):
+                ph.to_transfers({})  # raises what making them raises
+            invalid = invalid or rank_error(ph.src, ph.dst, p, st.label)
+            moves.append(part(ph.src, ph.dst, ph.nelems, ph.num_segments, op=ph.op))
         local_rows.append(0)
         for lc in st.pre + st.post:
             whole = isinstance(lc, EveryRank)
             lc = lc.copy if whole else lc
             ranks = np.arange(p) if whole else lc.src
-            elems = _item_elems(lc.counts, lc.lo, lc.hi)
-            copies.append((ranks, np.broadcast_to(elems, ranks.shape),
-                           np.full(ranks.size, lc.op is not None)))
+            copies.append(part(ranks, np.broadcast_to(lc.nelems, ranks.shape), op=lc.op))
             local_rows[-1] += ranks.size
-        reps.append(k)
+    if p <= 0:
+        raise ScheduleError("schedule needs p > 0")
+    if invalid is not None:
+        raise invalid
 
-    def columns(parts, width: int) -> list[np.ndarray]:
-        return [np.concatenate([np.zeros(0, np.int64), *(part[k] for part in parts)])
-                for k in range(width)]
+    def columns(parts, width: int) -> tuple:  # one array per column, has_op bool
+        *cols, ops = (np.concatenate([np.zeros(0, np.int32), *(part[k] for part in parts)])
+                      for k in range(width))
+        return *cols, ops.astype(bool)
 
     return table_from_columns(p, meta, reps, rows, local_rows, columns(moves, 5),
                               columns(copies, 3))
@@ -301,17 +307,16 @@ _TABLE_CACHE = Memo("compiled._TABLE_CACHE", maxsize=512, counter="table")
 def transfer_table_for(spec, p: int) -> TransferTable | None:
     """Cached :class:`TransferTable` for one catalog entry at ``p`` ranks.
 
-    The first of ``spec.table(p)`` (closed-form counts or a cost model:
-    the butterfly flows, alltoall, torus ``bine-multiport``),
-    :func:`lower_steps` over ``spec.steps(p, p, 0, "sum")`` (every other
-    entry but the bcast trees and trinaryx), or building at ``n = p`` and
-    lowering, inside one ``schedule.table`` span.  Schedule validation is
-    off (the sweep's contract: it renders schedules the test suite
-    already validates).  ``None`` when the entry rejects ``p``.
-    The table is topology- and mapping-independent, so every system /
-    placement / seed of a campaign shares one entry.  The memo is keyed
-    on the spec itself, not on its name: the torus catalog binds one spec
-    per sub-torus, and sub-tori of one rank count (4x4x4 and 8x8) share
+    The first of ``spec.table(p)`` (alltoall's cost models),
+    :func:`lower_steps` over ``spec.steps(p, spec.table_blocks * p, 0,
+    "sum")``, or building at ``n = p`` and lowering (the bcast trees and
+    trinaryx), inside one ``schedule.table`` span.  Schedule validation
+    is off (the sweep's contract: it renders schedules the test suite
+    already validates).  ``None`` when the entry rejects ``p``.  The table
+    is topology- and mapping-independent, so every system / placement /
+    seed of a campaign shares one entry.  The memo is keyed on the spec
+    itself, not on its name: the torus catalog binds one spec per
+    sub-torus, and sub-tori of one rank count (4x4x4 and 8x8) share
     names.  Eviction is FIFO at 512 entries;
     :func:`repro.runtime.memo.clear_memo_caches` drops everything.
     """
@@ -323,7 +328,7 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
                 if spec.table is not None:
                     return spec.table(p)
                 if spec.steps is not None:
-                    return lower_steps(spec.steps(p, p, 0, "sum"))
+                    return lower_steps(spec.steps(p, spec.table_blocks * p, 0, "sum"))
                 with obs.span("schedule.build", **cell):
                     schedule = spec.build(p, p)
             except ValueError:
@@ -374,15 +379,6 @@ class _CsrArrays:
     hops: np.ndarray   # (num_pairs, len(LinkClass.ALL)) int32
 
 
-def _expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """CSR row expansion: flat indices ``starts[j] .. starts[j]+counts[j])``."""
-    total = int(counts.sum())
-    cum = np.cumsum(counts)
-    return np.repeat(starts - (cum - counts), counts) + np.arange(
-        total, dtype=np.intp
-    )
-
-
 def _row_batches(step_off: np.ndarray, p: int):
     """``(r0, r1)`` row ranges of a table within the batch caps."""
     max_rows = max(1, _BATCH_CELLS // max(p, 1))
@@ -394,6 +390,23 @@ def _row_batches(step_off: np.ndarray, p: int):
         taken += n_t
     if step_off.size > 1:
         yield r0, step_off.size - 1
+
+
+def _hop_signatures(hops: np.ndarray, sig_ids: dict) -> np.ndarray:
+    """Each row of ``hops`` (hop counts per link class) as its id in
+    ``sig_ids``, which interns unseen rows in ascending order of their
+    int64 codes (column 0 most significant, base ``hops.max() + 1``)."""
+    base, width = int(hops.max(initial=0)) + 1, hops.shape[1]
+    if base ** width > 2**63:
+        raise OverflowError(f"hop signature codes of base {base} out of bounds for int64")
+    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    code = hops.astype(np.int64) @ powers
+    codes = sorted_unique(code)
+    rows = codes[:, None] // powers % base
+    keys = (tuple(sorted((LinkClass.ALL[c], h) for c, h in enumerate(r) if h))
+            for r in rows.tolist())
+    sig = np.array([sig_ids.setdefault(key, len(sig_ids)) for key in keys], np.int32)
+    return sig[np.searchsorted(codes, code)]
 
 
 class CompiledRouteTable:
@@ -467,16 +480,8 @@ class CompiledRouteTable:
             np.repeat(np.arange(m), routes.counts) * _NUM_CLASSES + routes.cls,
             minlength=m * _NUM_CLASSES,
         )).reshape(m, _NUM_CLASSES)
-        rows, row_of = np.unique(hops, axis=0, return_inverse=True)
-        sig_ids = self._sig_ids
-        sig = np.array([
-            sig_ids.setdefault(
-                tuple(sorted((LinkClass.ALL[c], h) for c, h in enumerate(r) if h)),
-                len(sig_ids),
-            )
-            for r in rows.tolist()
-        ], np.int32)[row_of.reshape(-1)]
-        self.sig_tuples = list(sig_ids)
+        sig = _hop_signatures(hops, self._sig_ids)
+        self.sig_tuples = list(self._sig_ids)
 
         at = np.searchsorted(old.keys, new_keys)
         self._arrays = _CsrArrays(
@@ -567,7 +572,7 @@ class CompiledRouteTable:
         # and accumulate with one unbuffered np.add.at; then the peak load
         # per (row, class)
         counts = csr.off[pids + 1] - csr.off[pids]
-        flat = _expand_rows(csr.off[pids], counts)
+        flat = expand_runs(csr.off[pids], counts)
         n_links = csr.code_link.size
         row_link, local = np.unique(
             np.repeat(row, counts) * n_links + csr.link[flat],

@@ -48,10 +48,10 @@ def records_digest(records: Sequence[SweepRecord]) -> str:
         >>> len(records_digest([r]))
         16
     """
-    rows = sorted(
-        (json.dumps(r.to_dict(), sort_keys=True) for r in records)
-    )
-    return hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+    digest = hashlib.sha256()  # the sorted rows joined by newlines, streamed
+    for i, row in enumerate(sorted(json.dumps(r.to_dict(), sort_keys=True) for r in records)):
+        digest.update(b"\n" * bool(i) + row.encode())
+    return digest.hexdigest()[:16]
 
 
 def write_index(

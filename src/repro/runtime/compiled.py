@@ -93,6 +93,7 @@ from repro.runtime.schedule import (
     EveryRank,
     LocalCopy,
     Schedule,
+    expand_runs,
     validation_enabled,
 )
 
@@ -232,7 +233,7 @@ def _positions(starts: np.ndarray, width: int, lens: np.ndarray | None) -> np.nd
         return starts
     if width:
         return (starts[:, None] + np.arange(width, dtype=np.intp)).ravel()
-    return _expand(starts, lens)
+    return expand_runs(starts, lens)
 
 
 @dataclass(frozen=True)
@@ -284,10 +285,10 @@ class _Permute:
     def expand(self, layout: BufferLayout, p: int) -> _Phase:
         """The run phase lowering the copy once per rank gives."""
         c, ranks = self.copy, np.arange(p, dtype=np.intp)
-        counts, lo, hi = (np.tile(col, p) for col in (c.counts, c.lo, c.hi))
+        counts, lo, hi = (np.tile(col, p) for col in c.segments)
         segs = c.dst_segments and tuple(np.tile(col, p) for col in c.dst_segments)
-        every = c._replace(src=ranks, dst=ranks, counts=counts, lo=lo, hi=hi,
-                           dst_segments=segs)
+        every = ArrayPhase.of(ranks, ranks, counts, lo, hi, segs, c.src_buf, c.dst_buf,
+                              c.op, c.tag)
         return _lower_columns(layout, p, [("", True, every)], _array_columns)[0][0]
 
 
@@ -451,12 +452,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-def _expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Runs ``starts[j] .. starts[j] + lens[j]`` → one flat position array."""
-    ends = np.cumsum(lens)
-    return np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1], dtype=np.intp)
-
-
 def _merge(src: np.ndarray, dst: np.ndarray, lens: np.ndarray,
            fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coalesce neighbouring runs contiguous in both source and destination.
@@ -477,11 +472,11 @@ def _keep_last(src: np.ndarray, dst: np.ndarray, lens: np.ndarray):
     so a later write to a position wins; the survivors keep staging order
     and are coalesced back into runs.
     """
-    d_pos = _expand(dst, lens)
+    d_pos = expand_runs(dst, lens)
     _, first_rev = np.unique(d_pos[::-1], return_index=True)
     keep = np.sort(d_pos.size - 1 - first_rev)
     ones = np.ones(keep.size, dtype=np.intp)
-    return _merge(_expand(src, lens)[keep], d_pos[keep], ones,
+    return _merge(expand_runs(src, lens)[keep], d_pos[keep], ones,
                   np.zeros(keep.size, dtype=bool))
 
 
@@ -640,9 +635,9 @@ def _array_columns(layout: BufferLayout, phases: list) -> _Columns:
         dst_buf=per_item([index.get(ph.dst_buf, -1) for ph in arrays]),
         op_code=per_item([ops.index(ph.op) for ph in arrays]),
         ops=ops,
-        src_segs=segments((ph.counts, ph.lo, ph.hi) for ph in arrays),
+        src_segs=segments(ph.segments for ph in arrays),
         dst_segs=None if shared else segments(
-            ph.dst_segments or (ph.counts, ph.lo, ph.hi) for ph in arrays
+            ph.dst_segments or ph.segments for ph in arrays
         ),
     )
 
@@ -965,11 +960,6 @@ def compile_plan(schedule: Schedule, layout: BufferLayout | None = None) -> Comp
     return _plan_steps(p, layout, steps(), _object_columns, _BATCH_ITEMS)
 
 
-def _segments(ph: ArrayPhase | EveryRank) -> int:
-    """Segments a local-copy batch adds to a lowering pass."""
-    return (ph.copy if isinstance(ph, EveryRank) else ph).lo.size
-
-
 def _replays(rot: BlockRotation, layout: BufferLayout) -> bool:
     """Whether every step of ``rot`` lowers as its step 0 does, rotated.
 
@@ -978,8 +968,8 @@ def _replays(rot: BlockRotation, layout: BufferLayout) -> bool:
     blocks: no step then overlaps its writes, so none keeps a last write,
     collides on a reduce or fails validation where step 0 passes.
     """
-    ph, edges = rot.phase, rot.edges
-    if rot.reps < 1 or not ph.src.size or ph.dst_segments is not None or (ph.counts != 1).any():
+    ph, edges, counts = rot.phase, rot.edges, rot.phase.segments[0]
+    if rot.reps < 1 or not ph.src.size or ph.dst_segments is not None or (counts != 1).any():
         return False
     width = min(layout.widths.get(ph.src_buf, -1), layout.widths.get(ph.dst_buf, -1))
     if edges[0] < 0 or edges[-1] > width or (np.diff(edges) < 0).any():
@@ -1040,11 +1030,12 @@ def plan_from_arrays(
                 ph.check_transfers()
                 if validate and invalid is None:
                     invalid = ph.finalize_error(p, step.label)
-                xfer, transfers, segments = [(where, False, ph)], ph.src.size, ph.lo.size
+                xfer, transfers, segments = [(where, False, ph)], ph.src.size, ph.segments[1].size
             yield (
                 [(where, True, ph) for ph in step.pre], xfer,
                 [(where, True, ph) for ph in step.post],
-                segments + sum(_segments(ph) for ph in step.pre + step.post),
+                segments + sum((ph.copy if isinstance(ph, EveryRank) else ph).segments[1].size
+                               for ph in step.pre + step.post),
                 transfers * reps, rotation,
             )
         if invalid is not None:

@@ -26,11 +26,12 @@ always under normal library use and pytest, toggled off by the sweep layer
 (which renders known-good schedules in bulk) through
 :func:`schedule_validation`.
 
-A step can also be written as arrays (:class:`ArrayStep`): one rank,
-segment-count and segment column per phase instead of one object per
-transfer.  :func:`schedule_from_arrays` turns such steps into a
-:class:`Schedule`; :func:`repro.runtime.compiled.plan_from_arrays` lowers
-the same steps straight to a compiled plan, with no objects in between.
+A step can also be written as arrays (:class:`ArrayStep`): rank, element
+and segment-count columns per phase instead of one object per transfer,
+segments made only when read.  :func:`schedule_from_arrays` turns such
+steps into a :class:`Schedule`;
+:func:`repro.runtime.compiled.plan_from_arrays` lowers the same steps
+straight to a compiled plan, with no objects in between.
 Two compact forms keep what a plan stores small: :class:`EveryRank`, one
 local copy run alike on every rank, and :class:`BlockRotation`, a run of
 steps that differ only by a rotation of their blocks (a ring pass).
@@ -41,9 +42,10 @@ its own ranks and vector slice: the one way sub-collectives compose.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +61,10 @@ __all__ = [
     "ArrayStep",
     "EveryRank",
     "BlockRotation",
+    "expand_runs",
     "local_copies",
     "overlay_steps",
+    "rank_error",
     "schedule_from_arrays",
     "total_elems",
     "validation_enabled",
@@ -260,33 +264,51 @@ def _check_disjoint(segments: list[Segment], where: str) -> None:
 # -- steps as arrays ---------------------------------------------------------
 
 
-class ArrayPhase(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ArrayPhase:
     """A step's transfers, or one batch of local copies, as arrays.
 
-    Item ``i`` moves ``counts[i]`` segments, the next ones of ``lo``/``hi``
-    in item order, from buffer ``src_buf`` of rank ``src[i]`` into buffer
-    ``dst_buf`` of rank ``dst[i]``, at the segments ``dst_segments``
-    (``(counts, lo, hi)`` again) names, or at the same ones when it is
-    ``None``.  Local copies have ``src == dst``; one batch runs as one
-    executor phase, so its ranks are pairwise distinct.
+    Item ``i`` moves ``nelems[i]`` elements in ``num_segments[i]`` wire
+    segments (the larger of its two ends' counts) from buffer ``src_buf``
+    of rank ``src[i]`` into buffer ``dst_buf`` of rank ``dst[i]``.
+    ``wire()`` makes the segments when first read, ``(counts, lo, hi)``:
+    item ``i``'s ``counts[i]`` are the next ones of ``lo``/``hi``; at the
+    destination they are ``dst_segments``, or the same when ``None``.
+    Local copies have ``src == dst``; one batch runs as one executor
+    phase, so its ranks are pairwise distinct.
     """
 
     src: np.ndarray
     dst: np.ndarray
-    counts: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    nelems: np.ndarray
+    num_segments: np.ndarray
+    wire: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
     dst_segments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     src_buf: str = "vec"
     dst_buf: str = "vec"
     op: str | None = None
     tag: str = ""
 
+    @classmethod
+    def of(cls, src, dst, counts, lo, hi, dst_segments=None, src_buf: str = "vec",
+           dst_buf: str = "vec", op: str | None = None, tag: str = "") -> ArrayPhase:
+        """The phase moving the segments ``(counts, lo, hi)``, its item
+        columns summed and counted from them."""
+        segments, total = (counts, lo, hi), np.append(0, np.cumsum(hi - lo))
+        end = np.cumsum(counts)
+        dst_counts = counts if dst_segments is None else dst_segments[0]
+        return cls(src, dst, total[end] - total[end - counts], np.maximum(counts, dst_counts),
+                   lambda: segments, dst_segments, src_buf, dst_buf, op, tag)
+
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.wire()
+
     def segment_tuples(self, interned: dict) -> tuple[list, list]:
         """Each item's source and destination segment tuples (one tuple
         for both ends when they move the same segments), interned in
         ``interned`` (see :func:`_tuples`)."""
-        src = _tuples(self.counts, self.lo, self.hi, interned)
+        src = _tuples(*self.segments, interned)
         dst = src if self.dst_segments is None else _tuples(*self.dst_segments, interned)
         return src, dst
 
@@ -303,7 +325,7 @@ class ArrayPhase(NamedTuple):
         """Raise what making :meth:`to_transfers` raises, making them only
         when a check could fail: a transfer to self, an invalid source
         segment, or destination segments of their own."""
-        lo, hi = self.lo, self.hi
+        _, lo, hi = self.segments
         if (self.dst_segments is not None or (self.src == self.dst).any()
                 or (lo < 0).any() or (hi < lo).any()):
             self.to_transfers({})
@@ -311,20 +333,16 @@ class ArrayPhase(NamedTuple):
     def finalize_error(self, p: int, label: str) -> ScheduleError | None:
         """What :meth:`Step.validate` raises for these transfers, or ``None``.
 
-        The checks and texts are the object path's: the first transfer
-        with a rank outside ``[0, p)``, then, when not reducing, the first
-        destination rank (in order of first write) whose segments overlap,
-        naming its first overlapping pair in sorted order.
+        The checks and texts are the object path's: :func:`rank_error`,
+        then, when not reducing, the first destination rank (in order of
+        first write) whose segments overlap, naming its first overlapping
+        pair in sorted order.
         """
-        src, dst = self.src, self.dst
-        out = (src < 0) | (src >= p) | (dst < 0) | (dst >= p)
-        if out.any():
-            i = int(np.argmax(out))
-            rank = src[i] if not 0 <= src[i] < p else dst[i]
-            return ScheduleError(f"rank {rank} out of range in step {label!r}")
-        if self.op is not None:
-            return None
-        counts, lo, hi = self.dst_segments or (self.counts, self.lo, self.hi)
+        out = rank_error(self.src, self.dst, p, label)
+        if out is not None or self.op is not None:
+            return out
+        dst = self.dst
+        counts, lo, hi = self.dst_segments or self.segments
         rank = np.repeat(dst, counts)
         order = np.lexsort((hi, lo, rank))
         rank, lo, hi = rank[order], lo[order], hi[order]
@@ -338,6 +356,17 @@ class ArrayPhase(NamedTuple):
             f"[{lo[k + 1]},{hi[k + 1]}) in step {label!r} rank {rank[k]} "
             f"buf {self.dst_buf}"
         )
+
+
+def rank_error(src: np.ndarray, dst: np.ndarray, p: int, label: str) -> ScheduleError | None:
+    """What :meth:`Step.validate` raises for the first transfer ``src[i]
+    → dst[i]`` with a rank outside ``[0, p)``, or ``None``."""
+    out = np.flatnonzero((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= p))
+    if not out.size:
+        return None
+    i = out[0]
+    rank = src[i] if not 0 <= src[i] < p else dst[i]
+    return ScheduleError(f"rank {rank} out of range in step {label!r}")
 
 
 class EveryRank(NamedTuple):
@@ -384,8 +413,9 @@ class BlockRotation:
     def step(self, k: int) -> ArrayStep:
         """Step ``k`` as arrays."""
         b = (self.block - k) % (self.edges.size - 1)
-        return ArrayStep(self.label.format(k=k), self.phase._replace(
-            lo=self.edges[b], hi=self.edges[b + 1], tag=self.phase.tag.format(k=k),
+        ph, lo, hi = self.phase, self.edges[b], self.edges[b + 1]
+        return ArrayStep(self.label.format(k=k), replace(
+            ph, nelems=hi - lo, wire=lambda: (ph.segments[0], lo, hi), tag=ph.tag.format(k=k),
         ))
 
     def __iter__(self) -> Iterator[ArrayStep]:
@@ -395,11 +425,12 @@ class BlockRotation:
 def _embed(ph: ArrayPhase, ranks: np.ndarray, offset: int) -> ArrayPhase:
     """``ph`` with local rank ``i`` acting as ``ranks[i]`` and every
     segment shifted by ``offset`` elements."""
-    segs = ph.dst_segments
-    return ph._replace(
-        src=ranks[ph.src], dst=ranks[ph.dst], lo=ph.lo + offset, hi=ph.hi + offset,
-        dst_segments=None if segs is None else (segs[0], segs[1] + offset, segs[2] + offset),
-    )
+
+    def shifted(segs):
+        return segs and (segs[0], segs[1] + offset, segs[2] + offset)
+
+    return replace(ph, src=ranks[ph.src], dst=ranks[ph.dst],
+                   wire=lambda: shifted(ph.segments), dst_segments=shifted(ph.dst_segments))
 
 
 def _concat(phases: list[ArrayPhase], label: str) -> ArrayPhase:
@@ -414,13 +445,15 @@ def _concat(phases: list[ArrayPhase], label: str) -> ArrayPhase:
             f"step {label!r}: overlaid transfers disagree on buffers, op, tag "
             "or destination segments"
         )
-    segs = None if first.dst_segments is None else tuple(
-        np.concatenate(cols) for cols in zip(*(ph.dst_segments for ph in phases))
-    )
-    return first._replace(
-        **{k: np.concatenate([getattr(ph, k) for ph in phases])
-           for k in ("src", "dst", "counts", "lo", "hi")},
-        dst_segments=segs,
+
+    def cat(columns) -> tuple:
+        return tuple(np.concatenate(col) for col in zip(*columns))
+
+    return replace(
+        first, **{k: np.concatenate([getattr(ph, k) for ph in phases])
+                  for k in ("src", "dst", "nelems", "num_segments")},
+        wire=lambda: cat(ph.segments for ph in phases),
+        dst_segments=first.dst_segments and cat(ph.dst_segments for ph in phases),
     )
 
 
@@ -450,6 +483,12 @@ def overlay_steps(parts: Iterable[tuple[Sequence[ArrayStep], Sequence[int], int]
             tuple(_embed(ph, ranks, off) for st, ranks, off in here for ph in st.pre),
             tuple(_embed(ph, ranks, off) for st, ranks, off in here for ph in st.post),
         )
+
+
+def expand_runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Runs ``starts[j] .. starts[j] + lens[j]`` → one flat position array."""
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return np.arange(lens.sum(), dtype=np.intp) + shift
 
 
 def _tuples(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray, interned: dict) -> list[tuple]:

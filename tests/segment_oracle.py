@@ -239,8 +239,8 @@ def oracle_steps(flow):
             counts = np.array([len(g) for g in segs], dtype=np.intp)
             yield ArrayStep(
                 st.label,
-                ArrayPhase(st.src, st.dst, counts, flat[:, 0], flat[:, 1], None,
-                           st.buf, st.buf, st.op, st.tag),
+                ArrayPhase.of(st.src, st.dst, counts, flat[:, 0], flat[:, 1], None,
+                              st.buf, st.buf, st.op, st.tag),
                 _local_arrays(st.pre, p, n),
                 _local_arrays(st.post, p, n),
             )

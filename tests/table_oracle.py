@@ -1,20 +1,19 @@
 """Table oracle: plan-backed sweep tables equal their lowered schedules.
 
-Every registry entry with a ``steps`` hook gets its sweep
+Every registry entry with a ``steps`` hook (the butterfly flows, the
+rings, Bruck, Sparbit, the reduce/gather/scatter trees, linear
+gather/scatter and the composed bcast/reduce) gets its sweep
 :class:`~repro.model.compiled.TransferTable` without building its
-schedule: the butterfly flows render it from closed-form counts
-(``spec.table``), every other entry (the rings, Bruck, Sparbit, the
-reduce/gather/scatter trees, linear gather/scatter and the composed
-bcast/reduce) lowers it from its steps
+schedule, lowered from its steps' element and segment counts
 (:func:`~repro.model.compiled.lower_steps`); alltoall's cost-model
 tables are not plan-backed.  The oracle is the path both replace: build
 the full schedule at ``n = p`` and lower it.  A table may run a step row
 several times (``step_reps``; the rings are one row per pass), so it is
 compared with its rows expanded (:func:`expand_reps`).
 :func:`skip_reason` names the cells left out, which are printed as
-skipped: no sweep exceeds an entry's ``max_p`` (a table lowered from
-steps is still compared there: Sparbit at p=1500 and 2048, whose oracle
-build peaks near 0.7 GB), and the ring oracle stops below p=1024, where
+skipped: no sweep exceeds an entry's ``max_p`` (Sparbit is still
+compared there, at p=1500 and 2048, whose oracle build peaks near
+0.7 GB), and the ring oracle stops below p=1024, where
 building the allreduce ring schedule alone takes 16-20 s and 1.4 GB
 (2-CPU x86 machine).  The tier-1 suite checks up to p=1024
 (``tests/test_plan_backed_tables.py``); this script runs the same
@@ -98,17 +97,13 @@ RING_ORACLE_SKIP_P = 1024
 
 def plan_backed_specs() -> list[AlgorithmSpec]:
     """Registry entries whose sweep table is not a built schedule lowered:
-    those with a ``steps`` hook, or with a table of their own.
+    those with a ``steps`` hook.
 
-    Alltoall's tables are left out by their ``meta["analytic"]`` flag:
-    they are packed or sampled cost models, not the lowering of the
-    executor's slot-tracking schedule, so no equality with it holds.
+    Alltoall's tables are left out: they are packed or sampled cost
+    models (``meta["analytic"]``), not the lowering of the executor's
+    slot-tracking schedule, so no equality with it holds.
     """
-    return [
-        spec for spec in iter_specs()
-        if spec.steps is not None
-        or spec.table is not None and not spec.table(4).meta.get("analytic")
-    ]
+    return [spec for spec in iter_specs() if spec.steps is not None]
 
 
 def skip_reason(spec: AlgorithmSpec, p: int, capped: bool = True) -> str | None:
@@ -296,11 +291,12 @@ def main(argv=None) -> int:
                     "comparison (repeatable)")
     args = ap.parse_args(argv)
     failures = 0
+    flows = {(spec.collective, spec.name) for spec in flow_backed_specs()}
     for spec in plan_backed_specs():
         for p in args.p:
-            # a table lowered from steps is compared past the sweep cap;
-            # a capped flow's oracle build there holds Θ(p²) segments
-            skip = skip_reason(spec, p, capped=spec.table is not None)
+            # Sparbit is compared past its sweep cap; a capped flow's
+            # oracle build there holds Θ(p²) segments
+            skip = skip_reason(spec, p, capped=(spec.collective, spec.name) in flows)
             if skip:
                 print(f"{spec.collective}/{spec.name} p={p}: skipped ({skip})")
                 continue

@@ -180,11 +180,12 @@ def test_overlay_embeds_parts_in_lockstep():
     ph = first.transfers
     assert ph.src.tolist() == [10, 11, 12, 20, 21]
     assert ph.dst.tolist() == [11, 12, 10, 21, 20]
-    assert list(zip(ph.lo.tolist(), ph.hi.tolist())) == [
+    _, lo, hi = ph.segments
+    assert list(zip(lo.tolist(), hi.tolist())) == [
         (100, 102), (102, 104), (104, 106), (0, 2), (2, 4)]
     # the shorter part has dropped out
     assert second.transfers.src.tolist() == [10, 11, 12]
-    assert second.transfers.lo.tolist() == [104, 100, 102]
+    assert second.transfers.segments[1].tolist() == [104, 100, 102]
     # parts whose transfer phases differ in tag cannot share a phase
     parts[1] = (list(ring_pass(2, 4, 0, None, "other")), [20, 21], 0)
     with pytest.raises(ValueError, match="step 'ring ag step 0'"):

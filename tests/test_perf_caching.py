@@ -8,8 +8,15 @@ on-disk profile cache round-trips profiles and evaluated times exactly.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.analysis.sweep import ProfileCache, clear_memo_caches, sweep_system
 from repro.collectives.common import Strategy, global_pi, global_pi_inv
@@ -239,6 +246,15 @@ class TestParallelSweep:
         serial = sweep_system(preset, **kwargs)
         parallel = sweep_system(preset, workers=2, **kwargs)
         assert serial == parallel
+
+    def test_serial_import_loads_no_process_pool(self):
+        # the pool and multiprocessing load only where workers > 1 start one
+        code = ("import sys, repro.analysis.sweep, repro.analysis.verifygrid; "
+                "print('multiprocessing' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestStepValidateSinglePass:

@@ -1,15 +1,15 @@
 """Plan-backed entries make sweep tables without a build, equal to lowered schedules.
 
-The sweep profiles the butterflies from ``spec.table(p)``, which emits
-TransferTable columns from closed-form set sizes and run counts, and
-every other entry with a ``steps`` hook (the rings, Bruck, Sparbit, the
-reduce/gather/scatter trees, linear gather/scatter, the composed
-bcast/reduce, and the torus catalog but trinaryx) from ``lower_steps``
-over its steps.  The oracle is the slow path: ``lower_schedule(spec.build(p,
-n))`` at the canonical size, compared with the table's repeated step rows
-expanded, at every cell a sweep renders up to the ring oracle's cap; the
-others are reported as skipped.  Larger p runs from
-``tests/table_oracle.py``.
+The sweep profiles every entry with a ``steps`` hook (the butterflies,
+the rings, Bruck, Sparbit, the reduce/gather/scatter trees, linear
+gather/scatter, the composed bcast/reduce, and the torus catalog but
+trinaryx) from ``lower_steps`` over its steps, which reads each phase's
+element and segment counts (closed-form set sizes and run counts for the
+butterflies) and makes no segment.  The oracle is the slow path:
+``lower_schedule(spec.build(p, n))`` at the canonical size, compared
+with the table's repeated step rows expanded, at every cell a sweep
+renders up to the ring oracle's cap; the others are reported as
+skipped.  Larger p runs from ``tests/table_oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from table_oracle import oracle_table, plan_backed_specs, skip_reason, table_mis
 
 from repro.collectives.butterfly_collectives import (
     allgather_flow,
+    allreduce_rsag_flow,
+    flow_stream,
     reduce_scatter_flow,
     render_schedule,
-    render_table,
 )
 from repro.collectives.common import Strategy
 from repro.collectives.registry import spec_for
@@ -30,7 +31,7 @@ from repro.collectives.torus import torus_algorithms
 from repro.core.butterfly import bine_butterfly_halving, recursive_halving_butterfly
 from repro.core.torus_opt import TorusShape
 from repro.model import compiled
-from repro.model.compiled import lower_schedule, transfer_table_for
+from repro.model.compiled import lower_schedule, lower_steps, transfer_table_for
 from repro.runtime.errors import ScheduleError
 from repro.runtime.memo import clear_memo_caches
 
@@ -104,7 +105,7 @@ def test_pi_window_check_raises_schedule_error_on_both_paths(flow, make_bf):
     with pytest.raises(ScheduleError, match="π window not contiguous") as built:
         render_schedule(plan)
     with pytest.raises(ScheduleError, match="π window not contiguous") as rendered:
-        render_table(plan)
+        lower_steps(flow_stream(plan))
     assert str(rendered.value) == str(built.value)
 
 
@@ -120,9 +121,16 @@ def test_ring_tables_repeat_one_row_per_pass(collective, rows):
     assert table.step_reps.dtype == np.int64
 
 
-def test_table_renders_only_at_canonical_size():
-    with pytest.raises(ValueError, match="n = p"):
-        render_table(reduce_scatter_flow(recursive_halving_butterfly(8), 16))
+@pytest.mark.parametrize("n", [0, 5, 24, 35, 64])
+@pytest.mark.parametrize("make_bf", (recursive_halving_butterfly, bine_butterfly_halving))
+def test_flow_tables_lower_at_every_size(make_bf, n):
+    """Away from ``n = p`` (zero-size blocks below it, uneven ones past
+    it) a flow's counts come from its segments, still equal to the build."""
+    bf = make_bf(8)
+    for flow in (reduce_scatter_flow(bf, n), allgather_flow(bf, n, Strategy.BLOCKS),
+                 allreduce_rsag_flow(bf, n)):
+        table = lower_steps(flow_stream(flow))
+        assert table_mismatches(table, lower_schedule(render_schedule(flow))) == []
 
 
 @pytest.mark.parametrize("dims", [(2, 4), (2, 2, 2), (4, 4), (4, 4, 4)],

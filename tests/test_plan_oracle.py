@@ -38,6 +38,7 @@ from repro.core.butterfly import (
     bine_butterfly_halving,
     recursive_doubling_butterfly,
 )
+from repro.model.compiled import lower_steps
 from repro.runtime.compiled import compile_plan, plan_from_arrays
 from repro.runtime.errors import ScheduleError
 from repro.runtime.memo import clear_memo_caches
@@ -181,8 +182,8 @@ def test_structural_errors_equal_built_path(flow):
 def _phase(src, dst, lo, hi, op=None, tag="t") -> ArrayPhase:
     """One segment per item."""
     ones = np.ones(len(src), dtype=np.intp)
-    return ArrayPhase(np.array(src), np.array(dst), ones, np.array(lo), np.array(hi),
-                      op=op, tag=tag)
+    return ArrayPhase.of(np.array(src), np.array(dst), ones, np.array(lo), np.array(hi),
+                         op=op, tag=tag)
 
 
 @pytest.mark.parametrize("steps", [
@@ -212,6 +213,14 @@ def _object_schedule(p: int, meta: dict, steps) -> Schedule:
     return sched.finalize()
 
 
+def _counted(src, dst, lo, hi) -> ArrayPhase:
+    """One segment per item, counted up front and made when read."""
+    lo, hi = np.array(lo), np.array(hi)
+    ones = np.ones(lo.size, dtype=np.intp)
+    return ArrayPhase(np.array(src), np.array(dst), hi - lo, ones, lambda: (ones, lo, hi),
+                      tag="t")
+
+
 #: rank 3 takes [0, 3) from rank 0 and [2, 5) from rank 1
 CLASH = _phase([0, 1, 2], [3, 3, 1], [0, 2, 0], [3, 5, 1])
 
@@ -225,13 +234,13 @@ CLASH = _phase([0, 1, 2], [3, 3, 1], [0, 2, 0], [3, 5, 1])
          ArrayStep("clash", CLASH)],
      "overlapping non-reducing writes [0,3) and [2,5) in step 'clash' rank 3 buf vec"),
     # the destination segments, not the source ones, are the writes
-    (4, [ArrayStep("dst", CLASH._replace(
-        lo=np.array([0, 4, 0]), hi=np.array([3, 7, 1]),
-        dst_segments=(CLASH.counts, CLASH.lo, CLASH.hi)))],
+    (4, [ArrayStep("dst", ArrayPhase.of(
+        CLASH.src, CLASH.dst, CLASH.segments[0], np.array([0, 4, 0]), np.array([3, 7, 1]),
+        CLASH.segments, tag="t"))],
      "overlapping non-reducing writes [0,3) and [2,5) in step 'dst' rank 3 buf vec"),
     # a range error is found before an overlap in the same step, and the
     # first failing step raises
-    (4, [ArrayStep("both", CLASH._replace(dst=np.array([3, 3, 9]))),
+    (4, [ArrayStep("both", dataclasses.replace(CLASH, dst=np.array([3, 3, 9]))),
          ArrayStep("later", CLASH)],
      "rank 9 out of range in step 'both'"),
     # a construction error in a later step raises before validation
@@ -240,26 +249,42 @@ CLASH = _phase([0, 1, 2], [3, 3, 1], [0, 2, 0], [3, 5, 1])
     (0, [ArrayStep("empty", CLASH)], "schedule needs p > 0"),
     # with no ranks, every step is still made (and fails) first
     (0, [ArrayStep("self", _phase([1], [1], [0], [1]))], "transfer to self at rank 1 (t)"),
-    (4, [ArrayStep("sum", CLASH._replace(op="sum"))], None),
+    (4, [ArrayStep("sum", dataclasses.replace(CLASH, op="sum"))], None),
     (4, [ArrayStep("copies", None, pre=(_phase([0], [0], [0], [2]),))], None),
+    # phases that carry their counts, their segments made when read
+    (4, [ArrayStep("fine", _counted([0], [1], [0], [2])),
+         ArrayStep("self", _counted([0, 2], [1, 2], [0, 0], [1, 1]))],
+     "transfer to self at rank 2 (t)"),
+    (4, [ArrayStep("far", _counted([0, 1], [1, 4], [0, 0], [1, 1])),
+         ArrayStep("fine", _counted([1], [0], [0], [2]))],
+     "rank 4 out of range in step 'far'"),
+    (4, [ArrayStep("neg", _counted([0, 1], [1, 0], [0, 2], [1, 1]))],
+     "invalid segment (2, 1)"),
 ], ids=["dst-out-of-range", "src-out-of-range", "overlap", "dst-segment-overlap",
         "range-first", "construction-first", "p-zero", "p-zero-construction-first",
-        "reduce-overlap-passes", "local-copies-only"])
+        "reduce-overlap-passes", "local-copies-only", "counted-self",
+        "counted-out-of-range", "counted-negative-count"])
 def test_array_validation_equals_finalize(p, steps, error):
     # schedule_from_arrays validates on the arrays, the object path runs
     # Step.validate over the transfers: the same schedule or the same
     # exception and text, validation on and off; plan_from_arrays raises
-    # what compiling the built schedule does
+    # what compiling the built schedule does; lower_steps, reading only
+    # the item columns, raises the validated build's error, validation on
+    # and off, but for overlapping writes, which only segments show
     meta = {"collective": "allgather", "algorithm": "hand-made", "p": p, "n": 8}
+    lowered = None if error is None or error.startswith("overlapping") else (
+        ScheduleError, error)
     for validate in (True, False):
         with schedule_validation(validate):
             got, got_err = _outcome(lambda: schedule_from_arrays(p, meta, steps))
             want, want_err = _outcome(lambda: _object_schedule(p, meta, steps))
             _, plan_err = _outcome(lambda: plan_from_arrays(p, meta, steps))
             _, built_err = _outcome(lambda: compile_plan(schedule_from_arrays(p, meta, steps)))
+            _, lowered_err = _outcome(lambda: lower_steps((meta, None, steps)))
         assert got_err == want_err
         assert repr(got) == repr(want)
         assert plan_err == built_err
+        assert lowered_err == lowered
     with schedule_validation(True):
         _, err = _outcome(lambda: schedule_from_arrays(p, meta, steps))
     assert err == (None if error is None else (ScheduleError, error))
@@ -270,8 +295,8 @@ def _rotation(dst, block, edges, reps=2, op=None) -> BlockRotation:
     dst, block, edges = np.array(dst), np.array(block), np.array(edges)
     src, ones = np.arange(dst.size), np.ones(dst.size, dtype=np.intp)
     b = block % (edges.size - 1)
-    return BlockRotation(ArrayPhase(src, dst, ones, edges[b], edges[b + 1], op=op,
-                                    tag="rot[{k}]"), block, edges, reps, "rot {k}")
+    return BlockRotation(ArrayPhase.of(src, dst, ones, edges[b], edges[b + 1], op=op,
+                                       tag="rot[{k}]"), block, edges, reps, "rot {k}")
 
 
 @pytest.mark.parametrize("rotation, compact", [

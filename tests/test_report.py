@@ -10,6 +10,7 @@ with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -445,6 +446,15 @@ class TestArtifacts:
         records = synthetic_records()
         assert records_digest(records) == records_digest(records[::-1])
         assert records_digest(records) != records_digest(records[:-1])
+
+    @pytest.mark.parametrize("count", [0, 1, None], ids=["none", "one", "many"])
+    def test_streamed_digest_equals_joined_text(self, count):
+        # the digest hashes the sorted JSON rows joined by newlines
+        records = synthetic_records()[:count]
+        rows = sorted(json.dumps(r.to_dict(), sort_keys=True) for r in records)
+        joined = hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+        assert records_digest(records) == joined
+        assert count != 0 or joined == hashlib.sha256(b"").hexdigest()[:16]
 
 
 if __name__ == "__main__":

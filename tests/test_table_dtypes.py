@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.sweep import ProfileCache
-from repro.collectives.butterfly_collectives import step_table
 from repro.collectives.registry import iter_specs
 from repro.collectives.torus import torus_algorithms
 from repro.core.torus_opt import TorusShape
+from repro.model.analytic import step_table
+from repro.model import compiled
 from repro.model.compiled import (
     CompiledRouteTable,
     lower_schedule,
@@ -30,6 +31,7 @@ from repro.model.compiled import (
 )
 from repro.runtime.schedule import Schedule, Step, Transfer
 from repro.systems import lumi
+from repro.topology.base import LinkClass
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.mapping import allocation_mapping, block_mapping
 from scalar_oracle import oracle_profile
@@ -163,3 +165,53 @@ def test_pair_keys_past_int32_match_scalar_oracle(ppn):
     csr = cache.routes._arrays
     assert csr.keys[:-1].min() > 2**31  # every pair key is past int32
     assert csr.codes[:-1].max() > 2**31
+
+
+def _unique_signatures(hops: np.ndarray, sig_ids: dict) -> np.ndarray:
+    """The ``np.unique(hops, axis=0)`` interning the row codes replaced."""
+    rows, row_of = np.unique(hops, axis=0, return_inverse=True)
+    return np.array([
+        sig_ids.setdefault(
+            tuple(sorted((LinkClass.ALL[c], h) for c, h in enumerate(r) if h)),
+            len(sig_ids),
+        )
+        for r in rows.tolist()
+    ], np.int32)[row_of.reshape(-1)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hop_signatures_equal_np_unique(seed):
+    # batches grow one interning, as appends to a route table do
+    rng = np.random.default_rng(seed)
+    got_ids, want_ids = {}, {}
+    for rows, top in ((1, 1), (300, 3), (50, 40), (0, 1)):
+        hops = rng.integers(0, top, (rows, len(LinkClass.ALL)), dtype=np.int32)
+        got = compiled._hop_signatures(hops, got_ids)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _unique_signatures(hops, want_ids))
+    assert list(got_ids) == list(want_ids)
+
+
+def test_hop_signature_codes_never_wrap():
+    hops = np.full((2, len(LinkClass.ALL)), 2**16 - 1, dtype=np.int32)
+    with pytest.raises(OverflowError, match="out of bounds for int64"):
+        compiled._hop_signatures(hops, {})
+
+
+def test_high_dragonfly_signatures_equal_np_unique(monkeypatch):
+    """The 51,200-node Dragonfly's route table holds the signatures the
+    ``np.unique`` interning gives."""
+    p = 64
+    mapping = allocation_mapping(HIGH_NODES[-p:])
+    preset = dataclasses.replace(lumi(), topology=lambda: BIG)
+    tables = []
+    for hop_signatures in (compiled._hop_signatures, _unique_signatures):
+        monkeypatch.setattr(compiled, "_hop_signatures", hop_signatures)
+        cache = ProfileCache(preset, placement="block", mappings={(p, 1): mapping})
+        for spec in iter_specs("allreduce"):
+            cache.get(spec, p, 1)
+        tables.append(cache.routes)
+    got, want = tables
+    assert got.sig_tuples == want.sig_tuples
+    assert np.array_equal(got._arrays.sig, want._arrays.sig)
+    assert got._arrays.sig.dtype == np.int32
