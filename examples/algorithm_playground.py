@@ -29,7 +29,7 @@ def main(p: int) -> None:
     print(f"\n=== distance-halving Bine broadcast tree (root 0) ===")
     tree = bine_tree_distance_halving(p)
     for step in range(tree.num_steps):
-        edges = ", ".join(f"{u}->{v}" for u, v in tree.edges[step])
+        edges = ", ".join(f"{u}->{v}" for u, v in zip(*tree.edges[step]))
         print(f"  step {step}: {edges}")
 
     print(f"\n=== distance-doubling tree receive steps ===")

@@ -112,11 +112,10 @@ def _pi_tree(tree: Tree, n: int, collective: str):
     bs = require_divisible(n, p, "bine large reduce" if gather else "bine large broadcast")
     pi = _pi_array(p)
 
-    def windows(child: np.ndarray) -> tuple:
-        blocks = [np.sort(pi[tree.subtree(v)]) for v in child.tolist()]
-        item = np.repeat(np.arange(child.size), [b.size for b in blocks])
-        pos = np.concatenate(blocks)
-        item, lo, hi = _merged(item, pos, pos + 1)
+    def windows(i: int, child: np.ndarray) -> tuple:
+        pos = np.sort(pi[tree.subtrees(i)], axis=1)
+        item = np.repeat(np.arange(child.size), pos.shape[1])
+        item, lo, hi = _merged(item, pos.ravel(), pos.ravel() + 1)
         return np.bincount(item, minlength=child.size), lo * bs, hi * bs
 
     return tree_steps(tree, windows, gather, f"pi-{collective}", f"pi {collective}")

@@ -171,9 +171,9 @@ def _butterfly_for_plan(shape: TorusShape, plan) -> Butterfly:
     """Torus Bine butterfly following a port plan's dimension order/mirror."""
     sign = -1 if plan.mirror else 1
 
-    def partner_1d(coord: int, i: int, d: int) -> int:
+    def partner_1d(coord: np.ndarray, i: int, d: int) -> np.ndarray:
         sigma = sign * bine_sigma(i + 1)
-        return (coord + sigma) % d if coord % 2 == 0 else (coord - sigma) % d
+        return (coord + np.where(coord % 2, -sigma, sigma)) % d
 
     return _torus_butterfly(shape, f"bine-torus-port{plan.port}", partner_1d, plan.order)
 

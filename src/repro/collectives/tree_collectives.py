@@ -46,57 +46,64 @@ __all__ = [
     "scatter_from_tree",
 ]
 
-# PrunedTree (Appendix C) quacks like Tree for every query used here.
-TreeLike = Tree
-
-#: ``ranges(child)``: the ``(counts, lo, hi)`` segments each child's edge carries
-Ranges = Callable[[np.ndarray], tuple]
+#: ``ranges(i, child)``: the ``(counts, lo, hi)`` segments each edge of
+#: step ``i`` carries, ``child`` the step's child ranks
+Ranges = Callable[[int, np.ndarray], tuple]
 
 
-def tree_steps(tree: TreeLike, ranges: Ranges, up: bool, tag: str, label: str,
+def tree_steps(tree: Tree, ranges: Ranges, up: bool, tag: str, label: str,
                op: str | None = None) -> Iterator[ArrayStep]:
     """``tree``'s edges as steps of rank arrays.
 
     Step ``i`` of the tree becomes one step labelled ``f"{label} {i}"``
     whose transfers, tagged ``f"{tag}[{i}]"``, run every edge ``(parent,
     child)`` of that step parent → child, or child → parent with the
-    steps reversed when ``up``; each carries ``ranges(child)``.
+    steps reversed when ``up``; each carries ``ranges(i, child)``.  Only
+    ``num_steps`` and the ``edges`` arrays are read, so ``tree`` may also
+    be a :class:`~repro.core.nonpow2.PrunedTree`.
     """
+    edges = tree.edges
     order = range(tree.num_steps)
     for i in reversed(order) if up else order:
         phase = None
-        if tree.edges[i]:
-            parent, child = np.array(tree.edges[i], dtype=np.intp).T
+        parent, child = edges[i]
+        if child.size:
             src, dst = (child, parent) if up else (parent, child)
-            phase = ArrayPhase.of(src, dst, *ranges(child), op=op, tag=f"{tag}[{i}]")
+            phase = ArrayPhase.of(src, dst, *ranges(i, child), op=op, tag=f"{tag}[{i}]")
         yield ArrayStep(f"{label} {i}", phase)
 
 
 def _whole_vector(n: int) -> Ranges:
-    def ranges(child: np.ndarray) -> tuple:
+    def ranges(i: int, child: np.ndarray) -> tuple:
         ones = np.ones_like(child)
         return ones, 0 * ones, n * ones
 
     return ranges
 
 
-def _subtree_blocks(tree: TreeLike, n: int) -> Ranges:
+def _subtree_blocks(tree: Tree, n: int) -> Ranges:
     """Each child's subtree as a circular block range of ``Partition(n,
-    p)``: one segment, or two where it wraps (rejects a negative ``n``)."""
+    p)``: one segment, or two where it wraps (rejects a negative ``n``,
+    and, with :func:`wrap_range_from_set`'s error, a subtree that is not
+    circular-contiguous)."""
     p = tree.p
     Partition(n, p)
 
-    def ranges(child: np.ndarray) -> tuple:
-        spans = [wrap_range_from_set(tree.subtree(v), p) for v in child.tolist()]
-        start = np.array([s.start for s in spans], dtype=np.intp)
-        length = np.array([s.length for s in spans], dtype=np.intp)
+    def ranges(i: int, child: np.ndarray) -> tuple:
+        sub = np.sort(tree.subtrees(i), axis=1)
+        gap = np.diff(sub, axis=1, append=sub[:, :1] + p) != 1
+        bad = np.flatnonzero(gap.sum(axis=1) != 1)
+        if bad.size:
+            wrap_range_from_set(sub[bad[0]].tolist(), p)
+        start = sub[np.arange(child.size), (gap.argmax(axis=1) + 1) % sub.shape[1]]
+        length = np.full(child.size, sub.shape[1])
         cut, lo, hi = wire_arrays(n, p, False, circular_bounds(start, length, p))
         return np.diff(cut)[:child.size], lo, hi
 
     return ranges
 
 
-def tree_stream(tree: TreeLike, n: int, collective: str, op: str = "sum"):
+def tree_stream(tree: Tree, n: int, collective: str, op: str = "sum"):
     """``(meta, buffers, steps)`` of ``collective`` (bcast, reduce, gather
     or scatter) along ``tree``, all in ``vec``.
 
@@ -117,7 +124,7 @@ def tree_stream(tree: TreeLike, n: int, collective: str, op: str = "sum"):
     return meta, {VEC}, steps
 
 
-def bcast_from_tree(tree: TreeLike, n: int) -> Schedule:
+def bcast_from_tree(tree: Tree, n: int) -> Schedule:
     """Broadcast ``n`` elements from ``tree.root`` along ``tree``.
 
     Every rank's ``vec`` ends equal to the root's.  Each edge carries the
@@ -128,7 +135,7 @@ def bcast_from_tree(tree: TreeLike, n: int) -> Schedule:
     return build_stream(tree_stream(tree, n, "bcast"))
 
 
-def reduce_from_tree(tree: TreeLike, n: int, op: str = "sum") -> Schedule:
+def reduce_from_tree(tree: Tree, n: int, op: str = "sum") -> Schedule:
     """Reduce ``n``-element contributions to ``tree.root`` (reverse broadcast).
 
     Every rank's ``vec`` starts as its contribution; the root's ``vec`` ends
@@ -138,7 +145,7 @@ def reduce_from_tree(tree: TreeLike, n: int, op: str = "sum") -> Schedule:
     return build_stream(tree_stream(tree, n, "reduce", op))
 
 
-def gather_from_tree(tree: TreeLike, n: int) -> Schedule:
+def gather_from_tree(tree: Tree, n: int) -> Schedule:
     """Gather one block per rank to ``tree.root`` (paper Fig. 7).
 
     Every rank's ``vec`` is the full ``n``-element space with only its own
@@ -149,7 +156,7 @@ def gather_from_tree(tree: TreeLike, n: int) -> Schedule:
     return build_stream(tree_stream(tree, n, "gather"))
 
 
-def scatter_from_tree(tree: TreeLike, n: int) -> Schedule:
+def scatter_from_tree(tree: Tree, n: int) -> Schedule:
     """Scatter blocks from ``tree.root`` (Sec. 4.2, reverse of gather).
 
     The root starts with the full vector; every rank ends with its own block

@@ -21,6 +21,8 @@ that variant is exposed via ``mirror=True`` and used by
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.negabinary import (
     nb_to_rank,
     ones_mask,
@@ -74,15 +76,18 @@ def dh_partner(rank: int, step: int, p: int) -> int:
     return nb_to_rank(rank_to_nb(rank, p) ^ ones_mask(s - step), p)
 
 
+def _dh_partners(p: int):
+    """:func:`dh_partner` over rank arrays, as ``partner(ranks, step)``."""
+    s = log2_exact(p)
+    nb = np.array(rank_to_nb_table(p), dtype=np.intp)
+    rank_of = np.empty_like(nb)
+    rank_of[nb] = np.arange(p)
+    return lambda ranks, step: rank_of[nb[ranks] ^ ones_mask(s - step)]
+
+
 def bine_tree_distance_halving(p: int, root: int = 0) -> Tree:
     """Build the distance-halving Bine broadcast tree over ``p`` ranks."""
-    return build_tree(
-        p,
-        root,
-        kind="bine-dh",
-        recv_step=lambda r: dh_recv_step(r, p),
-        partner=lambda r, i: dh_partner(r, i, p),
-    )
+    return build_tree(p, root, kind="bine-dh", partner=_dh_partners(p))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +164,8 @@ def dd_partner(rank: int, step: int, p: int) -> int:
 
 def bine_tree_distance_doubling(p: int, root: int = 0) -> Tree:
     """Build the distance-doubling Bine broadcast tree over ``p`` ranks."""
+    nu = np.array(_nu_table(p), dtype=np.intp)
+    rank_of = np.array(_nu_inverse_table(p), dtype=np.intp)
     return build_tree(
-        p,
-        root,
-        kind="bine-dd",
-        recv_step=lambda r: dd_recv_step(r, p),
-        partner=lambda r, j: dd_partner(r, j, p),
+        p, root, kind="bine-dd", partner=lambda ranks, j: rank_of[nu[ranks] ^ (1 << j)]
     )

@@ -47,24 +47,12 @@ def binomial_dh_recv_step(rank: int, p: int) -> int:
 
 def binomial_tree_distance_doubling(p: int, root: int = 0) -> Tree:
     """Open-MPI-style binomial broadcast tree (top of paper Fig. 1)."""
-    return build_tree(
-        p,
-        root,
-        kind="binomial-dd",
-        recv_step=lambda r: binomial_dd_recv_step(r, p),
-        partner=lambda r, i: r + (1 << i),
-        active_at=lambda r, i: r < (1 << i),
-    )
+    return build_tree(p, root, kind="binomial-dd", partner=lambda r, i: r ^ (1 << i))
 
 
 def binomial_tree_distance_halving(p: int, root: int = 0) -> Tree:
     """MPICH-style binomial broadcast tree (bottom of paper Fig. 1)."""
     s = log2_exact(p)
     return build_tree(
-        p,
-        root,
-        kind="binomial-dh",
-        recv_step=lambda r: binomial_dh_recv_step(r, p),
-        partner=lambda r, i: r + (1 << (s - i - 1)),
-        active_at=lambda r, i: r % (1 << (s - i)) == 0,
+        p, root, kind="binomial-dh", partner=lambda r, i: r ^ (1 << (s - 1 - i))
     )

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.negabinary import rank_to_nb
-from repro.core.tree import TreeError
+import numpy as np
+
+from repro.core.tree import Tree, TreeError
 
 __all__ = [
     "PrunedTree",
@@ -38,47 +39,23 @@ def ceil_log2(p: int) -> int:
     return (p - 1).bit_length()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrunedTree:
     """A Bine tree over even non-power-of-two ``p`` with duplicate subtrees removed.
 
-    Exposes the same query surface the schedules need (`recv_step`,
-    `children`, `subtree`) plus the list of virtual subtree roots that were
-    pruned (as ``(step, parent, rank)``).
+    ``edges[i]`` is the ``(parent, child)`` rank-array pair of step ``i``,
+    as on :class:`~repro.core.tree.Tree`; ``pruned_edges`` lists the
+    virtual subtree roots that were pruned, as ``(step, parent, rank)``.
     """
 
     p: int
     root: int
     kind: str
     num_steps: int
-    edges: tuple[tuple[tuple[int, int], ...], ...]
+    edges: tuple[tuple[np.ndarray, np.ndarray], ...]
     pruned_edges: tuple[tuple[int, int, int], ...]  # (step, src, dst)
-    _recv_step: tuple[int, ...]
-    _parent: tuple[int, ...]
-    _children: tuple[tuple[tuple[int, int], ...], ...]
 
-    def recv_step(self, rank: int) -> int:
-        return self._recv_step[rank]
-
-    def parent(self, rank: int) -> int | None:
-        par = self._parent[rank]
-        return None if par < 0 else par
-
-    def children(self, rank: int) -> tuple[tuple[int, int], ...]:
-        return self._children[rank]
-
-    def subtree(self, rank: int) -> list[int]:
-        out = []
-        stack = [rank]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            for _, child in reversed(self._children[node]):
-                stack.append(child)
-        return out
-
-    def all_edges(self) -> list[tuple[int, int, int]]:
-        return [(i, u, v) for i, es in enumerate(self.edges) for (u, v) in es]
+    all_edges = Tree.all_edges
 
 
 def bine_tree_dh_pruned(p: int, root: int = 0) -> PrunedTree:
@@ -106,59 +83,39 @@ def bine_tree_dh_pruned(p: int, root: int = 0) -> PrunedTree:
     vtree = bine_tree_distance_halving(p_virt)
     real = [from_negabinary(rank_to_nb(v, p_virt)) % p for v in range(p_virt)]
 
-    recv = [-2] * p
-    parent = [-1] * p
-    children: list[list[tuple[int, int]]] = [[] for _ in range(p)]
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(s)]
-    pruned: list[tuple[int, int, int]] = []
+    reached = [False] * p
+    reached[real[0]] = True
     alive = [False] * p_virt
     alive[0] = True
-    recv[real[0]] = -1
-
+    edges: list[tuple[np.ndarray, np.ndarray]] = []
+    pruned: list[tuple[int, int, int]] = []
     # Walk virtual edges in step order; an edge whose real target was already
     # reached roots a duplicate subtree — drop it (its descendants stay dead
     # because their virtual parent is dead).
-    for step in range(vtree.num_steps):
-        for (u, v) in vtree.edges[step]:
+    for step, (par, child) in enumerate(vtree.edges):
+        kept = []
+        for u, v in zip(par.tolist(), child.tolist()):
             if not alive[u]:
                 continue
             ru, rv = real[u], real[v]
-            if recv[rv] != -2 or rv == real[0]:
-                pruned.append((step, ru, rv))
+            if reached[rv]:
+                pruned.append((step, (ru + root) % p, (rv + root) % p))
                 continue
-            alive[v] = True
-            recv[rv] = step
-            parent[rv] = ru
-            children[ru].append((step, rv))
-            edges[step].append((ru, rv))
-    unreached = [r for r in range(p) if recv[r] == -2]
-    if unreached:
+            alive[v] = reached[rv] = True
+            kept.append((ru, rv))
+        edges.append(tuple((np.array(kept, dtype=np.intp).reshape(-1, 2).T + root) % p))
+    if not all(reached):
+        unreached = [r for r in range(p) if not reached[r]]
         raise TreeError(
             f"pruned Bine tree over p={p} leaves ranks unreached: {unreached}"
         )
-
-    def absr(r: int) -> int:
-        return (r + root) % p
-
-    a_recv = [0] * p
-    a_parent = [-1] * p
-    a_children: list[tuple[tuple[int, int], ...]] = [()] * p
-    for r in range(p):
-        a_recv[absr(r)] = recv[r]
-        a_parent[absr(r)] = -1 if parent[r] < 0 else absr(parent[r])
-        a_children[absr(r)] = tuple((st, absr(c)) for st, c in children[r])
-    a_edges = tuple(tuple((absr(u), absr(v)) for (u, v) in es) for es in edges)
-    a_pruned = tuple((st, absr(u), absr(v)) for (st, u, v) in pruned)
     return PrunedTree(
         p=p,
         root=root,
         kind="bine-dh-pruned",
         num_steps=s,
-        edges=a_edges,
-        pruned_edges=a_pruned,
-        _recv_step=tuple(a_recv),
-        _parent=tuple(a_parent),
-        _children=tuple(a_children),
+        edges=tuple(edges),
+        pruned_edges=tuple(pruned),
     )
 
 

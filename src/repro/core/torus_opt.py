@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.bine_tree import dh_partner, dh_recv_step
+import numpy as np
+
+from repro.core.bine_tree import _dh_partners
 from repro.core.butterfly import Butterfly, bine_sigma
 from repro.core.tree import Tree, build_tree, log2_exact
 
@@ -98,98 +100,71 @@ def dimension_schedule(shape: TorusShape) -> list[tuple[int, int]]:
     return order
 
 
+def _digit_map(shape: TorusShape, ranks: np.ndarray, dim: int, f) -> np.ndarray:
+    """``ranks`` with their ``dim`` coordinate replaced by ``f(coordinate)``
+    (coordinates row-major, as :meth:`TorusShape.coords`)."""
+    coords = list(np.unravel_index(ranks, shape.dims))
+    coords[dim] = f(coords[dim])
+    return np.ravel_multi_index(coords, shape.dims)
+
+
 def torus_bine_tree(shape: TorusShape, root: int = 0) -> Tree:
     """Distance-halving Bine broadcast tree optimised for ``shape``.
 
-    Built with the generic tree machinery: the relative receive step of a
-    coordinate vector is the latest global step among its per-dimension
-    arrival steps, and at global step ``(dim, i)`` every holder forwards to
-    the rank whose ``dim`` coordinate is its 1-D Bine partner.
+    At global step ``(dim, i)`` every holder forwards to the rank whose
+    ``dim`` coordinate is its 1-D Bine partner.
     """
     order = dimension_schedule(shape)
-    p = shape.num_ranks
+    rules = [_dh_partners(d) for d in shape.dims]
 
-    # Global step index of (dim, dim_step).
-    gstep = {di: g for g, di in enumerate(order)}
-
-    def recv_step(rel: int) -> int:
-        if rel == 0:
-            return -1
-        coords = shape.coords(rel)
-        latest = -1
-        for dim, c in enumerate(coords):
-            if c == 0:
-                continue
-            i = dh_recv_step(c, shape.dims[dim])
-            latest = max(latest, gstep[(dim, i)])
-        return latest
-
-    def partner(rel: int, g: int) -> int:
+    def partner(ranks: np.ndarray, g: int) -> np.ndarray:
         dim, i = order[g]
-        coords = list(shape.coords(rel))
-        coords[dim] = dh_partner(coords[dim], i, shape.dims[dim])
-        return shape.rank(tuple(coords))
+        return _digit_map(shape, ranks, dim, lambda c: rules[dim](c, i))
 
     return build_tree(
-        p,
+        shape.num_ranks,
         root,
         kind=f"bine-torus-{'x'.join(map(str, shape.dims))}",
-        recv_step=recv_step,
         partner=partner,
-        num_steps=len(order),
     )
 
 
 def _torus_butterfly(shape: TorusShape, kind: str, partner_1d, order=None) -> Butterfly:
     """Interleave per-dimension butterflies into one matching sequence, in
-    ``order`` (``(dim, step)`` pairs; default :func:`dimension_schedule`)."""
+    ``order`` (``(dim, step)`` pairs; default :func:`dimension_schedule`).
+    ``partner_1d(coords, i, d)`` maps a coordinate array of a dimension of
+    extent ``d`` to its partners at that dimension's step ``i``."""
     order = dimension_schedule(shape) if order is None else order
-    p = shape.num_ranks
-    partners = []
-    for dim, i in order:
-        row = []
-        for r in range(p):
-            coords = list(shape.coords(r))
-            coords[dim] = partner_1d(coords[dim], i, shape.dims[dim])
-            row.append(shape.rank(tuple(coords)))
-        partners.append(tuple(row))
-    bf = Butterfly(p, kind, tuple(partners))
+    ranks = np.arange(shape.num_ranks)
+    partners = tuple(
+        tuple(_digit_map(shape, ranks, dim, lambda c: partner_1d(c, i, shape.dims[dim])).tolist())
+        for dim, i in order
+    )
+    bf = Butterfly(shape.num_ranks, kind, partners)
     bf.validate()
     return bf
 
 
-def torus_bine_butterfly(shape: TorusShape, *, doubling: bool = True) -> Butterfly:
+def torus_bine_butterfly(shape: TorusShape) -> Butterfly:
     """Torus-optimised Bine butterfly.
 
-    ``doubling=True`` orders every dimension's steps distance-doubling
-    (reduce-scatter direction, Eq. 5); ``False`` gives the distance-halving
-    direction (allgather, Eq. 4).  Within a dimension of extent ``d`` the 1-D
-    Bine sign rule applies to that *coordinate*'s parity.
+    Every dimension's steps run distance-doubling (reduce-scatter
+    direction, Eq. 5).  Within a dimension of extent ``d`` the 1-D Bine
+    sign rule applies to that *coordinate*'s parity.
     """
 
-    def dd(coord: int, i: int, d: int) -> int:
+    def dd(coord: np.ndarray, i: int, d: int) -> np.ndarray:
         sigma = bine_sigma(i + 1)
-        return (coord + sigma) % d if coord % 2 == 0 else (coord - sigma) % d
-
-    def dh(coord: int, i: int, d: int) -> int:
-        s = log2_exact(d)
-        sigma = bine_sigma(s - i)
-        return (coord + sigma) % d if coord % 2 == 0 else (coord - sigma) % d
+        return (coord + np.where(coord % 2, -sigma, sigma)) % d
 
     name = "x".join(map(str, shape.dims))
-    if doubling:
-        return _torus_butterfly(shape, f"bine-torus-dd-{name}", dd)
-    bf = _torus_butterfly(shape, f"bine-torus-dh-{name}", dh)
-    # Distance-halving runs late-dimension steps first but in *reversed*
-    # per-dimension order; reverse the global order so large exchanges pair
-    # with short distances last, mirroring the 1-D convention.
-    return bf
+    return _torus_butterfly(shape, f"bine-torus-dd-{name}", dd)
 
 
 def torus_recdoub_butterfly(shape: TorusShape) -> Butterfly:
     """Baseline: per-dimension recursive doubling, same interleaving."""
 
-    def rd(coord: int, i: int, d: int) -> int:
+    def rd(coord: np.ndarray, i: int, d: int) -> np.ndarray:
         return coord ^ (1 << i)
 
     name = "x".join(map(str, shape.dims))

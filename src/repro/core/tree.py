@@ -1,24 +1,33 @@
 """Generic broadcast-tree abstraction shared by Bine and binomial trees.
 
-A :class:`Tree` describes *when* each rank joins a broadcast rooted at
-``root`` and *which* edges are used at each step.  All collective schedules
-that are tree-shaped (bcast, reduce, gather, scatter) are generated from this
-one structure, so correctness properties (spanning, each rank reached exactly
-once, parents hold data before sending) are validated in a single place.
+Every tree here doubles its holders at each step: at step ``i`` the
+``2**i`` ranks already holding the data each send to one new rank.  Such a
+tree is fully described by its **reach order** ``order``, the permutation
+of the ``p`` ranks in the order they first hold the data (``order[0]`` is
+the root).  Every query is position arithmetic on it:
 
-Trees are built from two per-rank rules expressed on *relative* ranks (i.e.
-rotated so the root is 0):
+* step ``i``'s edges are ``(order[:2**i], order[2**i:2**(i+1)])``, the
+  ``j``-th holder sending to the ``j``-th new rank;
+* ``order[k]`` receives at step ``k.bit_length() − 1`` (``−1`` for the
+  root), from ``order[k − 2**⌊log2 k⌋]``;
+* the subtree of ``order[k]`` is ``order[k::2**k.bit_length()]``, so the
+  subtrees of all step-``i`` children at once are one reshape
+  (:meth:`Tree.subtrees`).
 
-* ``recv_step(r)`` — the step at which relative rank ``r`` receives
-  (``-1`` for the root);
-* ``partner(r, step)`` — whom ``r`` sends to at ``step`` (queried only for
-  steps after ``r`` holds the data).
+:func:`build_tree` forms the order from a ``partner`` rule on *relative*
+ranks (rotated so the root is 0) evaluated over rank arrays, one
+concatenation per step, and checks it is a permutation.  All collective
+schedules that are tree-shaped (bcast, reduce, gather, scatter) are
+generated from this one structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
+
+import numpy as np
 
 __all__ = ["Tree", "TreeError", "build_tree", "log2_exact"]
 
@@ -34,92 +43,79 @@ def log2_exact(p: int) -> int:
     return p.bit_length() - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """An explicit step-annotated broadcast tree over ``p`` ranks.
+    """A broadcast tree over ``p = 2**s`` ranks, as its reach order.
 
-    All rank identifiers in the public API are *absolute*.  ``edges[i]`` lists
-    ``(parent, child)`` pairs active at step ``i``; a rank appears as a child
-    exactly once across all steps (except the root, never a child).
+    All rank identifiers in the public API are *absolute*.  ``edges[i]``
+    is the ``(parent, child)`` rank-array pair of step ``i``; a rank
+    appears as a child exactly once across all steps (except the root,
+    never a child).
     """
 
     p: int
     root: int
     kind: str
-    num_steps: int
-    edges: tuple[tuple[tuple[int, int], ...], ...]
-    _recv_step: tuple[int, ...] = field(repr=False)
-    _parent: tuple[int, ...] = field(repr=False)
-    _children: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    #: (p,) read-only permutation of the ranks in the order they are reached
+    order: np.ndarray
+
+    @property
+    def num_steps(self) -> int:
+        return self.p.bit_length() - 1
+
+    @property
+    def edges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        o = self.order
+        return tuple((o[:1 << i], o[1 << i:2 << i]) for i in range(self.num_steps))
+
+    def subtrees(self, step: int) -> np.ndarray:
+        """``(2**step, p / 2**(step+1))`` array whose row ``j`` holds the
+        subtree of the ``j``-th child reached at ``step``."""
+        return self.order.reshape(-1, 2 << step)[:, 1 << step:].T
 
     # -- queries ------------------------------------------------------------
 
     def recv_step(self, rank: int) -> int:
         """Step at which ``rank`` receives the data (``-1`` for the root)."""
-        self._check_rank(rank)
-        return self._recv_step[rank]
+        return self._position(rank).bit_length() - 1
 
     def parent(self, rank: int) -> int | None:
         """Parent of ``rank`` in the tree, ``None`` for the root."""
-        self._check_rank(rank)
-        par = self._parent[rank]
-        return None if par < 0 else par
+        k = self._position(rank)
+        return int(self.order[k - (1 << k.bit_length() >> 1)]) if k else None
 
     def children(self, rank: int) -> tuple[tuple[int, int], ...]:
         """``(step, child)`` pairs for all children of ``rank``, step order."""
-        self._check_rank(rank)
-        return self._children[rank]
+        k = self._position(rank)
+        return tuple(
+            (i, int(self.order[k + (1 << i)]))
+            for i in range(k.bit_length(), self.num_steps)
+        )
 
     def subtree(self, rank: int) -> list[int]:
-        """All ranks in the subtree rooted at ``rank`` (including it).
-
-        Ordering is deterministic: depth-first, children in step order.
-        """
-        self._check_rank(rank)
-        out: list[int] = []
-        stack = [rank]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            # Push in reverse step order so DFS visits earliest-step child first.
-            for _, child in reversed(self._children[node]):
-                stack.append(child)
-        return out
-
-    def subtree_at_step(self, rank: int, step: int) -> list[int]:
-        """Subtree of ``rank`` *considering only edges at steps > step − 1*…
-
-        More precisely: the set of ranks whose data flows through ``rank``
-        if the broadcast is cut before ``step`` — i.e. ``rank`` plus the
-        subtrees of children attached at steps ``>= step``.
-        """
-        self._check_rank(rank)
-        out: list[int] = [rank]
-        for st, child in self._children[rank]:
-            if st >= step:
-                out.extend(self.subtree(child))
-        return out
-
-    def leaves(self) -> list[int]:
-        """Ranks with no children."""
-        return [r for r in range(self.p) if not self._children[r]]
-
-    def depth(self, rank: int) -> int:
-        """Number of edges between ``rank`` and the root."""
-        d = 0
-        node = rank
-        while (par := self.parent(node)) is not None:
-            node = par
-            d += 1
-        return d
+        """All ranks in the subtree rooted at ``rank``, itself first, in
+        reach order."""
+        k = self._position(rank)
+        return self.order[k::1 << k.bit_length()].tolist()
 
     def all_edges(self) -> list[tuple[int, int, int]]:
         """Flat ``(step, parent, child)`` list over the whole broadcast."""
-        return [(i, u, v) for i, es in enumerate(self.edges) for (u, v) in es]
+        return [
+            (i, u, v)
+            for i, (par, child) in enumerate(self.edges)
+            for u, v in zip(par.tolist(), child.tolist())
+        ]
 
-    def _check_rank(self, rank: int) -> None:
+    @cached_property
+    def _pos(self) -> np.ndarray:
+        pos = np.empty_like(self.order)
+        pos[self.order] = np.arange(self.p)
+        return pos
+
+    def _position(self, rank: int) -> int:
         if not 0 <= rank < self.p:
             raise ValueError(f"rank {rank} out of range for p={self.p}")
+        return int(self._pos[rank])
 
 
 def build_tree(
@@ -127,83 +123,35 @@ def build_tree(
     root: int,
     *,
     kind: str,
-    recv_step: Callable[[int], int],
-    partner: Callable[[int, int], int],
-    num_steps: int | None = None,
-    active_at: Callable[[int, int], bool] | None = None,
+    partner: Callable[[np.ndarray, int], np.ndarray],
 ) -> Tree:
-    """Materialise a :class:`Tree` from relative-rank rules.
+    """The :class:`Tree` whose holders at step ``i`` send to
+    ``partner(holders, i)``, ``holders`` the relative ranks reached so far
+    in reach order.
 
-    The broadcast is simulated step by step: every rank already holding the
-    data forwards to ``partner(r, step)``; the receiver must report exactly
-    this step from ``recv_step``, and must not have been reached before
-    (strict spanning-tree check — non-power-of-two relaxations live in
-    :mod:`repro.core.nonpow2`).
-
-    ``active_at(r, step)`` optionally restricts which holders send at a given
-    step (binomial distance-doubling trees need it: only ranks below the
-    doubling frontier send).
+    Raises :class:`TreeError` when a partner is out of range or a rank is
+    reached twice (strict spanning-tree check — non-power-of-two
+    relaxations live in :mod:`repro.core.nonpow2`).
     """
+    steps = log2_exact(p)
     if not 0 <= root < p:
         raise ValueError(f"root {root} out of range for p={p}")
-    steps = log2_exact(p) if num_steps is None else num_steps
-
-    recv = [-2] * p  # relative-rank indexed; -2 = unreached
-    parent = [-1] * p
-    children: list[list[tuple[int, int]]] = [[] for _ in range(p)]
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(steps)]
-
-    recv[0] = -1
-    holders = [0]
-    for step in range(steps):
-        new_holders = []
-        for r in holders:
-            if active_at is not None and not active_at(r, step):
-                continue
-            q = partner(r, step)
-            if not 0 <= q < p:
-                raise TreeError(f"{kind}: partner({r},{step}) = {q} out of range")
-            if recv[q] != -2:
-                raise TreeError(
-                    f"{kind}: rank {q} reached twice (step {step}, from {r})"
-                )
-            expected = recv_step(q)
-            if expected != step:
-                raise TreeError(
-                    f"{kind}: rank {q} reached at step {step}, "
-                    f"recv_step predicts {expected}"
-                )
-            recv[q] = step
-            parent[q] = r
-            children[r].append((step, q))
-            edges[step].append((r, q))
-            new_holders.append(q)
-        holders.extend(new_holders)
-    unreached = [r for r in range(p) if recv[r] == -2]
-    if unreached:
-        raise TreeError(f"{kind}: ranks never reached: {unreached[:8]}…")
-
-    # Rotate relative ranks onto absolute ones.
-    def absr(r: int) -> int:
-        return (r + root) % p
-
-    abs_recv = [0] * p
-    abs_parent = [-1] * p
-    abs_children: list[tuple[tuple[int, int], ...]] = [()] * p
-    for r in range(p):
-        abs_recv[absr(r)] = recv[r]
-        abs_parent[absr(r)] = -1 if parent[r] < 0 else absr(parent[r])
-        abs_children[absr(r)] = tuple((st, absr(c)) for st, c in children[r])
-    abs_edges = tuple(
-        tuple((absr(u), absr(v)) for (u, v) in es) for es in edges
-    )
-    return Tree(
-        p=p,
-        root=root,
-        kind=kind,
-        num_steps=steps,
-        edges=abs_edges,
-        _recv_step=tuple(abs_recv),
-        _parent=tuple(abs_parent),
-        _children=tuple(abs_children),
-    )
+    order = np.zeros(1, dtype=np.intp)
+    for i in range(steps):
+        new = partner(order, i)
+        outside = np.flatnonzero((new < 0) | (new >= p))
+        if outside.size:
+            j = outside[0]
+            raise TreeError(f"{kind}: partner({order[j]},{i}) = {new[j]} out of range")
+        order = np.concatenate([order, new])
+    by_rank = np.argsort(order, kind="stable")
+    repeat = by_rank[1:][order[by_rank[1:]] == order[by_rank[:-1]]]
+    if repeat.size:
+        k = int(repeat.min())
+        i = k.bit_length() - 1
+        raise TreeError(
+            f"{kind}: rank {order[k]} reached twice (step {i}, from {order[k - (1 << i)]})"
+        )
+    order = (order + root) % p
+    order.flags.writeable = False
+    return Tree(p=p, root=root, kind=kind, order=order)

@@ -1,5 +1,7 @@
 """Tests for Appendix C: non-power-of-two rank counts."""
 
+import hashlib
+
 import pytest
 
 from repro.collectives.tree_collectives import bcast_from_tree, reduce_from_tree
@@ -12,6 +14,30 @@ from repro.core.nonpow2 import (
 from repro.core.tree import TreeError
 
 EVEN_PS = [2, 6, 10, 12, 14, 18, 20, 22, 24, 26, 30, 34, 40, 48, 50, 62, 100, 126]
+
+#: sha256 (first 16 hex digits) of ``repr([(root, tree.all_edges(),
+#: tree.pruned_edges) for root in (0, 1, p // 2)])``, recorded from the
+#: per-rank pruned builder before the trees became arrays
+PRUNED_PINS = {
+    2: "d9fba3af21830688",
+    6: "a01755d36a8f2f18",
+    10: "c52a0a2bcd92242b",
+    12: "3f513c458786776b",
+    14: "ae1192b7bb5c5a34",
+    18: "3a3c046918556ee0",
+    20: "0ed4042db5d9ffe9",
+    22: "089272d57c244915",
+    24: "fbc27f72e2847659",
+    26: "2c3e429e615c3eaf",
+    30: "fb972cf27cff40a1",
+    34: "ada0dbb337a3a2d1",
+    40: "9b80d3ae82d99346",
+    48: "22ddf5ce21977bf3",
+    50: "e92de87465248b6d",
+    62: "d021c8cf3a816216",
+    100: "2fea9f264dc1e12d",
+    126: "1fad039be8017bf4",
+}
 
 
 class TestCeilLog2:
@@ -62,6 +88,14 @@ class TestPrunedTrees:
         for p in (4, 16, 64):
             tree = bine_tree_dh_pruned(p)
             assert tree.pruned_edges == ()
+
+    @pytest.mark.parametrize("p", EVEN_PS)
+    def test_pinned(self, p):
+        rows = []
+        for root in (0, 1, p // 2):
+            tree = bine_tree_dh_pruned(p, root)
+            rows.append((root, tree.all_edges(), tree.pruned_edges))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == PRUNED_PINS[p]
 
     @pytest.mark.parametrize("p", [3, 5, 7, 9, 15])
     def test_odd_p_rejected(self, p):
