@@ -14,12 +14,11 @@ therefore default to a scheduler-like sampled allocation
 (``placement="scheduler"``); ``placement="block"`` gives the idealised
 group-aligned mapping (useful to expose the pure-structure upper bound).
 
-Campaign performance rests on four shared caches, all transparent to the
+Campaign performance rests on three shared caches, all transparent to the
 numbers produced:
 
 * schedule builders run with validation off (:func:`schedule_validation`)
   — sweeps render known-good schedules in bulk;
-* ν-label / π permutation tables are memoized per ``p`` in the core layer;
 * one CSR :class:`~repro.model.compiled.CompiledRouteTable` per
   :class:`ProfileCache` shares node-pair routes across every algorithm and
   mapping of a campaign;

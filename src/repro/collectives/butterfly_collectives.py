@@ -181,14 +181,6 @@ class Flow:
     steps: tuple[FlowStep, ...]
 
 
-def _partner_rows(bf: Butterfly) -> np.ndarray:
-    return np.array(bf.partners, dtype=np.intp).reshape(bf.num_steps, bf.p)
-
-
-def _pi_array(p: int) -> np.ndarray:
-    return np.array(global_pi(p), dtype=np.intp)
-
-
 def reduce_scatter_flow(
     bf: Butterfly,
     n: int,
@@ -202,7 +194,7 @@ def reduce_scatter_flow(
     if strategy in _PI_SPACE:
         require_divisible(n, p, f"reduce-scatter strategy {strategy.value}")
     permute = strategy is Strategy.PERMUTE
-    rows, ranks = _partner_rows(bf), np.arange(p)
+    rows, ranks = bf.partners, np.arange(p)
     steps = [
         FlowStep(
             f"rs step {j}", f"rs[{j}]", ranks, rows[j], rows[j], j + 1, op,
@@ -214,7 +206,7 @@ def reduce_scatter_flow(
     ]
     if strategy is Strategy.SEND and fixup:
         # Final exchange: rank r holds block π(r); ship it home (Sec. 4.3.1).
-        pi = _pi_array(p)
+        pi = global_pi(p)
         moved = np.nonzero(pi != ranks)[0]
         steps.append(FlowStep(
             "rs send fixup", "rs send-fixup", moved, pi[moved], pi[moved], None,
@@ -236,7 +228,7 @@ def allgather_flow(
     if strategy in _PI_SPACE:
         require_divisible(n, p, f"allgather strategy {strategy.value}")
     permute = strategy is Strategy.PERMUTE
-    rows, ranks = _partner_rows(bf), np.arange(p)
+    rows, ranks = bf.partners, np.arange(p)
     steps = []
     if permute:
         none = ranks[:0]
@@ -244,7 +236,7 @@ def allgather_flow(
             "ag permute in", "", none, none, none, None, pre=_AG_PACK_OWN,
         ))
     elif strategy is Strategy.SEND and initial_exchange:
-        pi_inv = np.array(global_pi_inv(p), dtype=np.intp)
+        pi_inv = global_pi_inv(p)
         moved = np.nonzero(pi_inv != ranks)[0]
         steps.append(FlowStep(
             "ag send reorder", "ag send-reorder", moved, pi_inv[moved], moved, None,
@@ -264,7 +256,7 @@ def allgather_flow(
 
 def allreduce_recursive_flow(bf: Butterfly, n: int, op: str = "sum") -> Flow:
     """Plan of :func:`allreduce_recursive`."""
-    rows, ranks = _partner_rows(bf), np.arange(bf.p)
+    rows, ranks = bf.partners, np.arange(bf.p)
     steps = tuple(
         FlowStep(f"allreduce step {j}", f"ar[{j}]", ranks, rows[j], ranks, 0, op)
         for j in range(bf.num_steps)
@@ -314,12 +306,12 @@ class _SetGeometry:
     """
 
     def __init__(self, bf: Butterfly, strategy: Strategy):
-        self.bf, self.strategy, self.p, self.rows = bf, strategy, bf.p, _partner_rows(bf)
+        self.bf, self.strategy, self.p, self.rows = bf, strategy, bf.p, bf.partners
 
     @cached_property
     def _pi_bounds(self):
         # min/max π position of each set, merged up the recursion
-        s, pi, rows = self.bf.num_steps, _pi_array(self.p), self.rows
+        s, pi, rows = self.bf.num_steps, global_pi(self.p), self.rows
         lo, hi = {s: pi}, {s: pi}
         for j in range(s - 1, 0, -1):
             lo[j] = np.minimum(lo[j + 1], lo[j + 1][rows[j]])
@@ -346,7 +338,7 @@ class _SetGeometry:
 
     @cached_property
     def _nus(self) -> np.ndarray:
-        return np.array(nu_labels(self.p), dtype=np.int64)
+        return nu_labels(self.p)
 
     def _nu_base(self, step: int) -> np.ndarray:
         # B = {b : ν(b) & ones(step) = 0}: resp(r, step) = r ± B (Sec. 3.2.3)
@@ -484,7 +476,7 @@ def _local_arrays(local: _Local | None, p: int, n: int) -> tuple:
     rank shares when built (:func:`~repro.runtime.schedule.local_copies`)."""
     if local is None:
         return ()
-    bs, ranks, pi = n // p, np.arange(p), _pi_array(p)
+    bs, ranks, pi = n // p, np.arange(p), global_pi(p)
     if local.whole:
         items, counts = np.zeros(1, dtype=np.intp), np.array([p])
     else:

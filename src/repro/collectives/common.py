@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from enum import Enum
 
-from repro.core.bine_tree import nu_labels
+import numpy as np
+
+from repro.core.bine_tree import nu_inverse, nu_labels
 from repro.core.negabinary import bit_reverse
 from repro.core.tree import log2_exact
-from repro.runtime.memo import label_table
 from repro.runtime.schedule import Schedule, schedule_from_arrays
 
 __all__ = [
@@ -55,29 +56,14 @@ class Strategy(str, Enum):
     NATURAL = "natural"
 
 
-@label_table("common._pi_table")
-def _pi_table(p: int) -> tuple[int, ...]:
-    """Memoized π table — builders look π up per transfer, so cache per p."""
-    s = log2_exact(p)
-    return tuple(bit_reverse(nu, s) for nu in nu_labels(p))
-
-
-@label_table("common._pi_inv_table")
-def _pi_inv_table(p: int) -> tuple[int, ...]:
-    inv = [0] * p
-    for b, pos in enumerate(_pi_table(p)):
-        inv[pos] = b
-    return tuple(inv)
-
-
-def global_pi(p: int) -> list[int]:
+def global_pi(p: int) -> np.ndarray:
     """π(b) = reverse(ν(b)): position of block ``b`` in the permuted layout."""
-    return list(_pi_table(p))
+    return bit_reverse(nu_labels(p), log2_exact(p))
 
 
-def global_pi_inv(p: int) -> list[int]:
+def global_pi_inv(p: int) -> np.ndarray:
     """Block stored at each position: ``inv[π(b)] = b``."""
-    return list(_pi_inv_table(p))
+    return nu_inverse(bit_reverse(np.arange(p), log2_exact(p)), p)
 
 
 def require_pow2(p: int, what: str) -> int:

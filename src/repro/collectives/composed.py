@@ -38,7 +38,6 @@ from repro.core.tree import Tree
 from repro.collectives.butterfly_collectives import (
     Flow,
     _merged,
-    _pi_array,
     allgather_flow,
     allreduce_rsag_flow,
     flow_buffers,
@@ -48,6 +47,7 @@ from repro.collectives.butterfly_collectives import (
 from repro.collectives.common import (
     Strategy,
     VEC,
+    global_pi,
     require_divisible,
     require_pow2,
 )
@@ -110,7 +110,7 @@ def _pi_tree(tree: Tree, n: int, collective: str):
     """
     p, gather = tree.p, collective == "gather"
     bs = require_divisible(n, p, "bine large reduce" if gather else "bine large broadcast")
-    pi = _pi_array(p)
+    pi = global_pi(p)
 
     def windows(i: int, child: np.ndarray) -> tuple:
         pos = np.sort(pi[tree.subtrees(i)], axis=1)

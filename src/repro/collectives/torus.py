@@ -58,7 +58,7 @@ from repro.core.torus_opt import (
     torus_bine_butterfly,
     torus_bine_tree,
 )
-from repro.runtime.memo import label_table
+from repro.runtime.memo import Memo
 from repro.runtime.schedule import (
     ArrayStep,
     Schedule,
@@ -365,7 +365,10 @@ def _bound(
                          description=description)
 
 
-@label_table("torus.torus_algorithms")
+#: shape -> its catalog, kept for the life of the process
+_CATALOGS = Memo("torus.torus_algorithms")
+
+
 def torus_algorithms(shape: TorusShape) -> dict[tuple[str, str], AlgorithmSpec]:
     """The torus catalog bound to one sub-torus, keyed ``(collective, name)``.
 
@@ -389,6 +392,10 @@ def torus_algorithms(shape: TorusShape) -> dict[tuple[str, str], AlgorithmSpec]:
         >>> specs["allreduce", "rabenseifner"].family
         'sota'
     """
+    return _CATALOGS.get_or(shape, lambda: _catalog(shape))
+
+
+def _catalog(shape: TorusShape) -> dict[tuple[str, str], AlgorithmSpec]:
     p = shape.num_ranks
 
     def generic(collective: str, name: str):

@@ -21,17 +21,18 @@ that variant is exposed via ``mirror=True`` and used by
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.negabinary import (
+    check_range,
     nb_to_rank,
     ones_mask,
     rank_to_nb,
-    rank_to_nb_table,
     trailing_equal_bits,
 )
 from repro.core.tree import Tree, build_tree, log2_exact
-from repro.runtime.memo import label_table
 
 __all__ = [
     "bine_tree_distance_halving",
@@ -63,8 +64,9 @@ def dh_recv_step(rank: int, p: int) -> int:
     return s - u
 
 
-def dh_partner(rank: int, step: int, p: int) -> int:
-    """Destination of relative rank ``rank`` at ``step`` (Eq. 1).
+def dh_partner(rank: int | np.ndarray, step: int, p: int) -> int | np.ndarray:
+    """Destination of relative rank ``rank`` (an int or a rank array) at
+    ``step`` (Eq. 1).
 
     Valid for any rank that already holds the data at ``step``; the result is
     the rank whose negabinary pattern differs in the ``s − step`` least
@@ -76,72 +78,48 @@ def dh_partner(rank: int, step: int, p: int) -> int:
     return nb_to_rank(rank_to_nb(rank, p) ^ ones_mask(s - step), p)
 
 
-def _dh_partners(p: int):
-    """:func:`dh_partner` over rank arrays, as ``partner(ranks, step)``."""
-    s = log2_exact(p)
-    nb = np.array(rank_to_nb_table(p), dtype=np.intp)
-    rank_of = np.empty_like(nb)
-    rank_of[nb] = np.arange(p)
-    return lambda ranks, step: rank_of[nb[ranks] ^ ones_mask(s - step)]
-
-
 def bine_tree_distance_halving(p: int, root: int = 0) -> Tree:
     """Build the distance-halving Bine broadcast tree over ``p`` ranks."""
-    return build_tree(p, root, kind="bine-dh", partner=_dh_partners(p))
+    return build_tree(p, root, kind="bine-dh", partner=partial(dh_partner, p=p))
 
 
 # ---------------------------------------------------------------------------
 # Distance-doubling Bine trees (Sec. 3.2, Appendix A)
 # ---------------------------------------------------------------------------
 
-@label_table("bine_tree._nu_table")
-def _nu_table(p: int) -> tuple[int, ...]:
-    """Memoized ν labels for all ranks of ``p`` (shared by every builder)."""
-    log2_exact(p)
-    nb = rank_to_nb_table(p)
-    table = []
-    for rank in range(p):
-        if rank == 0:
-            h = 0
-        elif rank % 2 == 0:
-            h = nb[p - rank]
-        else:
-            h = nb[rank]
-        table.append(h ^ (h >> 1))
-    return tuple(table)
-
-
-@label_table("bine_tree._nu_inverse_table")
-def _nu_inverse_table(p: int) -> tuple[int, ...]:
-    """Memoized inverse ν table (bijection-checked once per ``p``)."""
-    inv = [-1] * p
-    for r, v in enumerate(_nu_table(p)):
-        if not 0 <= v < p or inv[v] != -1:
-            raise AssertionError(f"ν is not a bijection at p={p}: rank {r} -> {v}")
-        inv[v] = r
-    return tuple(inv)
-
-
-def nu_label(rank: int, p: int) -> int:
+def nu_label(rank: int | np.ndarray, p: int) -> int | np.ndarray:
     """ν(r, p) from Sec. 3.2.1: Gray-style recoding of the negabinary label.
 
     ``h(r) = rank2nb(p − r)`` for even ``r`` (with ``h(0) = 0``) and
-    ``rank2nb(r)`` for odd ``r``; then ``ν = h ⊕ (h >> 1)``.
+    ``rank2nb(r)`` for odd ``r``; then ``ν = h ⊕ (h >> 1)``.  An int gives
+    an int, a rank array an array.
     """
-    table = _nu_table(p)
-    if not 0 <= rank < p:
-        raise ValueError(f"rank {rank} out of range for p={p}")
-    return table[rank]
+    log2_exact(p)
+    rank = check_range(rank, p)
+    sign = 2 * (rank & 1) - 1  # odd ranks +1, even ranks −1 (mirrored)
+    h = rank_to_nb(sign * rank % p, p)
+    return h ^ (h >> 1)
 
 
-def nu_labels(p: int) -> list[int]:
+def nu_labels(p: int) -> np.ndarray:
     """ν labels for all ranks ``0 … p−1`` (a bijection onto ``0 … p−1``)."""
-    return list(_nu_table(p))
+    return nu_label(np.arange(p), p)
 
 
-def nu_inverse(p: int) -> list[int]:
-    """Inverse ν table: ``inv[ν(r)] = r``."""
-    return list(_nu_inverse_table(p))
+def nu_inverse(label: int | np.ndarray, p: int) -> int | np.ndarray:
+    """The rank whose ν label is ``label`` (an int or a label array).
+
+    Undoes the Gray recoding with the prefix XOR ``h ⊕= h >> 2**k``, maps
+    ``h`` back with ``nb2rank`` and mirrors even results (their ``h`` is
+    that of ``p − r``).
+    """
+    s = log2_exact(p)
+    h, shift = check_range(label, p, "label"), 1
+    while shift < s:
+        h = h ^ (h >> shift)
+        shift <<= 1
+    rank = nb_to_rank(h, p)
+    return (2 * (rank & 1) - 1) * rank % p
 
 
 def dd_recv_step(rank: int, p: int) -> int:
@@ -151,21 +129,18 @@ def dd_recv_step(rank: int, p: int) -> int:
     return nu_label(rank, p).bit_length() - 1
 
 
-def dd_partner(rank: int, step: int, p: int) -> int:
-    """Destination of relative rank ``rank`` at ``step`` in the dd tree.
+def dd_partner(rank: int | np.ndarray, step: int, p: int) -> int | np.ndarray:
+    """Destination of relative rank ``rank`` (an int or a rank array) at
+    ``step`` in the dd tree.
 
     The rank whose ν label differs exactly in bit ``step`` (Sec. 3.2.2).
     """
     s = log2_exact(p)
     if not 0 <= step < s:
         raise ValueError(f"step {step} out of range for s={s}")
-    return _nu_inverse_table(p)[nu_label(rank, p) ^ (1 << step)]
+    return nu_inverse(nu_label(rank, p) ^ (1 << step), p)
 
 
 def bine_tree_distance_doubling(p: int, root: int = 0) -> Tree:
     """Build the distance-doubling Bine broadcast tree over ``p`` ranks."""
-    nu = np.array(_nu_table(p), dtype=np.intp)
-    rank_of = np.array(_nu_inverse_table(p), dtype=np.intp)
-    return build_tree(
-        p, root, kind="bine-dd", partner=lambda ranks, j: rank_of[nu[ranks] ^ (1 << j)]
-    )
+    return build_tree(p, root, kind="bine-dd", partner=partial(dd_partner, p=p))

@@ -52,13 +52,20 @@ def bine_sigma(width: int) -> int:
     return num // 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Butterfly:
-    """An explicit butterfly: ``partners[j][r]`` is r's partner at step j."""
+    """An explicit butterfly: ``partners[j, r]`` is r's partner at step j."""
 
     p: int
     kind: str
-    partners: tuple[tuple[int, ...], ...]
+    #: (s, p) read-only intp array of partner rows (any nested sequence is
+    #: converted on construction)
+    partners: np.ndarray
+
+    def __post_init__(self):
+        rows = np.array(self.partners, dtype=np.intp).reshape(-1, self.p)
+        rows.flags.writeable = False
+        object.__setattr__(self, "partners", rows)
 
     @property
     def num_steps(self) -> int:
@@ -68,18 +75,16 @@ class Butterfly:
         """Partner of ``rank`` at ``step``."""
         if not 0 <= rank < self.p:
             raise ValueError(f"rank {rank} out of range for p={self.p}")
-        return self.partners[step][rank]
+        return int(self.partners[step, rank])
 
     def matching(self, step: int) -> list[tuple[int, int]]:
         """The matching at ``step`` as ``(low, high)`` pairs, each pair once."""
-        row = self.partners[step]
-        return [(r, row[r]) for r in range(self.p) if r < row[r]]
+        return [(r, q) for r, q in enumerate(self.partners[step].tolist()) if r < q]
 
     def validate(self) -> None:
         """Check every step is a perfect matching (an involution, no fixpoint)."""
         ranks = np.arange(self.p)
-        for j, row in enumerate(self.partners):
-            q = np.asarray(row, dtype=np.int64)
+        for j, q in enumerate(self.partners):
             bad = np.nonzero((q < 0) | (q >= self.p))[0]
             if bad.size:
                 r = int(bad[0])
@@ -98,15 +103,14 @@ class Butterfly:
 
     def reversed(self) -> "Butterfly":
         """Same matchings in the opposite step order."""
-        return Butterfly(self.p, self.kind + "-rev", tuple(reversed(self.partners)))
+        return Butterfly(self.p, self.kind + "-rev", self.partners[::-1])
 
 
 def _from_rule(p: int, kind: str, rule) -> Butterfly:
     """Butterfly from a partner rule evaluated over the whole rank array."""
     s = log2_exact(p)
     ranks = np.arange(p)
-    partners = tuple(tuple((rule(ranks, j) % p).tolist()) for j in range(s))
-    bf = Butterfly(p, kind, partners)
+    bf = Butterfly(p, kind, [rule(ranks, j) % p for j in range(s)])
     bf.validate()
     return bf
 

@@ -27,6 +27,8 @@ Two implementations are provided and cross-checked in tests:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.bine_tree import nu_labels
 from repro.core.butterfly import Butterfly
 from repro.core.negabinary import ones_mask
@@ -114,9 +116,7 @@ def bine_dd_responsibility(p: int, rank: int, step: int) -> frozenset[int]:
     (``b ↦ (b + r) mod p``), odd ranks mirror it (``b ↦ (r − b) mod p``) —
     the even/odd asymmetry mirrors Eq. 5's sign rule.
     """
-    nus = nu_labels(p)
-    mask = ones_mask(step)
-    base = [b for b in range(p) if nus[b] & mask == 0]
+    base = np.flatnonzero((nu_labels(p) & ones_mask(step)) == 0).tolist()
     if rank % 2 == 0:
         return frozenset((b + rank) % p for b in base)
     return frozenset((rank - b) % p for b in base)

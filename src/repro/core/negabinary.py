@@ -19,7 +19,11 @@ represents ``1·4 + 1·(−2) + 0·1 = 2``.
 
 from __future__ import annotations
 
-from repro.runtime.memo import label_table
+import operator
+
+import numpy as np
+
+from repro.core.tree import log2_exact
 
 __all__ = [
     "to_negabinary",
@@ -27,8 +31,9 @@ __all__ = [
     "max_positive",
     "min_negabinary",
     "nb_width",
+    "check_range",
+    "rank_value",
     "rank_to_nb",
-    "rank_to_nb_table",
     "nb_to_rank",
     "ones_mask",
     "trailing_equal_bits",
@@ -79,7 +84,7 @@ def max_positive(s: int) -> int:
     """
     if s < 0:
         raise ValueError("digit count must be non-negative")
-    return sum(4**k for k in range((s + 1) // 2))
+    return (4 ** ((s + 1) // 2) - 1) // 3
 
 
 def min_negabinary(s: int) -> int:
@@ -89,7 +94,7 @@ def min_negabinary(s: int) -> int:
     """
     if s < 0:
         raise ValueError("digit count must be non-negative")
-    return -sum(2 * 4**k for k in range(s // 2))
+    return -2 * (4 ** (s // 2) - 1) // 3
 
 
 def nb_width(value: int) -> int:
@@ -97,40 +102,60 @@ def nb_width(value: int) -> int:
     return to_negabinary(value).bit_length()
 
 
-@label_table("negabinary.rank_to_nb_table")
-def rank_to_nb_table(p: int) -> tuple[int, ...]:
-    """Memoized ``rank2nb`` table for all ranks ``0 … p−1``.
-
-    Labels are pure functions of ``p``, and schedule builders query them per
-    transfer; computing the whole window once per ``p`` turns the per-call
-    digit recursion into a table lookup for every later caller.
-    """
-    s = _log2_exact(p)
-    m = max_positive(s)
-    table = []
-    for rank in range(p):
-        bits = to_negabinary(rank if rank <= m else rank - p)
-        assert bits < (1 << s), (rank, p, bits)
-        table.append(bits)
-    return tuple(table)
+def _as_int(values: int | np.ndarray) -> int | np.ndarray:
+    """Return an int array unchanged and any other integer (a NumPy integer
+    scalar too) as a Python int, so a scalar label is always an int."""
+    return values if isinstance(values, np.ndarray) else operator.index(values)
 
 
-def rank_to_nb(rank: int, p: int) -> int:
+def check_range(values: int | np.ndarray, p: int, what: str = "rank") -> int | np.ndarray:
+    """Return ``_as_int(values)``; raise :class:`ValueError` unless ``values``
+    (an int or an int array) all lie in ``0 … p−1``."""
+    values = _as_int(values)
+    if isinstance(values, np.ndarray):
+        bad = values[(values < 0) | (values >= p)]
+        if bad.size:
+            raise ValueError(f"{what} {bad[0]} out of range for p={p}")
+    elif not 0 <= values < p:
+        raise ValueError(f"{what} {values} out of range for p={p}")
+    return values
+
+
+def _odd_digits(p: int) -> int:
+    """``A = −min_negabinary(s)``: ones in the odd digits of ``p = 2**s``."""
+    return -min_negabinary(log2_exact(p))
+
+
+def rank_value(rank: int | np.ndarray, p: int) -> int | np.ndarray:
+    """The integer ``rank2nb(rank, p)`` encodes: ``rank`` itself up to
+    ``max_positive(s)``, else ``rank − p`` (Sec. 2.3.1); ``(rank + A) mod p − A``."""
+    odd = _odd_digits(p)
+    return (check_range(rank, p) + odd) % p - odd
+
+
+def rank_to_nb(rank: int | np.ndarray, p: int) -> int | np.ndarray:
     """``rank2nb(r, p)`` from the paper: negabinary pattern assigned to a rank.
 
     Ranks in ``[0, max_positive(s)]`` use their own encoding; larger ranks use
     the encoding of ``rank − p`` (a negative value), so that the ``p`` ranks
     exactly fill the ``s``-digit window.  Requires ``p`` to be a power of two.
+
+    With ``A`` the odd-digit mask the window's value ``v`` is ``(v + A) ⊕ A``
+    on ``s`` digits, so this is one integer expression: an int gives an int,
+    a rank array an array.
     """
-    table = rank_to_nb_table(p)
-    if not 0 <= rank < p:
-        raise ValueError(f"rank {rank} out of range for p={p}")
-    return table[rank]
+    odd = _odd_digits(p)
+    return ((check_range(rank, p) + odd) & (p - 1)) ^ odd
 
 
-def nb_to_rank(bits: int, p: int) -> int:
-    """``nb2rank`` from the paper: map a negabinary pattern to a rank mod p."""
-    return from_negabinary(bits) % p
+def nb_to_rank(bits: int | np.ndarray, p: int) -> int | np.ndarray:
+    """``nb2rank`` from the paper: map a negabinary pattern to a rank mod p.
+
+    Inverse of :func:`rank_to_nb` on ``s`` digits: ``(bits ⊕ A) − A`` is
+    the encoded value (even digits weigh ``+2**j``, odd ones ``−2**j``).
+    """
+    odd = _odd_digits(p)
+    return ((_as_int(bits) ^ odd) - odd) % p
 
 
 def ones_mask(width: int) -> int:
@@ -158,12 +183,13 @@ def trailing_equal_bits(bits: int, s: int) -> int:
     return u
 
 
-def bit_reverse(bits: int, s: int) -> int:
-    """Reverse the low ``s`` bits of ``bits`` (the Sec. 4.3.1 ``reverse``)."""
-    out = 0
+def bit_reverse(bits: int | np.ndarray, s: int) -> int | np.ndarray:
+    """Reverse the low ``s`` bits of ``bits`` (the Sec. 4.3.1 ``reverse``);
+    an int gives an int, an array an array."""
+    bits = _as_int(bits)
+    out = bits & 0
     for j in range(s):
-        if (bits >> j) & 1:
-            out |= 1 << (s - 1 - j)
+        out = out | ((bits >> j) & 1) << (s - 1 - j)
     return out
 
 
@@ -171,9 +197,3 @@ def nb_digits(bits: int, s: int) -> str:
     """Render a pattern as an ``s``-character digit string (for diagnostics)."""
     return format(bits, f"0{s}b")
 
-
-def _log2_exact(p: int) -> int:
-    """Return log2(p) for a power of two, else raise."""
-    if p <= 0 or p & (p - 1):
-        raise ValueError(f"p={p} is not a positive power of two")
-    return p.bit_length() - 1

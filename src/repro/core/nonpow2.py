@@ -77,11 +77,11 @@ def bine_tree_dh_pruned(p: int, root: int = 0) -> PrunedTree:
         raise TreeError(f"pruned construction requires even p, got {p}")
     s = max(ceil_log2(p), 1) if p > 1 else 0
     from repro.core.bine_tree import bine_tree_distance_halving
-    from repro.core.negabinary import from_negabinary, rank_to_nb
+    from repro.core.negabinary import rank_value
 
     p_virt = 1 << s
     vtree = bine_tree_distance_halving(p_virt)
-    real = [from_negabinary(rank_to_nb(v, p_virt)) % p for v in range(p_virt)]
+    real = (rank_value(np.arange(p_virt), p_virt) % p).tolist()
 
     reached = [False] * p
     reached[real[0]] = True

@@ -9,9 +9,9 @@ sender in exactly one coordinate, so each message crosses links of a single
 torus dimension.
 
 The same interleaving applied to per-dimension Bine *butterflies* yields the
-torus-optimised reduce-scatter/allgather/allreduce.  Data handling for the
-resulting non-contiguous subtrees (App. D.2) uses the DFS-postorder
-permutation from :mod:`repro.core.permutation`.
+torus-optimised reduce-scatter/allgather/allreduce.  The collectives layer
+sends the resulting non-contiguous block sets (App. D.2) as their maximal
+contiguous runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bine_tree import _dh_partners
+from repro.core.bine_tree import dh_partner
 from repro.core.butterfly import Butterfly, bine_sigma
 from repro.core.tree import Tree, build_tree, log2_exact
 
@@ -115,11 +115,10 @@ def torus_bine_tree(shape: TorusShape, root: int = 0) -> Tree:
     ``dim`` coordinate is its 1-D Bine partner.
     """
     order = dimension_schedule(shape)
-    rules = [_dh_partners(d) for d in shape.dims]
 
     def partner(ranks: np.ndarray, g: int) -> np.ndarray:
         dim, i = order[g]
-        return _digit_map(shape, ranks, dim, lambda c: rules[dim](c, i))
+        return _digit_map(shape, ranks, dim, lambda c: dh_partner(c, i, shape.dims[dim]))
 
     return build_tree(
         shape.num_ranks,
@@ -136,10 +135,10 @@ def _torus_butterfly(shape: TorusShape, kind: str, partner_1d, order=None) -> Bu
     extent ``d`` to its partners at that dimension's step ``i``."""
     order = dimension_schedule(shape) if order is None else order
     ranks = np.arange(shape.num_ranks)
-    partners = tuple(
-        tuple(_digit_map(shape, ranks, dim, lambda c: partner_1d(c, i, shape.dims[dim])).tolist())
+    partners = [
+        _digit_map(shape, ranks, dim, lambda c: partner_1d(c, i, shape.dims[dim]))
         for dim, i in order
-    )
+    ]
     bf = Butterfly(shape.num_ranks, kind, partners)
     bf.validate()
     return bf

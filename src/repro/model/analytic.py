@@ -110,7 +110,7 @@ def bine_alltoall_table(p: int):
     """
     ranks = np.arange(p)
     steps = [
-        (ranks, np.asarray(row), p // 2, 1, False)
+        (ranks, row, p // 2, 1, False)
         for row in bine_butterfly_doubling(p).partners
     ]
     return step_table(_meta("bine", p), steps + [_NO_TRANSFERS], pack=True)

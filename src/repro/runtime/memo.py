@@ -3,13 +3,15 @@
 Every module-level memo of the pipeline is declared through this module,
 and declaring one registers it:
 
-* :func:`label_table` — per-``p`` label tables (negabinary, ν, π), pure
-  functions of ``p`` kept for the life of the process;
 * :class:`Memo` — a dict with a FIFO bound whose :meth:`Memo.get_or`
   bumps the ``cache.<counter>.{hit,miss}`` counters of
   :mod:`repro.obs.metrics`;
 * the :mod:`repro.obs.metrics` series store itself (its "size" is the
   number of live series).
+
+Bine labels (negabinary, ν, π) are closed-form integer expressions
+(:mod:`repro.core.negabinary`, :mod:`repro.core.bine_tree`), so no label
+is memoized.
 
 :func:`clear_memo_caches` drops all of them (cold-start benchmarks,
 long-lived services bounding memory) and :func:`memo_cache_sizes` reports
@@ -27,14 +29,12 @@ Example::
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
 from repro.obs import metrics as _metrics
 
 __all__ = [
     "Memo",
-    "label_table",
     "memo_cache_registry",
     "memo_cache_sizes",
     "clear_memo_caches",
@@ -83,21 +83,6 @@ class Memo(dict):
             del self[next(iter(self))]
         self[key] = value
         return value
-
-
-def label_table(name: str):
-    """Decorator: memoize a one-argument table builder, registered as ``name``.
-
-    Builders look labels up per transfer, so the wrapper is the C-level
-    :func:`functools.lru_cache`, unbounded.
-    """
-
-    def wrap(fn):
-        cached = lru_cache(maxsize=None)(fn)
-        _register(name, lambda: cached.cache_info().currsize, cached.cache_clear)
-        return cached
-
-    return wrap
 
 
 _register("obs.metrics", _metrics.active_series, _metrics.reset)

@@ -39,9 +39,8 @@ from repro.collectives import composed, registry
 from repro.collectives.butterfly_collectives import (
     _PI_SPACE,
     _local_arrays,
-    _pi_array,
 )
-from repro.collectives.common import Strategy
+from repro.collectives.common import Strategy, global_pi
 from repro.core.bine_tree import nu_labels
 from repro.core.blocks import Partition
 from repro.core.butterfly import Butterfly
@@ -89,7 +88,7 @@ def sorted_runs(arr: np.ndarray) -> list[tuple[int, int]]:
 
 def _bine_dd_backend(bf: Butterfly):
     p = bf.p
-    nus = np.array(nu_labels(p), dtype=np.int64)
+    nus = nu_labels(p)
     base: dict[int, np.ndarray] = {}
 
     def resp(rank: int, step: int) -> np.ndarray:
@@ -207,7 +206,7 @@ def _set_segments(bf: Butterfly, n: int, strategy: Strategy):
     """``segs(rank, step)``: wire segments of ``resp(rank, step)``."""
     p, resp = bf.p, resp_backend(bf)
     if strategy in _PI_SPACE:
-        pi, bs = _pi_array(p), n // p
+        pi, bs = global_pi(p), n // p
 
         def segs(rank: int, step: int):
             ctx = f"{bf.kind} rank {rank} step {step}"

@@ -1,5 +1,6 @@
 """Tests for butterfly matchings (paper Sec. 3.1, Eq. 3-5, Appendix A)."""
 
+import numpy as np
 import pytest
 
 from repro.core.butterfly import (
@@ -71,13 +72,15 @@ class TestPaperExamples:
             dh = bine_butterfly_halving(p)
             s = dd.num_steps
             for i in range(s):
-                assert dh.partners[i] == dd.partners[s - 1 - i]
+                assert np.array_equal(dh.partners[i], dd.partners[s - 1 - i])
 
     def test_swing_shares_bine_matchings(self):
         # Sec. 4.4: Swing's communication pattern equals Bine's; only the
         # data layout differs.
         for p in (8, 32):
-            assert swing_butterfly(p).partners == bine_butterfly_doubling(p).partners
+            assert np.array_equal(
+                swing_butterfly(p).partners, bine_butterfly_doubling(p).partners
+            )
 
 
 class TestDistances:
@@ -103,7 +106,7 @@ class TestDistances:
 class TestReversed:
     def test_reversed_roundtrip(self):
         bf = recursive_halving_butterfly(16)
-        assert bf.reversed().reversed().partners == bf.partners
+        assert np.array_equal(bf.reversed().reversed().partners, bf.partners)
 
     def test_invalid_partner_rejected(self):
         bad = Butterfly(4, "bad", ((1, 0, 3, 2), (2, 3, 0, 0)))

@@ -198,11 +198,6 @@ class TestMetricsRegistry:
         )
         assert proc.returncode == 0, proc.stderr
         assert set(json.loads(proc.stdout)) == {
-            "negabinary.rank_to_nb_table",
-            "bine_tree._nu_table",
-            "bine_tree._nu_inverse_table",
-            "common._pi_table",
-            "common._pi_inv_table",
             "torus.torus_algorithms",
             "verify._PATTERN_CACHE",
             "compiled._TABLE_CACHE",

@@ -1,7 +1,7 @@
-"""Correctness of the sweep-pipeline caches (labels, routes, validation, disk).
+"""Correctness of the sweep pipeline's shortcuts (labels, routes, validation, disk).
 
-The fast pipeline must be a pure optimization: cached label tables equal
-the recomputed definitions, shared route tables produce the same profiles
+The fast pipeline must be a pure optimization: the closed-form labels equal
+the paper's definitions, shared route tables produce the same profiles
 as per-call routing, skipping validation never changes a schedule, and the
 on-disk profile cache round-trips profiles and evaluated times exactly.
 """
@@ -18,20 +18,21 @@ import pytest
 
 import repro
 
-from repro.analysis.sweep import ProfileCache, clear_memo_caches, sweep_system
+from repro.analysis.sweep import ProfileCache, sweep_system
 from repro.collectives.common import Strategy, global_pi, global_pi_inv
 from repro.collectives.butterfly_collectives import (
     allgather_butterfly,
     reduce_scatter_butterfly,
 )
 from repro.collectives.registry import ALGORITHMS
-from repro.core.bine_tree import nu_inverse, nu_label, nu_labels
+from repro.core.bine_tree import dd_recv_step, dh_recv_step, nu_inverse, nu_label, nu_labels
 from repro.core.butterfly import bine_butterfly_doubling
 from repro.core.negabinary import (
     bit_reverse,
     max_positive,
+    nb_to_rank,
     rank_to_nb,
-    rank_to_nb_table,
+    rank_value,
     to_negabinary,
 )
 from repro.model.compiled import CompiledRouteTable, lower_schedule, profile_table
@@ -48,10 +49,12 @@ from repro.topology.mapping import block_mapping
 from scalar_oracle import evaluate_time
 
 POW2 = [2, 4, 8, 16, 32, 64, 128, 256]
+#: every p a sweep runs at, 2**0 … 2**12
+SWEEP_POW2 = [1 << k for k in range(13)]
 
 
 def _reference_rank_to_nb(rank: int, p: int) -> int:
-    """rank2nb from first principles (paper Sec. 2.3.1), bypassing caches."""
+    """rank2nb from first principles (paper Sec. 2.3.1)."""
     s = p.bit_length() - 1
     m = max_positive(s)
     return to_negabinary(rank if rank <= m else rank - p)
@@ -68,35 +71,67 @@ def _reference_nu(rank: int, p: int) -> int:
 
 
 class TestLabelTables:
-    @pytest.mark.parametrize("p", POW2)
-    def test_rank_to_nb_table_matches_definition(self, p):
-        table = rank_to_nb_table(p)
-        assert len(table) == p
-        for r in range(p):
-            assert table[r] == _reference_rank_to_nb(r, p)
-            assert rank_to_nb(r, p) == table[r]
+    """Each label is one integer expression: an int gives the int the
+    paper's definition gives, a rank array the array of them."""
 
-    @pytest.mark.parametrize("p", POW2)
-    def test_nu_tables_match_definition(self, p):
+    @pytest.mark.parametrize("p", SWEEP_POW2)
+    def test_negabinary_matches_definition(self, p):
+        ranks = np.arange(p)
+        want = [_reference_rank_to_nb(r, p) for r in range(p)]
+        nb = rank_to_nb(ranks, p)
+        assert nb.tolist() == want
+        m = max_positive(p.bit_length() - 1)
+        assert rank_value(ranks, p).tolist() == [r if r <= m else r - p for r in range(p)]
+        assert nb_to_rank(nb, p).tolist() == ranks.tolist()
+        for r in range(0, p, max(1, p // 64)):
+            assert rank_to_nb(r, p) == want[r]
+            assert nb_to_rank(want[r], p) == r
+
+    @pytest.mark.parametrize("p", SWEEP_POW2)
+    def test_nu_matches_definition(self, p):
+        ranks = np.arange(p)
+        want = [_reference_nu(r, p) for r in range(p)]
         labels = nu_labels(p)
-        assert labels == [_reference_nu(r, p) for r in range(p)]
-        for r in range(p):
-            assert nu_label(r, p) == labels[r]
-        inv = nu_inverse(p)
-        assert [inv[v] for v in labels] == list(range(p))
+        assert labels.tolist() == want
+        assert nu_label(ranks, p).tolist() == want
+        assert nu_inverse(labels, p).tolist() == ranks.tolist()
+        assert sorted(labels.tolist()) == ranks.tolist()
+        for r in range(0, p, max(1, p // 64)):
+            assert nu_label(r, p) == want[r]
+            assert nu_inverse(want[r], p) == r
 
-    @pytest.mark.parametrize("p", POW2)
-    def test_pi_tables_match_definition(self, p):
+    @pytest.mark.parametrize("p", SWEEP_POW2)
+    def test_pi_matches_definition(self, p):
         s = p.bit_length() - 1
         pi = global_pi(p)
-        assert pi == [bit_reverse(_reference_nu(b, p), s) for b in range(p)]
-        inv = global_pi_inv(p)
-        assert [inv[pos] for pos in pi] == list(range(p))
+        assert pi.tolist() == [bit_reverse(_reference_nu(b, p), s) for b in range(p)]
+        assert global_pi_inv(p)[pi].tolist() == list(range(p))
 
-    def test_tables_survive_cache_clear(self):
-        before = nu_labels(64)
-        clear_memo_caches()
-        assert nu_labels(64) == before
+    def test_pi_fig8_example(self):
+        # Fig. 8 (p=8): blocks {1,2,5,6} (ν LSB = 1) land in positions 4-7.
+        assert set(global_pi(8)[[1, 2, 5, 6]].tolist()) == {4, 5, 6, 7}
+
+    @pytest.mark.parametrize("as_int", [int, np.int64])
+    def test_int_in_int_out(self, as_int):
+        # a NumPy integer scalar (an element of a label array) gives an int too
+        five, three = as_int(5), as_int(3)
+        for value in (rank_to_nb(five, 8), rank_value(five, 8), nb_to_rank(three, 8),
+                      nu_label(five, 8), nu_inverse(five, 8), bit_reverse(three, 4)):
+            assert type(value) is int
+        assert dd_recv_step(nu_labels(8)[5], 8) == dd_recv_step(int(nu_labels(8)[5]), 8)
+        assert dh_recv_step(five, 8) == dh_recv_step(5, 8)
+
+    @pytest.mark.parametrize("fn", [rank_to_nb, rank_value, nu_label, nu_inverse])
+    def test_rejects_out_of_range(self, fn):
+        for bad in (-1, 8, np.array([0, 3, 8]), np.array([-1, 2])):
+            with pytest.raises(ValueError, match="out of range for p=8"):
+                fn(bad, 8)
+
+    @pytest.mark.parametrize("fn", [rank_to_nb, rank_value, nb_to_rank, nu_label, nu_inverse])
+    def test_rejects_non_power_of_two(self, fn):
+        for p in (0, 6, 12):
+            with pytest.raises(ValueError, match="not a positive power of two"):
+                fn(0, p)
 
 
 class TestSharedRouteTable:

@@ -36,15 +36,6 @@ from segment_oracle import flow_backed_specs, oracle_render, schedule_mismatches
 
 P_GRID = (2, 4, 8, 16, 32, 64, 256)
 
-#: the per-p label memos (negabinary, ν, π): the only caches a build fills
-LABEL_TABLES = {
-    "negabinary.rank_to_nb_table",
-    "bine_tree._nu_table",
-    "bine_tree._nu_inverse_table",
-    "common._pi_table",
-    "common._pi_inv_table",
-}
-
 FLOW_SPECS = flow_backed_specs()
 
 
@@ -152,9 +143,9 @@ def test_butterfly_transfers_hold_one_tuple_for_both_ends():
             assert all(t.src_segments is t.dst_segments for t in step.transfers)
 
 
-def test_building_flow_entries_grows_only_label_tables():
-    """Rendering keeps no memo of its own: after a cold build of every
-    flow-backed entry at p = 256, only the label tables have grown."""
+def test_building_flow_entries_grows_no_memo():
+    """Rendering keeps no memo, and labels are closed forms: a cold build
+    of every flow-backed entry at p = 256 grows no memo."""
     clear_memo_caches()
     before = memo_cache_sizes()
     with schedule_validation(False):
@@ -164,5 +155,4 @@ def test_building_flow_entries_grows_only_label_tables():
             except ValueError:
                 pass
     after = memo_cache_sizes()
-    grown = {name for name, size in after.items() if size != before.get(name, 0)}
-    assert grown and grown <= LABEL_TABLES
+    assert after == before
